@@ -43,6 +43,12 @@ INCONCLUSIVE = "inconclusive"
 # the base point at every ladder rung.
 _PROBE_FRACTIONS = (0.999, 0.75, 0.5, 0.25, 0.1, 0.01)
 
+# Number of params each map rule takes.
+_RULE_ARITY = {
+    "identity": 0, "affine": 2, "power": 1, "reciprocal": 0, "quotient": 1, "constant": 1,
+    "step": 1, "sum": 0, "product": 0, "scalar": 1, "recip-of": 0, "compose": 0,
+}
+
 
 # ---------------------------------------------------------------------------
 # Maps
@@ -56,6 +62,13 @@ class MapRule:
     tag: str
     params: tuple = ()
     children: tuple["MapRule", ...] = ()
+
+    def __post_init__(self):
+        arity = _RULE_ARITY.get(self.tag)
+        if arity is not None and len(self.params) != arity:
+            raise InvalidParameter(
+                f"map rule {self.tag!r} takes {arity} params, got {len(self.params)}"
+            )
 
     def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -139,11 +152,6 @@ class MapBetweenSpaces:
 
     def __call__(self, xs):
         return self.rule(xs)
-
-    def eval_checked(self, x: float) -> float:
-        if not bool(self.restriction.contains(x)):
-            raise DomainError(f"{x!r} is outside the map's restriction")
-        return float(self.rule(x))
 
     def summary(self) -> dict:
         return {"rule": self.rule.describe(), "domain": self.restriction.summary()}
@@ -252,6 +260,25 @@ def _hypothesis_radius(space: IFNSpace, beta: float, delta: float) -> float | No
         return None
 
 
+def _implications(
+    f: MapBetweenSpaces, dx: np.ndarray, dfx: np.ndarray,
+    delta: float, beta: float, epsilon: float, alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two implications of pointwise continuity, checked separately:
+    mu_U(dx, delta) > 1 - beta implies mu_V(dfx, epsilon) > 1 - alpha, and
+    nu_U(dx, delta) < beta implies nu_V(dfx, epsilon) < alpha.
+
+    Returns the mask of points violating either implication and the mask
+    of points inside either hypothesis set.
+    """
+    U, V = f.domain, f.codomain
+    hyp_mu = U.mu_many(dx, delta) > 1.0 - beta
+    hyp_nu = U.nu_many(dx, delta) < beta
+    concl_mu = V.mu_many(dfx, epsilon) > 1.0 - alpha
+    concl_nu = V.nu_many(dfx, epsilon) < alpha
+    return (hyp_mu & ~concl_mu) | (hyp_nu & ~concl_nu), hyp_mu | hyp_nu
+
+
 def _base_samples(f: MapBetweenSpaces, x0: float, seed: int) -> np.ndarray:
     dom = f.restriction
     rng = np.random.default_rng((seed, 17))
@@ -308,13 +335,9 @@ def continuity_witness_search(
         rho = _hypothesis_radius(U, beta, delta)
         xs = _rung_probes(f, x0, rho, base)
         dx = (xs - x0).reshape(-1, 1)
-        hyp_mu = U.mu_many(dx, delta) > 1.0 - beta
-        hyp_nu = U.nu_many(dx, delta) < beta
         dfx = (f(xs) - fx0).reshape(-1, 1)
-        concl_mu = V.mu_many(dfx, epsilon) > 1.0 - alpha
-        concl_nu = V.nu_many(dfx, epsilon) < alpha
-        viol = (hyp_mu & ~concl_mu) | (hyp_nu & ~concl_nu)
-        probed = (hyp_mu | hyp_nu) & (xs != x0)
+        viol, hyp = _implications(f, dx, dfx, delta, beta, epsilon, alpha)
+        probed = hyp & (xs != x0)
         probes_checked += len(xs)
         if np.any(probed):
             last_probed_rung = j
@@ -364,9 +387,8 @@ def recheck_witness(
         return False
     delta = witness.delta if delta is None else delta
     beta = witness.beta if beta is None else beta
-    U, V = f.domain, f.codomain
     x0 = witness.x0
-    rho = _hypothesis_radius(U, beta, delta)
+    rho = _hypothesis_radius(f.domain, beta, delta)
     rng = np.random.default_rng((seed, 23))
     xs = np.concatenate(
         [
@@ -376,12 +398,9 @@ def recheck_witness(
     )
     xs = xs[f.restriction.contains(xs)]
     dx = (xs - x0).reshape(-1, 1)
-    hyp_mu = U.mu_many(dx, delta) > 1.0 - beta
-    hyp_nu = U.nu_many(dx, delta) < beta
     dfx = (f(xs) - float(f(x0))).reshape(-1, 1)
-    concl_mu = V.mu_many(dfx, witness.epsilon) > 1.0 - witness.alpha
-    concl_nu = V.nu_many(dfx, witness.epsilon) < witness.alpha
-    return not bool(np.any((hyp_mu & ~concl_mu) | (hyp_nu & ~concl_nu)))
+    viol, _ = _implications(f, dx, dfx, delta, beta, witness.epsilon, witness.alpha)
+    return not bool(np.any(viol))
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +585,14 @@ def uniform_continuity_search(
     xa, xb = _pair_sample(f, seed)
     dx = (xa - xb).reshape(-1, 1)
     dfx = (f(xa) - f(xb)).reshape(-1, 1)
-    concl = (V.mu_many(dfx, epsilon) > 1.0 - alpha) & (V.nu_many(dfx, epsilon) < alpha)
+    concl = V.within(dfx, alpha, epsilon)
     pairs_checked = 0
     every_rung_violated = True
     counterexample = None
     for j in range(ladder_depth + 1):
         delta = epsilon * 2.0 ** (-j)
         beta = alpha * 2.0 ** (-j)
-        hyp = (U.mu_many(dx, delta) > 1.0 - beta) & (U.nu_many(dx, delta) < beta)
+        hyp = U.within(dx, beta, delta)
         viol = hyp & ~concl
         pairs_checked += len(xa)
         if not np.any(viol):

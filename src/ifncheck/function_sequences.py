@@ -23,11 +23,12 @@ from .continuity import (
     MapRule,
     continuity_witness_search,
 )
-from .ifn_core import IFNSpace
+from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
     convergence_index,
+    tail_index,
 )
 from .sampling import Interval
 
@@ -210,12 +211,8 @@ def _per_point_indices(
     out: list[int | None] = []
     for col in range(vals.shape[1]):
         diffs = (vals[:, col] - limits[col]).reshape(-1, 1)
-        ok = (codomain.mu_many(diffs, t) > 1.0 - r) & (codomain.nu_many(diffs, t) < r)
-        if not ok[-1]:
-            out.append(None)
-            continue
-        bad = np.flatnonzero(~ok)
-        out.append(int(bad[-1]) + 2 if len(bad) else 1)
+        ok = codomain.within(diffs, r, t)
+        out.append(tail_index(ok) if ok[-1] else None)
     return out
 
 
@@ -237,6 +234,19 @@ def _ladder_verdict(ladder_indices: list[int | None]) -> bool:
     if any(b <= a for a, b in zip(finite, finite[1:])):
         return False
     return all(finite[j + 3] >= 2 * finite[j] for j in range(len(finite) - 3))
+
+
+def _uniform_verdict(
+    idx: list[int | None], ladder_idx: list[int | None]
+) -> tuple[str, int | None]:
+    """A diverging refinement ladder refutes uniformity on the sample; a
+    per-point index everywhere gives n0 = their maximum; anything else is
+    inconclusive."""
+    if ladder_idx and _ladder_verdict(ladder_idx):
+        return VERDICT_NOT_UNIFORM, None
+    if all(i is not None for i in idx):
+        return VERDICT_UNIFORM, max(idx)
+    return VERDICT_INCONCLUSIVE, None
 
 
 def uniform_index_search(
@@ -266,16 +276,8 @@ def uniform_index_search(
             raise NoLimit("no limit map available; certify pointwise first")
         limits = exact
     idx = _per_point_indices(codomain, seq, xs, limits, r, t)
-    base_idx = idx[: len(base)]
     ladder_idx = idx[len(base) :]
-
-    if ladder_idx and _ladder_verdict(ladder_idx):
-        verdict, n0 = VERDICT_NOT_UNIFORM, None
-    elif all(i is not None for i in idx):
-        n0 = max(i for i in idx if i is not None)
-        verdict = VERDICT_UNIFORM
-    else:
-        verdict, n0 = VERDICT_INCONCLUSIVE, None
+    verdict, n0 = _uniform_verdict(idx, ladder_idx)
     return UniformCertificate(
         r,
         t,
@@ -343,51 +345,27 @@ def uniform_cauchy_check(
             sfx_min = np.minimum.accumulate(v[::-1])[::-1]
             n_idx = np.arange(seq.budget)
             worst = np.maximum(sfx_max[n_idx + 1] - v[n_idx], v[n_idx] - sfx_min[n_idx + 1])
-            d = worst.reshape(-1, 1)
-            ok[:, col] = (codomain.mu_many(d, t) > 1.0 - r) & (
-                codomain.nu_many(d, t) < r
-            )
+            ok[:, col] = codomain.within(worst.reshape(-1, 1), r, t)
     else:
         for p in range(1, p_max + 1):
             diffs = vals[p : seq.budget + p] - vals[: seq.budget]
             for col in range(len(xs)):
-                d = diffs[:, col].reshape(-1, 1)
-                good = (codomain.mu_many(d, t) > 1.0 - r) & (codomain.nu_many(d, t) < r)
-                ok[:, col] &= good
+                ok[:, col] &= codomain.within(diffs[:, col].reshape(-1, 1), r, t)
 
-    idx: list[int | None] = []
-    for col in range(len(xs)):
-        col_ok = ok[:, col]
-        if not col_ok[-1]:
-            idx.append(None)
-            continue
-        bad = np.flatnonzero(~col_ok)
-        idx.append(int(bad[-1]) + 2 if len(bad) else 1)
+    idx = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
     ladder_idx = idx[len(base) :]
-
-    if ladder_idx and _ladder_verdict(ladder_idx):
-        verdict, n0 = VERDICT_NOT_UNIFORM, None
-    elif all(i is not None for i in idx):
-        n0 = max(i for i in idx if i is not None)
-        verdict = VERDICT_UNIFORM
-        if not radial:
-            # spot-check the two-sided form on a geometric (n, m) grid
-            grid = sorted(
-                {min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)}
-            )
-            for i, n in enumerate(grid):
-                for m in grid[i + 1 :]:
-                    d = (vals[m - 1] - vals[n - 1]).reshape(-1, 1)
-                    good = (codomain.mu_many(d, t) > 1.0 - r) & (
-                        codomain.nu_many(d, t) < r
-                    )
-                    if not bool(np.all(good)):
-                        verdict, n0 = VERDICT_INCONCLUSIVE, None
-                        break
-                if verdict != VERDICT_UNIFORM:
-                    break
-    else:
-        verdict, n0 = VERDICT_INCONCLUSIVE, None
+    verdict, n0 = _uniform_verdict(idx, ladder_idx)
+    if verdict == VERDICT_UNIFORM and not radial:
+        # spot-check the two-sided form on a geometric (n, m) grid
+        grid = sorted(
+            {min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)}
+        )
+        pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
+        if not all(
+            np.all(codomain.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
+            for n, m in pairs
+        ):
+            verdict, n0 = VERDICT_INCONCLUSIVE, None
     return UniformCertificate(
         r,
         t,
@@ -533,22 +511,12 @@ def classical_uniform_probe(
         limits = seq.exact_limit(xs)
         if limits is None:
             raise NoLimit("no limit map available")
-    threshold = r * t / (codomain.k * (1.0 - r))
+    threshold = membership_radius(codomain, r, t)
     ns = np.arange(1, seq.budget + 1)
-    devs = np.abs(seq.values(ns, xs) - limits.reshape(1, -1))
-    indices: list[int | None] = []
-    for col in range(len(xs)):
-        ok = devs[:, col] < threshold
-        if not ok[-1]:
-            indices.append(None)
-            continue
-        bad = np.flatnonzero(~ok)
-        indices.append(int(bad[-1]) + 2 if len(bad) else 1)
-    ladder_idx = indices[len(sample.points) :]
-    if ladder_idx and _ladder_verdict(ladder_idx):
-        classical_uniform = False
-    else:
-        classical_uniform = all(i is not None for i in indices)
+    ok = np.abs(seq.values(ns, xs) - limits.reshape(1, -1)) < threshold
+    indices = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
+    verdict, _ = _uniform_verdict(indices, indices[len(sample.points) :])
+    classical_uniform = verdict == VERDICT_UNIFORM
     cert = uniform_index_search(spaces, seq, limit_map, sample, r, t)
     return ClassicalUniformRecord(
         (threshold,), tuple(indices), classical_uniform, cert

@@ -246,6 +246,17 @@ class IFNSpace:
     def nu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.nu.eval(pts, t)
 
+    def within(self, diffs: np.ndarray, r: float, t) -> np.ndarray:
+        """Mask over an (N, d) block of differences z of the membership
+        demand mu(z, t) > 1 - r and nu(z, t) < r, both strict.
+
+        The one definition behind open balls (`topology.OpenBall`),
+        convergence and Cauchy indices and uniform continuity.  Both
+        memberships are always evaluated: the closed-form radius shortcut
+        can flip near-ties.  A NaN difference fails the demand.
+        """
+        return (self.mu_many(diffs, t) > 1.0 - r) & (self.nu_many(diffs, t) < r)
+
     def signature(self) -> tuple:
         return (
             self.dimension,
@@ -689,7 +700,7 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
 
     def inside(u: float) -> bool:
         e[0, 0] = u
-        return bool(space.mu_many(e, t)[0] > 1.0 - r and space.nu_many(e, t)[0] < r)
+        return bool(space.within(e, r, t)[0])
 
     lo, hi = 0.0, 1.0
     while inside(hi):

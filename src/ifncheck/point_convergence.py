@@ -27,6 +27,11 @@ STATUS_CERTIFIED = "certified-up-to-budget"
 STATUS_FAILED = "failed"
 STATUS_INCONCLUSIVE = "inconclusive"
 
+# Number of params each closed-form sequence family takes.
+_FAMILY_ARITY = {
+    "reciprocal": 0, "constant": 1, "linear": 0, "alternating": 0, "shifted-reciprocal": 2,
+}
+
 
 @dataclass(frozen=True, eq=False)
 class PointSequence:
@@ -41,6 +46,13 @@ class PointSequence:
     budget: int = DEFAULT_BUDGET
     dimension: int = 1
     fn: Callable | None = None
+
+    def __post_init__(self):
+        arity = _FAMILY_ARITY.get(self.family)
+        if arity is not None and len(self.params) != arity:
+            raise InvalidParameter(
+                f"sequence family {self.family!r} takes {arity} params, got {len(self.params)}"
+            )
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -148,6 +160,19 @@ def _check_rt(r: float, t: float):
         raise DomainError(f"t must be a positive real, got {t!r}")
 
 
+def tail_index(ok: np.ndarray) -> int | list[int]:
+    """Start of the all-pass tail of each column of `ok`: 1 + the 1-based
+    position of the last False, or 1 when the column has none.
+
+    ok[i] is the verdict at index i+1.  A 1-D mask gives an int, an (N, M)
+    block a list of M ints.  The scan does not look at ok[-1] specially:
+    callers decide what a failing last entry means.
+    """
+    bad = ~np.asarray(ok, dtype=bool)
+    starts = np.arange(2, bad.shape[0] + 2).reshape((-1,) + (1,) * (bad.ndim - 1))
+    return np.max(np.where(bad, starts, 1), axis=0, initial=1).tolist()
+
+
 def _status_from_mask(ok: np.ndarray) -> tuple[int | None, str]:
     """Minimal all-pass tail start and the resulting status.
 
@@ -160,8 +185,7 @@ def _status_from_mask(ok: np.ndarray) -> tuple[int | None, str]:
         return None, STATUS_INCONCLUSIVE
     if not ok[-1]:
         return None, STATUS_FAILED
-    bad = np.flatnonzero(~ok)
-    n0 = int(bad[-1]) + 2 if len(bad) else 1
+    n0 = tail_index(ok)
     if n0 <= max(1, n // 2):
         return n0, STATUS_CERTIFIED
     return n0, STATUS_INCONCLUSIVE
@@ -176,10 +200,7 @@ def convergence_index(
     lim = as_point(limit, space.dimension)
     ns = np.arange(1, seq.budget + 1)
     diffs = seq.values(ns) - lim
-    mu = space.mu_many(diffs, t)
-    nu = space.nu_many(diffs, t)
-    ok = (mu > 1.0 - r) & (nu < r)
-    n0, status = _status_from_mask(ok)
+    n0, status = _status_from_mask(space.within(diffs, r, t))
     return ConvergenceCertificate(
         "convergence", r, t, n0, status, tuple(lim), seq.budget
     )
@@ -195,11 +216,7 @@ def _cauchy_ok_mask(
     for p in range(1, p_max + 1):
         if p >= n_total:
             break
-        diffs = vals[p:] - vals[:-p]
-        mu = space.mu_many(diffs, t)
-        nu = space.nu_many(diffs, t)
-        good = (mu > 1.0 - r) & (nu < r)
-        ok[: n_total - p] &= good
+        ok[: n_total - p] &= space.within(vals[p:] - vals[:-p], r, t)
     return ok
 
 
@@ -265,9 +282,7 @@ def cauchy_escape_index(
     _check_rt(r, t)
     n = min(budget or seq.budget, seq.budget)
     vals = seq.values(np.arange(1, n + 1))
-    ok = _cauchy_ok_mask(space, vals, r, t, p_max)
-    bad = np.flatnonzero(~ok)
-    return int(bad[-1]) + 2 if len(bad) else 1
+    return tail_index(_cauchy_ok_mask(space, vals, r, t, p_max))
 
 
 @dataclass(frozen=True)

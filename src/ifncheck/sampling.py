@@ -34,21 +34,6 @@ def as_point(x, dimension: int) -> np.ndarray:
     return arr
 
 
-def as_points(xs, dimension: int) -> np.ndarray:
-    """Coerce input into an (N, dimension) array of points."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim == 1:
-        if dimension == 1:
-            arr = arr.reshape(-1, 1)
-        else:
-            arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != dimension:
-        raise DomainError(
-            f"expected points of dimension {dimension}, got shape {arr.shape}"
-        )
-    return arr
-
-
 def product_grid(axis_values: np.ndarray, dimension: int, seed: int = 0) -> np.ndarray:
     """Cartesian product grid, seeded-subsampled above MAX_GRID_POINTS."""
     axis_values = np.asarray(axis_values, dtype=float)

@@ -23,7 +23,7 @@ from .continuity import (
     sequential_continuity_check,
     uniform_continuity_search,
 )
-from .errors import CertificationError, ConfigError, IFNError
+from .errors import CertificationError, ConfigError, IFNError, NoLimit
 from .function_sequences import (
     classical_uniform_probe,
     closed_form_index_power,
@@ -369,7 +369,12 @@ def _run_funcseq(config: dict, seed: int) -> list[CheckRecord]:
     spaces = (U, V)
     records = []
     for seq in build_funcseq(config["funcseq"]):
-        records.extend(_funcseq_checks(config, spaces, seq, seed))
+        try:
+            records.extend(_funcseq_checks(config, spaces, seq, seed))
+        except NoLimit as exc:
+            raise ConfigError(
+                f"funcseq: family {seq.family!r} on [{seq.domain.lo}, {seq.domain.hi}]: {exc}"
+            ) from exc
     return records
 
 

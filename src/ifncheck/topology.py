@@ -13,9 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter, UnsupportedFamily, WitnessNotFound
+from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from .ifn_core import IFNSpace, membership_radius
 from .continuity import MapBetweenSpaces
+from .norm_algebra import _bisect_from_above
 from .sampling import SamplingPlan, as_point, default_plan
 
 # (r, t) ladder searched when testing openness at a witness point.
@@ -27,8 +28,8 @@ _BALL_FRACTIONS = (0.999999, 0.9, 0.5, 0.1)
 
 @dataclass(frozen=True, eq=False)
 class OpenBall:
-    """B(center, r, t) = points y with mu(center - y, t) > 1 - r and
-    nu(center - y, t) < r.  Both inequalities are strict."""
+    """B(center, r, t): the points y whose difference center - y meets the
+    strict membership demand `IFNSpace.within(., r, t)`."""
 
     center: np.ndarray
     r: float
@@ -49,10 +50,7 @@ class OpenBall:
 def ball_contains(space: IFNSpace, ball: OpenBall, y) -> bool:
     pt = as_point(y, space.dimension)
     diff = (ball.center - pt).reshape(1, -1)
-    return bool(
-        space.mu_many(diff, ball.t)[0] > 1.0 - ball.r
-        and space.nu_many(diff, ball.t)[0] < ball.r
-    )
+    return bool(space.within(diff, ball.r, ball.t)[0])
 
 
 def ball_contains_many(space: IFNSpace, ball: OpenBall, ys: np.ndarray) -> np.ndarray:
@@ -61,10 +59,7 @@ def ball_contains_many(space: IFNSpace, ball: OpenBall, ys: np.ndarray) -> np.nd
         ys = ys.reshape(-1, 1)
     if ys.shape[1] != space.dimension:
         raise DomainError("point block dimension mismatch")
-    diffs = ball.center.reshape(1, -1) - ys
-    return (space.mu_many(diffs, ball.t) > 1.0 - ball.r) & (
-        space.nu_many(diffs, ball.t) < ball.r
-    )
+    return space.within(ball.center.reshape(1, -1) - ys, ball.r, ball.t)
 
 
 def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
@@ -72,7 +67,7 @@ def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
     single classical inequality ||center - y|| < r t / (k (1 - r))."""
     if not space.is_standard:
         raise UnsupportedFamily("classical radius exists only for the standard family")
-    return ball.r * ball.t / (space.k * (1.0 - ball.r))
+    return membership_radius(space, ball.r, ball.t)
 
 
 def sample_in_ball(
@@ -140,10 +135,7 @@ def inner_ball_witness(
     t0 = None
     for j in range(1, 48):
         cand = t * (1.0 - 2.0 ** (-j))
-        if (
-            space.mu_many(diff, cand)[0] > 1.0 - r
-            and space.nu_many(diff, cand)[0] < r
-        ):
+        if space.within(diff, r, cand)[0]:
             t0 = cand
             break
     if t0 is None:
@@ -163,17 +155,10 @@ def inner_ball_witness(
         # in (1 - s, 1) is admissible; take the midpoint.
         r3 = 1.0 - 0.5 * s
     else:
-        hi = 1.0 - 1e-12
-        if not admissible(hi):
-            raise WitnessNotFound("no admissible r3; operation pair is broken")
-        lo = 0.0
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                hi = mid
-            else:
-                lo = mid
-        r3 = hi
+        try:
+            r3 = _bisect_from_above(admissible)
+        except NotFound as exc:
+            raise WitnessNotFound("no admissible r3; operation pair is broken") from exc
 
     inner = OpenBall(pt, 1.0 - r3, t - t0)
     frac = verify_containment(space, inner, outer, verify_points, seed)

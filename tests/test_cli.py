@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -175,11 +176,26 @@ class TestCliProcess:
         assert rc == 1
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
-        rc = main(
-            ["converge", "--config", write_config(tmp_path, {"scenario": "converge"}), "--out", str(tmp_path)]
-        )
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        examples = pathlib.Path(__file__).parent.parent / "docs" / "examples"
+        continuity = json.loads((examples / "continuity-reciprocal.json").read_text())
+        funcseq = json.loads((examples / "funcseq-power-sweep.json").read_text())
+        rejected = [
+            ("converge", {"scenario": "converge"}, "config error"),
+            # a family or rule missing its params
+            ("converge", dict(CONVERGE_CFG, sequence={"family": "constant"}), "'constant'"),
+            ("continuity", dict(continuity, map=dict(continuity["map"], rule="power")), "'power'"),
+            # the power sequence has no limit at x > 1
+            (
+                "funcseq",
+                dict(funcseq, funcseq={"family": "power", "domain": {"lo": 0.0, "hi": 2.0}}),
+                "'power'",
+            ),
+        ]
+        for command, cfg, named in rejected:
+            rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+            assert rc == 2, cfg
+            err = capsys.readouterr().err
+            assert "config error" in err and named in err, err
 
     def test_exit_two_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from ifncheck.catalog import broken_spaces
 from ifncheck.errors import DomainError, InvalidParameter, UnknownTag
 from ifncheck.ifn_core import (
+    IFNSpace,
     check_ifn_axioms,
+    custom_membership,
     limit_at_infinity,
     make_example_family,
     make_standard_space,
     tabulated_membership,
 )
+from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
 from ifncheck.sampling import default_plan
 
 
@@ -66,6 +69,40 @@ class TestStandardSpace:
                 lhs = sp.mu_many(c * xs, t)
                 rhs = sp.mu_many(xs, t / abs(c))
                 np.testing.assert_array_equal(lhs, rhs)
+
+
+def constant_pair_space(mu_value: float, nu_value: float) -> IFNSpace:
+    """A space whose memberships take one fixed value everywhere, to place
+    each side of the demand exactly on its boundary."""
+    return IFNSpace(
+        dimension=1,
+        mu=custom_membership(lambda pts, t: np.full(len(pts), mu_value)),
+        nu=custom_membership(lambda pts, t: np.full(len(pts), nu_value)),
+        tnorm=TriangularNorm("minimum"),
+        tconorm=TriangularConorm("maximum"),
+    )
+
+
+class TestWithin:
+    def test_mu_on_boundary_is_excluded(self):
+        z = np.zeros((1, 1))
+        assert not constant_pair_space(0.75, 0.0).within(z, 0.25, 1.0)[0]
+        assert constant_pair_space(np.nextafter(0.75, 1.0), 0.0).within(z, 0.25, 1.0)[0]
+
+    def test_nu_on_boundary_is_excluded(self):
+        z = np.zeros((1, 1))
+        assert not constant_pair_space(1.0, 0.25).within(z, 0.25, 1.0)[0]
+        assert constant_pair_space(1.0, np.nextafter(0.25, 0.0)).within(z, 0.25, 1.0)[0]
+
+    def test_standard_boundary_radius_is_excluded(self):
+        # mu(1, 1) = 0.5 = 1 - r exactly for k = 1, r = 0.5
+        sp = make_standard_space(1.0)
+        z = np.array([[1.0], [0.999]])
+        assert sp.within(z, 0.5, 1.0).tolist() == [False, True]
+
+    def test_nan_difference_fails(self):
+        sp = make_standard_space(1.0)
+        assert sp.within(np.array([[np.nan], [0.0]]), 0.5, 1.0).tolist() == [False, True]
 
 
 class TestExampleFamily:

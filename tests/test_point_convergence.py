@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifncheck.errors import DomainError, UnsupportedFamily
 from ifncheck.ifn_core import make_standard_space
 from ifncheck.point_convergence import (
+    STATUS_INCONCLUSIVE,
     PointSequence,
+    _status_from_mask,
     alternating_sequence,
     cauchy_escape_index,
     cauchy_index,
@@ -15,6 +21,7 @@ from ifncheck.point_convergence import (
     mapped_sequence,
     reciprocal_sequence,
     shifted_reciprocal_sequence,
+    tail_index,
 )
 
 
@@ -108,6 +115,57 @@ class TestConvergenceIndex:
         n_small = convergence_index(space, seq, 0.0, 0.1, t1).n0
         n_big = convergence_index(space, seq, 0.0, 0.1, t2).n0
         assert n_big <= n_small
+
+
+_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+
+
+@given(
+    seq=st.sampled_from(
+        [
+            reciprocal_sequence(budget=300),
+            alternating_sequence(budget=300),
+            shifted_reciprocal_sequence(0.5, 2.0, budget=300),
+        ]
+    ),
+    limit=st.floats(min_value=-2.0, max_value=2.0),
+    k=st.floats(min_value=0.1, max_value=10.0),
+    t=st.floats(min_value=1e-3, max_value=10.0),
+    r1=_unit,
+    r2=_unit,
+)
+@settings(max_examples=60, deadline=None)
+def test_convergence_index_never_grows_with_r(seq, limit, k, t, r1, r2):
+    # exact in IEEE arithmetic: 1.0 - r and the bound r are both monotone
+    # in r, so the passing set only grows; a failed status counts as an
+    # unbounded index
+    space = make_standard_space(k, verify=False)
+    lo, hi = sorted((r1, r2))
+
+    def n0(r):
+        cert = convergence_index(space, seq, limit, r, t)
+        return math.inf if cert.n0 is None else cert.n0
+
+    assert n0(hi) <= n0(lo)
+
+
+class TestTailIndex:
+    def test_clean_column(self):
+        assert tail_index(np.ones(5, dtype=bool)) == 1
+
+    def test_last_entry_fails(self):
+        assert tail_index(np.array([True, True, False])) == 4
+
+    def test_failure_in_middle(self):
+        assert tail_index(np.array([True, False, False, True, True])) == 4
+
+    def test_block_is_scanned_per_column(self):
+        ok = np.array([[True, False, True], [False, True, True], [True, True, True]])
+        assert tail_index(ok) == [3, 2, 1]
+
+    def test_empty_mask(self):
+        assert tail_index(np.zeros(0, dtype=bool)) == 1
+        assert _status_from_mask(np.zeros(0, dtype=bool)) == (None, STATUS_INCONCLUSIVE)
 
 
 class TestCauchyIndex:
