@@ -168,9 +168,11 @@ def tail_index(ok: np.ndarray) -> int | list[int]:
     block a list of M ints.  The scan does not look at ok[-1] specially:
     callers decide what a failing last entry means.
     """
-    bad = ~np.asarray(ok, dtype=bool)
-    starts = np.arange(2, bad.shape[0] + 2).reshape((-1,) + (1,) * (bad.ndim - 1))
-    return np.max(np.where(bad, starts, 1), axis=0, initial=1).tolist()
+    ok = np.asarray(ok, dtype=bool)
+    if ok.ndim == 2:
+        return [tail_index(col) for col in ok.T]
+    bad = np.flatnonzero(~ok)
+    return int(bad[-1]) + 2 if len(bad) else 1
 
 
 def _status_from_mask(ok: np.ndarray) -> tuple[int | None, str]:
