@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ifncheck.continuity import make_map, rule
-from ifncheck.errors import DomainError, UnsupportedFamily
+from ifncheck.errors import DomainError, UnsupportedFamily, WitnessNotFound
 from ifncheck.ifn_core import make_standard_space
+from ifncheck.norm_algebra import TriangularNorm
 from ifncheck.sampling import Interval
 from ifncheck.topology import (
     OpenBall,
@@ -99,6 +100,12 @@ class TestInnerBallWitness:
         space = make_standard_space(1.0, ops=("product", "probabilistic-sum"), tier="core")
         inner = inner_ball_witness(space, unit_ball, 0.2)
         assert verify_containment(space, inner, unit_ball, 1000) == 1.0
+
+    def test_broken_operation_pair_has_no_r3(self, unit_ball):
+        zero = TriangularNorm("tabulated", np.zeros((2, 2)))
+        space = make_standard_space(1.0, ops=(zero, "maximum"), tier="core", verify=False)
+        with pytest.raises(WitnessNotFound, match="no admissible r3; operation pair is broken"):
+            inner_ball_witness(space, unit_ball, 0.2)
 
     def test_requires_membership(self, std, unit_ball):
         with pytest.raises(DomainError):
