@@ -102,10 +102,11 @@ def main(argv=None) -> int:
         return 3
     try:
         path = emit_report(report, args.format, args.out)
-    except OSError as exc:
-        print(f"internal fault: cannot write report: {exc}", file=sys.stderr)
+        text = to_text(report)
+    except Exception as exc:  # a report that cannot be written is never exit 1
+        print(f"internal fault: cannot write report: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(to_text(report))
+    sys.stdout.write(text)
     print(f"report written to {path}")
     return 1 if report.failed(args.strict_inconclusive) else 0
 

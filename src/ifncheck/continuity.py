@@ -35,6 +35,12 @@ from .sampling import Interval, intersect
 LADDER_DEPTH = 20
 ZERO_SET_TOL = 1e-12
 
+# Grid size of the sampled zero-set check before a reciprocal combination.
+_ZERO_SET_GRID = 2001
+
+# Fresh random points drawn when a witness is re-verified.
+_RECHECK_POINTS = 512
+
 WITNESSED = "witnessed"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
@@ -138,7 +144,9 @@ def rule(tag: str, *params) -> MapRule:
 class MapBetweenSpaces:
     """f : (U, A) -> (V, B), total on its interval restriction.
 
-    Rules are univariate, so both spaces are one-dimensional here.
+    Rules are univariate, so both spaces are one-dimensional here.  An image
+    that is not finite (a pole or a NaN inside the restriction) raises
+    DomainError, so no verdict is ever computed from one.
     """
 
     domain: IFNSpace
@@ -151,7 +159,13 @@ class MapBetweenSpaces:
             raise InvalidParameter("map rules are univariate; spaces must have d=1")
 
     def __call__(self, xs):
-        return self.rule(xs)
+        ys = self.rule(xs)
+        bad = ~np.isfinite(ys)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            x, y = float(np.ravel(xs)[i]), float(np.ravel(ys)[i])
+            raise DomainError(f"map {self.rule.describe()} is not finite at x={x!r}: f(x)={y!r}")
+        return ys
 
     def summary(self) -> dict:
         return {"rule": self.rule.describe(), "domain": self.restriction.summary()}
@@ -202,8 +216,8 @@ def combine(
     return MapBetweenSpaces(f.domain, f.codomain, r, restriction)
 
 
-def _check_no_zero(g: MapBetweenSpaces, n_grid: int = 2001):
-    xs = g.restriction.grid(n_grid)
+def _check_no_zero(g: MapBetweenSpaces):
+    xs = g.restriction.grid(_ZERO_SET_GRID)
     vals = g.rule(xs)
     if np.any(np.abs(vals) < ZERO_SET_TOL):
         raise ZeroDivisor(f"map {g.rule.describe()} vanishes on the sampling grid")
@@ -307,7 +321,6 @@ def continuity_witness_search(
     epsilon: float,
     alpha: float,
     seed: int = 0,
-    ladder_depth: int = LADDER_DEPTH,
 ) -> ContinuityWitness:
     """Search the ladder (delta, beta) = (epsilon 2^-j, alpha 2^-j) for the
     first rung whose defining implications hold at every sampled point.
@@ -329,7 +342,7 @@ def continuity_witness_search(
     last_counterexample = None
     last_probed_rung = None
 
-    for j in range(ladder_depth + 1):
+    for j in range(LADDER_DEPTH + 1):
         delta = epsilon * 2.0 ** (-j)
         beta = alpha * 2.0 ** (-j)
         rho = _hypothesis_radius(U, beta, delta)
@@ -355,7 +368,7 @@ def continuity_witness_search(
             else:
                 return ContinuityWitness(
                     x0, epsilon, alpha, delta, beta, WITNESSED, j, None,
-                    probes_checked, {"seed": seed, "ladder_depth": ladder_depth},
+                    probes_checked, {"seed": seed, "ladder_depth": LADDER_DEPTH},
                 )
     if (
         last_counterexample is not None
@@ -365,12 +378,12 @@ def continuity_witness_search(
         return ContinuityWitness(
             x0, epsilon, alpha, None, None, REFUTED, last_probed_rung,
             last_counterexample, probes_checked,
-            {"seed": seed, "ladder_depth": ladder_depth},
+            {"seed": seed, "ladder_depth": LADDER_DEPTH},
         )
     return ContinuityWitness(
         x0, epsilon, alpha, None, None, INCONCLUSIVE, last_probed_rung,
         last_counterexample, probes_checked,
-        {"seed": seed, "ladder_depth": ladder_depth},
+        {"seed": seed, "ladder_depth": LADDER_DEPTH},
     )
 
 
@@ -379,7 +392,6 @@ def recheck_witness(
     witness: ContinuityWitness,
     delta: float | None = None,
     beta: float | None = None,
-    n_points: int = 512,
     seed: int = 1,
 ) -> bool:
     """Re-verify a witness (optionally shrunk) on a fresh dense sample."""
@@ -392,7 +404,7 @@ def recheck_witness(
     rng = np.random.default_rng((seed, 23))
     xs = np.concatenate(
         [
-            f.restriction.random(n_points, rng),
+            f.restriction.random(_RECHECK_POINTS, rng),
             _rung_probes(f, x0, rho, np.empty(0)),
         ]
     )
@@ -572,7 +584,6 @@ def uniform_continuity_search(
     epsilon: float,
     alpha: float,
     seed: int = 0,
-    ladder_depth: int = LADDER_DEPTH,
 ) -> UniformWitness:
     """Like the pointwise search, but one (delta, beta) must serve every
     sampled pair (x1, x2): the conjunction of the two hypothesis
@@ -589,7 +600,7 @@ def uniform_continuity_search(
     pairs_checked = 0
     every_rung_violated = True
     counterexample = None
-    for j in range(ladder_depth + 1):
+    for j in range(LADDER_DEPTH + 1):
         delta = epsilon * 2.0 ** (-j)
         beta = alpha * 2.0 ** (-j)
         hyp = U.within(dx, beta, delta)
@@ -614,7 +625,7 @@ def uniform_continuity_search(
             }
     if every_rung_violated:
         return UniformWitness(
-            epsilon, alpha, None, None, REFUTED, ladder_depth, counterexample, pairs_checked
+            epsilon, alpha, None, None, REFUTED, LADDER_DEPTH, counterexample, pairs_checked
         )
     return UniformWitness(
         epsilon, alpha, None, None, INCONCLUSIVE, None, counterexample, pairs_checked

@@ -378,9 +378,14 @@ def uniform_cauchy_check(
     )
 
 
-def sup_deviation_oracle(
-    seq: FunctionSequence, a: float, m: int, n: int, grid: int = 100_001
-) -> float:
+# Grid points of the brute-force deviation oracle on [0, a].
+_ORACLE_GRID = 100_001
+
+# Members whose continuity the uniform limit scenario certifies first.
+_LIMIT_MEMBERS = (1, 2, 5, 10)
+
+
+def sup_deviation_oracle(seq: FunctionSequence, a: float, m: int, n: int) -> float:
     """Brute-force maximum of |x^n - x^m| over a dense grid on [0, a].
 
     An independent check of claimed suprema for the power family; the true
@@ -393,7 +398,7 @@ def sup_deviation_oracle(
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
     if m == n:
         return 0.0
-    xs = np.linspace(0.0, a, grid)
+    xs = np.linspace(0.0, a, _ORACLE_GRID)
     return float(np.max(np.abs(xs ** n - xs ** m)))
 
 
@@ -424,7 +429,6 @@ def uniform_limit_scenario(
     t: float,
     epsilon: float,
     alpha: float,
-    member_ns: tuple[int, ...] = (1, 2, 5, 10),
     seed: int = 0,
 ) -> UniformLimitRecord:
     """Certify continuity of finitely many members, run the uniform search,
@@ -437,7 +441,7 @@ def uniform_limit_scenario(
     domain_space, codomain_space = spaces
     member_ws = []
     probe_points = list(sample.points[:: max(1, len(sample.points) // 3)])
-    for n in member_ns:
+    for n in _LIMIT_MEMBERS:
         fn = seq.map_at(n, domain_space, codomain_space)
         verdicts = {
             continuity_witness_search(fn, float(x0), epsilon, alpha, seed=seed).verdict

@@ -39,11 +39,10 @@ from .errors import (
     UnsupportedFamily,
 )
 from .norm_algebra import (
-    AxiomResult,
     TriangularConorm,
     TriangularNorm,
-    Violation,
     ViolationReport,
+    _Violations,
 )
 from .sampling import SamplingPlan, as_point, construction_plan, default_plan
 
@@ -374,19 +373,8 @@ def nu_eval(space: IFNSpace, x, t) -> float:
 
 AXIOM_CODE = {roman: code for roman, code, _ in AXIOMS}
 
-
-class _Acc:
-    """Accumulates violations for one axiom, capping stored witnesses."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.checked = 0
-        self.total = 0
-        self.witnesses: list[Violation] = []
-
-
-def _fmt_vec(x: np.ndarray) -> tuple:
-    return tuple(float(v) for v in np.atleast_1d(x))
+# Witnessing tuples stored per axiom; every violation is still counted.
+_MAX_WITNESSES = 32
 
 
 def check_ifn_axioms(
@@ -394,7 +382,6 @@ def check_ifn_axioms(
     tier: str | None = None,
     plan: SamplingPlan | None = None,
     include_forcing_conditions: bool = False,
-    max_witnesses: int = 32,
 ) -> ViolationReport:
     """Check the axiom system of `space` at the given tier over `plan`.
 
@@ -403,7 +390,7 @@ def check_ifn_axioms(
     carry the equality-tight cases); scaling runs over SCALING_SCALARS; the
     limit conditions use the plan's t-infinity ladder with tolerance
     LIMIT_TOL.  The report is deterministic given plan.seed, lists every
-    axiom with its violation count, and stores up to `max_witnesses`
+    axiom with its violation count, and stores up to _MAX_WITNESSES
     witnessing tuples per axiom.
     """
     tier = tier or space.axiom_tier
@@ -425,60 +412,42 @@ def check_ifn_axioms(
     nonzero = np.any(P != 0.0, axis=1)
 
     rng = plan.rng(3)
-    accs: dict[str, _Acc] = {r: _Acc(max_witnesses) for r, _, _ in AXIOMS}
-
-    def collect(roman: str, bad2d: np.ndarray, maker, checked: int):
-        acc = accs[roman]
-        acc.checked += checked
-        total = int(bad2d.sum())
-        acc.total += total
-        room = acc.cap - len(acc.witnesses)
-        if total and room > 0:
-            for index in np.argwhere(bad2d)[:room]:
-                pt, detail = maker(tuple(index))
-                acc.witnesses.append(Violation(AXIOM_CODE[roman], pt, detail))
+    found = {roman: _Violations(code, roman, _MAX_WITNESSES) for roman, code, _ in AXIOMS}
 
     # (i) mu + nu <= 1 on every sampled (x, t)
     bad = (MU + NU) > 1.0 + INEQ_SLACK
-    collect(
-        "i",
-        bad,
-        lambda ix: (
-            _fmt_vec(P[ix[1]]) + (float(all_t[ix[0]]),),
-            f"mu+nu={MU[ix]+NU[ix]:.17g} > 1",
-        ),
-        bad.size,
+    found["i"].add(
+        bad, bad.size, lambda t, p: ((*P[p], all_t[t]), f"mu+nu={MU[t, p] + NU[t, p]:.17g} > 1")
     )
 
     # (ii) mu > 0  /  (vii) nu < 1 (strict, on the bounded t grid)
     bad = MU[tg_idx] <= 0.0
-    collect(
-        "ii",
-        bad,
-        lambda ix: (_fmt_vec(P[ix[1]]) + (float(tg[ix[0]]),), f"mu={MU[tg_idx][ix]:.17g} <= 0"),
-        bad.size,
+    found["ii"].add(
+        bad, bad.size, lambda t, p: ((*P[p], tg[t]), f"mu={MU[tg_idx[t], p]:.17g} <= 0")
     )
     bad = NU[tg_idx] >= 1.0
-    collect(
-        "vii",
-        bad,
-        lambda ix: (_fmt_vec(P[ix[1]]) + (float(tg[ix[0]]),), f"nu={NU[tg_idx][ix]:.17g} >= 1"),
-        bad.size,
+    found["vii"].add(
+        bad, bad.size, lambda t, p: ((*P[p], tg[t]), f"nu={NU[tg_idx[t], p]:.17g} >= 1")
     )
 
     # (iii)/(viii) boundary values at theta, both directions
     theta = space.theta.reshape(1, -1)
+    origin = (0.0,) * space.dimension
+    nz_pts = P[nonzero]
     mu_theta = np.array([space.mu_many(theta, t)[0] for t in tg])
     nu_theta = np.array([space.nu_many(theta, t)[0] for t in tg])
-    bad = (mu_theta != 1.0).reshape(-1, 1)
-    collect("iii", bad, lambda ix: ((0.0,) * space.dimension + (float(tg[ix[0]]),), f"mu(theta,t)={mu_theta[ix[0]]:.17g} != 1"), bad.size)
-    badr = MU[tg_idx][:, nonzero] >= 1.0
-    nz_pts = P[nonzero]
-    collect("iii", badr, lambda ix: (_fmt_vec(nz_pts[ix[1]]) + (float(tg[ix[0]]),), "mu=1 for x != theta"), badr.size)
-    bad = (nu_theta != 0.0).reshape(-1, 1)
-    collect("viii", bad, lambda ix: ((0.0,) * space.dimension + (float(tg[ix[0]]),), f"nu(theta,t)={nu_theta[ix[0]]:.17g} != 0"), bad.size)
-    badr = NU[tg_idx][:, nonzero] <= 0.0
-    collect("viii", badr, lambda ix: (_fmt_vec(nz_pts[ix[1]]) + (float(tg[ix[0]]),), "nu=0 for x != theta"), badr.size)
+    bad = mu_theta != 1.0
+    found["iii"].add(
+        bad, bad.size, lambda t: ((*origin, tg[t]), f"mu(theta,t)={mu_theta[t]:.17g} != 1")
+    )
+    bad = MU[tg_idx][:, nonzero] >= 1.0
+    found["iii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "mu=1 for x != theta"))
+    bad = nu_theta != 0.0
+    found["viii"].add(
+        bad, bad.size, lambda t: ((*origin, tg[t]), f"nu(theta,t)={nu_theta[t]:.17g} != 0")
+    )
+    bad = NU[tg_idx][:, nonzero] <= 0.0
+    found["viii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "nu=0 for x != theta"))
 
     # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|)
     for c in SCALING_SCALARS:
@@ -486,26 +455,18 @@ def check_ifn_axioms(
             lhs = space.mu_many(c * P, t)
             rhs = space.mu_many(P, t / abs(c))
             bad = np.abs(lhs - rhs) > EQUALITY_TOL
-            collect(
-                "iv",
-                bad.reshape(1, -1),
-                lambda ix, c=c, t=t, lhs=lhs, rhs=rhs: (
-                    _fmt_vec(P[ix[1]]) + (float(c), float(t)),
-                    f"mu(cx,t)={lhs[ix[1]]:.17g} != mu(x,t/|c|)={rhs[ix[1]]:.17g}",
-                ),
+            found["iv"].add(
+                bad,
                 bad.size,
+                lambda p: ((*P[p], c, t), f"mu(cx,t)={lhs[p]:.17g} != mu(x,t/|c|)={rhs[p]:.17g}"),
             )
             lhs = space.nu_many(c * P, t)
             rhs = space.nu_many(P, t / abs(c))
             bad = np.abs(lhs - rhs) > EQUALITY_TOL
-            collect(
-                "ix",
-                bad.reshape(1, -1),
-                lambda ix, c=c, t=t, lhs=lhs, rhs=rhs: (
-                    _fmt_vec(P[ix[1]]) + (float(c), float(t)),
-                    f"nu(cx,t)={lhs[ix[1]]:.17g} != nu(x,t/|c|)={rhs[ix[1]]:.17g}",
-                ),
+            found["ix"].add(
+                bad,
                 bad.size,
+                lambda p: ((*P[p], c, t), f"nu(cx,t)={lhs[p]:.17g} != nu(x,t/|c|)={rhs[p]:.17g}"),
             )
 
     # (v)/(x) triangle conditions over a seeded pair sample.  Diagonal pairs
@@ -522,136 +483,106 @@ def check_ifn_axioms(
             lhs = space.tnorm(MU[tg_idx[si], ia], MU[tg_idx[ti], ib])
             rhs = space.mu_many(sums, s + t)
             bad = lhs > rhs + INEQ_SLACK
-            collect(
-                "v",
-                bad.reshape(1, -1),
-                lambda ix, s=s, t=t, lhs=lhs, rhs=rhs: (
-                    _fmt_vec(P[ia[ix[1]]]) + _fmt_vec(P[ib[ix[1]]]) + (float(s), float(t)),
-                    f"tnorm(mu,mu)={lhs[ix[1]]:.17g} > mu(x+y,s+t)={rhs[ix[1]]:.17g}",
-                ),
+            found["v"].add(
+                bad,
                 bad.size,
+                lambda k: (
+                    (*P[ia[k]], *P[ib[k]], s, t),
+                    f"tnorm(mu,mu)={lhs[k]:.17g} > mu(x+y,s+t)={rhs[k]:.17g}",
+                ),
             )
             lhs = space.tconorm(NU[tg_idx[si], ia], NU[tg_idx[ti], ib])
             rhs = space.nu_many(sums, s + t)
             bad = lhs < rhs - INEQ_SLACK
-            collect(
-                "x",
-                bad.reshape(1, -1),
-                lambda ix, s=s, t=t, lhs=lhs, rhs=rhs: (
-                    _fmt_vec(P[ia[ix[1]]]) + _fmt_vec(P[ib[ix[1]]]) + (float(s), float(t)),
-                    f"tconorm(nu,nu)={lhs[ix[1]]:.17g} < nu(x+y,s+t)={rhs[ix[1]]:.17g}",
-                ),
+            found["x"].add(
+                bad,
                 bad.size,
+                lambda k: (
+                    (*P[ia[k]], *P[ib[k]], s, t),
+                    f"tconorm(nu,nu)={lhs[k]:.17g} < nu(x+y,s+t)={rhs[k]:.17g}",
+                ),
             )
 
     # (vi)/(xi) monotonicity in t plus the ladder limits
+    def t_step(t, p):
+        return (*P[p], all_t[t], all_t[t + 1])
+
     bad = MU[1:] < MU[:-1] - INEQ_SLACK
-    collect(
-        "vi",
-        bad,
-        lambda ix: (
-            _fmt_vec(P[ix[1]]) + (float(all_t[ix[0]]), float(all_t[ix[0] + 1])),
-            "mu not non-decreasing in t",
-        ),
-        bad.size,
-    )
+    found["vi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "mu not non-decreasing in t"))
     lm = np.stack([space.mu_many(P, t) for t in ladder])
-    bad = ((np.abs(lm[-1] - lm[-2]) >= LIMIT_TOL) | (lm[-1] <= 1.0 - LIMIT_TOL)).reshape(1, -1)
-    collect(
-        "vi",
-        bad,
-        lambda ix: (_fmt_vec(P[ix[1]]), f"mu ladder limit {lm[-1][ix[1]]:.17g} != 1"),
-        bad.size,
-    )
+    bad = (np.abs(lm[-1] - lm[-2]) >= LIMIT_TOL) | (lm[-1] <= 1.0 - LIMIT_TOL)
+    found["vi"].add(bad, bad.size, lambda p: (P[p], f"mu ladder limit {lm[-1][p]:.17g} != 1"))
     bad = NU[1:] > NU[:-1] + INEQ_SLACK
-    collect(
-        "xi",
-        bad,
-        lambda ix: (
-            _fmt_vec(P[ix[1]]) + (float(all_t[ix[0]]), float(all_t[ix[0] + 1])),
-            "nu not non-increasing in t",
-        ),
-        bad.size,
-    )
+    found["xi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "nu not non-increasing in t"))
     ln = np.stack([space.nu_many(P, t) for t in ladder])
-    bad = ((np.abs(ln[-1] - ln[-2]) >= LIMIT_TOL) | (ln[-1] >= LIMIT_TOL)).reshape(1, -1)
-    collect(
-        "xi",
-        bad,
-        lambda ix: (_fmt_vec(P[ix[1]]), f"nu ladder limit {ln[-1][ix[1]]:.17g} != 0"),
-        bad.size,
-    )
+    bad = (np.abs(ln[-1] - ln[-2]) >= LIMIT_TOL) | (ln[-1] >= LIMIT_TOL)
+    found["xi"].add(bad, bad.size, lambda p: (P[p], f"nu ladder limit {ln[-1][p]:.17g} != 0"))
 
     # (xii) idempotency of the operations, exact
     if TIER_ORDER[tier] >= 1:
         a = plan.unit_values()
-        bad = (space.tnorm(a, a) != a).reshape(1, -1)
-        collect("xii", bad, lambda ix: ((float(a[ix[1]]),), f"a*a={float(space.tnorm(a[ix[1]], a[ix[1]])):.17g} != a"), bad.size)
-        bad = (space.tconorm(a, a) != a).reshape(1, -1)
-        collect("xii", bad, lambda ix: ((float(a[ix[1]]),), f"a(+)a={float(space.tconorm(a[ix[1]], a[ix[1]])):.17g} != a"), bad.size)
+        tn, tc = space.tnorm, space.tconorm
+        bad = tn(a, a) != a
+        found["xii"].add(
+            bad, bad.size, lambda i: ((a[i],), f"a*a={float(tn(a[i], a[i])):.17g} != a")
+        )
+        bad = tc(a, a) != a
+        found["xii"].add(
+            bad, bad.size, lambda i: ((a[i],), f"a(+)a={float(tc(a[i], a[i])):.17g} != a")
+        )
 
     # (xiii)/(xiv) literal forcing conditions, on request only
     if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
-        all_pos = np.all(MU[:, nonzero] > 0.0, axis=0).reshape(1, -1)
-        collect(
-            "xiii",
-            all_pos,
-            lambda ix: (
-                _fmt_vec(nz_pts[ix[1]]),
+        bad = np.all(MU[:, nonzero] > 0.0, axis=0)
+        found["xiii"].add(
+            bad,
+            bad.size,
+            lambda p: (
+                nz_pts[p],
                 "mu(x,t) > 0 at every sampled t yet x != theta (condition as written)",
             ),
-            all_pos.size,
         )
-        all_sub = np.all(NU[:, nonzero] < 1.0, axis=0).reshape(1, -1)
-        collect(
-            "xiv",
-            all_sub,
-            lambda ix: (
-                _fmt_vec(nz_pts[ix[1]]),
+        bad = np.all(NU[:, nonzero] < 1.0, axis=0)
+        found["xiv"].add(
+            bad,
+            bad.size,
+            lambda p: (
+                nz_pts[p],
                 "nu(x,t) < 1 at every sampled t yet x != theta (condition as written)",
             ),
-            all_sub.size,
         )
 
     # (xv)/(xvi) strict monotonicity where values lie strictly inside (0,1)
     if TIER_ORDER[tier] >= 2:
         in01 = (MU > 0.0) & (MU < 1.0)
         pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
-        bad = pairmask & (MU[1:] <= MU[:-1])
-        collect(
-            "xv",
-            bad,
-            lambda ix: (
-                _fmt_vec(P[ix[1]]) + (float(all_t[ix[0]]), float(all_t[ix[0] + 1])),
-                f"mu({all_t[ix[0]]})={MU[ix]:.17g} !< mu({all_t[ix[0]+1]})={MU[ix[0]+1, ix[1]]:.17g}",
-            ),
+        found["xv"].add(
+            pairmask & (MU[1:] <= MU[:-1]),
             int(pairmask.sum()),
+            lambda t, p: (
+                t_step(t, p),
+                f"mu({all_t[t]})={MU[t, p]:.17g} !< mu({all_t[t + 1]})={MU[t + 1, p]:.17g}",
+            ),
         )
         in01 = (NU > 0.0) & (NU < 1.0)
         pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
-        bad = pairmask & (NU[1:] >= NU[:-1])
-        collect(
-            "xvi",
-            bad,
-            lambda ix: (
-                _fmt_vec(P[ix[1]]) + (float(all_t[ix[0]]), float(all_t[ix[0] + 1])),
-                f"nu({all_t[ix[0]]})={NU[ix]:.17g} !> nu({all_t[ix[0]+1]})={NU[ix[0]+1, ix[1]]:.17g}",
-            ),
+        found["xvi"].add(
+            pairmask & (NU[1:] >= NU[:-1]),
             int(pairmask.sum()),
+            lambda t, p: (
+                t_step(t, p),
+                f"nu({all_t[t]})={NU[t, p]:.17g} !> nu({all_t[t + 1]})={NU[t + 1, p]:.17g}",
+            ),
         )
 
-    results = []
-    for roman, code, tier_req in AXIOMS:
-        if TIER_ORDER[tier_req] > TIER_ORDER[tier]:
-            continue
-        if roman in ("xiii", "xiv") and not include_forcing_conditions:
-            continue
-        acc = accs[roman]
-        results.append(
-            AxiomResult(code, roman, acc.checked, tuple(acc.witnesses), acc.total)
-        )
+    results = tuple(
+        found[roman].result()
+        for roman, _, tier_req in AXIOMS
+        if TIER_ORDER[tier_req] <= TIER_ORDER[tier]
+        and (include_forcing_conditions or roman not in ("xiii", "xiv"))
+    )
     return ViolationReport(
-        subject=f"ifn-space:{space.family}", plan=plan.summary(), results=tuple(results)
+        subject=f"ifn-space:{space.family}", plan=plan.summary(), results=results
     )
 
 

@@ -206,79 +206,92 @@ class ViolationReport:
         raise KeyError(roman)
 
 
+class _Violations:
+    """Gathers boolean violation masks for one axiom into an AxiomResult.
+
+    `add` takes a mask over a sample grid, the number of cases it covers, and
+    describe(*index) -> (point, detail) for a violating cell.  Witnesses are
+    stored in the order added, row-major within a mask, up to `cap` of them;
+    `total_violations` counts them all.
+    """
+
+    def __init__(self, axiom: str, roman: str, cap: int):
+        self.axiom, self.roman, self.cap = axiom, roman, cap
+        self.checked = 0
+        self.total = 0
+        self.witnesses: list[Violation] = []
+
+    def add(self, bad: np.ndarray, checked: int, describe: Callable) -> _Violations:
+        self.checked += checked
+        count = int(np.count_nonzero(bad))
+        self.total += count
+        room = self.cap - len(self.witnesses)
+        if count and room > 0:
+            for index in np.argwhere(bad)[:room]:
+                point, detail = describe(*index)
+                self.witnesses.append(
+                    Violation(self.axiom, tuple(float(v) for v in point), detail)
+                )
+        return self
+
+    def result(self) -> AxiomResult:
+        return AxiomResult(
+            self.axiom, self.roman, self.checked, tuple(self.witnesses), self.total
+        )
+
+
 def check_norm_axioms(op: _BinaryOp, plan: SamplingPlan) -> ViolationReport:
     """Check commutativity, associativity, identity, monotonicity and (for
     operations flagged idempotent) idempotency on the plan's unit sample.
 
-    Violations are data, not errors: each one is reported with the tuple
-    that witnessed it.
+    Each law is one array expression over its sample grid.  Violations are
+    data, not errors: every one is reported, in row-major grid order, with
+    the tuple that witnessed it.
     """
     vals = plan.unit_values()
     e = op.identity
-    results = []
-
-    def run(name, roman, points, predicate, describe):
-        viols = []
-        checked = 0
-        for pt in points:
-            checked += 1
-            if not predicate(*pt):
-                viols.append(Violation(name, tuple(float(v) for v in pt), describe(*pt)))
-        results.append(
-            AxiomResult(name, roman, checked, tuple(viols), len(viols))
-        )
-
-    pairs = [(a, b) for a in vals for b in vals]
-    run(
-        "commutativity",
-        "comm",
-        pairs,
-        lambda a, b: abs(float(op(a, b)) - float(op(b, a))) <= ASSOC_TOL,
-        lambda a, b: f"op({a},{b})={float(op(a,b))} != op({b},{a})={float(op(b,a))}",
-    )
-
+    col, row = vals[:, None], vals[None, :]
     coarse = vals[:: max(1, len(vals) // 12)]
-    triples = [(a, b, c) for a in coarse for b in coarse for c in coarse]
-    run(
-        "associativity",
-        "assoc",
-        triples,
-        lambda a, b, c: abs(float(op(op(a, b), c)) - float(op(a, op(b, c)))) <= ASSOC_TOL,
-        lambda a, b, c: f"op(op(a,b),c)={float(op(op(a,b),c))} != op(a,op(b,c))={float(op(a,op(b,c)))}",
-    )
+    x, y, z = coarse[:, None, None], coarse[None, :, None], coarse[None, None, :]
+    # monotonicity pairs the thinned ordered pairs (a, c), a <= c, with
+    # themselves: quadruple (i, j) is (a, b, c, d) = (lo[i], lo[j], hi[i], hi[j])
+    lo, hi = np.nonzero(col <= row)
+    step = max(1, len(lo) // 60)
+    lo, hi = vals[lo[::step]], vals[hi[::step]]
 
-    run(
-        "identity",
-        "ident",
-        [(a,) for a in vals],
-        lambda a: float(op(a, e)) == float(a),
-        lambda a: f"op({a},{e})={float(op(a,e))} != {a}",
-    )
+    def comm(i, j):
+        a, b = vals[i], vals[j]
+        return (a, b), f"op({a},{b})={float(op(a,b))} != op({b},{a})={float(op(b,a))}"
 
-    ordered = [(a, c) for a in vals for c in vals if a <= c]
-    step = max(1, len(ordered) // 60)
-    ordered = ordered[::step]
-    quads = [(a, b, c, d) for (a, c) in ordered for (b, d) in ordered]
-    run(
-        "monotonicity",
-        "mono",
-        quads,
-        lambda a, b, c, d: float(op(a, b)) <= float(op(c, d)),
-        lambda a, b, c, d: f"op({a},{b})={float(op(a,b))} > op({c},{d})={float(op(c,d))}",
-    )
+    def assoc(i, j, k):
+        a, b, c = coarse[i], coarse[j], coarse[k]
+        return (a, b, c), f"op(op(a,b),c)={float(op(op(a,b),c))} != op(a,op(b,c))={float(op(a,op(b,c)))}"
 
+    def ident(i):
+        a = vals[i]
+        return (a,), f"op({a},{e})={float(op(a,e))} != {a}"
+
+    def mono(i, j):
+        a, b, c, d = lo[i], lo[j], hi[i], hi[j]
+        return (a, b, c, d), f"op({a},{b})={float(op(a,b))} > op({c},{d})={float(op(c,d))}"
+
+    def idem(i):
+        a = vals[i]
+        return (a,), f"op({a},{a})={float(op(a,a))} != {a}"
+
+    laws = [
+        ("commutativity", "comm", ~(np.abs(op(col, row) - op(row, col)) <= ASSOC_TOL), comm),
+        ("associativity", "assoc", ~(np.abs(op(op(x, y), z) - op(x, op(y, z))) <= ASSOC_TOL), assoc),
+        ("identity", "ident", ~(op(vals, e) == vals), ident),
+        ("monotonicity", "mono", ~(op(lo[:, None], lo[None, :]) <= op(hi[:, None], hi[None, :])), mono),
+    ]
     if op.idempotent:
-        run(
-            "idempotency",
-            "idem",
-            [(a,) for a in vals],
-            lambda a: float(op(a, a)) == float(a),
-            lambda a: f"op({a},{a})={float(op(a,a))} != {a}",
-        )
-
-    return ViolationReport(
-        subject=f"{op._KIND}:{op.family}", plan=plan.summary(), results=tuple(results)
+        laws.append(("idempotency", "idem", ~(op(vals, vals) == vals), idem))
+    results = tuple(
+        _Violations(name, roman, bad.size).add(bad, bad.size, describe).result()
+        for name, roman, bad, describe in laws
     )
+    return ViolationReport(subject=f"{op._KIND}:{op.family}", plan=plan.summary(), results=results)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from .continuity import (
     sequential_continuity_check,
     uniform_continuity_search,
 )
-from .errors import CertificationError, ConfigError, IFNError, NoLimit
+from .errors import CertificationError, ConfigError, DomainError, IFNError, NoLimit
 from .function_sequences import (
+    _ORACLE_GRID,
     classical_uniform_probe,
     closed_form_index_power,
     pointwise_limit_estimate,
@@ -79,7 +80,11 @@ def run_scenario(config: dict, kind: str | None = None, seed: int | None = None)
     scenario = validate_config(config, kind)
     resolved_seed = seed if seed is not None else int(config.get("seed", 0))
     runner = _RUNNERS[scenario]
-    records = runner(config, resolved_seed)
+    try:
+        records = runner(config, resolved_seed)
+    except DomainError as exc:
+        # a point, parameter or map image outside its domain comes from the config
+        raise ConfigError(str(exc)) from exc
     return VerificationReport(scenario, config, resolved_seed, tuple(records))
 
 
@@ -401,7 +406,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                         "analytic_bound": a ** m,
                         "doubled_bound": 2 * a ** m,
                     },
-                    seed=seed, work=100_001,
+                    seed=seed, work=_ORACLE_GRID,
                 )
             )
             continue

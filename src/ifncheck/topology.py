@@ -25,6 +25,9 @@ _R_LADDER = tuple(2.0 ** (-j) for j in range(1, 31))
 # Directions/fractions sampled inside a candidate ball.
 _BALL_FRACTIONS = (0.999999, 0.9, 0.5, 0.1)
 
+# Members of a sampled preimage kept as openness witnesses.
+_PREIMAGE_WITNESSES = 12
+
 
 @dataclass(frozen=True, eq=False)
 class OpenBall:
@@ -282,8 +285,6 @@ def preimage_open_check(
     f: MapBetweenSpaces,
     target: OpenBall,
     plan: SamplingPlan | None = None,
-    max_witnesses: int = 12,
-    check_continuity: bool = True,
 ) -> PreimageRecord:
     """Materialise a sampled preimage of the target ball and test its
     openness in the domain space.
@@ -298,7 +299,7 @@ def preimage_open_check(
     rng = np.random.default_rng((plan.seed, 37))
     xs = np.unique(np.concatenate([dom.grid(81), dom.random(128, rng)]))
     member = ball_contains_many(f.codomain, target, f(xs).reshape(-1, 1))
-    witnesses = xs[member][:: max(1, int(np.sum(member)) // max_witnesses)][:max_witnesses]
+    witnesses = xs[member][:: max(1, int(np.sum(member)) // _PREIMAGE_WITNESSES)][:_PREIMAGE_WITNESSES]
 
     def predicate(pts: np.ndarray) -> np.ndarray:
         flat = pts[:, 0]
@@ -312,12 +313,8 @@ def preimage_open_check(
 
     sset = SampledSet(predicate, witnesses.reshape(-1, 1), "preimage of target ball")
     openness = set_is_open_sampled(f.domain, sset, plan)
-    verdicts = ()
-    if check_continuity:
-        verdicts = tuple(
-            continuity_witness_search(
-                f, float(w), epsilon=target.t, alpha=target.r, seed=plan.seed
-            ).verdict
-            for w in witnesses[:3]
-        )
+    verdicts = tuple(
+        continuity_witness_search(f, float(w), epsilon=target.t, alpha=target.r, seed=plan.seed).verdict
+        for w in witnesses[:3]
+    )
     return PreimageRecord(target, int(len(witnesses)), openness, verdicts)

@@ -179,6 +179,8 @@ class TestCliProcess:
         examples = pathlib.Path(__file__).parent.parent / "docs" / "examples"
         continuity = json.loads((examples / "continuity-reciprocal.json").read_text())
         funcseq = json.loads((examples / "funcseq-power-sweep.json").read_text())
+        uniform = json.loads((examples / "uniform-reciprocal.json").read_text())
+        converge = json.loads((examples / "converge-reciprocal.json").read_text())
         rejected = [
             ("converge", {"scenario": "converge"}, "config error"),
             # a family or rule missing its params
@@ -190,12 +192,46 @@ class TestCliProcess:
                 dict(funcseq, funcseq={"family": "power", "domain": {"lo": 0.0, "hi": 2.0}}),
                 "'power'",
             ),
+            # a map that is not finite on its domain: NaN images, then a pole
+            (
+                "uniform",
+                dict(
+                    uniform,
+                    map={"rule": "power", "params": [0.5], "domain": {"lo": -1.0, "hi": 1.0}},
+                    checks=uniform["checks"][:1],
+                ),
+                "x^0.5",
+            ),
+            (
+                "continuity",
+                dict(continuity, map={"rule": "reciprocal", "domain": {"lo": 0.0, "hi": 1.0}},
+                     points=[0.0]),
+                "x=0.0",
+            ),
+            # a point or a parameter outside its domain
+            ("continuity", dict(continuity, points=[5.0]), "x0=5.0"),
+            ("converge", dict(converge, checks=[{"kind": "convergence", "r": 1.5, "t": 1.0}]), "1.5"),
         ]
         for command, cfg, named in rejected:
             rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
             assert rc == 2, cfg
             err = capsys.readouterr().err
             assert "config error" in err and named in err, err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_exit_three_when_report_cannot_be_written(self, tmp_path, monkeypatch, capsys, fmt):
+        import ifncheck.cli as cli
+        from ifncheck.report import PASS, CheckRecord, VerificationReport
+
+        record = CheckRecord("unbounded", "a detail that is not finite", PASS, {"value": float("inf")})
+        report = VerificationReport("converge", CONVERGE_CFG, 0, (record,))
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: report)
+        rc = main(
+            ["converge", "--config", write_config(tmp_path, CONVERGE_CFG),
+             "--out", str(tmp_path), "--format", fmt]
+        )
+        assert rc == 3
+        assert "internal fault" in capsys.readouterr().err
 
     def test_exit_two_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

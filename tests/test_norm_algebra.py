@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from ifncheck.errors import InvalidParameter, NotFound
 from ifncheck.norm_algebra import (
+    ASSOC_TOL,
+    AxiomResult,
+    TriangularConorm,
     TriangularNorm,
+    Violation,
+    ViolationReport,
     check_norm_axioms,
     find_interpolants,
     find_squaring_bounds,
@@ -116,6 +121,93 @@ class TestAxiomChecker:
         assert [(a.axiom, a.checked, a.total_violations) for a in r1.results] == [
             (a.axiom, a.checked, a.total_violations) for a in r2.results
         ]
+
+
+def reference_norm_report(op, plan):
+    """The per-tuple scalar checker that check_norm_axioms replaced, kept as
+    its oracle: one predicate call per sample tuple, in row-major order."""
+    vals = plan.unit_values()
+    e = op.identity
+    results = []
+
+    def run(name, roman, points, predicate, describe):
+        viols = tuple(
+            Violation(name, tuple(float(v) for v in pt), describe(*pt))
+            for pt in points
+            if not predicate(*pt)
+        )
+        results.append(AxiomResult(name, roman, len(points), viols, len(viols)))
+
+    pairs = [(a, b) for a in vals for b in vals]
+    run(
+        "commutativity", "comm", pairs,
+        lambda a, b: abs(float(op(a, b)) - float(op(b, a))) <= ASSOC_TOL,
+        lambda a, b: f"op({a},{b})={float(op(a,b))} != op({b},{a})={float(op(b,a))}",
+    )
+    coarse = vals[:: max(1, len(vals) // 12)]
+    triples = [(a, b, c) for a in coarse for b in coarse for c in coarse]
+    run(
+        "associativity", "assoc", triples,
+        lambda a, b, c: abs(float(op(op(a, b), c)) - float(op(a, op(b, c)))) <= ASSOC_TOL,
+        lambda a, b, c: f"op(op(a,b),c)={float(op(op(a,b),c))} != op(a,op(b,c))={float(op(a,op(b,c)))}",
+    )
+    run(
+        "identity", "ident", [(a,) for a in vals],
+        lambda a: float(op(a, e)) == float(a),
+        lambda a: f"op({a},{e})={float(op(a,e))} != {a}",
+    )
+    ordered = [(a, c) for a in vals for c in vals if a <= c]
+    ordered = ordered[:: max(1, len(ordered) // 60)]
+    quads = [(a, b, c, d) for (a, c) in ordered for (b, d) in ordered]
+    run(
+        "monotonicity", "mono", quads,
+        lambda a, b, c, d: float(op(a, b)) <= float(op(c, d)),
+        lambda a, b, c, d: f"op({a},{b})={float(op(a,b))} > op({c},{d})={float(op(c,d))}",
+    )
+    if op.idempotent:
+        run(
+            "idempotency", "idem", [(a,) for a in vals],
+            lambda a: float(op(a, a)) == float(a),
+            lambda a: f"op({a},{a})={float(op(a,a))} != {a}",
+        )
+    return ViolationReport(f"{op._KIND}:{op.family}", plan.summary(), tuple(results))
+
+
+_NODES = np.linspace(0.0, 1.0, 101)
+_A, _B = np.meshgrid(_NODES, _NODES, indexing="ij")
+
+# tabulated operations that break the laws named with them
+BROKEN_OPS = {
+    "shifted-product": (
+        TriangularNorm("tabulated", np.minimum(1.0, _A * _B + 0.1)), ("assoc", "ident")
+    ),
+    "lopsided-sum": (TriangularConorm("tabulated", 1 - (1 - _A) * (1 - _B) ** 2), ("comm", "assoc")),
+    "wavy-product": (
+        TriangularNorm("tabulated", np.clip(_A * _B * (1 + 0.6 * np.sin(9 * _A * _B)), 0, 1)),
+        ("mono",),
+    ),
+}
+BUILTIN_OPS = [tnorm(f) for f in ALL_TNORMS] + [tconorm(f) for f in ALL_TCONORMS]
+
+
+class TestCheckerAgainstReference:
+    """check_norm_axioms must return the same full report as the per-tuple
+    reference: counts, witness points, detail strings and their order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("op", BUILTIN_OPS, ids=lambda op: op.signature()[0] + "-" + op.family)
+    def test_builtin_families(self, op, seed):
+        plan = default_plan(1, seed=seed)
+        assert repr(check_norm_axioms(op, plan)) == repr(reference_norm_report(op, plan))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(BROKEN_OPS))
+    def test_broken_tabulated_operations(self, name, seed):
+        op, broken_laws = BROKEN_OPS[name]
+        plan = default_plan(1, seed=seed)
+        report = check_norm_axioms(op, plan)
+        assert set(broken_laws) <= set(report.violated())
+        assert repr(report) == repr(reference_norm_report(op, plan))
 
 
 class TestInterpolants:
