@@ -33,6 +33,7 @@ from .function_sequences import (
     sup_deviation_oracle,
     uniform_cauchy_check,
     uniform_index_search,
+    uniform_index_sweep,
     uniform_limit_scenario,
 )
 from .ifn_core import (
@@ -527,29 +528,28 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
     )
     # index sweep table over (r, t); the closed-form column applies to the
     # power family only
-    for r in [round(0.1 * i, 1) for i in range(1, 10)]:
-        for t in (0.1, 1.0, 10.0):
-            c = uniform_index_search(spaces, half, None, sample, r, t)
-            records.append(
-                CheckRecord(
-                    name=f"sweep/power-r{r}-t{t}",
-                    anchor=anchor,
-                    verdict=INFO,
-                    details={},
-                    seed=seed,
-                    work=c.budget,
-                    csv_row={
-                        "family": "power",
-                        "domain_lo": 0.0,
-                        "domain_hi": 0.5,
-                        "r": r,
-                        "t": t,
-                        "n0": c.n0,
-                        "verdict": c.verdict,
-                        "paper_k": closed_form_index_power(0.5, r, t),
-                    },
-                )
+    rts = [(round(0.1 * i, 1), t) for i in range(1, 10) for t in (0.1, 1.0, 10.0)]
+    for (r, t), c in zip(rts, uniform_index_sweep(spaces, half, None, sample, rts)):
+        records.append(
+            CheckRecord(
+                name=f"sweep/power-r{r}-t{t}",
+                anchor=anchor,
+                verdict=INFO,
+                details={},
+                seed=seed,
+                work=c.budget,
+                csv_row={
+                    "family": "power",
+                    "domain_lo": 0.0,
+                    "domain_hi": 0.5,
+                    "r": r,
+                    "t": t,
+                    "n0": c.n0,
+                    "verdict": c.verdict,
+                    "paper_k": closed_form_index_power(0.5, r, t),
+                },
             )
+        )
     return records
 
 

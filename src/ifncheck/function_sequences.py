@@ -199,15 +199,13 @@ def pointwise_limit_estimate(
 
 def _per_point_indices(
     codomain: IFNSpace,
-    seq: FunctionSequence,
-    xs: np.ndarray,
+    vals: np.ndarray,
     limits: np.ndarray,
     r: float,
     t: float,
 ) -> list[int | None]:
-    """Minimal tail index at each x by exhaustive scan over n."""
-    ns = np.arange(1, seq.budget + 1)
-    vals = seq.values(ns, xs)  # (N, M)
+    """Minimal tail index at each x (a column of the (N, M) matrix `vals`
+    of f_n(x)) by exhaustive scan over n."""
     out: list[int | None] = []
     for col in range(vals.shape[1]):
         diffs = (vals[:, col] - limits[col]).reshape(-1, 1)
@@ -249,6 +247,51 @@ def _uniform_verdict(
     return VERDICT_INCONCLUSIVE, None
 
 
+def uniform_index_sweep(
+    spaces: tuple[IFNSpace, IFNSpace],
+    seq: FunctionSequence,
+    limit_map: Callable | None,
+    sample: DomainSample,
+    rts: list[tuple[float, float]],
+) -> list[UniformCertificate]:
+    """`uniform_index_search` at every (r, t) of `rts`, in that order.
+
+    The limits and the (budget, M) matrix of f_n(x) do not depend on
+    (r, t), so they are built once per call and only the membership demand
+    and the tail scan run per pair.
+    """
+    _, codomain = spaces
+    base = np.asarray(sample.points, dtype=float)
+    ladder = np.asarray(sample.ladder, dtype=float)
+    xs = np.concatenate([base, ladder])
+    if limit_map is not None:
+        limits = np.asarray([limit_map(x) for x in xs], dtype=float)
+    else:
+        exact = seq.exact_limit(xs)
+        if exact is None or not np.all(np.isfinite(exact)):
+            raise NoLimit("no limit map available; certify pointwise first")
+        limits = exact
+    vals = seq.values(np.arange(1, seq.budget + 1), xs)  # (N, M)
+    certs = []
+    for r, t in rts:
+        idx = _per_point_indices(codomain, vals, limits, r, t)
+        ladder_idx = idx[len(base) :]
+        verdict, n0 = _uniform_verdict(idx, ladder_idx)
+        certs.append(
+            UniformCertificate(
+                r,
+                t,
+                n0,
+                tuple((float(x), i) for x, i in zip(xs, idx)),
+                verdict,
+                seq.budget,
+                tuple(ladder_idx),
+                kind="direct",
+            )
+        )
+    return certs
+
+
 def uniform_index_search(
     spaces: tuple[IFNSpace, IFNSpace],
     seq: FunctionSequence,
@@ -264,30 +307,7 @@ def uniform_index_search(
     yields `not-uniform-on-sample`; otherwise a missing per-point index
     leaves the verdict inconclusive.
     """
-    _, codomain = spaces
-    base = np.asarray(sample.points, dtype=float)
-    ladder = np.asarray(sample.ladder, dtype=float)
-    xs = np.concatenate([base, ladder])
-    if limit_map is not None:
-        limits = np.asarray([limit_map(x) for x in xs], dtype=float)
-    else:
-        exact = seq.exact_limit(xs)
-        if exact is None or not np.all(np.isfinite(exact)):
-            raise NoLimit("no limit map available; certify pointwise first")
-        limits = exact
-    idx = _per_point_indices(codomain, seq, xs, limits, r, t)
-    ladder_idx = idx[len(base) :]
-    verdict, n0 = _uniform_verdict(idx, ladder_idx)
-    return UniformCertificate(
-        r,
-        t,
-        n0,
-        tuple((float(x), i) for x, i in zip(xs, idx)),
-        verdict,
-        seq.budget,
-        tuple(ladder_idx),
-        kind="direct",
-    )
+    return uniform_index_sweep(spaces, seq, limit_map, sample, [(r, t)])[0]
 
 
 def closed_form_index_power(c: float, r: float, t: float) -> int:

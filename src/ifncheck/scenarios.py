@@ -31,7 +31,7 @@ from .function_sequences import (
     pointwise_limit_estimate,
     sup_deviation_oracle,
     uniform_cauchy_check,
-    uniform_index_search,
+    uniform_index_sweep,
     uniform_limit_scenario,
 )
 from .ifn_core import check_ifn_axioms
@@ -412,6 +412,11 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
             continue
         rs = as_list(check.get("r", 0.1))
         ts = as_list(check.get("t", 0.1))
+        if kind == "uniform-index":
+            # one values matrix serves the grid, in the loop's r-major order
+            sweep = iter(
+                uniform_index_sweep(spaces, seq, None, sample, [(r, t) for r in rs for t in ts])
+            )
         for r in rs:
             for t in ts:
                 name = f"{kind}{suffix}/r{r}-t{t}"
@@ -428,7 +433,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                         )
                     )
                 elif kind == "uniform-index":
-                    cert = uniform_index_search(spaces, seq, None, sample, r, t)
+                    cert = next(sweep)
                     paper_k = (
                         closed_form_index_power(seq.domain.hi, r, t)
                         if seq.family == "power" and 0 < seq.domain.hi < 1
