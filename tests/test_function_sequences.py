@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifncheck.errors import DomainError, NoLimit, UnsupportedFamily
 from ifncheck.function_sequences import (
@@ -11,6 +13,7 @@ from ifncheck.function_sequences import (
     sup_deviation_oracle,
     uniform_cauchy_check,
     uniform_index_search,
+    uniform_index_sweep,
     uniform_limit_scenario,
 )
 from ifncheck.ifn_core import make_example_family
@@ -129,6 +132,69 @@ class TestUniformIndexSearch:
         n_small_t = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1).n0
         n_big_t = uniform_index_search(spaces, seq, None, sample, 0.1, 1.0).n0
         assert n_big_t <= n_small_t
+
+
+def _sweep_cases():
+    power_half = FunctionSequence("power", Interval(0.0, 0.5))
+    open_unit = FunctionSequence("power", Interval(0.0, 1.0, open_lo=True, open_hi=True))
+    quotient = FunctionSequence("quotient", Interval(0.0, 10.0))
+    scaled = FunctionSequence("scaled", Interval(0.0, 1.0))
+    constant = FunctionSequence("constant", Interval(0.0, 1.0), params=("identity",))
+    custom = FunctionSequence(
+        "custom",
+        Interval(0.0, 1.0),
+        budget=2000,
+        fn=lambda ns, xs: 2.0 + np.outer(0.5 ** ns, xs),
+    )
+    return {
+        "power": (power_half, None, sample_domain(power_half.domain, 17)),
+        "power-ladder": (
+            open_unit,
+            None,
+            sample_domain(open_unit.domain, 17, refine_side="hi", refine_depth=10),
+        ),
+        "quotient": (quotient, None, sample_domain(quotient.domain, 11)),
+        "scaled": (scaled, None, sample_domain(scaled.domain, 17)),
+        "constant": (constant, None, sample_domain(constant.domain, 9)),
+        "power-limit-map": (power_half, lambda x: 0.0, sample_domain(power_half.domain, 9)),
+        "custom-limit-map": (custom, lambda x: 2.0, sample_domain(custom.domain, 9)),
+    }
+
+
+_SWEEP_CASES = _sweep_cases()
+
+
+class TestUniformIndexSweep:
+    # (0.1, 0.1) repeats, so a pair must not see state left by an earlier one
+    RTS = [(0.1, 0.1), (0.5, 1.0), (0.9, 10.0), (0.3, 0.05), (0.1, 0.1)]
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_equals_separate_searches(self, spaces, case):
+        seq, limit_map, sample = _SWEEP_CASES[case]
+        sweep = uniform_index_sweep(spaces, seq, limit_map, sample, self.RTS)
+        assert sweep == [
+            uniform_index_search(spaces, seq, limit_map, sample, r, t) for r, t in self.RTS
+        ]
+
+
+@given(
+    case=st.sampled_from(["power-ladder", "scaled", "custom-limit-map"]),
+    rts=st.lists(
+        st.tuples(
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+            st.floats(min_value=1e-3, max_value=100.0),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_sweep_equals_separate_searches_on_random_grids(case, rts):
+    sp = make_example_family("example-4.x")
+    seq, limit_map, sample = _SWEEP_CASES[case]
+    assert uniform_index_sweep((sp, sp), seq, limit_map, sample, rts) == [
+        uniform_index_search((sp, sp), seq, limit_map, sample, r, t) for r, t in rts
+    ]
 
 
 class TestClosedFormIndex:
