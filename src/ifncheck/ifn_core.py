@@ -178,7 +178,7 @@ def tabulated_membership(x_nodes, t_nodes, values, radial: bool = False) -> Memb
     values = np.asarray(values, dtype=float)
     if values.shape != (len(x_nodes), len(t_nodes)):
         raise InvalidParameter("table shape must be (len(x_nodes), len(t_nodes))")
-    if values.min() < 0.0 or values.max() > 1.0:
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
         raise InvalidParameter("table values must lie in [0, 1]")
     return MembershipFunction(
         tag="tabulated", x_nodes=x_nodes, t_nodes=t_nodes, values=values, radial=radial

@@ -41,6 +41,15 @@ class TestStandardSpace:
         with pytest.raises(InvalidParameter):
             make_standard_space(-1.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((2, 2), np.nan), np.array([[1.0, 1.0], [np.nan, 0.5]]), np.full((2, 2), -0.5)],
+        ids=["all-nan", "one-nan", "below-zero"],
+    )
+    def test_tabulated_membership_rejects_values_outside_unit(self, values):
+        with pytest.raises(InvalidParameter):
+            tabulated_membership([0.0, 1.0], [0.0, 1.0], values)
+
     def test_domain_errors(self):
         sp = make_standard_space(1.0)
         with pytest.raises(DomainError):

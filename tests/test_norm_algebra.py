@@ -59,6 +59,15 @@ class TestEvaluation:
         with pytest.raises(InvalidParameter):
             tnorm("hamacher")
 
+    @pytest.mark.parametrize(
+        "table",
+        [np.full((3, 3), np.nan), np.array([[0.0, 0.0], [0.0, np.nan]]), np.full((2, 2), 1.5)],
+        ids=["all-nan", "one-nan", "above-one"],
+    )
+    def test_tabulated_rejects_values_outside_unit(self, table):
+        with pytest.raises(InvalidParameter):
+            TriangularNorm("tabulated", table)
+
     def test_idempotent_flags(self):
         assert tnorm("minimum").idempotent
         assert not tnorm("product").idempotent
