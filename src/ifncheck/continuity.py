@@ -159,7 +159,10 @@ class MapBetweenSpaces:
             raise InvalidParameter("map rules are univariate; spaces must have d=1")
 
     def __call__(self, xs):
-        ys = self.rule(xs)
+        # a non-finite image is raised below together with its point, so a
+        # numpy warning about it would only repeat that on stderr
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ys = self.rule(xs)
         bad = ~np.isfinite(ys)
         if bad.any():
             i = np.flatnonzero(bad)[0]

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -212,11 +213,16 @@ class TestCliProcess:
             ("continuity", dict(continuity, points=[5.0]), "x0=5.0"),
             ("converge", dict(converge, checks=[{"kind": "convergence", "r": 1.5, "t": 1.0}]), "1.5"),
         ]
-        for command, cfg, named in rejected:
-            rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
-            assert rc == 2, cfg
-            err = capsys.readouterr().err
-            assert "config error" in err and named in err, err
+        # a numpy warning would reach stderr ahead of the config error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command, cfg, named in rejected:
+                rc = main(
+                    [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+                )
+                assert rc == 2, cfg
+                err = capsys.readouterr().err
+                assert "config error" in err and named in err, err
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_exit_three_when_report_cannot_be_written(self, tmp_path, monkeypatch, capsys, fmt):
