@@ -16,7 +16,7 @@ from ifncheck.function_sequences import (
     uniform_index_sweep,
     uniform_limit_scenario,
 )
-from ifncheck.ifn_core import make_example_family
+from ifncheck.ifn_core import IFNSpace, custom_membership, make_example_family
 from ifncheck.sampling import Interval
 
 
@@ -247,6 +247,50 @@ class TestCauchyCriterion:
         seq = FunctionSequence("constant", Interval(0.0, 1.0), params=("identity",))
         cert = uniform_cauchy_check(spaces, seq, sample_domain(seq.domain, 9), 0.5, 1.0)
         assert cert.n0 == 1
+
+    @pytest.mark.parametrize(
+        "family, lo, hi, refine, r, t, p_max",
+        [
+            ("power", 0.0, 0.5, None, 0.1, 0.1, 5),
+            ("power", 0.0, 1.0, "hi", 0.1, 0.1, 20),
+            ("quotient", 0.0, 10.0, None, 0.3, 0.5, 10),
+            ("scaled", 0.0, 1.0, None, 0.1, 0.05, 3),
+        ],
+    )
+    def test_non_radial_branch_matches_p_window_oracle(
+        self, spaces, family, lo, hi, refine, r, t, p_max
+    ):
+        # the standard memberships, declared non-radial, take the p-bounded branch
+        sp = spaces[1]
+        wrapped = IFNSpace(
+            1,
+            custom_membership(lambda p, s: sp.mu.eval(p, s)),
+            custom_membership(lambda p, s: sp.nu.eval(p, s)),
+            sp.tnorm,
+            sp.tconorm,
+        )
+        seq = FunctionSequence(
+            family, Interval(lo, hi, open_lo=refine is not None, open_hi=refine is not None),
+            budget=300,
+        )
+        sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=6)
+        cert = uniform_cauchy_check((wrapped, wrapped), seq, sample, r, t, p_max)
+
+        expected = []
+        for x in sample.all_points():
+            v = seq.values(np.arange(1, seq.budget + p_max + 1), np.array([x]))[:, 0]
+            # ok at n: every p in 1..p_max meets the demand at (n, n + p)
+            ok = [
+                bool(np.all(sp.within((v[n : n + p_max] - v[n - 1]).reshape(-1, 1), r, t)))
+                for n in range(1, seq.budget + 1)
+            ]
+            bad = [n for n, good in zip(range(1, seq.budget + 1), ok) if not good]
+            expected.append((float(x), (bad[-1] + 1 if bad else 1) if ok[-1] else None))
+        assert cert.kind == "cauchy-criterion"
+        assert cert.per_point_index == tuple(expected)
+        assert cert.ladder_indices == tuple(i for _, i in expected[len(sample.points) :])
+        if cert.uniform:
+            assert cert.n0 == max(i for _, i in expected)
 
 
 class TestSupOracle:
