@@ -26,6 +26,7 @@ from .errors import UnknownTag, WitnessNotFound
 from .function_sequences import (
     _ORACLE_GRID,
     FunctionSequence,
+    UniformCertificate,
     classical_uniform_probe,
     closed_form_index_power,
     pointwise_limit_estimate,
@@ -499,8 +500,10 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
             )
         )
     half = FunctionSequence("power", Interval(0.0, 0.5))
-    sample = sample_domain(half.domain, 17)
-    cert = uniform_index_search(spaces, half, None, sample, 0.1, 0.1)
+    # index sweep table over (r, t); its first pair is the uniform-index record's
+    rts = [(round(0.1 * i, 1), t) for i in range(1, 10) for t in (0.1, 1.0, 10.0)]
+    sweep = uniform_index_sweep(spaces, half, sample_domain(half.domain, 17), rts)
+    cert = sweep[0]
     records.append(
         CheckRecord(
             name="uniform-index/power-closed-half",
@@ -513,7 +516,7 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
         )
     )
     refined = sample_domain(open_unit.domain, 17, refine_side="hi", refine_depth=10)
-    cert_open = uniform_index_search(spaces, open_unit, None, refined, 0.1, 0.1)
+    cert_open = uniform_index_search(spaces, open_unit, refined, 0.1, 0.1)
     records.append(
         CheckRecord(
             name="uniform-index/power-open-unit",
@@ -526,31 +529,36 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
             work=cert_open.budget * len(cert_open.per_point_index),
         )
     )
-    # index sweep table over (r, t); the closed-form column applies to the
-    # power family only
-    rts = [(round(0.1 * i, 1), t) for i in range(1, 10) for t in (0.1, 1.0, 10.0)]
-    for (r, t), c in zip(rts, uniform_index_sweep(spaces, half, None, sample, rts)):
-        records.append(
-            CheckRecord(
-                name=f"sweep/power-r{r}-t{t}",
-                anchor=anchor,
-                verdict=INFO,
-                details={},
-                seed=seed,
-                work=c.budget,
-                csv_row={
-                    "family": "power",
-                    "domain_lo": 0.0,
-                    "domain_hi": 0.5,
-                    "r": r,
-                    "t": t,
-                    "n0": c.n0,
-                    "verdict": c.verdict,
-                    "paper_k": closed_form_index_power(0.5, r, t),
-                },
-            )
+    records.extend(
+        CheckRecord(
+            name=f"sweep/power-r{c.r}-t{c.t}",
+            anchor=anchor,
+            verdict=INFO,
+            details={},
+            seed=seed,
+            work=c.budget,
+            csv_row=sweep_csv_row(half, c),
         )
+        for c in sweep
+    )
     return records
+
+
+def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate) -> dict:
+    """The CSV row of one (r, t) point of a uniform index sweep; the paper's
+    closed-form index applies to the power family on [lo, hi] with hi < 1."""
+    hi = seq.domain.hi
+    closed_form = seq.family == "power" and 0 < hi < 1
+    return {
+        "family": seq.family,
+        "domain_lo": seq.domain.lo,
+        "domain_hi": hi,
+        "r": cert.r,
+        "t": cert.t,
+        "n0": cert.n0,
+        "verdict": cert.verdict,
+        "paper_k": closed_form_index_power(hi, cert.r, cert.t) if closed_form else None,
+    }
 
 
 def _run_example_4_quotient(seed: int) -> list[CheckRecord]:
@@ -570,8 +578,8 @@ def _run_example_4_quotient(seed: int) -> list[CheckRecord]:
             work=cert.budget_n,
         )
     )
-    ucert = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1)
-    probe = classical_uniform_probe(spaces, seq, None, sample, 0.1, 0.1)
+    probe = classical_uniform_probe(spaces, seq, sample, 0.1, 0.1)
+    ucert = probe.ifn_certificate
     records.append(
         CheckRecord(
             name="uniform-index/quotient",
@@ -594,7 +602,7 @@ def _run_cauchy_criterion(seed: int) -> list[CheckRecord]:
     records = []
     for name, (seq, refine) in catalog_function_sequences().items():
         sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-        direct = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1)
+        direct = uniform_index_search(spaces, seq, sample, 0.1, 0.1)
         criterion = uniform_cauchy_check(spaces, seq, sample, 0.1, 0.1)
         agree = direct.verdict == criterion.verdict
         records.append(

@@ -118,6 +118,11 @@ SAMPLE_SCHEMA = {
 _SEED = {"type": "integer"}
 
 
+def _when(kind: str, then: dict) -> dict:
+    """Schema clause: an object whose kind is `kind` must also match `then`."""
+    return {"if": {"properties": {"kind": {"const": kind}}}, "then": then}
+
+
 def _scenario_schema(kind: str, extra_properties: dict, required: list[str]) -> dict:
     props = {"scenario": {"const": kind}, "seed": _SEED}
     props.update(extra_properties)
@@ -260,11 +265,28 @@ SCHEMAS: dict[str, dict] = {
                             },
                             "required": ["kind"],
                             "additionalProperties": False,
+                            "allOf": [
+                                _when(
+                                    "interval",
+                                    {
+                                        "required": ["params"],
+                                        "properties": {"params": {"minItems": 2, "maxItems": 2}},
+                                    },
+                                ),
+                            ],
                         },
                         "map": MAP_SCHEMA,
                     },
                     "required": ["kind"],
                     "additionalProperties": False,
+                    # the fields each check kind reads
+                    "allOf": [
+                        _when("ball-contains", {"required": ["ball", "point"]}),
+                        _when("classical-radius", {"required": ["ball"]}),
+                        _when("inner-ball", {"required": ["ball", "point"]}),
+                        _when("set-open", {"required": ["set"]}),
+                        _when("preimage-open", {"required": ["ball", "map"]}),
+                    ],
                 },
             },
         },

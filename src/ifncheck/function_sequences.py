@@ -11,7 +11,7 @@ open set, so anything weaker stays inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,8 @@ from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
+    _cauchy_ok_mask,
+    _check_rt,
     convergence_index,
     tail_index,
 )
@@ -66,8 +68,7 @@ class FunctionSequence:
         if self.family == "scaled":
             return xs / ns
         if self.family == "constant":
-            base = MapRule(*self.params) if self.params else MapRule("identity")
-            return np.broadcast_to(base(xs), (ns.shape[0], xs.shape[1])).copy()
+            return np.broadcast_to(self.constant_rule()(xs), (ns.shape[0], xs.shape[1])).copy()
         if self.family == "custom":
             return np.asarray(self.fn(ns.ravel().astype(int), xs.ravel()), dtype=float)
         raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
@@ -82,9 +83,12 @@ class FunctionSequence:
         if self.family == "scaled":
             return np.zeros_like(xs)
         if self.family == "constant":
-            base = MapRule(*self.params) if self.params else MapRule("identity")
-            return base(xs)
+            return self.constant_rule()(xs)
         return None
+
+    def constant_rule(self) -> MapRule:
+        """The map every member of the `constant` family equals."""
+        return MapRule(*self.params) if self.params else MapRule("identity")
 
     def map_at(self, n: int, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
         if self.family == "power":
@@ -94,7 +98,7 @@ class FunctionSequence:
         elif self.family == "scaled":
             r = MapRule("scalar", (1.0 / n,), (MapRule("identity"),))
         elif self.family == "constant":
-            r = MapRule(*self.params) if self.params else MapRule("identity")
+            r = self.constant_rule()
         else:
             raise UnsupportedFamily("custom sequences have no closed-form member maps")
         return MapBetweenSpaces(domain_space, codomain_space, r, self.domain)
@@ -197,23 +201,6 @@ def pointwise_limit_estimate(
     return limit, cert
 
 
-def _per_point_indices(
-    codomain: IFNSpace,
-    vals: np.ndarray,
-    limits: np.ndarray,
-    r: float,
-    t: float,
-) -> list[int | None]:
-    """Minimal tail index at each x (a column of the (N, M) matrix `vals`
-    of f_n(x)) by exhaustive scan over n."""
-    out: list[int | None] = []
-    for col in range(vals.shape[1]):
-        diffs = (vals[:, col] - limits[col]).reshape(-1, 1)
-        ok = codomain.within(diffs, r, t)
-        out.append(tail_index(ok) if ok[-1] else None)
-    return out
-
-
 def _ladder_verdict(ladder_indices: list[int | None]) -> bool:
     """Divergence rule: indices along the refinement ladder strictly
     increase and at least double across every 3-step window (an index past
@@ -234,68 +221,79 @@ def _ladder_verdict(ladder_indices: list[int | None]) -> bool:
     return all(finite[j + 3] >= 2 * finite[j] for j in range(len(finite) - 3))
 
 
-def _uniform_verdict(
-    idx: list[int | None], ladder_idx: list[int | None]
-) -> tuple[str, int | None]:
-    """A diverging refinement ladder refutes uniformity on the sample; a
-    per-point index everywhere gives n0 = their maximum; anything else is
-    inconclusive."""
+def _limits(seq: FunctionSequence, sample: DomainSample) -> np.ndarray:
+    """The exact limit of f_n(x) at every sampled point."""
+    limits = seq.exact_limit(sample.all_points())
+    if limits is None or not np.all(np.isfinite(limits)):
+        raise NoLimit("no closed-form limit at every sampled point; certify pointwise first")
+    return limits
+
+
+def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int) -> np.ndarray:
+    """The (n_total, M) matrix of f_n(x) over the sampled points, built once
+    every (r, t) of `rts` is known to be a valid demand."""
+    for r, t in rts:
+        _check_rt(r, t)
+    return seq.values(np.arange(1, n_total + 1), sample.all_points())
+
+
+def _limit_mask(
+    codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, r: float, t: float
+) -> np.ndarray:
+    """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j.
+
+    One `within` call per column: a single call over the whole (N*M, 1)
+    block is several times slower."""
+    return np.column_stack(
+        [codomain.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)]
+    )
+
+
+def _certificate(
+    ok: np.ndarray, sample: DomainSample, budget: int, r: float, t: float, kind: str = "direct"
+) -> UniformCertificate:
+    """The certificate of an (N, M) ok mask over `sample.all_points()`.
+
+    Each point's index is the start of its all-pass tail, or None when the
+    last row fails there.  A diverging refinement ladder refutes uniformity
+    on the sample; an index everywhere gives n0 = their maximum; anything
+    else is inconclusive.
+    """
+    idx = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
+    ladder_idx = idx[len(sample.points) :]
     if ladder_idx and _ladder_verdict(ladder_idx):
-        return VERDICT_NOT_UNIFORM, None
-    if all(i is not None for i in idx):
-        return VERDICT_UNIFORM, max(idx)
-    return VERDICT_INCONCLUSIVE, None
+        verdict, n0 = VERDICT_NOT_UNIFORM, None
+    elif all(i is not None for i in idx):
+        verdict, n0 = VERDICT_UNIFORM, max(idx)
+    else:
+        verdict, n0 = VERDICT_INCONCLUSIVE, None
+    points = tuple((float(x), i) for x, i in zip(sample.all_points(), idx))
+    return UniformCertificate(r, t, n0, points, verdict, budget, tuple(ladder_idx), kind)
 
 
 def uniform_index_sweep(
     spaces: tuple[IFNSpace, IFNSpace],
     seq: FunctionSequence,
-    limit_map: Callable | None,
     sample: DomainSample,
     rts: list[tuple[float, float]],
 ) -> list[UniformCertificate]:
     """`uniform_index_search` at every (r, t) of `rts`, in that order.
 
-    The limits and the (budget, M) matrix of f_n(x) do not depend on
-    (r, t), so they are built once per call and only the membership demand
-    and the tail scan run per pair.
+    The limits and the (budget, M) matrix of f_n(x) do not depend on (r, t):
+    they are built once per call, and only the demand mask runs per pair.
     """
     _, codomain = spaces
-    base = np.asarray(sample.points, dtype=float)
-    ladder = np.asarray(sample.ladder, dtype=float)
-    xs = np.concatenate([base, ladder])
-    if limit_map is not None:
-        limits = np.asarray([limit_map(x) for x in xs], dtype=float)
-    else:
-        exact = seq.exact_limit(xs)
-        if exact is None or not np.all(np.isfinite(exact)):
-            raise NoLimit("no limit map available; certify pointwise first")
-        limits = exact
-    vals = seq.values(np.arange(1, seq.budget + 1), xs)  # (N, M)
-    certs = []
-    for r, t in rts:
-        idx = _per_point_indices(codomain, vals, limits, r, t)
-        ladder_idx = idx[len(base) :]
-        verdict, n0 = _uniform_verdict(idx, ladder_idx)
-        certs.append(
-            UniformCertificate(
-                r,
-                t,
-                n0,
-                tuple((float(x), i) for x, i in zip(xs, idx)),
-                verdict,
-                seq.budget,
-                tuple(ladder_idx),
-                kind="direct",
-            )
-        )
-    return certs
+    limits = _limits(seq, sample)
+    vals = _values(seq, sample, rts, seq.budget)
+    return [
+        _certificate(_limit_mask(codomain, vals, limits, r, t), sample, seq.budget, r, t)
+        for r, t in rts
+    ]
 
 
 def uniform_index_search(
     spaces: tuple[IFNSpace, IFNSpace],
     seq: FunctionSequence,
-    limit_map: Callable | None,
     sample: DomainSample,
     r: float,
     t: float,
@@ -307,7 +305,7 @@ def uniform_index_search(
     yields `not-uniform-on-sample`; otherwise a missing per-point index
     leaves the verdict inconclusive.
     """
-    return uniform_index_sweep(spaces, seq, limit_map, sample, [(r, t)])[0]
+    return uniform_index_sweep(spaces, seq, sample, [(r, t)])[0]
 
 
 def closed_form_index_power(c: float, r: float, t: float) -> int:
@@ -350,52 +348,34 @@ def uniform_cauchy_check(
     refinement-ladder rule as the direct search.
     """
     _, codomain = spaces
-    base = np.asarray(sample.points, dtype=float)
-    ladder = np.asarray(sample.ladder, dtype=float)
-    xs = np.concatenate([base, ladder])
     n_total = seq.budget + p_max
-    vals = seq.values(np.arange(1, n_total + 1), xs)  # (N + p_max, M)
+    vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)
     radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
 
-    ok = np.ones((seq.budget, len(xs)), dtype=bool)
-    if radial:
-        for col in range(len(xs)):
-            v = vals[:, col]
-            sfx_max = np.maximum.accumulate(v[::-1])[::-1]
-            sfx_min = np.minimum.accumulate(v[::-1])[::-1]
-            n_idx = np.arange(seq.budget)
-            worst = np.maximum(sfx_max[n_idx + 1] - v[n_idx], v[n_idx] - sfx_min[n_idx + 1])
+    ok = np.empty((seq.budget, vals.shape[1]), dtype=bool)
+    for col, v in enumerate(vals.T):
+        if radial:
+            # the worst later deviation from f_n(x), by suffix extrema
+            later_max = np.maximum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+            later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+            now = v[: seq.budget]
+            worst = np.maximum(later_max - now, now - later_min)
             ok[:, col] = codomain.within(worst.reshape(-1, 1), r, t)
-    else:
-        for p in range(1, p_max + 1):
-            diffs = vals[p : seq.budget + p] - vals[: seq.budget]
-            for col in range(len(xs)):
-                ok[:, col] &= codomain.within(diffs[:, col].reshape(-1, 1), r, t)
+        else:
+            ok[:, col] = _cauchy_ok_mask(codomain, v.reshape(-1, 1), r, t, p_max)[: seq.budget]
 
-    idx = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
-    ladder_idx = idx[len(base) :]
-    verdict, n0 = _uniform_verdict(idx, ladder_idx)
-    if verdict == VERDICT_UNIFORM and not radial:
+    cert = _certificate(ok, sample, seq.budget, r, t, kind="cauchy-criterion")
+    if cert.uniform and not radial:
         # spot-check the two-sided form on a geometric (n, m) grid
-        grid = sorted(
-            {min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)}
-        )
+        n0 = cert.n0
+        grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
         pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
         if not all(
             np.all(codomain.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
             for n, m in pairs
         ):
-            verdict, n0 = VERDICT_INCONCLUSIVE, None
-    return UniformCertificate(
-        r,
-        t,
-        n0,
-        tuple((float(x), i) for x, i in zip(xs, idx)),
-        verdict,
-        seq.budget,
-        tuple(ladder_idx),
-        kind="cauchy-criterion",
-    )
+            cert = replace(cert, verdict=VERDICT_INCONCLUSIVE, n0=None)
+    return cert
 
 
 # Grid points of the brute-force deviation oracle on [0, a].
@@ -469,20 +449,19 @@ def uniform_limit_scenario(
         }
         member_ws.append((n, "witnessed" if verdicts == {"witnessed"} else ",".join(sorted(verdicts))))
 
-    cert = uniform_index_search(spaces, seq, None, sample, r, t)
+    cert = uniform_index_search(spaces, seq, sample, r, t)
 
-    xs = np.asarray(sample.points, dtype=float)
-    limits = seq.exact_limit(xs)
+    limits = seq.exact_limit(np.asarray(sample.points, dtype=float))
     if limits is not None and np.all(limits == limits[0]):
         limit_rule = MapRule("constant", (float(limits[0]),))
     elif seq.family == "constant":
         # the limit of a constant sequence is the member map itself
-        limit_rule = MapRule(*seq.params) if seq.params else MapRule("identity")
+        limit_rule = seq.constant_rule()
     else:
         raise UnsupportedFamily("limit continuity checks need a closed-form limit")
-    limit_map = MapBetweenSpaces(domain_space, codomain_space, limit_rule, seq.domain)
+    limit_fn = MapBetweenSpaces(domain_space, codomain_space, limit_rule, seq.domain)
     limit_ws = tuple(
-        continuity_witness_search(limit_map, float(x0), epsilon, alpha, seed=seed)
+        continuity_witness_search(limit_fn, float(x0), epsilon, alpha, seed=seed)
         for x0 in sample.points
     )
     return UniformLimitRecord(tuple(member_ws), cert, limit_ws)
@@ -511,7 +490,6 @@ class ClassicalUniformRecord:
 def classical_uniform_probe(
     spaces: tuple[IFNSpace, IFNSpace],
     seq: FunctionSequence,
-    limit_map: Callable | None,
     sample: DomainSample,
     r: float = 0.1,
     t: float = 0.1,
@@ -528,20 +506,10 @@ def classical_uniform_probe(
     _, codomain = spaces
     if not codomain.is_standard:
         raise UnsupportedFamily("classical probe requires a standard-family codomain")
-    xs = sample.all_points()
-    if limit_map is not None:
-        limits = np.asarray([limit_map(x) for x in xs], dtype=float)
-    else:
-        limits = seq.exact_limit(xs)
-        if limits is None:
-            raise NoLimit("no limit map available")
+    limits = _limits(seq, sample)
+    vals = _values(seq, sample, [(r, t)], seq.budget)
     threshold = membership_radius(codomain, r, t)
-    ns = np.arange(1, seq.budget + 1)
-    ok = np.abs(seq.values(ns, xs) - limits.reshape(1, -1)) < threshold
-    indices = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
-    verdict, _ = _uniform_verdict(indices, indices[len(sample.points) :])
-    classical_uniform = verdict == VERDICT_UNIFORM
-    cert = uniform_index_search(spaces, seq, limit_map, sample, r, t)
-    return ClassicalUniformRecord(
-        (threshold,), tuple(indices), classical_uniform, cert
-    )
+    classical = _certificate(np.abs(vals - limits) < threshold, sample, seq.budget, r, t)
+    cert = _certificate(_limit_mask(codomain, vals, limits, r, t), sample, seq.budget, r, t)
+    indices = tuple(i for _, i in classical.per_point_index)
+    return ClassicalUniformRecord((threshold,), indices, classical.uniform, cert)

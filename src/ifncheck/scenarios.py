@@ -23,11 +23,18 @@ from .continuity import (
     sequential_continuity_check,
     uniform_continuity_search,
 )
-from .errors import CertificationError, ConfigError, DomainError, IFNError, NoLimit
+from .errors import (
+    CertificationError,
+    ConfigError,
+    DomainError,
+    IFNError,
+    InvalidParameter,
+    NoLimit,
+    UnsupportedFamily,
+)
 from .function_sequences import (
     _ORACLE_GRID,
     classical_uniform_probe,
-    closed_form_index_power,
     pointwise_limit_estimate,
     sup_deviation_oracle,
     uniform_cauchy_check,
@@ -287,7 +294,11 @@ def _build_set(cfg: dict, space):
         arr = np.asarray([as_point(m, space.dimension) for m in members])
     else:
         arr = default_members
-    return SampledSet(pred, arr, desc)
+    try:
+        return SampledSet(pred, arr, desc)
+    except InvalidParameter as exc:
+        field = "members" if members is not None else "params"
+        raise ConfigError(f"set {field}: {exc} ({desc})") from exc
 
 
 def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
@@ -376,7 +387,7 @@ def _run_funcseq(config: dict, seed: int) -> list[CheckRecord]:
     for seq in build_funcseq(config["funcseq"]):
         try:
             records.extend(_funcseq_checks(config, spaces, seq, seed))
-        except NoLimit as exc:
+        except (NoLimit, UnsupportedFamily) as exc:
             raise ConfigError(
                 f"funcseq: family {seq.family!r} on [{seq.domain.lo}, {seq.domain.hi}]: {exc}"
             ) from exc
@@ -415,85 +426,48 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
         if kind == "uniform-index":
             # one values matrix serves the grid, in the loop's r-major order
             sweep = iter(
-                uniform_index_sweep(spaces, seq, None, sample, [(r, t) for r in rs for t in ts])
+                uniform_index_sweep(spaces, seq, sample, [(r, t) for r in rs for t in ts])
             )
         for r in rs:
             for t in ts:
-                name = f"{kind}{suffix}/r{r}-t{t}"
+                name, row = f"{kind}{suffix}/r{r}-t{t}", None
                 if kind == "pointwise":
                     x = check.get("x", sample.points[len(sample.points) // 2])
                     limit, cert = pointwise_limit_estimate(spaces, seq, x, r, t)
-                    records.append(
-                        CheckRecord(
-                            name=f"{kind}{suffix}/x{x}-r{r}-t{t}",
-                            anchor=f"pointwise convergence of the {seq.family} sequence",
-                            verdict=_verdict_of(cert.status),
-                            details={"limit": limit, "certificate": cert.summary()},
-                            seed=seed, work=seq.budget,
-                        )
-                    )
-                elif kind == "uniform-index":
-                    cert = next(sweep)
-                    paper_k = (
-                        closed_form_index_power(seq.domain.hi, r, t)
-                        if seq.family == "power" and 0 < seq.domain.hi < 1
-                        else None
-                    )
-                    records.append(
-                        CheckRecord(
-                            name=name,
-                            anchor=f"uniform convergence index of the {seq.family} sequence",
-                            verdict=_verdict_of(cert.verdict),
-                            details=cert.summary(),
-                            seed=seed, work=seq.budget * len(cert.per_point_index),
-                            csv_row={
-                                "family": seq.family,
-                                "domain_lo": seq.domain.lo,
-                                "domain_hi": seq.domain.hi,
-                                "r": r,
-                                "t": t,
-                                "n0": cert.n0,
-                                "verdict": cert.verdict,
-                                "paper_k": paper_k,
-                            },
-                        )
-                    )
-                elif kind == "cauchy-criterion":
-                    cert = uniform_cauchy_check(spaces, seq, sample, r, t, check.get("p_max", 100))
-                    records.append(
-                        CheckRecord(
-                            name=name,
-                            anchor="uniform Cauchy tail criterion",
-                            verdict=_verdict_of(cert.verdict),
-                            details=cert.summary(),
-                            seed=seed, work=seq.budget * len(cert.per_point_index),
-                        )
-                    )
+                    name = f"{kind}{suffix}/x{x}-r{r}-t{t}"
+                    anchor = f"pointwise convergence of the {seq.family} sequence"
+                    verdict = _verdict_of(cert.status)
+                    details, work = {"limit": limit, "certificate": cert.summary()}, seq.budget
+                elif kind in ("uniform-index", "cauchy-criterion"):
+                    if kind == "uniform-index":
+                        cert = next(sweep)
+                        anchor = f"uniform convergence index of the {seq.family} sequence"
+                        row = _catalog.sweep_csv_row(seq, cert)
+                    else:
+                        p_max = check.get("p_max", 100)
+                        cert = uniform_cauchy_check(spaces, seq, sample, r, t, p_max)
+                        anchor = "uniform Cauchy tail criterion"
+                    verdict, details = _verdict_of(cert.verdict), cert.summary()
+                    work = seq.budget * len(cert.per_point_index)
                 elif kind == "classical-probe":
-                    rec = classical_uniform_probe(spaces, seq, None, sample, r, t)
-                    records.append(
-                        CheckRecord(
-                            name=name,
-                            anchor="membership versus classical sup-norm uniform convergence",
-                            verdict=PASS if rec.agree else FAIL,
-                            details=rec.summary(),
-                            seed=seed, work=seq.budget * len(sample.all_points()),
-                        )
-                    )
+                    rec = classical_uniform_probe(spaces, seq, sample, r, t)
+                    anchor = "membership versus classical sup-norm uniform convergence"
+                    verdict, details = PASS if rec.agree else FAIL, rec.summary()
+                    work = seq.budget * len(sample.all_points())
                 else:
                     rec = uniform_limit_scenario(
                         spaces, seq, sample, r, t,
                         check.get("epsilon", 0.5), check.get("alpha", 0.25), seed=seed,
                     )
-                    records.append(
-                        CheckRecord(
-                            name=name,
-                            anchor="continuity of the limit under uniform convergence",
-                            verdict=PASS if rec.limit_continuous_everywhere else FAIL,
-                            details=rec.summary(),
-                            seed=seed, work=seq.budget,
-                        )
+                    anchor = "continuity of the limit under uniform convergence"
+                    verdict = PASS if rec.limit_continuous_everywhere else FAIL
+                    details, work = rec.summary(), seq.budget
+                records.append(
+                    CheckRecord(
+                        name=name, anchor=anchor, verdict=verdict, details=details,
+                        seed=seed, work=work, csv_row=row,
                     )
+                )
     return records
 
 

@@ -159,9 +159,7 @@ def test_criterion_7_uniform_index_exactness():
     with criterion(7, "power family on [0, 0.5] at (0.1, 0.1): n0 = 7 = closed form"):
         sp = make_example_family("example-4.x")
         seq = FunctionSequence("power", Interval(0.0, 0.5))
-        cert = uniform_index_search(
-            (sp, sp), seq, None, sample_domain(seq.domain, 17), 0.1, 0.1
-        )
+        cert = uniform_index_search((sp, sp), seq, sample_domain(seq.domain, 17), 0.1, 0.1)
         assert cert.uniform and cert.n0 == 7
         assert closed_form_index_power(0.5, 0.1, 0.1) == 7
         assert cert.n0 == closed_form_index_power(0.5, 0.1, 0.1)
@@ -175,7 +173,7 @@ def test_criterion_8_non_uniformity_ladder():
         ladder_points = np.asarray(sample.ladder)
         expected = 1.0 - 2.0 ** (-np.arange(1, 11, dtype=float))
         np.testing.assert_allclose(ladder_points, expected)
-        cert = uniform_index_search((sp, sp), seq, None, sample, 0.1, 0.1)
+        cert = uniform_index_search((sp, sp), seq, sample, 0.1, 0.1)
         assert cert.verdict == "not-uniform-on-sample"
         idx = list(cert.ladder_indices)
         assert all(i is not None for i in idx)
@@ -191,7 +189,7 @@ def test_criterion_9_cauchy_criterion_equivalence():
         assert len(sequences) == 6
         for name, (seq, refine) in sequences.items():
             sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-            direct = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1)
+            direct = uniform_index_search(spaces, seq, sample, 0.1, 0.1)
             crit = uniform_cauchy_check(spaces, seq, sample, 0.1, 0.1)
             assert direct.verdict == crit.verdict, name
             if name == "power-closed-half":

@@ -182,6 +182,8 @@ class TestCliProcess:
         funcseq = json.loads((examples / "funcseq-power-sweep.json").read_text())
         uniform = json.loads((examples / "uniform-reciprocal.json").read_text())
         converge = json.loads((examples / "converge-reciprocal.json").read_text())
+        topology = json.loads((examples / "topology-balls.json").read_text())
+        ball = {"center": 0.0, "r": 0.5, "t": 1.0}
         rejected = [
             ("converge", {"scenario": "converge"}, "config error"),
             # a family or rule missing its params
@@ -212,6 +214,58 @@ class TestCliProcess:
             # a point or a parameter outside its domain
             ("continuity", dict(continuity, points=[5.0]), "x0=5.0"),
             ("converge", dict(converge, checks=[{"kind": "convergence", "r": 1.5, "t": 1.0}]), "1.5"),
+            # an (r, t) demand outside r in (0, 1), t > 0
+            ("funcseq", dict(funcseq, checks=[{"kind": "cauchy-criterion", "r": 0.1, "t": -1}]), "t must"),
+            ("funcseq", dict(funcseq, checks=[{"kind": "classical-probe", "r": 0.0, "t": 0.1}]), "r must"),
+            (
+                "funcseq",
+                dict(
+                    funcseq,
+                    funcseq={"family": "scaled", "domain": {"lo": 0.0, "hi": 1.0}},
+                    checks=[{"kind": "uniform-index", "r": 1.5, "t": 0.1}],
+                ),
+                "1.5",
+            ),
+            # a check that does not apply to the family or its limit
+            (
+                "funcseq",
+                dict(
+                    funcseq,
+                    funcseq={"family": "quotient", "domain": {"lo": 0.0, "hi": 10.0}},
+                    checks=[{"kind": "sup-oracle"}],
+                ),
+                "'quotient'",
+            ),
+            (
+                "funcseq",
+                dict(
+                    funcseq,
+                    funcseq={"family": "power", "domain": {"lo": 0.0, "hi": 1.0}, "budget": 100},
+                    checks=[{"kind": "uniform-limit"}],
+                ),
+                "closed-form limit",
+            ),
+            # a topology check missing a field its kind reads, or a set that is not
+            ("topology", dict(topology, checks=[{"kind": "inner-ball", "ball": ball}]), "'point'"),
+            ("topology", dict(topology, checks=[{"kind": "preimage-open", "ball": ball}]), "'map'"),
+            (
+                "topology",
+                dict(topology, checks=[{"kind": "set-open", "set": {"kind": "interval", "params": [0.0]}}]),
+                "set/params",
+            ),
+            (
+                "topology",
+                dict(
+                    topology,
+                    checks=[
+                        {
+                            "kind": "set-open",
+                            "set": {"kind": "norm-ball", "params": [1.0], "members": [5.0]},
+                        }
+                    ],
+                ),
+                "members",
+            ),
         ]
         # a numpy warning would reach stderr ahead of the config error
         with warnings.catch_warnings():

@@ -84,12 +84,12 @@ class TestPointwise:
 class TestUniformIndexSearch:
     def test_power_closed_half(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 0.5))
-        cert = uniform_index_search(spaces, seq, None, sample_domain(seq.domain, 17), 0.1, 0.1)
+        cert = uniform_index_search(spaces, seq, sample_domain(seq.domain, 17), 0.1, 0.1)
         assert cert.uniform and cert.n0 == 7
 
     def test_index_is_max_of_per_point(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 0.5))
-        cert = uniform_index_search(spaces, seq, None, sample_domain(seq.domain, 17), 0.1, 0.1)
+        cert = uniform_index_search(spaces, seq, sample_domain(seq.domain, 17), 0.1, 0.1)
         per_point = dict(cert.per_point_index)
         assert cert.n0 == max(per_point.values())
         # uniform implies pointwise at every sampled x with index <= n0
@@ -98,15 +98,13 @@ class TestUniformIndexSearch:
     def test_matches_brute_force_at_endpoint(self, spaces):
         for r, t in ((0.1, 0.1), (0.3, 0.5)):
             seq = FunctionSequence("power", Interval(0.0, 0.5))
-            cert = uniform_index_search(
-                spaces, seq, None, sample_domain(seq.domain, 17), r, t
-            )
+            cert = uniform_index_search(spaces, seq, sample_domain(seq.domain, 17), r, t)
             assert cert.n0 == power_index_oracle(0.5, r, t)
 
     def test_open_unit_interval_not_uniform(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 1.0, open_lo=True, open_hi=True))
         sample = sample_domain(seq.domain, 17, refine_side="hi", refine_depth=10)
-        cert = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1)
+        cert = uniform_index_search(spaces, seq, sample, 0.1, 0.1)
         assert cert.verdict == "not-uniform-on-sample"
         ladder = [i for i in cert.ladder_indices if i is not None]
         assert all(b > a for a, b in zip(ladder, ladder[1:]))
@@ -115,22 +113,22 @@ class TestUniformIndexSearch:
     def test_scaled_family_boundary_strictness(self, spaces):
         # at x = 1 and (r, t) = (1/2, 1): |x/n| < 1 first holds strictly at n = 2
         seq = FunctionSequence("scaled", Interval(0.0, 1.0))
-        cert = uniform_index_search(spaces, seq, None, sample_domain(seq.domain, 17), 0.5, 1.0)
+        cert = uniform_index_search(spaces, seq, sample_domain(seq.domain, 17), 0.5, 1.0)
         assert cert.n0 == 2
 
     def test_constant_family(self, spaces):
         seq = FunctionSequence("constant", Interval(0.0, 1.0), params=("identity",))
-        cert = uniform_index_search(spaces, seq, None, sample_domain(seq.domain, 9), 0.5, 1.0)
+        cert = uniform_index_search(spaces, seq, sample_domain(seq.domain, 9), 0.5, 1.0)
         assert cert.n0 == 1 and cert.uniform
 
     def test_certificate_monotone_in_demand(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 0.9))
         sample = sample_domain(seq.domain, 9)
-        n_tight = uniform_index_search(spaces, seq, None, sample, 0.05, 0.1).n0
-        n_loose = uniform_index_search(spaces, seq, None, sample, 0.5, 0.1).n0
+        n_tight = uniform_index_search(spaces, seq, sample, 0.05, 0.1).n0
+        n_loose = uniform_index_search(spaces, seq, sample, 0.5, 0.1).n0
         assert n_loose <= n_tight
-        n_small_t = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1).n0
-        n_big_t = uniform_index_search(spaces, seq, None, sample, 0.1, 1.0).n0
+        n_small_t = uniform_index_search(spaces, seq, sample, 0.1, 0.1).n0
+        n_big_t = uniform_index_search(spaces, seq, sample, 0.1, 1.0).n0
         assert n_big_t <= n_small_t
 
 
@@ -140,24 +138,15 @@ def _sweep_cases():
     quotient = FunctionSequence("quotient", Interval(0.0, 10.0))
     scaled = FunctionSequence("scaled", Interval(0.0, 1.0))
     constant = FunctionSequence("constant", Interval(0.0, 1.0), params=("identity",))
-    custom = FunctionSequence(
-        "custom",
-        Interval(0.0, 1.0),
-        budget=2000,
-        fn=lambda ns, xs: 2.0 + np.outer(0.5 ** ns, xs),
-    )
     return {
-        "power": (power_half, None, sample_domain(power_half.domain, 17)),
+        "power": (power_half, sample_domain(power_half.domain, 17)),
         "power-ladder": (
             open_unit,
-            None,
             sample_domain(open_unit.domain, 17, refine_side="hi", refine_depth=10),
         ),
-        "quotient": (quotient, None, sample_domain(quotient.domain, 11)),
-        "scaled": (scaled, None, sample_domain(scaled.domain, 17)),
-        "constant": (constant, None, sample_domain(constant.domain, 9)),
-        "power-limit-map": (power_half, lambda x: 0.0, sample_domain(power_half.domain, 9)),
-        "custom-limit-map": (custom, lambda x: 2.0, sample_domain(custom.domain, 9)),
+        "quotient": (quotient, sample_domain(quotient.domain, 11)),
+        "scaled": (scaled, sample_domain(scaled.domain, 17)),
+        "constant": (constant, sample_domain(constant.domain, 9)),
     }
 
 
@@ -170,15 +159,24 @@ class TestUniformIndexSweep:
 
     @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
     def test_equals_separate_searches(self, spaces, case):
-        seq, limit_map, sample = _SWEEP_CASES[case]
-        sweep = uniform_index_sweep(spaces, seq, limit_map, sample, self.RTS)
-        assert sweep == [
-            uniform_index_search(spaces, seq, limit_map, sample, r, t) for r, t in self.RTS
-        ]
+        seq, sample = _SWEEP_CASES[case]
+        sweep = uniform_index_sweep(spaces, seq, sample, self.RTS)
+        assert sweep == [uniform_index_search(spaces, seq, sample, r, t) for r, t in self.RTS]
+
+
+@pytest.mark.parametrize("r, t", [(0.0, 0.1), (1.5, 0.1), (0.1, -1.0), (0.1, float("inf"))])
+def test_uniform_certificates_reject_bad_demands(spaces, r, t):
+    seq, sample = _SWEEP_CASES["scaled"]
+    with pytest.raises(DomainError):
+        uniform_index_sweep(spaces, seq, sample, [(0.1, 0.1), (r, t)])
+    with pytest.raises(DomainError):
+        uniform_cauchy_check(spaces, seq, sample, r, t)
+    with pytest.raises(DomainError):
+        classical_uniform_probe(spaces, seq, sample, r, t)
 
 
 @given(
-    case=st.sampled_from(["power-ladder", "scaled", "custom-limit-map"]),
+    case=st.sampled_from(["power-ladder", "scaled", "quotient"]),
     rts=st.lists(
         st.tuples(
             st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
@@ -191,9 +189,9 @@ class TestUniformIndexSweep:
 @settings(max_examples=30, deadline=None)
 def test_sweep_equals_separate_searches_on_random_grids(case, rts):
     sp = make_example_family("example-4.x")
-    seq, limit_map, sample = _SWEEP_CASES[case]
-    assert uniform_index_sweep((sp, sp), seq, limit_map, sample, rts) == [
-        uniform_index_search((sp, sp), seq, limit_map, sample, r, t) for r, t in rts
+    seq, sample = _SWEEP_CASES[case]
+    assert uniform_index_sweep((sp, sp), seq, sample, rts) == [
+        uniform_index_search((sp, sp), seq, sample, r, t) for r, t in rts
     ]
 
 
@@ -239,7 +237,7 @@ class TestCauchyCriterion:
 
         for name, (seq, refine) in catalog_function_sequences().items():
             sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-            direct = uniform_index_search(spaces, seq, None, sample, 0.1, 0.1)
+            direct = uniform_index_search(spaces, seq, sample, 0.1, 0.1)
             criterion = uniform_cauchy_check(spaces, seq, sample, 0.1, 0.1)
             assert direct.verdict == criterion.verdict, name
 
@@ -356,16 +354,16 @@ class TestUniformLimit:
 class TestClassicalProbe:
     def test_power_closed_half(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 0.5))
-        rec = classical_uniform_probe(spaces, seq, None, sample_domain(seq.domain, 9))
+        rec = classical_uniform_probe(spaces, seq, sample_domain(seq.domain, 9))
         assert rec.classical_uniform and rec.ifn_certificate.uniform and rec.agree
 
     def test_power_open_unit(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 1.0, open_lo=True, open_hi=True))
         sample = sample_domain(seq.domain, 9, refine_side="hi", refine_depth=10)
-        rec = classical_uniform_probe(spaces, seq, None, sample)
+        rec = classical_uniform_probe(spaces, seq, sample)
         assert not rec.classical_uniform and not rec.ifn_certificate.uniform and rec.agree
 
     def test_quotient(self, spaces):
         seq = FunctionSequence("quotient", Interval(0.0, 10.0))
-        rec = classical_uniform_probe(spaces, seq, None, sample_domain(seq.domain, 9))
+        rec = classical_uniform_probe(spaces, seq, sample_domain(seq.domain, 9))
         assert rec.agree and rec.classical_uniform
