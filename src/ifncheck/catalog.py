@@ -55,7 +55,7 @@ from .sampling import Interval, default_plan
 from .topology import (
     OpenBall,
     ball_classical_radius,
-    inner_ball_witness,
+    inner_ball_witnesses,
     preimage_open_check,
 )
 
@@ -357,13 +357,9 @@ def _run_theorem_3_7(seed: int) -> list[CheckRecord]:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = rho * rng.uniform(0.0, 0.98, size=(_MEMBERS_PER_BALL, 1))
         members = ball.center.reshape(1, -1) + dirs * radii
-        failures = 0
-        for m in members:
-            # the witness post-verifies containment on _VERIFY_POINTS samples
-            try:
-                inner_ball_witness(space, ball, m, verify_points=_VERIFY_POINTS, seed=seed)
-            except WitnessNotFound:
-                failures += 1
+        # each witness post-verifies containment on _VERIFY_POINTS samples
+        witnesses = inner_ball_witnesses(space, ball, members, _VERIFY_POINTS, seed)
+        failures = sum(isinstance(w, WitnessNotFound) for w in witnesses)
         records.append(
             CheckRecord(
                 name=f"inner-ball/ball-{i}",

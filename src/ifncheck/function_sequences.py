@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoLimit, UnsupportedFamily
+from .errors import DomainError, InvalidParameter, NoLimit, UnsupportedFamily
 from .continuity import (
     ContinuityWitness,
     MapBetweenSpaces,
@@ -111,14 +111,6 @@ class FunctionSequence:
             fn=lambda ns: self.values(ns, np.array([x])),
         )
 
-    def summary(self) -> dict:
-        return {
-            "family": self.family,
-            "params": [float(p) for p in self.params if not isinstance(p, (tuple, str))],
-            "domain": self.domain.summary(),
-            "budget": int(self.budget),
-        }
-
 
 @dataclass(frozen=True)
 class DomainSample:
@@ -130,9 +122,6 @@ class DomainSample:
 
     def all_points(self) -> np.ndarray:
         return np.asarray(self.points + self.ladder, dtype=float)
-
-    def summary(self) -> dict:
-        return {"base_points": len(self.points), "ladder_points": len(self.ladder)}
 
 
 def sample_domain(
@@ -347,6 +336,8 @@ def uniform_cauchy_check(
     against a too-optimistic index.  The verdict follows the same
     refinement-ladder rule as the direct search.
     """
+    if p_max < 1:
+        raise InvalidParameter("p_max must be >= 1")
     _, codomain = spaces
     n_total = seq.budget + p_max
     vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)

@@ -245,6 +245,20 @@ class IFNSpace:
     def nu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.nu.eval(pts, t)
 
+    def membership_block(self, fn: MembershipFunction, pts: np.ndarray, ts) -> np.ndarray:
+        """(T, N) values of `fn` (this space's mu or nu) at an (N, d) point
+        block and each of the T times `ts`.
+
+        The standard family computes k||x|| once and broadcasts the closed
+        form over a (T, 1) column of times, which gives the same values bit
+        for bit as one evaluation per time; other families take that
+        per-time loop.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.is_standard:
+            return fn.eval(pts, ts.reshape(-1, 1))
+        return np.stack([fn.eval(pts, t) for t in ts])
+
     def within(self, diffs: np.ndarray, r: float, t) -> np.ndarray:
         """Mask over an (N, d) block of differences z of the membership
         demand mu(z, t) > 1 - r and nu(z, t) < r, both strict.
@@ -407,8 +421,8 @@ def check_ifn_axioms(
     tg_idx = np.searchsorted(all_t, tg)
     ladder = np.asarray(plan.t_infinity_ladder)
 
-    MU = np.stack([space.mu_many(P, t) for t in all_t])  # (T, N)
-    NU = np.stack([space.nu_many(P, t) for t in all_t])
+    MU = space.membership_block(space.mu, P, all_t)  # (T, N)
+    NU = space.membership_block(space.nu, P, all_t)
     nonzero = np.any(P != 0.0, axis=1)
 
     rng = plan.rng(3)
@@ -434,8 +448,8 @@ def check_ifn_axioms(
     theta = space.theta.reshape(1, -1)
     origin = (0.0,) * space.dimension
     nz_pts = P[nonzero]
-    mu_theta = np.array([space.mu_many(theta, t)[0] for t in tg])
-    nu_theta = np.array([space.nu_many(theta, t)[0] for t in tg])
+    mu_theta = space.membership_block(space.mu, theta, tg)[:, 0]
+    nu_theta = space.membership_block(space.nu, theta, tg)[:, 0]
     bad = mu_theta != 1.0
     found["iii"].add(
         bad, bad.size, lambda t: ((*origin, tg[t]), f"mu(theta,t)={mu_theta[t]:.17g} != 1")
@@ -449,59 +463,64 @@ def check_ifn_axioms(
     bad = NU[tg_idx][:, nonzero] <= 0.0
     found["viii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "nu=0 for x != theta"))
 
-    # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|)
+    # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|).  Each
+    # scalar builds its mu blocks and then its nu blocks, and drops each pair
+    # before the next is built, to keep peak memory down.
     for c in SCALING_SCALARS:
-        for t in tg:
-            lhs = space.mu_many(c * P, t)
-            rhs = space.mu_many(P, t / abs(c))
-            bad = np.abs(lhs - rhs) > EQUALITY_TOL
-            found["iv"].add(
+        cP, tg_c = c * P, tg / abs(c)
+        for roman, name, fn in (("iv", "mu", space.mu), ("ix", "nu", space.nu)):
+            lhs = space.membership_block(fn, cP, tg)
+            rhs = space.membership_block(fn, P, tg_c)
+            gap = lhs - rhs
+            bad = np.abs(gap, out=gap) > EQUALITY_TOL
+            found[roman].add(
                 bad,
                 bad.size,
-                lambda p: ((*P[p], c, t), f"mu(cx,t)={lhs[p]:.17g} != mu(x,t/|c|)={rhs[p]:.17g}"),
+                lambda t, p: (
+                    (*P[p], c, tg[t]),
+                    f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
+                ),
             )
-            lhs = space.nu_many(c * P, t)
-            rhs = space.nu_many(P, t / abs(c))
-            bad = np.abs(lhs - rhs) > EQUALITY_TOL
-            found["ix"].add(
-                bad,
-                bad.size,
-                lambda p: ((*P[p], c, t), f"nu(cx,t)={lhs[p]:.17g} != nu(x,t/|c|)={rhs[p]:.17g}"),
-            )
+            del lhs, rhs, gap
 
     # (v)/(x) triangle conditions over a seeded pair sample.  Diagonal pairs
     # (x, x) are included deliberately: superadditive deformations violate
-    # the conditions there first.
+    # the conditions there first.  Masks are (s, t, pair) blocks.
     n_diag = min(64, n_pts)
     diag = np.arange(n_diag)
     n_rand = min(512, n_pts * n_pts)
     ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
     ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
     sums = P[ia] + P[ib]
-    for si, s in enumerate(tg):
-        for ti, t in enumerate(tg):
-            lhs = space.tnorm(MU[tg_idx[si], ia], MU[tg_idx[ti], ib])
-            rhs = space.mu_many(sums, s + t)
-            bad = lhs > rhs + INEQ_SLACK
-            found["v"].add(
-                bad,
-                bad.size,
-                lambda k: (
-                    (*P[ia[k]], *P[ib[k]], s, t),
-                    f"tnorm(mu,mu)={lhs[k]:.17g} > mu(x+y,s+t)={rhs[k]:.17g}",
-                ),
-            )
-            lhs = space.tconorm(NU[tg_idx[si], ia], NU[tg_idx[ti], ib])
-            rhs = space.nu_many(sums, s + t)
-            bad = lhs < rhs - INEQ_SLACK
-            found["x"].add(
-                bad,
-                bad.size,
-                lambda k: (
-                    (*P[ia[k]], *P[ib[k]], s, t),
-                    f"tconorm(nu,nu)={lhs[k]:.17g} < nu(x+y,s+t)={rhs[k]:.17g}",
-                ),
-            )
+    n_t = len(tg)
+    s_plus_t = (tg[:, None] + tg[None, :]).ravel()
+
+    def pair(s, t, k):
+        return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
+
+    rows = tg_idx[:, None]
+    lhs = space.tnorm(MU[rows, ia][:, None], MU[rows, ib][None, :])
+    rhs = space.membership_block(space.mu, sums, s_plus_t).reshape(n_t, n_t, -1)
+    bad = lhs > rhs + INEQ_SLACK
+    found["v"].add(
+        bad,
+        bad.size,
+        lambda s, t, k: (
+            pair(s, t, k),
+            f"tnorm(mu,mu)={lhs[s, t, k]:.17g} > mu(x+y,s+t)={rhs[s, t, k]:.17g}",
+        ),
+    )
+    lhs = space.tconorm(NU[rows, ia][:, None], NU[rows, ib][None, :])
+    rhs = space.membership_block(space.nu, sums, s_plus_t).reshape(n_t, n_t, -1)
+    bad = lhs < rhs - INEQ_SLACK
+    found["x"].add(
+        bad,
+        bad.size,
+        lambda s, t, k: (
+            pair(s, t, k),
+            f"tconorm(nu,nu)={lhs[s, t, k]:.17g} < nu(x+y,s+t)={rhs[s, t, k]:.17g}",
+        ),
+    )
 
     # (vi)/(xi) monotonicity in t plus the ladder limits
     def t_step(t, p):
@@ -509,12 +528,12 @@ def check_ifn_axioms(
 
     bad = MU[1:] < MU[:-1] - INEQ_SLACK
     found["vi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "mu not non-decreasing in t"))
-    lm = np.stack([space.mu_many(P, t) for t in ladder])
+    lm = space.membership_block(space.mu, P, ladder)
     bad = (np.abs(lm[-1] - lm[-2]) >= LIMIT_TOL) | (lm[-1] <= 1.0 - LIMIT_TOL)
     found["vi"].add(bad, bad.size, lambda p: (P[p], f"mu ladder limit {lm[-1][p]:.17g} != 1"))
     bad = NU[1:] > NU[:-1] + INEQ_SLACK
     found["xi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "nu not non-increasing in t"))
-    ln = np.stack([space.nu_many(P, t) for t in ladder])
+    ln = space.membership_block(space.nu, P, ladder)
     bad = (np.abs(ln[-1] - ln[-2]) >= LIMIT_TOL) | (ln[-1] >= LIMIT_TOL)
     found["xi"].add(bad, bad.size, lambda p: (P[p], f"nu ladder limit {ln[-1][p]:.17g} != 0"))
 

@@ -73,6 +73,27 @@ def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
     return membership_radius(space, ball.r, ball.t)
 
 
+def _ball_directions(d: int, n: int, seed: int) -> np.ndarray:
+    """Unit directions for an n-point ball sample: the 2d coordinate
+    directions, then (for n > 8d) a seeded batch spread over the sphere.
+    They depend only on (d, n, seed), never on the ball."""
+    dirs = [np.eye(d), -np.eye(d)]
+    if n > 8 * d:
+        rng = np.random.default_rng((seed, 31))
+        extra = rng.normal(size=(max(8, n // len(_BALL_FRACTIONS)), d))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        dirs.append(extra)
+    return np.vstack(dirs)
+
+
+def _ball_points(centers: np.ndarray, rhos: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
+    """(B, n', d) candidate points of B balls with the given centres and
+    membership radii: radii pushed toward each boundary along `dirs`."""
+    radii = (rhos * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
+    steps = (radii[:, :, None, None] * dirs).reshape(len(centers), -1, dirs.shape[1])
+    return steps[:, : max(n, 1)] + centers[:, None, :]
+
+
 def sample_in_ball(
     space: IFNSpace, ball: OpenBall, n: int, seed: int = 0
 ) -> np.ndarray:
@@ -83,17 +104,8 @@ def sample_in_ball(
     boundary; every returned point is re-checked for membership.
     """
     rho = membership_radius(space, ball.r, ball.t)
-    d = space.dimension
-    rng = np.random.default_rng((seed, 31))
-    dirs = [np.eye(d), -np.eye(d)]
-    if n > 8 * d:
-        extra = rng.normal(size=(max(8, n // len(_BALL_FRACTIONS)), d))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        dirs.append(extra)
-    dirs = np.vstack(dirs)
-    radii = rho * (1.0 - 1e-9) * np.asarray(_BALL_FRACTIONS)
-    pts = (ball.center.reshape(1, 1, -1) + radii.reshape(-1, 1, 1) * dirs).reshape(-1, d)
-    pts = pts[: max(n, 1)]
+    dirs = _ball_directions(space.dimension, n, seed)
+    pts = _ball_points(ball.center.reshape(1, -1), np.array([rho]), dirs, n)[0]
     inside = ball_contains_many(space, ball, pts)
     return pts[inside]
 
@@ -112,6 +124,100 @@ def verify_containment(
     return float(np.mean(ball_contains_many(space, outer, pts)))
 
 
+# t0 candidates t (1 - 2^-j), j = 1..47, tried in order by the witness
+_T0_LADDER = 1.0 - 2.0 ** -np.arange(1, 48)
+
+
+def inner_ball_witnesses(
+    space: IFNSpace,
+    outer: OpenBall,
+    ys,
+    verify_points: int = 128,
+    seed: int = 0,
+) -> list[OpenBall | WitnessNotFound]:
+    """Construct, for each interior point y of an (M, d) block, a ball
+    around y that stays inside `outer`; one result per member, either the
+    ball or the WitnessNotFound that explains why none was found.
+
+    Per member, the construction picks t0 in (0, t) (the first of
+    t (1 - 2^-j), j = 1, 2, ..., at which membership still holds), sets
+    r0 = mu(x - y, t0), chooses s by the midpoint 1 - s = (r0 + (1 - r))/2,
+    and finds r3 with r0 * r3 > 1 - s and (1-r0) (+) (1-r3) < s -- directly
+    as r3 = r0 for idempotent operation pairs, otherwise by bisection from 1
+    downward.  Each ball B(y, 1 - r3, t - t0) is post-verified on a sample
+    of `verify_points` of its points, all of which must lie in `outer`.
+    The t0 ladder, r0 and the post-verification each run as one block over
+    all members; raises DomainError if any member lies outside `outer`.
+    """
+    ys = np.array(ys, dtype=float)
+    if ys.ndim == 1:
+        ys = ys.reshape(-1, 1)
+    if not bool(np.all(ball_contains_many(space, outer, ys))):
+        raise DomainError("witness construction needs y inside the outer ball")
+    x, r, t = outer.center, outer.r, outer.t
+    diffs = x - ys
+    m, d = ys.shape
+
+    # t0 ladder: one (47 M, d) demand block, rung-major; first admissible rung
+    cands = t * _T0_LADDER
+    ok = space.within(np.tile(diffs, (len(cands), 1)), r, np.repeat(cands, m))
+    ok = ok.reshape(len(cands), m)
+    t0s = cands[ok.argmax(axis=0)]
+    r0s = space.mu_many(diffs, t0s)
+    tn, tc = space.tnorm, space.tconorm
+    idempotent = tn.idempotent and tc.idempotent
+
+    results: list[OpenBall | WitnessNotFound] = []
+    for y, has_t0, t0, r0 in zip(ys, ok.any(axis=0), t0s.tolist(), r0s.tolist()):
+        if not has_t0:
+            results.append(WitnessNotFound("no admissible t0 below t; space violates its axioms"))
+            continue
+        s = 1.0 - 0.5 * (r0 + (1.0 - r))
+
+        def admissible(x3: float) -> bool:
+            return float(tn(r0, x3)) > 1.0 - s and float(tc(1.0 - r0, 1.0 - x3)) < s
+
+        if idempotent and r0 < 1.0 and admissible(r0):
+            r3 = r0
+        elif idempotent and r0 >= 1.0:
+            # y at (or numerically indistinguishable from) the centre: any
+            # value in (1 - s, 1) is admissible; take the midpoint.
+            r3 = 1.0 - 0.5 * s
+        else:
+            try:
+                r3 = _bisect_from_above(admissible)
+            except NotFound:
+                results.append(WitnessNotFound("no admissible r3; operation pair is broken"))
+                continue
+        results.append(OpenBall(y, 1.0 - r3, t - t0))
+
+    # post-verification of every ball as one (B, n', d) sample block: a ball
+    # fails when none of its points is inside it, or one inside it is not
+    # inside `outer`
+    built = [i for i, b in enumerate(results) if isinstance(b, OpenBall)]
+    if not built:
+        return results
+    balls = [results[i] for i in built]
+    rhos = np.array([membership_radius(space, b.r, b.t) for b in balls])
+    pts = _ball_points(ys[built], rhos, _ball_directions(d, verify_points, seed), verify_points)
+    n_pts = pts.shape[1]
+    in_outer = ball_contains_many(space, outer, pts.reshape(-1, d)).reshape(-1, n_pts)
+    to_centre = np.subtract(ys[built, None, :], pts, out=pts)  # reuses the point block
+    inside = space.within(
+        to_centre.reshape(-1, d),
+        np.repeat([b.r for b in balls], n_pts),
+        np.repeat([b.t for b in balls], n_pts),
+    ).reshape(-1, n_pts)
+    kept = inside & in_outer
+    for i, n_in, n_kept in zip(built, inside.sum(axis=1).tolist(), kept.sum(axis=1).tolist()):
+        if n_kept < n_in or n_in == 0:
+            frac = n_kept / n_in if n_in else 0.0
+            results[i] = WitnessNotFound(
+                f"containment post-verification failed ({frac:.3f} of sampled points inside)"
+            )
+    return results
+
+
 def inner_ball_witness(
     space: IFNSpace,
     outer: OpenBall,
@@ -120,56 +226,13 @@ def inner_ball_witness(
     seed: int = 0,
 ) -> OpenBall:
     """Construct a ball around an interior point y that stays inside
-    `outer`.
-
-    The construction picks t0 in (0, t) (starting at t/2 and retrying
-    toward t until membership at t0 still holds), sets r0 = mu(x - y, t0),
-    chooses s by the midpoint 1 - s = (r0 + (1 - r))/2, and finds r3 with
-    r0 * r3 > 1 - s and (1-r0) (+) (1-r3) < s -- directly as r3 = r0 for
-    idempotent operation pairs, otherwise by bisection from 1 downward.
-    The returned ball B(y, 1 - r3, t - t0) is post-verified on a sample.
-    """
-    pt = as_point(y, space.dimension)
-    if not ball_contains(space, outer, pt):
-        raise DomainError("witness construction needs y inside the outer ball")
-    x, r, t = outer.center, outer.r, outer.t
-    diff = (x - pt).reshape(1, -1)
-
-    t0 = None
-    for j in range(1, 48):
-        cand = t * (1.0 - 2.0 ** (-j))
-        if space.within(diff, r, cand)[0]:
-            t0 = cand
-            break
-    if t0 is None:
-        raise WitnessNotFound("no admissible t0 below t; space violates its axioms")
-
-    r0 = float(space.mu_many(diff, t0)[0])
-    s = 1.0 - 0.5 * (r0 + (1.0 - r))
-    tn, tc = space.tnorm, space.tconorm
-
-    def admissible(x3: float) -> bool:
-        return float(tn(r0, x3)) > 1.0 - s and float(tc(1.0 - r0, 1.0 - x3)) < s
-
-    if tn.idempotent and tc.idempotent and r0 < 1.0 and admissible(r0):
-        r3 = r0
-    elif tn.idempotent and tc.idempotent and r0 >= 1.0:
-        # y at (or numerically indistinguishable from) the centre: any value
-        # in (1 - s, 1) is admissible; take the midpoint.
-        r3 = 1.0 - 0.5 * s
-    else:
-        try:
-            r3 = _bisect_from_above(admissible)
-        except NotFound as exc:
-            raise WitnessNotFound("no admissible r3; operation pair is broken") from exc
-
-    inner = OpenBall(pt, 1.0 - r3, t - t0)
-    frac = verify_containment(space, inner, outer, verify_points, seed)
-    if frac < 1.0:
-        raise WitnessNotFound(
-            f"containment post-verification failed ({frac:.3f} of sampled points inside)"
-        )
-    return inner
+    `outer`: the one-member case of `inner_ball_witnesses`, raising the
+    WitnessNotFound it reports."""
+    pt = as_point(y, space.dimension).reshape(1, -1)
+    (ball,) = inner_ball_witnesses(space, outer, pt, verify_points, seed)
+    if isinstance(ball, WitnessNotFound):
+        raise ball
+    return ball
 
 
 # ---------------------------------------------------------------------------

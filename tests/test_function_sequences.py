@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifncheck.errors import DomainError, NoLimit, UnsupportedFamily
+from ifncheck.errors import DomainError, InvalidParameter, NoLimit, UnsupportedFamily
 from ifncheck.function_sequences import (
+    DEFAULT_P_MAX,
     FunctionSequence,
     classical_uniform_probe,
     closed_form_index_power,
@@ -164,13 +165,25 @@ class TestUniformIndexSweep:
         assert sweep == [uniform_index_search(spaces, seq, sample, r, t) for r, t in self.RTS]
 
 
-@pytest.mark.parametrize("r, t", [(0.0, 0.1), (1.5, 0.1), (0.1, -1.0), (0.1, float("inf"))])
-def test_uniform_certificates_reject_bad_demands(spaces, r, t):
+@pytest.mark.parametrize(
+    "r, t, p_max",
+    [
+        pytest.param(r, t, DEFAULT_P_MAX, id=f"{r}-{t}")
+        for r, t in [(0.0, 0.1), (1.5, 0.1), (0.1, -1.0), (0.1, float("inf"))]
+    ]
+    + [pytest.param(0.1, 0.1, 0, id="p_max-0")],
+)
+def test_uniform_certificates_reject_bad_demands(spaces, r, t, p_max):
     seq, sample = _SWEEP_CASES["scaled"]
+    if p_max < 1:
+        # only the Cauchy criterion has a p window
+        with pytest.raises(InvalidParameter, match="p_max must be >= 1"):
+            uniform_cauchy_check(spaces, seq, sample, r, t, p_max)
+        return
     with pytest.raises(DomainError):
         uniform_index_sweep(spaces, seq, sample, [(0.1, 0.1), (r, t)])
     with pytest.raises(DomainError):
-        uniform_cauchy_check(spaces, seq, sample, r, t)
+        uniform_cauchy_check(spaces, seq, sample, r, t, p_max)
     with pytest.raises(DomainError):
         classical_uniform_probe(spaces, seq, sample, r, t)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from ifncheck.ifn_core import (
     tabulated_membership,
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
-from ifncheck.sampling import default_plan
+from ifncheck.sampling import SamplingPlan, default_plan, product_grid
 
 
 class TestStandardSpace:
@@ -182,6 +185,28 @@ class TestAxiomChecker:
         sp = make_standard_space(1.0, dimension=3)
         with pytest.raises(DomainError):
             check_ifn_axioms(sp, plan=default_plan(1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_membership_blocks_match_per_t_loop(self, d, seed):
+        # the standard family's broadcast (T, N) blocks against the per-t
+        # loop that every other family takes; a 7-point axis (origin
+        # included) keeps d = 4 affordable
+        axis = np.linspace(-5.0, 5.0, 7)
+        plan = SamplingPlan(product_grid(axis, d, seed), random_count=50, seed=seed)
+        P = plan.points()
+        for ops in (("minimum", "maximum"), ("product", "probabilistic-sum")):
+            sp = make_standard_space(1.5, dimension=d, ops=ops, tier="core", verify=False)
+            per_t = dataclasses.replace(sp, family="custom")
+            for ts in (plan.all_t(), np.add.outer(plan.t_grid, plan.t_grid).ravel()):
+                for fn in (sp.mu, sp.nu):
+                    block = sp.membership_block(fn, P, ts)
+                    assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
+            tiers = itertools.product(("core", "idempotent", "strict"), (False, True))
+            for tier, forcing in tiers:
+                fast = check_ifn_axioms(sp, tier, plan, forcing)
+                slow = check_ifn_axioms(per_t, tier, plan, forcing)
+                assert fast.results == slow.results
 
 
 class TestLimitAtInfinity:

@@ -1,18 +1,27 @@
+import re
+
 import numpy as np
 import pytest
 
 from ifncheck.continuity import make_map, rule
-from ifncheck.errors import DomainError, UnsupportedFamily, WitnessNotFound
-from ifncheck.ifn_core import make_standard_space
-from ifncheck.norm_algebra import TriangularNorm
-from ifncheck.sampling import Interval
+from ifncheck.errors import DomainError, NotFound, UnsupportedFamily, WitnessNotFound
+from ifncheck.ifn_core import (
+    IFNSpace,
+    custom_membership,
+    make_standard_space,
+    membership_radius,
+)
+from ifncheck.norm_algebra import TriangularConorm, TriangularNorm, _bisect_from_above
+from ifncheck.sampling import Interval, as_point
 from ifncheck.topology import (
+    _BALL_FRACTIONS,
     OpenBall,
     SampledSet,
     ball_classical_radius,
     ball_contains,
     ball_contains_many,
     inner_ball_witness,
+    inner_ball_witnesses,
     is_neighbourhood,
     preimage_open_check,
     sample_in_ball,
@@ -115,6 +124,134 @@ class TestInnerBallWitness:
         pts = sample_in_ball(std, unit_ball, 200)
         assert len(pts) > 0
         assert bool(np.all(ball_contains_many(std, unit_ball, pts)))
+
+
+def reference_sample_in_ball(space, ball, n, seed):
+    """The per-ball sample of `sample_in_ball`, drawn as one ball at a time."""
+    rho = membership_radius(space, ball.r, ball.t)
+    d = space.dimension
+    rng = np.random.default_rng((seed, 31))
+    dirs = [np.eye(d), -np.eye(d)]
+    if n > 8 * d:
+        extra = rng.normal(size=(max(8, n // len(_BALL_FRACTIONS)), d))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        dirs.append(extra)
+    dirs = np.vstack(dirs)
+    radii = rho * (1.0 - 1e-9) * np.asarray(_BALL_FRACTIONS)
+    pts = (ball.center.reshape(1, 1, -1) + radii.reshape(-1, 1, 1) * dirs).reshape(-1, d)
+    pts = pts[: max(n, 1)]
+    return pts[ball_contains_many(space, ball, pts)]
+
+
+def reference_inner_ball_witness(space, outer, y, verify_points=128, seed=0):
+    """The one-member witness construction, scalar step by scalar step."""
+    pt = as_point(y, space.dimension)
+    if not ball_contains(space, outer, pt):
+        raise DomainError("witness construction needs y inside the outer ball")
+    x, r, t = outer.center, outer.r, outer.t
+    diff = (x - pt).reshape(1, -1)
+
+    t0 = None
+    for j in range(1, 48):
+        cand = t * (1.0 - 2.0 ** (-j))
+        if space.within(diff, r, cand)[0]:
+            t0 = cand
+            break
+    if t0 is None:
+        raise WitnessNotFound("no admissible t0 below t; space violates its axioms")
+
+    r0 = float(space.mu_many(diff, t0)[0])
+    s = 1.0 - 0.5 * (r0 + (1.0 - r))
+    tn, tc = space.tnorm, space.tconorm
+
+    def admissible(x3: float) -> bool:
+        return float(tn(r0, x3)) > 1.0 - s and float(tc(1.0 - r0, 1.0 - x3)) < s
+
+    if tn.idempotent and tc.idempotent and r0 < 1.0 and admissible(r0):
+        r3 = r0
+    elif tn.idempotent and tc.idempotent and r0 >= 1.0:
+        r3 = 1.0 - 0.5 * s
+    else:
+        try:
+            r3 = _bisect_from_above(admissible)
+        except NotFound as exc:
+            raise WitnessNotFound("no admissible r3; operation pair is broken") from exc
+
+    inner = OpenBall(pt, 1.0 - r3, t - t0)
+    pts = reference_sample_in_ball(space, inner, verify_points, seed)
+    frac = float(np.mean(ball_contains_many(space, outer, pts))) if len(pts) else 0.0
+    if frac < 1.0:
+        raise WitnessNotFound(
+            f"containment post-verification failed ({frac:.3f} of sampled points inside)"
+        )
+    return inner
+
+
+def _witness_spaces():
+    from ifncheck.catalog import broken_spaces
+
+    zero = TriangularNorm("tabulated", np.zeros((2, 2)))
+    min_max = TriangularNorm("minimum"), TriangularConorm("maximum")
+
+    def step(before, after):
+        return custom_membership(
+            lambda p, t: np.where(t >= 0.5, after, before) * np.ones(len(p)), radial=True
+        )
+
+    return {
+        "min-max-d1": make_standard_space(1.0, verify=False),
+        "min-max-d3": make_standard_space(2.0, dimension=3, verify=False),
+        "bisection-d1": make_standard_space(
+            1.0, ops=("product", "probabilistic-sum"), verify=False
+        ),
+        "bisection-d3": make_standard_space(
+            0.5, dimension=3, ops=("lukasiewicz", "lukasiewicz"), verify=False
+        ),
+        "zero-tnorm": make_standard_space(1.0, ops=(zero, "maximum"), verify=False),
+        # superadditive squared radius: some inner balls leave the outer one
+        "broken-triangle": broken_spaces()["v"][0],
+        # memberships jump at t = 1/2, so at t = 1/2 no t0 < t keeps y inside
+        "step-in-t": IFNSpace(1, step(0.0, 1.0), step(1.0, 0.0), *min_max),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_witness_spaces()))
+@pytest.mark.parametrize("r, t", [(0.3, 0.5), (0.7, 2.0)])
+@pytest.mark.parametrize("verify_points, seed", [(128, 0), (1000, 3)])
+def test_batched_witnesses_match_reference(name, r, t, verify_points, seed):
+    space = _witness_spaces()[name]
+    d = space.dimension
+    center = np.zeros(d)
+    center[0] = 0.5
+    outer = OpenBall(center, r, t)
+    rho = min(membership_radius(space, r, t), 50.0)
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(24, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = np.concatenate([rng.uniform(0.0, 0.98, 16), 1.0 - 10.0 ** -np.arange(3.0, 10.0)])
+    members = np.vstack([center, center + dirs[: len(scale)] * (rho * scale)[:, None]])
+    members = members[ball_contains_many(space, outer, members)]
+    assert len(members) >= 20
+
+    batch = inner_ball_witnesses(space, outer, members, verify_points, seed)
+    assert len(batch) == len(members)
+    for y, got in zip(members, batch):
+        try:
+            want = reference_inner_ball_witness(space, outer, y, verify_points, seed)
+        except WitnessNotFound as exc:
+            assert isinstance(got, WitnessNotFound) and str(got) == str(exc)
+            with pytest.raises(WitnessNotFound, match=re.escape(str(exc))):
+                inner_ball_witness(space, outer, y, verify_points, seed)
+        else:
+            assert isinstance(got, OpenBall)
+            assert np.array_equal(got.center, want.center)
+            assert (got.r, got.t) == (want.r, want.t)
+
+
+def test_batched_witnesses_reject_a_member_outside(std, unit_ball):
+    members = np.array([[0.0], [0.2], [5.0]])
+    with pytest.raises(DomainError):
+        inner_ball_witnesses(std, unit_ball, members)
 
 
 class TestOpenSets:
