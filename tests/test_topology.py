@@ -217,7 +217,9 @@ def _witness_spaces():
 
 @pytest.mark.parametrize("name", sorted(_witness_spaces()))
 @pytest.mark.parametrize("r, t", [(0.3, 0.5), (0.7, 2.0)])
-@pytest.mark.parametrize("verify_points, seed", [(128, 0), (1000, 3)])
+# 8 points use the coordinate directions only; at (8, 1) one broken-triangle
+# ball has exactly one sampled point outside the outer ball
+@pytest.mark.parametrize("verify_points, seed", [(8, 1), (128, 0), (1000, 3)])
 def test_batched_witnesses_match_reference(name, r, t, verify_points, seed):
     space = _witness_spaces()[name]
     d = space.dimension
