@@ -163,6 +163,10 @@ SCHEMAS: dict[str, dict] = {
                     },
                     "required": ["kind"],
                     "additionalProperties": False,
+                    # the probe runs its own fixed (r, t) grid
+                    "allOf": [
+                        _when("classical-probe", {"propertyNames": {"not": {"enum": ["r", "t"]}}})
+                    ],
                 },
             },
         },

@@ -25,10 +25,12 @@ from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
-    cauchy_escape_index,
+    _cauchy_scan,
+    _window_ok,
     cauchy_index,
     convergence_index,
     mapped_sequence,
+    tail_index,
 )
 from .sampling import Interval, intersect
 
@@ -169,9 +171,6 @@ class MapBetweenSpaces:
             x, y = float(np.ravel(xs)[i]), float(np.ravel(ys)[i])
             raise DomainError(f"map {self.rule.describe()} is not finite at x={x!r}: f(x)={y!r}")
         return ys
-
-    def summary(self) -> dict:
-        return {"rule": self.rule.describe(), "domain": self.restriction.summary()}
 
 
 def make_map(
@@ -678,18 +677,22 @@ def cauchy_preservation_check(
     Used contrapositively: a certified-Cauchy input whose image fails, with
     image escape indices growing proportionally to the budget across the
     doubling ladder (factor >= 2 at each doubling), refutes uniform
-    continuity of f.
+    continuity of f.  The escape index at budget b is the start of the
+    violation-free tail within the first b terms; one p-window scan of the
+    image serves its certificate and every budget in 1..seq.budget.
     """
     input_cert = cauchy_index(f.domain, seq, r, t, p_max)
     if not input_cert.certified:
         raise CertificationError(
             f"input sequence {seq.family!r} is not certified Cauchy at (r={r}, t={t})"
         )
-    image = mapped_sequence(seq, f.rule)
-    image_cert = cauchy_index(f.codomain, image, r, t, p_max)
-    escapes = tuple(
-        cauchy_escape_index(f.codomain, image, r, t, p_max, budget=b) for b in budgets
-    )
+    beyond = [b for b in budgets if not 1 <= b <= seq.budget]
+    if beyond:
+        raise DomainError(
+            f"escape budgets {beyond} lie outside the sequence budget 1..{seq.budget}"
+        )
+    image_cert, first = _cauchy_scan(f.codomain, mapped_sequence(seq, f.rule), r, t, p_max)
+    escapes = tuple(tail_index(_window_ok(first, b)) for b in budgets)
     growth = tuple(
         escapes[i + 1] / escapes[i] if escapes[i] > 0 else float("inf")
         for i in range(len(escapes) - 1)

@@ -27,8 +27,9 @@ from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
-    _cauchy_ok_mask,
     _check_rt,
+    _p_window_scan,
+    _window_ok,
     convergence_index,
     tail_index,
 )
@@ -353,7 +354,8 @@ def uniform_cauchy_check(
             worst = np.maximum(later_max - now, now - later_min)
             ok[:, col] = codomain.within(worst.reshape(-1, 1), r, t)
         else:
-            ok[:, col] = _cauchy_ok_mask(codomain, v.reshape(-1, 1), r, t, p_max)[: seq.budget]
+            first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)
+            ok[:, col] = _window_ok(first, n_total)[: seq.budget]
 
     cert = _certificate(ok, sample, seq.budget, r, t, kind="cauchy-criterion")
     if cert.uniform and not radial:

@@ -75,13 +75,6 @@ class PointSequence:
             raise UnsupportedFamily(f"unknown sequence family {self.family!r}")
         return out.reshape(-1, 1)
 
-    def summary(self) -> dict:
-        return {
-            "family": self.family,
-            "params": [float(p) for p in self.params],
-            "budget": int(self.budget),
-        }
-
 
 def reciprocal_sequence(budget: int = DEFAULT_BUDGET) -> PointSequence:
     """x_n = 1/(n+1)."""
@@ -160,6 +153,15 @@ def _check_rt(r: float, t: float):
         raise DomainError(f"t must be a positive real, got {t!r}")
 
 
+def _terms(space: IFNSpace, seq: PointSequence) -> np.ndarray:
+    """The (budget, d) block of x_1..x_budget, in the space's dimension d."""
+    if seq.dimension != space.dimension:
+        raise DomainError(
+            f"sequence dimension {seq.dimension} differs from space dimension {space.dimension}"
+        )
+    return seq.values(np.arange(1, seq.budget + 1))
+
+
 def tail_index(ok: np.ndarray) -> int | list[int]:
     """Start of the all-pass tail of each column of `ok`: 1 + the 1-based
     position of the last False, or 1 when the column has none.
@@ -200,26 +202,65 @@ def convergence_index(
     for every n in [n0, budget], by exhaustive scan."""
     _check_rt(r, t)
     lim = as_point(limit, space.dimension)
-    ns = np.arange(1, seq.budget + 1)
-    diffs = seq.values(ns) - lim
+    diffs = _terms(space, seq) - lim
     n0, status = _status_from_mask(space.within(diffs, r, t))
     return ConvergenceCertificate(
         "convergence", r, t, n0, status, tuple(lim), seq.budget
     )
 
 
-def _cauchy_ok_mask(
+def _p_window_scan(
     space: IFNSpace, vals: np.ndarray, r: float, t: float, p_max: int
-) -> np.ndarray:
-    """ok[n-1] = the inequalities hold at (n, p) for every available
-    p <= min(p_max, N - n).  Index n ranges over 1..N-1."""
-    n_total = vals.shape[0]
-    ok = np.ones(n_total - 1, dtype=bool)
-    for p in range(1, p_max + 1):
-        if p >= n_total:
-            break
-        ok[: n_total - p] &= space.within(vals[p:] - vals[:-p], r, t)
-    return ok
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over p = 1..p_max of the differences x_{n+p} - x_n of an
+    (N, d) block, for n = 1..N-1.
+
+    Returns first[n-1], the first p at which the demand fails at (n, p)
+    (N when it holds at every p scanned), and worst[n-1], the largest
+    1 - mu(x_{n+p} - x_n, t) over those p.
+    """
+    n_total = len(vals)
+    first = np.full(max(n_total - 1, 0), n_total)
+    worst = np.full(max(n_total - 1, 0), -np.inf)
+    for p in range(1, min(p_max, n_total - 1) + 1):
+        diffs = vals[p:] - vals[:-p]
+        bad = np.flatnonzero(~space.within(diffs, r, t))
+        first[bad] = np.minimum(first[bad], p)
+        head = worst[: n_total - p]
+        np.maximum(head, 1.0 - space.mu_many(diffs, t), out=head)
+    return first, worst
+
+
+def _window_ok(first: np.ndarray, budget: int) -> np.ndarray:
+    """ok[n-1] for n = 1..budget-1: the demand holds at every (n, p) whose
+    x_{n+p} lies within the first `budget` terms, i.e. the first violation
+    at n lies beyond budget - n."""
+    return first[: budget - 1] > np.arange(budget - 1, 0, -1)
+
+
+def _cauchy_scan(
+    space: IFNSpace, seq: PointSequence, r: float, t: float, p_max: int
+) -> tuple[ConvergenceCertificate, np.ndarray]:
+    """The Cauchy certificate of `cauchy_index` and the per-n first
+    violations of its p-window scan, from which every escape index within
+    the budget is read by `_window_ok`."""
+    _check_rt(r, t)
+    if p_max < 1:
+        raise InvalidParameter("p_max must be >= 1")
+    first, worst = _p_window_scan(space, _terms(space, seq), r, t, p_max)
+    n0, status = _status_from_mask(_window_ok(first, seq.budget))
+    if status == STATUS_CERTIFIED and n0 + p_max > seq.budget:
+        status = STATUS_INCONCLUSIVE
+
+    margin_monotone = None
+    if n0 is not None:
+        # worst mu margin per n over the window actually used for the tail
+        tail = worst[n0 - 1 : seq.budget - p_max]
+        margin_monotone = bool(len(tail) < 2 or np.all(np.diff(tail) <= 1e-12))
+    cert = ConvergenceCertificate(
+        "cauchy", r, t, n0, status, None, seq.budget, p_max, margin_monotone
+    )
+    return cert, first
 
 
 def cauchy_index(
@@ -237,54 +278,7 @@ def cauchy_index(
     rule.  The limit statement is certified alongside as "the worst margin
     1 - mu over p shrinks monotonically along the checked tail".
     """
-    _check_rt(r, t)
-    if p_max < 1:
-        raise InvalidParameter("p_max must be >= 1")
-    ns = np.arange(1, seq.budget + 1)
-    vals = seq.values(ns)
-    ok = _cauchy_ok_mask(space, vals, r, t, p_max)
-    n0, status = _status_from_mask(ok)
-    if status == STATUS_CERTIFIED and n0 + p_max > seq.budget:
-        status = STATUS_INCONCLUSIVE
-
-    margin_monotone = None
-    if n0 is not None:
-        # worst mu margin per n over the window actually used for the tail
-        worst = None
-        for p in range(1, min(p_max, seq.budget - 1) + 1):
-            diffs = vals[p:] - vals[:-p]
-            mu = space.mu_many(diffs, t)
-            m = np.full(seq.budget - 1, -np.inf)
-            m[: seq.budget - p] = 1.0 - mu
-            worst = m if worst is None else np.maximum(worst, m)
-        tail = worst[n0 - 1 : seq.budget - p_max]
-        margin_monotone = bool(len(tail) < 2 or np.all(np.diff(tail) <= 1e-12))
-
-    return ConvergenceCertificate(
-        "cauchy", r, t, n0, status, None, seq.budget, p_max, margin_monotone
-    )
-
-
-def cauchy_escape_index(
-    space: IFNSpace,
-    seq: PointSequence,
-    r: float,
-    t: float,
-    p_max: int = DEFAULT_P_MAX,
-    budget: int | None = None,
-) -> int:
-    """Minimal n0 past which no violation is observable within `budget`,
-    allowing the degenerate truncated tail.
-
-    For a genuinely Cauchy sequence this stabilises as the budget grows; for
-    a divergent one it tracks the budget itself (the violations never leave
-    the window), which is the divergence evidence used by refutation
-    ladders.
-    """
-    _check_rt(r, t)
-    n = min(budget or seq.budget, seq.budget)
-    vals = seq.values(np.arange(1, n + 1))
-    return tail_index(_cauchy_ok_mask(space, vals, r, t, p_max))
+    return _cauchy_scan(space, seq, r, t, p_max)[0]
 
 
 @dataclass(frozen=True)

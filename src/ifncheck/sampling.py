@@ -176,14 +176,6 @@ class Interval:
     def random(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
 
-    def summary(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "open_lo": self.open_lo,
-            "open_hi": self.open_hi,
-        }
-
 
 def intersect(a: Interval, b: Interval) -> Interval:
     lo = max(a.lo, b.lo)

@@ -31,6 +31,7 @@ from .errors import (
     InvalidParameter,
     NoLimit,
     UnsupportedFamily,
+    WitnessNotFound,
 )
 from .function_sequences import (
     _ORACLE_GRID,
@@ -55,10 +56,9 @@ from .topology import (
     SampledSet,
     ball_classical_radius,
     ball_contains,
-    inner_ball_witness,
+    inner_ball_witnesses,
     preimage_open_check,
     set_is_open_sampled,
-    verify_containment,
 )
 
 _STATUS_VERDICT = {
@@ -307,81 +307,56 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     records = []
     for i, check in enumerate(config["checks"]):
         kind = check["kind"]
-        name = f"{kind}/{i}"
+        plan_summary, work = None, 1
         if kind in ("ball-contains", "classical-radius", "inner-ball"):
             b = check["ball"]
             ball = OpenBall(as_point(b["center"], space.dimension), b["r"], b["t"])
         if kind == "ball-contains":
             y = as_point(check["point"], space.dimension)
+            anchor, verdict = "open ball membership (strict inequalities)", INFO
             inside = ball_contains(space, ball, y)
-            records.append(
-                CheckRecord(
-                    name=name, anchor="open ball membership (strict inequalities)",
-                    verdict=INFO,
-                    details={"ball": ball.summary(), "point": list(y), "contained": inside},
-                    seed=seed, work=1,
-                )
-            )
+            details = {"ball": ball.summary(), "point": list(y), "contained": inside}
         elif kind == "classical-radius":
-            rho = ball_classical_radius(space, ball)
-            records.append(
-                CheckRecord(
-                    name=name, anchor="classical radius of a standard-family ball",
-                    verdict=INFO,
-                    details={"ball": ball.summary(), "rho": rho},
-                    seed=seed, work=1,
-                )
-            )
+            anchor, verdict = "classical radius of a standard-family ball", INFO
+            details = {"ball": ball.summary(), "rho": ball_classical_radius(space, ball)}
         elif kind == "inner-ball":
+            anchor = "every open ball is an open set"
             y = as_point(check["point"], space.dimension)
-            try:
-                inner = inner_ball_witness(space, ball, y, seed=seed)
-                frac = verify_containment(space, inner, ball, 1000, seed)
-                records.append(
-                    CheckRecord(
-                        name=name, anchor="every open ball is an open set",
-                        verdict=PASS if frac == 1.0 else FAIL,
-                        details={"outer": ball.summary(), "inner": inner.summary(), "containment": frac},
-                        seed=seed, work=1000,
-                    )
-                )
-            except IFNError as exc:
-                records.append(
-                    CheckRecord(
-                        name=name, anchor="every open ball is an open set",
-                        verdict=FAIL, details={"error": str(exc)}, seed=seed, work=1,
-                    )
-                )
+            # a returned ball passed containment on all 1000 of its sampled points
+            (inner,) = inner_ball_witnesses(space, ball, [y], 1000, seed)
+            if isinstance(inner, WitnessNotFound):
+                verdict, details = FAIL, {"error": str(inner)}
+            else:
+                verdict, work = PASS, 1000
+                details = {"outer": ball.summary(), "inner": inner.summary(), "containment": 1.0}
         elif kind == "set-open":
-            sset = _build_set(check["set"], space)
-            rec = set_is_open_sampled(space, sset, plan)
-            records.append(
-                CheckRecord(
-                    name=name, anchor="sampled openness of a set",
-                    verdict=PASS if rec.all_open else FAIL,
-                    details=rec.summary(), plan=plan.summary(),
-                    seed=seed, work=len(rec.per_point) * 200,
-                )
-            )
+            rec = set_is_open_sampled(space, _build_set(check["set"], space), plan)
+            anchor, verdict = "sampled openness of a set", PASS if rec.all_open else FAIL
+            details, plan_summary, work = rec.summary(), plan.summary(), len(rec.per_point) * 200
         else:
             b = check["ball"]
             target = OpenBall(as_point(b["center"], 1), b["r"], b["t"])
-            f = build_map(check["map"], space, space)
-            pre = preimage_open_check(f, target, plan)
-            records.append(
-                CheckRecord(
-                    name=name, anchor="preimages of open balls under continuous maps are open",
-                    verdict=PASS if pre.open_verdict else FAIL,
-                    details=pre.summary(), plan=plan.summary(),
-                    seed=seed, work=pre.witnesses * 200,
-                )
+            pre = preimage_open_check(build_map(check["map"], space, space), target, plan)
+            anchor = "preimages of open balls under continuous maps are open"
+            verdict = PASS if pre.open_verdict else FAIL
+            details, plan_summary, work = pre.summary(), plan.summary(), pre.witnesses * 200
+        records.append(
+            CheckRecord(
+                name=f"{kind}/{i}", anchor=anchor, verdict=verdict, details=details,
+                plan=plan_summary, seed=seed, work=work,
             )
+        )
     return records
 
 
 def _run_funcseq(config: dict, seed: int) -> list[CheckRecord]:
     U = build_space(config["domain_space"])
     V = build_space(config["codomain_space"])
+    if (U.dimension, V.dimension) != (1, 1):
+        raise ConfigError(
+            f"function sequences are univariate: domain dimension {U.dimension}, "
+            f"codomain dimension {V.dimension}"
+        )
     spaces = (U, V)
     records = []
     for seq in build_funcseq(config["funcseq"]):

@@ -353,7 +353,8 @@ def preimage_open_check(
     openness in the domain space.
 
     Continuity of f at (a few of) the witnesses is recorded, not assumed;
-    for maps certified continuous the verdict must be open.
+    for maps certified continuous the verdict must be open.  A target ball
+    that no sampled point maps into raises DomainError.
     """
     from .continuity import continuity_witness_search
 
@@ -363,6 +364,11 @@ def preimage_open_check(
     xs = np.unique(np.concatenate([dom.grid(81), dom.random(128, rng)]))
     member = ball_contains_many(f.codomain, target, f(xs).reshape(-1, 1))
     witnesses = xs[member][:: max(1, int(np.sum(member)) // _PREIMAGE_WITNESSES)][:_PREIMAGE_WITNESSES]
+    if len(witnesses) == 0:
+        raise DomainError(
+            f"target ball {target.summary()} has no sampled preimage under "
+            f"{f.rule.describe()} on [{dom.lo}, {dom.hi}]"
+        )
 
     def predicate(pts: np.ndarray) -> np.ndarray:
         flat = pts[:, 0]

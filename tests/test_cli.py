@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifncheck.cli import main
-from ifncheck.config_schema import validate_config
+from ifncheck.config_schema import SCHEMAS, validate_config
 from ifncheck.errors import ConfigError
 from ifncheck.report import to_csv, to_jsonl, to_text
 from ifncheck.scenarios import run_scenario
@@ -161,6 +166,82 @@ class TestEmission:
         assert [row["n0"] for row in rows] == sorted(row["n0"] for row in rows)
 
 
+# Upper bounds for the integer fields that set how much a run computes.
+_SMALL = {
+    "budget": 200, "budgets": 200, "dimension": 3, "grid_points_per_axis": 5,
+    "random_count": 20, "points": 9, "refine_depth": 6, "p_max": 30, "m": 6, "n": 6, "seed": 3,
+}
+_COMMAND_OF_KIND = {"uniform-continuity": "uniform"}
+
+
+def _from_schema(schema, name=None):
+    """Values that match one of the scenario schemas in `config_schema`."""
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        # half the draws take the first value: the standard family, min/max, ...
+        return st.one_of(st.just(schema["enum"][0]), st.sampled_from(schema["enum"]))
+    if "anyOf" in schema:
+        return st.one_of([_from_schema(s, name) for s in schema["anyOf"]])
+    kind = schema["type"]
+    if kind == "object":
+        return _objects(schema)
+    if kind == "array":
+        lo = schema.get("minItems", 0)
+        hi = schema.get("maxItems", lo + 3)
+        return st.lists(_from_schema(schema["items"], name), min_size=lo, max_size=hi)
+    if kind == "integer":
+        # half the draws take the smallest value, which most often runs
+        lo = schema.get("minimum", 0)
+        return st.one_of(st.just(lo), st.integers(lo, max(lo, _SMALL.get(name, lo + 5))))
+    if kind == "number":
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -10.0))
+        hi = schema.get("maximum", schema.get("exclusiveMaximum", 10.0))
+        # half the draws from a few plain values, which pass most domain checks
+        plain = [v for v in (0.0, 0.1, 0.5, 1.0, 2.0, -1.0) if lo <= v <= hi]
+        plain = [v for v in plain if (v, v) != (lo, schema.get("exclusiveMinimum"))]
+        plain = [v for v in plain if (v, v) != (hi, schema.get("exclusiveMaximum"))]
+        return st.one_of(
+            st.sampled_from(plain),
+            st.floats(lo, hi, exclude_min="exclusiveMinimum" in schema, exclude_max="exclusiveMaximum" in schema),
+        )
+    if kind == "boolean":
+        return st.booleans()
+    # half the strings name an example space, the one string field a builder reads
+    return st.one_of(
+        st.sampled_from(["example-3.15-A", "example-3.15-B(k=3)", "example-4.x"]),
+        st.text("abcdefghijklmnopqrstuvwxyz-.0123456789", max_size=12),
+    )
+
+
+@st.composite
+def _objects(draw, schema):
+    """An object with its required fields and a random subset of the rest;
+    the kind is drawn first, so that the `_when` clauses it selects can add
+    required fields, narrow a field or rule one out."""
+    props, required = dict(schema["properties"]), set(schema.get("required", ()))
+    obj = {"kind": draw(_from_schema(props["kind"]))} if "kind" in props else {}
+    for clause in schema.get("allOf", ()):
+        if clause["if"]["properties"]["kind"]["const"] == obj.get("kind"):
+            then = clause["then"]
+            required |= set(then.get("required", ()))
+            for key, narrowed in then.get("properties", {}).items():
+                props[key] = props[key] | narrowed
+            for key in then.get("propertyNames", {}).get("not", {}).get("enum", ()):
+                del props[key]
+    for key, sub in props.items():
+        # fields that bound a run's size are always set, to keep runs small
+        if key not in obj and (key in required or key in _SMALL or draw(st.integers(0, 3)) == 0):
+            obj[key] = draw(_from_schema(sub, key))
+    return obj
+
+
+def _configs():
+    return st.sampled_from(sorted(SCHEMAS)).flatmap(
+        lambda scenario: _from_schema(SCHEMAS[scenario]).map(lambda cfg: (scenario, cfg))
+    )
+
+
 class TestCliProcess:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         rc = main(
@@ -266,6 +347,63 @@ class TestCliProcess:
                 ),
                 "members",
             ),
+            # a check on terms the sequence does not have
+            (
+                "uniform",
+                dict(
+                    uniform,
+                    checks=[
+                        dict(uniform["checks"][1], budgets=[1000, 2000, 4000, 8000, 16000, 32000])
+                    ],
+                ),
+                "[16000, 32000]",
+            ),
+            # a sequence or a map whose dimension differs from its space's
+            (
+                "converge",
+                dict(converge, space={"family": "standard", "dimension": 3}, limit=[0, 0, 0]),
+                "dimension 3",
+            ),
+            (
+                "funcseq",
+                dict(
+                    funcseq,
+                    codomain_space={"family": "standard", "dimension": 3},
+                    checks=[{"kind": "uniform-index", "r": 0.1, "t": 0.1}],
+                ),
+                "dimension 3",
+            ),
+            (
+                "funcseq",
+                dict(
+                    funcseq,
+                    codomain_space={"family": "standard", "dimension": 3},
+                    checks=[{"kind": "uniform-limit"}],
+                ),
+                "dimension 3",
+            ),
+            # a target ball no sampled point maps into, an inner-ball point outside its ball
+            (
+                "topology",
+                dict(
+                    topology,
+                    checks=[
+                        {
+                            "kind": "preimage-open",
+                            "ball": {"center": -0.5, "r": 0.1, "t": 5},
+                            "map": {"rule": "constant", "params": [2.0], "domain": {"lo": -1, "hi": 1}},
+                        }
+                    ],
+                ),
+                "target ball",
+            ),
+            ("topology", dict(topology, checks=[{"kind": "inner-ball", "ball": ball, "point": 5.0}]), "outer ball"),
+            # a field the check kind does not read
+            (
+                "converge",
+                dict(converge, checks=[{"kind": "classical-probe", "r": [0.1, 0.2, 0.3], "t": [0.1, 1.0]}]),
+                "'r'",
+            ),
         ]
         # a numpy warning would reach stderr ahead of the config error
         with warnings.catch_warnings():
@@ -277,6 +415,25 @@ class TestCliProcess:
                 assert rc == 2, cfg
                 err = capsys.readouterr().err
                 assert "config error" in err and named in err, err
+
+    @given(case=_configs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_schema_valid_configs_exit_0_1_or_2(self, case):
+        # every config the schema accepts ends in a verdict or a config error
+        scenario, cfg = case
+        validate_config(cfg, scenario)
+        if scenario == "catalog":
+            argv = ["catalog", cfg["name"]]
+        else:
+            path = pathlib.Path(tempfile.mkdtemp()) / "config.json"
+            path.write_text(json.dumps(cfg))
+            argv = [_COMMAND_OF_KIND.get(scenario, scenario), "--config", str(path)]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main(argv + ["--out", out])
+        assert rc in (0, 1, 2), (cfg, err.getvalue())
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_exit_three_when_report_cannot_be_written(self, tmp_path, monkeypatch, capsys, fmt):

@@ -1,28 +1,35 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifncheck.continuity import MapBetweenSpaces, cauchy_preservation_check, make_map, rule
 from ifncheck.errors import DomainError, UnsupportedFamily
-from ifncheck.ifn_core import make_standard_space
+from ifncheck.function_sequences import (
+    DomainSample,
+    FunctionSequence,
+    _certificate,
+    uniform_cauchy_check,
+)
+from ifncheck.ifn_core import IFNSpace, custom_membership, make_standard_space
 from ifncheck.point_convergence import (
     STATUS_INCONCLUSIVE,
     PointSequence,
     _status_from_mask,
     alternating_sequence,
-    cauchy_escape_index,
     cauchy_index,
     classical_equivalence_probe,
     constant_sequence,
     convergence_index,
     linear_sequence,
-    mapped_sequence,
     reciprocal_sequence,
     shifted_reciprocal_sequence,
     tail_index,
 )
+from ifncheck.sampling import Interval
 
 
 def brute_force_index(k, seq_vals, limit, r, t):
@@ -182,19 +189,148 @@ class TestCauchyIndex:
         cert = cauchy_index(space, constant_sequence(1.0, budget=2000), 0.3, 0.5)
         assert cert.n0 == 1 and cert.certified
 
-    def test_escape_index_tracks_budget_for_divergent_image(self):
+    @staticmethod
+    def _image_escapes(space, map_rule):
+        f = make_map(space, make_standard_space(3.0), map_rule, Interval(0.0, 1.0, True, True))
+        rec = cauchy_preservation_check(
+            f, reciprocal_sequence(budget=8000), 0.5, 1.0, budgets=(1000, 2000, 4000)
+        )
+        return rec.image_escape_indices
+
+    def test_escape_index_tracks_budget_for_divergent_image(self, space):
         # image of 1/(n+1) under 1/x is n+1: the violation never leaves the
         # window, so the escape index equals the budget
-        spB = make_standard_space(3.0)
-        img = mapped_sequence(reciprocal_sequence(budget=8000), lambda v: 1.0 / v)
-        escapes = [cauchy_escape_index(spB, img, 0.5, 1.0, budget=b) for b in (1000, 2000, 4000)]
-        assert escapes == [1000, 2000, 4000]
+        assert self._image_escapes(space, rule("reciprocal")) == (1000, 2000, 4000)
 
-    def test_escape_index_stabilises_for_cauchy_image(self):
-        spB = make_standard_space(3.0)
-        img = mapped_sequence(reciprocal_sequence(budget=8000), lambda v: 2.0 * v)
-        escapes = {cauchy_escape_index(spB, img, 0.5, 1.0, budget=b) for b in (1000, 2000, 4000)}
-        assert len(escapes) == 1
+    def test_escape_index_stabilises_for_cauchy_image(self, space):
+        assert len(set(self._image_escapes(space, rule("affine", 2.0, 0.0)))) == 1
+
+
+# The p-window loops that `_p_window_scan` replaced, kept as the reference:
+# the ok mask, the margin loop of `cauchy_index` and the prefix rescan of
+# the escape index at each budget.
+def reference_ok_mask(space, vals, r, t, p_max):
+    n_total = vals.shape[0]
+    ok = np.ones(n_total - 1, dtype=bool)
+    for p in range(1, p_max + 1):
+        if p >= n_total:
+            break
+        ok[: n_total - p] &= space.within(vals[p:] - vals[:-p], r, t)
+    return ok
+
+
+def reference_cauchy_index(space, seq, r, t, p_max):
+    vals = seq.values(np.arange(1, seq.budget + 1))
+    n0, status = _status_from_mask(reference_ok_mask(space, vals, r, t, p_max))
+    if status == "certified-up-to-budget" and n0 + p_max > seq.budget:
+        status = STATUS_INCONCLUSIVE
+    margin_monotone = None
+    if n0 is not None:
+        worst = None
+        for p in range(1, min(p_max, seq.budget - 1) + 1):
+            mu = space.mu_many(vals[p:] - vals[:-p], t)
+            m = np.full(seq.budget - 1, -np.inf)
+            m[: seq.budget - p] = 1.0 - mu
+            worst = m if worst is None else np.maximum(worst, m)
+        tail = worst[n0 - 1 : seq.budget - p_max]
+        margin_monotone = bool(len(tail) < 2 or np.all(np.diff(tail) <= 1e-12))
+    return n0, status, margin_monotone
+
+
+def reference_escape_index(space, seq, r, t, p_max, budget):
+    vals = seq.values(np.arange(1, min(budget, seq.budget) + 1))
+    return tail_index(reference_ok_mask(space, vals, r, t, p_max))
+
+
+def reference_uniform_cauchy_check(space, seq, sample, r, t, p_max):
+    n_total = seq.budget + p_max
+    vals = seq.values(np.arange(1, n_total + 1), sample.all_points())
+    ok = np.column_stack(
+        [reference_ok_mask(space, v.reshape(-1, 1), r, t, p_max)[: seq.budget] for v in vals.T]
+    )
+    cert = _certificate(ok, sample, seq.budget, r, t, kind="cauchy-criterion")
+    if cert.uniform:
+        n0 = cert.n0
+        grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
+        pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
+        if not all(
+            np.all(space.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
+            for n, m in pairs
+        ):
+            cert = replace(cert, verdict="inconclusive", n0=None)
+    return cert
+
+
+# terms from a small set, so that differences tie and cross the radius,
+# followed by a constant tail, so that some windows certify
+_TERMS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0, 3.0]),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@st.composite
+def _term_tables(draw, columns):
+    head = draw(st.integers(min_value=0, max_value=30))
+    tail = draw(st.integers(min_value=0, max_value=30))
+    rows = [draw(st.lists(_TERMS, min_size=columns, max_size=columns)) for _ in range(head)]
+    rows += [draw(st.lists(_TERMS, min_size=columns, max_size=columns))] * tail
+    return np.array(rows or [[0.0] * columns])
+
+
+@given(
+    table=_term_tables(1),
+    columns=_term_tables(3),
+    k=st.sampled_from([0.5, 1.0, 3.0]),
+    radial=st.booleans(),
+    r=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    t=st.floats(min_value=1e-3, max_value=100.0),
+    p_max=st.integers(min_value=1, max_value=30),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, p_max, data):
+    std = make_standard_space(k)
+    # the standard memberships declared non-radial, for the p-bounded branch
+    # of the uniform Cauchy criterion
+    wrapped = IFNSpace(
+        1,
+        custom_membership(lambda z, s: std.mu.eval(z, s)),
+        custom_membership(lambda z, s: std.nu.eval(z, s)),
+        std.tnorm,
+        std.tconorm,
+    )
+    space = std if radial else wrapped
+    n = len(table)
+    seq = PointSequence("custom", budget=n, fn=lambda ns: table[ns - 1])
+
+    cert = cauchy_index(space, seq, r, t, p_max)
+    assert (cert.n0, cert.status, cert.margin_monotone) == reference_cauchy_index(
+        space, seq, r, t, p_max
+    )
+
+    if p_max < n:
+        # the image of x_n = 1/(n+1) is the table; the input is Cauchy in a
+        # domain space whose k makes every difference negligible
+        budgets = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4)))
+        image = lambda xs: table[np.rint(1.0 / xs - 1.0).astype(int) - 1]
+        f = MapBetweenSpaces(make_standard_space(1e-12), space, image, Interval(0.0, 1.0))
+        rec = cauchy_preservation_check(f, reciprocal_sequence(budget=n), r, t, p_max, budgets)
+        assert rec.image_certificate == cert
+        assert rec.image_escape_indices == tuple(
+            reference_escape_index(space, seq, r, t, p_max, b) for b in budgets
+        )
+
+    budget = max(1, len(columns) - p_max)
+    columns = np.resize(columns, (budget + p_max, 3))  # repeats rows of a short table
+    funcs = FunctionSequence(
+        "custom", Interval(0.0, 3.0), budget=budget,
+        fn=lambda ns, xs: columns[ns - 1][:, xs.astype(int)],
+    )
+    sample = DomainSample((0.0, 1.0, 2.0))
+    assert uniform_cauchy_check((wrapped, wrapped), funcs, sample, r, t, p_max) == (
+        reference_uniform_cauchy_check(wrapped, funcs, sample, r, t, p_max)
+    )
 
 
 class TestClassicalEquivalence:
