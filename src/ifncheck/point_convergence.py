@@ -281,6 +281,27 @@ def cauchy_index(
     return _cauchy_scan(space, seq, r, t, p_max)[0]
 
 
+def cauchy_escape_index(
+    space: IFNSpace,
+    seq: PointSequence,
+    r: float,
+    t: float,
+    p_max: int = DEFAULT_P_MAX,
+    budget: int | None = None,
+) -> int:
+    """Minimal n0 past which no violation is observable within the first
+    `budget` terms (all of them by default), allowing the truncated tail.
+
+    For a Cauchy sequence this stabilises as the budget grows; for a
+    divergent one it tracks the budget.  `cauchy_preservation_check` reads
+    every budget of its ladder from one scan instead of calling this.
+    """
+    _check_rt(r, t)
+    n = min(budget or seq.budget, seq.budget)
+    first, _ = _p_window_scan(space, _terms(space, seq)[:n], r, t, p_max)
+    return tail_index(_window_ok(first, n))
+
+
 @dataclass(frozen=True)
 class EquivalenceRecord:
     ifn_certificates: tuple[ConvergenceCertificate, ...]

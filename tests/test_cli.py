@@ -198,13 +198,12 @@ def _from_schema(schema, name=None):
         lo = schema.get("minimum", schema.get("exclusiveMinimum", -10.0))
         hi = schema.get("maximum", schema.get("exclusiveMaximum", 10.0))
         # half the draws from a few plain values, which pass most domain checks
-        plain = [v for v in (0.0, 0.1, 0.5, 1.0, 2.0, -1.0) if lo <= v <= hi]
-        plain = [v for v in plain if (v, v) != (lo, schema.get("exclusiveMinimum"))]
-        plain = [v for v in plain if (v, v) != (hi, schema.get("exclusiveMaximum"))]
-        return st.one_of(
-            st.sampled_from(plain),
-            st.floats(lo, hi, exclude_min="exclusiveMinimum" in schema, exclude_max="exclusiveMaximum" in schema),
+        bounds = (schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum"))
+        plain = [v for v in (0.0, 0.1, 0.5, 1.0, 2.0, -1.0) if lo <= v <= hi and v not in bounds]
+        anywhere = st.floats(
+            lo, hi, exclude_min=bounds[0] is not None, exclude_max=bounds[1] is not None
         )
+        return st.one_of(st.sampled_from(plain), anywhere)
     if kind == "boolean":
         return st.booleans()
     # half the strings name an example space, the one string field a builder reads

@@ -20,6 +20,7 @@ from ifncheck.point_convergence import (
     PointSequence,
     _status_from_mask,
     alternating_sequence,
+    cauchy_escape_index,
     cauchy_index,
     classical_equivalence_probe,
     constant_sequence,
@@ -307,6 +308,10 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, 
     cert = cauchy_index(space, seq, r, t, p_max)
     assert (cert.n0, cert.status, cert.margin_monotone) == reference_cauchy_index(
         space, seq, r, t, p_max
+    )
+    b = data.draw(st.integers(1, n))
+    assert cauchy_escape_index(space, seq, r, t, p_max, b) == reference_escape_index(
+        space, seq, r, t, p_max, b
     )
 
     if p_max < n:
