@@ -1,8 +1,12 @@
 """Scenario configuration: JSON schema, validation, and object builders.
 
 A configuration is a single JSON document validated against the schema for
-its scenario kind before any computation runs; unknown keys are errors (a
-misspelled parameter must never be silently ignored).
+its scenario kind before any computation runs.  Each object whose fields
+depend on a discriminator (a check's `kind`, a space's `family`, a set's
+`kind`) has one table below naming the fields each value reads, with their
+defaults.  The schema is generated from these tables and the readers fill
+defaults from them, so a field that nothing reads is an error: a misspelled
+parameter is never silently ignored.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import json
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .continuity import MapBetweenSpaces, MapRule, make_map
 from .errors import ConfigError, IFNError
@@ -20,10 +23,120 @@ from .ifn_core import IFNSpace, make_example_family, make_standard_space
 from .point_convergence import PointSequence
 from .sampling import Interval, SamplingPlan, product_grid
 
+# A field without a default, which the schema requires.  A default of None
+# is computed by the reader (say, from the dimension or the sample).
+REQUIRED = object()
+
+_WITNESS = {"epsilon": 1.0, "alpha": 0.5}
+_SEQUENTIAL = {"r": 0.2, "t": 0.5, "sequence_offset": 10.0, "budget": 20_000}
+_DEMAND = {"r": 0.1, "t": 0.1}
+
+CHECK_FIELDS: dict[str, dict[str, dict]] = {
+    "converge": {
+        "convergence": {"r": 0.5, "t": 1.0},
+        "cauchy": {"r": 0.5, "t": 1.0, "p_max": 100},
+        # the probe runs its own fixed (r, t) grid
+        "classical-probe": {},
+    },
+    "continuity": {
+        "witness": _WITNESS,
+        "sequential": _SEQUENTIAL,
+        "equivalence": _WITNESS | _SEQUENTIAL,
+    },
+    "uniform-continuity": {
+        "uniform-witness": _WITNESS,
+        "cauchy-preservation": {
+            "sequence": {"family": "reciprocal", "budget": 8000},
+            "r": 0.5,
+            "t": 1.0,
+            "p_max": 100,
+            "budgets": [1000, 2000, 4000, 8000],
+        },
+    },
+    "topology": {
+        "ball-contains": {"ball": REQUIRED, "point": REQUIRED},
+        "classical-radius": {"ball": REQUIRED},
+        "inner-ball": {"ball": REQUIRED, "point": REQUIRED},
+        "set-open": {"set": REQUIRED},
+        "preimage-open": {"ball": REQUIRED, "map": REQUIRED},
+    },
+    "funcseq": {
+        # x defaults to the middle sample point
+        "pointwise": _DEMAND | {"x": None},
+        "uniform-index": _DEMAND,
+        "cauchy-criterion": _DEMAND | {"p_max": 100},
+        "classical-probe": _DEMAND,
+        # the oracle is (r, t)-independent
+        "sup-oracle": {"a": 0.5, "m": 2, "n": 4},
+        "uniform-limit": _DEMAND | {"epsilon": 0.5, "alpha": 0.25},
+    },
+}
+
+SPACE_FIELDS = {
+    "standard": {
+        "k": 1.0,
+        "dimension": 1,
+        "norm": None,  # absolute-value in dimension 1, else euclidean
+        "tnorm": "minimum",
+        "tconorm": "maximum",
+        "tier": "strict",
+    },
+    "example": {"tag": REQUIRED},
+}
+
+# a norm ball without params has radius 1; without members, each kind
+# samples its own
+SET_FIELDS = {
+    "norm-ball": {"params": None, "members": None},
+    "interval": {"params": REQUIRED, "members": None},
+    "whole": {"members": None},
+}
+
+
+def fields_of(table: dict, obj: dict, key: str = "kind") -> dict:
+    """The fields `table` declares for `obj[key]`, with defaults filled in."""
+    return {f: obj[f] if d is REQUIRED else obj.get(f, d) for f, d in table[obj[key]].items()}
+
+
+def _when(key: str, value: str, then: dict) -> dict:
+    """Schema clause: an object whose `key` is `value` must also match `then`."""
+    return {"if": {"properties": {key: {"const": value}}, "required": [key]}, "then": then}
+
+
+def _keyed(key: str, table: dict, types: dict, narrow: dict | None = None) -> dict:
+    """Object schema on which `obj[key]` allows exactly the fields `table`
+    declares for it: those without a default are required, the others carry
+    their default as an annotation.  `narrow` adds per-value constraints."""
+    clauses = []
+    for value, fields in table.items():
+        then = {"propertyNames": {"enum": [key, *fields]}}
+        required = [f for f, d in fields.items() if d is REQUIRED]
+        props = {f: {"default": d} for f, d in fields.items() if d is not REQUIRED and d is not None}
+        for f, schema in (narrow or {}).get(value, {}).items():
+            props[f] = props.get(f, {}) | schema
+        if required:
+            then["required"] = required
+        if props:
+            then["properties"] = props
+        clauses.append(_when(key, value, then))
+    used = dict.fromkeys(f for fields in table.values() for f in fields)
+    return {
+        "type": "object",
+        "properties": {key: {"enum": list(table)}} | {f: types[f] for f in used},
+        "required": [key],
+        "additionalProperties": False,
+        "allOf": clauses,
+    }
+
+
 _NUMBER = {"type": "number"}
 _NUMBER_OR_LIST = {
     "anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}, "minItems": 1}]
 }
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_COUNT = {"type": "integer", "minimum": 1}
+_BUDGET = {"type": "integer", "minimum": 10}
 
 INTERVAL_SCHEMA = {
     "type": "object",
@@ -37,30 +150,28 @@ INTERVAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-SPACE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": ["standard", "example"]},
+SPACE_SCHEMA = _keyed(
+    "family",
+    SPACE_FIELDS,
+    {
         "tag": {"type": "string"},
-        "k": {"type": "number", "exclusiveMinimum": 0},
-        "dimension": {"type": "integer", "minimum": 1},
+        "k": _POSITIVE,
+        "dimension": _COUNT,
         "norm": {"enum": ["absolute-value", "euclidean", "max-coordinate"]},
         "tnorm": {"enum": ["minimum", "product", "lukasiewicz"]},
         "tconorm": {"enum": ["maximum", "probabilistic-sum", "lukasiewicz"]},
         "tier": {"enum": ["core", "idempotent", "strict"]},
     },
-    "required": ["family"],
-    "additionalProperties": False,
-}
+)
 
 PLAN_SCHEMA = {
     "type": "object",
     "properties": {
         "grid_points_per_axis": {"type": "integer", "minimum": 2},
-        "grid_halfwidth": {"type": "number", "exclusiveMinimum": 0},
-        "t_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1},
+        "grid_halfwidth": _POSITIVE,
+        "t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1},
         "random_count": {"type": "integer", "minimum": 0},
-        "t_infinity_ladder": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 2},
+        "t_infinity_ladder": {"type": "array", "items": _POSITIVE, "minItems": 2},
     },
     "additionalProperties": False,
 }
@@ -71,8 +182,8 @@ SEQUENCE_SCHEMA = {
         "family": {
             "enum": ["reciprocal", "constant", "linear", "alternating", "shifted-reciprocal"]
         },
-        "params": {"type": "array", "items": {"type": "number"}},
-        "budget": {"type": "integer", "minimum": 10},
+        "params": {"type": "array", "items": _NUMBER},
+        "budget": _BUDGET,
     },
     "required": ["family"],
     "additionalProperties": False,
@@ -84,7 +195,7 @@ MAP_SCHEMA = {
         "rule": {
             "enum": ["identity", "affine", "power", "reciprocal", "quotient", "step", "constant"]
         },
-        "params": {"type": "array", "items": {"type": "number"}},
+        "params": {"type": "array", "items": _NUMBER},
         "domain": INTERVAL_SCHEMA,
     },
     "required": ["rule", "domain"],
@@ -96,10 +207,10 @@ FUNCSEQ_SCHEMA = {
     "properties": {
         "family": {"enum": ["power", "quotient", "scaled", "constant"]},
         "domain": INTERVAL_SCHEMA,
-        "budget": {"type": "integer", "minimum": 10},
+        "budget": _BUDGET,
         # sweep of upper endpoints: index searches run once per value,
         # each over [lo, hi_i], to build index surfaces over the domain
-        "hi_sweep": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "hi_sweep": {"type": "array", "items": _NUMBER, "minItems": 1},
     },
     "required": ["family", "domain"],
     "additionalProperties": False,
@@ -110,21 +221,57 @@ SAMPLE_SCHEMA = {
     "properties": {
         "points": {"type": "integer", "minimum": 2},
         "refine_side": {"enum": ["lo", "hi"]},
-        "refine_depth": {"type": "integer", "minimum": 1},
+        "refine_depth": _COUNT,
     },
     "additionalProperties": False,
 }
 
-_SEED = {"type": "integer"}
+SET_SCHEMA = _keyed(
+    "kind",
+    SET_FIELDS,
+    {
+        "params": {"type": "array", "items": _NUMBER},
+        "members": {"type": "array", "items": _NUMBER_OR_LIST, "minItems": 1},
+    },
+    # a norm ball reads its radius, an interval its two endpoints
+    narrow={"norm-ball": {"params": {"maxItems": 1}}, "interval": {"params": {"minItems": 2, "maxItems": 2}}},
+)
+
+# The type of every check field; continuity and uniform continuity take a
+# single (r, t) demand.
+_CHECK_TYPES = {
+    "r": _NUMBER_OR_LIST,
+    "t": _NUMBER_OR_LIST,
+    "p_max": _COUNT,
+    "epsilon": _POSITIVE,
+    "alpha": _UNIT,
+    "sequence_offset": _POSITIVE,
+    "budget": _BUDGET,
+    "sequence": SEQUENCE_SCHEMA,
+    "budgets": {"type": "array", "items": _BUDGET, "minItems": 2},
+    "ball": {
+        "type": "object",
+        "properties": {"center": _NUMBER_OR_LIST, "r": _UNIT, "t": _POSITIVE},
+        "required": ["center", "r", "t"],
+        "additionalProperties": False,
+    },
+    "point": _NUMBER_OR_LIST,
+    "set": SET_SCHEMA,
+    "map": MAP_SCHEMA,
+    "x": _NUMBER,
+    "a": _UNIT,
+    "m": _COUNT,
+    "n": _COUNT,
+}
+_SINGLE_DEMAND = _CHECK_TYPES | {"r": _NUMBER, "t": _NUMBER}
 
 
-def _when(kind: str, then: dict) -> dict:
-    """Schema clause: an object whose kind is `kind` must also match `then`."""
-    return {"if": {"properties": {"kind": {"const": kind}}}, "then": then}
+def _checks(scenario: str, types: dict = _CHECK_TYPES) -> dict:
+    return {"type": "array", "items": _keyed("kind", CHECK_FIELDS[scenario], types)}
 
 
 def _scenario_schema(kind: str, extra_properties: dict, required: list[str]) -> dict:
-    props = {"scenario": {"const": kind}, "seed": _SEED}
+    props = {"scenario": {"const": kind}, "seed": {"type": "integer"}}
     props.update(extra_properties)
     return {
         "type": "object",
@@ -151,24 +298,7 @@ SCHEMAS: dict[str, dict] = {
             "space": SPACE_SCHEMA,
             "sequence": SEQUENCE_SCHEMA,
             "limit": _NUMBER_OR_LIST,
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["convergence", "cauchy", "classical-probe"]},
-                        "r": _NUMBER_OR_LIST,
-                        "t": _NUMBER_OR_LIST,
-                        "p_max": {"type": "integer", "minimum": 1},
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    # the probe runs its own fixed (r, t) grid
-                    "allOf": [
-                        _when("classical-probe", {"propertyNames": {"not": {"enum": ["r", "t"]}}})
-                    ],
-                },
-            },
+            "checks": _checks("converge"),
         },
         ["space", "sequence", "limit", "checks"],
     ),
@@ -179,23 +309,7 @@ SCHEMAS: dict[str, dict] = {
             "codomain_space": SPACE_SCHEMA,
             "map": MAP_SCHEMA,
             "points": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["witness", "sequential", "equivalence"]},
-                        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "r": _NUMBER,
-                        "t": _NUMBER,
-                        "sequence_offset": {"type": "number", "exclusiveMinimum": 0},
-                        "budget": {"type": "integer", "minimum": 10},
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-            },
+            "checks": _checks("continuity", _SINGLE_DEMAND),
         },
         ["domain_space", "codomain_space", "map", "points", "checks"],
     ),
@@ -205,95 +319,13 @@ SCHEMAS: dict[str, dict] = {
             "domain_space": SPACE_SCHEMA,
             "codomain_space": SPACE_SCHEMA,
             "map": MAP_SCHEMA,
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["uniform-witness", "cauchy-preservation"]},
-                        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "r": _NUMBER,
-                        "t": _NUMBER,
-                        "p_max": {"type": "integer", "minimum": 1},
-                        "sequence": SEQUENCE_SCHEMA,
-                        "budgets": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 10},
-                            "minItems": 2,
-                        },
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-            },
+            "checks": _checks("uniform-continuity", _SINGLE_DEMAND),
         },
         ["domain_space", "codomain_space", "map", "checks"],
     ),
     "topology": _scenario_schema(
         "topology",
-        {
-            "space": SPACE_SCHEMA,
-            "plan": PLAN_SCHEMA,
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {
-                            "enum": [
-                                "ball-contains",
-                                "classical-radius",
-                                "inner-ball",
-                                "set-open",
-                                "preimage-open",
-                            ]
-                        },
-                        "ball": {
-                            "type": "object",
-                            "properties": {
-                                "center": _NUMBER_OR_LIST,
-                                "r": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                                "t": {"type": "number", "exclusiveMinimum": 0},
-                            },
-                            "required": ["center", "r", "t"],
-                            "additionalProperties": False,
-                        },
-                        "point": _NUMBER_OR_LIST,
-                        "set": {
-                            "type": "object",
-                            "properties": {
-                                "kind": {"enum": ["norm-ball", "interval", "whole"]},
-                                "params": {"type": "array", "items": _NUMBER},
-                                "members": {"type": "array", "items": _NUMBER_OR_LIST, "minItems": 1},
-                            },
-                            "required": ["kind"],
-                            "additionalProperties": False,
-                            "allOf": [
-                                _when(
-                                    "interval",
-                                    {
-                                        "required": ["params"],
-                                        "properties": {"params": {"minItems": 2, "maxItems": 2}},
-                                    },
-                                ),
-                            ],
-                        },
-                        "map": MAP_SCHEMA,
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    # the fields each check kind reads
-                    "allOf": [
-                        _when("ball-contains", {"required": ["ball", "point"]}),
-                        _when("classical-radius", {"required": ["ball"]}),
-                        _when("inner-ball", {"required": ["ball", "point"]}),
-                        _when("set-open", {"required": ["set"]}),
-                        _when("preimage-open", {"required": ["ball", "map"]}),
-                    ],
-                },
-            },
-        },
+        {"space": SPACE_SCHEMA, "plan": PLAN_SCHEMA, "checks": _checks("topology")},
         ["space", "checks"],
     ),
     "funcseq": _scenario_schema(
@@ -303,35 +335,7 @@ SCHEMAS: dict[str, dict] = {
             "codomain_space": SPACE_SCHEMA,
             "funcseq": FUNCSEQ_SCHEMA,
             "sample": SAMPLE_SCHEMA,
-            "checks": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {
-                            "enum": [
-                                "pointwise",
-                                "uniform-index",
-                                "cauchy-criterion",
-                                "classical-probe",
-                                "sup-oracle",
-                                "uniform-limit",
-                            ]
-                        },
-                        "r": _NUMBER_OR_LIST,
-                        "t": _NUMBER_OR_LIST,
-                        "x": _NUMBER,
-                        "a": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "m": {"type": "integer", "minimum": 1},
-                        "n": {"type": "integer", "minimum": 1},
-                        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "p_max": {"type": "integer", "minimum": 1},
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-            },
+            "checks": _checks("funcseq"),
         },
         ["domain_space", "codomain_space", "funcseq", "checks"],
     ),
@@ -347,9 +351,13 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+
+
+def _reject_constant(token: str):
+    raise ConfigError(f"config holds {token}, which is not a JSON number")
 
 
 def validate_config(config: dict, kind: str | None = None) -> str:
@@ -365,9 +373,10 @@ def validate_config(config: dict, kind: str | None = None) -> str:
         raise ConfigError(
             f"config says scenario={config['scenario']!r} but {scenario!r} was requested"
         )
-    try:
-        jsonschema.validate(config, SCHEMAS[scenario])
-    except jsonschema.ValidationError as exc:
+    # the schemas are constants, checked against the metaschema by the tests
+    validator = jsonschema.Draft202012Validator(SCHEMAS[scenario])
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field {path}: {exc.message}") from exc
     return scenario
@@ -384,30 +393,30 @@ def schema_document() -> dict:
 
 
 def build_space(cfg: dict) -> IFNSpace:
+    f = fields_of(SPACE_FIELDS, cfg, "family")
     try:
         if cfg["family"] == "example":
-            if "tag" not in cfg:
-                raise ConfigError("example space needs a 'tag'")
-            return make_example_family(cfg["tag"])
+            return make_example_family(f["tag"])
         return make_standard_space(
-            k=cfg.get("k", 1.0),
-            norm=cfg.get("norm"),
-            dimension=cfg.get("dimension", 1),
-            ops=(cfg.get("tnorm", "minimum"), cfg.get("tconorm", "maximum")),
-            tier=cfg.get("tier", "strict"),
+            k=f["k"],
+            norm=f["norm"],
+            dimension=f["dimension"],
+            ops=(f["tnorm"], f["tconorm"]),
+            tier=f["tier"],
         )
     except IFNError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"space: {exc}") from exc
 
 
 def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
     cfg = cfg or {}
+    w = cfg.get("grid_halfwidth", 5.0)
     try:
-        n = cfg.get("grid_points_per_axis", 21)
-        w = cfg.get("grid_halfwidth", 5.0)
-        axis = np.linspace(-w, w, n)
+        # the same points as np.linspace(-w, w, n), once the width 2w is known to be finite
+        axis = Interval(-w, w).grid(cfg.get("grid_points_per_axis", 21))
+    except IFNError as exc:
+        raise ConfigError(f"plan grid_halfwidth: {exc}") from exc
+    try:
         return SamplingPlan(
             product_grid(axis, dimension, seed),
             t_grid=tuple(cfg.get("t_grid", (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0))),

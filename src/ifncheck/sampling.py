@@ -78,6 +78,8 @@ class SamplingPlan:
             raise InvalidParameter("t_infinity_ladder must be positive")
         if self.random_count < 0:
             raise InvalidParameter("random_count must be >= 0")
+        if not np.isfinite(2.0 * self.random_halfwidth):
+            raise InvalidParameter(f"random range 2 x {self.random_halfwidth} is not finite")
 
     @property
     def dimension(self) -> int:
@@ -142,8 +144,8 @@ class Interval:
     open_hi: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo >= self.hi:
-            raise InvalidParameter(f"bad interval [{self.lo}, {self.hi}]")
+        if not np.isfinite(self.hi - self.lo) or self.lo >= self.hi:
+            raise InvalidParameter(f"bad interval [{self.lo}, {self.hi}]: width not a positive real")
 
     @property
     def width(self) -> float:

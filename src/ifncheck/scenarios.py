@@ -7,6 +7,8 @@ import numpy as np
 
 from . import catalog as _catalog
 from .config_schema import (
+    CHECK_FIELDS,
+    SET_FIELDS,
     as_list,
     build_funcseq,
     build_map,
@@ -14,6 +16,7 @@ from .config_schema import (
     build_sample,
     build_sequence,
     build_space,
+    fields_of,
     validate_config,
 )
 from .continuity import (
@@ -133,36 +136,39 @@ def _run_converge(config: dict, seed: int) -> list[CheckRecord]:
         raise ConfigError(f"limit: {exc}") from exc
     records = []
     for check in config["checks"]:
-        kind = check["kind"]
-        for r in as_list(check.get("r", 0.5)):
-            for t in as_list(check.get("t", 1.0)):
+        kind, c = check["kind"], fields_of(CHECK_FIELDS["converge"], check)
+        if kind == "classical-probe":
+            # the probe runs its own fixed grid; its record keeps the name
+            # of the default demand
+            rts = [(0.5, 1.0)]
+        else:
+            rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
+        for r, t in rts:
+            if kind == "classical-probe":
+                rec = classical_equivalence_probe(space, seq, limit)
+                summary = {
+                    "ifn_converged": rec.ifn_converged,
+                    "classical_converged": rec.classical_converged,
+                    "agree": rec.agree,
+                }
+                verdict = PASS if rec.agree else FAIL
+            else:
                 if kind == "convergence":
                     cert = convergence_index(space, seq, limit, r, t)
-                    summary = cert.summary()
-                    verdict = _verdict_of(cert.status)
-                elif kind == "cauchy":
-                    cert = cauchy_index(space, seq, r, t, check.get("p_max", 100))
-                    summary = cert.summary()
-                    verdict = _verdict_of(cert.status)
                 else:
-                    rec = classical_equivalence_probe(space, seq, limit)
-                    summary = {
-                        "ifn_converged": rec.ifn_converged,
-                        "classical_converged": rec.classical_converged,
-                        "agree": rec.agree,
-                    }
-                    verdict = PASS if rec.agree else FAIL
-                records.append(
-                    CheckRecord(
-                        name=f"{kind}/r{r}-t{t}",
-                        anchor=f"membership convergence of {seq.family} sequence",
-                        verdict=verdict,
-                        details=summary,
-                        budgets={"N": seq.budget},
-                        seed=seed,
-                        work=seq.budget,
-                    )
+                    cert = cauchy_index(space, seq, r, t, c["p_max"])
+                summary, verdict = cert.summary(), _verdict_of(cert.status)
+            records.append(
+                CheckRecord(
+                    name=f"{kind}/r{r}-t{t}",
+                    anchor=f"membership convergence of {seq.family} sequence",
+                    verdict=verdict,
+                    details=summary,
+                    budgets={"N": seq.budget},
+                    seed=seed,
+                    work=seq.budget,
                 )
+            )
     return records
 
 
@@ -173,57 +179,34 @@ def _run_continuity(config: dict, seed: int) -> list[CheckRecord]:
     points = config["points"]
     records = []
     for check in config["checks"]:
-        kind = check["kind"]
-        eps = check.get("epsilon", 1.0)
-        alpha = check.get("alpha", 0.5)
-        r = check.get("r", 0.2)
-        t = check.get("t", 0.5)
-        offset = check.get("sequence_offset", 10.0)
-        budget = check.get("budget", 20_000)
+        kind, c = check["kind"], fields_of(CHECK_FIELDS["continuity"], check)
         for x0 in points:
-            name = f"{kind}/x0-{x0}"
-            anchor = f"continuity of {f.rule.describe()} at {x0}"
+            counterexamples = []
             if kind == "witness":
-                w = continuity_witness_search(f, x0, eps, alpha, seed=seed)
-                records.append(
-                    CheckRecord(
-                        name=name, anchor=anchor, verdict=_verdict_of(w.verdict),
-                        details=w.summary(),
-                        counterexamples=[w.counterexample] if w.counterexample else [],
-                        seed=seed, work=w.probes_checked,
-                    )
-                )
-            elif kind == "sequential":
-                try:
-                    s = sequential_continuity_check(
-                        f, x0, [shifted_reciprocal_sequence(x0, offset, budget=budget)], r, t
-                    )
-                except CertificationError as exc:
-                    raise ConfigError(f"precondition: {exc}") from exc
-                records.append(
-                    CheckRecord(
-                        name=name, anchor=anchor,
-                        verdict=PASS if s.continuous else FAIL,
-                        details=s.summary(), seed=seed, work=budget,
-                    )
-                )
+                w = continuity_witness_search(f, x0, c["epsilon"], c["alpha"], seed=seed)
+                verdict, details, work = _verdict_of(w.verdict), w.summary(), w.probes_checked
+                counterexamples = [w.counterexample] if w.counterexample else []
             else:
+                seqs = [shifted_reciprocal_sequence(x0, c["sequence_offset"], budget=c["budget"])]
                 try:
-                    p = equivalence_probe(
-                        f, x0, eps, alpha,
-                        [shifted_reciprocal_sequence(x0, offset, budget=budget)],
-                        r, t, seed=seed,
-                    )
+                    if kind == "sequential":
+                        s = sequential_continuity_check(f, x0, seqs, c["r"], c["t"])
+                        verdict, work = PASS if s.continuous else FAIL, c["budget"]
+                    else:
+                        s = equivalence_probe(
+                            f, x0, c["epsilon"], c["alpha"], seqs, c["r"], c["t"], seed=seed
+                        )
+                        verdict, work = PASS if s.agree else FAIL, s.witness.probes_checked + c["budget"]
                 except CertificationError as exc:
                     raise ConfigError(f"precondition: {exc}") from exc
-                records.append(
-                    CheckRecord(
-                        name=name, anchor=anchor,
-                        verdict=PASS if p.agree else FAIL,
-                        details=p.summary(), seed=seed,
-                        work=p.witness.probes_checked + budget,
-                    )
+                details = s.summary()
+            records.append(
+                CheckRecord(
+                    name=f"{kind}/x0-{x0}", anchor=f"continuity of {f.rule.describe()} at {x0}",
+                    verdict=verdict, details=details, counterexamples=counterexamples,
+                    seed=seed, work=work,
                 )
+            )
     return records
 
 
@@ -233,55 +216,42 @@ def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
     f = build_map(config["map"], U, V)
     records = []
     for check in config["checks"]:
-        kind = check["kind"]
+        kind, c = check["kind"], fields_of(CHECK_FIELDS["uniform-continuity"], check)
+        counterexamples, budgets = [], {}
         if kind == "uniform-witness":
-            u = uniform_continuity_search(
-                f, check.get("epsilon", 1.0), check.get("alpha", 0.5), seed=seed
-            )
-            records.append(
-                CheckRecord(
-                    name="uniform-witness",
-                    anchor=f"uniform continuity of {f.rule.describe()}",
-                    verdict=_verdict_of(u.verdict),
-                    details=u.summary(),
-                    counterexamples=[u.counterexample] if u.counterexample else [],
-                    seed=seed, work=u.pairs_checked,
-                )
-            )
+            u = uniform_continuity_search(f, c["epsilon"], c["alpha"], seed=seed)
+            anchor, details, work = "uniform continuity of", u.summary(), u.pairs_checked
+            counterexamples = [u.counterexample] if u.counterexample else []
         else:
-            seq = build_sequence(check.get("sequence", {"family": "reciprocal", "budget": 8000}))
             try:
-                rec = cauchy_preservation_check(
-                    f, seq,
-                    r=check.get("r", 0.5), t=check.get("t", 1.0),
-                    p_max=check.get("p_max", 100),
-                    budgets=tuple(check.get("budgets", (1000, 2000, 4000, 8000))),
+                u = cauchy_preservation_check(
+                    f, build_sequence(c["sequence"]),
+                    r=c["r"], t=c["t"], p_max=c["p_max"], budgets=tuple(c["budgets"]),
                 )
             except CertificationError as exc:
                 raise ConfigError(f"precondition: {exc}") from exc
-            records.append(
-                CheckRecord(
-                    name="cauchy-preservation",
-                    anchor=f"Cauchy preservation under {f.rule.describe()}",
-                    verdict=_verdict_of(rec.verdict),
-                    details=rec.summary(),
-                    budgets={"budgets": list(rec.budgets)},
-                    seed=seed, work=sum(rec.budgets),
-                )
+            anchor, details, work = "Cauchy preservation under", u.summary(), sum(u.budgets)
+            budgets = {"budgets": list(u.budgets)}
+        records.append(
+            CheckRecord(
+                name=kind, anchor=f"{anchor} {f.rule.describe()}", verdict=_verdict_of(u.verdict),
+                details=details, counterexamples=counterexamples, budgets=budgets,
+                seed=seed, work=work,
             )
+        )
     return records
 
 
 def _build_set(cfg: dict, space):
-    kind = cfg["kind"]
-    params = cfg.get("params", [])
+    kind, s = cfg["kind"], fields_of(SET_FIELDS, cfg)
     if kind == "norm-ball":
+        params = s["params"]
         radius = params[0] if params else 1.0
         pred = lambda pts: space.norm(pts) < radius if space.norm else np.linalg.norm(pts, axis=1) < radius
         default_members = np.linspace(-0.9, 0.9, 5).reshape(-1, 1) * radius
         desc = f"norm ball of radius {radius}"
     elif kind == "interval":
-        lo, hi = params[0], params[1]
+        lo, hi = s["params"]
         pred = lambda pts: (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
         default_members = np.array([[lo], [0.5 * (lo + hi)], [hi]])
         desc = f"closed interval [{lo}, {hi}]"
@@ -289,7 +259,7 @@ def _build_set(cfg: dict, space):
         pred = lambda pts: np.ones(len(pts), dtype=bool)
         default_members = np.zeros((1, space.dimension))
         desc = "whole space"
-    members = cfg.get("members")
+    members = s["members"]
     if members is not None:
         arr = np.asarray([as_point(m, space.dimension) for m in members])
     else:
@@ -306,13 +276,13 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     plan = build_plan(config.get("plan"), space.dimension, seed)
     records = []
     for i, check in enumerate(config["checks"]):
-        kind = check["kind"]
+        kind, c = check["kind"], fields_of(CHECK_FIELDS["topology"], check)
         plan_summary, work = None, 1
         if kind in ("ball-contains", "classical-radius", "inner-ball"):
-            b = check["ball"]
+            b = c["ball"]
             ball = OpenBall(as_point(b["center"], space.dimension), b["r"], b["t"])
         if kind == "ball-contains":
-            y = as_point(check["point"], space.dimension)
+            y = as_point(c["point"], space.dimension)
             anchor, verdict = "open ball membership (strict inequalities)", INFO
             inside = ball_contains(space, ball, y)
             details = {"ball": ball.summary(), "point": list(y), "contained": inside}
@@ -321,7 +291,7 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
             details = {"ball": ball.summary(), "rho": ball_classical_radius(space, ball)}
         elif kind == "inner-ball":
             anchor = "every open ball is an open set"
-            y = as_point(check["point"], space.dimension)
+            y = as_point(c["point"], space.dimension)
             # a returned ball passed containment on all 1000 of its sampled points
             (inner,) = inner_ball_witnesses(space, ball, [y], 1000, seed)
             if isinstance(inner, WitnessNotFound):
@@ -330,13 +300,13 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
                 verdict, work = PASS, 1000
                 details = {"outer": ball.summary(), "inner": inner.summary(), "containment": 1.0}
         elif kind == "set-open":
-            rec = set_is_open_sampled(space, _build_set(check["set"], space), plan)
+            rec = set_is_open_sampled(space, _build_set(c["set"], space), plan)
             anchor, verdict = "sampled openness of a set", PASS if rec.all_open else FAIL
             details, plan_summary, work = rec.summary(), plan.summary(), len(rec.per_point) * 200
         else:
-            b = check["ball"]
+            b = c["ball"]
             target = OpenBall(as_point(b["center"], 1), b["r"], b["t"])
-            pre = preimage_open_check(build_map(check["map"], space, space), target, plan)
+            pre = preimage_open_check(build_map(c["map"], space, space), target, plan)
             anchor = "preimages of open balls under continuous maps are open"
             verdict = PASS if pre.open_verdict else FAIL
             details, plan_summary, work = pre.summary(), plan.summary(), pre.witnesses * 200
@@ -375,12 +345,9 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
     suffix = f"-hi{seq.domain.hi}" if swept else ""
     records = []
     for check in config["checks"]:
-        kind = check["kind"]
+        kind, c = check["kind"], fields_of(CHECK_FIELDS["funcseq"], check)
         if kind == "sup-oracle":
-            # the oracle is (r, t)-independent
-            a = check.get("a", 0.5)
-            m = check.get("m", 2)
-            n = check.get("n", 4)
+            a, m, n = c["a"], c["m"], c["n"]
             sup = sup_deviation_oracle(seq, a, m, n)
             records.append(
                 CheckRecord(
@@ -396,8 +363,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                 )
             )
             continue
-        rs = as_list(check.get("r", 0.1))
-        ts = as_list(check.get("t", 0.1))
+        rs, ts = as_list(c["r"]), as_list(c["t"])
         if kind == "uniform-index":
             # one values matrix serves the grid, in the loop's r-major order
             sweep = iter(
@@ -407,7 +373,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
             for t in ts:
                 name, row = f"{kind}{suffix}/r{r}-t{t}", None
                 if kind == "pointwise":
-                    x = check.get("x", sample.points[len(sample.points) // 2])
+                    x = c["x"] if c["x"] is not None else sample.points[len(sample.points) // 2]
                     limit, cert = pointwise_limit_estimate(spaces, seq, x, r, t)
                     name = f"{kind}{suffix}/x{x}-r{r}-t{t}"
                     anchor = f"pointwise convergence of the {seq.family} sequence"
@@ -419,8 +385,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                         anchor = f"uniform convergence index of the {seq.family} sequence"
                         row = _catalog.sweep_csv_row(seq, cert)
                     else:
-                        p_max = check.get("p_max", 100)
-                        cert = uniform_cauchy_check(spaces, seq, sample, r, t, p_max)
+                        cert = uniform_cauchy_check(spaces, seq, sample, r, t, c["p_max"])
                         anchor = "uniform Cauchy tail criterion"
                     verdict, details = _verdict_of(cert.verdict), cert.summary()
                     work = seq.budget * len(cert.per_point_index)
@@ -432,7 +397,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                 else:
                     rec = uniform_limit_scenario(
                         spaces, seq, sample, r, t,
-                        check.get("epsilon", 0.5), check.get("alpha", 0.25), seed=seed,
+                        c["epsilon"], c["alpha"], seed=seed,
                     )
                     anchor = "continuity of the limit under uniform convergence"
                     verdict = PASS if rec.limit_continuous_everywhere else FAIL

@@ -5,6 +5,7 @@ import pathlib
 import tempfile
 import warnings
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,18 +217,21 @@ def _from_schema(schema, name=None):
 @st.composite
 def _objects(draw, schema):
     """An object with its required fields and a random subset of the rest;
-    the kind is drawn first, so that the `_when` clauses it selects can add
-    required fields, narrow a field or rule one out."""
+    the discriminator (`kind` or `family`) is drawn first, so that the
+    `_when` clause it selects can add required fields, narrow a field and
+    name the only fields allowed."""
     props, required = dict(schema["properties"]), set(schema.get("required", ()))
-    obj = {"kind": draw(_from_schema(props["kind"]))} if "kind" in props else {}
+    obj = {}
     for clause in schema.get("allOf", ()):
-        if clause["if"]["properties"]["kind"]["const"] == obj.get("kind"):
+        (key,) = clause["if"]["required"]
+        if key not in obj:
+            obj[key] = draw(_from_schema(props[key]))
+        if clause["if"]["properties"][key]["const"] == obj[key]:
             then = clause["then"]
             required |= set(then.get("required", ()))
-            for key, narrowed in then.get("properties", {}).items():
-                props[key] = props[key] | narrowed
-            for key in then.get("propertyNames", {}).get("not", {}).get("enum", ()):
-                del props[key]
+            for name, narrowed in then.get("properties", {}).items():
+                props[name] = props[name] | narrowed
+            props = {name: props[name] for name in then["propertyNames"]["enum"]}
     for key, sub in props.items():
         # fields that bound a run's size are always set, to keep runs small
         if key not in obj and (key in required or key in _SMALL or draw(st.integers(0, 3)) == 0):
@@ -397,11 +401,47 @@ class TestCliProcess:
                 "target ball",
             ),
             ("topology", dict(topology, checks=[{"kind": "inner-ball", "ball": ball, "point": 5.0}]), "outer ball"),
-            # a field the check kind does not read
+            # a field the check kind, space family or set kind does not read
             (
                 "converge",
                 dict(converge, checks=[{"kind": "classical-probe", "r": [0.1, 0.2, 0.3], "t": [0.1, 1.0]}]),
                 "'r'",
+            ),
+            ("converge", dict(CONVERGE_CFG, checks=[{"kind": "convergence", "p_max": 5}]), "'p_max'"),
+            (
+                "continuity",
+                dict(continuity, checks=[{"kind": "witness", "epsilon": 1.0, "alpha": 0.5, "budget": 100}]),
+                "'budget'",
+            ),
+            (
+                "uniform",
+                {
+                    "scenario": "uniform-continuity",
+                    "domain_space": {"family": "standard"},
+                    "codomain_space": {"family": "standard"},
+                    "map": {"rule": "affine", "params": [2.0, 0.0], "domain": {"lo": 0.0, "hi": 1.0}},
+                    "checks": [{"kind": "uniform-witness", "budgets": [1000, 2000]}],
+                },
+                "'budgets'",
+            ),
+            ("topology", dict(topology, checks=[{"kind": "classical-radius", "ball": ball, "point": 0.5}]), "'point'"),
+            ("funcseq", dict(funcseq, checks=[{"kind": "sup-oracle", "r": 0.1}]), "'r'"),
+            ("funcseq", dict(funcseq, domain_space={"family": "example", "tag": "example-4.x", "k": 100}), "'k'"),
+            (
+                "topology",
+                dict(topology, checks=[{"kind": "set-open", "set": {"kind": "whole", "params": [1.0]}}]),
+                "'params'",
+            ),
+            # a NaN or Infinity token, which JSON does not have (json.dumps writes them)
+            ("axioms", dict(AXIOMS_CFG, plan={"t_grid": [float("inf")]}), "Infinity"),
+            ("axioms", dict(AXIOMS_CFG, plan={"t_infinity_ladder": [float("nan"), 1000]}), "NaN"),
+            ("converge", dict(CONVERGE_CFG, sequence={"family": "constant", "params": [float("nan")]}), "NaN"),
+            # a range whose width overflows
+            ("axioms", dict(AXIOMS_CFG, plan={"grid_halfwidth": 1e308}), "grid_halfwidth"),
+            (
+                "continuity",
+                dict(continuity, map=dict(continuity["map"], domain={"lo": -1e308, "hi": 1e308})),
+                "interval",
             ),
         ]
         # a numpy warning would reach stderr ahead of the config error
@@ -615,6 +655,113 @@ class TestExampleConfigs:
             # other documented example passes outright
             if path.name != "uniform-reciprocal.json":
                 assert not report.failed(), path.name
+
+
+    def test_benchmark_configs_are_the_examples(self):
+        # the cli-cold benchmark workload runs copies of the documented examples
+        root = pathlib.Path(__file__).parent.parent
+        copies = sorted(root.glob("perfbench/configs/*.json"))
+        assert len(copies) >= 6
+        for path in copies:
+            assert path.read_bytes() == (root / "docs" / "examples" / path.name).read_bytes(), path.name
+            validate_config(json.loads(path.read_text()))
+
+    def test_schemas_are_valid_json_schemas(self):
+        # validate_config does not re-check its constant schemas on every call
+        for schema in SCHEMAS.values():
+            jsonschema.Draft202012Validator.check_schema(schema)
+
+
+class _Reads(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, fields, log):
+        super().__init__(fields)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+
+_BALL = {"center": 0.0, "r": 0.5, "t": 1.0}
+
+# one small config per scenario, together covering every check kind, space
+# family and set kind
+_READ_SET_CONFIGS = [
+    dict(
+        CONVERGE_CFG,
+        checks=[{"kind": "convergence"}, {"kind": "cauchy", "p_max": 10}, {"kind": "classical-probe"}],
+    ),
+    dict(
+        RECIPROCAL_MAP_CFG,
+        scenario="continuity",
+        points=[0.5],
+        checks=[
+            {"kind": "witness"},
+            {"kind": "sequential", "budget": 2000},
+            {"kind": "equivalence", "budget": 2000},
+        ],
+    ),
+    dict(
+        RECIPROCAL_MAP_CFG,
+        scenario="uniform-continuity",
+        checks=[
+            {"kind": "uniform-witness"},
+            {"kind": "cauchy-preservation", "sequence": {"family": "reciprocal", "budget": 200},
+             "budgets": [100, 200]},
+        ],
+    ),
+    {
+        "scenario": "topology",
+        "space": {"family": "standard"},
+        "plan": {"grid_points_per_axis": 5, "random_count": 5},
+        "checks": [
+            {"kind": "ball-contains", "ball": _BALL, "point": 0.5},
+            {"kind": "classical-radius", "ball": _BALL},
+            {"kind": "inner-ball", "ball": _BALL, "point": 0.2},
+            {"kind": "set-open", "set": {"kind": "norm-ball"}},
+            {"kind": "set-open", "set": {"kind": "interval", "params": [-1.0, 1.0]}},
+            {"kind": "set-open", "set": {"kind": "whole"}},
+            {"kind": "preimage-open", "ball": _BALL,
+             "map": {"rule": "affine", "params": [2.0, 0.0], "domain": {"lo": -2.0, "hi": 2.0}}},
+        ],
+    },
+    {
+        "scenario": "funcseq",
+        "domain_space": {"family": "example", "tag": "example-4.x"},
+        "codomain_space": {"family": "example", "tag": "example-4.x"},
+        "funcseq": {"family": "power", "domain": {"lo": 0.0, "hi": 0.5}, "budget": 200},
+        "sample": {"points": 5},
+        "checks": [
+            {"kind": "pointwise"},
+            {"kind": "uniform-index"},
+            {"kind": "cauchy-criterion", "p_max": 10},
+            {"kind": "classical-probe"},
+            {"kind": "sup-oracle"},
+            {"kind": "uniform-limit"},
+        ],
+    },
+]
+
+
+def test_readers_read_exactly_the_declared_fields(monkeypatch):
+    import ifncheck.config_schema as config_schema
+    import ifncheck.scenarios as scenarios
+    from ifncheck.config_schema import CHECK_FIELDS, SET_FIELDS, SPACE_FIELDS, fields_of
+
+    reads = {}
+
+    def recording(table, obj, key="kind"):
+        return _Reads(fields_of(table, obj, key), reads.setdefault((id(table), obj[key]), set()))
+
+    monkeypatch.setattr(scenarios, "fields_of", recording)
+    monkeypatch.setattr(config_schema, "fields_of", recording)
+    for cfg in _READ_SET_CONFIGS:
+        run_scenario(cfg)
+    for table in [*CHECK_FIELDS.values(), SPACE_FIELDS, SET_FIELDS]:
+        for value, fields in table.items():
+            assert reads.get((id(table), value)) == set(fields), value
 
 
 class TestCatalogSerialization:

@@ -380,3 +380,30 @@ class TestClassicalProbe:
         seq = FunctionSequence("quotient", Interval(0.0, 10.0))
         rec = classical_uniform_probe(spaces, seq, sample_domain(seq.domain, 9))
         assert rec.agree and rec.classical_uniform
+
+
+_SMALL_SWEEP_SEQUENCES = {
+    "power": FunctionSequence("power", Interval(0.0, 0.9), budget=400),
+    "quotient": FunctionSequence("quotient", Interval(0.0, 10.0), budget=400),
+    "scaled": FunctionSequence("scaled", Interval(0.0, 1.0), budget=400),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(_SMALL_SWEEP_SEQUENCES)),
+    rs=st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=2, max_size=5),
+    t=st.floats(min_value=1e-3, max_value=100.0),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_sweep_indices_do_not_grow_with_r(family, rs, t):
+    # mu > 1 - r and nu < r only loosen as r grows, and 1 - r rounds
+    # monotonically, so this holds exactly in floats
+    sp = make_example_family("example-4.x")
+    seq = _SMALL_SWEEP_SEQUENCES[family]
+    sample = sample_domain(seq.domain, 9)
+    certs = uniform_index_sweep((sp, sp), seq, sample, [(r, t) for r in sorted(rs)])
+    never = seq.budget + 1
+    for tight, loose in zip(certs, certs[1:]):
+        for (x, n_tight), (y, n_loose) in zip(tight.per_point_index, loose.per_point_index):
+            assert x == y
+            assert (never if n_loose is None else n_loose) <= (never if n_tight is None else n_tight)
