@@ -220,7 +220,7 @@ def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
         counterexamples, budgets = [], {}
         if kind == "uniform-witness":
             u = uniform_continuity_search(f, c["epsilon"], c["alpha"], seed=seed)
-            anchor, details, work = "uniform continuity of", u.summary(), u.pairs_checked
+            anchor, work = "uniform continuity of", u.pairs_checked
             counterexamples = [u.counterexample] if u.counterexample else []
         else:
             try:
@@ -230,12 +230,12 @@ def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
                 )
             except CertificationError as exc:
                 raise ConfigError(f"precondition: {exc}") from exc
-            anchor, details, work = "Cauchy preservation under", u.summary(), sum(u.budgets)
+            anchor, work = "Cauchy preservation under", sum(u.budgets)
             budgets = {"budgets": list(u.budgets)}
         records.append(
             CheckRecord(
                 name=kind, anchor=f"{anchor} {f.rule.describe()}", verdict=_verdict_of(u.verdict),
-                details=details, counterexamples=counterexamples, budgets=budgets,
+                details=u.summary(), counterexamples=counterexamples, budgets=budgets,
                 seed=seed, work=work,
             )
         )
@@ -245,8 +245,7 @@ def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
 def _build_set(cfg: dict, space):
     kind, s = cfg["kind"], fields_of(SET_FIELDS, cfg)
     if kind == "norm-ball":
-        params = s["params"]
-        radius = params[0] if params else 1.0
+        radius = s["params"][0] if s["params"] else 1.0
         pred = lambda pts: space.norm(pts) < radius if space.norm else np.linalg.norm(pts, axis=1) < radius
         default_members = np.linspace(-0.9, 0.9, 5).reshape(-1, 1) * radius
         desc = f"norm ball of radius {radius}"
