@@ -8,15 +8,15 @@ seed argument.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
+from .config_schema import CHECK_FIELDS, fields_of
 from .continuity import (
-    cauchy_preservation_check,
     combine,
     continuity_witness_search,
-    equivalence_probe,
     make_map,
     recheck_witness,
     rule,
@@ -25,17 +25,15 @@ from .continuity import (
 from .errors import UnknownTag, WitnessNotFound
 from .function_sequences import (
     _ORACLE_GRID,
+    VERDICT_NOT_UNIFORM,
+    VERDICT_UNIFORM,
     FunctionSequence,
-    UniformCertificate,
     classical_uniform_probe,
     closed_form_index_power,
-    pointwise_limit_estimate,
     sample_domain,
     sup_deviation_oracle,
-    uniform_cauchy_check,
     uniform_index_search,
     uniform_index_sweep,
-    uniform_limit_scenario,
 )
 from .ifn_core import (
     IFNSpace,
@@ -52,12 +50,20 @@ from .point_convergence import (
 )
 from .report import FAIL, INFO, PASS, CheckRecord
 from .sampling import Interval, default_plan
-from .topology import (
-    OpenBall,
-    ball_classical_radius,
-    inner_ball_witnesses,
-    preimage_open_check,
+from .scenarios import (
+    cauchy_criterion_record,
+    cauchy_preservation_record,
+    equivalence_record,
+    pass_if,
+    pointwise_record,
+    preimage_open_record,
+    sweep_csv_row,
+    uniform_index_records,
+    uniform_limit_record,
+    uniform_witness_record,
+    witness_record,
 )
+from .topology import OpenBall, ball_classical_radius, inner_ball_witnesses
 
 # ---------------------------------------------------------------------------
 # Deliberately broken spaces, one per axiom group
@@ -143,8 +149,33 @@ def catalog_function_sequences() -> dict[str, tuple[FunctionSequence, str | None
 # ---------------------------------------------------------------------------
 
 
-def _verdict(ok: bool) -> str:
-    return PASS if ok else FAIL
+def _fields(kind: str, **fields) -> dict:
+    """The fields of a config check of `kind`: `fields`, and the defaults
+    of its `CHECK_FIELDS` entry for the rest."""
+    (table,) = [table for table in CHECK_FIELDS.values() if kind in table]
+    return fields_of(table, {"kind": kind, **fields})
+
+
+def _as_expected(rec: CheckRecord, verdict: str = PASS, **details) -> bool:
+    return rec.verdict == verdict and all(rec.details[k] == v for k, v in details.items())
+
+
+def _expect(rec: CheckRecord, name: str, anchor: str, verdict=PASS, **details) -> CheckRecord:
+    """A check kind's record under a catalog name and anchor: it passes
+    only if its verdict is `verdict` and each named detail has the given
+    value."""
+    ok = _as_expected(rec, verdict, **details)
+    return replace(rec, name=name, anchor=anchor, verdict=pass_if(ok))
+
+
+def _combine(name: str, anchor: str, ok: bool, seed: int, **parts: CheckRecord) -> CheckRecord:
+    """One record of several check kinds' records: details per part, and
+    the sum of their work."""
+    return CheckRecord(
+        name=name, anchor=anchor, verdict=pass_if(ok),
+        details={part: rec.details for part, rec in parts.items()},
+        seed=seed, work=sum(rec.work for rec in parts.values()),
+    )
 
 
 def _run_note_3_3(seed: int) -> list[CheckRecord]:
@@ -162,7 +193,7 @@ def _run_note_3_3(seed: int) -> list[CheckRecord]:
                 CheckRecord(
                     name=f"axioms/standard-k{k}-d{d}",
                     anchor=anchor,
-                    verdict=_verdict(rep.passed),
+                    verdict=pass_if(rep.passed),
                     details={"violated": list(rep.violated())},
                     budgets={"grid": plan.vector_grid.shape[0]},
                     plan=plan.summary(),
@@ -180,7 +211,7 @@ def _run_note_3_3(seed: int) -> list[CheckRecord]:
             CheckRecord(
                 name=f"classical-equivalence/{name}",
                 anchor=anchor,
-                verdict=_verdict(rec.agree),
+                verdict=pass_if(rec.agree),
                 details={
                     "ifn_converged": rec.ifn_converged,
                     "classical_converged": rec.classical_converged,
@@ -203,84 +234,31 @@ def _example_315_map():
 def _run_example_3_15(seed: int) -> list[CheckRecord]:
     anchor = "f(x) = 1/x on (0,1): intuitionistic fuzzy continuous, not uniformly so"
     f = _example_315_map()
-    records = []
-    for x0 in (0.1, 0.25, 0.5, 0.9):
-        w = continuity_witness_search(f, x0, epsilon=1.0, alpha=0.5, seed=seed)
-        records.append(
-            CheckRecord(
-                name=f"continuity/reciprocal-at-{x0}",
-                anchor=anchor,
-                verdict=_verdict(w.witnessed and recheck_witness(f, w, seed=seed)),
-                details=w.summary(),
-                witnesses=[{"delta": w.delta, "beta": w.beta}] if w.witnessed else [],
-                seed=seed,
-                work=w.probes_checked,
-            )
-        )
-    u = uniform_continuity_search(f, epsilon=1.0, alpha=0.5, seed=seed)
-    records.append(
-        CheckRecord(
-            name="uniform-continuity/reciprocal",
-            anchor=anchor,
-            verdict=_verdict(u.verdict == "refuted"),
-            details=u.summary(),
-            counterexamples=[u.counterexample] if u.counterexample else [],
-            seed=seed,
-            work=u.pairs_checked,
-        )
-    )
-    rec = cauchy_preservation_check(f, reciprocal_sequence(budget=8000), r=0.5, t=1.0)
-    records.append(
-        CheckRecord(
-            name="cauchy-preservation/reciprocal",
-            anchor=anchor,
-            verdict=_verdict(rec.verdict == "refutes-uniform-continuity"),
-            details=rec.summary(),
-            budgets={"budgets": list(rec.budgets)},
-            seed=seed,
-            work=sum(rec.budgets) * 100,
-        )
-    )
-    return records
+    records = [
+        _expect(witness_record(f, x0, _fields("witness"), seed),
+                f"continuity/reciprocal-at-{x0}", anchor)
+        for x0 in (0.1, 0.25, 0.5, 0.9)
+    ]
+    u = uniform_witness_record(f, _fields("uniform-witness"), seed)
+    c = cauchy_preservation_record(f, _fields("cauchy-preservation"), seed)
+    return records + [
+        _expect(u, "uniform-continuity/reciprocal", anchor, FAIL),
+        _expect(c, "cauchy-preservation/reciprocal", anchor, FAIL),
+    ]
 
 
 def _run_theorem_2_10(seed: int) -> list[CheckRecord]:
     anchor = "continuity and sequential continuity are equivalent"
-    records = []
     f = _example_315_map()
-    for x0 in (0.25, 0.5):
-        probe = equivalence_probe(
-            f, x0, epsilon=1.0, alpha=0.5,
-            sequences=[shifted_reciprocal_sequence(x0, 10.0, budget=20000)],
-            r=0.2, t=0.5, seed=seed,
-        )
-        records.append(
-            CheckRecord(
-                name=f"equivalence/reciprocal-at-{x0}",
-                anchor=anchor,
-                verdict=_verdict(probe.agree and not probe.disagreement_is_bug),
-                details=probe.summary(),
-                seed=seed,
-                work=probe.witness.probes_checked,
-            )
-        )
     U = make_standard_space(1.0)
     idm = make_map(U, U, rule("identity"), Interval(-1.0, 1.0))
-    probe = equivalence_probe(
-        idm, 0.0, 1.0, 0.5, [shifted_reciprocal_sequence(0.0, 5.0, budget=20000)],
-        r=0.2, t=0.5, seed=seed,
-    )
-    records.append(
-        CheckRecord(
-            name="equivalence/identity",
-            anchor=anchor,
-            verdict=_verdict(probe.agree),
-            details=probe.summary(),
-            seed=seed,
-            work=probe.witness.probes_checked,
-        )
-    )
-    return records
+    cases = ((f, 0.25, "reciprocal-at-0.25", 10.0), (f, 0.5, "reciprocal-at-0.5", 10.0),
+             (idm, 0.0, "identity", 5.0))
+    return [
+        _expect(equivalence_record(g, x0, _fields("equivalence", sequence_offset=offset), seed),
+                f"equivalence/{name}", anchor)
+        for g, x0, name, offset in cases
+    ]
 
 
 def closure_pair():
@@ -315,7 +293,7 @@ def _run_closure(seed: int) -> list[CheckRecord]:
             CheckRecord(
                 name=f"closure/{name}",
                 anchor=anchor,
-                verdict=_verdict(ok),
+                verdict=pass_if(ok),
                 details={
                     "rule": h.rule.describe(),
                     "witnessed_at": [w.x0 for w in ws if w.witnessed],
@@ -364,7 +342,7 @@ def _run_theorem_3_7(seed: int) -> list[CheckRecord]:
             CheckRecord(
                 name=f"inner-ball/ball-{i}",
                 anchor=anchor,
-                verdict=_verdict(failures == 0),
+                verdict=pass_if(failures == 0),
                 details={"ball": ball.summary(), "members": _MEMBERS_PER_BALL, "failures": failures},
                 budgets={"verify_points": _VERIFY_POINTS},
                 seed=seed,
@@ -378,57 +356,32 @@ def _run_theorem_3_11(seed: int) -> list[CheckRecord]:
     anchor = "a map is continuous iff preimages of open sets are open"
     U = make_standard_space(1.0)
     plan = default_plan(1, seed)
-    target = OpenBall(np.array([0.0]), 0.5, 1.0)
+    ball = {"center": 0.0, "r": 0.5, "t": 1.0}
+    wide = {"lo": -2.0, "hi": 2.0}
     cases = {
-        "identity": make_map(U, U, rule("identity"), Interval(-2.0, 2.0)),
-        "doubling": make_map(U, U, rule("affine", 2.0, 0.0), Interval(-2.0, 2.0)),
+        "identity": ({"rule": "identity", "domain": wide}, ball, PASS),
+        "doubling": ({"rule": "affine", "params": [2.0, 0.0], "domain": wide}, ball, PASS),
+        "step-boundary": (
+            {"rule": "step", "params": [0.0], "domain": {"lo": -1.0, "hi": 1.0}},
+            {"center": 1.0, "r": 0.3, "t": 0.5},
+            FAIL,
+        ),
     }
-    records = []
-    for name, f in cases.items():
-        pre = preimage_open_check(f, target, plan)
-        records.append(
-            CheckRecord(
-                name=f"preimage-open/{name}",
-                anchor=anchor,
-                verdict=_verdict(pre.open_verdict),
-                details=pre.summary(),
-                plan=plan.summary(),
-                seed=seed,
-                work=pre.witnesses * 200,
-            )
-        )
-    step = make_map(U, U, rule("step", 0.0), Interval(-1.0, 1.0))
-    pre = preimage_open_check(step, OpenBall(np.array([1.0]), 0.3, 0.5), plan)
-    records.append(
-        CheckRecord(
-            name="preimage-open/step-boundary",
-            anchor=anchor,
-            verdict=_verdict(not pre.open_verdict),
-            details=pre.summary(),
-            plan=plan.summary(),
-            seed=seed,
-            work=pre.witnesses * 200,
-        )
-    )
-    return records
+    return [
+        _expect(preimage_open_record(U, plan, _fields("preimage-open", map=m, ball=b), seed),
+                f"preimage-open/{name}", anchor, verdict)
+        for name, (m, b, verdict) in cases.items()
+    ]
 
 
 def _run_theorem_3_13(seed: int) -> list[CheckRecord]:
     anchor = "a uniformly continuous map sends Cauchy sequences to Cauchy sequences"
     U = make_standard_space(1.0)
     f = make_map(U, U, rule("affine", 2.0, 0.0), Interval(0.0, 1.0, open_lo=True, open_hi=True))
-    u = uniform_continuity_search(f, 1.0, 0.5, seed=seed)
-    rec = cauchy_preservation_check(f, reciprocal_sequence(budget=8000), r=0.5, t=1.0)
-    return [
-        CheckRecord(
-            name="cauchy-preservation/doubling",
-            anchor=anchor,
-            verdict=_verdict(u.witnessed and rec.verdict == "preserved"),
-            details={"uniform": u.summary(), "preservation": rec.summary()},
-            seed=seed,
-            work=u.pairs_checked + 8000 * 100,
-        )
-    ]
+    u = uniform_witness_record(f, _fields("uniform-witness"), seed)
+    c = cauchy_preservation_record(f, _fields("cauchy-preservation"), seed)
+    ok = _as_expected(u) and _as_expected(c)
+    return [_combine("cauchy-preservation/doubling", anchor, ok, seed, uniform=u, preservation=c)]
 
 
 def _run_theorem_3_14(seed: int) -> list[CheckRecord]:
@@ -448,25 +401,17 @@ def _run_theorem_3_14(seed: int) -> list[CheckRecord]:
         CheckRecord(
             name="containment/doubling",
             anchor=anchor,
-            verdict=_verdict(contained),
+            verdict=pass_if(contained),
             details={"uniform": u.summary()},
             seed=seed,
             work=u.pairs_checked,
         )
     )
     g = _example_315_map()
-    w = continuity_witness_search(g, 0.5, 1.0, 0.5, seed=seed)
-    ug = uniform_continuity_search(g, 1.0, 0.5, seed=seed)
-    records.append(
-        CheckRecord(
-            name="converse/reciprocal",
-            anchor=anchor,
-            verdict=_verdict(w.witnessed and ug.verdict == "refuted"),
-            details={"pointwise": w.summary(), "uniform": ug.summary()},
-            seed=seed,
-            work=w.probes_checked + ug.pairs_checked,
-        )
-    )
+    w = witness_record(g, 0.5, _fields("witness"), seed)
+    ug = uniform_witness_record(g, _fields("uniform-witness"), seed)
+    ok = _as_expected(w) and _as_expected(ug, FAIL)
+    records.append(_combine("converse/reciprocal", anchor, ok, seed, pointwise=w, uniform=ug))
     return records
 
 
@@ -481,20 +426,15 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
         "uniformly convergent on [0,a], not uniformly on (0,1)"
     )
     spaces = _funcseq_spaces()
-    records = []
     open_unit = FunctionSequence("power", Interval(0.0, 1.0, open_lo=True, open_hi=True))
-    for x in (0.25, 0.5, 0.75):
-        limit, cert = pointwise_limit_estimate(spaces, open_unit, x, 0.1, 0.1)
-        records.append(
-            CheckRecord(
-                name=f"pointwise/power-at-{x}",
-                anchor=anchor,
-                verdict=_verdict(limit == 0.0 and cert.certified),
-                details={"limit": limit, "certificate": cert.summary()},
-                seed=seed,
-                work=cert.budget_n,
-            )
+    refined = sample_domain(open_unit.domain, 17, refine_side="hi", refine_depth=10)
+    records = [
+        _expect(
+            pointwise_record(spaces, open_unit, refined, 0.1, 0.1, _fields("pointwise", x=x), seed),
+            f"pointwise/power-at-{x}", anchor, limit=0.0,
         )
+        for x in (0.25, 0.5, 0.75)
+    ]
     half = FunctionSequence("power", Interval(0.0, 0.5))
     # index sweep table over (r, t); its first pair is the uniform-index record's
     rts = [(round(0.1 * i, 1), t) for i in range(1, 10) for t in (0.1, 1.0, 10.0)]
@@ -504,20 +444,19 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
         CheckRecord(
             name="uniform-index/power-closed-half",
             anchor=anchor,
-            verdict=_verdict(cert.uniform and cert.n0 == 7),
+            verdict=pass_if(cert.uniform and cert.n0 == 7),
             details=cert.summary()
             | {"per_point_index": [[x, i] for x, i in cert.per_point_index]},
             seed=seed,
             work=cert.budget * len(cert.per_point_index),
         )
     )
-    refined = sample_domain(open_unit.domain, 17, refine_side="hi", refine_depth=10)
     cert_open = uniform_index_search(spaces, open_unit, refined, 0.1, 0.1)
     records.append(
         CheckRecord(
             name="uniform-index/power-open-unit",
             anchor=anchor,
-            verdict=_verdict(cert_open.verdict == "not-uniform-on-sample"),
+            verdict=pass_if(cert_open.verdict == "not-uniform-on-sample"),
             details=cert_open.summary()
             | {"per_point_index": [[x, i] for x, i in cert_open.per_point_index]},
             witnesses=[{"ladder_indices": list(cert_open.ladder_indices)}],
@@ -540,47 +479,20 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
     return records
 
 
-def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate) -> dict:
-    """The CSV row of one (r, t) point of a uniform index sweep; the paper's
-    closed-form index applies to the power family on [lo, hi] with hi < 1."""
-    hi = seq.domain.hi
-    closed_form = seq.family == "power" and 0 < hi < 1
-    return {
-        "family": seq.family,
-        "domain_lo": seq.domain.lo,
-        "domain_hi": hi,
-        "r": cert.r,
-        "t": cert.t,
-        "n0": cert.n0,
-        "verdict": cert.verdict,
-        "paper_k": closed_form_index_power(hi, cert.r, cert.t) if closed_form else None,
-    }
-
-
 def _run_example_4_quotient(seed: int) -> list[CheckRecord]:
     anchor = "g_n(x) = n/(x+n) converges to 1 pointwise and uniformly on [0, 10]"
     spaces = _funcseq_spaces()
     seq = FunctionSequence("quotient", Interval(0.0, 10.0))
     sample = sample_domain(seq.domain, 11)
-    records = []
-    limit, cert = pointwise_limit_estimate(spaces, seq, 1.0, 0.1, 0.5)
-    records.append(
-        CheckRecord(
-            name="pointwise/quotient-at-1",
-            anchor=anchor,
-            verdict=_verdict(limit == 1.0 and cert.certified),
-            details={"limit": limit, "certificate": cert.summary()},
-            seed=seed,
-            work=cert.budget_n,
-        )
-    )
+    pointwise = pointwise_record(spaces, seq, sample, 0.1, 0.5, _fields("pointwise", x=1.0), seed)
+    records = [_expect(pointwise, "pointwise/quotient-at-1", anchor, limit=1.0)]
     probe = classical_uniform_probe(spaces, seq, sample, 0.1, 0.1)
     ucert = probe.ifn_certificate
     records.append(
         CheckRecord(
             name="uniform-index/quotient",
             anchor=anchor,
-            verdict=_verdict(ucert.uniform and probe.agree),
+            verdict=pass_if(ucert.uniform and probe.agree),
             details={"certificate": ucert.summary(), "classical": probe.summary()},
             seed=seed,
             work=ucert.budget * len(ucert.per_point_index),
@@ -598,20 +510,15 @@ def _run_cauchy_criterion(seed: int) -> list[CheckRecord]:
     records = []
     for name, (seq, refine) in catalog_function_sequences().items():
         sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-        direct = uniform_index_search(spaces, seq, sample, 0.1, 0.1)
-        criterion = uniform_cauchy_check(spaces, seq, sample, 0.1, 0.1)
+        (direct,) = uniform_index_records(spaces, seq, sample, [(0.1, 0.1)], seed)
+        criterion = cauchy_criterion_record(
+            spaces, seq, sample, 0.1, 0.1, _fields("cauchy-criterion"), seed
+        )
         agree = direct.verdict == criterion.verdict
         records.append(
-            CheckRecord(
-                name=f"criterion-agreement/{name}",
-                anchor=anchor,
-                verdict=_verdict(agree),
-                details={
-                    "direct": direct.summary(),
-                    "criterion": criterion.summary(),
-                },
-                seed=seed,
-                work=seq.budget * len(direct.per_point_index) * 2,
+            _combine(
+                f"criterion-agreement/{name}", anchor, agree, seed,
+                direct=direct, criterion=criterion,
             )
         )
     return records
@@ -634,7 +541,7 @@ def _run_example_4_verification(seed: int) -> list[CheckRecord]:
         CheckRecord(
             name="sup-deviation/power",
             anchor=anchor,
-            verdict=_verdict(abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= a ** m),
+            verdict=pass_if(abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= a ** m),
             details={
                 "sup": sup,
                 "analytic_bound": a ** m,
@@ -655,48 +562,22 @@ def _run_uniform_limit(seed: int) -> list[CheckRecord]:
         "limit; the converse fails"
     )
     spaces = _funcseq_spaces()
-    records = []
     half = FunctionSequence("power", Interval(0.0, 0.5))
-    rec = uniform_limit_scenario(
-        spaces, half, sample_domain(half.domain, 9), 0.1, 0.1, 0.5, 0.25, seed=seed
-    )
-    records.append(
-        CheckRecord(
-            name="uniform-limit/power-closed-half",
-            anchor=anchor,
-            verdict=_verdict(
-                rec.certificate.uniform and rec.limit_continuous_everywhere
-            ),
-            details=rec.summary(),
-            seed=seed,
-            work=rec.certificate.budget,
-        )
-    )
     open_unit = FunctionSequence("power", Interval(0.0, 1.0, open_lo=True, open_hi=True))
-    rec = uniform_limit_scenario(
-        spaces,
-        open_unit,
-        sample_domain(open_unit.domain, 9, refine_side="hi", refine_depth=10),
-        0.1,
-        0.1,
-        0.5,
-        0.25,
-        seed=seed,
+    cases = (
+        ("power-closed-half", half, sample_domain(half.domain, 9), VERDICT_UNIFORM),
+        (
+            "power-open-unit-converse",
+            open_unit,
+            sample_domain(open_unit.domain, 9, refine_side="hi", refine_depth=10),
+            VERDICT_NOT_UNIFORM,
+        ),
     )
-    records.append(
-        CheckRecord(
-            name="uniform-limit/power-open-unit-converse",
-            anchor=anchor,
-            verdict=_verdict(
-                rec.certificate.verdict == "not-uniform-on-sample"
-                and rec.limit_continuous_everywhere
-            ),
-            details=rec.summary(),
-            seed=seed,
-            work=rec.certificate.budget,
-        )
-    )
-    return records
+    return [
+        _expect(uniform_limit_record(spaces, seq, sample, 0.1, 0.1, _fields("uniform-limit"), seed),
+                f"uniform-limit/{name}", anchor, uniform_verdict=uniform)
+        for name, seq, sample, uniform in cases
+    ]
 
 
 def _run_mutation_detection(seed: int) -> list[CheckRecord]:
@@ -714,7 +595,7 @@ def _run_mutation_detection(seed: int) -> list[CheckRecord]:
             CheckRecord(
                 name=f"mutation/{target}",
                 anchor=anchor,
-                verdict=_verdict(flagged),
+                verdict=pass_if(flagged),
                 details={"description": description, "violated": list(rep.violated())},
                 witnesses=[witness] if witness else [],
                 plan=plan.summary(),

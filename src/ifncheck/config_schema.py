@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
-
 from .continuity import MapBetweenSpaces, MapRule, make_map
 from .errors import ConfigError, IFNError
 from .function_sequences import DomainSample, FunctionSequence, sample_domain
@@ -373,6 +371,9 @@ def validate_config(config: dict, kind: str | None = None) -> str:
         raise ConfigError(
             f"config says scenario={config['scenario']!r} but {scenario!r} was requested"
         )
+    # imported here, so that the catalog and list-catalog never load it
+    import jsonschema
+
     # the schemas are constants, checked against the metaschema by the tests
     validator = jsonschema.Draft202012Validator(SCHEMAS[scenario])
     exc = jsonschema.exceptions.best_match(validator.iter_errors(config))

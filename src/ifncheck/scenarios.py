@@ -1,11 +1,18 @@
 """Scenario dispatch: a validated configuration in, a verification report
-out.  Exit-status semantics live in the CLI; this module only computes."""
+out.  Exit-status semantics live in the CLI; this module only computes.
+
+The check kinds the catalog shares each have one record function here: it
+takes built objects (a function-sequence kind also one (r, t) demand) and
+the kind's fields, `fields_of` its `CHECK_FIELDS` entry, and returns the
+kind's `CheckRecord`, so the runners and the catalog build it the same way.
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from . import catalog as _catalog
 from .config_schema import (
     CHECK_FIELDS,
     SET_FIELDS,
@@ -23,6 +30,7 @@ from .continuity import (
     cauchy_preservation_check,
     continuity_witness_search,
     equivalence_probe,
+    recheck_witness,
     sequential_continuity_check,
     uniform_continuity_search,
 )
@@ -38,7 +46,10 @@ from .errors import (
 )
 from .function_sequences import (
     _ORACLE_GRID,
+    FunctionSequence,
+    UniformCertificate,
     classical_uniform_probe,
+    closed_form_index_power,
     pointwise_limit_estimate,
     sup_deviation_oracle,
     uniform_cauchy_check,
@@ -81,6 +92,10 @@ def _verdict_of(status: str) -> str:
     return _STATUS_VERDICT.get(status, INCONCLUSIVE)
 
 
+def pass_if(ok: bool) -> str:
+    return PASS if ok else FAIL
+
+
 def run_scenario(config: dict, kind: str | None = None, seed: int | None = None) -> VerificationReport:
     """Validate and execute one scenario configuration.
 
@@ -95,6 +110,9 @@ def run_scenario(config: dict, kind: str | None = None, seed: int | None = None)
     except DomainError as exc:
         # a point, parameter or map image outside its domain comes from the config
         raise ConfigError(str(exc)) from exc
+    except CertificationError as exc:
+        # an input sequence that fails a check's precondition comes from the config
+        raise ConfigError(f"precondition: {exc}") from exc
     return VerificationReport(scenario, config, resolved_seed, tuple(records))
 
 
@@ -172,74 +190,96 @@ def _run_converge(config: dict, seed: int) -> list[CheckRecord]:
     return records
 
 
+def _at(kind, f, x0, verdict, details, seed, work, counterexamples=()) -> CheckRecord:
+    return CheckRecord(
+        name=f"{kind}/x0-{x0}", anchor=f"continuity of {f.rule.describe()} at {x0}",
+        verdict=verdict, details=details, counterexamples=list(counterexamples),
+        seed=seed, work=work,
+    )
+
+
+def witness_record(f, x0, c: dict, seed: int) -> CheckRecord:
+    """A found witness passes only if it also holds on a fresh, denser
+    sample; one that does not is inconclusive."""
+    w = continuity_witness_search(f, x0, c["epsilon"], c["alpha"], seed=seed)
+    verdict = _verdict_of(w.verdict)
+    if w.witnessed and not recheck_witness(f, w, seed=seed):
+        verdict = INCONCLUSIVE
+    counterexamples = [w.counterexample] if w.counterexample else []
+    return _at("witness", f, x0, verdict, w.summary(), seed, w.probes_checked, counterexamples)
+
+
+def _approach(x0, c: dict) -> list:
+    return [shifted_reciprocal_sequence(x0, c["sequence_offset"], budget=c["budget"])]
+
+
+def sequential_record(f, x0, c: dict, seed: int) -> CheckRecord:
+    s = sequential_continuity_check(f, x0, _approach(x0, c), c["r"], c["t"])
+    return _at("sequential", f, x0, pass_if(s.continuous), s.summary(), seed, c["budget"])
+
+
+def equivalence_record(f, x0, c: dict, seed: int) -> CheckRecord:
+    s = equivalence_probe(
+        f, x0, c["epsilon"], c["alpha"], _approach(x0, c), c["r"], c["t"], seed=seed
+    )
+    work = s.witness.probes_checked + c["budget"]
+    return _at("equivalence", f, x0, pass_if(s.agree), s.summary(), seed, work)
+
+
+_CONTINUITY_KINDS = {
+    "witness": witness_record,
+    "sequential": sequential_record,
+    "equivalence": equivalence_record,
+}
+
+
 def _run_continuity(config: dict, seed: int) -> list[CheckRecord]:
     U = build_space(config["domain_space"])
     V = build_space(config["codomain_space"])
     f = build_map(config["map"], U, V)
-    points = config["points"]
-    records = []
-    for check in config["checks"]:
-        kind, c = check["kind"], fields_of(CHECK_FIELDS["continuity"], check)
-        for x0 in points:
-            counterexamples = []
-            if kind == "witness":
-                w = continuity_witness_search(f, x0, c["epsilon"], c["alpha"], seed=seed)
-                verdict, details, work = _verdict_of(w.verdict), w.summary(), w.probes_checked
-                counterexamples = [w.counterexample] if w.counterexample else []
-            else:
-                seqs = [shifted_reciprocal_sequence(x0, c["sequence_offset"], budget=c["budget"])]
-                try:
-                    if kind == "sequential":
-                        s = sequential_continuity_check(f, x0, seqs, c["r"], c["t"])
-                        verdict, work = PASS if s.continuous else FAIL, c["budget"]
-                    else:
-                        s = equivalence_probe(
-                            f, x0, c["epsilon"], c["alpha"], seqs, c["r"], c["t"], seed=seed
-                        )
-                        verdict, work = PASS if s.agree else FAIL, s.witness.probes_checked + c["budget"]
-                except CertificationError as exc:
-                    raise ConfigError(f"precondition: {exc}") from exc
-                details = s.summary()
-            records.append(
-                CheckRecord(
-                    name=f"{kind}/x0-{x0}", anchor=f"continuity of {f.rule.describe()} at {x0}",
-                    verdict=verdict, details=details, counterexamples=counterexamples,
-                    seed=seed, work=work,
-                )
-            )
-    return records
+    return [
+        _CONTINUITY_KINDS[check["kind"]](f, x0, fields_of(CHECK_FIELDS["continuity"], check), seed)
+        for check in config["checks"]
+        for x0 in config["points"]
+    ]
+
+
+def uniform_witness_record(f, c: dict, seed: int) -> CheckRecord:
+    u = uniform_continuity_search(f, c["epsilon"], c["alpha"], seed=seed)
+    return CheckRecord(
+        name="uniform-witness", anchor=f"uniform continuity of {f.rule.describe()}",
+        verdict=_verdict_of(u.verdict), details=u.summary(),
+        counterexamples=[u.counterexample] if u.counterexample else [],
+        seed=seed, work=u.pairs_checked,
+    )
+
+
+def cauchy_preservation_record(f, c: dict, seed: int) -> CheckRecord:
+    u = cauchy_preservation_check(
+        f, build_sequence(c["sequence"]),
+        r=c["r"], t=c["t"], p_max=c["p_max"], budgets=tuple(c["budgets"]),
+    )
+    return CheckRecord(
+        name="cauchy-preservation", anchor=f"Cauchy preservation under {f.rule.describe()}",
+        verdict=_verdict_of(u.verdict), details=u.summary(),
+        budgets={"budgets": list(u.budgets)}, seed=seed, work=sum(u.budgets),
+    )
+
+
+_UNIFORM_KINDS = {
+    "uniform-witness": uniform_witness_record,
+    "cauchy-preservation": cauchy_preservation_record,
+}
 
 
 def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
     U = build_space(config["domain_space"])
     V = build_space(config["codomain_space"])
     f = build_map(config["map"], U, V)
-    records = []
-    for check in config["checks"]:
-        kind, c = check["kind"], fields_of(CHECK_FIELDS["uniform-continuity"], check)
-        counterexamples, budgets = [], {}
-        if kind == "uniform-witness":
-            u = uniform_continuity_search(f, c["epsilon"], c["alpha"], seed=seed)
-            anchor, work = "uniform continuity of", u.pairs_checked
-            counterexamples = [u.counterexample] if u.counterexample else []
-        else:
-            try:
-                u = cauchy_preservation_check(
-                    f, build_sequence(c["sequence"]),
-                    r=c["r"], t=c["t"], p_max=c["p_max"], budgets=tuple(c["budgets"]),
-                )
-            except CertificationError as exc:
-                raise ConfigError(f"precondition: {exc}") from exc
-            anchor, work = "Cauchy preservation under", sum(u.budgets)
-            budgets = {"budgets": list(u.budgets)}
-        records.append(
-            CheckRecord(
-                name=kind, anchor=f"{anchor} {f.rule.describe()}", verdict=_verdict_of(u.verdict),
-                details=u.summary(), counterexamples=counterexamples, budgets=budgets,
-                seed=seed, work=work,
-            )
-        )
-    return records
+    return [
+        _UNIFORM_KINDS[check["kind"]](f, fields_of(CHECK_FIELDS["uniform-continuity"], check), seed)
+        for check in config["checks"]
+    ]
 
 
 def _build_set(cfg: dict, space):
@@ -247,27 +287,40 @@ def _build_set(cfg: dict, space):
     if kind == "norm-ball":
         radius = s["params"][0] if s["params"] else 1.0
         pred = lambda pts: space.norm(pts) < radius if space.norm else np.linalg.norm(pts, axis=1) < radius
-        default_members = np.linspace(-0.9, 0.9, 5).reshape(-1, 1) * radius
+        default_members = np.linspace(-0.9, 0.9, 5) * radius
         desc = f"norm ball of radius {radius}"
     elif kind == "interval":
         lo, hi = s["params"]
         pred = lambda pts: (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
-        default_members = np.array([[lo], [0.5 * (lo + hi)], [hi]])
+        default_members = [lo, 0.5 * (lo + hi), hi]
         desc = f"closed interval [{lo}, {hi}]"
     else:
         pred = lambda pts: np.ones(len(pts), dtype=bool)
-        default_members = np.zeros((1, space.dimension))
+        default_members = [0.0]
         desc = "whole space"
     members = s["members"]
     if members is not None:
         arr = np.asarray([as_point(m, space.dimension) for m in members])
     else:
-        arr = default_members
+        # default members lie on the first axis of the space
+        arr = np.zeros((len(default_members), space.dimension))
+        arr[:, 0] = default_members
     try:
         return SampledSet(pred, arr, desc)
     except InvalidParameter as exc:
         field = "members" if members is not None else "params"
         raise ConfigError(f"set {field}: {exc} ({desc})") from exc
+
+
+def preimage_open_record(space, plan, c: dict, seed: int) -> CheckRecord:
+    b = c["ball"]
+    target = OpenBall(as_point(b["center"], 1), b["r"], b["t"])
+    pre = preimage_open_check(build_map(c["map"], space, space), target, plan)
+    return CheckRecord(
+        name="preimage-open", anchor="preimages of open balls under continuous maps are open",
+        verdict=pass_if(pre.open_verdict), details=pre.summary(), plan=plan.summary(),
+        seed=seed, work=pre.witnesses * 200,
+    )
 
 
 def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
@@ -276,6 +329,9 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     records = []
     for i, check in enumerate(config["checks"]):
         kind, c = check["kind"], fields_of(CHECK_FIELDS["topology"], check)
+        if kind == "preimage-open":
+            records.append(replace(preimage_open_record(space, plan, c, seed), name=f"{kind}/{i}"))
+            continue
         plan_summary, work = None, 1
         if kind in ("ball-contains", "classical-radius", "inner-ball"):
             b = c["ball"]
@@ -298,17 +354,10 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
             else:
                 verdict, work = PASS, 1000
                 details = {"outer": ball.summary(), "inner": inner.summary(), "containment": 1.0}
-        elif kind == "set-open":
+        else:
             rec = set_is_open_sampled(space, _build_set(c["set"], space), plan)
             anchor, verdict = "sampled openness of a set", PASS if rec.all_open else FAIL
             details, plan_summary, work = rec.summary(), plan.summary(), len(rec.per_point) * 200
-        else:
-            b = c["ball"]
-            target = OpenBall(as_point(b["center"], 1), b["r"], b["t"])
-            pre = preimage_open_check(build_map(c["map"], space, space), target, plan)
-            anchor = "preimages of open balls under continuous maps are open"
-            verdict = PASS if pre.open_verdict else FAIL
-            details, plan_summary, work = pre.summary(), plan.summary(), pre.witnesses * 200
         records.append(
             CheckRecord(
                 name=f"{kind}/{i}", anchor=anchor, verdict=verdict, details=details,
@@ -316,6 +365,81 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
             )
         )
     return records
+
+
+def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate) -> dict:
+    """The CSV row of one (r, t) point of a uniform index sweep; the paper's
+    closed-form index applies to the power family on [lo, hi] with hi < 1."""
+    hi = seq.domain.hi
+    closed_form = seq.family == "power" and 0 < hi < 1
+    return {
+        "family": seq.family,
+        "domain_lo": seq.domain.lo,
+        "domain_hi": hi,
+        "r": cert.r,
+        "t": cert.t,
+        "n0": cert.n0,
+        "verdict": cert.verdict,
+        "paper_k": closed_form_index_power(hi, cert.r, cert.t) if closed_form else None,
+    }
+
+
+def _demand(kind, r, t, anchor, verdict, details, seed, work, at="", csv_row=None) -> CheckRecord:
+    """The record of one (r, t) demand, named after it."""
+    return CheckRecord(
+        name=f"{kind}/{at}r{r}-t{t}", anchor=anchor, verdict=verdict,
+        details=details, seed=seed, work=work, csv_row=csv_row,
+    )
+
+
+def _uniform(kind, r, t, anchor, seq, cert, seed, csv_row=None) -> CheckRecord:
+    verdict, work = _verdict_of(cert.verdict), seq.budget * len(cert.per_point_index)
+    return _demand(kind, r, t, anchor, verdict, cert.summary(), seed, work, csv_row=csv_row)
+
+
+def uniform_index_records(spaces, seq, sample, rts: list, seed: int) -> list[CheckRecord]:
+    """One record per (r, t) of `rts`; one values matrix serves them all."""
+    anchor = f"uniform convergence index of the {seq.family} sequence"
+    return [
+        _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert))
+        for (r, t), cert in zip(rts, uniform_index_sweep(spaces, seq, sample, rts))
+    ]
+
+
+def pointwise_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    x = c["x"] if c["x"] is not None else sample.points[len(sample.points) // 2]
+    limit, cert = pointwise_limit_estimate(spaces, seq, x, r, t)
+    anchor = f"pointwise convergence of the {seq.family} sequence"
+    verdict, details = _verdict_of(cert.status), {"limit": limit, "certificate": cert.summary()}
+    return _demand("pointwise", r, t, anchor, verdict, details, seed, seq.budget, at=f"x{x}-")
+
+
+def cauchy_criterion_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    cert = uniform_cauchy_check(spaces, seq, sample, r, t, c["p_max"])
+    return _uniform("cauchy-criterion", r, t, "uniform Cauchy tail criterion", seq, cert, seed)
+
+
+def classical_probe_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    rec = classical_uniform_probe(spaces, seq, sample, r, t)
+    anchor = "membership versus classical sup-norm uniform convergence"
+    work = seq.budget * len(sample.all_points())
+    return _demand("classical-probe", r, t, anchor, pass_if(rec.agree), rec.summary(), seed, work)
+
+
+def uniform_limit_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    rec = uniform_limit_scenario(spaces, seq, sample, r, t, c["epsilon"], c["alpha"], seed=seed)
+    anchor = "continuity of the limit under uniform convergence"
+    verdict = pass_if(rec.limit_continuous_everywhere)
+    return _demand("uniform-limit", r, t, anchor, verdict, rec.summary(), seed, seq.budget)
+
+
+# the kinds that take one (r, t) demand of their fields' grid at a time
+_FUNCSEQ_KINDS = {
+    "pointwise": pointwise_record,
+    "cauchy-criterion": cauchy_criterion_record,
+    "classical-probe": classical_probe_record,
+    "uniform-limit": uniform_limit_record,
+}
 
 
 def _run_funcseq(config: dict, seed: int) -> list[CheckRecord]:
@@ -340,8 +464,6 @@ def _run_funcseq(config: dict, seed: int) -> list[CheckRecord]:
 
 def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
     sample = build_sample(config.get("sample"), seq.domain)
-    swept = len(config["funcseq"].get("hi_sweep", ())) > 1
-    suffix = f"-hi{seq.domain.hi}" if swept else ""
     records = []
     for check in config["checks"]:
         kind, c = check["kind"], fields_of(CHECK_FIELDS["funcseq"], check)
@@ -350,7 +472,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
             sup = sup_deviation_oracle(seq, a, m, n)
             records.append(
                 CheckRecord(
-                    name=f"sup-oracle{suffix}/a{a}-m{m}-n{n}",
+                    name=f"sup-oracle/a{a}-m{m}-n{n}",
                     anchor="brute-force tail-deviation supremum on [0, a]",
                     verdict=INFO,
                     details={
@@ -362,57 +484,24 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
                 )
             )
             continue
-        rs, ts = as_list(c["r"]), as_list(c["t"])
+        rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
         if kind == "uniform-index":
-            # one values matrix serves the grid, in the loop's r-major order
-            sweep = iter(
-                uniform_index_sweep(spaces, seq, sample, [(r, t) for r in rs for t in ts])
-            )
-        for r in rs:
-            for t in ts:
-                name, row = f"{kind}{suffix}/r{r}-t{t}", None
-                if kind == "pointwise":
-                    x = c["x"] if c["x"] is not None else sample.points[len(sample.points) // 2]
-                    limit, cert = pointwise_limit_estimate(spaces, seq, x, r, t)
-                    name = f"{kind}{suffix}/x{x}-r{r}-t{t}"
-                    anchor = f"pointwise convergence of the {seq.family} sequence"
-                    verdict = _verdict_of(cert.status)
-                    details, work = {"limit": limit, "certificate": cert.summary()}, seq.budget
-                elif kind in ("uniform-index", "cauchy-criterion"):
-                    if kind == "uniform-index":
-                        cert = next(sweep)
-                        anchor = f"uniform convergence index of the {seq.family} sequence"
-                        row = _catalog.sweep_csv_row(seq, cert)
-                    else:
-                        cert = uniform_cauchy_check(spaces, seq, sample, r, t, c["p_max"])
-                        anchor = "uniform Cauchy tail criterion"
-                    verdict, details = _verdict_of(cert.verdict), cert.summary()
-                    work = seq.budget * len(cert.per_point_index)
-                elif kind == "classical-probe":
-                    rec = classical_uniform_probe(spaces, seq, sample, r, t)
-                    anchor = "membership versus classical sup-norm uniform convergence"
-                    verdict, details = PASS if rec.agree else FAIL, rec.summary()
-                    work = seq.budget * len(sample.all_points())
-                else:
-                    rec = uniform_limit_scenario(
-                        spaces, seq, sample, r, t,
-                        c["epsilon"], c["alpha"], seed=seed,
-                    )
-                    anchor = "continuity of the limit under uniform convergence"
-                    verdict = PASS if rec.limit_continuous_everywhere else FAIL
-                    details, work = rec.summary(), seq.budget
-                records.append(
-                    CheckRecord(
-                        name=name, anchor=anchor, verdict=verdict, details=details,
-                        seed=seed, work=work, csv_row=row,
-                    )
-                )
+            records.extend(uniform_index_records(spaces, seq, sample, rts, seed))
+        else:
+            records.extend(_FUNCSEQ_KINDS[kind](spaces, seq, sample, r, t, c, seed) for r, t in rts)
+    if len(config["funcseq"].get("hi_sweep", ())) > 1:
+        # each swept upper endpoint names its records
+        suffix = f"-hi{seq.domain.hi}/"
+        records = [replace(rec, name=rec.name.replace("/", suffix, 1)) for rec in records]
     return records
 
 
 def _run_catalog(config: dict, seed: int) -> list[CheckRecord]:
+    # imported on use: the catalog itself imports this module's record functions
+    from .catalog import run_catalog
+
     try:
-        return _catalog.run_catalog(config["name"], seed)
+        return run_catalog(config["name"], seed)
     except IFNError as exc:
         raise ConfigError(str(exc)) from exc
 

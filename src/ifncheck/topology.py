@@ -298,6 +298,10 @@ def set_is_open_sampled(
     """
     if len(sset.witnesses) == 0:
         raise InvalidParameter("witness sample must be nonempty")
+    if sset.witnesses.shape[1] != space.dimension:
+        raise DomainError(
+            f"witnesses have dimension {sset.witnesses.shape[1]}, the space {space.dimension}"
+        )
     plan = plan or default_plan(space.dimension)
     results = []
     for w in sset.witnesses:

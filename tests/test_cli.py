@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifncheck.catalog import CATALOG
 from ifncheck.cli import main
 from ifncheck.config_schema import SCHEMAS, validate_config
 from ifncheck.errors import ConfigError
@@ -173,6 +177,7 @@ _SMALL = {
     "random_count": 20, "points": 9, "refine_depth": 6, "p_max": 30, "m": 6, "n": 6, "seed": 3,
 }
 _COMMAND_OF_KIND = {"uniform-continuity": "uniform"}
+_EXAMPLE_TAGS = ["example-3.15-A", "example-3.15-B(k=3)", "example-4.x"]
 
 
 def _from_schema(schema, name=None):
@@ -207,11 +212,9 @@ def _from_schema(schema, name=None):
         return st.one_of(st.sampled_from(plain), anywhere)
     if kind == "boolean":
         return st.booleans()
-    # half the strings name an example space, the one string field a builder reads
-    return st.one_of(
-        st.sampled_from(["example-3.15-A", "example-3.15-B(k=3)", "example-4.x"]),
-        st.text("abcdefghijklmnopqrstuvwxyz-.0123456789", max_size=12),
-    )
+    # a string names a catalog scenario or an example space, so that the
+    # config reaches a runner instead of an unknown-name error
+    return st.sampled_from(list(CATALOG) if name == "name" else _EXAMPLE_TAGS)
 
 
 @st.composite
@@ -534,6 +537,16 @@ class TestCliProcess:
         out = capsys.readouterr().out
         assert "example-3.15" in out and "uniform-limit-theorem" in out
 
+    @pytest.mark.parametrize("module", ["ifncheck.catalog", "ifncheck.cli"])
+    def test_catalog_path_leaves_jsonschema_unloaded(self, module):
+        # only schema validation needs jsonschema; the catalog and
+        # list-catalog run without paying for its import
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = f"import sys, {module}; print('jsonschema' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
     def test_catalog_run_writes_report(self, tmp_path, capsys):
         rc = main(["catalog", "example-4-quotient", "--out", str(tmp_path), "--format", "text"])
         assert rc == 0
@@ -618,6 +631,21 @@ class TestEveryScenarioKind:
         assert by_name["inner-ball/2"].verdict == "pass"
         assert by_name["set-open/3"].verdict == "pass"
         assert by_name["preimage-open/4"].verdict == "pass"
+
+    def test_default_set_members_lie_in_the_space(self, tmp_path):
+        # without members, a set samples its own on the first axis of a 2-d space
+        cfg = {
+            "scenario": "topology",
+            "space": {"family": "standard", "dimension": 2},
+            "checks": [{"kind": "set-open", "set": {"kind": "norm-ball"}}],
+        }
+        assert main(["topology", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        (ball,) = run_scenario(cfg).records
+        assert (ball.details["witnesses"], ball.details["open_at"]) == (5, 5)
+        # of a closed slab's three default members only the midpoint is interior
+        cfg["checks"] = [{"kind": "set-open", "set": {"kind": "interval", "params": [-1.0, 1.0]}}]
+        (slab,) = run_scenario(cfg).records
+        assert (slab.details["witnesses"], slab.details["open_at"]) == (3, 1)
 
     def test_cauchy_preservation_precondition_is_config_error(self):
         cfg = dict(

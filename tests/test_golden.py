@@ -3,7 +3,9 @@
 The fixtures pin the observable behaviour of every catalog scenario and
 every documented example config (the JSON-lines report, plus the CSV table
 of a report with sweep rows); rewrite them only with
-tests/golden/refresh.py.
+tests/golden/refresh.py.  The benchmark pins the verdict counts and key
+detail values of the same reports in perfbench/expected.json, so a fixture
+may change in names, anchors or `work` only while it keeps that fingerprint.
 """
 
 import importlib.util
@@ -11,11 +13,16 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden_refresh", Path(__file__).parent / "golden" / "refresh.py"
-)
-refresh = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(refresh)
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+refresh = _load("golden_refresh", Path(__file__).parent / "golden" / "refresh.py")
+workloads = _load("perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
 
 CASES = refresh.cases()
 
@@ -38,3 +45,17 @@ def test_report_matches_golden(fname, config, seed):
         assert not csv_path.exists()
     else:
         assert csv.encode("utf-8") == csv_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fname, config, seed", CASES, ids=[fname for fname, _, _ in CASES]
+)
+def test_fixture_keeps_the_benchmark_fingerprint(fname, config, seed):
+    # catalog-<name> is the benchmark op catalog/<name>; example-<stem> is
+    # cli/<stem>, whose pinned exit code a report does not hold
+    source, _, name = fname.split(".seed")[0].partition("-")
+    op = f"catalog/{name}" if source == "catalog" else f"cli/{name}"
+    expected = dict(workloads.load_expected()["ops"][op]["seeds"][str(seed)])
+    expected.pop("exit", None)
+    text = (refresh.GOLDEN_DIR / fname).read_text(encoding="utf-8")
+    assert workloads.fingerprint_jsonl(text) == expected

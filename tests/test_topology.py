@@ -282,6 +282,12 @@ class TestOpenSets:
         )
         assert set_is_open_sampled(std, sset).all_open
 
+    def test_witnesses_of_another_dimension_are_rejected(self):
+        plane = make_standard_space(1.0, dimension=2)
+        sset = SampledSet(lambda pts: np.abs(pts[:, 0]) < 1.0, np.array([[0.0], [0.5]]))
+        with pytest.raises(DomainError, match="dimension"):
+            set_is_open_sampled(plane, sset)
+
     def test_neighbourhood_coherence(self, std):
         sset = SampledSet(
             lambda pts: np.abs(pts[:, 0]) < 1.0,
