@@ -263,8 +263,8 @@ class ContinuityWitness:
 
 
 def _check_eps_alpha(epsilon: float, alpha: float):
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not (np.isfinite(epsilon) and epsilon * 2.0 ** -LADDER_DEPTH > 0):  # every rung's t > 0
+        raise DomainError(f"epsilon 2^-{LADDER_DEPTH} must be positive, got epsilon={epsilon!r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
@@ -287,12 +287,10 @@ def _implications(
     Returns the mask of points violating either implication and the mask
     of points inside either hypothesis set.
     """
-    U, V = f.domain, f.codomain
-    hyp_mu = U.mu_many(dx, delta) > 1.0 - beta
-    hyp_nu = U.nu_many(dx, delta) < beta
-    concl_mu = V.mu_many(dfx, epsilon) > 1.0 - alpha
-    concl_nu = V.nu_many(dfx, epsilon) < alpha
-    return (hyp_mu & ~concl_mu) | (hyp_nu & ~concl_nu), hyp_mu | hyp_nu
+    mu_u, nu_u = f.domain.memberships(dx, delta)
+    mu_v, nu_v = f.codomain.memberships(dfx, epsilon)
+    hyp_mu, hyp_nu = mu_u > 1.0 - beta, nu_u < beta
+    return (hyp_mu & ~(mu_v > 1.0 - alpha)) | (hyp_nu & ~(nu_v < alpha)), hyp_mu | hyp_nu
 
 
 def _base_samples(f: MapBetweenSpaces, x0: float, seed: int) -> np.ndarray:

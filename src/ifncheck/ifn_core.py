@@ -98,13 +98,23 @@ class ClassicalNorm:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        if self.family == "absolute-value":
-            if pts.shape[1] != 1:
-                raise DomainError("absolute-value norm is one-dimensional")
-            return np.abs(pts[:, 0])
-        if self.family == "euclidean":
+        if self.family == "absolute-value" and pts.shape[1] != 1:
+            raise DomainError("absolute-value norm is one-dimensional")
+        # Column by column, as numpy reduces short rows slowly.
+        if self.family != "euclidean":
+            out = np.abs(pts[:, 0])
+            for col in pts.T[1:]:
+                np.maximum(out, np.abs(col), out=out)
+            return out
+        # numpy adds a reduced axis shorter than 8 in sequence, so for d <= 7
+        # the running sum is np.sum(pts * pts, axis=1) bit for bit; from 8 on
+        # it adds in pairwise blocks, so np.sum stays there.
+        if pts.shape[1] >= 8:
             return np.sqrt(np.sum(pts * pts, axis=1))
-        return np.max(np.abs(pts), axis=1)
+        out = pts[:, 0] * pts[:, 0]
+        for col in pts.T[1:]:
+            out += col * col
+        return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,19 +139,23 @@ class MembershipFunction:
 
     def eval(self, pts: np.ndarray, t) -> np.ndarray:
         """Evaluate at an (N, d) block of points and scalar or (N,) times."""
+        if self.tag in ("standard-mu", "standard-nu"):
+            ts, kn, den = self._closed_form(pts, t)
+            return np.divide(ts if self.tag == "standard-mu" else kn, den, out=den)
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         ts = np.asarray(t, dtype=float)
-        if self.tag == "standard-mu":
-            kn = self.k * self.norm(pts)
-            return ts / (ts + kn)
-        if self.tag == "standard-nu":
-            kn = self.k * self.norm(pts)
-            return kn / (ts + kn)
         if self.tag == "tabulated":
             return self._interp(pts[:, 0], np.broadcast_to(ts, (pts.shape[0],)))
         return np.asarray(self.fn(pts, ts), dtype=float)
+
+    def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t, k||x|| and t + k||x||: the standard family's terms to divide."""
+        kn = self.norm(np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts)
+        kn *= self.k
+        ts = np.asarray(t, dtype=float)
+        return ts, kn, ts + kn
 
     def _interp(self, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         xn, tn, vv = self.x_nodes, self.t_nodes, self.values
@@ -245,30 +259,45 @@ class IFNSpace:
     def nu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.nu.eval(pts, t)
 
+    def memberships(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times: the
+        one place where both are evaluated.  The standard pair (one k, one
+        norm) shares k||x|| and t + k||x||, bit for bit as `eval`; any other
+        pair makes one `eval` each, per time for a (T, 1) column."""
+        mu, nu = self.mu, self.nu
+        if (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm):
+            ts, kn, den = mu._closed_form(pts, t)
+            nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
+            return np.divide(ts, den, out=den), nus
+        if np.ndim(t) == 2:
+            return tuple(np.stack([f.eval(pts, ti) for ti in np.ravel(t)]) for f in (mu, nu))
+        return mu.eval(pts, t), nu.eval(pts, t)
+
     def membership_block(self, fn: MembershipFunction, pts: np.ndarray, ts) -> np.ndarray:
         """(T, N) values of `fn` (this space's mu or nu) at an (N, d) point
-        block and each of the T times `ts`.
-
-        The standard family computes k||x|| once and broadcasts the closed
-        form over a (T, 1) column of times, which gives the same values bit
-        for bit as one evaluation per time; other families take that
-        per-time loop.
-        """
+        block and each of the T times `ts`: for the standard family one
+        closed form broadcast over a (T, 1) column of times, bit for bit the
+        per-time loop that other families take."""
         ts = np.asarray(ts, dtype=float)
         if self.is_standard:
             return fn.eval(pts, ts.reshape(-1, 1))
         return np.stack([fn.eval(pts, t) for t in ts])
+
+    @staticmethod
+    def meets(mu: np.ndarray, nu: np.ndarray, r: float) -> np.ndarray:
+        """The demand mu > 1 - r and nu < r (strict; NaN fails) on values."""
+        return (mu > 1.0 - r) & (nu < r)
 
     def within(self, diffs: np.ndarray, r: float, t) -> np.ndarray:
         """Mask over an (N, d) block of differences z of the membership
         demand mu(z, t) > 1 - r and nu(z, t) < r, both strict.
 
         The one definition behind open balls (`topology.OpenBall`),
-        convergence and Cauchy indices and uniform continuity.  Both
-        memberships are always evaluated: the closed-form radius shortcut
-        can flip near-ties.  A NaN difference fails the demand.
+        convergence and Cauchy indices and uniform continuity.  The standard
+        pair shares one k||z|| (`memberships`); both strict comparisons still
+        run, as the closed-form radius shortcut can flip near-ties.  NaN fails.
         """
-        return (self.mu_many(diffs, t) > 1.0 - r) & (self.nu_many(diffs, t) < r)
+        return self.meets(*self.memberships(diffs, t), r)
 
     def signature(self) -> tuple:
         return (
@@ -419,10 +448,9 @@ def check_ifn_axioms(
     all_t = plan.all_t()
     tg = np.asarray(sorted(plan.t_grid))
     tg_idx = np.searchsorted(all_t, tg)
-    ladder = np.asarray(plan.t_infinity_ladder)
+    ladder_idx = np.searchsorted(all_t, plan.t_infinity_ladder)
 
-    MU = space.membership_block(space.mu, P, all_t)  # (T, N)
-    NU = space.membership_block(space.nu, P, all_t)
+    MU, NU = space.memberships(P, all_t.reshape(-1, 1))  # (T, N)
     nonzero = np.any(P != 0.0, axis=1)
 
     rng = plan.rng(3)
@@ -448,8 +476,7 @@ def check_ifn_axioms(
     theta = space.theta.reshape(1, -1)
     origin = (0.0,) * space.dimension
     nz_pts = P[nonzero]
-    mu_theta = space.membership_block(space.mu, theta, tg)[:, 0]
-    nu_theta = space.membership_block(space.nu, theta, tg)[:, 0]
+    mu_theta, nu_theta = (block[:, 0] for block in space.memberships(theta, tg.reshape(-1, 1)))
     bad = mu_theta != 1.0
     found["iii"].add(
         bad, bad.size, lambda t: ((*origin, tg[t]), f"mu(theta,t)={mu_theta[t]:.17g} != 1")
@@ -499,26 +526,25 @@ def check_ifn_axioms(
         return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
 
     rows = tg_idx[:, None]
+    rhs_mu, rhs_nu = (b.reshape(n_t, n_t, -1) for b in space.memberships(sums, s_plus_t[:, None]))
     lhs = space.tnorm(MU[rows, ia][:, None], MU[rows, ib][None, :])
-    rhs = space.membership_block(space.mu, sums, s_plus_t).reshape(n_t, n_t, -1)
-    bad = lhs > rhs + INEQ_SLACK
+    bad = lhs > rhs_mu + INEQ_SLACK
     found["v"].add(
         bad,
         bad.size,
         lambda s, t, k: (
             pair(s, t, k),
-            f"tnorm(mu,mu)={lhs[s, t, k]:.17g} > mu(x+y,s+t)={rhs[s, t, k]:.17g}",
+            f"tnorm(mu,mu)={lhs[s, t, k]:.17g} > mu(x+y,s+t)={rhs_mu[s, t, k]:.17g}",
         ),
     )
     lhs = space.tconorm(NU[rows, ia][:, None], NU[rows, ib][None, :])
-    rhs = space.membership_block(space.nu, sums, s_plus_t).reshape(n_t, n_t, -1)
-    bad = lhs < rhs - INEQ_SLACK
+    bad = lhs < rhs_nu - INEQ_SLACK
     found["x"].add(
         bad,
         bad.size,
         lambda s, t, k: (
             pair(s, t, k),
-            f"tconorm(nu,nu)={lhs[s, t, k]:.17g} < nu(x+y,s+t)={rhs[s, t, k]:.17g}",
+            f"tconorm(nu,nu)={lhs[s, t, k]:.17g} < nu(x+y,s+t)={rhs_nu[s, t, k]:.17g}",
         ),
     )
 
@@ -528,12 +554,12 @@ def check_ifn_axioms(
 
     bad = MU[1:] < MU[:-1] - INEQ_SLACK
     found["vi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "mu not non-decreasing in t"))
-    lm = space.membership_block(space.mu, P, ladder)
+    lm = MU[ladder_idx]  # the ladder's rows of all_t
     bad = (np.abs(lm[-1] - lm[-2]) >= LIMIT_TOL) | (lm[-1] <= 1.0 - LIMIT_TOL)
     found["vi"].add(bad, bad.size, lambda p: (P[p], f"mu ladder limit {lm[-1][p]:.17g} != 1"))
     bad = NU[1:] > NU[:-1] + INEQ_SLACK
     found["xi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "nu not non-increasing in t"))
-    ln = space.membership_block(space.nu, P, ladder)
+    ln = NU[ladder_idx]
     bad = (np.abs(ln[-1] - ln[-2]) >= LIMIT_TOL) | (ln[-1] >= LIMIT_TOL)
     found["xi"].add(bad, bad.size, lambda p: (P[p], f"nu ladder limit {ln[-1][p]:.17g} != 0"))
 

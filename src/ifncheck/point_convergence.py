@@ -217,18 +217,19 @@ def _p_window_scan(
 
     Returns first[n-1], the first p at which the demand fails at (n, p)
     (N when it holds at every p scanned), and worst[n-1], the largest
-    1 - mu(x_{n+p} - x_n, t) over those p.
+    1 - mu(x_{n+p} - x_n, t) over those p.  Each p evaluates mu and nu once.
     """
     n_total = len(vals)
     first = np.full(max(n_total - 1, 0), n_total)
-    worst = np.full(max(n_total - 1, 0), -np.inf)
+    worst = np.full(max(n_total - 1, 0), np.inf)  # the smallest mu until the end
     for p in range(1, min(p_max, n_total - 1) + 1):
-        diffs = vals[p:] - vals[:-p]
-        bad = np.flatnonzero(~space.within(diffs, r, t))
+        mu, nu = space.memberships(vals[p:] - vals[:-p], t)
+        bad = np.flatnonzero(~space.meets(mu, nu, r))
         first[bad] = np.minimum(first[bad], p)
-        head = worst[: n_total - p]
-        np.maximum(head, 1.0 - space.mu_many(diffs, t), out=head)
-    return first, worst
+        np.minimum(worst[: n_total - p], mu, out=worst[: n_total - p])
+        del mu, nu  # freed before the next p's evaluation, not after it
+    # fl(1 - x) is monotone, so 1 - min(mu) is max(1 - mu) bit for bit
+    return first, np.subtract(1.0, worst, out=worst)
 
 
 def _window_ok(first: np.ndarray, budget: int) -> np.ndarray:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from ifncheck.catalog import CATALOG
 from ifncheck.cli import main
 from ifncheck.config_schema import SCHEMAS, validate_config
+from ifncheck.continuity import _RULE_ARITY
 from ifncheck.errors import ConfigError
+from ifncheck.point_convergence import _FAMILY_ARITY
 from ifncheck.report import to_csv, to_jsonl, to_text
 from ifncheck.scenarios import run_scenario
 
@@ -242,9 +244,78 @@ def _objects(draw, schema):
     return obj
 
 
+def _fit_params(obj, arity):
+    """Cut or pad `params` to the arity its rule or family takes."""
+    params = (obj.get("params", []) + [1.0] * arity)[:arity]
+    if params or "params" in obj:
+        obj["params"] = params
+
+
+def _fit(scenario, cfg):
+    """Adjust a schema-valid config to the checks the builders make after
+    the schema, so that the draw reaches a runner: each space's norm fits
+    its dimension (1 wherever a map or sequence lives on the real line),
+    its tier its operations and its k the axiom check; intervals and
+    sweeps have positive width, `params` match their arity, the t -> oo
+    ladder increases, and topology balls, points and set members lie in
+    the space's dimension.  The config stays valid for the schema."""
+    line = scenario not in ("axioms", "topology") or any(
+        c["kind"] == "preimage-open" for c in cfg.get("checks", ())
+    )
+    spaces = [cfg[k] for k in ("space", "domain_space", "codomain_space") if k in cfg]
+    for space in (s for s in spaces if s["family"] == "standard"):
+        if line:
+            space["dimension"] = 1
+        if space.get("dimension", 1) > 1 and space.get("norm") == "absolute-value":
+            space["norm"] = "euclidean"
+        if (space.get("tnorm", "minimum"), space.get("tconorm", "maximum")) != (
+            "minimum", "maximum"
+        ):
+            space["tier"] = "core"  # only min/max are idempotent (axiom xii)
+        # a k so small that k||x|| vanishes beside t makes mu(x, t) = 1 off the origin
+        space["k"] = max(space.get("k", 1.0), 0.01)
+    dim = next((s.get("dimension", 1) for s in spaces if s["family"] == "standard"), 1)
+    ladder = cfg.get("plan", {}).get("t_infinity_ladder")
+    if ladder:
+        ladder[:] = sorted(set(ladder)) + [2.0 * max(ladder)] * (len(set(ladder)) < 2)
+    # objects of a kind at the top level and in the checks
+    checks = cfg.get("checks", [])
+    maps, seqs, funcseqs = (
+        [o[key] for o in [cfg, *checks] if key in o] for key in ("map", "sequence", "funcseq")
+    )
+    for m in maps:
+        _fit_params(m, _RULE_ARITY[m["rule"]])
+    for seq in seqs:
+        _fit_params(seq, _FAMILY_ARITY[seq["family"]])
+    for box in [o["domain"] for o in maps + funcseqs]:
+        if not box["lo"] < box["hi"]:
+            box["lo"], box["hi"] = min(box["lo"], box["hi"]), max(box["lo"], box["hi"]) + 1.0
+    for f in funcseqs:
+        if "hi_sweep" in f:
+            f["hi_sweep"] = [max(hi, f["domain"]["lo"] + 0.5) for hi in f["hi_sweep"]]
+    if "limit" in cfg:
+        cfg["limit"] = _fit_point(cfg["limit"], 1)
+    for c in checks if scenario == "topology" else ():
+        if "ball" in c:
+            c["ball"]["center"] = _fit_point(c["ball"]["center"], dim)
+        if "point" in c:
+            c["point"] = _fit_point(c["point"], dim)
+        if c.get("set", {}).get("members"):
+            c["set"]["members"] = [_fit_point(m, dim) for m in c["set"]["members"]]
+    return cfg
+
+
+def _fit_point(value, dim):
+    """A number or list of numbers as a point of R^dim (a number when dim = 1)."""
+    coords = (value if isinstance(value, list) else [value]) * dim
+    return coords[0] if dim == 1 else coords[:dim]
+
+
 def _configs():
     return st.sampled_from(sorted(SCHEMAS)).flatmap(
-        lambda scenario: _from_schema(SCHEMAS[scenario]).map(lambda cfg: (scenario, cfg))
+        lambda scenario: _from_schema(SCHEMAS[scenario]).map(
+            lambda cfg: (scenario, _fit(scenario, cfg))
+        )
     )
 
 

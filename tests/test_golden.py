@@ -9,9 +9,15 @@ may change in names, anchors or `work` only while it keeps that fingerprint.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ifncheck.report import to_jsonl
+from ifncheck.scenarios import run_scenario
 
 
 def _load(name: str, path: Path):
@@ -59,3 +65,22 @@ def test_fixture_keeps_the_benchmark_fingerprint(fname, config, seed):
     expected.pop("exit", None)
     text = (refresh.GOLDEN_DIR / fname).read_text(encoding="utf-8")
     assert workloads.fingerprint_jsonl(text) == expected
+
+
+EXAMPLES = sorted((Path(__file__).parents[1] / "docs" / "examples").glob("*.json"))
+
+
+def _small(cfg):
+    """The config with every `budget` cut to 2000 terms."""
+    if isinstance(cfg, dict):
+        return {k: min(v, 2000) if k == "budget" else _small(v) for k, v in cfg.items()}
+    return [_small(v) for v in cfg] if isinstance(cfg, list) else cfg
+
+
+@given(seed=st.integers(2, 2**31 - 1), path=st.sampled_from(EXAMPLES))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_rerun_at_any_seed_is_byte_identical(seed, path):
+    # the fixtures pin seeds 0 and 1; a report is a function of (config,
+    # seed) at every other seed too
+    cfg = _small(json.loads(path.read_text(encoding="utf-8")))
+    assert to_jsonl(run_scenario(cfg, seed=seed)) == to_jsonl(run_scenario(cfg, seed=seed))

@@ -18,6 +18,7 @@ from ifncheck.ifn_core import (
     tabulated_membership,
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
+from ifncheck.point_convergence import _p_window_scan
 from ifncheck.sampling import SamplingPlan, default_plan, product_grid
 
 
@@ -286,3 +287,90 @@ def test_membership_pair_properties(x, t, k):
     assert 0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0
     assert mu + nu <= 1.0 + 1e-12
     assert (mu == 1.0) == (x == 0.0)
+
+
+# The standard family's expressions before `IFNSpace.memberships`, kept as
+# the reference: each membership computes its own norm, reduced along the
+# row, and the Cauchy scan evaluates mu once more for its margin.
+def old_norm(family, pts):
+    if family == "absolute-value":
+        return np.abs(pts[:, 0])
+    if family == "euclidean":
+        return np.sqrt(np.sum(pts * pts, axis=1))
+    return np.max(np.abs(pts), axis=1)
+
+
+def old_mu(k, family, pts, t):
+    kn = k * old_norm(family, pts)
+    return t / (t + kn)
+
+
+def old_nu(k, family, pts, t):
+    kn = k * old_norm(family, pts)
+    return kn / (t + kn)
+
+
+def old_within(k, family, diffs, r, t):
+    return (old_mu(k, family, diffs, t) > 1.0 - r) & (old_nu(k, family, diffs, t) < r)
+
+
+def old_p_window_scan(k, family, vals, r, t, p_max):
+    n_total = len(vals)
+    first = np.full(max(n_total - 1, 0), n_total)
+    worst = np.full(max(n_total - 1, 0), -np.inf)
+    for p in range(1, min(p_max, n_total - 1) + 1):
+        diffs = vals[p:] - vals[:-p]
+        bad = np.flatnonzero(~old_within(k, family, diffs, r, t))
+        first[bad] = np.minimum(first[bad], p)
+        head = worst[: n_total - p]
+        np.maximum(head, 1.0 - old_mu(k, family, diffs, t), out=head)
+    return first, worst
+
+
+_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, np.inf, -np.inf, np.nan]
+_TIMES = st.floats(1e-300, 1e300)
+_NORM_DIMS = [("absolute-value", 1)] + [
+    (family, d) for family in ("euclidean", "max-coordinate") for d in range(1, 11)
+]
+
+
+@pytest.mark.parametrize("family, d", _NORM_DIMS)
+@given(
+    k=st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(1e-3, 1e3)),
+    r=st.floats(1e-6, 1.0 - 1e-6),
+    times=st.sampled_from(["scalar", "per-point", "column"]),
+    p_max=st.integers(1, 12),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fused_memberships_match_the_old_expressions(family, d, k, r, times, p_max, data):
+    n = data.draw(st.integers(1, 12))
+    # rows of full-mantissa coordinates of one scale, whose squares round
+    # differently when added in another order, then edge values and any
+    # float at drawn places
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-5, 6, (n, 1))
+    edge = st.one_of(st.sampled_from(_EDGE_COORDS), st.floats())
+    places = st.tuples(st.integers(0, n - 1), st.integers(0, d - 1), edge)
+    for i, j, v in data.draw(st.lists(places)):
+        pts[i, j] = v
+    t = data.draw(_TIMES)
+    if times == "per-point":
+        t = np.array(data.draw(st.lists(_TIMES, min_size=n, max_size=n)))
+    elif times == "column":
+        t = np.array(data.draw(st.lists(_TIMES, min_size=1, max_size=4))).reshape(-1, 1)
+    sp = make_standard_space(k, family, dimension=d, verify=False)
+
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+    with np.errstate(all="ignore"):
+        assert same(sp.norm(pts), old_norm(family, pts))
+        mu, nu = sp.memberships(pts, t)
+        assert same(mu, old_mu(k, family, pts, t)) and same(nu, old_nu(k, family, pts, t))
+        assert same(sp.mu_many(pts, t), mu) and same(sp.nu_many(pts, t), nu)
+        assert same(sp.within(pts, r, t), old_within(k, family, pts, r, t))
+        if times == "scalar":
+            first, worst = _p_window_scan(sp, pts, r, t, p_max)
+            old_first, old_worst = old_p_window_scan(k, family, pts, r, t, p_max)
+            assert same(first, old_first) and same(worst, old_worst)

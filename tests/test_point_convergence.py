@@ -18,6 +18,7 @@ from ifncheck.ifn_core import IFNSpace, custom_membership, make_standard_space
 from ifncheck.point_convergence import (
     STATUS_INCONCLUSIVE,
     PointSequence,
+    _p_window_scan,
     _status_from_mask,
     alternating_sequence,
     cauchy_escape_index,
@@ -336,6 +337,27 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, 
     assert uniform_cauchy_check((wrapped, wrapped), funcs, sample, r, t, p_max) == (
         reference_uniform_cauchy_check(wrapped, funcs, sample, r, t, p_max)
     )
+
+
+def test_p_window_scan_evaluates_each_membership_once_per_p():
+    # a non-radial custom pair takes no fused path: the margin comes from
+    # the mu the demand already evaluated, not from a second mu per p
+    std = make_standard_space(1.0)
+    calls = {"mu": 0, "nu": 0}
+
+    def counted(name, fn):
+        def wrapped(z, s):
+            calls[name] += 1
+            return fn.eval(z, s)
+
+        return custom_membership(wrapped)
+
+    space = IFNSpace(1, counted("mu", std.mu), counted("nu", std.nu), std.tnorm, std.tconorm)
+    vals = reciprocal_sequence(budget=60).values(np.arange(1, 61))
+    first, worst = _p_window_scan(space, vals, 0.5, 1.0, 20)
+    assert calls == {"mu": 20, "nu": 20}
+    ref_first, ref_worst = _p_window_scan(std, vals, 0.5, 1.0, 20)
+    assert np.array_equal(first, ref_first) and np.array_equal(worst, ref_worst)
 
 
 class TestClassicalEquivalence:
