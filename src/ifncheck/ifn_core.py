@@ -270,7 +270,7 @@ class IFNSpace:
             nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
             return np.divide(ts, den, out=den), nus
         if np.ndim(t) == 2:
-            return tuple(np.stack([f.eval(pts, ti) for ti in np.ravel(t)]) for f in (mu, nu))
+            return tuple(self.membership_block(f, pts, np.ravel(t)) for f in (mu, nu))
         return mu.eval(pts, t), nu.eval(pts, t)
 
     def membership_block(self, fn: MembershipFunction, pts: np.ndarray, ts) -> np.ndarray:

@@ -259,12 +259,12 @@ def _fit(scenario, cfg):
     sweeps have positive width, `params` match their arity, the t -> oo
     ladder increases, and topology balls, points and set members lie in
     the space's dimension.  The config stays valid for the schema."""
-    line = scenario not in ("axioms", "topology") or any(
+    on_line = scenario not in ("axioms", "topology") or any(
         c["kind"] == "preimage-open" for c in cfg.get("checks", ())
     )
     spaces = [cfg[k] for k in ("space", "domain_space", "codomain_space") if k in cfg]
     for space in (s for s in spaces if s["family"] == "standard"):
-        if line:
+        if on_line:
             space["dimension"] = 1
         if space.get("dimension", 1) > 1 and space.get("norm") == "absolute-value":
             space["norm"] = "euclidean"
