@@ -8,6 +8,7 @@ seed argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Callable
 
@@ -24,14 +25,12 @@ from .continuity import (
 )
 from .errors import UnknownTag, WitnessNotFound
 from .function_sequences import (
-    _ORACLE_GRID,
     VERDICT_NOT_UNIFORM,
     VERDICT_UNIFORM,
     FunctionSequence,
     classical_uniform_probe,
     closed_form_index_power,
     sample_domain,
-    sup_deviation_oracle,
     uniform_index_search,
     uniform_index_sweep,
 )
@@ -57,6 +56,7 @@ from .scenarios import (
     pass_if,
     pointwise_record,
     preimage_open_record,
+    sup_oracle_record,
     sweep_csv_row,
     uniform_index_records,
     uniform_limit_record,
@@ -529,30 +529,19 @@ def _run_example_4_verification(seed: int) -> list[CheckRecord]:
         "tail-difference verification on [0, a]: the deviation sup |x^n - x^m| "
         "is bounded by a^m; the doubled bound 2 a^m is conservative"
     )
-    seq = FunctionSequence("power", Interval(0.0, 0.5))
-    a, m, n = 0.5, 2, 4
-    sup = sup_deviation_oracle(seq, a, m, n)
-    doubled = 2.0 * a ** m
-    tight = closed_form_index_power(a, 0.1, 0.1)
-    import math
-
+    c = _fields("sup-oracle", a=0.5, m=2, n=4)
+    rec = sup_oracle_record(FunctionSequence("power", Interval(0.0, 0.5)), c, seed)
+    sup, bound, doubled = (rec.details[k] for k in ("sup", "analytic_bound", "doubled_bound"))
+    a = c["a"]
     conservative = math.floor(math.log(2.0 * (1.0 - 0.1) / (0.1 * 0.1)) / math.log(1.0 / a)) + 1
+    details = rec.details | {
+        "discrepancy": doubled - sup,
+        "tight_index": closed_form_index_power(a, 0.1, 0.1),
+        "conservative_index": conservative,
+    }
+    ok = abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= bound
     return [
-        CheckRecord(
-            name="sup-deviation/power",
-            anchor=anchor,
-            verdict=pass_if(abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= a ** m),
-            details={
-                "sup": sup,
-                "analytic_bound": a ** m,
-                "doubled_bound": doubled,
-                "discrepancy": doubled - sup,
-                "tight_index": tight,
-                "conservative_index": conservative,
-            },
-            seed=seed,
-            work=_ORACLE_GRID,
-        )
+        replace(rec, name="sup-deviation/power", anchor=anchor, verdict=pass_if(ok), details=details)
     ]
 
 

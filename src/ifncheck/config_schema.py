@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .continuity import MapBetweenSpaces, MapRule, make_map
+from .continuity import MAP_RULES, MapBetweenSpaces, MapRule, make_map
 from .errors import ConfigError, IFNError
-from .function_sequences import DomainSample, FunctionSequence, sample_domain
-from .ifn_core import IFNSpace, make_example_family, make_standard_space
-from .point_convergence import PointSequence
-from .sampling import Interval, SamplingPlan, product_grid
+from .function_sequences import FUNCSEQ_FAMILIES, DomainSample, FunctionSequence, sample_domain
+from .ifn_core import NORM_FAMILIES, TIER_ORDER, IFNSpace, make_example_family, make_standard_space
+from .norm_algebra import TCONORM_FAMILIES, TNORM_FAMILIES
+from .point_convergence import DEFAULT_P_MAX, SEQUENCE_FAMILIES, PointSequence
+from .sampling import DEFAULT_GRID_POINTS, Interval, SamplingPlan, product_grid
 
 # A field without a default, which the schema requires.  A default of None
 # is computed by the reader (say, from the dimension or the sample).
@@ -32,7 +33,7 @@ _DEMAND = {"r": 0.1, "t": 0.1}
 CHECK_FIELDS: dict[str, dict[str, dict]] = {
     "converge": {
         "convergence": {"r": 0.5, "t": 1.0},
-        "cauchy": {"r": 0.5, "t": 1.0, "p_max": 100},
+        "cauchy": {"r": 0.5, "t": 1.0, "p_max": DEFAULT_P_MAX},
         # the probe runs its own fixed (r, t) grid
         "classical-probe": {},
     },
@@ -47,7 +48,7 @@ CHECK_FIELDS: dict[str, dict[str, dict]] = {
             "sequence": {"family": "reciprocal", "budget": 8000},
             "r": 0.5,
             "t": 1.0,
-            "p_max": 100,
+            "p_max": DEFAULT_P_MAX,
             "budgets": [1000, 2000, 4000, 8000],
         },
     },
@@ -62,7 +63,7 @@ CHECK_FIELDS: dict[str, dict[str, dict]] = {
         # x defaults to the middle sample point
         "pointwise": _DEMAND | {"x": None},
         "uniform-index": _DEMAND,
-        "cauchy-criterion": _DEMAND | {"p_max": 100},
+        "cauchy-criterion": _DEMAND | {"p_max": DEFAULT_P_MAX},
         "classical-probe": _DEMAND,
         # the oracle is (r, t)-independent
         "sup-oracle": {"a": 0.5, "m": 2, "n": 4},
@@ -155,10 +156,10 @@ SPACE_SCHEMA = _keyed(
         "tag": {"type": "string"},
         "k": _POSITIVE,
         "dimension": _COUNT,
-        "norm": {"enum": ["absolute-value", "euclidean", "max-coordinate"]},
-        "tnorm": {"enum": ["minimum", "product", "lukasiewicz"]},
-        "tconorm": {"enum": ["maximum", "probabilistic-sum", "lukasiewicz"]},
-        "tier": {"enum": ["core", "idempotent", "strict"]},
+        "norm": {"enum": list(NORM_FAMILIES)},
+        "tnorm": {"enum": list(TNORM_FAMILIES)},
+        "tconorm": {"enum": list(TCONORM_FAMILIES)},
+        "tier": {"enum": list(TIER_ORDER)},
     },
 )
 
@@ -177,9 +178,7 @@ PLAN_SCHEMA = {
 SEQUENCE_SCHEMA = {
     "type": "object",
     "properties": {
-        "family": {
-            "enum": ["reciprocal", "constant", "linear", "alternating", "shifted-reciprocal"]
-        },
+        "family": {"enum": list(SEQUENCE_FAMILIES)},
         "params": {"type": "array", "items": _NUMBER},
         "budget": _BUDGET,
     },
@@ -190,9 +189,7 @@ SEQUENCE_SCHEMA = {
 MAP_SCHEMA = {
     "type": "object",
     "properties": {
-        "rule": {
-            "enum": ["identity", "affine", "power", "reciprocal", "quotient", "step", "constant"]
-        },
+        "rule": {"enum": list(MAP_RULES)},
         "params": {"type": "array", "items": _NUMBER},
         "domain": INTERVAL_SCHEMA,
     },
@@ -203,7 +200,7 @@ MAP_SCHEMA = {
 FUNCSEQ_SCHEMA = {
     "type": "object",
     "properties": {
-        "family": {"enum": ["power", "quotient", "scaled", "constant"]},
+        "family": {"enum": list(FUNCSEQ_FAMILIES)},
         "domain": INTERVAL_SCHEMA,
         "budget": _BUDGET,
         # sweep of upper endpoints: index searches run once per value,
@@ -285,7 +282,7 @@ SCHEMAS: dict[str, dict] = {
         {
             "space": SPACE_SCHEMA,
             "plan": PLAN_SCHEMA,
-            "tier": {"enum": ["core", "idempotent", "strict"]},
+            "tier": {"enum": list(TIER_ORDER)},
             "include_forcing_conditions": {"type": "boolean"},
         },
         ["space"],
@@ -411,19 +408,20 @@ def build_space(cfg: dict) -> IFNSpace:
 
 def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
     cfg = cfg or {}
-    w = cfg.get("grid_halfwidth", 5.0)
+    w = cfg.get("grid_halfwidth", SamplingPlan.random_halfwidth)
+    n = cfg.get("grid_points_per_axis", DEFAULT_GRID_POINTS)
     try:
         # the same points as np.linspace(-w, w, n), once the width 2w is known to be finite
-        axis = Interval(-w, w).grid(cfg.get("grid_points_per_axis", 21))
+        axis = Interval(-w, w).grid(n)
     except IFNError as exc:
         raise ConfigError(f"plan grid_halfwidth: {exc}") from exc
     try:
         return SamplingPlan(
             product_grid(axis, dimension, seed),
-            t_grid=tuple(cfg.get("t_grid", (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0))),
-            random_count=cfg.get("random_count", 200),
+            t_grid=tuple(cfg.get("t_grid", SamplingPlan.t_grid)),
+            random_count=cfg.get("random_count", SamplingPlan.random_count),
             seed=seed,
-            t_infinity_ladder=tuple(cfg.get("t_infinity_ladder", (1e3, 1e6, 1e9, 1e12))),
+            t_infinity_ladder=tuple(cfg.get("t_infinity_ladder", SamplingPlan.t_infinity_ladder)),
             random_halfwidth=w,
         )
     except IFNError as exc:
@@ -435,7 +433,7 @@ def build_sequence(cfg: dict) -> PointSequence:
         return PointSequence(
             cfg["family"],
             tuple(cfg.get("params", ())),
-            budget=cfg.get("budget", 100_000),
+            budget=cfg.get("budget", PointSequence.budget),
         )
     except IFNError as exc:
         raise ConfigError(f"sequence: {exc}") from exc
@@ -466,16 +464,15 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
     try:
         params = ("identity",) if cfg["family"] == "constant" else ()
         base = build_interval(cfg["domain"])
-        his = cfg.get("hi_sweep", [base.hi])
-        out = []
-        for hi in his:
-            dom = Interval(base.lo, float(hi), base.open_lo, base.open_hi)
-            out.append(
-                FunctionSequence(
-                    cfg["family"], dom, params=params, budget=cfg.get("budget", 10_000)
-                )
+        return [
+            FunctionSequence(
+                cfg["family"],
+                Interval(base.lo, float(hi), base.open_lo, base.open_hi),
+                params=params,
+                budget=cfg.get("budget", FunctionSequence.budget),
             )
-        return out
+            for hi in cfg.get("hi_sweep", [base.hi])
+        ]
     except IFNError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -483,13 +480,9 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
 
 
 def build_sample(cfg: dict | None, interval: Interval) -> DomainSample:
-    cfg = cfg or {}
-    return sample_domain(
-        interval,
-        n=cfg.get("points", 17),
-        refine_side=cfg.get("refine_side"),
-        refine_depth=cfg.get("refine_depth", 10),
-    )
+    # a field the config leaves out takes sample_domain's default
+    args = {"points": "n", "refine_side": "refine_side", "refine_depth": "refine_depth"}
+    return sample_domain(interval, **{args[f]: v for f, v in (cfg or {}).items()})
 
 
 def as_list(value) -> list:

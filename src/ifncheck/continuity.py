@@ -11,6 +11,7 @@ reported with its values.  "Inconclusive" is a first-class verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
+    DEFAULT_P_MAX,
     ConvergenceCertificate,
     PointSequence,
     _cauchy_scan,
@@ -51,10 +53,30 @@ INCONCLUSIVE = "inconclusive"
 # the base point at every ladder rung.
 _PROBE_FRACTIONS = (0.999, 0.75, 0.5, 0.25, 0.1, 0.01)
 
-# Number of params each map rule takes.
-_RULE_ARITY = {
-    "identity": 0, "affine": 2, "power": 1, "reciprocal": 0, "quotient": 1, "constant": 1,
-    "step": 1, "sum": 0, "product": 0, "scalar": 1, "recip-of": 0, "compose": 0,
+
+class _Rule(NamedTuple):
+    arity: int  # number of params
+    value: Callable  # (params, children, xs) -> image of xs
+    text: str  # formatted with the params, then the children's descriptions
+
+
+# The rules a config can name, in the schema's order.
+MAP_RULES = {
+    "identity": _Rule(0, lambda p, c, xs: xs, "identity"),
+    "affine": _Rule(2, lambda p, c, xs: p[0] * xs + p[1], "{0}*x + {1}"),
+    "power": _Rule(1, lambda p, c, xs: xs ** p[0], "x^{0}"),
+    "reciprocal": _Rule(0, lambda p, c, xs: 1.0 / xs, "1/x"),
+    "quotient": _Rule(1, lambda p, c, xs: p[0] / (xs + p[0]), "{0}/(x + {0})"),
+    "step": _Rule(1, lambda p, c, xs: np.where(xs >= p[0], 1.0, 0.0), "step(x >= {0})"),
+    "constant": _Rule(1, lambda p, c, xs: np.full_like(xs, p[0]), "{0}"),
+}
+
+# The rules `combine` builds from its operands' rules (the children).
+_RULES = MAP_RULES | {
+    "sum": _Rule(0, lambda p, c, xs: c[0](xs) + c[1](xs), "({0}) + ({1})"),
+    "product": _Rule(0, lambda p, c, xs: c[0](xs) * c[1](xs), "({0}) * ({1})"),
+    "scalar": _Rule(1, lambda p, c, xs: p[0] * c[0](xs), "{0} * ({1})"),
+    "recip-of": _Rule(0, lambda p, c, xs: 1.0 / c[0](xs), "1/({0})"),
 }
 
 
@@ -72,70 +94,19 @@ class MapRule:
     children: tuple["MapRule", ...] = ()
 
     def __post_init__(self):
-        arity = _RULE_ARITY.get(self.tag)
-        if arity is not None and len(self.params) != arity:
+        if self.tag not in _RULES:
+            raise UnsupportedFamily(f"unknown map rule {self.tag!r}")
+        arity = _RULES[self.tag].arity
+        if len(self.params) != arity:
             raise InvalidParameter(
                 f"map rule {self.tag!r} takes {arity} params, got {len(self.params)}"
             )
 
     def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.tag == "identity":
-            return xs
-        if self.tag == "affine":
-            a, b = self.params
-            return a * xs + b
-        if self.tag == "power":
-            return xs ** self.params[0]
-        if self.tag == "reciprocal":
-            return 1.0 / xs
-        if self.tag == "quotient":
-            n = self.params[0]
-            return n / (xs + n)
-        if self.tag == "constant":
-            return np.full_like(xs, self.params[0])
-        if self.tag == "step":
-            return np.where(xs >= self.params[0], 1.0, 0.0)
-        if self.tag == "sum":
-            f, g = self.children
-            return f(xs) + g(xs)
-        if self.tag == "product":
-            f, g = self.children
-            return f(xs) * g(xs)
-        if self.tag == "scalar":
-            return self.params[0] * self.children[0](xs)
-        if self.tag == "recip-of":
-            return 1.0 / self.children[0](xs)
-        if self.tag == "compose":
-            f, g = self.children
-            return f(g(xs))
-        raise UnsupportedFamily(f"unknown map rule {self.tag!r}")
+        return _RULES[self.tag].value(self.params, self.children, np.asarray(xs, dtype=float))
 
     def describe(self) -> str:
-        if self.tag == "affine":
-            return f"{self.params[0]}*x + {self.params[1]}"
-        if self.tag == "power":
-            return f"x^{self.params[0]}"
-        if self.tag == "quotient":
-            return f"{self.params[0]}/(x + {self.params[0]})"
-        if self.tag == "scalar":
-            return f"{self.params[0]} * ({self.children[0].describe()})"
-        if self.tag in ("sum", "product"):
-            a, b = (c.describe() for c in self.children)
-            sep = " + " if self.tag == "sum" else " * "
-            return f"({a}){sep}({b})"
-        if self.tag == "recip-of":
-            return f"1/({self.children[0].describe()})"
-        if self.tag == "compose":
-            a, b = (c.describe() for c in self.children)
-            return f"({a}) o ({b})"
-        if self.tag == "constant":
-            return f"{self.params[0]}"
-        if self.tag == "step":
-            return f"step(x >= {self.params[0]})"
-        if self.tag == "reciprocal":
-            return "1/x"
-        return self.tag
+        return _RULES[self.tag].text.format(*self.params, *(c.describe() for c in self.children))
 
 
 def rule(tag: str, *params) -> MapRule:
@@ -667,7 +638,7 @@ def cauchy_preservation_check(
     seq: PointSequence,
     r: float,
     t: float,
-    p_max: int = 100,
+    p_max: int = DEFAULT_P_MAX,
     budgets: tuple[int, ...] = (1000, 2000, 4000, 8000),
 ) -> CauchyPreservationRecord:
     """Certify or refute that the image of a Cauchy sequence is Cauchy.

@@ -25,6 +25,7 @@ from .continuity import (
 )
 from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
+    DEFAULT_P_MAX,
     ConvergenceCertificate,
     PointSequence,
     _check_rt,
@@ -36,7 +37,9 @@ from .point_convergence import (
 from .sampling import Interval
 
 DEFAULT_BUDGET = 10_000
-DEFAULT_P_MAX = 100
+
+# The closed-form families, in the schema's order; `custom` wraps a callable.
+FUNCSEQ_FAMILIES = ("power", "quotient", "scaled", "constant")
 
 # Tail used to estimate limits of custom families, and the oscillation
 # tolerance beyond which no limit is reported.
@@ -52,7 +55,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 class FunctionSequence:
     """A sequence of univariate maps n -> f_n on a fixed interval."""
 
-    family: str  # power | quotient | scaled | constant | custom
+    family: str  # one of FUNCSEQ_FAMILIES, or custom
     domain: Interval
     params: tuple = ()
     budget: int = DEFAULT_BUDGET

@@ -64,6 +64,8 @@ SCALING_SCALARS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 
 TIER_ORDER = {"core": 0, "idempotent": 1, "strict": 2}
 
+NORM_FAMILIES = ("absolute-value", "euclidean", "max-coordinate")  # absolute-value: d = 1
+
 AXIOMS = (
     ("i", "mu-plus-nu-bounded", "core"),
     ("ii", "mu-positive", "core"),
@@ -88,10 +90,10 @@ AXIOMS = (
 class ClassicalNorm:
     """One of the classical norms used to seed the standard family."""
 
-    family: str  # absolute-value (d=1) | euclidean | max-coordinate
+    family: str  # one of NORM_FAMILIES
 
     def __post_init__(self):
-        if self.family not in ("absolute-value", "euclidean", "max-coordinate"):
+        if self.family not in NORM_FAMILIES:
             raise InvalidParameter(f"unknown norm family {self.family!r}")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:

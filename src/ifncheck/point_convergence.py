@@ -12,7 +12,7 @@ the window is `failed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +27,21 @@ STATUS_CERTIFIED = "certified-up-to-budget"
 STATUS_FAILED = "failed"
 STATUS_INCONCLUSIVE = "inconclusive"
 
-# Number of params each closed-form sequence family takes.
-_FAMILY_ARITY = {
-    "reciprocal": 0, "constant": 1, "linear": 0, "alternating": 0, "shifted-reciprocal": 2,
+
+class _Family(NamedTuple):
+    arity: int  # number of params
+    terms: Callable  # (params, float indices ns) -> terms x_n
+
+
+# The closed-form families, in the schema's order.
+SEQUENCE_FAMILIES = {
+    "reciprocal": _Family(0, lambda p, ns: 1.0 / (ns + 1.0)),
+    "constant": _Family(1, lambda p, ns: np.full_like(ns, float(p[0]))),
+    "linear": _Family(0, lambda p, ns: ns.copy()),
+    "alternating": _Family(
+        0, lambda p, ns: np.where(np.asarray(ns, dtype=int) % 2 == 0, 1.0, -1.0)
+    ),
+    "shifted-reciprocal": _Family(2, lambda p, ns: p[0] + 1.0 / (ns + p[1])),
 }
 
 
@@ -48,32 +60,23 @@ class PointSequence:
     fn: Callable | None = None
 
     def __post_init__(self):
-        arity = _FAMILY_ARITY.get(self.family)
-        if arity is not None and len(self.params) != arity:
+        if self.family == "custom":
+            return
+        if self.family not in SEQUENCE_FAMILIES:
+            raise UnsupportedFamily(f"unknown sequence family {self.family!r}")
+        arity = SEQUENCE_FAMILIES[self.family].arity
+        if len(self.params) != arity:
             raise InvalidParameter(
                 f"sequence family {self.family!r} takes {arity} params, got {len(self.params)}"
             )
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
-        if self.family == "reciprocal":
-            out = 1.0 / (ns + 1.0)
-        elif self.family == "constant":
-            out = np.full_like(ns, float(self.params[0]))
-        elif self.family == "linear":
-            out = ns.copy()
-        elif self.family == "alternating":
-            out = np.where(np.asarray(ns, dtype=int) % 2 == 0, 1.0, -1.0)
-        elif self.family == "shifted-reciprocal":
-            center, offset = self.params
-            out = center + 1.0 / (ns + offset)
-        elif self.family == "custom":
+        if self.family == "custom":
             return np.asarray(self.fn(np.asarray(ns, dtype=int)), dtype=float).reshape(
                 len(ns), self.dimension
             )
-        else:
-            raise UnsupportedFamily(f"unknown sequence family {self.family!r}")
-        return out.reshape(-1, 1)
+        return SEQUENCE_FAMILIES[self.family].terms(self.params, ns).reshape(-1, 1)
 
 
 def reciprocal_sequence(budget: int = DEFAULT_BUDGET) -> PointSequence:

@@ -18,6 +18,7 @@ from .errors import DomainError, InvalidParameter
 # subsampled (seeded) down to this many points.
 MAX_GRID_POINTS = 20_000
 
+DEFAULT_GRID_POINTS = 21  # per axis of the default plan's grid
 DEFAULT_T_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 DEFAULT_T_LADDER = (1e3, 1e6, 1e9, 1e12)
 
@@ -122,7 +123,7 @@ def default_plan(dimension: int = 1, seed: int = 0) -> SamplingPlan:
     """The default verification plan: 21-point coordinate grid in [-5, 5]
     per axis, the standard t grid, 200 seeded random points, and a
     t -> oo ladder reaching 1e12."""
-    axis = np.linspace(-5.0, 5.0, 21)
+    axis = np.linspace(-5.0, 5.0, DEFAULT_GRID_POINTS)
     return SamplingPlan(product_grid(axis, dimension, seed), seed=seed)
 
 

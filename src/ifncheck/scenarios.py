@@ -433,6 +433,19 @@ def uniform_limit_record(spaces, seq, sample, r, t, c: dict, seed: int) -> Check
     return _demand("uniform-limit", r, t, anchor, verdict, rec.summary(), seed, seq.budget)
 
 
+def sup_oracle_record(seq, c: dict, seed: int) -> CheckRecord:
+    a, m, n = c["a"], c["m"], c["n"]
+    details = {
+        "sup": sup_deviation_oracle(seq, a, m, n),
+        "analytic_bound": a ** m,
+        "doubled_bound": 2 * a ** m,
+    }
+    return CheckRecord(
+        name=f"sup-oracle/a{a}-m{m}-n{n}", anchor="brute-force tail-deviation supremum on [0, a]",
+        verdict=INFO, details=details, seed=seed, work=_ORACLE_GRID,
+    )
+
+
 # the kinds that take one (r, t) demand of their fields' grid at a time
 _FUNCSEQ_KINDS = {
     "pointwise": pointwise_record,
@@ -468,21 +481,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
     for check in config["checks"]:
         kind, c = check["kind"], fields_of(CHECK_FIELDS["funcseq"], check)
         if kind == "sup-oracle":
-            a, m, n = c["a"], c["m"], c["n"]
-            sup = sup_deviation_oracle(seq, a, m, n)
-            records.append(
-                CheckRecord(
-                    name=f"sup-oracle/a{a}-m{m}-n{n}",
-                    anchor="brute-force tail-deviation supremum on [0, a]",
-                    verdict=INFO,
-                    details={
-                        "sup": sup,
-                        "analytic_bound": a ** m,
-                        "doubled_bound": 2 * a ** m,
-                    },
-                    seed=seed, work=_ORACLE_GRID,
-                )
-            )
+            records.append(sup_oracle_record(seq, c, seed))
             continue
         rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
         if kind == "uniform-index":

@@ -321,15 +321,6 @@ def set_is_open_sampled(
     return OpennessRecord(sset.description, tuple(results), plan.summary())
 
 
-def is_neighbourhood(
-    space: IFNSpace, sset: SampledSet, x, plan: SamplingPlan | None = None
-) -> bool:
-    """N is a neighbourhood of x when some ladder ball at x is sampled
-    inside N (single-witness openness check)."""
-    single = SampledSet(sset.predicate, as_point(x, space.dimension).reshape(1, -1), sset.description)
-    return set_is_open_sampled(space, single, plan).all_open
-
-
 @dataclass(frozen=True)
 class PreimageRecord:
     target: OpenBall

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from ifncheck.catalog import CATALOG
 from ifncheck.cli import main
 from ifncheck.config_schema import SCHEMAS, validate_config
-from ifncheck.continuity import _RULE_ARITY
+from ifncheck.continuity import MAP_RULES
 from ifncheck.errors import ConfigError
-from ifncheck.point_convergence import _FAMILY_ARITY
+from ifncheck.point_convergence import SEQUENCE_FAMILIES
 from ifncheck.report import to_csv, to_jsonl, to_text
 from ifncheck.scenarios import run_scenario
 
@@ -180,6 +180,7 @@ _SMALL = {
 }
 _COMMAND_OF_KIND = {"uniform-continuity": "uniform"}
 _EXAMPLE_TAGS = ["example-3.15-A", "example-3.15-B(k=3)", "example-4.x"]
+_POSITIVE_FLOOR = 1e-6
 
 
 def _from_schema(schema, name=None):
@@ -208,6 +209,10 @@ def _from_schema(schema, name=None):
         # half the draws from a few plain values, which pass most domain checks
         bounds = (schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum"))
         plain = [v for v in (0.0, 0.1, 0.5, 1.0, 2.0, -1.0) if lo <= v <= hi and v not in bounds]
+        if bounds[0] == 0:
+            # a positive field from a floor: a subnormal epsilon underflows its
+            # ladder, a config error that test_exit_two_on_config_error covers
+            lo, bounds = _POSITIVE_FLOOR, (None, bounds[1])
         anywhere = st.floats(
             lo, hi, exclude_min=bounds[0] is not None, exclude_max=bounds[1] is not None
         )
@@ -284,9 +289,9 @@ def _fit(scenario, cfg):
         [o[key] for o in [cfg, *checks] if key in o] for key in ("map", "sequence", "funcseq")
     )
     for m in maps:
-        _fit_params(m, _RULE_ARITY[m["rule"]])
+        _fit_params(m, MAP_RULES[m["rule"]].arity)
     for seq in seqs:
-        _fit_params(seq, _FAMILY_ARITY[seq["family"]])
+        _fit_params(seq, SEQUENCE_FAMILIES[seq["family"]].arity)
     for box in [o["domain"] for o in maps + funcseqs]:
         if not box["lo"] < box["hi"]:
             box["lo"], box["hi"] = min(box["lo"], box["hi"]), max(box["lo"], box["hi"]) + 1.0
@@ -510,6 +515,8 @@ class TestCliProcess:
             ("axioms", dict(AXIOMS_CFG, plan={"t_grid": [float("inf")]}), "Infinity"),
             ("axioms", dict(AXIOMS_CFG, plan={"t_infinity_ladder": [float("nan"), 1000]}), "NaN"),
             ("converge", dict(CONVERGE_CFG, sequence={"family": "constant", "params": [float("nan")]}), "NaN"),
+            # an epsilon so small that the witness ladder's t underflows to 0
+            ("continuity", dict(continuity, checks=[{"kind": "witness", "epsilon": 5e-324}]), "epsilon"),
             # a range whose width overflows
             ("axioms", dict(AXIOMS_CFG, plan={"grid_halfwidth": 1e308}), "grid_halfwidth"),
             (

@@ -22,7 +22,6 @@ from ifncheck.topology import (
     ball_contains_many,
     inner_ball_witness,
     inner_ball_witnesses,
-    is_neighbourhood,
     preimage_open_check,
     sample_in_ball,
     set_is_open_sampled,
@@ -294,13 +293,13 @@ class TestOpenSets:
             np.linspace(-0.9, 0.9, 5).reshape(-1, 1),
             "open unit interval",
         )
-        # an open set is a neighbourhood of each of its sampled members
+        # an open set is a neighbourhood of each of its sampled members: a
+        # one-witness openness check at x says whether it is one of x
         assert set_is_open_sampled(std, sset).all_open
         for x in (-0.9, 0.0, 0.5):
-            assert is_neighbourhood(std, sset, x)
-        assert not is_neighbourhood(
-            std, SampledSet(lambda pts: np.abs(pts[:, 0]) <= 1.0, np.array([[1.0]])), 1.0
-        )
+            assert set_is_open_sampled(std, SampledSet(sset.predicate, np.array([[x]]))).all_open
+        closed = SampledSet(lambda pts: np.abs(pts[:, 0]) <= 1.0, np.array([[1.0]]))
+        assert not set_is_open_sampled(std, closed).all_open
 
 
 class TestPreimageChecks:
