@@ -26,8 +26,6 @@ from .ifn_core import (
     limit_at_infinity,
     make_example_family,
     make_standard_space,
-    mu_eval,
-    nu_eval,
 )
 from .norm_algebra import (
     TriangularConorm,
@@ -72,8 +70,6 @@ __all__ = [
     "limit_at_infinity",
     "make_example_family",
     "make_standard_space",
-    "mu_eval",
-    "nu_eval",
     "tconorm",
     "tconorm_eval",
     "tnorm",

@@ -17,7 +17,9 @@ from pathlib import Path
 from .continuity import MAP_RULES, MapBetweenSpaces, MapRule, make_map
 from .errors import ConfigError, IFNError
 from .function_sequences import FUNCSEQ_FAMILIES, DomainSample, FunctionSequence, sample_domain
-from .ifn_core import NORM_FAMILIES, TIER_ORDER, IFNSpace, make_example_family, make_standard_space
+from .ifn_core import (
+    EXAMPLE_SPACES, NORM_FAMILIES, TIER_ORDER, IFNSpace, make_example_family, make_standard_space
+)
 from .norm_algebra import TCONORM_FAMILIES, TNORM_FAMILIES
 from .point_convergence import DEFAULT_P_MAX, SEQUENCE_FAMILIES, PointSequence
 from .sampling import DEFAULT_GRID_POINTS, Interval, SamplingPlan, product_grid
@@ -128,10 +130,13 @@ def _keyed(key: str, table: dict, types: dict, narrow: dict | None = None) -> di
     }
 
 
+def _or_list(item: dict) -> dict:
+    """One `item` or a nonempty list of them."""
+    return {"anyOf": [item, {"type": "array", "items": item, "minItems": 1}]}
+
+
 _NUMBER = {"type": "number"}
-_NUMBER_OR_LIST = {
-    "anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}, "minItems": 1}]
-}
+_NUMBER_OR_LIST = _or_list(_NUMBER)
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _COUNT = {"type": "integer", "minimum": 1}
@@ -153,7 +158,7 @@ SPACE_SCHEMA = _keyed(
     "family",
     SPACE_FIELDS,
     {
-        "tag": {"type": "string"},
+        "tag": {"enum": list(EXAMPLE_SPACES)},
         "k": _POSITIVE,
         "dimension": _COUNT,
         "norm": {"enum": list(NORM_FAMILIES)},
@@ -232,11 +237,11 @@ SET_SCHEMA = _keyed(
     narrow={"norm-ball": {"params": {"maxItems": 1}}, "interval": {"params": {"minItems": 2, "maxItems": 2}}},
 )
 
-# The type of every check field; continuity and uniform continuity take a
-# single (r, t) demand.
+# The type of every check field.  Every (r, t) demand has r in (0, 1) and
+# t > 0; continuity and uniform continuity take a single one.
 _CHECK_TYPES = {
-    "r": _NUMBER_OR_LIST,
-    "t": _NUMBER_OR_LIST,
+    "r": _or_list(_UNIT),
+    "t": _or_list(_POSITIVE),
     "p_max": _COUNT,
     "epsilon": _POSITIVE,
     "alpha": _UNIT,
@@ -258,7 +263,7 @@ _CHECK_TYPES = {
     "m": _COUNT,
     "n": _COUNT,
 }
-_SINGLE_DEMAND = _CHECK_TYPES | {"r": _NUMBER, "t": _NUMBER}
+_SINGLE_DEMAND = _CHECK_TYPES | {"r": _UNIT, "t": _POSITIVE}
 
 
 def _checks(scenario: str, types: dict = _CHECK_TYPES) -> dict:
@@ -462,13 +467,11 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
     """One sequence per swept upper endpoint (a single-element list when no
     sweep is requested)."""
     try:
-        params = ("identity",) if cfg["family"] == "constant" else ()
         base = build_interval(cfg["domain"])
         return [
             FunctionSequence(
                 cfg["family"],
                 Interval(base.lo, float(hi), base.open_lo, base.open_hi),
-                params=params,
                 budget=cfg.get("budget", FunctionSequence.budget),
             )
             for hi in cfg.get("hi_sweep", [base.hi])

@@ -25,7 +25,6 @@ when requested.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -262,28 +261,21 @@ class IFNSpace:
         return self.nu.eval(pts, t)
 
     def memberships(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times: the
-        one place where both are evaluated.  The standard pair (one k, one
-        norm) shares k||x|| and t + k||x||, bit for bit as `eval`; any other
-        pair makes one `eval` each, per time for a (T, 1) column."""
+        """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times, the
+        last as (T, N) blocks: the one place where both are evaluated, on a
+        path chosen by the pair's tags.  The standard pair (one k, one norm)
+        shares k||x|| and t + k||x|| and broadcasts over a time column, bit
+        for bit as `eval` at each time; any other pair makes one `eval` each,
+        per time for a (T, 1) column, as a custom callable need not
+        broadcast."""
         mu, nu = self.mu, self.nu
         if (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm):
             ts, kn, den = mu._closed_form(pts, t)
             nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
             return np.divide(ts, den, out=den), nus
         if np.ndim(t) == 2:
-            return tuple(self.membership_block(f, pts, np.ravel(t)) for f in (mu, nu))
+            return tuple(np.stack([f.eval(pts, s) for s in np.ravel(t)]) for f in (mu, nu))
         return mu.eval(pts, t), nu.eval(pts, t)
-
-    def membership_block(self, fn: MembershipFunction, pts: np.ndarray, ts) -> np.ndarray:
-        """(T, N) values of `fn` (this space's mu or nu) at an (N, d) point
-        block and each of the T times `ts`: for the standard family one
-        closed form broadcast over a (T, 1) column of times, bit for bit the
-        per-time loop that other families take."""
-        ts = np.asarray(ts, dtype=float)
-        if self.is_standard:
-            return fn.eval(pts, ts.reshape(-1, 1))
-        return np.stack([fn.eval(pts, t) for t in ts])
 
     @staticmethod
     def meets(mu: np.ndarray, nu: np.ndarray, r: float) -> np.ndarray:
@@ -382,33 +374,17 @@ def make_standard_space(
     return space
 
 
-_EXAMPLE_B = re.compile(r"^example-3\.15-B(?:\(k=([0-9.eE+-]+)\))?$")
+# The named spaces of the scenario catalog, tag -> k: each is the standard
+# family on the real line with min/max operations, and the tag records which
+# worked scenario it belongs to.
+EXAMPLE_SPACES = {"example-3.15-A": 1.0, "example-3.15-B(k=3)": 3.0, "example-4.x": 1.0}
 
 
 def make_example_family(tag: str) -> IFNSpace:
-    """Named spaces used by the scenario catalog.
-
-    All of them are specialisations of the standard family on the real line
-    with min/max operations; the tag records which worked scenario they
-    belong to.
-    """
-    if tag == "example-3.15-A":
-        return make_standard_space(k=1.0, dimension=1)
-    match = _EXAMPLE_B.match(tag)
-    if match:
-        k = float(match.group(1)) if match.group(1) else 3.0
-        return make_standard_space(k=k, dimension=1)
-    if tag == "example-4.x":
-        return make_standard_space(k=1.0, dimension=1)
-    raise UnknownTag(f"unknown example space tag {tag!r}")
-
-
-def mu_eval(space: IFNSpace, x, t) -> float:
-    return space.mu_eval(x, t)
-
-
-def nu_eval(space: IFNSpace, x, t) -> float:
-    return space.nu_eval(x, t)
+    """The named space `tag` of EXAMPLE_SPACES."""
+    if tag not in EXAMPLE_SPACES:
+        raise UnknownTag(f"unknown example space tag {tag!r}")
+    return make_standard_space(k=EXAMPLE_SPACES[tag], dimension=1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +469,11 @@ def check_ifn_axioms(
     found["viii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "nu=0 for x != theta"))
 
     # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|).  Each
-    # scalar builds its mu blocks and then its nu blocks, and drops each pair
-    # before the next is built, to keep peak memory down.
+    # scalar builds its four blocks and drops them before the next scalar.
     for c in SCALING_SCALARS:
-        cP, tg_c = c * P, tg / abs(c)
-        for roman, name, fn in (("iv", "mu", space.mu), ("ix", "nu", space.nu)):
-            lhs = space.membership_block(fn, cP, tg)
-            rhs = space.membership_block(fn, P, tg_c)
+        lhs_pair = space.memberships(c * P, tg.reshape(-1, 1))
+        rhs_pair = space.memberships(P, (tg / abs(c)).reshape(-1, 1))
+        for roman, name, lhs, rhs in zip(("iv", "ix"), ("mu", "nu"), lhs_pair, rhs_pair):
             gap = lhs - rhs
             bad = np.abs(gap, out=gap) > EQUALITY_TOL
             found[roman].add(
@@ -510,7 +484,7 @@ def check_ifn_axioms(
                     f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
                 ),
             )
-            del lhs, rhs, gap
+        del lhs_pair, rhs_pair, lhs, rhs, gap
 
     # (v)/(x) triangle conditions over a seeded pair sample.  Diagonal pairs
     # (x, x) are included deliberately: superadditive deformations violate
@@ -652,8 +626,8 @@ def limit_at_infinity(space: IFNSpace, x, plan: SamplingPlan | None = None) -> L
     plan = plan or default_plan(space.dimension)
     pt = as_point(x, space.dimension).reshape(1, -1)
     ladder = plan.t_infinity_ladder
-    mus = tuple(float(space.mu_many(pt, t)[0]) for t in ladder)
-    nus = tuple(float(space.nu_many(pt, t)[0]) for t in ladder)
+    column = np.reshape(ladder, (-1, 1))
+    mus, nus = (tuple(v[:, 0].tolist()) for v in space.memberships(pt, column))
     converged = (
         abs(mus[-1] - mus[-2]) < LIMIT_TOL
         and mus[-1] > 1.0 - LIMIT_TOL

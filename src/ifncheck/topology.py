@@ -1,5 +1,5 @@
-"""Open balls, sampled open sets, neighbourhoods, and the preimage
-characterisation of continuity.
+"""Open balls, sampled open sets, and the preimage characterisation of
+continuity.
 
 Set membership statements are quantified over all of V, so sets are
 represented by a predicate plus a finite witness sample and every "open"
@@ -156,12 +156,12 @@ def inner_ball_witnesses(
         raise DomainError("witness construction needs y inside the outer ball")
     x, r, t = outer.center, outer.r, outer.t
     diffs = x - ys
-    m, d = ys.shape
+    d = ys.shape[1]
 
-    # t0 ladder: one (47 M, d) demand block, rung-major; first admissible rung
+    # t0 ladder: one (47, M) demand block over a column of rungs; first
+    # admissible rung
     cands = t * _T0_LADDER
-    ok = space.within(np.tile(diffs, (len(cands), 1)), r, np.repeat(cands, m))
-    ok = ok.reshape(len(cands), m)
+    ok = space.within(diffs, r, cands.reshape(-1, 1))
     t0s = cands[ok.argmax(axis=0)]
     r0s = space.mu_many(diffs, t0s)
     tn, tc = space.tnorm, space.tconorm

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -20,6 +21,7 @@ from ifncheck.continuity import MAP_RULES
 from ifncheck.errors import ConfigError
 from ifncheck.point_convergence import SEQUENCE_FAMILIES
 from ifncheck.report import to_csv, to_jsonl, to_text
+from ifncheck.sampling import Interval
 from ifncheck.scenarios import run_scenario
 
 
@@ -179,7 +181,6 @@ _SMALL = {
     "random_count": 20, "points": 9, "refine_depth": 6, "p_max": 30, "m": 6, "n": 6, "seed": 3,
 }
 _COMMAND_OF_KIND = {"uniform-continuity": "uniform"}
-_EXAMPLE_TAGS = ["example-3.15-A", "example-3.15-B(k=3)", "example-4.x"]
 _POSITIVE_FLOOR = 1e-6
 
 
@@ -219,9 +220,9 @@ def _from_schema(schema, name=None):
         return st.one_of(st.sampled_from(plain), anywhere)
     if kind == "boolean":
         return st.booleans()
-    # a string names a catalog scenario or an example space, so that the
-    # config reaches a runner instead of an unknown-name error
-    return st.sampled_from(list(CATALOG) if name == "name" else _EXAMPLE_TAGS)
+    # the one string field names a catalog scenario, so that the config
+    # reaches a runner instead of an unknown-name error
+    return st.sampled_from(list(CATALOG))
 
 
 @st.composite
@@ -261,9 +262,11 @@ def _fit(scenario, cfg):
     the schema, so that the draw reaches a runner: each space's norm fits
     its dimension (1 wherever a map or sequence lives on the real line),
     its tier its operations and its k the axiom check; intervals and
-    sweeps have positive width, `params` match their arity, the t -> oo
-    ladder increases, and topology balls, points and set members lie in
-    the space's dimension.  The config stays valid for the schema."""
+    sweeps have positive width, `power` sequences live on (-1, 1] (where
+    x^n has a limit), continuity points in the map's restriction, `params`
+    match their arity, the t -> oo ladder increases, and topology balls,
+    points and set members lie in the space's dimension.  The config stays
+    valid for the schema."""
     on_line = scenario not in ("axioms", "topology") or any(
         c["kind"] == "preimage-open" for c in cfg.get("checks", ())
     )
@@ -296,8 +299,17 @@ def _fit(scenario, cfg):
         if not box["lo"] < box["hi"]:
             box["lo"], box["hi"] = min(box["lo"], box["hi"]), max(box["lo"], box["hi"]) + 1.0
     for f in funcseqs:
+        box, top = f["domain"], math.inf
+        if f["family"] == "power":
+            box["lo"], top = min(max(box["lo"], -0.9), 0.5), 1.0
+            box["hi"] = min(max(box["hi"], box["lo"] + 0.25), top)
         if "hi_sweep" in f:
-            f["hi_sweep"] = [max(hi, f["domain"]["lo"] + 0.5) for hi in f["hi_sweep"]]
+            f["hi_sweep"] = [min(max(hi, box["lo"] + 0.5), top) for hi in f["hi_sweep"]]
+    if scenario == "continuity":
+        box = cfg["map"]["domain"]
+        inside = Interval(box["lo"], box["hi"], box.get("open_lo", False), box.get("open_hi", False))
+        mid = 0.5 * (box["lo"] + box["hi"])
+        cfg["points"] = [x if inside.contains(x) else mid for x in cfg["points"]]
     if "limit" in cfg:
         cfg["limit"] = _fit_point(cfg["limit"], 1)
     for c in checks if scenario == "topology" else ():
@@ -376,10 +388,10 @@ class TestCliProcess:
             ),
             # a point or a parameter outside its domain
             ("continuity", dict(continuity, points=[5.0]), "x0=5.0"),
-            ("converge", dict(converge, checks=[{"kind": "convergence", "r": 1.5, "t": 1.0}]), "1.5"),
-            # an (r, t) demand outside r in (0, 1), t > 0
-            ("funcseq", dict(funcseq, checks=[{"kind": "cauchy-criterion", "r": 0.1, "t": -1}]), "t must"),
-            ("funcseq", dict(funcseq, checks=[{"kind": "classical-probe", "r": 0.0, "t": 0.1}]), "r must"),
+            # an (r, t) demand outside r in (0, 1), t > 0, which the schema rejects
+            ("converge", dict(converge, checks=[{"kind": "convergence", "r": 1.5, "t": 1.0}]), "checks/0/r"),
+            ("funcseq", dict(funcseq, checks=[{"kind": "cauchy-criterion", "r": 0.1, "t": -1}]), "checks/0/t"),
+            ("funcseq", dict(funcseq, checks=[{"kind": "classical-probe", "r": 0.0, "t": 0.1}]), "checks/0/r"),
             (
                 "funcseq",
                 dict(
@@ -387,7 +399,7 @@ class TestCliProcess:
                     funcseq={"family": "scaled", "domain": {"lo": 0.0, "hi": 1.0}},
                     checks=[{"kind": "uniform-index", "r": 1.5, "t": 0.1}],
                 ),
-                "1.5",
+                "checks/0/r",
             ),
             # a check that does not apply to the family or its limit
             (

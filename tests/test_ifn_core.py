@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -84,6 +83,18 @@ class TestStandardSpace:
                 np.testing.assert_array_equal(lhs, rhs)
 
 
+def tabulated_pair_space(plan: SamplingPlan, dimension: int = 1) -> IFNSpace:
+    """mu = t/(2t + |x|) and nu = |x|/(2t + |x|), tabulated in the first
+    coordinate over the plan's times: a ladder limit of 1/2, not 1."""
+    t_nodes = plan.all_t()
+    x_nodes = np.linspace(-5.0, 5.0, 41)
+    xx, tt = np.meshgrid(x_nodes, t_nodes, indexing="ij")
+    mu = tabulated_membership(x_nodes, t_nodes, tt / (2 * tt + np.abs(xx)))
+    nu = tabulated_membership(x_nodes, t_nodes, np.abs(xx) / (2 * tt + np.abs(xx)))
+    ops = TriangularNorm("minimum"), TriangularConorm("maximum")
+    return IFNSpace(dimension, mu, nu, *ops, axiom_tier="core")
+
+
 def constant_pair_space(mu_value: float, nu_value: float) -> IFNSpace:
     """A space whose memberships take one fixed value everywhere, to place
     each side of the demand exactly on its boundary."""
@@ -124,8 +135,6 @@ class TestExampleFamily:
         assert a.k == 1.0 and a.dimension == 1
         b = make_example_family("example-3.15-B(k=3)")
         assert b.k == 3.0
-        assert make_example_family("example-3.15-B").k == 3.0
-        assert make_example_family("example-3.15-B(k=1.5)").k == 1.5
         four = make_example_family("example-4.x")
         assert four.k == 1.0
 
@@ -190,19 +199,25 @@ class TestAxiomChecker:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_membership_blocks_match_per_t_loop(self, d, seed):
-        # the standard family's broadcast (T, N) blocks against the per-t
-        # loop that every other family takes; a 7-point axis (origin
-        # included) keeps d = 4 affordable
+        # `memberships` over a (T, 1) column of times against a per-t loop
+        # of `eval`: the fused standard pair, and the custom and tabulated
+        # pairs that loop inside it; a 7-point axis (origin included) keeps
+        # d = 4 affordable
         axis = np.linspace(-5.0, 5.0, 7)
         plan = SamplingPlan(product_grid(axis, d, seed), random_count=50, seed=seed)
         P = plan.points()
         for ops in (("minimum", "maximum"), ("product", "probabilistic-sum")):
             sp = make_standard_space(1.5, dimension=d, ops=ops, tier="core", verify=False)
-            per_t = dataclasses.replace(sp, family="custom")
-            for ts in (plan.all_t(), np.add.outer(plan.t_grid, plan.t_grid).ravel()):
-                for fn in (sp.mu, sp.nu):
-                    block = sp.membership_block(fn, P, ts)
-                    assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
+            # the same closed forms behind custom tags take the per-t path
+            per_t = IFNSpace(
+                d, custom_membership(sp.mu.eval), custom_membership(sp.nu.eval),
+                sp.tnorm, sp.tconorm, axiom_tier="core",
+            )
+            for space in (sp, per_t, tabulated_pair_space(plan, d)):
+                for ts in (plan.all_t(), np.add.outer(plan.t_grid, plan.t_grid).ravel()):
+                    blocks = space.memberships(P, ts.reshape(-1, 1))
+                    for block, fn in zip(blocks, (space.mu, space.nu)):
+                        assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
             tiers = itertools.product(("core", "idempotent", "strict"), (False, True))
             for tier, forcing in tiers:
                 fast = check_ifn_axioms(sp, tier, plan, forcing)
@@ -226,20 +241,24 @@ class TestLimitAtInfinity:
     def test_pathological_grid_fails(self):
         # tabulated mu(x,t) = t/(2t + |x|): ladder limit is 1/2, not 1
         plan = default_plan(1, seed=0)
-        t_nodes = np.asarray(sorted(set(plan.t_grid) | set(plan.t_infinity_ladder)))
-        x_nodes = np.linspace(-5.0, 5.0, 41)
-        xx, tt = np.meshgrid(x_nodes, t_nodes, indexing="ij")
-        mu = tabulated_membership(x_nodes, t_nodes, tt / (2 * tt + np.abs(xx)))
-        nu = tabulated_membership(x_nodes, t_nodes, np.abs(xx) / (2 * tt + np.abs(xx)))
-        sp = make_standard_space(1.0, verify=False)
-        from ifncheck.ifn_core import IFNSpace
-
-        bad = IFNSpace(1, mu, nu, sp.tnorm, sp.tconorm, axiom_tier="core")
+        bad = tabulated_pair_space(plan)
         rec = limit_at_infinity(bad, 1.0, plan)
         assert not rec.converged
         assert rec.mu_limit == pytest.approx(0.5, abs=1e-3)
         report = check_ifn_axioms(bad, tier="core", plan=plan)
         assert "vi" in report.violated()
+
+    def test_ladder_matches_per_t_loop(self):
+        # one `memberships` call over the ladder column against the per-t
+        # `mu_many`/`nu_many` loop it replaced, bit for bit
+        plan = default_plan(1, seed=0)
+        spaces = (make_standard_space(2.0), broken_spaces()["vi"][0], tabulated_pair_space(plan))
+        for space, x in itertools.product(spaces, (0.0, 1.0, -3.5, 1e-9)):
+            rec = limit_at_infinity(space, x, plan)
+            pt = np.array([[x]])
+            ladder = plan.t_infinity_ladder
+            assert rec.mu_values == tuple(float(space.mu_many(pt, t)[0]) for t in ladder)
+            assert rec.nu_values == tuple(float(space.nu_many(pt, t)[0]) for t in ladder)
 
 
 class TestSerialization:
