@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .catalog_names import DESCRIPTIONS
 from .config_schema import CHECK_FIELDS, fields_of
 from .continuity import (
     combine,
@@ -595,21 +596,26 @@ def _run_mutation_detection(seed: int) -> list[CheckRecord]:
     return records
 
 
+_RUNNERS = {
+    "note-3.3": _run_note_3_3,
+    "example-3.15": _run_example_3_15,
+    "theorem-2.10": _run_theorem_2_10,
+    "theorem-3.1-3.2": _run_closure,
+    "theorem-3.7": _run_theorem_3_7,
+    "theorem-3.11": _run_theorem_3_11,
+    "theorem-3.13": _run_theorem_3_13,
+    "theorem-3.14": _run_theorem_3_14,
+    "example-4-power": _run_example_4_power,
+    "example-4-quotient": _run_example_4_quotient,
+    "theorem-4-cauchy-criterion": _run_cauchy_criterion,
+    "example-4-verification": _run_example_4_verification,
+    "uniform-limit-theorem": _run_uniform_limit,
+    "definition-2.4-mutations": _run_mutation_detection,
+}
+if _RUNNERS.keys() != DESCRIPTIONS.keys():
+    raise ImportError(f"unpaired catalog scenarios: {sorted(_RUNNERS.keys() ^ DESCRIPTIONS.keys())}")
 CATALOG: dict[str, tuple[str, Callable[[int], list[CheckRecord]]]] = {
-    "note-3.3": ("standard family axioms and classical equivalence", _run_note_3_3),
-    "example-3.15": ("1/x continuity versus uniform continuity on (0,1)", _run_example_3_15),
-    "theorem-2.10": ("continuity equals sequential continuity", _run_theorem_2_10),
-    "theorem-3.1-3.2": ("algebra of continuous maps", _run_closure),
-    "theorem-3.7": ("open balls are open sets", _run_theorem_3_7),
-    "theorem-3.11": ("preimage characterisation of continuity", _run_theorem_3_11),
-    "theorem-3.13": ("uniform continuity preserves Cauchy sequences", _run_theorem_3_13),
-    "theorem-3.14": ("uniform continuity implies continuity, converse fails", _run_theorem_3_14),
-    "example-4-power": ("power sequence: pointwise versus uniform convergence", _run_example_4_power),
-    "example-4-quotient": ("quotient sequence converges uniformly", _run_example_4_quotient),
-    "theorem-4-cauchy-criterion": ("uniform Cauchy criterion agreement", _run_cauchy_criterion),
-    "example-4-verification": ("tail-difference sup oracle", _run_example_4_verification),
-    "uniform-limit-theorem": ("uniform limit theorem and its converse", _run_uniform_limit),
-    "definition-2.4-mutations": ("axiom mutation detection", _run_mutation_detection),
+    name: (description, _RUNNERS[name]) for name, description in DESCRIPTIONS.items()
 }
 
 

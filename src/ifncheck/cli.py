@@ -13,11 +13,8 @@ import argparse
 import os
 import sys
 
-from .catalog import CATALOG
-from .config_schema import load_config
+from .catalog_names import DESCRIPTIONS
 from .errors import ConfigError, IFNError
-from .report import emit_report, to_text
-from .scenarios import run_scenario
 
 SEED_ENV_VAR = "IFNCHECK_SEED"
 
@@ -79,10 +76,14 @@ def _resolve_seed(args, config: dict) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-catalog":
-        for name, (description, _) in CATALOG.items():
+        for name, description in DESCRIPTIONS.items():
             print(f"{name}: {description}")
         return 0
     try:
+        # imported here: list-catalog needs none of them, nor numpy
+        from .config_schema import load_config
+        from .report import emit_report, to_text
+        from .scenarios import run_scenario
         if args.command == "catalog":
             config = {"scenario": "catalog", "name": args.name}
             kind = "catalog"

@@ -12,7 +12,10 @@ parameter is never silently ignored.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from numbers import Number
 from pathlib import Path
+from typing import Iterator
 
 from .continuity import MAP_RULES, MapBetweenSpaces, MapRule, make_map
 from .errors import ConfigError, IFNError
@@ -373,16 +376,88 @@ def validate_config(config: dict, kind: str | None = None) -> str:
         raise ConfigError(
             f"config says scenario={config['scenario']!r} but {scenario!r} was requested"
         )
-    # imported here, so that the catalog and list-catalog never load it
-    import jsonschema
-
-    # the schemas are constants, checked against the metaschema by the tests
-    validator = jsonschema.Draft202012Validator(SCHEMAS[scenario])
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(config))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+    error = best_error(SCHEMAS[scenario], config)
+    if error is not None:
+        raise ConfigError(f"config field {'/'.join(map(str, error.path)) or '<root>'}: {error.message}")
     return scenario
+
+
+# untyped: no "type" in the keyword's schema matches the value; context: an anyOf's errors
+SchemaError = namedtuple("SchemaError", "path keyword message untyped context")
+
+
+def _is(value, kind: str) -> bool:
+    """JSON Schema types: a bool is not a number, and 2.0 is an integer."""
+    if isinstance(value, bool) and kind in ("number", "integer"):
+        return False
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, {"object": dict, "array": list, "string": str, "boolean": bool}.get(kind, Number))
+
+
+def _errors(schema: dict, value, path: tuple = ()) -> Iterator[SchemaError]:
+    """The errors of `value` under the keywords `SCHEMAS` uses, in the order
+    a JSON Schema 2020-12 validator (jsonschema's) yields them."""
+    for key, arg in schema.items():
+        found, below, context = [], [], []
+        # enum and const use JSON equality, where True is not 1
+        if key in ("enum", "const") and not any(
+            isinstance(v, bool) == isinstance(value, bool) and v == value
+            for v in (arg if key == "enum" else [arg])
+        ):
+            found = [f"{value!r} is not one of {arg!r}" if key == "enum" else f"{arg!r} was expected"]
+        elif key == "type" and not _is(value, arg):
+            found = [f"{value!r} is not of type {arg!r}"]
+        elif key == "anyOf" and all(branches := [list(_errors(sub, value, path)) for sub in arg]):
+            context = [error for errors in branches for error in errors]
+            found = [f"{value!r} is not valid under any of the given schemas"]
+        elif key == "allOf":
+            below = [(sub, value, path) for sub in arg]
+        elif key == "if" and "then" in schema and next(_errors(arg, value, path), None) is None:
+            below = [(schema["then"], value, path)]
+        elif key == "properties" and isinstance(value, dict):
+            below = [(sub, value[f], (*path, f)) for f, sub in arg.items() if f in value]
+        elif key == "required" and isinstance(value, dict):
+            found = [f"{f!r} is a required property" for f in arg if f not in value]
+        elif key == "additionalProperties" and arg is False and isinstance(value, dict):
+            extra = [repr(f) for f in sorted(value, key=str) if f not in schema.get("properties", {})]
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                found = [f"Additional properties are not allowed ({', '.join(extra)} {verb} unexpected)"]
+        elif key == "propertyNames" and isinstance(value, dict):
+            below = [(arg, f, path) for f in value]
+        elif key == "items" and isinstance(value, list):
+            below = [(arg, v, (*path, i)) for i, v in enumerate(value)]
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            found = [f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"]
+        elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
+            found = [f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"]
+        elif key == "minimum" and _is(value, "number") and value < arg:
+            found = [f"{value!r} is less than the minimum of {arg!r}"]
+        elif key == "exclusiveMinimum" and _is(value, "number") and value <= arg:
+            found = [f"{value!r} is less than or equal to the minimum of {arg!r}"]
+        elif key == "exclusiveMaximum" and _is(value, "number") and value >= arg:
+            found = [f"{value!r} is greater than or equal to the maximum of {arg!r}"]
+        untyped = "type" not in schema or not _is(value, schema["type"])
+        yield from (SchemaError(path, key, message, untyped, context) for message in found)
+        for sub, v, p in below:
+            yield from _errors(sub, v, p)
+
+
+def _relevance(error: SchemaError) -> tuple:
+    return (-len(error.path), error.path, error.keyword != "anyOf", error.untyped)
+
+
+def best_error(schema: dict, value) -> SchemaError | None:
+    """The error jsonschema's `best_match` picks: the most relevant, then, in
+    an anyOf, the deepest of its branches' errors unless the two deepest tie."""
+    best = max(_errors(schema, value), key=_relevance, default=None)
+    while best is not None and best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+    return best
 
 
 def schema_document() -> dict:

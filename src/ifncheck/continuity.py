@@ -34,7 +34,7 @@ from .point_convergence import (
     mapped_sequence,
     tail_index,
 )
-from .sampling import Interval, intersect
+from .sampling import Interval, intersect, sorted_unique
 
 LADDER_DEPTH = 20
 ZERO_SET_TOL = 1e-12
@@ -272,7 +272,7 @@ def _base_samples(f: MapBetweenSpaces, x0: float, seed: int) -> np.ndarray:
     offs = w * 2.0 ** (-np.arange(0, 47, dtype=float))
     near = np.concatenate([x0 + offs, x0 - offs])
     pieces.append(near[dom.contains(near)])
-    return np.unique(np.concatenate(pieces))
+    return sorted_unique(np.concatenate(pieces))
 
 
 def _rung_probes(
@@ -283,7 +283,7 @@ def _rung_probes(
     offs = rho * np.asarray(_PROBE_FRACTIONS)
     adapted = np.concatenate([x0 + offs, x0 - offs])
     adapted = adapted[f.restriction.contains(adapted)]
-    return np.unique(np.concatenate([base, adapted]))
+    return sorted_unique(np.concatenate([base, adapted]))
 
 
 def continuity_witness_search(

@@ -35,6 +35,16 @@ def as_point(x, dimension: int) -> np.ndarray:
     return arr
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending: bit for bit `np.unique`
+    (the same default sort, then the first of each run of equal values, so
+    -0.0 and 0.0 keep the sort's order), without its import of `numpy.ma`."""
+    s = np.sort(values)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) & ~np.isnan(s[:-1])  # NaNs sort last: keep the first
+    return s[keep]
+
+
 def product_grid(axis_values: np.ndarray, dimension: int, seed: int = 0) -> np.ndarray:
     """Cartesian product grid, seeded-subsampled above MAX_GRID_POINTS."""
     axis_values = np.asarray(axis_values, dtype=float)
@@ -106,7 +116,7 @@ class SamplingPlan:
         """Deterministic sample of [0, 1], for unit-interval operations."""
         base = np.linspace(0.0, 1.0, grid_count)
         extra = self.rng(2).uniform(0.0, 1.0, size=random_extra)
-        return np.unique(np.concatenate([base, extra]))
+        return sorted_unique(np.concatenate([base, extra]))
 
     def summary(self) -> dict:
         return {

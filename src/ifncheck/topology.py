@@ -17,7 +17,7 @@ from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, 
 from .ifn_core import IFNSpace, membership_radius
 from .continuity import MapBetweenSpaces
 from .norm_algebra import _bisect_from_above
-from .sampling import SamplingPlan, as_point, default_plan
+from .sampling import SamplingPlan, as_point, default_plan, sorted_unique
 
 # (r, t) ladder searched when testing openness at a witness point.
 _R_LADDER = tuple(2.0 ** (-j) for j in range(1, 31))
@@ -356,7 +356,7 @@ def preimage_open_check(
     plan = plan or default_plan(f.domain.dimension)
     dom = f.restriction
     rng = np.random.default_rng((plan.seed, 37))
-    xs = np.unique(np.concatenate([dom.grid(81), dom.random(128, rng)]))
+    xs = sorted_unique(np.concatenate([dom.grid(81), dom.random(128, rng)]))
     member = ball_contains_many(f.codomain, target, f(xs).reshape(-1, 1))
     witnesses = xs[member][:: max(1, int(np.sum(member)) // _PREIMAGE_WITNESSES)][:_PREIMAGE_WITNESSES]
     if len(witnesses) == 0:

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -16,13 +18,25 @@ from hypothesis import strategies as st
 
 from ifncheck.catalog import CATALOG
 from ifncheck.cli import main
-from ifncheck.config_schema import SCHEMAS, validate_config
+from ifncheck.config_schema import SCHEMAS, best_error, validate_config
 from ifncheck.continuity import MAP_RULES
 from ifncheck.errors import ConfigError
 from ifncheck.point_convergence import SEQUENCE_FAMILIES
 from ifncheck.report import to_csv, to_jsonl, to_text
 from ifncheck.sampling import Interval
 from ifncheck.scenarios import run_scenario
+
+
+EXAMPLES = pathlib.Path(__file__).parents[1] / "docs" / "examples"
+
+
+def _python(*args) -> str:
+    """The stdout of a fresh interpreter that runs `args` (a -c snippet by
+    default) with this checkout's `src` first on its path."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, *(args if args[0] == "-m" else ("-c", *args))]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
 
 
 def write_config(tmp_path, cfg):
@@ -66,6 +80,12 @@ class TestConfigValidation:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             validate_config({"scenario": "frobnicate"})
+
+    def test_json_schema_number_semantics(self):
+        # a bool is not a number, and 2.0 is an integer
+        with pytest.raises(ConfigError, match="space/k: True is not of type 'number'"):
+            validate_config(AXIOMS_CFG | {"space": {"family": "standard", "k": True}})
+        validate_config(AXIOMS_CFG | {"space": {"family": "standard", "dimension": 2.0}})
 
 
 class TestRunScenario:
@@ -262,11 +282,11 @@ def _fit(scenario, cfg):
     the schema, so that the draw reaches a runner: each space's norm fits
     its dimension (1 wherever a map or sequence lives on the real line),
     its tier its operations and its k the axiom check; intervals and
-    sweeps have positive width, `power` sequences live on (-1, 1] (where
-    x^n has a limit), continuity points in the map's restriction, `params`
-    match their arity, the t -> oo ladder increases, and topology balls,
-    points and set members lie in the space's dimension.  The config stays
-    valid for the schema."""
+    sweeps have positive width, a `reciprocal` map's domain leaves out 0,
+    `power` sequences live on (-1, 1] (where x^n has a limit), continuity
+    points in the map's restriction, `params` match their arity, the
+    t -> oo ladder increases, and topology balls, points and set members
+    lie in the space's dimension.  The config stays valid for the schema."""
     on_line = scenario not in ("axioms", "topology") or any(
         c["kind"] == "preimage-open" for c in cfg.get("checks", ())
     )
@@ -298,6 +318,10 @@ def _fit(scenario, cfg):
     for box in [o["domain"] for o in maps + funcseqs]:
         if not box["lo"] < box["hi"]:
             box["lo"], box["hi"] = min(box["lo"], box["hi"]), max(box["lo"], box["hi"]) + 1.0
+    for box in [m["domain"] for m in maps if m["rule"] == "reciprocal"]:
+        if _interval(box).contains(0.0):
+            # off the pole of 1/x, which test_exit_two_on_config_error covers
+            box["lo"], box["hi"] = 0.5, box["hi"] + 0.5 - box["lo"]
     for f in funcseqs:
         box, top = f["domain"], math.inf
         if f["family"] == "power":
@@ -307,7 +331,7 @@ def _fit(scenario, cfg):
             f["hi_sweep"] = [min(max(hi, box["lo"] + 0.5), top) for hi in f["hi_sweep"]]
     if scenario == "continuity":
         box = cfg["map"]["domain"]
-        inside = Interval(box["lo"], box["hi"], box.get("open_lo", False), box.get("open_hi", False))
+        inside = _interval(box)
         mid = 0.5 * (box["lo"] + box["hi"])
         cfg["points"] = [x if inside.contains(x) else mid for x in cfg["points"]]
     if "limit" in cfg:
@@ -322,6 +346,10 @@ def _fit(scenario, cfg):
     return cfg
 
 
+def _interval(box):
+    return Interval(box["lo"], box["hi"], box.get("open_lo", False), box.get("open_hi", False))
+
+
 def _fit_point(value, dim):
     """A number or list of numbers as a point of R^dim (a number when dim = 1)."""
     coords = (value if isinstance(value, list) else [value]) * dim
@@ -334,6 +362,65 @@ def _configs():
             lambda cfg: (scenario, _fit(scenario, cfg))
         )
     )
+
+
+_DROP = object()
+
+
+def _positions(doc, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _positions(value, (*path, key))
+
+
+def _changes(value, droppable):
+    """`value` itself, or a single-field change of it: dropped, a wrong type,
+    an unknown field, an empty list, a bool for a number, 2.0 for an
+    integer, or a number at or past a bound of the schema."""
+    options = [value, "x", None, {}, [0.5]] + [_DROP] * droppable
+    if isinstance(value, dict):
+        options.append(value | {"bogus": 1})
+    if isinstance(value, list):
+        options.append([])
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        options += [True, False, 0, 0.0, 1, 1.0, -1, 2, 1e-9, 1e9]
+    if type(value) is int:
+        options.append(float(value))
+    return options
+
+
+@st.composite
+def _mutants(draw):
+    """A config of the walker with at most one field changed."""
+    scenario, cfg = draw(_configs())
+    path = draw(st.sampled_from(list(_positions(cfg))))
+    if not path:
+        return scenario, draw(st.sampled_from(_changes(cfg, False)))
+    parent = functools.reduce(operator.getitem, path[:-1], cfg)
+    new = draw(st.sampled_from(_changes(parent[path[-1]], True)))
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return scenario, cfg
+
+
+class TestValidatorAgainstJsonschema:
+    @given(case=_mutants())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_decision_field_and_message(self, case):
+        # jsonschema is the oracle: the same accept/reject, and on reject
+        # the error its best_match picks
+        scenario, cfg = case
+        validator = jsonschema.Draft202012Validator(SCHEMAS[scenario])
+        oracle = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+        error = best_error(SCHEMAS[scenario], cfg)
+        assert (error is None) == validator.is_valid(cfg) == (oracle is None)
+        if oracle is not None:
+            assert error.path == tuple(oracle.absolute_path)
+            assert error.message == oracle.message
 
 
 class TestCliProcess:
@@ -569,12 +656,13 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_exit_three_when_report_cannot_be_written(self, tmp_path, monkeypatch, capsys, fmt):
-        import ifncheck.cli as cli
+        import ifncheck.scenarios as scenarios
         from ifncheck.report import PASS, CheckRecord, VerificationReport
 
         record = CheckRecord("unbounded", "a detail that is not finite", PASS, {"value": float("inf")})
         report = VerificationReport("converge", CONVERGE_CFG, 0, (record,))
-        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: report)
+        # the CLI imports run_scenario when a command runs, not at its own import
+        monkeypatch.setattr(scenarios, "run_scenario", lambda *args, **kwargs: report)
         rc = main(
             ["converge", "--config", write_config(tmp_path, CONVERGE_CFG),
              "--out", str(tmp_path), "--format", fmt]
@@ -629,13 +717,34 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("module", ["ifncheck.catalog", "ifncheck.cli"])
     def test_catalog_path_leaves_jsonschema_unloaded(self, module):
-        # only schema validation needs jsonschema; the catalog and
-        # list-catalog run without paying for its import
-        src = str(pathlib.Path(__file__).parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = f"import sys, {module}; print('jsonschema' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
+        # nothing imports jsonschema at run time, and list-catalog loads no numpy
+        assert _python(f"import sys, {module}; print('jsonschema' in sys.modules)") == "False\n"
+        if module == "ifncheck.cli":
+            # the listing is the one the CLI printed from CATALOG
+            listing = "".join(f"{name}: {description}\n" for name, (description, _) in CATALOG.items())
+            assert _python("-m", "ifncheck.cli", "list-catalog") == listing
+            code = "import sys, ifncheck.cli as c; c.main(['list-catalog']); print('numpy' in sys.modules)"
+            assert _python(code) == listing + "False\n"
+
+    def test_package_exports_resolve(self):
+        import ifncheck
+
+        namespace = {}
+        exec("from ifncheck import *", namespace)
+        for name in ifncheck.__all__:
+            assert name in dir(ifncheck) and namespace[name] is getattr(ifncheck, name)
+
+    @pytest.mark.parametrize("name", [p.name for p in sorted(EXAMPLES.glob("*.json"))])
+    def test_examples_run_without_jsonschema_or_numpy_ma(self, name, tmp_path):
+        # validation is built in, and no call on the config path loads numpy.ma
+        argv = [name.split("-")[0], "--config", str(EXAMPLES / name), "--out", str(tmp_path)]
+        code = (
+            "import sys; sys.modules['jsonschema'] = None; import ifncheck.cli as c; "
+            f"rc = c.main({argv!r}); "
+            "print(rc, 'numpy.ma' in sys.modules)"
+        )
+        # the reciprocal map genuinely fails uniform continuity
+        assert _python(code).splitlines()[-1] == f"{int(name == 'uniform-reciprocal.json')} False"
 
     def test_catalog_run_writes_report(self, tmp_path, capsys):
         rc = main(["catalog", "example-4-quotient", "--out", str(tmp_path), "--format", "text"])
