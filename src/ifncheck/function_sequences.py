@@ -23,7 +23,7 @@ from .continuity import (
     MapRule,
     continuity_witness_search,
 )
-from .ifn_core import IFNSpace, membership_radius
+from .ifn_core import IFNSpace, membership_radius, safe_radius
 from .point_convergence import (
     DEFAULT_P_MAX,
     ConvergenceCertificate,
@@ -334,11 +334,16 @@ def uniform_cauchy_check(
     and every later index within budget; no limit function is needed.
 
     For radial memberships the two-sided statement (all m > n up to
-    budget + p_max) is checked exactly via suffix extrema, which subsumes
-    both the p-bounded form and the (n, m) form.  Otherwise the p-bounded
-    form is scanned directly and a geometric (n, m) spot-check grid guards
-    against a too-optimistic index.  The verdict follows the same
-    refinement-ladder rule as the direct search.
+    budget + p_max) is checked via suffix extrema, which subsumes both the
+    p-bounded form and the (n, m) form: the worst later deviation decides
+    each n.  The float demand of the standard pair is not monotone in |z|
+    near the radius, so there a worst deviation at or past `safe_radius`
+    that passes is rechecked against every later term, and the index is
+    exact per (n, m).  Declared-radial custom and tabulated pairs are
+    trusted to be monotone as declared.  Otherwise the p-bounded form is
+    scanned directly and a geometric (n, m) spot-check grid guards against
+    a too-optimistic index.  The verdict follows the same refinement-ladder
+    rule as the direct search.
     """
     if p_max < 1:
         raise InvalidParameter("p_max must be >= 1")
@@ -346,6 +351,7 @@ def uniform_cauchy_check(
     n_total = seq.budget + p_max
     vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)
     radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
+    safe = safe_radius(codomain, r, t) if radial and codomain.standard_pair else None
 
     ok = np.empty((seq.budget, vals.shape[1]), dtype=bool)
     for col, v in enumerate(vals.T):
@@ -356,6 +362,9 @@ def uniform_cauchy_check(
             now = v[: seq.budget]
             worst = np.maximum(later_max - now, now - later_min)
             ok[:, col] = codomain.within(worst.reshape(-1, 1), r, t)
+            if safe is not None:
+                for n in np.flatnonzero(ok[:, col] & (worst >= safe)):
+                    ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
         else:
             first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)
             ok[:, col] = _window_ok(first, n_total)[: seq.budget]

@@ -25,7 +25,9 @@ when requested.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -235,6 +237,13 @@ class IFNSpace:
         return self.family == "standard"
 
     @property
+    def standard_pair(self) -> bool:
+        """mu and nu are the standard pair with one k and one norm, which
+        `memberships` evaluates on its fused path."""
+        mu, nu = self.mu, self.nu
+        return (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm)
+
+    @property
     def theta(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
@@ -269,7 +278,7 @@ class IFNSpace:
         per time for a (T, 1) column, as a custom callable need not
         broadcast."""
         mu, nu = self.mu, self.nu
-        if (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm):
+        if self.standard_pair:
             ts, kn, den = mu._closed_form(pts, t)
             nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
             return np.divide(ts, den, out=den), nus
@@ -666,3 +675,45 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
         else:
             hi = mid
     return lo
+
+
+# binary64's unit roundoff, and the bit pattern of +inf: read as int64, the
+# non-negative floats are ordered as their values are
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+_INF_BITS = int(np.array(np.inf).view(np.int64))
+
+
+def safe_radius(space: IFNSpace, r: float, t: float) -> float:
+    """A float X such that every z of the real line with |z| < X meets the
+    demand as `within` decides it in binary64, for a standard pair (0 < r < 1,
+    finite t > 0).
+
+    The float demand is not monotone in |z| near the radius, so X is a
+    proven bound, not the cut itself.  With a = fl(k ||z||), which grows
+    with |z|, mu = fl(t / fl(t + a)) falls as |z| grows, so the mu half is
+    bisected exactly over the bit patterns of |z|.  For nu = fl(a / fl(t + a)):
+    fl(t + a) >= (t + a)(1 - u), as a sum below the normal range is exact,
+    and fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
+    a < r t (1 - u) / (1 + u - r (1 - u)), which is compared exactly.  (Where
+    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)
+    """
+    rf, u = Fraction(r), _UNIT_ROUNDOFF
+    cap = min(rf * Fraction(t) * (1 - u) / (1 + u - rf * (1 - u)), Fraction(sys.float_info.max))
+    a_max = float(cap)  # made the largest float below the cap
+    if Fraction(a_max) >= cap:
+        a_max = float(np.nextafter(a_max, 0.0))
+
+    lo, hi = -1, _INF_BITS  # every pattern up to lo passes; hi (+inf, a > a_max) fails
+    while hi - lo > 1:
+        # 1024 evenly spaced patterns in (lo, hi) per round
+        step = max((hi - lo) // 1024, 1)
+        bits = lo + step * np.arange(1, (hi - 1 - lo) // step + 1, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            ts, kn, den = space.mu._closed_form(bits.view(np.float64), t)
+        fails = ~((np.divide(ts, den) > 1.0 - r) & (kn <= a_max))
+        j = int(np.argmax(fails)) if fails.any() else len(bits)
+        if j:
+            lo = int(bits[j - 1])
+        if j < len(bits):
+            hi = int(bits[j])
+    return float(np.array(hi, dtype=np.int64).view(np.float64))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvalidParameter, UnsupportedFamily
-from .ifn_core import IFNSpace
+from .ifn_core import IFNSpace, safe_radius
 from .sampling import as_point
 
 DEFAULT_BUDGET = 100_000
@@ -221,11 +221,23 @@ def _p_window_scan(
     Returns first[n-1], the first p at which the demand fails at (n, p)
     (N when it holds at every p scanned), and worst[n-1], the largest
     1 - mu(x_{n+p} - x_n, t) over those p.  Each p evaluates mu and nu once.
+    A standard pair on the real line with finite terms takes
+    `_window_extrema_scan`, which returns the same arrays bit for bit.
     """
     n_total = len(vals)
+    p_top = min(p_max, n_total - 1)
+    if (
+        space.standard_pair
+        and vals.shape[1:] == (1,)
+        and p_top >= 1
+        and 0.0 < r < 1.0
+        and 0.0 < t < np.inf
+        and np.all(np.isfinite(vals))
+    ):
+        return _window_extrema_scan(space, vals[:, 0], r, t, p_top)
     first = np.full(max(n_total - 1, 0), n_total)
     worst = np.full(max(n_total - 1, 0), np.inf)  # the smallest mu until the end
-    for p in range(1, min(p_max, n_total - 1) + 1):
+    for p in range(1, p_top + 1):
         mu, nu = space.memberships(vals[p:] - vals[:-p], t)
         bad = np.flatnonzero(~space.meets(mu, nu, r))
         first[bad] = np.minimum(first[bad], p)
@@ -233,6 +245,51 @@ def _p_window_scan(
         del mu, nu  # freed before the next p's evaluation, not after it
     # fl(1 - x) is monotone, so 1 - min(mu) is max(1 - mu) bit for bit
     return first, np.subtract(1.0, worst, out=worst)
+
+
+def _window_extrema(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The max and the min of x[i+1 : i+1+width] for i = 0..len(x)-2, each
+    window cut off at the end, by doubling the span in place."""
+    hi, lo = x[1:].copy(), x[1:].copy()
+    span = 1  # hi[i] and lo[i] cover x[i+1 : i+1+span]
+    while span < width:
+        step = min(span, width - span)
+        np.maximum(hi[:-step], hi[step:], out=hi[:-step])
+        np.minimum(lo[:-step], lo[step:], out=lo[:-step])
+        span += step
+    return hi, lo
+
+
+def _window_extrema_scan(
+    space: IFNSpace, x: np.ndarray, r: float, t: float, p_top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_p_window_scan` of finite terms x on the real line for a standard
+    pair, from each window's extrema.
+
+    fl(y - x_n) is monotone in y, so the largest |x_{n+p} - x_n| over the
+    window is far_n = max(fl(M_n - x_n), fl(x_n - m_n)) for its max M_n and
+    min m_n; mu falls as |z| grows, so worst = 1 - mu(far).  A row whose
+    far_n lies below `safe_radius` meets the demand at every p.  The other
+    rows are scanned p by p, each leaving at its first failure, so every
+    entry decided is the loop's own float expression.
+    """
+    last = len(x) - 1
+    far, lo = _window_extrema(x, p_top)
+    np.subtract(far, x[:-1], out=far)
+    np.maximum(far, np.subtract(x[:-1], lo, out=lo), out=far)
+    del lo
+    rows = np.flatnonzero(far >= safe_radius(space, r, t))
+    mu = space.memberships(far, t)[0]
+    del far
+    first = np.full(last, last + 1)
+    for p in range(1, p_top + 1):
+        rows = rows[: np.searchsorted(rows, last + 1 - p)]  # rows i whose x[i + p] exists
+        if not len(rows):
+            break
+        ok = space.within(x[rows + p] - x[rows], r, t)
+        first[rows[~ok]] = p
+        rows = rows[ok]
+    return first, np.subtract(1.0, mu, out=mu)
 
 
 def _window_ok(first: np.ndarray, budget: int) -> np.ndarray:

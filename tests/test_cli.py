@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from ifncheck.catalog import CATALOG
 from ifncheck.cli import main
-from ifncheck.config_schema import SCHEMAS, best_error, validate_config
+from ifncheck.config_schema import CHECK_FIELDS, SCHEMAS, best_error, fields_of, validate_config
 from ifncheck.continuity import MAP_RULES
 from ifncheck.errors import ConfigError
+from ifncheck.ifn_core import EXAMPLE_SPACES
 from ifncheck.point_convergence import SEQUENCE_FAMILIES
 from ifncheck.report import to_csv, to_jsonl, to_text
 from ifncheck.sampling import Interval
@@ -284,7 +285,9 @@ def _fit(scenario, cfg):
     its tier its operations and its k the axiom check; intervals and
     sweeps have positive width, a `reciprocal` map's domain leaves out 0,
     `power` sequences live on (-1, 1] (where x^n has a limit), continuity
-    points in the map's restriction, `params` match their arity, the
+    points in the map's restriction, a sequential approach x0 + 1/(n + offset)
+    starts inside the domain's (r, t) radius (so it is certified to converge
+    within any budget), `params` match their arity, the
     t -> oo ladder increases, and topology balls, points and set members
     lie in the space's dimension.  The config stays valid for the schema."""
     on_line = scenario not in ("axioms", "topology") or any(
@@ -334,6 +337,12 @@ def _fit(scenario, cfg):
         inside = _interval(box)
         mid = 0.5 * (box["lo"] + box["hi"])
         cfg["points"] = [x if inside.contains(x) else mid for x in cfg["points"]]
+        dom = cfg["domain_space"]
+        k = dom.get("k", 1.0) if dom["family"] == "standard" else EXAMPLE_SPACES[dom["tag"]]
+        for c in checks:
+            if c["kind"] in ("sequential", "equivalence"):
+                f = fields_of(CHECK_FIELDS["continuity"], c)
+                c["sequence_offset"] = max(f["sequence_offset"], 2.0 * k / (f["r"] * f["t"]))
     if "limit" in cfg:
         cfg["limit"] = _fit_point(cfg["limit"], 1)
     for c in checks if scenario == "topology" else ():

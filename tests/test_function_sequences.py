@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ifncheck.errors import DomainError, InvalidParameter, NoLimit, UnsupportedFamily
 from ifncheck.function_sequences import (
     DEFAULT_P_MAX,
+    DomainSample,
     FunctionSequence,
     classical_uniform_probe,
     closed_form_index_power,
@@ -17,7 +18,7 @@ from ifncheck.function_sequences import (
     uniform_index_sweep,
     uniform_limit_scenario,
 )
-from ifncheck.ifn_core import IFNSpace, custom_membership, make_example_family
+from ifncheck.ifn_core import IFNSpace, custom_membership, make_example_family, make_standard_space
 from ifncheck.sampling import Interval
 
 
@@ -258,6 +259,21 @@ class TestCauchyCriterion:
         seq = FunctionSequence("constant", Interval(0.0, 1.0), params=("identity",))
         cert = uniform_cauchy_check(spaces, seq, sample_domain(seq.domain, 9), 0.5, 1.0)
         assert cert.n0 == 1
+
+    def test_radial_branch_rechecks_a_passing_worst_deviation_near_the_radius(self):
+        # at n = 1 the worst later deviation, 0.8054198989992021, passes, yet
+        # the nearer later term 0.805419898999202 fails: the float demand is
+        # not monotone in |z| near the radius, so n0 is 2, not 1
+        sp = make_standard_space(1.0)
+        r, t = 0.6765943970031398, 0.3849829517584646
+        rows = np.array([0.0, 0.805419898999202] + [0.8054198989992021] * 9)
+        assert list(sp.within(rows[1:3].reshape(-1, 1), r, t)) == [False, True]
+        seq = FunctionSequence(
+            "custom", Interval(0.0, 1.0), budget=8,
+            fn=lambda ns, xs: rows[ns - 1][:, None] + 0.0 * xs,
+        )
+        cert = uniform_cauchy_check((sp, sp), seq, DomainSample((0.0,)), r, t, p_max=3)
+        assert (cert.verdict, cert.n0) == ("uniform-up-to-budget", 2)
 
     @pytest.mark.parametrize(
         "family, lo, hi, refine, r, t, p_max",

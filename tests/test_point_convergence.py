@@ -14,7 +14,14 @@ from ifncheck.function_sequences import (
     _certificate,
     uniform_cauchy_check,
 )
-from ifncheck.ifn_core import IFNSpace, custom_membership, make_standard_space
+from ifncheck.ifn_core import (
+    NORM_FAMILIES,
+    IFNSpace,
+    custom_membership,
+    make_standard_space,
+    membership_radius,
+    safe_radius,
+)
 from ifncheck.point_convergence import (
     STATUS_INCONCLUSIVE,
     PointSequence,
@@ -358,6 +365,127 @@ def test_p_window_scan_evaluates_each_membership_once_per_p():
     assert calls == {"mu": 20, "nu": 20}
     ref_first, ref_worst = _p_window_scan(std, vals, 0.5, 1.0, 20)
     assert np.array_equal(first, ref_first) and np.array_equal(worst, ref_worst)
+
+
+def reference_window_scan(space, vals, r, t, p_max):
+    """first and worst of `_p_window_scan` from a plain loop over every
+    (n, p): the first failing p, and the largest 1 - mu over the window."""
+    n_total = len(vals)
+    first = np.full(n_total - 1, n_total)
+    worst = np.full(n_total - 1, -np.inf)
+    for p in range(1, min(p_max, n_total - 1) + 1):
+        diffs = vals[p:] - vals[:-p]
+        head = first[: n_total - p]
+        head[~space.within(diffs, r, t) & (head == n_total)] = p
+        np.maximum(worst[: n_total - p], 1.0 - space.mu_many(diffs, t), out=worst[: n_total - p])
+    return first, worst
+
+
+def _ulps(x, j):
+    """The float j ulps above the positive float x."""
+    return float((np.array(x).view(np.int64) + j).view(np.float64))
+
+
+@st.composite
+def _near_tie_walks(draw):
+    """A standard space on the real line, a demand, and a walk whose steps
+    are the float radius (the closed form's or the safe one) give or take
+    up to 1,000 ulps, or just those ulps, followed by a constant tail or a
+    monotone one whose steps are a fraction of the radius."""
+    family = draw(st.sampled_from(NORM_FAMILIES))
+    k, r = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1 - 1e-6))
+    t = draw(st.floats(1e-3, 1e3))
+    space = make_standard_space(k, family, verify=False)
+    radius = draw(st.sampled_from([membership_radius, safe_radius]))(space, r, t)
+    ulps = st.integers(-1000, 1000)
+    signs = st.sampled_from([-1.0, 1.0])
+    steps = [
+        sign * (_ulps(radius, j) - radius * nudge)
+        for j, sign, nudge in draw(st.lists(st.tuples(ulps, signs, st.booleans()), max_size=40))
+    ]
+    tail = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        steps += [0.0] * tail
+    else:
+        part = _ulps(radius / draw(st.integers(1, 4)), draw(ulps))
+        steps += [draw(signs) * part] * tail
+    start = radius * draw(st.floats(-3.0, 3.0))
+    vals = np.cumsum([start, *steps]).reshape(-1, 1)
+    p_max = draw(st.integers(1, len(vals) + 3))
+    return space, r, t, vals, p_max
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(case=_near_tie_walks())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_window_extrema_scan_matches_the_per_p_loop_at_near_ties(case):
+    space, r, t, vals, p_max = case
+    first, worst = _p_window_scan(space, vals, r, t, p_max)
+    ref_first, ref_worst = reference_window_scan(space, vals, r, t, p_max)
+    assert _same_bits(first, ref_first) and _same_bits(worst, ref_worst)
+
+
+@st.composite
+def _straddles(draw):
+    """A standard space on the real line, a demand, and differences a <= b
+    from the 2,064 floats around its safe radius: where the float demand is
+    not monotone there, a fails and b passes."""
+    family = draw(st.sampled_from(NORM_FAMILIES))
+    k, r = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1 - 1e-6))
+    t = draw(st.floats(1e-3, 1e3))
+    space = make_standard_space(k, family, verify=False)
+    bits = np.array(safe_radius(space, r, t)).view(np.int64)
+    band = np.arange(bits - 16, bits + 2048).view(np.float64)
+    ok = space.within(band.reshape(-1, 1), r, t)
+    # the failing floats with a passing one above them
+    flips = np.flatnonzero(~ok & (np.cumsum(ok[::-1])[::-1] > 0))
+    if len(flips):
+        i = int(draw(st.sampled_from(flips)))
+        j = i + 1 + int(draw(st.sampled_from(np.flatnonzero(ok[i + 1 :]))))
+    else:
+        i = draw(st.integers(0, len(band) - 1))
+        j = draw(st.integers(i, len(band) - 1))
+    return space, r, t, band[i], band[j]
+
+
+@given(case=_straddles(), sign=st.sampled_from([-1.0, 1.0]), p_max=st.integers(1, 4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_radial_cauchy_criterion_is_exact_per_n_and_m(case, sign, p_max):
+    # f_n(0) = 0, a, b, b, ...: the standard pair's index is the brute-force
+    # one over every later term
+    space, r, t, a, b = case
+    v = sign * np.array([0.0, a] + [b] * (6 + p_max))
+    budget = len(v) - p_max
+    funcs = FunctionSequence(
+        "custom", Interval(0.0, 1.0), budget=budget, fn=lambda ns, xs: v[ns - 1][:, None] + 0.0 * xs
+    )
+    cert = uniform_cauchy_check((space, space), funcs, DomainSample((0.0,)), r, t, p_max)
+    ok = np.array([np.all(space.within(v[n + 1 :] - v[n], r, t)) for n in range(budget)])
+    assert cert.per_point_index == ((0.0, tail_index(ok) if ok[-1] else None),)
+
+
+@pytest.mark.parametrize("family", NORM_FAMILIES)
+def test_floats_below_the_safe_radius_meet_the_demand(family):
+    # the 4,096 floats just below the safe radius, either sign, all pass, on
+    # a grid reaching subnormal and huge times; on the normal grid the safe
+    # radius lies within a relative 1e-9 of the true one (fl(1 - r) moves
+    # mu's cut by up to about 2^-53 / r)
+    for k in (1e-3, 0.5, 1.0, 3.0, 1e3):
+        space = make_standard_space(k, family, verify=False)
+        for r in (1e-6, 0.1, 0.5, 0.6765943970031398, 0.9, 1 - 1e-6):
+            for t in (5e-324, 1e-310, 1e-3, 0.1, 0.3849829517584646, 1.0, 1e3, 1e300):
+                x = safe_radius(space, r, t)
+                bits = np.array(x).view(np.int64)
+                below = np.arange(max(bits - 4096, 0), bits).view(np.float64)
+                z = np.concatenate([below, -below]).reshape(-1, 1)
+                with np.errstate(over="ignore"):
+                    assert np.all(space.within(z, r, t)), (k, r, t, x)
+                if 1e-3 <= t <= 1e3:
+                    exact = r * t / (k * (1 - r))
+                    assert abs(x - exact) <= 1e-9 * exact, (k, r, t, x)
 
 
 class TestClassicalEquivalence:
