@@ -393,3 +393,92 @@ def test_fused_memberships_match_the_old_expressions(family, d, k, r, times, p_m
             first, worst = _p_window_scan(sp, pts, r, t, p_max)
             old_first, old_worst = old_p_window_scan(k, family, pts, r, t, p_max)
             assert same(first, old_first) and same(worst, old_worst)
+
+
+def _pair_space(mu=None, nu=None, ops=("minimum", "maximum")) -> IFNSpace:
+    """The k = 1 standard pair on the line with mu and/or nu replaced by a
+    custom membership."""
+    std = make_standard_space(1.0, ops=ops, verify=False)
+    return IFNSpace(
+        1,
+        custom_membership(mu) if mu else std.mu,
+        custom_membership(nu) if nu else std.nu,
+        std.tnorm,
+        std.tconorm,
+    )
+
+
+def _abs1(p):
+    return np.abs(np.asarray(p, dtype=float)[:, 0])
+
+
+def _axiom_violators() -> dict[str, tuple[IFNSpace, bool]]:
+    """A space violating each condition (i)-(xvi), with whether the forcing
+    conditions are requested: the six broken spaces and small custom pairs.
+    A suffixed case reaches a second clause of its condition: a value at
+    theta, or a step against monotonicity in t (at t = 2)."""
+    broken = {roman: space for roman, (space, _) in broken_spaces().items()}
+    std = make_standard_space(1.0, verify=False)
+
+    def at_two(t):
+        return np.where(np.asarray(t) == 2.0, 3.0, 1.0)
+
+    return {
+        "i": (broken["i"], False),
+        "ii": (_pair_space(mu=lambda p, t: np.where(_abs1(p) >= 2.0, 0.0, t / (t + _abs1(p)))), False),
+        "iii": (_pair_space(mu=lambda p, t: np.where(_abs1(p) < 0.5, 1.0, t / (t + _abs1(p)))), False),
+        "iii-theta": (_pair_space(mu=lambda p, t: t / (t + _abs1(p) + 0.1)), False),
+        "iv": (broken["iv"], False),
+        "v": (broken["v"], False),
+        "vi": (broken["vi"], False),
+        "vi-step": (_pair_space(mu=lambda p, t: t / (t + _abs1(p) * at_two(t))), False),
+        "vii": (_pair_space(nu=lambda p, t: np.where(_abs1(p) >= 2.0, 1.0, _abs1(p) / (t + _abs1(p)))), False),
+        "viii": (_pair_space(nu=lambda p, t: np.where(_abs1(p) < 0.5, 0.0, _abs1(p) / (t + _abs1(p)))), False),
+        "viii-theta": (_pair_space(nu=lambda p, t: (_abs1(p) + 0.1) / (t + _abs1(p) + 0.1)), False),
+        "ix": (_pair_space(nu=broken["iv"].nu.eval), False),
+        "x": (broken["x"], False),
+        "xi": (_pair_space(nu=lambda p, t: _abs1(p) / (np.minimum(t, 1.0) + _abs1(p))), False),
+        "xi-step": (_pair_space(nu=lambda p, t: _abs1(p) * at_two(t) / (t + _abs1(p) * at_two(t))), False),
+        "xii": (_pair_space(ops=("product", "probabilistic-sum")), False),
+        "xiii": (std, True),
+        "xiv": (std, True),
+        "xv": (broken["xv"], False),
+        "xvi": (_pair_space(nu=broken["xv"].nu.eval), False),
+    }
+
+
+# case -> (violated(), checked, total_violations, first witness's point and
+# detail) of the case's condition on default_plan(1, 0) at the strict tier
+AXIOM_PINS = {
+    'i': (('i', 'vii'), 2431, 2372, (-5.0, 0.01), 'mu+nu=1.001996007984032 > 1'),
+    'ii': (('ii', 'iv', 'v', 'vi'), 1547, 924, (-5.0, 0.01), 'mu=0 <= 0'),
+    'iii': (('i', 'iii', 'iv', 'v'), 1547, 119, (-0.1872729152728585, 0.01), 'mu=1 for x != theta'),
+    'iii-theta': (('iii', 'iv'), 1547, 7, (0.0, 0.01), 'mu(theta,t)=0.090909090909090912 != 1'),
+    'iv': (('iv', 'ix'), 9282, 6699, (-5.0, -2.0, 0.01), 'mu(cx,t)=0.00095147478591817321 != mu(x,t/|c|)=0.00090826521344232523'),
+    'v': (('iv', 'v', 'ix', 'x'), 28224, 3608, (-5.0, -5.0, 0.01, 0.01), 'tnorm(mu,mu)=0.00039984006397441024 > mu(x+y,s+t)=0.00019996000799840034'),
+    'vi': (('vi',), 2431, 220, (-5.0,), 'mu ladder limit 0.49999999999875 != 1'),
+    'vi-step': (('iv', 'v', 'vi', 'xv'), 2431, 220, (-5.0, 1.0, 2.0), 'mu not non-decreasing in t'),
+    'vii': (('i', 'vii', 'ix', 'x', 'xi'), 1547, 924, (-5.0, 0.01), 'nu=1 >= 1'),
+    'viii': (('viii', 'ix', 'x'), 1547, 119, (-0.1872729152728585, 0.01), 'nu=0 for x != theta'),
+    'viii-theta': (('i', 'viii', 'ix'), 1547, 7, (0.0, 0.01), 'nu(theta,t)=0.90909090909090917 != 0'),
+    'ix': (('i', 'ix'), 9282, 6699, (-5.0, -2.0, 0.01), 'nu(cx,t)=0.99904852521408183 != nu(x,t/|c|)=0.99909173478655766'),
+    'x': (('i', 'ix', 'x'), 28224, 3608, (-5.0, -5.0, 0.01, 0.01), 'tconorm(nu,nu)=0.99960015993602558 < nu(x+y,s+t)=0.99980003999200162'),
+    'xi': (('i', 'ix', 'x', 'xi', 'xvi'), 2431, 220, (-5.0,), 'nu ladder limit 0.83333333333333337 != 0'),
+    'xi-step': (('i', 'ix', 'x', 'xi', 'xvi'), 2431, 220, (-5.0, 1.0, 2.0), 'nu not non-increasing in t'),
+    'xii': (('xii',), 82, 78, (0.05,), 'a*a=0.0025000000000000005 != a'),
+    'xiii': (('xiii', 'xiv'), 220, 220, (-5.0,), 'mu(x,t) > 0 at every sampled t yet x != theta (condition as written)'),
+    'xiv': (('xiii', 'xiv'), 220, 220, (-5.0,), 'nu(x,t) < 1 at every sampled t yet x != theta (condition as written)'),
+    'xv': (('iv', 'v', 'ix', 'x', 'xv', 'xvi'), 2200, 220, (-5.0, 1.0, 2.0), 'mu(1.0)=0.16666666666666666 !< mu(2.0)=0.16666666666666666'),
+    'xvi': (('i', 'ix', 'x', 'xvi'), 2200, 220, (-5.0, 1.0, 2.0), 'nu(1.0)=0.83333333333333337 !> nu(2.0)=0.83333333333333337'),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIOM_PINS))
+def test_each_axiom_condition_is_pinned(case):
+    space, forcing = _axiom_violators()[case]
+    report = check_ifn_axioms(space, "strict", default_plan(1, 0), forcing)
+    res = report.result(case.split("-")[0])
+    first = res.violations[0]
+    assert (report.violated(), res.checked, res.total_violations, first.point, first.detail) == (
+        AXIOM_PINS[case]
+    )
