@@ -41,6 +41,7 @@ from .ifn_core import (
     custom_membership,
     make_example_family,
     make_standard_space,
+    membership_radius,
 )
 from .norm_algebra import TriangularConorm, TriangularNorm
 from .point_convergence import (
@@ -84,40 +85,31 @@ def broken_spaces(k: float = 1.0) -> dict[str, tuple[IFNSpace, str]]:
     def space(mu, nu):
         return IFNSpace(1, mu, nu, tn, tc, axiom_tier="strict")
 
-    nu_doubled = custom_membership(lambda p, t: np.minimum(1.0, 2.0 * nu_std.eval(p, t)))
+    def radial_pair(m, warp=lambda t: t):
+        # the standard pair's shape t/(t + m), m/(t + m) for a profile m(p)
+        mu = custom_membership(lambda p, t: warp(t) / (warp(t) + m(p)), radial=True)
+        nu = custom_membership(lambda p, t: m(p) / (warp(t) + m(p)), radial=True)
+        return mu, nu
 
-    def m_kinked(p):
-        a = absx(p)
-        return k * a + 0.5 * np.minimum(a, 1.0)
-
-    mu_kinked = custom_membership(lambda p, t: t / (t + m_kinked(p)), radial=True)
-    nu_kinked = custom_membership(lambda p, t: m_kinked(p) / (t + m_kinked(p)), radial=True)
-
-    def m_sq(p):
-        a = absx(p)
-        return k * a * a
-
-    mu_sq = custom_membership(lambda p, t: t / (t + m_sq(p)), radial=True)
-    nu_sq = custom_membership(lambda p, t: m_sq(p) / (t + m_sq(p)), radial=True)
+    def plateau(t):
+        return np.where(t < 1.0, t, np.where(t <= 2.0, 1.0, t - 1.0))
 
     def mu_halved(p, t):
         a = absx(p)
         return np.where(a == 0.0, 1.0, t / (2.0 * t + k * a))
 
-    def warp(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, t, np.where(t <= 2.0, 1.0, t - 1.0))
-
-    mu_plateau = custom_membership(lambda p, t: warp(t) / (warp(t) + k * absx(p)), radial=True)
-    nu_plateau = custom_membership(lambda p, t: k * absx(p) / (warp(t) + k * absx(p)), radial=True)
+    nu_doubled = custom_membership(lambda p, t: np.minimum(1.0, 2.0 * nu_std.eval(p, t)))
+    kinked = radial_pair(lambda p: k * absx(p) + 0.5 * np.minimum(absx(p), 1.0))
+    mu_sq, nu_sq = radial_pair(lambda p: k * absx(p) * absx(p))
+    time_plateau = radial_pair(lambda p: k * absx(p), plateau)
 
     return {
         "i": (space(mu_std, nu_doubled), "nu doubled: mu + nu exceeds 1"),
-        "iv": (space(mu_kinked, nu_kinked), "kinked radial profile breaks scaling"),
+        "iv": (space(*kinked), "kinked radial profile breaks scaling"),
         "v": (space(mu_sq, nu_sq), "squared radius is superadditive: mu triangle fails"),
         "vi": (space(custom_membership(mu_halved, radial=True), nu_std), "mu plateaus at 1/2: limit in t is not 1"),
         "x": (space(mu_std, nu_sq), "squared-radius nu: nu triangle fails"),
-        "xv": (space(mu_plateau, nu_plateau), "time plateau: mu(x,.) not strictly increasing"),
+        "xv": (space(*time_plateau), "time plateau: mu(x,.) not strictly increasing"),
     }
 
 
@@ -179,29 +171,37 @@ def _combine(name: str, anchor: str, ok: bool, seed: int, **parts: CheckRecord) 
     )
 
 
+def _axioms_record(
+    name: str, anchor: str, seed: int, plan, space: IFNSpace, target: str | None = None, **details
+) -> CheckRecord:
+    """A strict-tier `check_ifn_axioms` run as one record.  Without a
+    `target` condition it passes when no condition is violated and records
+    its grid size as a budget; with one, it passes when that condition is
+    violated and keeps its first witness."""
+    rep = check_ifn_axioms(space, tier="strict", plan=plan)
+    violated = rep.violated()
+    ok = target in violated if target else not violated
+    first = rep.result(target).violations[:1] if target and ok else ()
+    return CheckRecord(
+        name=name, anchor=anchor, verdict=pass_if(ok),
+        details=details | {"violated": list(violated)},
+        witnesses=[{"point": list(v.point), "detail": v.detail} for v in first],
+        budgets={} if target else {"grid": plan.vector_grid.shape[0]},
+        plan=plan.summary(), seed=seed, work=sum(r.checked for r in rep.results),
+    )
+
+
 def _run_note_3_3(seed: int) -> list[CheckRecord]:
     anchor = (
         "standard construction: mu = t/(t + k||x||), nu = k||x||/(t + k||x||) "
         "is an intuitionistic fuzzy norm; convergence agrees with the classical norm"
     )
-    records = []
-    for k in (0.5, 1.0, 2.0):
-        for d in (1, 3):
-            plan = default_plan(d, seed)
-            space = make_standard_space(k, dimension=d, verify=False)
-            rep = check_ifn_axioms(space, tier="strict", plan=plan)
-            records.append(
-                CheckRecord(
-                    name=f"axioms/standard-k{k}-d{d}",
-                    anchor=anchor,
-                    verdict=pass_if(rep.passed),
-                    details={"violated": list(rep.violated())},
-                    budgets={"grid": plan.vector_grid.shape[0]},
-                    plan=plan.summary(),
-                    seed=seed,
-                    work=sum(r.checked for r in rep.results),
-                )
-            )
+    records = [
+        _axioms_record(f"axioms/standard-k{k}-d{d}", anchor, seed, default_plan(d, seed),
+                       make_standard_space(k, dimension=d, verify=False))
+        for k in (0.5, 1.0, 2.0)
+        for d in (1, 3)
+    ]
     space = make_standard_space(1.0)
     for seq, limit, name in (
         (reciprocal_sequence(), 0.0, "reciprocal"),
@@ -440,31 +440,20 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
     # index sweep table over (r, t); its first pair is the uniform-index record's
     rts = [(round(0.1 * i, 1), t) for i in range(1, 10) for t in (0.1, 1.0, 10.0)]
     sweep = uniform_index_sweep(spaces, half, sample_domain(half.domain, 17), rts)
-    cert = sweep[0]
-    records.append(
-        CheckRecord(
-            name="uniform-index/power-closed-half",
-            anchor=anchor,
-            verdict=pass_if(cert.uniform and cert.n0 == 7),
-            details=cert.summary()
-            | {"per_point_index": [[x, i] for x, i in cert.per_point_index]},
-            seed=seed,
-            work=cert.budget * len(cert.per_point_index),
+
+    def index_record(name, ok, cert, **fields):
+        return CheckRecord(
+            name=f"uniform-index/{name}", anchor=anchor, verdict=pass_if(ok),
+            details=cert.summary() | {"per_point_index": [list(pi) for pi in cert.per_point_index]},
+            seed=seed, work=cert.budget * len(cert.per_point_index), **fields,
         )
-    )
-    cert_open = uniform_index_search(spaces, open_unit, refined, 0.1, 0.1)
-    records.append(
-        CheckRecord(
-            name="uniform-index/power-open-unit",
-            anchor=anchor,
-            verdict=pass_if(cert_open.verdict == "not-uniform-on-sample"),
-            details=cert_open.summary()
-            | {"per_point_index": [[x, i] for x, i in cert_open.per_point_index]},
-            witnesses=[{"ladder_indices": list(cert_open.ladder_indices)}],
-            seed=seed,
-            work=cert_open.budget * len(cert_open.per_point_index),
-        )
-    )
+
+    cert, cert_open = sweep[0], uniform_index_search(spaces, open_unit, refined, 0.1, 0.1)
+    records += [
+        index_record("power-closed-half", cert.uniform and cert.n0 == 7, cert),
+        index_record("power-open-unit", cert_open.verdict == VERDICT_NOT_UNIFORM, cert_open,
+                     witnesses=[{"ladder_indices": list(cert_open.ladder_indices)}]),
+    ]
     records.extend(
         CheckRecord(
             name=f"sweep/power-r{c.r}-t{c.t}",
@@ -473,7 +462,7 @@ def _run_example_4_power(seed: int) -> list[CheckRecord]:
             details={},
             seed=seed,
             work=c.budget,
-            csv_row=sweep_csv_row(half, c),
+            csv_row=sweep_csv_row(half, c, spaces[1]),
         )
         for c in sweep
     )
@@ -535,9 +524,10 @@ def _run_example_4_verification(seed: int) -> list[CheckRecord]:
     sup, bound, doubled = (rec.details[k] for k in ("sup", "analytic_bound", "doubled_bound"))
     a = c["a"]
     conservative = math.floor(math.log(2.0 * (1.0 - 0.1) / (0.1 * 0.1)) / math.log(1.0 / a)) + 1
+    radius = membership_radius(_funcseq_spaces()[1], 0.1, 0.1)
     details = rec.details | {
         "discrepancy": doubled - sup,
-        "tight_index": closed_form_index_power(a, 0.1, 0.1),
+        "tight_index": closed_form_index_power(a, radius),
         "conservative_index": conservative,
     }
     ok = abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= bound
@@ -573,27 +563,11 @@ def _run_uniform_limit(seed: int) -> list[CheckRecord]:
 def _run_mutation_detection(seed: int) -> list[CheckRecord]:
     anchor = "axiom checker sensitivity: each broken space is flagged on its target axiom"
     plan = default_plan(1, seed)
-    records = []
-    for target, (space, description) in broken_spaces().items():
-        rep = check_ifn_axioms(space, tier="strict", plan=plan)
-        flagged = target in rep.violated()
-        witness = None
-        if flagged:
-            v = rep.result(target).violations[0]
-            witness = {"point": list(v.point), "detail": v.detail}
-        records.append(
-            CheckRecord(
-                name=f"mutation/{target}",
-                anchor=anchor,
-                verdict=pass_if(flagged),
-                details={"description": description, "violated": list(rep.violated())},
-                witnesses=[witness] if witness else [],
-                plan=plan.summary(),
-                seed=seed,
-                work=sum(r.checked for r in rep.results),
-            )
-        )
-    return records
+    return [
+        _axioms_record(f"mutation/{target}", anchor, seed, plan, space, target,
+                       description=description)
+        for target, (space, description) in broken_spaces().items()
+    ]
 
 
 _RUNNERS = {

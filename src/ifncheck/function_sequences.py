@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,37 @@ from .sampling import Interval
 
 DEFAULT_BUDGET = 10_000
 
+
+class _FuncFamily(NamedTuple):
+    values: Callable  # (seq, float indices ns (K, 1), xs (1, M)) -> (K, M) f_n(x)
+    limit: Callable  # (seq, xs) -> lim f_n(x)
+    member: Callable  # (seq, n) -> the MapRule of f_n
+
+
 # The closed-form families, in the schema's order; `custom` wraps a callable.
-FUNCSEQ_FAMILIES = ("power", "quotient", "scaled", "constant")
+FUNCSEQ_FAMILIES = {
+    "power": _FuncFamily(
+        lambda seq, ns, xs: xs ** ns,
+        # on the catalog domains |x| < 1; x = 1 would be a fixed point
+        lambda seq, xs: np.where(np.abs(xs) < 1.0, 0.0, np.where(xs == 1.0, 1.0, np.nan)),
+        lambda seq, n: MapRule("power", (float(n),)),
+    ),
+    "quotient": _FuncFamily(
+        lambda seq, ns, xs: ns / (xs + ns),
+        lambda seq, xs: np.ones_like(xs),
+        lambda seq, n: MapRule("quotient", (float(n),)),
+    ),
+    "scaled": _FuncFamily(
+        lambda seq, ns, xs: xs / ns,
+        lambda seq, xs: np.zeros_like(xs),
+        lambda seq, n: MapRule("scalar", (1.0 / n,), (MapRule("identity"),)),
+    ),
+    "constant": _FuncFamily(
+        lambda seq, ns, xs: np.broadcast_to(seq.constant_rule()(xs), (len(ns), xs.shape[1])).copy(),
+        lambda seq, xs: seq.constant_rule()(xs),
+        lambda seq, n: seq.constant_rule(),
+    ),
+}
 
 # Tail used to estimate limits of custom families, and the oscillation
 # tolerance beyond which no limit is reported.
@@ -65,47 +94,26 @@ class FunctionSequence:
         """Matrix of f_n(x) with rows indexed by n and columns by x."""
         ns = np.asarray(ns, dtype=float).reshape(-1, 1)
         xs = np.asarray(xs, dtype=float).reshape(1, -1)
-        if self.family == "power":
-            return xs ** ns
-        if self.family == "quotient":
-            return ns / (xs + ns)
-        if self.family == "scaled":
-            return xs / ns
-        if self.family == "constant":
-            return np.broadcast_to(self.constant_rule()(xs), (ns.shape[0], xs.shape[1])).copy()
         if self.family == "custom":
             return np.asarray(self.fn(ns.ravel().astype(int), xs.ravel()), dtype=float)
-        raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
+        if self.family not in FUNCSEQ_FAMILIES:
+            raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
+        return FUNCSEQ_FAMILIES[self.family].values(self, ns, xs)
 
     def exact_limit(self, xs: np.ndarray) -> np.ndarray | None:
-        xs = np.asarray(xs, dtype=float)
-        if self.family == "power":
-            # on the catalog domains |x| < 1; x = 1 would be a fixed point
-            return np.where(np.abs(xs) < 1.0, 0.0, np.where(xs == 1.0, 1.0, np.nan))
-        if self.family == "quotient":
-            return np.ones_like(xs)
-        if self.family == "scaled":
-            return np.zeros_like(xs)
-        if self.family == "constant":
-            return self.constant_rule()(xs)
-        return None
+        """lim f_n(x) of a closed-form family; None for any other."""
+        row = FUNCSEQ_FAMILIES.get(self.family)
+        return None if row is None else row.limit(self, np.asarray(xs, dtype=float))
 
     def constant_rule(self) -> MapRule:
         """The map every member of the `constant` family equals."""
         return MapRule(*self.params) if self.params else MapRule("identity")
 
     def map_at(self, n: int, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
-        if self.family == "power":
-            r = MapRule("power", (float(n),))
-        elif self.family == "quotient":
-            r = MapRule("quotient", (float(n),))
-        elif self.family == "scaled":
-            r = MapRule("scalar", (1.0 / n,), (MapRule("identity"),))
-        elif self.family == "constant":
-            r = self.constant_rule()
-        else:
+        if self.family not in FUNCSEQ_FAMILIES:
             raise UnsupportedFamily("custom sequences have no closed-form member maps")
-        return MapBetweenSpaces(domain_space, codomain_space, r, self.domain)
+        rule = FUNCSEQ_FAMILIES[self.family].member(self, n)
+        return MapBetweenSpaces(domain_space, codomain_space, rule, self.domain)
 
     def point_sequence(self, x: float) -> PointSequence:
         """The image sequence n -> f_n(x) at a fixed point."""
@@ -301,22 +309,23 @@ def uniform_index_search(
     return uniform_index_sweep(spaces, seq, sample, [(r, t)])[0]
 
 
-def closed_form_index_power(c: float, r: float, t: float) -> int:
-    """Minimal index for the power family at the point c in (0, 1), from
-    the logarithmic bound c^n < r t / (1 - r), clamped to 1 when the bound
-    already exceeds 1; near-tie strictness is resolved by direct check."""
+def closed_form_index_power(c: float, radius: float) -> int:
+    """Minimal index n with c^n < radius for the power family at the point
+    c in (0, 1): with the membership radius r t / (k (1 - r)) of an (r, t)
+    demand (`membership_radius`), the paper's logarithmic bound, clamped to 1
+    when the radius already exceeds 1; near-tie strictness is resolved by
+    direct check."""
     if not (0.0 < c < 1.0):
         raise DomainError(f"c must lie in (0, 1), got {c!r}")
-    if not (0.0 < r < 1.0) or t <= 0.0:
-        raise DomainError(f"need r in (0,1) and t > 0, got r={r!r}, t={t!r}")
-    threshold = r * t / (1.0 - r)
-    if threshold >= 1.0:
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius!r}")
+    if radius >= 1.0:
         return 1
-    k = math.floor(math.log(1.0 / threshold) / math.log(1.0 / c)) + 1
+    k = math.floor(math.log(1.0 / radius) / math.log(1.0 / c)) + 1
     k = max(k, 1)
-    while k > 1 and c ** (k - 1) < threshold:
+    while k > 1 and c ** (k - 1) < radius:
         k -= 1
-    while not (c ** k < threshold):
+    while not (c ** k < radius):
         k += 1
     return k
 

@@ -222,9 +222,6 @@ class IFNSpace:
     tnorm: TriangularNorm
     tconorm: TriangularConorm
     axiom_tier: str = "strict"
-    family: str = "custom"
-    k: float | None = None
-    norm: ClassicalNorm | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -233,35 +230,42 @@ class IFNSpace:
             raise InvalidParameter(f"unknown axiom tier {self.axiom_tier!r}")
 
     @property
-    def is_standard(self) -> bool:
-        return self.family == "standard"
-
-    @property
     def standard_pair(self) -> bool:
         """mu and nu are the standard pair with one k and one norm, which
         `memberships` evaluates on its fused path."""
         mu, nu = self.mu, self.nu
         return (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm)
 
+    is_standard = standard_pair
+
+    # The family and the standard pair's k and norm, read from the pair
+    @property
+    def family(self) -> str:
+        return "standard" if self.standard_pair else "custom"
+
+    @property
+    def k(self) -> float | None:
+        return self.mu.k if self.standard_pair else None
+
+    @property
+    def norm(self) -> ClassicalNorm | None:
+        return self.mu.norm if self.standard_pair else None
+
     @property
     def theta(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def _check_t(self, t: float) -> float:
+    def _eval_at(self, f: MembershipFunction, x, t) -> float:
         t = float(t)
         if not np.isfinite(t) or t <= 0.0:
             raise DomainError(f"t must be a positive real, got {t!r}")
-        return t
+        return float(f.eval(as_point(x, self.dimension).reshape(1, -1), t)[0])
 
     def mu_eval(self, x, t) -> float:
-        t = self._check_t(t)
-        pt = as_point(x, self.dimension)
-        return float(self.mu.eval(pt.reshape(1, -1), t)[0])
+        return self._eval_at(self.mu, x, t)
 
     def nu_eval(self, x, t) -> float:
-        t = self._check_t(t)
-        pt = as_point(x, self.dimension)
-        return float(self.nu.eval(pt.reshape(1, -1), t)[0])
+        return self._eval_at(self.nu, x, t)
 
     def mu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.mu.eval(pts, t)
@@ -320,10 +324,8 @@ class IFNSpace:
             "tconorm": self.tconorm.family,
             "tier": self.axiom_tier,
         }
-        if self.k is not None:
-            out["k"] = float(self.k)
-        if self.norm is not None:
-            out["norm"] = self.norm.family
+        if self.standard_pair:
+            out |= {"k": self.k, "norm": self.norm.family}
         return out
 
 
@@ -368,9 +370,6 @@ def make_standard_space(
         tnorm=tn,
         tconorm=tc,
         axiom_tier=tier,
-        family="standard",
-        k=float(k),
-        norm=norm,
     )
     if verify:
         report = check_ifn_axioms(
@@ -405,6 +404,9 @@ AXIOM_CODE = {roman: code for roman, code, _ in AXIOMS}
 
 # Witnessing tuples stored per axiom; every violation is still counted.
 _MAX_WITNESSES = 32
+
+# The comparisons of the mirrored conditions, by symbol
+_ORDER = {"<": np.less, ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
 
 
 def check_ifn_axioms(
@@ -449,33 +451,98 @@ def check_ifn_axioms(
         bad, bad.size, lambda t, p: ((*P[p], all_t[t]), f"mu+nu={MU[t, p] + NU[t, p]:.17g} > 1")
     )
 
-    # (ii) mu > 0  /  (vii) nu < 1 (strict, on the bounded t grid)
-    bad = MU[tg_idx] <= 0.0
-    found["ii"].add(
-        bad, bad.size, lambda t, p: ((*P[p], tg[t]), f"mu={MU[tg_idx[t], p]:.17g} <= 0")
-    )
-    bad = NU[tg_idx] >= 1.0
-    found["vii"].add(
-        bad, bad.size, lambda t, p: ((*P[p], tg[t]), f"nu={NU[tg_idx[t], p]:.17g} >= 1")
-    )
-
-    # (iii)/(viii) boundary values at theta, both directions
-    theta = space.theta.reshape(1, -1)
+    # The triangle conditions v/x run over a seeded pair sample.  Diagonal
+    # pairs (x, x) are included deliberately: superadditive deformations
+    # violate the conditions there first.  Masks are (s, t, pair) blocks.
+    diag = np.arange(min(64, n_pts))
+    n_rand = min(512, n_pts * n_pts)
+    ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
+    ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
+    sums = P[ia] + P[ib]
+    n_t = len(tg)
+    s_plus_t = (tg[:, None] + tg[None, :]).ravel()
+    rows = tg_idx[:, None]
     origin = (0.0,) * space.dimension
     nz_pts = P[nonzero]
-    mu_theta, nu_theta = (block[:, 0] for block in space.memberships(theta, tg.reshape(-1, 1)))
-    bad = mu_theta != 1.0
-    found["iii"].add(
-        bad, bad.size, lambda t: ((*origin, tg[t]), f"mu(theta,t)={mu_theta[t]:.17g} != 1")
+
+    def pair(s, t, k):
+        return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
+
+    def t_step(t, p):
+        return (*P[p], all_t[t], all_t[t + 1])
+
+    def mirrored(name, romans, one, order, op, op_name, falling, V, at_theta, at_sums):
+        """One side's mirrored conditions, each written once, for mu: the nu
+        side is the same comparison with the order reversed and 0 and 1
+        swapped.  Its temporaries are freed when it returns."""
+        ii, iii, v, vi, xiii, xv = (found[roman] for roman in romans.split())
+        lt, gt = order
+        greater, less_equal = _ORDER[gt], _ORDER[lt + "="]
+        zero = 1.0 - one
+        sign = one - zero  # the side of a slack: +1 for mu, -1 for nu
+
+        # (ii) mu > 0 on the bounded t grid; (iii) mu = 1 at theta and only there
+        on_grid = V[tg_idx]
+        bad = less_equal(on_grid, zero)
+        ii.add(bad, bad.size, lambda t, p: (
+            (*P[p], tg[t]), f"{name}={on_grid[t, p]:.17g} {lt}= {zero:g}"
+        ))
+        bad = at_theta != one
+        iii.add(bad, bad.size, lambda t: (
+            (*origin, tg[t]), f"{name}(theta,t)={at_theta[t]:.17g} != {one:g}"
+        ))
+        bad = less_equal(one, on_grid[:, nonzero])
+        iii.add(bad, bad.size, lambda t, p: (
+            (*nz_pts[p], tg[t]), f"{name}={one:g} for x != theta"
+        ))
+        del on_grid
+
+        # (v) tnorm(mu(x, s), mu(y, t)) <= mu(x + y, s + t)
+        lhs = op(V[rows, ia][:, None], V[rows, ib][None, :])
+        bad = greater(lhs, at_sums + sign * INEQ_SLACK)
+        v.add(bad, bad.size, lambda s, t, k: (
+            pair(s, t, k),
+            f"{op_name}({name},{name})={lhs[s, t, k]:.17g} {gt} "
+            f"{name}(x+y,s+t)={at_sums[s, t, k]:.17g}",
+        ))
+
+        # (vi) mu non-decreasing in t, with ladder limit 1
+        bad = greater(V[:-1] - sign * INEQ_SLACK, V[1:])
+        vi.add(bad, bad.size, lambda t, p: (t_step(t, p), f"{name} not non-{falling} in t"))
+        last = V[ladder_idx[-2:]]  # the ladder's last two rows of all_t
+        bad = (np.abs(last[1] - last[0]) >= LIMIT_TOL) | less_equal(last[1], one - sign * LIMIT_TOL)
+        vi.add(bad, bad.size, lambda p: (P[p], f"{name} ladder limit {last[1][p]:.17g} != {one:g}"))
+
+        # (xiii) literal forcing condition, on request only
+        if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
+            bad = np.all(greater(V[:, nonzero], zero), axis=0)
+            xiii.add(bad, bad.size, lambda p: (
+                nz_pts[p],
+                f"{name}(x,t) {gt} {zero:g} at every sampled t yet x != theta "
+                "(condition as written)",
+            ))
+
+        # (xv) mu strictly increasing where values lie strictly inside (0,1)
+        if TIER_ORDER[tier] >= 2:
+            in01 = (V > 0.0) & (V < 1.0)
+            pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
+            xv.add(pairmask & less_equal(V[1:], V[:-1]), int(pairmask.sum()), lambda t, p: (
+                t_step(t, p),
+                f"{name}({all_t[t]})={V[t, p]:.17g} !{lt} "
+                f"{name}({all_t[t + 1]})={V[t + 1, p]:.17g}",
+            ))
+
+    theta_pair = space.memberships(space.theta.reshape(1, -1), tg.reshape(-1, 1))
+    sums_pair = space.memberships(sums, s_plus_t[:, None])
+    # per side: its conditions, its value at theta, how it reads mu's "<" and
+    # ">", its operation and the way it must not move in t
+    sides = (
+        ("mu", "ii iii v vi xiii xv", 1.0, "<>", space.tnorm, "tnorm", "decreasing"),
+        ("nu", "vii viii x xi xiv xvi", 0.0, "><", space.tconorm, "tconorm", "increasing"),
     )
-    bad = MU[tg_idx][:, nonzero] >= 1.0
-    found["iii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "mu=1 for x != theta"))
-    bad = nu_theta != 0.0
-    found["viii"].add(
-        bad, bad.size, lambda t: ((*origin, tg[t]), f"nu(theta,t)={nu_theta[t]:.17g} != 0")
-    )
-    bad = NU[tg_idx][:, nonzero] <= 0.0
-    found["viii"].add(bad, bad.size, lambda t, p: ((*nz_pts[p], tg[t]), "nu=0 for x != theta"))
+    for side, V, at_theta, at_sums in zip(sides, (MU, NU), theta_pair, sums_pair):
+        mirrored(*side, V, at_theta[:, 0], at_sums.reshape(n_t, n_t, -1))
+    del theta_pair, sums_pair, at_theta, at_sums
 
     # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|).  Each
     # scalar builds its four blocks and drops them before the next scalar.
@@ -485,68 +552,11 @@ def check_ifn_axioms(
         for roman, name, lhs, rhs in zip(("iv", "ix"), ("mu", "nu"), lhs_pair, rhs_pair):
             gap = lhs - rhs
             bad = np.abs(gap, out=gap) > EQUALITY_TOL
-            found[roman].add(
-                bad,
-                bad.size,
-                lambda t, p: (
-                    (*P[p], c, tg[t]),
-                    f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
-                ),
-            )
+            found[roman].add(bad, bad.size, lambda t, p: (
+                (*P[p], c, tg[t]),
+                f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
+            ))
         del lhs_pair, rhs_pair, lhs, rhs, gap
-
-    # (v)/(x) triangle conditions over a seeded pair sample.  Diagonal pairs
-    # (x, x) are included deliberately: superadditive deformations violate
-    # the conditions there first.  Masks are (s, t, pair) blocks.
-    n_diag = min(64, n_pts)
-    diag = np.arange(n_diag)
-    n_rand = min(512, n_pts * n_pts)
-    ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
-    ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
-    sums = P[ia] + P[ib]
-    n_t = len(tg)
-    s_plus_t = (tg[:, None] + tg[None, :]).ravel()
-
-    def pair(s, t, k):
-        return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
-
-    rows = tg_idx[:, None]
-    rhs_mu, rhs_nu = (b.reshape(n_t, n_t, -1) for b in space.memberships(sums, s_plus_t[:, None]))
-    lhs = space.tnorm(MU[rows, ia][:, None], MU[rows, ib][None, :])
-    bad = lhs > rhs_mu + INEQ_SLACK
-    found["v"].add(
-        bad,
-        bad.size,
-        lambda s, t, k: (
-            pair(s, t, k),
-            f"tnorm(mu,mu)={lhs[s, t, k]:.17g} > mu(x+y,s+t)={rhs_mu[s, t, k]:.17g}",
-        ),
-    )
-    lhs = space.tconorm(NU[rows, ia][:, None], NU[rows, ib][None, :])
-    bad = lhs < rhs_nu - INEQ_SLACK
-    found["x"].add(
-        bad,
-        bad.size,
-        lambda s, t, k: (
-            pair(s, t, k),
-            f"tconorm(nu,nu)={lhs[s, t, k]:.17g} < nu(x+y,s+t)={rhs_nu[s, t, k]:.17g}",
-        ),
-    )
-
-    # (vi)/(xi) monotonicity in t plus the ladder limits
-    def t_step(t, p):
-        return (*P[p], all_t[t], all_t[t + 1])
-
-    bad = MU[1:] < MU[:-1] - INEQ_SLACK
-    found["vi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "mu not non-decreasing in t"))
-    lm = MU[ladder_idx]  # the ladder's rows of all_t
-    bad = (np.abs(lm[-1] - lm[-2]) >= LIMIT_TOL) | (lm[-1] <= 1.0 - LIMIT_TOL)
-    found["vi"].add(bad, bad.size, lambda p: (P[p], f"mu ladder limit {lm[-1][p]:.17g} != 1"))
-    bad = NU[1:] > NU[:-1] + INEQ_SLACK
-    found["xi"].add(bad, bad.size, lambda t, p: (t_step(t, p), "nu not non-increasing in t"))
-    ln = NU[ladder_idx]
-    bad = (np.abs(ln[-1] - ln[-2]) >= LIMIT_TOL) | (ln[-1] >= LIMIT_TOL)
-    found["xi"].add(bad, bad.size, lambda p: (P[p], f"nu ladder limit {ln[-1][p]:.17g} != 0"))
 
     # (xii) idempotency of the operations, exact
     if TIER_ORDER[tier] >= 1:
@@ -559,50 +569,6 @@ def check_ifn_axioms(
         bad = tc(a, a) != a
         found["xii"].add(
             bad, bad.size, lambda i: ((a[i],), f"a(+)a={float(tc(a[i], a[i])):.17g} != a")
-        )
-
-    # (xiii)/(xiv) literal forcing conditions, on request only
-    if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
-        bad = np.all(MU[:, nonzero] > 0.0, axis=0)
-        found["xiii"].add(
-            bad,
-            bad.size,
-            lambda p: (
-                nz_pts[p],
-                "mu(x,t) > 0 at every sampled t yet x != theta (condition as written)",
-            ),
-        )
-        bad = np.all(NU[:, nonzero] < 1.0, axis=0)
-        found["xiv"].add(
-            bad,
-            bad.size,
-            lambda p: (
-                nz_pts[p],
-                "nu(x,t) < 1 at every sampled t yet x != theta (condition as written)",
-            ),
-        )
-
-    # (xv)/(xvi) strict monotonicity where values lie strictly inside (0,1)
-    if TIER_ORDER[tier] >= 2:
-        in01 = (MU > 0.0) & (MU < 1.0)
-        pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
-        found["xv"].add(
-            pairmask & (MU[1:] <= MU[:-1]),
-            int(pairmask.sum()),
-            lambda t, p: (
-                t_step(t, p),
-                f"mu({all_t[t]})={MU[t, p]:.17g} !< mu({all_t[t + 1]})={MU[t + 1, p]:.17g}",
-            ),
-        )
-        in01 = (NU > 0.0) & (NU < 1.0)
-        pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
-        found["xvi"].add(
-            pairmask & (NU[1:] >= NU[:-1]),
-            int(pairmask.sum()),
-            lambda t, p: (
-                t_step(t, p),
-                f"nu({all_t[t]})={NU[t, p]:.17g} !> nu({all_t[t + 1]})={NU[t + 1, p]:.17g}",
-            ),
         )
 
     results = tuple(

@@ -153,12 +153,12 @@ def tconorm(family: str) -> TriangularConorm:
     return TriangularConorm(family)
 
 
-def tnorm_eval(op: TriangularNorm, a: float, b: float) -> float:
+def tnorm_eval(op: _BinaryOp, a: float, b: float) -> float:
+    """op(a, b) on operands checked to lie in [0, 1], for either kind."""
     return float(op(check_unit(a, "a"), check_unit(b, "b")))
 
 
-def tconorm_eval(op: TriangularConorm, a: float, b: float) -> float:
-    return float(op(check_unit(a, "a"), check_unit(b, "b")))
+tconorm_eval = tnorm_eval
 
 
 # ---------------------------------------------------------------------------
@@ -307,38 +307,24 @@ def check_norm_axioms(op: _BinaryOp, plan: SamplingPlan) -> ViolationReport:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_from_above(pred: Callable[[float], bool]) -> float:
-    """Deterministic bisection from 1 downward.
-
-    `pred` must be monotone (true on an upper sub-interval of (0,1)); returns
-    an admissible value within SEARCH_RESOLUTION of the threshold.
-    """
-    hi = 1.0 - 1e-12
-    if not pred(hi):
-        raise NotFound("no admissible value below 1 at search resolution")
-    lo = 0.0
-    while hi - lo > SEARCH_RESOLUTION:
-        mid = 0.5 * (lo + hi)
+def _bisect(pred: Callable[[float], bool], good: float, bad: float) -> float:
+    """Deterministic bisection between a value where the monotone `pred`
+    holds and one where it fails; returns an admissible value within
+    SEARCH_RESOLUTION of the threshold."""
+    if not pred(good):
+        raise NotFound(f"no admissible value: the search fails at its start {good!r}")
+    while abs(bad - good) > SEARCH_RESOLUTION:
+        mid = 0.5 * (good + bad)
         if pred(mid):
-            hi = mid
+            good = mid
         else:
-            lo = mid
-    return hi
+            bad = mid
+    return good
 
 
-def _bisect_from_below(pred: Callable[[float], bool]) -> float:
-    """Dual search from 0 upward; `pred` true on a lower sub-interval."""
-    lo = 1e-12
-    if not pred(lo):
-        raise NotFound("no admissible value above 0 at search resolution")
-    hi = 1.0
-    while hi - lo > SEARCH_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+# the ends of the searches: just below 1 downward, just above 0 upward
+_FROM_ONE = (1.0 - 1e-12, 0.0)
+_FROM_ZERO = (1e-12, 1.0)
 
 
 def find_interpolants(
@@ -356,8 +342,8 @@ def find_interpolants(
     r2 = check_unit(r2, "r2")
     if not (0.0 < r2 < r1 < 1.0):
         raise InvalidParameter(f"need 0 < r2 < r1 < 1, got r1={r1}, r2={r2}")
-    r3 = _bisect_from_above(lambda x: float(tn(r1, x)) > r2)
-    r4 = _bisect_from_below(lambda x: float(tc(x, r2)) < r1)
+    r3 = _bisect(lambda x: float(tn(r1, x)) > r2, *_FROM_ONE)
+    r4 = _bisect(lambda x: float(tc(x, r2)) < r1, *_FROM_ZERO)
     if not (float(tn(r1, r3)) > r2 and float(tc(r4, r2)) < r1):
         raise NotFound("search returned a non-admissible interpolant")
     return r3, r4
@@ -372,8 +358,8 @@ def find_squaring_bounds(
     r5 = check_unit(r5, "r5")
     if not (0.0 < r5 < 1.0):
         raise InvalidParameter(f"need 0 < r5 < 1, got {r5}")
-    r6 = _bisect_from_above(lambda x: float(tn(x, x)) >= r5)
-    r7 = _bisect_from_below(lambda x: float(tc(x, x)) <= r5)
+    r6 = _bisect(lambda x: float(tn(x, x)) >= r5, *_FROM_ONE)
+    r7 = _bisect(lambda x: float(tc(x, x)) <= r5, *_FROM_ZERO)
     if not (float(tn(r6, r6)) >= r5 and float(tc(r7, r7)) <= r5):
         raise NotFound("search returned a non-admissible squaring bound")
     return r6, r7

@@ -56,7 +56,7 @@ from .function_sequences import (
     uniform_index_sweep,
     uniform_limit_scenario,
 )
-from .ifn_core import check_ifn_axioms
+from .ifn_core import check_ifn_axioms, membership_radius
 from .point_convergence import (
     cauchy_index,
     classical_equivalence_probe,
@@ -367,9 +367,10 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     return records
 
 
-def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate) -> dict:
+def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate, codomain) -> dict:
     """The CSV row of one (r, t) point of a uniform index sweep; the paper's
-    closed-form index applies to the power family on [lo, hi] with hi < 1."""
+    closed-form index applies to the power family on [lo, hi] with hi < 1,
+    at the codomain's membership radius."""
     hi = seq.domain.hi
     closed_form = seq.family == "power" and 0 < hi < 1
     return {
@@ -380,7 +381,11 @@ def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate) -> dict:
         "t": cert.t,
         "n0": cert.n0,
         "verdict": cert.verdict,
-        "paper_k": closed_form_index_power(hi, cert.r, cert.t) if closed_form else None,
+        "paper_k": (
+            closed_form_index_power(hi, membership_radius(codomain, cert.r, cert.t))
+            if closed_form
+            else None
+        ),
     }
 
 
@@ -401,7 +406,7 @@ def uniform_index_records(spaces, seq, sample, rts: list, seed: int) -> list[Che
     """One record per (r, t) of `rts`; one values matrix serves them all."""
     anchor = f"uniform convergence index of the {seq.family} sequence"
     return [
-        _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert))
+        _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert, spaces[1]))
         for (r, t), cert in zip(rts, uniform_index_sweep(spaces, seq, sample, rts))
     ]
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from .ifn_core import IFNSpace, membership_radius
 from .continuity import MapBetweenSpaces
-from .norm_algebra import _bisect_from_above
+from .norm_algebra import _FROM_ONE, _bisect
 from .sampling import SamplingPlan, as_point, default_plan, sorted_unique
 
 # (r, t) ladder searched when testing openness at a witness point.
@@ -185,7 +185,7 @@ def inner_ball_witnesses(
             r3 = 1.0 - 0.5 * s
         else:
             try:
-                r3 = _bisect_from_above(admissible)
+                r3 = _bisect(admissible, *_FROM_ONE)
             except NotFound:
                 results.append(WitnessNotFound("no admissible r3; operation pair is broken"))
                 continue

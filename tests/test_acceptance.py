@@ -30,7 +30,12 @@ from ifncheck.function_sequences import (
     uniform_index_search,
     uniform_limit_scenario,
 )
-from ifncheck.ifn_core import check_ifn_axioms, make_example_family, make_standard_space
+from ifncheck.ifn_core import (
+    check_ifn_axioms,
+    make_example_family,
+    make_standard_space,
+    membership_radius,
+)
 from ifncheck.point_convergence import convergence_index, reciprocal_sequence
 from ifncheck.report import to_jsonl
 from ifncheck.sampling import Interval, default_plan
@@ -161,8 +166,9 @@ def test_criterion_7_uniform_index_exactness():
         seq = FunctionSequence("power", Interval(0.0, 0.5))
         cert = uniform_index_search((sp, sp), seq, sample_domain(seq.domain, 17), 0.1, 0.1)
         assert cert.uniform and cert.n0 == 7
-        assert closed_form_index_power(0.5, 0.1, 0.1) == 7
-        assert cert.n0 == closed_form_index_power(0.5, 0.1, 0.1)
+        radius = membership_radius(sp, 0.1, 0.1)
+        assert closed_form_index_power(0.5, radius) == 7
+        assert cert.n0 == closed_form_index_power(0.5, radius)
 
 
 def test_criterion_8_non_uniformity_ladder():

@@ -195,6 +195,16 @@ class TestEmission:
         assert [row["domain_hi"] for row in rows] == [0.3, 0.5, 0.7]
         assert [row["n0"] for row in rows] == sorted(row["n0"] for row in rows)
 
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_paper_index_reads_the_codomain_k(self, k):
+        # the closed-form column takes the codomain's membership radius
+        # r t / (k (1 - r)), so it is the searched index at every k
+        cfg = json.loads((EXAMPLES / "funcseq-power-sweep.json").read_text())
+        cfg["codomain_space"] = {"family": "standard", "k": k}
+        rows = [rec.csv_row for rec in run_scenario(cfg).records if rec.csv_row]
+        assert len(rows) == 27
+        assert [row["paper_k"] for row in rows] == [row["n0"] for row in rows]
+
 
 # Upper bounds for the integer fields that set how much a run computes.
 _SMALL = {

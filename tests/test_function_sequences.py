@@ -18,7 +18,13 @@ from ifncheck.function_sequences import (
     uniform_index_sweep,
     uniform_limit_scenario,
 )
-from ifncheck.ifn_core import IFNSpace, custom_membership, make_example_family, make_standard_space
+from ifncheck.ifn_core import (
+    IFNSpace,
+    custom_membership,
+    make_example_family,
+    make_standard_space,
+    membership_radius,
+)
 from ifncheck.sampling import Interval
 
 
@@ -209,34 +215,39 @@ def test_sweep_equals_separate_searches_on_random_grids(case, rts):
     ]
 
 
+def k1_radius(r, t):
+    """The membership radius r t / (1 - r) of the catalog's k = 1 space."""
+    return membership_radius(make_example_family("example-4.x"), r, t)
+
+
 class TestClosedFormIndex:
     def test_reference_case(self):
-        assert closed_form_index_power(0.5, 0.1, 0.1) == 7
+        assert closed_form_index_power(0.5, k1_radius(0.1, 0.1)) == 7
 
     def test_clamped_when_bound_exceeds_one(self):
-        assert closed_form_index_power(0.5, 0.5, 1.0) == 1
+        assert closed_form_index_power(0.5, k1_radius(0.5, 1.0)) == 1
 
     def test_agrees_with_brute_force(self):
         for c in (0.3, 0.5, 0.7, 0.9, 0.99):
             for r, t in ((0.1, 0.1), (0.25, 0.5), (0.6, 0.05)):
-                assert closed_form_index_power(c, r, t) == power_index_oracle(c, r, t)
+                assert closed_form_index_power(c, k1_radius(r, t)) == power_index_oracle(c, r, t)
 
     def test_diverges_toward_one(self):
-        ks = [closed_form_index_power(c, 0.1, 0.1) for c in (0.5, 0.9, 0.99, 0.999)]
+        ks = [closed_form_index_power(c, k1_radius(0.1, 0.1)) for c in (0.5, 0.9, 0.99, 0.999)]
         assert all(b > a for a, b in zip(ks, ks[1:]))
 
     def test_dominates_per_point_indices(self, spaces):
         # the endpoint bound dominates every interior sampled point
         a, r, t = 0.8, 0.1, 0.1
-        k = closed_form_index_power(a, r, t)
+        k = closed_form_index_power(a, k1_radius(r, t))
         for x in np.linspace(0.05, a, 9):
             assert power_index_oracle(float(x), r, t) <= k
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
-            closed_form_index_power(1.2, 0.1, 0.1)
+            closed_form_index_power(1.2, k1_radius(0.1, 0.1))
         with pytest.raises(DomainError):
-            closed_form_index_power(0.5, 0.0, 0.1)
+            closed_form_index_power(0.5, k1_radius(0.0, 0.1))
 
 
 class TestCauchyCriterion:

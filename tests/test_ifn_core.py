@@ -14,10 +14,12 @@ from ifncheck.ifn_core import (
     limit_at_infinity,
     make_example_family,
     make_standard_space,
+    membership_radius,
+    standard_nu,
     tabulated_membership,
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
-from ifncheck.point_convergence import _p_window_scan
+from ifncheck.point_convergence import _p_window_scan, classical_equivalence_probe, reciprocal_sequence
 from ifncheck.sampling import SamplingPlan, default_plan, product_grid
 
 
@@ -105,6 +107,26 @@ def constant_pair_space(mu_value: float, nu_value: float) -> IFNSpace:
         tnorm=TriangularNorm("minimum"),
         tconorm=TriangularConorm("maximum"),
     )
+
+
+def test_a_standard_pair_built_directly_is_the_standard_family():
+    # the family, k and norm are read from the pair, so a space built
+    # without make_standard_space gets the closed-form radius, summary and
+    # classical probe of the family
+    one = make_standard_space(1.0)
+    direct = IFNSpace(1, one.mu, one.nu, one.tnorm, one.tconorm)
+    assert direct.is_standard and direct.summary() == one.summary()
+    assert membership_radius(direct, 0.5, 1.0) == 1.0
+    assert classical_equivalence_probe(direct, reciprocal_sequence(), 0.0).agree
+    three = make_standard_space(2.0, dimension=3, norm="max-coordinate")
+    direct = IFNSpace(3, three.mu, three.nu, three.tnorm, three.tconorm)
+    assert (direct.family, direct.k, direct.norm) == ("standard", 2.0, three.norm)
+    # a pair of two k is not the standard family
+    mixed = IFNSpace(1, one.mu, standard_nu(2.0, one.norm), one.tnorm, one.tconorm)
+    assert (mixed.is_standard, mixed.family, mixed.k, mixed.norm) == (False, "custom", None, None)
+    assert mixed.summary() == {
+        "family": "custom", "dimension": 1, "tnorm": "minimum", "tconorm": "maximum", "tier": "strict"
+    }
 
 
 class TestWithin:

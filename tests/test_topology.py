@@ -11,7 +11,7 @@ from ifncheck.ifn_core import (
     make_standard_space,
     membership_radius,
 )
-from ifncheck.norm_algebra import TriangularConorm, TriangularNorm, _bisect_from_above
+from ifncheck.norm_algebra import _FROM_ONE, TriangularConorm, TriangularNorm, _bisect
 from ifncheck.sampling import Interval, as_point
 from ifncheck.topology import (
     _BALL_FRACTIONS,
@@ -172,7 +172,7 @@ def reference_inner_ball_witness(space, outer, y, verify_points=128, seed=0):
         r3 = 1.0 - 0.5 * s
     else:
         try:
-            r3 = _bisect_from_above(admissible)
+            r3 = _bisect(admissible, *_FROM_ONE)
         except NotFound as exc:
             raise WitnessNotFound("no admissible r3; operation pair is broken") from exc
 
