@@ -524,7 +524,7 @@ def _run_example_4_verification(seed: int) -> list[CheckRecord]:
     sup, bound, doubled = (rec.details[k] for k in ("sup", "analytic_bound", "doubled_bound"))
     a = c["a"]
     conservative = math.floor(math.log(2.0 * (1.0 - 0.1) / (0.1 * 0.1)) / math.log(1.0 / a)) + 1
-    radius = membership_radius(_funcseq_spaces()[1], 0.1, 0.1)
+    radius = membership_radius(make_standard_space(1.0, verify=False), 0.1, 0.1)  # k = 1, as 4.x
     details = rec.details | {
         "discrepancy": doubled - sup,
         "tight_index": closed_form_index_power(a, radius),

@@ -542,7 +542,7 @@ def check_ifn_axioms(
     )
     for side, V, at_theta, at_sums in zip(sides, (MU, NU), theta_pair, sums_pair):
         mirrored(*side, V, at_theta[:, 0], at_sums.reshape(n_t, n_t, -1))
-    del theta_pair, sums_pair, at_theta, at_sums
+    del theta_pair, sums_pair, at_theta, at_sums  # before the larger scaling blocks
 
     # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|).  Each
     # scalar builds its four blocks and drops them before the next scalar.
