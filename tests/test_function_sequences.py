@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,21 @@ class TestClosedFormIndex:
             closed_form_index_power(0.5, k1_radius(0.0, 0.1))
 
 
+@given(
+    c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    r=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    t=st.floats(min_value=1e-3, max_value=100.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_index_equals_single_point_search(spaces, c, r, t):
+    # the paper's logarithmic index at c is the direct search's n0 on the
+    # one-point sample {c}; an index past the budget is no index there
+    seq = FunctionSequence("power", Interval(0.0, 1.0, open_hi=True))
+    k = closed_form_index_power(c, membership_radius(spaces[1], r, t))
+    n0 = uniform_index_search(spaces, seq, DomainSample((c,)), r, t).n0
+    assert n0 == (k if k <= seq.budget else None)
+
+
 class TestCauchyCriterion:
     def test_power_closed_half_index(self, spaces):
         seq = FunctionSequence("power", Interval(0.0, 0.5))
@@ -434,3 +451,31 @@ def test_sweep_indices_do_not_grow_with_r(family, rs, t):
         for (x, n_tight), (y, n_loose) in zip(tight.per_point_index, loose.per_point_index):
             assert x == y
             assert (never if n_loose is None else n_loose) <= (never if n_tight is None else n_tight)
+
+
+# Bases where x ** n is special: signed zeros, NaN, infinities, the smallest
+# subnormals, |x| > 1 (overflow) and x next to 1 (slow decay).
+_POWER_BASES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    st.floats(min_value=1.0, max_value=4.0, exclude_min=True).flatmap(
+        lambda a: st.sampled_from([a, -a])
+    ),
+    st.floats(min_value=1.0 - 1e-4, max_value=1.0 + 1e-4).flatmap(lambda a: st.sampled_from([a, -a])),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@given(
+    xs=st.lists(_POWER_BASES, min_size=1, max_size=12),
+    ns=st.lists(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=10_100)), min_size=1, max_size=40
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_power_values_are_xs_to_the_ns_bit_for_bit(xs, ns):
+    seq = FunctionSequence("power", Interval(0.0, 1.0))
+    xs, ns = np.array(xs), np.array(ns, dtype=float)
+    with np.errstate(over="ignore"):
+        got = seq.values(ns, xs)
+        want = xs.reshape(1, -1) ** ns.reshape(-1, 1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
