@@ -231,10 +231,12 @@ class IFNSpace:
 
     @property
     def standard_pair(self) -> bool:
-        """mu and nu are the standard pair with one k and one norm, which
-        `memberships` evaluates on its fused path."""
+        """mu and nu are the standard pair with one k and one norm family,
+        which `memberships` evaluates on its fused path."""
         mu, nu = self.mu, self.nu
-        return (mu.tag, nu.tag, mu.k, mu.norm) == ("standard-mu", "standard-nu", nu.k, nu.norm)
+        return (mu.tag, nu.tag, mu.k) == ("standard-mu", "standard-nu", nu.k) and (
+            mu.norm.family == nu.norm.family
+        )
 
     is_standard = standard_pair
 

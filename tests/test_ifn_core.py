@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ifncheck.catalog import broken_spaces
 from ifncheck.errors import DomainError, InvalidParameter, UnknownTag
 from ifncheck.ifn_core import (
+    ClassicalNorm,
     IFNSpace,
     check_ifn_axioms,
     custom_membership,
@@ -15,6 +16,7 @@ from ifncheck.ifn_core import (
     make_example_family,
     make_standard_space,
     membership_radius,
+    standard_mu,
     standard_nu,
     tabulated_membership,
 )
@@ -127,6 +129,24 @@ def test_a_standard_pair_built_directly_is_the_standard_family():
     assert mixed.summary() == {
         "family": "custom", "dimension": 1, "tnorm": "minimum", "tconorm": "maximum", "tier": "strict"
     }
+
+
+def test_a_standard_pair_of_two_equal_norms_is_the_standard_family():
+    # norms are compared by family, not by object: two equal norms built
+    # apart make the standard pair, two different families do not
+    ops = (TriangularNorm("minimum"), TriangularConorm("maximum"))
+    apart = IFNSpace(
+        1, standard_mu(1.0, ClassicalNorm("absolute-value")),
+        standard_nu(1.0, ClassicalNorm("absolute-value")), *ops,
+    )
+    assert (apart.family, apart.k, apart.norm.family) == ("standard", 1.0, "absolute-value")
+    assert membership_radius(apart, 0.5, 1.0) == 1.0
+    assert classical_equivalence_probe(apart, reciprocal_sequence(), 0.0).agree
+    mixed = IFNSpace(
+        2, standard_mu(1.0, ClassicalNorm("euclidean")),
+        standard_nu(1.0, ClassicalNorm("max-coordinate")), *ops,
+    )
+    assert (mixed.family, mixed.norm) == ("custom", None)
 
 
 class TestWithin:
