@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifncheck.errors import DomainError, InvalidParameter, NoLimit, UnsupportedFamily
@@ -257,6 +257,8 @@ class TestClosedFormIndex:
     r=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     t=st.floats(min_value=1e-3, max_value=100.0),
 )
+# one ulp below 1, where an estimate through 1 / c was twice the index
+@example(c=1.0 - 2.0**-53, r=0.1, t=0.1)
 @settings(max_examples=200, deadline=None)
 def test_closed_form_index_equals_single_point_search(spaces, c, r, t):
     # the paper's logarithmic index at c is the direct search's n0 on the
