@@ -470,7 +470,9 @@ def schema_document() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_space(cfg: dict) -> IFNSpace:
+def build_space(cfg: dict, verify: bool = True) -> IFNSpace:
+    """The configured space; `verify` makes a standard space's construction
+    check a precondition (a failure is a config error)."""
     f = fields_of(SPACE_FIELDS, cfg, "family")
     try:
         if cfg["family"] == "example":
@@ -481,6 +483,7 @@ def build_space(cfg: dict) -> IFNSpace:
             dimension=f["dimension"],
             ops=(f["tnorm"], f["tconorm"]),
             tier=f["tier"],
+            verify=verify,
         )
     except IFNError as exc:
         raise ConfigError(f"space: {exc}") from exc

@@ -128,7 +128,9 @@ class MembershipFunction:
     vectorised callables or as tabulated grids with bilinear interpolation
     (one-dimensional spaces only).  `radial` declares that the value depends
     on x only through ||x||, monotonically along rays; several searches use
-    this to invert level sets.
+    this to invert level sets.  `broadcasts` declares that `eval` at an
+    (N, d) block and a (T, 1) column of times returns the (T, N) block, each
+    element as `eval` at its own time gives it.
     """
 
     tag: str  # standard-mu | standard-nu | tabulated | custom
@@ -139,6 +141,7 @@ class MembershipFunction:
     values: np.ndarray | None = None
     fn: Callable | None = None
     radial: bool = False
+    broadcasts: bool = False
 
     def eval(self, pts: np.ndarray, t) -> np.ndarray:
         """Evaluate at an (N, d) block of points and scalar or (N,) times."""
@@ -150,7 +153,7 @@ class MembershipFunction:
             pts = pts.reshape(-1, 1)
         ts = np.asarray(t, dtype=float)
         if self.tag == "tabulated":
-            return self._interp(pts[:, 0], np.broadcast_to(ts, (pts.shape[0],)))
+            return self._interp(*np.broadcast_arrays(pts[:, 0], ts))
         return np.asarray(self.fn(pts, ts), dtype=float)
 
     def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,16 +180,21 @@ class MembershipFunction:
         if self.tag in ("standard-mu", "standard-nu"):
             return (self.tag, float(self.k), self.norm.family)
         if self.tag == "tabulated":
-            return (self.tag, len(self.x_nodes), len(self.t_nodes), float(self.values.sum()))
+            # the exact table: node and value bytes (the lengths give the shape)
+            return (self.tag, *(a.tobytes() for a in (self.x_nodes, self.t_nodes, self.values)))
         return (self.tag, id(self.fn))
 
 
 def standard_mu(k: float, norm: ClassicalNorm) -> MembershipFunction:
-    return MembershipFunction(tag="standard-mu", k=float(k), norm=norm, radial=True)
+    return MembershipFunction(
+        tag="standard-mu", k=float(k), norm=norm, radial=True, broadcasts=True
+    )
 
 
 def standard_nu(k: float, norm: ClassicalNorm) -> MembershipFunction:
-    return MembershipFunction(tag="standard-nu", k=float(k), norm=norm, radial=True)
+    return MembershipFunction(
+        tag="standard-nu", k=float(k), norm=norm, radial=True, broadcasts=True
+    )
 
 
 def tabulated_membership(x_nodes, t_nodes, values, radial: bool = False) -> MembershipFunction:
@@ -198,12 +206,15 @@ def tabulated_membership(x_nodes, t_nodes, values, radial: bool = False) -> Memb
     if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
         raise InvalidParameter("table values must lie in [0, 1]")
     return MembershipFunction(
-        tag="tabulated", x_nodes=x_nodes, t_nodes=t_nodes, values=values, radial=radial
+        tag="tabulated", x_nodes=x_nodes, t_nodes=t_nodes, values=values, radial=radial,
+        broadcasts=True,
     )
 
 
-def custom_membership(fn: Callable, radial: bool = False) -> MembershipFunction:
-    return MembershipFunction(tag="custom", fn=fn, radial=radial)
+def custom_membership(
+    fn: Callable, radial: bool = False, broadcasts: bool = False
+) -> MembershipFunction:
+    return MembershipFunction(tag="custom", fn=fn, radial=radial, broadcasts=broadcasts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,14 +292,14 @@ class IFNSpace:
         path chosen by the pair's tags.  The standard pair (one k, one norm)
         shares k||x|| and t + k||x|| and broadcasts over a time column, bit
         for bit as `eval` at each time; any other pair makes one `eval` each,
-        per time for a (T, 1) column, as a custom callable need not
-        broadcast."""
+        also for a (T, 1) column when both sides declare `broadcasts`, and
+        else one per time, as a custom callable need not broadcast."""
         mu, nu = self.mu, self.nu
         if self.standard_pair:
             ts, kn, den = mu._closed_form(pts, t)
             nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
             return np.divide(ts, den, out=den), nus
-        if np.ndim(t) == 2:
+        if np.ndim(t) == 2 and not (mu.broadcasts and nu.broadcasts):
             return tuple(np.stack([f.eval(pts, s) for s in np.ravel(t)]) for f in (mu, nu))
         return mu.eval(pts, t), nu.eval(pts, t)
 
@@ -340,13 +351,21 @@ def _resolve_ops(ops) -> tuple[TriangularNorm, TriangularConorm]:
     return tn, tc
 
 
+# The signatures of the spaces whose construction-time check passed.  The
+# signature is exact for a standard pair and for tabulated operations, and
+# the check's plan is fixed by the dimension, so a space in the set would
+# pass again.  Custom pairs never enter: their signature is id(fn), which
+# Python may reuse once the function is freed.  Two threads building one new
+# space at once may both check it, which is harmless.
+_VERIFIED: set[tuple] = set()
+
+
 def make_standard_space(
     k: float,
     norm: ClassicalNorm | str | None = None,
     dimension: int = 1,
     ops=("minimum", "maximum"),
     tier: str = "strict",
-    plan: SamplingPlan | None = None,
     verify: bool = True,
 ) -> IFNSpace:
     """The closed-form family mu = t/(t + k||x||), nu = k||x||/(t + k||x||).
@@ -354,7 +373,8 @@ def make_standard_space(
     With min/max operations this family satisfies every tier; construction
     verifies the declared tier on a (light) construction plan and raises
     AxiomFailure if that ever fails, which signals an internal fault rather
-    than a user error.
+    than a user error.  A check that passed is remembered for the process
+    (`_VERIFIED`), so each space is checked once; a failure is not.
     """
     if not np.isfinite(k) or k <= 0:
         raise InvalidParameter(f"k must be a positive real, got {k!r}")
@@ -373,14 +393,13 @@ def make_standard_space(
         tconorm=tc,
         axiom_tier=tier,
     )
-    if verify:
-        report = check_ifn_axioms(
-            space, tier=tier, plan=plan or construction_plan(dimension)
-        )
+    if verify and space.signature() not in _VERIFIED:
+        report = check_ifn_axioms(space, tier=tier, plan=construction_plan(dimension))
         if not report.passed:
             raise AxiomFailure(
                 f"standard space failed construction-time check: {report.violated()}"
             )
+        _VERIFIED.add(space.signature())
     return space
 
 

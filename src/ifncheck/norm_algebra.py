@@ -121,7 +121,8 @@ class _BinaryOp:
 
     def signature(self) -> tuple:
         if self.family == "tabulated":
-            return (self._KIND, "tabulated", self.table.shape[0], float(self.table.sum()))
+            # the exact table: its size and value bytes
+            return (self._KIND, "tabulated", self.table.shape[0], self.table.tobytes())
         return (self._KIND, self.family)
 
 

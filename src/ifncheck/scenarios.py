@@ -117,7 +117,8 @@ def run_scenario(config: dict, kind: str | None = None, seed: int | None = None)
 
 
 def _run_axioms(config: dict, seed: int) -> list[CheckRecord]:
-    space = build_space(config["space"])
+    # the check is this command's verdict, not its precondition
+    space = build_space(config["space"], verify=False)
     plan = build_plan(config.get("plan"), space.dimension, seed)
     tier = config.get("tier", space.axiom_tier)
     rep = check_ifn_axioms(

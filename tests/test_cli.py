@@ -457,6 +457,22 @@ class TestCliProcess:
         )
         assert rc == 1
 
+    def test_a_space_that_fails_its_tier_is_the_axioms_verdict(self, tmp_path, capsys):
+        # product/probabilistic-sum is not idempotent, so (xii) fails at the
+        # strict tier: `axioms` reports that as a FAIL record and exits 1,
+        # while a command that relies on the declared tier rejects the space
+        space = {"family": "standard", "tnorm": "product", "tconorm": "probabilistic-sum",
+                 "tier": "strict"}
+        argv = ["--config", write_config(tmp_path, dict(AXIOMS_CFG, space=space)), "--out", str(tmp_path)]
+        assert main(["axioms", *argv]) == 1
+        lines = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+        failed = [r["name"] for r in lines if r["kind"] == "record" and r["verdict"] == "fail"]
+        assert failed == ["axiom/xii"]
+        capsys.readouterr()
+        argv = ["--config", write_config(tmp_path, dict(CONVERGE_CFG, space=space)), "--out", str(tmp_path)]
+        assert main(["converge", *argv]) == 2
+        assert "failed construction-time check: ('xii',)" in capsys.readouterr().err
+
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         examples = pathlib.Path(__file__).parent.parent / "docs" / "examples"
         continuity = json.loads((examples / "continuity-reciprocal.json").read_text())

@@ -14,8 +14,8 @@ from ifncheck.continuity import (
     sequential_continuity_check,
     uniform_continuity_search,
 )
-from ifncheck.errors import CertificationError, DomainError, ZeroDivisor
-from ifncheck.ifn_core import make_example_family, make_standard_space
+from ifncheck.errors import CertificationError, DomainError, InvalidParameter, ZeroDivisor
+from ifncheck.ifn_core import IFNSpace, make_example_family, make_standard_space, tabulated_membership
 from ifncheck.point_convergence import (
     linear_sequence,
     reciprocal_sequence,
@@ -152,6 +152,20 @@ class TestCombine:
         g2 = make_map(std, std, rule("affine", 1.0, -0.5), Interval(0.0, 1.0))
         with pytest.raises(ZeroDivisor):
             combine("reciprocal", g2)
+
+    def test_maps_on_different_tabulated_spaces_do_not_combine(self, std):
+        # two mu tables with their middle rows swapped: the same node counts
+        # and the same sum, but mu(1, 1) is 0.5 against 0.25
+        rows = [[1.0, 1.0, 1.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.5]]
+        spaces = []
+        for mu in (np.array(rows), np.array(rows)[[0, 2, 1]]):
+            pair = (tabulated_membership([0.0, 1.0, 2.0], [0.5, 1.0, 2.0], v) for v in (mu, 1.0 - mu))
+            spaces.append(IFNSpace(1, *pair, std.tnorm, std.tconorm))
+        assert spaces[0].mu_eval(1.0, 1.0) != spaces[1].mu_eval(1.0, 1.0)
+        assert spaces[0].signature() != spaces[1].signature()
+        f, g = (make_map(sp, std, rule("identity"), Interval(0.0, 1.0)) for sp in spaces)
+        with pytest.raises(InvalidParameter, match="share domain and codomain"):
+            combine("sum", f, g)
 
     def test_domain_intersection(self, std):
         f = make_map(std, std, rule("identity"), Interval(0.0, 2.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifncheck import ifn_core
 from ifncheck.catalog import broken_spaces
-from ifncheck.errors import DomainError, InvalidParameter, UnknownTag
+from ifncheck.errors import AxiomFailure, DomainError, InvalidParameter, UnknownTag
 from ifncheck.ifn_core import (
     ClassicalNorm,
     IFNSpace,
@@ -248,18 +250,30 @@ class TestAxiomChecker:
         axis = np.linspace(-5.0, 5.0, 7)
         plan = SamplingPlan(product_grid(axis, d, seed), random_count=50, seed=seed)
         P = plan.points()
+
+        def assert_blocks_match(space):
+            for ts in (plan.all_t(), np.add.outer(plan.t_grid, plan.t_grid).ravel()):
+                blocks = space.memberships(P, ts.reshape(-1, 1))
+                for block, fn in zip(blocks, (space.mu, space.nu)):
+                    assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
+
+        # pairs that declare `broadcasts` and take one `eval` per column: the
+        # tabulated pair and, on the line, the six broken spaces
+        declared = [tabulated_pair_space(plan, d)]
+        if d == 1:
+            declared += [space for space, _ in broken_spaces().values()]
+        for space in declared:
+            assert space.mu.broadcasts and space.nu.broadcasts
+            assert_blocks_match(space)
         for ops in (("minimum", "maximum"), ("product", "probabilistic-sum")):
             sp = make_standard_space(1.5, dimension=d, ops=ops, tier="core", verify=False)
-            # the same closed forms behind custom tags take the per-t path
+            # the same closed forms behind undeclared custom tags take the per-t path
             per_t = IFNSpace(
                 d, custom_membership(sp.mu.eval), custom_membership(sp.nu.eval),
                 sp.tnorm, sp.tconorm, axiom_tier="core",
             )
-            for space in (sp, per_t, tabulated_pair_space(plan, d)):
-                for ts in (plan.all_t(), np.add.outer(plan.t_grid, plan.t_grid).ravel()):
-                    blocks = space.memberships(P, ts.reshape(-1, 1))
-                    for block, fn in zip(blocks, (space.mu, space.nu)):
-                        assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
+            for space in (sp, per_t):
+                assert_blocks_match(space)
             tiers = itertools.product(("core", "idempotent", "strict"), (False, True))
             for tier, forcing in tiers:
                 fast = check_ifn_axioms(sp, tier, plan, forcing)
@@ -524,3 +538,53 @@ def test_each_axiom_condition_is_pinned(case):
     assert (report.violated(), res.checked, res.total_violations, first.point, first.detail) == (
         AXIOM_PINS[case]
     )
+
+
+def _broadcasting(space: IFNSpace, on: bool) -> IFNSpace:
+    """`space` with both memberships declaring `broadcasts` as `on`."""
+    mu, nu = (dataclasses.replace(f, broadcasts=on) for f in (space.mu, space.nu))
+    return dataclasses.replace(space, mu=mu, nu=nu)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_axiom_reports_do_not_depend_on_broadcasting(seed):
+    # every violator (the six broken spaces among them) with one `eval` per
+    # time column and with one per time
+    plan = default_plan(1, seed)
+    for case, (space, forcing) in _axiom_violators().items():
+        on, off = (
+            repr(check_ifn_axioms(_broadcasting(space, flag), "strict", plan, forcing))
+            for flag in (True, False)
+        )
+        assert on == off, case
+
+
+@pytest.fixture
+def construction_checks(monkeypatch):
+    """An empty construction-check memo, and the spaces that
+    `make_standard_space` checks from here on."""
+    monkeypatch.setattr(ifn_core, "_VERIFIED", set())
+    checked = []
+    check = ifn_core.check_ifn_axioms
+
+    def counting(space, *args, **kwargs):
+        checked.append(space)
+        return check(space, *args, **kwargs)
+
+    monkeypatch.setattr(ifn_core, "check_ifn_axioms", counting)
+    return checked
+
+
+class TestConstructionCheckMemo:
+    def test_one_check_per_space(self, construction_checks):
+        make_standard_space(1.0)
+        make_standard_space(1.0)
+        assert len(construction_checks) == 1
+        make_standard_space(3.0)
+        assert len(construction_checks) == 2
+
+    def test_a_failing_check_is_never_remembered(self, construction_checks):
+        for _ in range(2):
+            with pytest.raises(AxiomFailure):
+                make_standard_space(1.0, ops=("product", "probabilistic-sum"), tier="strict")
+        assert len(construction_checks) == 2

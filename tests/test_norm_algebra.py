@@ -68,6 +68,12 @@ class TestEvaluation:
         with pytest.raises(InvalidParameter):
             TriangularNorm("tabulated", table)
 
+    def test_tabulated_signatures_tell_equal_sums_apart(self):
+        # the two off-diagonal values swapped: same shape, same sum
+        a, b = (TriangularNorm("tabulated", [[0.0, v], [1.0 - v, 1.0]]) for v in (0.0, 1.0))
+        assert a.signature() != b.signature()
+        assert a.signature() == TriangularNorm("tabulated", [[0.0, 0.0], [1.0, 1.0]]).signature()
+
     def test_idempotent_flags(self):
         assert tnorm("minimum").idempotent
         assert not tnorm("product").idempotent
