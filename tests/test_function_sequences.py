@@ -10,6 +10,7 @@ from ifncheck.function_sequences import (
     DEFAULT_P_MAX,
     DomainSample,
     FunctionSequence,
+    _limit_mask,
     classical_uniform_probe,
     closed_form_index_power,
     pointwise_limit_estimate,
@@ -21,11 +22,13 @@ from ifncheck.function_sequences import (
     uniform_limit_scenario,
 )
 from ifncheck.ifn_core import (
+    NORM_FAMILIES,
     IFNSpace,
     custom_membership,
     make_example_family,
     make_standard_space,
     membership_radius,
+    safe_radius,
 )
 from ifncheck.sampling import Interval
 
@@ -455,6 +458,30 @@ def test_sweep_indices_do_not_grow_with_r(family, rs, t):
             assert (never if n_loose is None else n_loose) <= (never if n_tight is None else n_tight)
 
 
+@given(
+    family=st.sampled_from(sorted(_SMALL_SWEEP_SEQUENCES)),
+    k=st.sampled_from([0.5, 1.0, 3.0]),
+    r=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    steps=st.lists(st.integers(-24, 16), min_size=2, max_size=5, unique=True),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_sweep_indices_do_not_grow_with_t(family, k, r, steps):
+    # mu > 1 - r and nu < r only loosen as t grows.  Two times a few ulps
+    # apart can still flip a near-tie (fl(t + k|z|) may step up by more
+    # than t does), so the times are 10^(j/8), at least 33 % apart, which
+    # moves both quotients far past their rounding
+    sp = make_standard_space(k, verify=False)
+    seq = _SMALL_SWEEP_SEQUENCES[family]
+    sample = sample_domain(seq.domain, 9)
+    certs = uniform_index_sweep((sp, sp), seq, sample, [(r, 10.0 ** (j / 8)) for j in sorted(steps)])
+    never = seq.budget + 1
+    for tight, loose in zip(certs, certs[1:]):
+        assert (never if loose.n0 is None else loose.n0) <= (never if tight.n0 is None else tight.n0)
+        for (x, n_tight), (y, n_loose) in zip(tight.per_point_index, loose.per_point_index):
+            assert x == y
+            assert (never if n_loose is None else n_loose) <= (never if n_tight is None else n_tight)
+
+
 # Bases where x ** n is special: signed zeros, NaN, infinities, the smallest
 # subnormals, |x| > 1 (overflow) and x next to 1 (slow decay).
 _POWER_BASES = st.one_of(
@@ -481,3 +508,51 @@ def test_power_values_are_xs_to_the_ns_bit_for_bit(xs, ns):
         got = seq.values(ns, xs)
         want = xs.reshape(1, -1) ** ns.reshape(-1, 1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _ulps_from(x, j):
+    """The float j ulps above the non-negative float x (below for j < 0)."""
+    return float((np.array(x).view(np.int64) + j).view(np.float64))
+
+
+@st.composite
+def _deviation_blocks(draw):
+    """A standard space on the real line, (r, t) demands, and an (N, M)
+    block of f_n(x) with its M limits.  The deviations are the floats up to
+    4 ulps either side of each demand's safe radius and of its float radius
+    r t / (k (1 - r)), either sign, plus NaN, +-inf, +-0.0 and random ones;
+    most limits are 0.0, so most deviations are exactly these floats."""
+    k = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    space = make_standard_space(k, draw(st.sampled_from(NORM_FAMILIES)), verify=False)
+    rts = draw(
+        st.lists(st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(1e-3, 1e3)), min_size=1, max_size=3)
+    )
+    near = [
+        _ulps_from(x, j)
+        for r, t in rts
+        for x in (safe_radius(space, r, t), r * t / (k * (1.0 - r)))
+        for j in range(-4, 5)
+    ]
+    devs = near + [-z for z in near] + [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    devs += draw(st.lists(st.floats(-10.0, 10.0), max_size=20))
+    devs = draw(st.permutations(devs))
+    m = draw(st.integers(1, 4))
+    devs += [0.0] * (-len(devs) % m)
+    limits = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.25]), min_size=m, max_size=m)))
+    with np.errstate(invalid="ignore"):
+        vals = np.array(devs).reshape(-1, m) + limits
+    return space, rts, vals, limits
+
+
+@given(case=_deviation_blocks())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_filtered_limit_mask_equals_the_per_column_within_mask(case):
+    space, rts, vals, limits = case
+    with np.errstate(invalid="ignore"):
+        got = [_limit_mask(space, vals, limits, r, t) for r, t in rts]
+        want = [
+            np.column_stack([space.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)])
+            for r, t in rts
+        ]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == bool and g.shape == w.shape and g.tobytes() == w.tobytes()
