@@ -52,15 +52,14 @@ from .point_convergence import (
 from .report import FAIL, INFO, PASS, CheckRecord
 from .sampling import Interval, default_plan
 from .scenarios import (
-    cauchy_criterion_record,
     cauchy_preservation_record,
+    criterion_records,
     equivalence_record,
     pass_if,
     pointwise_record,
     preimage_open_record,
     sup_oracle_record,
     sweep_csv_row,
-    uniform_index_records,
     uniform_limit_record,
     uniform_witness_record,
     witness_record,
@@ -504,16 +503,11 @@ def _run_cauchy_criterion(seed: int) -> list[CheckRecord]:
     records = []
     for name, (seq, refine) in catalog_function_sequences().items():
         sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-        (direct,) = uniform_index_records(spaces, seq, sample, [(0.1, 0.1)], seed)
-        criterion = cauchy_criterion_record(
-            spaces, seq, sample, 0.1, 0.1, _fields("cauchy-criterion"), seed
-        )
+        c = _fields("cauchy-criterion")
+        direct, criterion = criterion_records(spaces, seq, sample, 0.1, 0.1, c, seed)
         agree = direct.verdict == criterion.verdict
         records.append(
-            _combine(
-                f"criterion-agreement/{name}", anchor, agree, seed,
-                direct=direct, criterion=criterion,
-            )
+            _combine(f"criterion-agreement/{name}", anchor, agree, seed, direct=direct, criterion=criterion)
         )
     return records
 

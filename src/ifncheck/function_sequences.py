@@ -260,16 +260,25 @@ def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int
     return seq.values(np.arange(1, n_total + 1), sample.all_points())
 
 
-def _limit_mask(
-    codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, r: float, t: float
-) -> np.ndarray:
-    """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j.
-
-    One `within` call per column: a single call over the whole (N*M, 1)
-    block is several times slower."""
-    return np.column_stack(
-        [codomain.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)]
-    )
+def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: list):
+    """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j,
+    one mask per (r, t) of `rts`.  On a one-dimensional standard codomain a
+    cell of the deviation block below `safe_radius` meets it as `within`
+    decides it, and only the others go to `within` (filter, then decide
+    exactly); any other codomain takes one `within` call per column."""
+    if not (codomain.standard_pair and codomain.dimension == 1):
+        for r, t in rts:
+            yield np.column_stack(
+                [codomain.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)]
+            )
+        return
+    size = np.abs(vals - limits)
+    for r, t in rts:
+        ok = size < safe_radius(codomain, r, t)
+        rest = ~ok  # each such cell's deviation, as the block computed it
+        z = vals[rest] - np.broadcast_to(limits, vals.shape)[rest]
+        ok[rest] = codomain.within(z.reshape(-1, 1), r, t)
+        yield ok
 
 
 def _certificate(
@@ -305,13 +314,14 @@ def uniform_index_sweep(
     The limits and the (budget, M) matrix of f_n(x) do not depend on (r, t):
     they are built once per call, and only the demand mask runs per pair.
     """
-    _, codomain = spaces
     limits = _limits(seq, sample)
-    vals = _values(seq, sample, rts, seq.budget)
-    return [
-        _certificate(_limit_mask(codomain, vals, limits, r, t), sample, seq.budget, r, t)
-        for r, t in rts
-    ]
+    return _sweep(spaces[1], seq, sample, limits, _values(seq, sample, rts, seq.budget), rts)
+
+
+def _sweep(codomain, seq, sample, limits, vals, rts) -> list[UniformCertificate]:
+    """The certificates of `rts` from the first budget rows of `vals`."""
+    masks = _limit_masks(codomain, vals[: seq.budget], limits, rts)
+    return [_certificate(ok, sample, seq.budget, r, t) for (r, t), ok in zip(rts, masks)]
 
 
 def uniform_index_search(
@@ -378,11 +388,22 @@ def uniform_cauchy_check(
     a too-optimistic index.  The verdict follows the same refinement-ladder
     rule as the direct search.
     """
+    return _criterion(spaces[1], seq, sample, r, t, p_max, None)[1]
+
+
+def criterion_pair(spaces, seq, sample, r, t, p_max=DEFAULT_P_MAX) -> tuple[UniformCertificate, ...]:
+    """`uniform_index_search` and `uniform_cauchy_check` at (r, t) from one matrix of f_n(x),
+    as each cell is computed on its own: the direct search reads its first budget rows."""
+    return _criterion(spaces[1], seq, sample, r, t, p_max, _limits(seq, sample))
+
+
+def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCertificate | None, ...]:
+    """The direct certificate (None without `limits`) and the criterion's."""
     if p_max < 1:
         raise InvalidParameter("p_max must be >= 1")
-    _, codomain = spaces
     n_total = seq.budget + p_max
     vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)
+    direct = None if limits is None else _sweep(codomain, seq, sample, limits, vals, [(r, t)])[0]
     radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
     safe = safe_radius(codomain, r, t) if radial and codomain.standard_pair else None
 
@@ -413,7 +434,7 @@ def uniform_cauchy_check(
             for n, m in pairs
         ):
             cert = replace(cert, verdict=VERDICT_INCONCLUSIVE, n0=None)
-    return cert
+    return direct, cert
 
 
 # Grid points of the brute-force deviation oracle on [0, a].
@@ -548,6 +569,6 @@ def classical_uniform_probe(
     vals = _values(seq, sample, [(r, t)], seq.budget)
     threshold = membership_radius(codomain, r, t)
     classical = _certificate(np.abs(vals - limits) < threshold, sample, seq.budget, r, t)
-    cert = _certificate(_limit_mask(codomain, vals, limits, r, t), sample, seq.budget, r, t)
+    (cert,) = _sweep(codomain, seq, sample, limits, vals, [(r, t)])
     indices = tuple(i for _, i in classical.per_point_index)
     return ClassicalUniformRecord((threshold,), indices, classical.uniform, cert)

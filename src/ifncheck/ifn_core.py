@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -682,8 +683,15 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
     fl(t + a) >= (t + a)(1 - u), as a sum below the normal range is exact,
     and fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
     a < r t (1 - u) / (1 + u - r (1 - u)), which is compared exactly.  (Where
-    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)
+    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  Memoised
+    on mu's signature, which fixes `_closed_form`, and (r, t).
     """
+    return _safe_radius(space.mu.signature(), float(r), float(t))
+
+
+@lru_cache(maxsize=1024)
+def _safe_radius(mu_signature: tuple, r: float, t: float) -> float:
+    mu = standard_mu(mu_signature[1], ClassicalNorm(mu_signature[2]))
     rf, u = Fraction(r), _UNIT_ROUNDOFF
     cap = min(rf * Fraction(t) * (1 - u) / (1 + u - rf * (1 - u)), Fraction(sys.float_info.max))
     a_max = float(cap)  # made the largest float below the cap
@@ -696,7 +704,7 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
         step = max((hi - lo) // 1024, 1)
         bits = lo + step * np.arange(1, (hi - 1 - lo) // step + 1, dtype=np.int64)
         with np.errstate(over="ignore"):
-            ts, kn, den = space.mu._closed_form(bits.view(np.float64), t)
+            ts, kn, den = mu._closed_form(bits.view(np.float64), t)
         fails = ~((np.divide(ts, den) > 1.0 - r) & (kn <= a_max))
         j = int(np.argmax(fails)) if fails.any() else len(bits)
         if j:

@@ -175,7 +175,9 @@ def tail_index(ok: np.ndarray) -> int | list[int]:
     """
     ok = np.asarray(ok, dtype=bool)
     if ok.ndim == 2:
-        return [tail_index(col) for col in ok.T]
+        rev = np.empty((ok.shape[1], len(ok) + 1), dtype=bool)
+        rev[:, :-1], rev[:, -1] = ok[::-1].T, False  # reversed columns, a False sentinel
+        return (len(ok) + 1 - rev.argmin(axis=1)).tolist()
     bad = np.flatnonzero(~ok)
     return int(bad[-1]) + 2 if len(bad) else 1
 

@@ -10,7 +10,7 @@ from ifncheck.function_sequences import (
     DEFAULT_P_MAX,
     DomainSample,
     FunctionSequence,
-    _limit_mask,
+    _limit_masks,
     classical_uniform_probe,
     closed_form_index_power,
     pointwise_limit_estimate,
@@ -549,7 +549,7 @@ def _deviation_blocks(draw):
 def test_filtered_limit_mask_equals_the_per_column_within_mask(case):
     space, rts, vals, limits = case
     with np.errstate(invalid="ignore"):
-        got = [_limit_mask(space, vals, limits, r, t) for r, t in rts]
+        got = list(_limit_masks(space, vals, limits, rts))
         want = [
             np.column_stack([space.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)])
             for r, t in rts

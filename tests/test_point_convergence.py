@@ -17,6 +17,7 @@ from ifncheck.function_sequences import (
 from ifncheck.ifn_core import (
     NORM_FAMILIES,
     IFNSpace,
+    _safe_radius,
     custom_membership,
     make_standard_space,
     membership_radius,
@@ -486,6 +487,36 @@ def test_floats_below_the_safe_radius_meet_the_demand(family):
                 if 1e-3 <= t <= 1e3:
                     exact = r * t / (k * (1 - r))
                     assert abs(x - exact) <= 1e-9 * exact, (k, r, t, x)
+
+
+@given(
+    k=st.floats(1e-3, 1e3),
+    family=st.sampled_from(NORM_FAMILIES),
+    r=st.floats(1e-6, 1 - 1e-6),
+    t=st.floats(1e-3, 1e3),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_memoised_safe_radius_is_the_uncached_value(k, family, r, t):
+    # the memo is keyed on mu's signature and (r, t): a fresh space of the
+    # same k and norm hits it, and reads what the bisection gives
+    space = make_standard_space(k, family, verify=False)
+    x = safe_radius(space, r, t)
+    assert x == _safe_radius.__wrapped__(space.mu.signature(), r, t)
+    hits = _safe_radius.cache_info().hits
+    assert safe_radius(make_standard_space(k, family, verify=False), r, t) == x
+    assert _safe_radius.cache_info().hits == hits + 1
+
+
+def test_safe_radius_memo_is_bounded():
+    _safe_radius.cache_clear()
+    space = make_standard_space(1.0, verify=False)
+    maxsize = _safe_radius.cache_info().maxsize
+    xs = [safe_radius(space, 0.5, 1.0 + i) for i in range(maxsize + 8)]
+    info = _safe_radius.cache_info()
+    assert info.currsize == maxsize and info.misses == maxsize + 8
+    # the oldest entries were dropped, and are computed again
+    assert safe_radius(space, 0.5, 1.0) == xs[0]
+    assert _safe_radius.cache_info().misses == maxsize + 9
 
 
 class TestClassicalEquivalence:
