@@ -263,21 +263,21 @@ def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int
 def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: list):
     """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j,
     one mask per (r, t) of `rts`.  On a one-dimensional standard codomain a
-    cell of the deviation block below `safe_radius` meets it as `within`
-    decides it, and only the others go to `within` (filter, then decide
-    exactly); any other codomain takes one `within` call per column."""
+    deviation below `safe_radius` passes, as `within` would decide it, and
+    only the others go to `within`; elsewhere one `within` call per column."""
     if not (codomain.standard_pair and codomain.dimension == 1):
         for r, t in rts:
             yield np.column_stack(
                 [codomain.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)]
             )
         return
-    size = np.abs(vals - limits)
+    size = vals - limits
+    np.abs(size, out=size)
     for r, t in rts:
         ok = size < safe_radius(codomain, r, t)
-        rest = ~ok  # each such cell's deviation, as the block computed it
-        z = vals[rest] - np.broadcast_to(limits, vals.shape)[rest]
-        ok[rest] = codomain.within(z.reshape(-1, 1), r, t)
+        rest = np.flatnonzero(~ok)
+        z = vals.flat[rest] - limits[rest % len(limits)]  # the block's subtraction, at these cells
+        ok.flat[rest] = codomain.within(z.reshape(-1, 1), r, t)
         yield ok
 
 
