@@ -31,6 +31,7 @@ from .function_sequences import (
     FunctionSequence,
     classical_uniform_probe,
     closed_form_index_power,
+    criterion_pair,
     sample_domain,
     uniform_index_search,
     uniform_index_sweep,
@@ -53,7 +54,6 @@ from .report import FAIL, INFO, PASS, CheckRecord
 from .sampling import Interval, default_plan
 from .scenarios import (
     cauchy_preservation_record,
-    criterion_records,
     equivalence_record,
     pass_if,
     pointwise_record,
@@ -503,11 +503,15 @@ def _run_cauchy_criterion(seed: int) -> list[CheckRecord]:
     records = []
     for name, (seq, refine) in catalog_function_sequences().items():
         sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=10)
-        c = _fields("cauchy-criterion")
-        direct, criterion = criterion_records(spaces, seq, sample, 0.1, 0.1, c, seed)
-        agree = direct.verdict == criterion.verdict
+        p_max = _fields("cauchy-criterion")["p_max"]
+        direct, criterion = criterion_pair(spaces, seq, sample, 0.1, 0.1, p_max)
         records.append(
-            _combine(f"criterion-agreement/{name}", anchor, agree, seed, direct=direct, criterion=criterion)
+            CheckRecord(
+                name=f"criterion-agreement/{name}", anchor=anchor,
+                verdict=pass_if(direct.verdict == criterion.verdict),
+                details={"direct": direct.summary(), "criterion": criterion.summary()},
+                seed=seed, work=2 * seq.budget * len(sample.all_points()),  # both read every point
+            )
         )
     return records
 

@@ -50,7 +50,6 @@ from .function_sequences import (
     UniformCertificate,
     classical_uniform_probe,
     closed_form_index_power,
-    criterion_pair,
     pointwise_limit_estimate,
     sup_deviation_oracle,
     uniform_cauchy_check,
@@ -404,9 +403,13 @@ def _uniform(kind, r, t, anchor, seq, cert, seed, csv_row=None) -> CheckRecord:
     return _demand(kind, r, t, anchor, verdict, cert.summary(), seed, work, csv_row=csv_row)
 
 
-def _index_record(spaces, seq, r, t, cert, seed) -> CheckRecord:
+def uniform_index_records(spaces, seq, sample, rts: list, seed: int) -> list[CheckRecord]:
+    """One record per (r, t) of `rts`; one values matrix serves them all."""
     anchor = f"uniform convergence index of the {seq.family} sequence"
-    return _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert, spaces[1]))
+    return [
+        _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert, spaces[1]))
+        for (r, t), cert in zip(rts, uniform_index_sweep(spaces, seq, sample, rts))
+    ]
 
 
 def pointwise_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
@@ -420,13 +423,6 @@ def pointwise_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckReco
 def cauchy_criterion_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
     cert = uniform_cauchy_check(spaces, seq, sample, r, t, c["p_max"])
     return _uniform("cauchy-criterion", r, t, "uniform Cauchy tail criterion", seq, cert, seed)
-
-
-def criterion_records(spaces, seq, sample, r, t, c: dict, seed: int) -> tuple[CheckRecord, CheckRecord]:
-    """The uniform-index and cauchy-criterion records at (r, t), from one matrix (`criterion_pair`)."""
-    direct, cert = criterion_pair(spaces, seq, sample, r, t, c["p_max"])
-    criterion = _uniform("cauchy-criterion", r, t, "uniform Cauchy tail criterion", seq, cert, seed)
-    return _index_record(spaces, seq, r, t, direct, seed), criterion
 
 
 def classical_probe_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
@@ -494,9 +490,8 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
             records.append(sup_oracle_record(seq, c, seed))
             continue
         rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
-        if kind == "uniform-index":  # one values matrix serves every (r, t)
-            certs = uniform_index_sweep(spaces, seq, sample, rts)
-            records.extend(_index_record(spaces, seq, r, t, cert, seed) for (r, t), cert in zip(rts, certs))
+        if kind == "uniform-index":
+            records.extend(uniform_index_records(spaces, seq, sample, rts, seed))
         else:
             records.extend(_FUNCSEQ_KINDS[kind](spaces, seq, sample, r, t, c, seed) for r, t in rts)
     if len(config["funcseq"].get("hi_sweep", ())) > 1:

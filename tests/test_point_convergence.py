@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifncheck.continuity import MapBetweenSpaces, cauchy_preservation_check, make_map, rule
+from ifncheck import ifn_core
 from ifncheck.errors import DomainError, UnsupportedFamily
 from ifncheck.function_sequences import (
     DomainSample,
@@ -497,11 +499,13 @@ def test_floats_below_the_safe_radius_meet_the_demand(family):
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_memoised_safe_radius_is_the_uncached_value(k, family, r, t):
-    # the memo is keyed on mu's signature and (r, t): a fresh space of the
-    # same k and norm hits it, and reads what the bisection gives
+    # the memo is keyed on mu's signature and (r, t), and rebuilds mu from
+    # it: it reads what the bisection on the space's own mu gives, and a
+    # fresh space of the same k and norm hits it
     space = make_standard_space(k, family, verify=False)
     x = safe_radius(space, r, t)
-    assert x == _safe_radius.__wrapped__(space.mu.signature(), r, t)
+    with mock.patch.object(ifn_core, "standard_mu", lambda *_: space.mu):
+        assert x == _safe_radius.__wrapped__(space.mu.signature(), r, t)
     hits = _safe_radius.cache_info().hits
     assert safe_radius(make_standard_space(k, family, verify=False), r, t) == x
     assert _safe_radius.cache_info().hits == hits + 1
