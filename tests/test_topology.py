@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifncheck.continuity import make_map, rule
 from ifncheck.errors import DomainError, NotFound, UnsupportedFamily, WitnessNotFound
@@ -12,7 +14,7 @@ from ifncheck.ifn_core import (
     membership_radius,
 )
 from ifncheck.norm_algebra import _FROM_ONE, TriangularConorm, TriangularNorm, _bisect
-from ifncheck.sampling import Interval, as_point
+from ifncheck.sampling import Interval, SamplingPlan, as_point
 from ifncheck.topology import (
     _BALL_FRACTIONS,
     OpenBall,
@@ -300,6 +302,129 @@ class TestOpenSets:
             assert set_is_open_sampled(std, SampledSet(sset.predicate, np.array([[x]]))).all_open
         closed = SampledSet(lambda pts: np.abs(pts[:, 0]) <= 1.0, np.array([[1.0]]))
         assert not set_is_open_sampled(std, closed).all_open
+
+
+def reference_set_is_open(space, sset, plan):
+    """The ball per witness of `set_is_open_sampled`, searched one (r, t)
+    rung and one ball at a time: t ascending, then r = 2^-1 .. 2^-30."""
+    n = 4 * len(_BALL_FRACTIONS) * space.dimension
+    found = []
+    for w in sset.witnesses:
+        ball = None
+        for t in sorted(plan.t_grid):
+            for r in (2.0 ** -j for j in range(1, 31)):
+                pts = reference_sample_in_ball(space, OpenBall(w, r, t), n, plan.seed)
+                if len(pts) and bool(np.all(sset.predicate(pts))):
+                    ball = OpenBall(w, r, t)
+                    break
+            if ball is not None:
+                break
+        found.append(ball)
+    return found
+
+
+@st.composite
+def _sampled_sets(draw, kind):
+    d = draw(st.integers(1, 3))
+    norm = draw(st.sampled_from(["euclidean", "max-coordinate"] + ["absolute-value"] * (d == 1)))
+    space = make_standard_space(draw(st.sampled_from([0.5, 1.0, 3.0])), norm=norm, dimension=d)
+    coords = st.floats(-4.0, 4.0, allow_nan=False)
+    ws = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=4)))
+    # fractions of the way to the boundary: near 1 the first rungs overshoot it
+    u = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 0.99, 0.999, 0.99999, 1.0]),
+                               min_size=len(ws), max_size=len(ws))))
+    if kind == "norm-ball":
+        radius = draw(st.floats(0.1, 3.0))
+        norms = space.norm(ws)[:, None]
+        dirs = np.where(norms > 1e-6, ws / np.maximum(norms, 1e-6), np.eye(d)[0])
+        ws = dirs * (np.minimum(u, 0.99999) * radius)[:, None]
+        predicate = lambda pts: space.norm(pts) < radius
+    elif kind == "interval":
+        lo = draw(st.floats(-3.0, 0.0))
+        hi = lo + draw(st.floats(0.0, 3.0))
+        ws[:, 0] = lo + u * (hi - lo)  # endpoints among the witnesses
+        predicate = lambda pts: (pts[:, 0] >= lo) & (pts[:, 0] <= hi)
+    elif kind == "closed-endpoint":
+        ws[:, 0] = np.where(ws[:, 0] < 0.0, -1.0, 1.0)
+        predicate = lambda pts: np.abs(pts[:, 0]) <= 1.0
+    else:
+        predicate = lambda pts: np.ones(len(pts), dtype=bool)
+    times = st.sampled_from([0.01, 0.3, 1.0, 2.0, 7.5, 100.0])
+    t_grid = tuple(draw(st.lists(times, min_size=1, max_size=4)))  # duplicates too
+    plan = SamplingPlan(np.zeros((1, d)), t_grid=t_grid, seed=draw(st.integers(0, 3)))
+    return space, SampledSet(predicate, ws, kind), plan
+
+
+@pytest.mark.parametrize("kind", ["norm-ball", "interval", "closed-endpoint", "whole"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_openness_search_matches_reference_loop(kind, data):
+    space, sset, plan = data.draw(_sampled_sets(kind))
+    got = set_is_open_sampled(space, sset, plan).per_point
+    want = reference_set_is_open(space, sset, plan)
+    assert len(got) == len(want)
+    for w, p, ball in zip(sset.witnesses, got, want):
+        assert p.point == tuple(float(v) for v in w)
+        if ball is None:
+            assert p.ball is None
+        else:
+            assert np.array_equal(p.ball.center, ball.center)
+            assert (p.ball.r, p.ball.t) == (ball.r, ball.t)
+
+
+def _raising_set(witnesses, raising):
+    """The open unit interval, with a predicate that raises DomainError
+    (naming the point) on a block holding any of the `raising` points."""
+
+    def predicate(pts):
+        for p in raising:
+            if bool(np.any(np.all(pts == p, axis=1))):
+                raise DomainError(f"pole at {p[0]!r}")
+        return np.abs(pts[:, 0]) < 1.0
+
+    return SampledSet(predicate, np.asarray(witnesses, dtype=float), "interval with poles")
+
+
+def _rung_point(space, w, rung, plan):
+    """The first sampled in-ball point of witness w's ball at ladder rung
+    `rung` (t ascending, then r = 2^-1 .. 2^-30)."""
+    t, j = sorted(plan.t_grid)[rung // 30], rung % 30
+    n = 4 * len(_BALL_FRACTIONS) * space.dimension
+    return reference_sample_in_ball(space, OpenBall(np.atleast_1d(w), 2.0 ** -(j + 1), t), n, plan.seed)[0]
+
+
+class TestOpennessAtRaisingPoints:
+    """The search decides rungs in blocks; a block may evaluate rungs that a
+    rung-by-rung search never reaches, and an error there must not count."""
+
+    @pytest.fixture
+    def near_end(self, std):
+        # the balls at rungs 0 and 1 reach past x = 1, the one at rung 2 does not
+        plan = SamplingPlan(np.zeros((1, 1)))
+        t = min(plan.t_grid)
+        rho = [membership_radius(std, 2.0 ** -j, t) for j in (2, 3)]
+        w = 1.0 - 0.5 * (rho[0] + rho[1])
+        (ball,) = reference_set_is_open(std, _raising_set([[w]], []), plan)
+        assert (ball.r, ball.t) == (0.125, t)
+        return plan, w
+
+    def test_error_past_the_fitting_rung_is_not_reached(self, std, near_end):
+        plan, w = near_end
+        sset = _raising_set([[w], [0.0]], [_rung_point(std, w, 3, plan)])
+        rec = set_is_open_sampled(std, sset, plan)
+        want = reference_set_is_open(std, _raising_set([[w], [0.0]], []), plan)
+        assert [(p.ball.r, p.ball.t) for p in rec.per_point] == [(b.r, b.t) for b in want]
+
+    def test_error_at_a_reached_rung_is_the_first_in_search_order(self, std, near_end):
+        # the rung-by-rung search meets the pole on w's rung 1 before the one
+        # on rung 0 of the later witness 0.0
+        plan, w = near_end
+        first, later = _rung_point(std, w, 1, plan), _rung_point(std, 0.0, 0, plan)
+        sset = _raising_set([[w], [0.0]], [first, later])
+        with pytest.raises(DomainError, match=re.escape(f"pole at {first[0]!r}")):
+            reference_set_is_open(std, sset, plan)
+        with pytest.raises(DomainError, match=re.escape(f"pole at {first[0]!r}")):
+            set_is_open_sampled(std, sset, plan)
 
 
 class TestPreimageChecks:
