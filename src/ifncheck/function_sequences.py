@@ -63,7 +63,8 @@ def _power(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
         out = np.full(dead.shape, 0.0)
         if np.signbit(xs).any():
             out[np.signbit(xs) & (np.abs(np.fmod(ns, 2.0)) == 1.0)] = -0.0
-    np.power(xs, ns, out=out, where=np.logical_not(dead, out=dead))
+    with np.errstate(over="ignore"):  # inf is pow's correctly rounded result
+        np.power(xs, ns, out=out, where=np.logical_not(dead, out=dead))
     return out
 
 
@@ -214,9 +215,11 @@ def pointwise_limit_estimate(
     if exact is not None and np.isfinite(exact[0]):
         limit = float(exact[0])
     else:
-        tail = seq.values(
-            np.arange(seq.budget - LIMIT_TAIL + 1, seq.budget + 1), np.array([x])
-        )[:, 0]
+        ns = np.arange(seq.budget - LIMIT_TAIL + 1, seq.budget + 1)
+        tail = seq.values(ns, np.array([x]))[:, 0]
+        if not np.isfinite(tail).all():
+            i = int(np.argmin(np.isfinite(tail)))
+            raise DomainError(f"f_n(x) is not finite at x={x!r}, n={ns[i]}: f_n(x) = {float(tail[i])}")
         if float(np.max(tail) - np.min(tail)) > LIMIT_OSCILLATION_TOL:
             raise NoLimit(f"tail of f_n({x}) oscillates beyond tolerance")
         limit = float(np.mean(tail))

@@ -670,6 +670,25 @@ class TestCliProcess:
                 err = capsys.readouterr().err
                 assert "config error" in err and named in err, err
 
+    def test_pointwise_limit_at_an_overflowing_term_names_it(self, tmp_path):
+        # 1.5^n overflows from n = 1751 on, so the whole tail is infinite: the
+        # config error names x, n and f_n(x), and no numpy warning is printed
+        cfg = {
+            "scenario": "funcseq",
+            "domain_space": {"family": "example", "tag": "example-4.x"},
+            "codomain_space": {"family": "example", "tag": "example-4.x"},
+            "funcseq": {"family": "power", "domain": {"lo": 0.0, "hi": 2.0}, "budget": 2000},
+            "checks": [{"kind": "pointwise", "x": 1.5, "r": 0.5, "t": 1.0}],
+        }
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "ifncheck.cli", "funcseq", "--config",
+                write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == "config error: f_n(x) is not finite at x=1.5, n=1991: f_n(x) = inf\n"
+
     @given(case=_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_schema_valid_configs_exit_0_1_or_2(self, case):
