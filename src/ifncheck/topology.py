@@ -25,6 +25,9 @@ _R_LADDER = tuple(2.0 ** (-j) for j in range(1, 31))
 # Directions/fractions sampled inside a candidate ball.
 _BALL_FRACTIONS = (0.999999, 0.9, 0.5, 0.1)
 
+# Points per block of ball checks, fixed so memory grows with neither d nor t_grid
+_BLOCK_POINTS = 2**16
+
 # Members of a sampled preimage kept as openness witnesses.
 _PREIMAGE_WITNESSES = 12
 
@@ -86,12 +89,23 @@ def _ball_directions(d: int, n: int, seed: int) -> np.ndarray:
     return np.vstack(dirs)
 
 
-def _ball_points(centers: np.ndarray, rhos: np.ndarray, dirs: np.ndarray, n: int) -> np.ndarray:
-    """(B, n', d) candidate points of B balls with the given centres and
-    membership radii: radii pushed toward each boundary along `dirs`."""
-    radii = (rhos * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
+def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int) -> np.ndarray:
+    """(B, n', d) candidate points of the balls B(centers[i], rs[i], ts[i]):
+    membership radii (one `membership_radius` per distinct (r, t)) pushed
+    toward each boundary along `dirs`."""
+    rho = {rt: membership_radius(space, *rt) for rt in dict.fromkeys(zip(rs, ts))}
+    radii = (np.array([rho[rt] for rt in zip(rs, ts)]) * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
     steps = (radii[:, :, None, None] * dirs).reshape(len(centers), -1, dirs.shape[1])
     return steps[:, : max(n, 1)] + centers[:, None, :]
+
+
+def _sample_balls(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int):
+    """The `_ball_points` of B balls and the (B, n') mask of those inside
+    their own ball, from one `within` call."""
+    pts = _ball_points(space, centers, rs, ts, dirs, n)
+    m, d = pts.shape[1:]
+    to_centre = (centers[:, None, :] - pts).reshape(-1, d)
+    return pts, space.within(to_centre, np.repeat(rs, m), np.repeat(ts, m)).reshape(-1, m)
 
 
 def sample_in_ball(
@@ -99,15 +113,13 @@ def sample_in_ball(
 ) -> np.ndarray:
     """Deterministic sample of points strictly inside a ball.
 
-    Uses the inverted membership radius (exact for the standard family),
-    with directions spread over the unit sphere and radii pushed toward the
-    boundary; every returned point is re-checked for membership.
+    Uses the inverted membership radius (exact for the standard family) with
+    directions spread over the unit sphere and radii pushed toward the
+    boundary, re-checking each point: the one-ball case of `_sample_balls`.
     """
-    rho = membership_radius(space, ball.r, ball.t)
     dirs = _ball_directions(space.dimension, n, seed)
-    pts = _ball_points(ball.center.reshape(1, -1), np.array([rho]), dirs, n)[0]
-    inside = ball_contains_many(space, ball, pts)
-    return pts[inside]
+    pts, inside = _sample_balls(space, ball.center.reshape(1, -1), [ball.r], [ball.t], dirs, n)
+    return pts[0][inside[0]]
 
 
 def verify_containment(
@@ -191,28 +203,27 @@ def inner_ball_witnesses(
                 continue
         results.append(OpenBall(y, 1.0 - r3, t - t0))
 
-    # post-verification of every ball as one (B, n', d) sample block: a ball
-    # fails when none of its points is inside it, or one inside it is not
-    # inside `outer`
+    # post-verification on one (B, n', d) sample block: a ball fails when no
+    # point is inside it, or one inside it is outside `outer`; so "inside it"
+    # is decided outside `outer`, at one probe per ball, and in full on failure
     built = [i for i, b in enumerate(results) if isinstance(b, OpenBall)]
     if not built:
         return results
-    balls = [results[i] for i in built]
-    rhos = np.array([membership_radius(space, b.r, b.t) for b in balls])
-    pts = _ball_points(ys[built], rhos, _ball_directions(d, verify_points, seed), verify_points)
-    n_pts = pts.shape[1]
-    in_outer = ball_contains_many(space, outer, pts.reshape(-1, d)).reshape(-1, n_pts)
+    rs, ts = np.array([(results[i].r, results[i].t) for i in built]).T
+    pts = _ball_points(space, ys[built], rs, ts, _ball_directions(d, verify_points, seed), verify_points)
+    in_outer = ball_contains_many(space, outer, pts.reshape(-1, d)).reshape(pts.shape[:2])
     to_centre = np.subtract(ys[built, None, :], pts, out=pts)  # reuses the point block
-    inside = space.within(
-        to_centre.reshape(-1, d),
-        np.repeat([b.r for b in balls], n_pts),
-        np.repeat([b.t for b in balls], n_pts),
-    ).reshape(-1, n_pts)
-    kept = inside & in_outer
-    for i, n_in, n_kept in zip(built, inside.sum(axis=1).tolist(), kept.sum(axis=1).tolist()):
+    asked = np.logical_not(in_outer)
+    asked[:, -1] = True  # the probe
+    rows, cols = np.nonzero(asked)
+    inside = space.within(to_centre[rows, cols], rs[rows], ts[rows])
+    suspect = np.where(inside, ~in_outer[rows, cols], cols == asked.shape[1] - 1)
+    for k in sorted(set(rows[suspect].tolist())):  # np.unique would load numpy.ma
+        inside = space.within(to_centre[k], rs[k], ts[k])
+        n_in, n_kept = int(inside.sum()), int((inside & in_outer[k]).sum())
         if n_kept < n_in or n_in == 0:
             frac = n_kept / n_in if n_in else 0.0
-            results[i] = WitnessNotFound(
+            results[built[k]] = WitnessNotFound(
                 f"containment post-verification failed ({frac:.3f} of sampled points inside)"
             )
     return results
@@ -242,8 +253,9 @@ def inner_ball_witness(
 
 @dataclass(frozen=True, eq=False)
 class SampledSet:
-    """A subset of V given by a predicate over point blocks plus a finite
-    witness sample of members; every witness must satisfy the predicate."""
+    """A subset of V given by a predicate over (N, d) point blocks plus a
+    finite witness sample of members, each satisfying the predicate.  The
+    predicate decides each row on its own and has no side effects."""
 
     predicate: Callable[[np.ndarray], np.ndarray]
     witnesses: np.ndarray
@@ -303,22 +315,46 @@ def set_is_open_sampled(
             f"witnesses have dimension {sset.witnesses.shape[1]}, the space {space.dimension}"
         )
     plan = plan or default_plan(space.dimension)
-    results = []
-    for w in sset.witnesses:
-        found = None
-        for t in sorted(plan.t_grid):
-            for r in _R_LADDER:
-                ball = OpenBall(w, r, t)
-                pts = sample_in_ball(space, ball, 4 * len(_BALL_FRACTIONS) * space.dimension, plan.seed)
-                if len(pts) == 0:
-                    continue
-                if bool(np.all(sset.predicate(pts))):
-                    found = ball
-                    break
-            if found is not None:
-                break
-        results.append(PointOpenness(tuple(float(v) for v in w), found))
-    return OpennessRecord(sset.description, tuple(results), plan.summary())
+    ws, n = sset.witnesses, 4 * len(_BALL_FRACTIONS) * space.dimension
+    dirs = _ball_directions(space.dimension, n, plan.seed)
+    rungs = [(r, t) for t in sorted(plan.t_grid) for r in _R_LADDER]
+    per_block = max(1, _BLOCK_POINTS // n)  # balls of n points each
+    first: list[int | None] = [None] * len(ws)
+
+    def decide(pairs: list[tuple[int, int]]) -> None:
+        """Record each witness's first fitting rung from (witness, rung) pairs
+        in ladder order: blocks of up to _BLOCK_POINTS points, one predicate call each."""
+        for lo in range(0, len(pairs), per_block):
+            block = pairs[lo : lo + per_block]
+            rs, ts = zip(*(rungs[j] for _, j in block))
+            pts, inside = _sample_balls(space, ws[[i for i, _ in block]], rs, ts, dirs, n)
+            outside = np.zeros_like(inside)
+            outside[inside] = np.logical_not(sset.predicate(pts[inside]))
+            for (i, j), fits in zip(block, (inside.any(axis=1) & ~outside.any(axis=1)).tolist()):
+                if fits and first[i] is None:
+                    first[i] = j
+            if all(first[i] is not None for i, _ in pairs):
+                return
+
+    try:
+        if not np.isfinite(plan.t_grid).all():  # OpenBall rejects it where the loop reaches it
+            raise InvalidParameter("t_grid is not finite")
+        # rung 0 of every witness, then the other rungs of each witness left
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            decide([(i, 0) for i in range(len(ws))])
+            for i in [i for i, j in enumerate(first) if j is None]:
+                decide([(i, j) for j in range(1, len(rungs))])
+    except Exception:
+        # a block may evaluate rungs past a witness's first fitting one: rerun
+        # one rung at a time, so that an error or a warning is the loop's own
+        first = [None] * len(ws)
+        for i, j in np.ndindex(len(ws), len(rungs)):
+            if first[i] is None:
+                OpenBall(ws[i], *rungs[j])
+                decide([(i, j)])
+    balls = [None if j is None else OpenBall(w, *rungs[j]) for w, j in zip(ws, first)]
+    per_point = tuple(PointOpenness(tuple(float(v) for v in w), b) for w, b in zip(ws, balls))
+    return OpennessRecord(sset.description, per_point, plan.summary())
 
 
 @dataclass(frozen=True)

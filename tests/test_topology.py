@@ -251,6 +251,32 @@ def test_batched_witnesses_match_reference(name, r, t, verify_points, seed):
             assert (got.r, got.t) == (want.r, want.t)
 
 
+def test_post_verification_where_the_probe_point_is_outside_its_ball():
+    # memberships that are not monotone along rays: the inner ball around
+    # y = 0, +-0.1 holds the points at distance [0.2, 1.5) from y, so its
+    # innermost sampled points (the probe among them) are outside it and the
+    # rest inside; the one around y = +-0.3 holds no point at all
+    def ring(p, t):
+        u = np.abs(p[:, 0])
+        return np.select([u < 0.2, u < 1.5], [0.6, 0.9], 0.3)
+
+    mu = custom_membership(ring, radial=True)
+    nu = custom_membership(lambda p, t: 1.0 - ring(p, t), radial=True)
+    space = IFNSpace(1, mu, nu, TriangularNorm("minimum"), TriangularConorm("maximum"))
+    outer = OpenBall(np.array([0.0]), 0.75, 1.0)
+    members = np.array([[0.1], [-0.1], [0.3], [-0.3], [0.0], [1.0]])
+    batch = inner_ball_witnesses(space, outer, members, 128, 0)
+    for y, got in zip(members, batch):
+        try:
+            want = reference_inner_ball_witness(space, outer, y, 128, 0)
+        except WitnessNotFound as exc:
+            assert isinstance(got, WitnessNotFound) and str(got) == str(exc)
+        else:
+            assert isinstance(got, OpenBall) and (got.r, got.t) == (want.r, want.t)
+    assert [isinstance(b, OpenBall) for b in batch[:4]] == [True, True, False, False]
+    assert str(batch[2]) == "containment post-verification failed (0.000 of sampled points inside)"
+
+
 def test_batched_witnesses_reject_a_member_outside(std, unit_ball):
     members = np.array([[0.0], [0.2], [5.0]])
     with pytest.raises(DomainError):
