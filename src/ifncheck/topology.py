@@ -215,7 +215,7 @@ def inner_ball_witnesses(
     to_centre = np.subtract(ys[built, None, :], pts, out=pts)  # reuses the point block
     asked = np.logical_not(in_outer)
     asked[:, -1] = True  # the probe
-    rows, cols = np.nonzero(asked)
+    rows, cols = np.divmod(np.flatnonzero(asked), asked.shape[1])  # 2-D nonzero is slower
     inside = space.within(to_centre[rows, cols], rs[rows], ts[rows])
     suspect = np.where(inside, ~in_outer[rows, cols], cols == asked.shape[1] - 1)
     for k in sorted(set(rows[suspect].tolist())):  # np.unique would load numpy.ma
