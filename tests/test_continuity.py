@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifncheck.catalog import closure_pair
 from ifncheck.continuity import (
+    INCONCLUSIVE,
+    REFUTED,
+    WITNESSED,
     CauchyPreservationRecord,
     cauchy_preservation_check,
     combine,
@@ -15,7 +20,14 @@ from ifncheck.continuity import (
     uniform_continuity_search,
 )
 from ifncheck.errors import CertificationError, DomainError, InvalidParameter, ZeroDivisor
-from ifncheck.ifn_core import IFNSpace, make_example_family, make_standard_space, tabulated_membership
+from ifncheck.ifn_core import (
+    EXAMPLE_SPACES,
+    IFNSpace,
+    custom_membership,
+    make_example_family,
+    make_standard_space,
+    tabulated_membership,
+)
 from ifncheck.point_convergence import (
     linear_sequence,
     reciprocal_sequence,
@@ -81,6 +93,50 @@ class TestWitnessSearch:
             continuity_witness_search(reciprocal_315, 1.5, 1.0, 0.5)
         with pytest.raises(DomainError):
             continuity_witness_search(reciprocal_315, 0.5, -1.0, 0.5)
+
+
+def _point_mass_space():
+    """mu = 1 at z = 0 and 0 elsewhere: no hypothesis set holds a point
+    but x0, so no rung of a witness search is probed."""
+    mu = lambda p, s: (p[:, 0] == 0.0).astype(float)
+    std = make_standard_space(1.0)
+    return IFNSpace(1, custom_membership(mu), custom_membership(lambda p, s: 1.0 - mu(p, s)),
+                    std.tnorm, std.tconorm)
+
+
+@st.composite
+def _witness_searches(draw):
+    """A map between catalog spaces (identity, affine, power, step or
+    reciprocal on an interval), x0 in its interval (often a step's jump),
+    and (epsilon, alpha).  The domain may also be `_point_mass_space`."""
+    name = draw(st.sampled_from([*EXAMPLE_SPACES, "point-mass"]))
+    U = _point_mass_space() if name == "point-mass" else make_example_family(name)
+    V = make_example_family(draw(st.sampled_from(list(EXAMPLE_SPACES))))
+    tag = draw(st.sampled_from(["identity", "affine", "power", "step", "reciprocal"]))
+    lo = draw(st.floats(0.05, 2.0) if tag in ("power", "reciprocal") else st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.1, 3.0))
+    params = draw({
+        "affine": st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        "power": st.tuples(st.floats(0.5, 4.0)),
+        "step": st.tuples(st.floats(lo, hi)),
+    }.get(tag, st.just(())))
+    x0 = params[0] if tag == "step" and draw(st.booleans()) else draw(st.floats(lo, hi))
+    f = make_map(U, V, rule(tag, *params), Interval(lo, hi))
+    return f, x0, draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 0.99))
+
+
+@given(case=_witness_searches())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_witness_search_refutes_exactly_when_a_counterexample_is_recorded(case):
+    f, x0, epsilon, alpha = case
+    w = continuity_witness_search(f, x0, epsilon, alpha)
+    assert w.verdict in (WITNESSED, REFUTED, INCONCLUSIVE)
+    if w.verdict == INCONCLUSIVE:
+        assert w.rung is None and w.counterexample is None
+    elif w.verdict == REFUTED:
+        assert w.counterexample is not None and w.rung == w.counterexample["rung"]
+    else:
+        assert w.counterexample is None and w.rung is not None
 
 
 class TestSequentialAndEquivalence:
