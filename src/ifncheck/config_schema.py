@@ -12,7 +12,9 @@ parameter is never silently ignored.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
+from contextlib import contextmanager
 from numbers import Number
 from pathlib import Path
 from typing import Iterator
@@ -354,13 +356,20 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
 
 
 def _reject_constant(token: str):
     raise ConfigError(f"config holds {token}, which is not a JSON number")
+
+
+def _finite(token: str) -> float:
+    """A float literal, which must not round to an infinity (1e999 does)."""
+    if math.isinf(value := float(token)):
+        raise ConfigError(f"config holds {token}, which overflows binary64")
+    return value
 
 
 def validate_config(config: dict, kind: str | None = None) -> str:
@@ -470,11 +479,23 @@ def schema_document() -> dict:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _config_errors(field: str):
+    """Raise a package error in the block as a ConfigError whose message
+    starts with `field`; a ConfigError (a nested builder's) passes as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except IFNError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
 def build_space(cfg: dict, verify: bool = True) -> IFNSpace:
     """The configured space; `verify` makes a standard space's construction
     check a precondition (a failure is a config error)."""
     f = fields_of(SPACE_FIELDS, cfg, "family")
-    try:
+    with _config_errors("space"):
         if cfg["family"] == "example":
             return make_example_family(f["tag"])
         return make_standard_space(
@@ -485,20 +506,16 @@ def build_space(cfg: dict, verify: bool = True) -> IFNSpace:
             tier=f["tier"],
             verify=verify,
         )
-    except IFNError as exc:
-        raise ConfigError(f"space: {exc}") from exc
 
 
 def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
     cfg = cfg or {}
     w = cfg.get("grid_halfwidth", SamplingPlan.random_halfwidth)
     n = cfg.get("grid_points_per_axis", DEFAULT_GRID_POINTS)
-    try:
+    with _config_errors("plan grid_halfwidth"):
         # the same points as np.linspace(-w, w, n), once the width 2w is known to be finite
         axis = Interval(-w, w).grid(n)
-    except IFNError as exc:
-        raise ConfigError(f"plan grid_halfwidth: {exc}") from exc
-    try:
+    with _config_errors("plan"):
         return SamplingPlan(
             product_grid(axis, dimension, seed),
             t_grid=tuple(cfg.get("t_grid", SamplingPlan.t_grid)),
@@ -507,44 +524,34 @@ def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
             t_infinity_ladder=tuple(cfg.get("t_infinity_ladder", SamplingPlan.t_infinity_ladder)),
             random_halfwidth=w,
         )
-    except IFNError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
 
 
 def build_sequence(cfg: dict) -> PointSequence:
-    try:
+    with _config_errors("sequence"):
         return PointSequence(
             cfg["family"],
             tuple(cfg.get("params", ())),
             budget=cfg.get("budget", PointSequence.budget),
         )
-    except IFNError as exc:
-        raise ConfigError(f"sequence: {exc}") from exc
 
 
 def build_interval(cfg: dict) -> Interval:
-    try:
+    with _config_errors("interval"):
         return Interval(
             cfg["lo"], cfg["hi"], cfg.get("open_lo", False), cfg.get("open_hi", False)
         )
-    except IFNError as exc:
-        raise ConfigError(f"interval: {exc}") from exc
 
 
 def build_map(cfg: dict, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
-    try:
+    with _config_errors("map"):
         r = MapRule(cfg["rule"], tuple(float(p) for p in cfg.get("params", ())))
         return make_map(domain_space, codomain_space, r, build_interval(cfg["domain"]))
-    except IFNError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"map: {exc}") from exc
 
 
 def build_funcseq(cfg: dict) -> list[FunctionSequence]:
     """One sequence per swept upper endpoint (a single-element list when no
     sweep is requested)."""
-    try:
+    with _config_errors("funcseq"):
         base = build_interval(cfg["domain"])
         return [
             FunctionSequence(
@@ -554,10 +561,6 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
             )
             for hi in cfg.get("hi_sweep", [base.hi])
         ]
-    except IFNError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"funcseq: {exc}") from exc
 
 
 def build_sample(cfg: dict | None, interval: Interval) -> DomainSample:

@@ -162,31 +162,23 @@ def combine(
     must be empty (magnitude below ZERO_SET_TOL or a sign change between
     adjacent grid samples raises ZeroDivisor).
     """
+    if op not in ("sum", "product", "scalar", "reciprocal"):
+        raise InvalidParameter(f"unknown combination {op!r}")
+    params, children, restriction = (), (f.rule,), f.restriction
     if op == "scalar":
         if k is None:
             raise InvalidParameter("scalar combination needs k")
-        return MapBetweenSpaces(
-            f.domain, f.codomain, MapRule("scalar", (float(k),), (f.rule,)), f.restriction
-        )
-    if op == "reciprocal":
+        params = (float(k),)
+    elif op == "reciprocal":
         _check_no_zero(f)
-        return MapBetweenSpaces(
-            f.domain, f.codomain, MapRule("recip-of", (), (f.rule,)), f.restriction
-        )
-    if g is None:
-        raise InvalidParameter(f"{op!r} combination needs two maps")
-    if f.domain.signature() != g.domain.signature() or (
-        f.codomain.signature() != g.codomain.signature()
-    ):
-        raise InvalidParameter("combined maps must share domain and codomain spaces")
-    restriction = intersect(f.restriction, g.restriction)
-    if op == "sum":
-        r = MapRule("sum", (), (f.rule, g.rule))
-    elif op == "product":
-        r = MapRule("product", (), (f.rule, g.rule))
     else:
-        raise InvalidParameter(f"unknown combination {op!r}")
-    return MapBetweenSpaces(f.domain, f.codomain, r, restriction)
+        if g is None:
+            raise InvalidParameter(f"{op!r} combination needs two maps")
+        if (f.domain.signature(), f.codomain.signature()) != (g.domain.signature(), g.codomain.signature()):
+            raise InvalidParameter("combined maps must share domain and codomain spaces")
+        children, restriction = (f.rule, g.rule), intersect(f.restriction, g.restriction)
+    tag = "recip-of" if op == "reciprocal" else op
+    return MapBetweenSpaces(f.domain, f.codomain, MapRule(tag, params, children), restriction)
 
 
 def _check_no_zero(g: MapBetweenSpaces):
@@ -310,8 +302,7 @@ def continuity_witness_search(
     base = _base_samples(f, x0, seed)
     fx0 = float(f(x0))
     probes_checked = 0
-    last_counterexample = None
-    last_probed_rung = None
+    counterexample = None
 
     for j in range(LADDER_DEPTH + 1):
         delta = epsilon * 2.0 ** (-j)
@@ -323,37 +314,27 @@ def continuity_witness_search(
         viol, hyp = _implications(f, dx, dfx, delta, beta, epsilon, alpha)
         probed = hyp & (xs != x0)
         probes_checked += len(xs)
-        if np.any(probed):
-            last_probed_rung = j
-            if np.any(viol):
-                i = int(np.flatnonzero(viol)[0])
-                last_counterexample = {
-                    "x": float(xs[i]),
-                    "f(x)": float(f(xs[i])),
-                    "mu_U": float(U.mu_many(dx[i : i + 1], delta)[0]),
-                    "mu_V": float(V.mu_many(dfx[i : i + 1], epsilon)[0]),
-                    "delta": delta,
-                    "beta": beta,
-                    "rung": j,
-                }
-            else:
-                return ContinuityWitness(
-                    x0, epsilon, alpha, delta, beta, WITNESSED, j, None,
-                    probes_checked, {"seed": seed, "ladder_depth": LADDER_DEPTH},
-                )
-    if (
-        last_counterexample is not None
-        and last_probed_rung is not None
-        and last_counterexample["rung"] == last_probed_rung
-    ):
-        return ContinuityWitness(
-            x0, epsilon, alpha, None, None, REFUTED, last_probed_rung,
-            last_counterexample, probes_checked,
-            {"seed": seed, "ladder_depth": LADDER_DEPTH},
-        )
+        if not np.any(probed):
+            continue
+        if not np.any(viol):
+            return ContinuityWitness(
+                x0, epsilon, alpha, delta, beta, WITNESSED, j, None,
+                probes_checked, {"seed": seed, "ladder_depth": LADDER_DEPTH},
+            )
+        i = int(np.flatnonzero(viol)[0])
+        counterexample = {
+            "x": float(xs[i]),
+            "f(x)": float(f(xs[i])),
+            "mu_U": float(U.mu_many(dx[i : i + 1], delta)[0]),
+            "mu_V": float(V.mu_many(dfx[i : i + 1], epsilon)[0]),
+            "delta": delta,
+            "beta": beta,
+            "rung": j,
+        }
+    # the last probed rung's counterexample refutes; with no probed rung, none
+    verdict, rung = (INCONCLUSIVE, None) if counterexample is None else (REFUTED, counterexample["rung"])
     return ContinuityWitness(
-        x0, epsilon, alpha, None, None, INCONCLUSIVE, last_probed_rung,
-        last_counterexample, probes_checked,
+        x0, epsilon, alpha, None, None, verdict, rung, counterexample, probes_checked,
         {"seed": seed, "ladder_depth": LADDER_DEPTH},
     )
 

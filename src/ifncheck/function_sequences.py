@@ -265,19 +265,15 @@ def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int
 
 def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: list):
     """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j,
-    one mask per (r, t) of `rts`.  On a one-dimensional standard codomain a
-    deviation below `safe_radius` passes, as `within` would decide it, and
-    only the others go to `within`; elsewhere one `within` call per column."""
-    if not (codomain.standard_pair and codomain.dimension == 1):
-        for r, t in rts:
-            yield np.column_stack(
-                [codomain.within((v - lim).reshape(-1, 1), r, t) for v, lim in zip(vals.T, limits)]
-            )
-        return
+    one mask per (r, t) of `rts`.  A deviation below `safe_radius` passes, as
+    `within` would decide it, and one `within` call decides the others; the
+    radius is 0 off a one-dimensional standard codomain, so there `within`
+    decides every cell."""
+    standard = codomain.standard_pair and codomain.dimension == 1
     size = vals - limits
     np.abs(size, out=size)
     for r, t in rts:
-        ok = size < safe_radius(codomain, r, t)
+        ok = size < (safe_radius(codomain, r, t) if standard else 0.0)
         rest = np.flatnonzero(~ok)
         z = vals.flat[rest] - limits[rest % len(limits)]  # the block's subtraction, at these cells
         ok.flat[rest] = codomain.within(z.reshape(-1, 1), r, t)

@@ -65,7 +65,7 @@ class SamplingPlan:
     t_grid            -- finite positive reals used for per-point checks
     random_count      -- number of extra seeded uniform points in [-5, 5]^d
     seed              -- single source of all randomness in the plan
-    t_infinity_ladder -- strictly increasing reals approximating t -> oo
+    t_infinity_ladder -- strictly increasing finite reals approximating t -> oo
     """
 
     vector_grid: np.ndarray
@@ -80,13 +80,14 @@ class SamplingPlan:
         if grid.ndim != 2 or grid.shape[0] == 0:
             raise InvalidParameter("vector_grid must be a nonempty (M, d) array")
         object.__setattr__(self, "vector_grid", grid)
-        if len(self.t_grid) == 0 or any(t <= 0 for t in self.t_grid):
-            raise InvalidParameter("t_grid must be nonempty and positive")
+        # NaN fails both comparisons
+        if len(self.t_grid) == 0 or not all(0 < t < np.inf for t in self.t_grid):
+            raise InvalidParameter("t_grid must be nonempty, finite and positive")
         ladder = tuple(float(t) for t in self.t_infinity_ladder)
         if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
             raise InvalidParameter("t_infinity_ladder must be strictly increasing")
-        if any(t <= 0 for t in ladder):
-            raise InvalidParameter("t_infinity_ladder must be positive")
+        if not all(0 < t < np.inf for t in ladder):
+            raise InvalidParameter("t_infinity_ladder must be finite and positive")
         if self.random_count < 0:
             raise InvalidParameter("random_count must be >= 0")
         if not np.isfinite(2.0 * self.random_halfwidth):

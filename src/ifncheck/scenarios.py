@@ -16,6 +16,7 @@ import numpy as np
 from .config_schema import (
     CHECK_FIELDS,
     SET_FIELDS,
+    _config_errors,
     as_list,
     build_funcseq,
     build_map,
@@ -149,10 +150,8 @@ def _run_axioms(config: dict, seed: int) -> list[CheckRecord]:
 def _run_converge(config: dict, seed: int) -> list[CheckRecord]:
     space = build_space(config["space"])
     seq = build_sequence(config["sequence"])
-    try:
+    with _config_errors("limit"):
         limit = as_point(config["limit"], space.dimension)
-    except IFNError as exc:
-        raise ConfigError(f"limit: {exc}") from exc
     records = []
     for check in config["checks"]:
         kind, c = check["kind"], fields_of(CHECK_FIELDS["converge"], check)

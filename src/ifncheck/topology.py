@@ -337,8 +337,6 @@ def set_is_open_sampled(
                 return
 
     try:
-        if not np.isfinite(plan.t_grid).all():  # OpenBall rejects it where the loop reaches it
-            raise InvalidParameter("t_grid is not finite")
         # rung 0 of every witness, then the other rungs of each witness left
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             decide([(i, 0) for i in range(len(ws))])
@@ -350,7 +348,6 @@ def set_is_open_sampled(
         first = [None] * len(ws)
         for i, j in np.ndindex(len(ws), len(rungs)):
             if first[i] is None:
-                OpenBall(ws[i], *rungs[j])
                 decide([(i, j)])
     balls = [None if j is None else OpenBall(w, *rungs[j]) for w, j in zip(ws, first)]
     per_point = tuple(PointOpenness(tuple(float(v) for v in w), b) for w, b in zip(ws, balls))

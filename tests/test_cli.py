@@ -689,6 +689,36 @@ class TestCliProcess:
         assert run.returncode == 2
         assert run.stderr == "config error: f_n(x) is not finite at x=1.5, n=1991: f_n(x) = inf\n"
 
+    def test_overflowing_literals_are_config_errors(self, tmp_path, capsys):
+        # 1e999 parses to inf although the schema accepts it as a number
+        ball = '{"center": 0.0, "r": 0.5, "t": 1e999}'
+        rejected = [
+            ("axioms", '{"scenario": "axioms", "space": {"family": "standard"}, "plan": {"t_grid": [1e999, 1.0]}}'),
+            (
+                "topology",
+                '{"scenario": "topology", "space": {"family": "standard"}, "plan": {"t_grid": [1e999, 1.0]},'
+                ' "checks": [{"kind": "set-open", "set": {"kind": "norm-ball"}}]}',
+            ),
+            (
+                "topology",
+                '{"scenario": "topology", "space": {"family": "standard"},'
+                f' "checks": [{{"kind": "ball-contains", "ball": {ball}, "point": 0.5}}]}}',
+            ),
+            (
+                "converge",
+                '{"scenario": "converge", "space": {"family": "standard"}, "limit": 0.0,'
+                ' "sequence": {"family": "constant", "params": [1e999]}, "checks": [{"kind": "convergence"}]}',
+            ),
+            ("axioms", '{"scenario": "axioms", "space": {"family": "standard"}, "plan": {"t_infinity_ladder": [10.0, 1e999]}}'),
+        ]
+        path = tmp_path / "config.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command, text in rejected:
+                path.write_text(text)
+                assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2, text
+                assert capsys.readouterr().err == "config error: config holds 1e999, which overflows binary64\n"
+
     @given(case=_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_schema_valid_configs_exit_0_1_or_2(self, case):
