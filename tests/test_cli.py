@@ -691,7 +691,6 @@ class TestCliProcess:
 
     def test_overflowing_literals_are_config_errors(self, tmp_path, capsys):
         # 1e999 parses to inf although the schema accepts it as a number
-        ball = '{"center": 0.0, "r": 0.5, "t": 1e999}'
         rejected = [
             ("axioms", '{"scenario": "axioms", "space": {"family": "standard"}, "plan": {"t_grid": [1e999, 1.0]}}'),
             (
@@ -701,8 +700,8 @@ class TestCliProcess:
             ),
             (
                 "topology",
-                '{"scenario": "topology", "space": {"family": "standard"},'
-                f' "checks": [{{"kind": "ball-contains", "ball": {ball}, "point": 0.5}}]}}',
+                '{"scenario": "topology", "space": {"family": "standard"}, "checks": [{"kind": "ball-contains",'
+                ' "ball": {"center": 0.0, "r": 0.5, "t": 1e999}, "point": 0.5}]}',
             ),
             (
                 "converge",
