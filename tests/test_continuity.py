@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,17 @@ from hypothesis import strategies as st
 
 from ifncheck.catalog import closure_pair
 from ifncheck.continuity import (
+    _PROBE_FRACTIONS,
     INCONCLUSIVE,
+    LADDER_DEPTH,
+    MAP_RULES,
     REFUTED,
     WITNESSED,
     CauchyPreservationRecord,
+    ContinuityWitness,
+    MapRule,
+    UniformWitness,
+    _pair_sample,
     cauchy_preservation_check,
     combine,
     continuity_witness_search,
@@ -19,13 +28,20 @@ from ifncheck.continuity import (
     sequential_continuity_check,
     uniform_continuity_search,
 )
-from ifncheck.errors import CertificationError, DomainError, InvalidParameter, ZeroDivisor
+from ifncheck.errors import (
+    CertificationError,
+    DomainError,
+    InvalidParameter,
+    UnsupportedFamily,
+    ZeroDivisor,
+)
 from ifncheck.ifn_core import (
     EXAMPLE_SPACES,
     IFNSpace,
     custom_membership,
     make_example_family,
     make_standard_space,
+    membership_radius,
     tabulated_membership,
 )
 from ifncheck.point_convergence import (
@@ -33,7 +49,7 @@ from ifncheck.point_convergence import (
     reciprocal_sequence,
     shifted_reciprocal_sequence,
 )
-from ifncheck.sampling import Interval
+from ifncheck.sampling import Interval, sorted_unique
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +153,154 @@ def test_witness_search_refutes_exactly_when_a_counterexample_is_recorded(case):
         assert w.counterexample is not None and w.rung == w.counterexample["rung"]
     else:
         assert w.counterexample is None and w.rung is not None
+
+
+def reference_witness_search(f, x0, epsilon, alpha, seed):
+    """`continuity_witness_search` as a rung-by-rung loop.  The probes of
+    rung j are a domain-wide sample, points closing in on x0, and
+    `_PROBE_FRACTIONS` of the hypothesis radius on each side of x0; the
+    first rung with a probed hypothesis point and no violation witnesses,
+    and otherwise the first violation of the last probed rung refutes."""
+    dom, U, V = f.restriction, f.domain, f.codomain
+    if not bool(dom.contains(x0)):
+        raise DomainError(f"x0={x0!r} is outside the map's restriction")
+    rng = np.random.default_rng((seed, 17))
+    offs = max(x0 - dom.lo, dom.hi - x0, 1e-9) * 2.0 ** (-np.arange(0, 47, dtype=float))
+    near = np.concatenate([x0 + offs, x0 - offs])
+    base = sorted_unique(np.concatenate([dom.grid(41), dom.random(64, rng), near[dom.contains(near)]]))
+    fx0 = float(f(x0))
+    plan = {"seed": seed, "ladder_depth": LADDER_DEPTH}
+    probes, counterexample = 0, None
+    for j in range(LADDER_DEPTH + 1):
+        delta, beta = epsilon * 2.0 ** (-j), alpha * 2.0 ** (-j)
+        try:
+            rho = membership_radius(U, beta, delta)
+        except UnsupportedFamily:
+            rho = None
+        xs = base
+        if rho is not None and np.isfinite(rho):
+            adapted = np.concatenate([x0 + rho * np.asarray(_PROBE_FRACTIONS), x0 - rho * np.asarray(_PROBE_FRACTIONS)])
+            xs = sorted_unique(np.concatenate([base, adapted[dom.contains(adapted)]]))
+        dx, dfx = (xs - x0).reshape(-1, 1), (f(xs) - fx0).reshape(-1, 1)
+        mu_u, nu_u = U.memberships(dx, delta)
+        mu_v, nu_v = V.memberships(dfx, epsilon)
+        hyp_mu, hyp_nu = mu_u > 1.0 - beta, nu_u < beta
+        viol = (hyp_mu & ~(mu_v > 1.0 - alpha)) | (hyp_nu & ~(nu_v < alpha))
+        probes += len(xs)
+        if not np.any((hyp_mu | hyp_nu) & (xs != x0)):
+            continue
+        if not np.any(viol):
+            return ContinuityWitness(x0, epsilon, alpha, delta, beta, WITNESSED, j, None, probes, plan)
+        i = int(np.flatnonzero(viol)[0])
+        counterexample = {
+            "x": float(xs[i]), "f(x)": float(f(xs[i])),
+            "mu_U": float(U.mu_many(dx[i : i + 1], delta)[0]),
+            "mu_V": float(V.mu_many(dfx[i : i + 1], epsilon)[0]),
+            "delta": delta, "beta": beta, "rung": j,
+        }
+    if counterexample is None:
+        return ContinuityWitness(x0, epsilon, alpha, None, None, INCONCLUSIVE, None, None, probes, plan)
+    return ContinuityWitness(
+        x0, epsilon, alpha, None, None, REFUTED, counterexample["rung"], counterexample, probes, plan
+    )
+
+
+def reference_uniform_search(f, epsilon, alpha, seed):
+    """`uniform_continuity_search` as a rung-by-rung loop over the pair
+    sample: the first rung with a hypothesis pair and no violation
+    witnesses; a violation at every rung refutes."""
+    U, V = f.domain, f.codomain
+    xa, xb = _pair_sample(f, seed)
+    dx, dfx = (xa - xb).reshape(-1, 1), (f(xa) - f(xb)).reshape(-1, 1)
+    concl = V.within(dfx, alpha, epsilon)
+    pairs, violated, counterexample = 0, [], None
+    for j in range(LADDER_DEPTH + 1):
+        delta, beta = epsilon * 2.0 ** (-j), alpha * 2.0 ** (-j)
+        hyp = U.within(dx, beta, delta)
+        viol = hyp & ~concl
+        pairs += len(xa)
+        violated.append(bool(np.any(viol)))
+        if not violated[-1] and np.any(hyp):
+            return UniformWitness(epsilon, alpha, delta, beta, WITNESSED, j, None, pairs)
+        if violated[-1]:
+            i = int(np.flatnonzero(viol)[0])
+            counterexample = {
+                "x1": float(xa[i]), "x2": float(xb[i]), "f(x1)": float(f(xa[i])), "f(x2)": float(f(xb[i])),
+                "delta": delta, "beta": beta, "rung": j,
+            }
+    if all(violated):
+        return UniformWitness(epsilon, alpha, None, None, REFUTED, LADDER_DEPTH, counterexample, pairs)
+    return UniformWitness(epsilon, alpha, None, None, INCONCLUSIVE, None, counterexample, pairs)
+
+
+def _outcome(search):
+    """What a search call gives: its results' fields, repr'd so that -0.0 and
+    0.0 differ, or the type and text of what it raised."""
+    try:
+        result = search()
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("returned", repr([dataclasses.asdict(r) for r in (result if isinstance(result, list) else [result])]))
+
+
+def _rule_of(draw, lo, hi, depth=0):
+    """A catalog map rule with params drawn for [lo, hi]; at the top level,
+    `combine`'s rules too, whose reciprocal may have poles."""
+    tag = draw(st.sampled_from([*MAP_RULES] + ["sum", "product", "scalar", "recip-of"] * (depth == 0)))
+    if tag in ("sum", "product"):
+        return MapRule(tag, (), (_rule_of(draw, lo, hi, 1), _rule_of(draw, lo, hi, 1)))
+    if tag in ("scalar", "recip-of"):
+        k = (draw(st.floats(-4.0, 4.0)),) if tag == "scalar" else ()
+        return MapRule(tag, k, (_rule_of(draw, lo, hi, 1),))
+    params = {
+        "affine": st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        "power": st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0, 2.5])),
+        "quotient": st.tuples(st.floats(0.1, 3.0)),
+        "step": st.tuples(st.floats(lo, hi)),
+        "constant": st.tuples(st.floats(-3.0, 3.0)),
+    }.get(tag, st.just(()))
+    return MapRule(tag, tuple(draw(params)))
+
+
+@st.composite
+def _ladder_cases(draw):
+    """A map between standard spaces (k in [0.1, 5], or a point-mass
+    domain) on an interval, x0s with endpoints and repeats (an open endpoint
+    is outside the interval), epsilon, alpha and a seed.  Besides any rule:
+    a step with x0 at its jump, and 1/x on (0, hi]."""
+    k = st.floats(0.1, 5.0)
+    U = _point_mass_space() if draw(st.integers(0, 9)) == 0 else make_standard_space(draw(k), verify=False)
+    V = make_standard_space(draw(k), verify=False)
+    shape = draw(st.sampled_from(["any", "any", "jump", "pole"]))
+    lo = 0.0 if shape == "pole" else draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.1, 3.0))
+    if shape == "any":
+        f_rule = _rule_of(draw, lo, hi)
+    else:
+        f_rule = MapRule("step", (draw(st.floats(lo, hi)),)) if shape == "jump" else MapRule("reciprocal")
+    dom = Interval(lo, hi, shape == "pole" or draw(st.integers(0, 5)) == 0, draw(st.integers(0, 5)) == 0)
+    special = [lo, hi, 0.5 * (lo + hi), *f_rule.params[: shape == "jump"]]
+    x0s = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(lo, hi)), min_size=1, max_size=5))
+    x0s += draw(st.lists(st.sampled_from(x0s), max_size=2))  # repeats
+    f = make_map(U, V, f_rule, dom)
+    return f, x0s, draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 0.99)), draw(st.integers(0, 3))
+
+
+@given(case=_ladder_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_witness_search_matches_reference_loop(case):
+    f, x0s, epsilon, alpha, seed = case
+    for x0 in x0s:
+        want = _outcome(lambda: reference_witness_search(f, x0, epsilon, alpha, seed))
+        assert _outcome(lambda: continuity_witness_search(f, x0, epsilon, alpha, seed)) == want
+
+
+@given(case=_ladder_cases())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_uniform_search_matches_reference_loop(case):
+    f, _, epsilon, alpha, seed = case
+    want = _outcome(lambda: reference_uniform_search(f, epsilon, alpha, seed))
+    assert _outcome(lambda: uniform_continuity_search(f, epsilon, alpha, seed)) == want
 
 
 class TestSequentialAndEquivalence:
