@@ -385,9 +385,11 @@ def validate_config(config: dict, kind: str | None = None) -> str:
         raise ConfigError(
             f"config says scenario={config['scenario']!r} but {scenario!r} was requested"
         )
-    error = best_error(SCHEMAS[scenario], config)
-    if error is not None:
-        raise ConfigError(f"config field {'/'.join(map(str, error.path)) or '<root>'}: {error.message}")
+    # then, as the schema accepts 10**400 as a number, once more for binary64
+    for binary64 in (False, True):
+        if (error := best_error(SCHEMAS[scenario], config, binary64)) is not None:
+            message = "integer overflows binary64" if binary64 else error.message
+            raise ConfigError(f"config field {'/'.join(map(str, error.path)) or '<root>'}: {message}")
     return scenario
 
 
@@ -395,16 +397,19 @@ def validate_config(config: dict, kind: str | None = None) -> str:
 SchemaError = namedtuple("SchemaError", "path keyword message untyped context")
 
 
-def _is(value, kind: str) -> bool:
-    """JSON Schema types: a bool is not a number, and 2.0 is an integer."""
+def _is(value, kind: str, binary64: bool = False) -> bool:
+    """JSON Schema types: a bool is not a number, and 2.0 is an integer; with
+    `binary64`, a number is also one that float() converts."""
     if isinstance(value, bool) and kind in ("number", "integer"):
         return False
     if kind == "integer":
         return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if binary64 and kind == "number" and isinstance(value, int):
+        return abs(value) < 2**1024 - 2**970  # float() rounds this up to 2**1024
     return isinstance(value, {"object": dict, "array": list, "string": str, "boolean": bool}.get(kind, Number))
 
 
-def _errors(schema: dict, value, path: tuple = ()) -> Iterator[SchemaError]:
+def _errors(schema: dict, value, path: tuple = (), binary64: bool = False) -> Iterator[SchemaError]:
     """The errors of `value` under the keywords `SCHEMAS` uses, in the order
     a JSON Schema 2020-12 validator (jsonschema's) yields them."""
     for key, arg in schema.items():
@@ -415,14 +420,14 @@ def _errors(schema: dict, value, path: tuple = ()) -> Iterator[SchemaError]:
             for v in (arg if key == "enum" else [arg])
         ):
             found = [f"{value!r} is not one of {arg!r}" if key == "enum" else f"{arg!r} was expected"]
-        elif key == "type" and not _is(value, arg):
+        elif key == "type" and not _is(value, arg, binary64):
             found = [f"{value!r} is not of type {arg!r}"]
-        elif key == "anyOf" and all(branches := [list(_errors(sub, value, path)) for sub in arg]):
+        elif key == "anyOf" and all(branches := [list(_errors(sub, value, path, binary64)) for sub in arg]):
             context = [error for errors in branches for error in errors]
             found = [f"{value!r} is not valid under any of the given schemas"]
         elif key == "allOf":
             below = [(sub, value, path) for sub in arg]
-        elif key == "if" and "then" in schema and next(_errors(arg, value, path), None) is None:
+        elif key == "if" and "then" in schema and next(_errors(arg, value, path, binary64), None) is None:
             below = [(schema["then"], value, path)]
         elif key == "properties" and isinstance(value, dict):
             below = [(sub, value[f], (*path, f)) for f, sub in arg.items() if f in value]
@@ -450,17 +455,17 @@ def _errors(schema: dict, value, path: tuple = ()) -> Iterator[SchemaError]:
         untyped = "type" not in schema or not _is(value, schema["type"])
         yield from (SchemaError(path, key, message, untyped, context) for message in found)
         for sub, v, p in below:
-            yield from _errors(sub, v, p)
+            yield from _errors(sub, v, p, binary64)
 
 
 def _relevance(error: SchemaError) -> tuple:
     return (-len(error.path), error.path, error.keyword != "anyOf", error.untyped)
 
 
-def best_error(schema: dict, value) -> SchemaError | None:
+def best_error(schema: dict, value, binary64: bool = False) -> SchemaError | None:
     """The error jsonschema's `best_match` picks: the most relevant, then, in
     an anyOf, the deepest of its branches' errors unless the two deepest tie."""
-    best = max(_errors(schema, value), key=_relevance, default=None)
+    best = max(_errors(schema, value, (), binary64), key=_relevance, default=None)
     while best is not None and best.context:
         first, *second = sorted(best.context, key=_relevance)[:2]
         if second and _relevance(first) == _relevance(second[0]):

@@ -718,6 +718,24 @@ class TestCliProcess:
                 assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2, text
                 assert capsys.readouterr().err == "config error: config holds 1e999, which overflows binary64\n"
 
+    def test_integers_past_binary64_are_config_errors_in_number_fields(self, tmp_path, capsys):
+        # a number field cannot hold 10**400; the integer seed can
+        wide = "1" + "0" * 399
+        ball = '"ball": {"center": 0.0, "r": 0.5, "t": 1.0}'
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"scenario": "topology", "space": {"family": "standard"}, "checks": [{"kind": "ball-contains", '
+            f'{ball}, "point": {wide}}}]}}'
+        )
+        assert main(["topology", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: config field checks/0/point: integer overflows binary64\n"
+        path.write_text(
+            f'{{"scenario": "topology", "seed": {wide}, "space": {{"family": "standard"}}, '
+            f'"checks": [{{"kind": "ball-contains", {ball}, "point": 0.25}}]}}'
+        )
+        assert main(["topology", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     @given(case=_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_schema_valid_configs_exit_0_1_or_2(self, case):
