@@ -18,7 +18,7 @@ from .catalog_names import DESCRIPTIONS
 from .config_schema import CHECK_FIELDS, fields_of
 from .continuity import (
     combine,
-    continuity_witness_search,
+    continuity_witness_searches,
     make_map,
     recheck_witness,
     rule,
@@ -291,7 +291,7 @@ def _run_closure(seed: int) -> list[CheckRecord]:
     points = [round(0.1 * i, 1) for i in range(1, 10)]
     records = []
     for name, h in combos.items():
-        ws = [continuity_witness_search(h, x0, 0.5, 0.25, seed=seed) for x0 in points]
+        ws = continuity_witness_searches(h, points, 0.5, 0.25, seed=seed)
         ok = all(w.witnessed for w in ws)
         records.append(
             CheckRecord(
@@ -394,13 +394,10 @@ def _run_theorem_3_14(seed: int) -> list[CheckRecord]:
     U = make_standard_space(1.0)
     f = make_map(U, U, rule("affine", 2.0, 0.0), Interval(0.0, 1.0))
     u = uniform_continuity_search(f, 1.0, 0.5, seed=seed)
-    contained = u.witnessed
-    if u.witnessed:
-        for x0 in (0.1, 0.5, 0.9):
-            w = continuity_witness_search(f, x0, 1.0, 0.5, seed=seed)
-            contained &= w.witnessed and recheck_witness(
-                f, w, delta=u.delta, beta=u.beta, seed=seed
-            )
+    contained = u.witnessed and all(
+        w.witnessed and recheck_witness(f, w, delta=u.delta, beta=u.beta, seed=seed)
+        for w in continuity_witness_searches(f, (0.1, 0.5, 0.9), 1.0, 0.5, seed=seed)
+    )
     records.append(
         CheckRecord(
             name="containment/doubling",

@@ -34,7 +34,7 @@ from .point_convergence import (
     mapped_sequence,
     tail_index,
 )
-from .sampling import Interval, intersect, sorted_unique
+from .sampling import Interval, _staged_ladder, intersect, sorted_unique
 
 LADDER_DEPTH = 20
 ZERO_SET_TOL = 1e-12
@@ -52,6 +52,9 @@ INCONCLUSIVE = "inconclusive"
 # Offsets (as fractions of the hypothesis radius) probed on both sides of
 # the base point at every ladder rung.
 _PROBE_FRACTIONS = (0.999, 0.75, 0.5, 0.25, 0.1, 0.01)
+
+# Offsets w 2^-j, j < _NEAR_STEPS, probed on both sides of the base point
+_NEAR_STEPS = 47
 
 
 class _Rule(NamedTuple):
@@ -213,30 +216,24 @@ class ContinuityWitness:
         return self.verdict == WITNESSED
 
     def summary(self) -> dict:
-        return {
-            "x0": self.x0,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "beta": self.beta,
-            "verdict": self.verdict,
-            "rung": self.rung,
-            "probes": self.probes_checked,
-        }
+        names = ("x0", "epsilon", "alpha", "delta", "beta", "verdict", "rung")
+        return {k: getattr(self, k) for k in names} | {"probes": self.probes_checked}
 
 
-def _check_eps_alpha(epsilon: float, alpha: float):
+def _ladder(epsilon: float, alpha: float) -> list[tuple[float, float]]:
+    """The rungs (delta, beta) = (epsilon 2^-j, alpha 2^-j), j = 0..LADDER_DEPTH."""
     if not (np.isfinite(epsilon) and epsilon * 2.0 ** -LADDER_DEPTH > 0):  # every rung's t > 0
         raise DomainError(f"epsilon 2^-{LADDER_DEPTH} must be positive, got epsilon={epsilon!r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return [(epsilon * 2.0 ** (-j), alpha * 2.0 ** (-j)) for j in range(LADDER_DEPTH + 1)]
 
 
-def _hypothesis_radius(space: IFNSpace, beta: float, delta: float) -> float | None:
+def _hypothesis_radius(space: IFNSpace, beta: float, delta: float) -> float:
     try:
         return membership_radius(space, beta, delta)
     except UnsupportedFamily:
-        return None
+        return np.nan
 
 
 def _implications(
@@ -256,28 +253,6 @@ def _implications(
     return (hyp_mu & ~(mu_v > 1.0 - alpha)) | (hyp_nu & ~(nu_v < alpha)), hyp_mu | hyp_nu
 
 
-def _base_samples(f: MapBetweenSpaces, x0: float, seed: int) -> np.ndarray:
-    dom = f.restriction
-    rng = np.random.default_rng((seed, 17))
-    pieces = [dom.grid(41), dom.random(64, rng)]
-    w = max(x0 - dom.lo, dom.hi - x0, 1e-9)
-    offs = w * 2.0 ** (-np.arange(0, 47, dtype=float))
-    near = np.concatenate([x0 + offs, x0 - offs])
-    pieces.append(near[dom.contains(near)])
-    return sorted_unique(np.concatenate(pieces))
-
-
-def _rung_probes(
-    f: MapBetweenSpaces, x0: float, rho: float | None, base: np.ndarray
-) -> np.ndarray:
-    if rho is None or not np.isfinite(rho):
-        return base
-    offs = rho * np.asarray(_PROBE_FRACTIONS)
-    adapted = np.concatenate([x0 + offs, x0 - offs])
-    adapted = adapted[f.restriction.contains(adapted)]
-    return sorted_unique(np.concatenate([base, adapted]))
-
-
 def continuity_witness_search(
     f: MapBetweenSpaces,
     x0: float,
@@ -293,50 +268,93 @@ def continuity_witness_search(
     conclusion.  Probes combine a domain-wide sample with rung-adapted
     points placed just inside the hypothesis set (its radius is inverted
     from the domain membership).  A rung with no nontrivial hypothesis
-    probe cannot witness.
+    probe cannot witness.  The last probed rung's first violation refutes;
+    with no probed rung the verdict is inconclusive.  This is the one-x0
+    case of `continuity_witness_searches`.
     """
-    _check_eps_alpha(epsilon, alpha)
-    if not bool(f.restriction.contains(x0)):
-        raise DomainError(f"x0={x0!r} is outside the map's restriction")
-    U, V = f.domain, f.codomain
-    base = _base_samples(f, x0, seed)
-    fx0 = float(f(x0))
-    probes_checked = 0
-    counterexample = None
+    return _witness_ladder(f, [x0], epsilon, alpha, seed)[0]
 
-    for j in range(LADDER_DEPTH + 1):
-        delta = epsilon * 2.0 ** (-j)
-        beta = alpha * 2.0 ** (-j)
-        rho = _hypothesis_radius(U, beta, delta)
-        xs = _rung_probes(f, x0, rho, base)
-        dx = (xs - x0).reshape(-1, 1)
-        dfx = (f(xs) - fx0).reshape(-1, 1)
-        viol, hyp = _implications(f, dx, dfx, delta, beta, epsilon, alpha)
-        probed = hyp & (xs != x0)
-        probes_checked += len(xs)
-        if not np.any(probed):
-            continue
-        if not np.any(viol):
-            return ContinuityWitness(
-                x0, epsilon, alpha, delta, beta, WITNESSED, j, None,
-                probes_checked, {"seed": seed, "ladder_depth": LADDER_DEPTH},
-            )
-        i = int(np.flatnonzero(viol)[0])
-        counterexample = {
-            "x": float(xs[i]),
-            "f(x)": float(f(xs[i])),
-            "mu_U": float(U.mu_many(dx[i : i + 1], delta)[0]),
-            "mu_V": float(V.mu_many(dfx[i : i + 1], epsilon)[0]),
-            "delta": delta,
-            "beta": beta,
-            "rung": j,
-        }
-    # the last probed rung's counterexample refutes; with no probed rung, none
-    verdict, rung = (INCONCLUSIVE, None) if counterexample is None else (REFUTED, counterexample["rung"])
-    return ContinuityWitness(
-        x0, epsilon, alpha, None, None, verdict, rung, counterexample, probes_checked,
-        {"seed": seed, "ladder_depth": LADDER_DEPTH},
-    )
+
+def continuity_witness_searches(
+    f: MapBetweenSpaces,
+    x0s,
+    epsilon: float,
+    alpha: float,
+    seed: int = 0,
+) -> list[ContinuityWitness]:
+    """`continuity_witness_search` at each of the points x0s, field for
+    field, deciding their ladders in the blocks of `sampling._staged_ladder`:
+    one map call and one `memberships` call per side per block."""
+    return _witness_ladder(f, list(x0s), epsilon, alpha, seed)
+
+
+def _witness_ladder(f: MapBetweenSpaces, x0s: list, epsilon: float, alpha: float, seed: int) -> list[ContinuityWitness]:
+    ladder = _ladder(epsilon, alpha)
+    deltas, betas = np.array(ladder).T
+    U, V, dom = f.domain, f.codomain, f.restriction
+    # the domain-wide probes, the same at every x0 and rung
+    shared = np.concatenate([dom.grid(41), dom.random(64, np.random.default_rng((seed, 17)))])
+    points = np.array(x0s, dtype=float)
+    halvings = 2.0 ** (-np.arange(0, _NEAR_STEPS, dtype=float))
+    fx0, checked = np.empty(len(x0s)), set()  # f(x0) of the x0s checked to lie in the domain
+    rhos: dict[int, float] = {}  # rung -> hypothesis radius
+    # (x0, rung) -> probes, whether any is probed, and the first violation's (x, dx, dfx)
+    seen: dict[tuple[int, int], tuple[int, bool, tuple | None]] = {}
+
+    def decide(pairs: list[tuple[int, int]]) -> list[bool]:
+        """Whether each (x0, rung) pair witnesses, from one stacked block."""
+        items, rungs = (np.array(c) for c in zip(*pairs))
+        new = [i for i in dict.fromkeys(items.tolist()) if i not in checked]
+        for i in new:
+            if not bool(dom.contains(x0s[i])):
+                raise DomainError(f"x0={x0s[i]!r} is outside the map's restriction")
+        if new:
+            fx0[new] = f(points[new])
+            checked.update(new)
+        rhos.update((j, _hypothesis_radius(U, betas[j], deltas[j])) for j in set(rungs.tolist()) - rhos.keys())
+        # each row: the shared probes, points closing in on x0 and, where the
+        # radius is finite, fractions of it on each side, sorted and distinct
+        # (NaN marks a point outside the domain, and is dropped)
+        x0 = points[items][:, None]
+        offs = np.maximum(np.maximum(x0 - dom.lo, dom.hi - x0), 1e-9) * halvings
+        radii = np.array([rhos[j] for j in rungs.tolist()])[:, None] * np.asarray(_PROBE_FRACTIONS)
+        own = np.concatenate([x0 + offs, x0 - offs, x0 + radii, x0 - radii], axis=1)
+        own[~dom.contains(own)] = np.nan
+        rows = np.sort(np.concatenate([np.broadcast_to(shared, (len(pairs), len(shared))), own], axis=1), axis=1)
+        keep = ~np.isnan(rows)
+        keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+        sizes = keep.sum(axis=1)
+        xs = rows[keep]
+        owner = np.repeat(np.arange(len(pairs)), sizes)
+        at = points[items[owner]]
+        dx = (xs - at).reshape(-1, 1)
+        dfx = (f(xs) - fx0[items[owner]]).reshape(-1, 1)
+        viol, hyp = _implications(f, dx, dfx, deltas[rungs[owner]], betas[rungs[owner]], epsilon, alpha)
+        starts = np.cumsum(sizes) - sizes
+        probed = np.logical_or.reduceat(hyp & (xs != at), starts).tolist()
+        first_bad = np.minimum.reduceat(np.where(viol, np.arange(len(xs)), len(xs)), starts).tolist()
+        for pair, n, p, k in zip(pairs, sizes.tolist(), probed, first_bad):
+            seen[pair] = (n, p, None if k == len(xs) else (float(xs[k]), dx[k, 0], dfx[k, 0]))
+        return [p and k == len(xs) for p, k in zip(probed, first_bad)]
+
+    size = len(shared) + 2 * (_NEAR_STEPS + len(_PROBE_FRACTIONS))
+    results = []
+    for i, j in enumerate(_staged_ladder(len(x0s), LADDER_DEPTH + 1, size, decide)):
+        climbed = range(LADDER_DEPTH + 1 if j is None else j + 1)
+        probed = [r for r in climbed if seen[i, r][1]]
+        w = (None, None, INCONCLUSIVE, None, None) if j is None else (*ladder[j], WITNESSED, j, None)
+        if j is None and probed:
+            j = probed[-1]  # the first violation of the last probed rung refutes
+            x, dx, dfx = seen[i, j][2]
+            delta, beta = ladder[j]
+            counterexample = {
+                "x": x, "f(x)": float(f(x)), "mu_U": float(U.mu_many(np.array([[dx]]), delta)[0]),
+                "mu_V": float(V.mu_many(np.array([[dfx]]), epsilon)[0]), "delta": delta, "beta": beta, "rung": j,
+            }
+            w = (None, None, REFUTED, j, counterexample)
+        plan = {"seed": seed, "ladder_depth": LADDER_DEPTH}
+        results.append(ContinuityWitness(x0s[i], epsilon, alpha, *w, sum(seen[i, r][0] for r in climbed), plan))
+    return results
 
 
 def recheck_witness(
@@ -353,13 +371,11 @@ def recheck_witness(
     beta = witness.beta if beta is None else beta
     x0 = witness.x0
     rho = _hypothesis_radius(f.domain, beta, delta)
-    rng = np.random.default_rng((seed, 23))
-    xs = np.concatenate(
-        [
-            f.restriction.random(_RECHECK_POINTS, rng),
-            _rung_probes(f, x0, rho, np.empty(0)),
-        ]
-    )
+    offs = rho * np.asarray(_PROBE_FRACTIONS) if np.isfinite(rho) else np.empty(0)
+    xs = np.concatenate([
+        f.restriction.random(_RECHECK_POINTS, np.random.default_rng((seed, 23))),
+        sorted_unique(np.concatenate([x0 + offs, x0 - offs])),
+    ])
     xs = xs[f.restriction.contains(xs)]
     dx = (xs - x0).reshape(-1, 1)
     dfx = (f(xs) - float(f(x0))).reshape(-1, 1)
@@ -454,12 +470,8 @@ def equivalence_probe(
     """
     w = continuity_witness_search(f, x0, epsilon, alpha, seed=seed)
     s = sequential_continuity_check(f, x0, sequences, r, t)
-    if w.verdict == INCONCLUSIVE:
-        agree, bug = True, False
-    else:
-        agree = (w.verdict == WITNESSED) == s.continuous
-        bug = not agree
-    return EquivalenceProbe(w, s, agree, bug)
+    agree = w.verdict == INCONCLUSIVE or (w.verdict == WITNESSED) == s.continuous
+    return EquivalenceProbe(w, s, agree, not agree)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +495,8 @@ class UniformWitness:
         return self.verdict == WITNESSED
 
     def summary(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "beta": self.beta,
-            "verdict": self.verdict,
-            "rung": self.rung,
-            "pairs": self.pairs_checked,
-        }
+        names = ("epsilon", "alpha", "delta", "beta", "verdict", "rung")
+        return {k: getattr(self, k) for k in names} | {"pairs": self.pairs_checked}
 
 
 def _pair_sample(f: MapBetweenSpaces, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -541,47 +546,41 @@ def uniform_continuity_search(
     sampled pair (x1, x2): the conjunction of the two hypothesis
     inequalities must imply the conjunction of the two conclusions.
 
-    Refuted means every ladder rung had a violating sampled pair.
+    Refuted means every ladder rung had a violating sampled pair.  The
+    rungs are decided in blocks by `sampling._staged_ladder`, one
+    `memberships` call per block on a column of rung times.
     """
-    _check_eps_alpha(epsilon, alpha)
+    ladder = _ladder(epsilon, alpha)
+    deltas, betas = np.array(ladder).T
     U, V = f.domain, f.codomain
     xa, xb = _pair_sample(f, seed)
     dx = (xa - xb).reshape(-1, 1)
     dfx = (f(xa) - f(xb)).reshape(-1, 1)
     concl = V.within(dfx, alpha, epsilon)
-    pairs_checked = 0
-    every_rung_violated = True
-    counterexample = None
-    for j in range(LADDER_DEPTH + 1):
-        delta = epsilon * 2.0 ** (-j)
-        beta = alpha * 2.0 ** (-j)
-        hyp = U.within(dx, beta, delta)
+    violation: dict[int, int | None] = {}  # rung -> its first violating pair
+
+    def decide(pairs: list[tuple[int, int]]) -> list[bool]:
+        """Whether each rung witnesses, from one (rungs, pairs) block."""
+        rungs = [j for _, j in pairs]
+        hyp = U.meets(*U.memberships(dx, deltas[rungs, None]), betas[rungs, None])
         viol = hyp & ~concl
-        pairs_checked += len(xa)
-        if not np.any(viol):
-            every_rung_violated = False
-            if np.any(hyp):
-                return UniformWitness(
-                    epsilon, alpha, delta, beta, WITNESSED, j, None, pairs_checked
-                )
-        else:
-            i = int(np.flatnonzero(viol)[0])
-            counterexample = {
-                "x1": float(xa[i]),
-                "x2": float(xb[i]),
-                "f(x1)": float(f(xa[i])),
-                "f(x2)": float(f(xb[i])),
-                "delta": delta,
-                "beta": beta,
-                "rung": j,
-            }
-    if every_rung_violated:
-        return UniformWitness(
-            epsilon, alpha, None, None, REFUTED, LADDER_DEPTH, counterexample, pairs_checked
-        )
-    return UniformWitness(
-        epsilon, alpha, None, None, INCONCLUSIVE, None, counterexample, pairs_checked
-    )
+        violation.update((j, int(row.argmax()) if row.any() else None) for j, row in zip(rungs, viol))
+        return (hyp.any(axis=1) & ~viol.any(axis=1)).tolist()
+
+    (j,) = _staged_ladder(1, LADDER_DEPTH + 1, len(xa), decide)
+    if j is not None:
+        return UniformWitness(epsilon, alpha, *ladder[j], WITNESSED, j, None, len(xa) * (j + 1))
+    violated = [r for r, i in violation.items() if i is not None]
+    counterexample = None
+    if violated:  # the first violating pair of the last violated rung
+        j = max(violated)
+        i = violation[j]
+        counterexample = {
+            "x1": float(xa[i]), "x2": float(xb[i]), "f(x1)": float(f(xa[i])), "f(x2)": float(f(xb[i])),
+            "delta": ladder[j][0], "beta": ladder[j][1], "rung": j,
+        }
+    verdict, rung = (REFUTED, LADDER_DEPTH) if len(violated) == LADDER_DEPTH + 1 else (INCONCLUSIVE, None)
+    return UniformWitness(epsilon, alpha, None, None, verdict, rung, counterexample, len(xa) * (LADDER_DEPTH + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .continuity import (
     ContinuityWitness,
     MapBetweenSpaces,
     MapRule,
-    continuity_witness_search,
+    continuity_witness_searches,
 )
 from .ifn_core import IFNSpace, membership_radius, safe_radius
 from .point_convergence import (
@@ -501,10 +501,8 @@ def uniform_limit_scenario(
     probe_points = list(sample.points[:: max(1, len(sample.points) // 3)])
     for n in _LIMIT_MEMBERS:
         fn = seq.map_at(n, domain_space, codomain_space)
-        verdicts = {
-            continuity_witness_search(fn, float(x0), epsilon, alpha, seed=seed).verdict
-            for x0 in probe_points
-        }
+        ws = continuity_witness_searches(fn, [float(x0) for x0 in probe_points], epsilon, alpha, seed=seed)
+        verdicts = {w.verdict for w in ws}
         member_ws.append((n, "witnessed" if verdicts == {"witnessed"} else ",".join(sorted(verdicts))))
 
     cert = uniform_index_search(spaces, seq, sample, r, t)
@@ -518,10 +516,8 @@ def uniform_limit_scenario(
     else:
         raise UnsupportedFamily("limit continuity checks need a closed-form limit")
     limit_fn = MapBetweenSpaces(domain_space, codomain_space, limit_rule, seq.domain)
-    limit_ws = tuple(
-        continuity_witness_search(limit_fn, float(x0), epsilon, alpha, seed=seed)
-        for x0 in sample.points
-    )
+    x0s = [float(x0) for x0 in sample.points]
+    limit_ws = tuple(continuity_witness_searches(limit_fn, x0s, epsilon, alpha, seed=seed))
     return UniformLimitRecord(tuple(member_ws), cert, limit_ws)
 
 

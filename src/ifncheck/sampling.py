@@ -22,6 +22,10 @@ DEFAULT_GRID_POINTS = 21  # per axis of the default plan's grid
 DEFAULT_T_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 DEFAULT_T_LADDER = (1e3, 1e6, 1e9, 1e12)
 
+# Points per block of a staged ladder search, fixed so memory grows with
+# neither the number of items nor the ladder's length
+_BLOCK_POINTS = 2**16
+
 
 def as_point(x, dimension: int) -> np.ndarray:
     """Coerce a scalar/sequence into a (dimension,) float vector."""
@@ -128,6 +132,37 @@ class SamplingPlan:
             "seed": int(self.seed),
             "t_infinity_ladder": [float(t) for t in self.t_infinity_ladder],
         }
+
+
+def _staged_ladder(n_items: int, n_rungs: int, points: int, decide) -> list[int | None]:
+    """Per item, the first rung in ladder order that `decide` says fits, or
+    None.  `decide(pairs)` says whether each (item, rung) pair fits, each on
+    its own.  The rungs run in doubling stages {0}, {1}, {2, 3}, {4..7}, ...
+    over the items still open, in blocks of at most _BLOCK_POINTS points
+    (`points` per pair) that drop the pairs of an item once it fits.  A
+    stage may decide rungs that a rung-by-rung loop never reaches, so if a
+    block raises, or would warn (np.errstate(...="raise")), the search
+    replays one pair at a time in the loop's order, and an error is the
+    loop's own."""
+    per_block = max(1, _BLOCK_POINTS // max(points, 1))
+    first: list[int | None] = [None] * n_items
+    cuts = [0, *(1 << k for k in range(n_rungs.bit_length())), n_rungs]
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for lo, hi in zip(cuts, cuts[1:]):
+                pending = [(i, j) for i in range(n_items) if first[i] is None for j in range(lo, hi)]
+                while pending:
+                    block, pending = pending[:per_block], pending[per_block:]
+                    for (i, j), fits in zip(block, decide(block)):
+                        if fits and first[i] is None:
+                            first[i] = j
+                    pending = [(i, j) for i, j in pending if first[i] is None]
+    except Exception:
+        first = [None] * n_items
+        for i, j in np.ndindex(n_items, n_rungs):
+            if first[i] is None and decide([(i, j)])[0]:
+                first[i] = j
+    return first
 
 
 def default_plan(dimension: int = 1, seed: int = 0) -> SamplingPlan:

@@ -15,18 +15,15 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from .ifn_core import IFNSpace, membership_radius
-from .continuity import MapBetweenSpaces
+from .continuity import MapBetweenSpaces, continuity_witness_searches
 from .norm_algebra import _FROM_ONE, _bisect
-from .sampling import SamplingPlan, as_point, default_plan, sorted_unique
+from .sampling import SamplingPlan, _staged_ladder, as_point, default_plan, sorted_unique
 
 # (r, t) ladder searched when testing openness at a witness point.
 _R_LADDER = tuple(2.0 ** (-j) for j in range(1, 31))
 
 # Directions/fractions sampled inside a candidate ball.
 _BALL_FRACTIONS = (0.999999, 0.9, 0.5, 0.1)
-
-# Points per block of ball checks, fixed so memory grows with neither d nor t_grid
-_BLOCK_POINTS = 2**16
 
 # Members of a sampled preimage kept as openness witnesses.
 _PREIMAGE_WITNESSES = 12
@@ -65,7 +62,7 @@ def ball_contains_many(space: IFNSpace, ball: OpenBall, ys: np.ndarray) -> np.nd
         ys = ys.reshape(-1, 1)
     if ys.shape[1] != space.dimension:
         raise DomainError("point block dimension mismatch")
-    return space.within(ball.center.reshape(1, -1) - ys, ball.r, ball.t)
+    return space.within(_by_coordinate(np.subtract, ball.center.reshape(1, -1), ys), ball.r, ball.t)
 
 
 def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
@@ -89,6 +86,15 @@ def _ball_directions(d: int, n: int, seed: int) -> np.ndarray:
     return np.vstack(dirs)
 
 
+def _by_coordinate(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b) for (B, n, d) and (B, 1, d) blocks, either way round, one
+    coordinate at a time, as numpy runs that broadcast in inner loops of length d."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(out.shape[-1]):
+        op(a[..., k], b[..., k], out=out[..., k])
+    return out
+
+
 def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int) -> np.ndarray:
     """(B, n', d) candidate points of the balls B(centers[i], rs[i], ts[i]):
     membership radii (one `membership_radius` per distinct (r, t)) pushed
@@ -96,7 +102,7 @@ def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray,
     rho = {rt: membership_radius(space, *rt) for rt in dict.fromkeys(zip(rs, ts))}
     radii = (np.array([rho[rt] for rt in zip(rs, ts)]) * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
     steps = (radii[:, :, None, None] * dirs).reshape(len(centers), -1, dirs.shape[1])
-    return steps[:, : max(n, 1)] + centers[:, None, :]
+    return _by_coordinate(np.add, steps[:, : max(n, 1)], centers[:, None, :])
 
 
 def _sample_balls(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int):
@@ -104,7 +110,7 @@ def _sample_balls(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray
     their own ball, from one `within` call."""
     pts = _ball_points(space, centers, rs, ts, dirs, n)
     m, d = pts.shape[1:]
-    to_centre = (centers[:, None, :] - pts).reshape(-1, d)
+    to_centre = _by_coordinate(np.subtract, centers[:, None, :], pts).reshape(-1, d)
     return pts, space.within(to_centre, np.repeat(rs, m), np.repeat(ts, m)).reshape(-1, m)
 
 
@@ -131,9 +137,7 @@ def verify_containment(
 ) -> float:
     """Fraction of sampled inner-ball points that lie in the outer ball."""
     pts = sample_in_ball(space, inner, n, seed)
-    if len(pts) == 0:
-        return 0.0
-    return float(np.mean(ball_contains_many(space, outer, pts)))
+    return float(np.mean(ball_contains_many(space, outer, pts))) if len(pts) else 0.0
 
 
 # t0 candidates t (1 - 2^-j), j = 1..47, tried in order by the witness
@@ -212,14 +216,14 @@ def inner_ball_witnesses(
     rs, ts = np.array([(results[i].r, results[i].t) for i in built]).T
     pts = _ball_points(space, ys[built], rs, ts, _ball_directions(d, verify_points, seed), verify_points)
     in_outer = ball_contains_many(space, outer, pts.reshape(-1, d)).reshape(pts.shape[:2])
-    to_centre = np.subtract(ys[built, None, :], pts, out=pts)  # reuses the point block
+    centres = ys[built]
     asked = np.logical_not(in_outer)
     asked[:, -1] = True  # the probe
     rows, cols = np.divmod(np.flatnonzero(asked), asked.shape[1])  # 2-D nonzero is slower
-    inside = space.within(to_centre[rows, cols], rs[rows], ts[rows])
+    inside = space.within(centres[rows] - pts[rows, cols], rs[rows], ts[rows])
     suspect = np.where(inside, ~in_outer[rows, cols], cols == asked.shape[1] - 1)
     for k in sorted(set(rows[suspect].tolist())):  # np.unique would load numpy.ma
-        inside = space.within(to_centre[k], rs[k], ts[k])
+        inside = space.within(_by_coordinate(np.subtract, centres[k, None], pts[k]), rs[k], ts[k])
         n_in, n_kept = int(inside.sum()), int((inside & in_outer[k]).sum())
         if n_kept < n_in or n_in == 0:
             frac = n_kept / n_in if n_in else 0.0
@@ -318,37 +322,17 @@ def set_is_open_sampled(
     ws, n = sset.witnesses, 4 * len(_BALL_FRACTIONS) * space.dimension
     dirs = _ball_directions(space.dimension, n, plan.seed)
     rungs = [(r, t) for t in sorted(plan.t_grid) for r in _R_LADDER]
-    per_block = max(1, _BLOCK_POINTS // n)  # balls of n points each
-    first: list[int | None] = [None] * len(ws)
 
-    def decide(pairs: list[tuple[int, int]]) -> None:
-        """Record each witness's first fitting rung from (witness, rung) pairs
-        in ladder order: blocks of up to _BLOCK_POINTS points, one predicate call each."""
-        for lo in range(0, len(pairs), per_block):
-            block = pairs[lo : lo + per_block]
-            rs, ts = zip(*(rungs[j] for _, j in block))
-            pts, inside = _sample_balls(space, ws[[i for i, _ in block]], rs, ts, dirs, n)
-            outside = np.zeros_like(inside)
-            outside[inside] = np.logical_not(sset.predicate(pts[inside]))
-            for (i, j), fits in zip(block, (inside.any(axis=1) & ~outside.any(axis=1)).tolist()):
-                if fits and first[i] is None:
-                    first[i] = j
-            if all(first[i] is not None for i, _ in pairs):
-                return
+    def decide(pairs: list[tuple[int, int]]) -> list[bool]:
+        """Whether each (witness, rung) ball fits: one predicate call on the
+        in-ball points of every pair."""
+        rs, ts = zip(*(rungs[j] for _, j in pairs))
+        pts, inside = _sample_balls(space, ws[[i for i, _ in pairs]], rs, ts, dirs, n)
+        outside = np.zeros_like(inside)
+        outside[inside] = np.logical_not(sset.predicate(pts[inside]))
+        return (inside.any(axis=1) & ~outside.any(axis=1)).tolist()
 
-    try:
-        # rung 0 of every witness, then the other rungs of each witness left
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            decide([(i, 0) for i in range(len(ws))])
-            for i in [i for i, j in enumerate(first) if j is None]:
-                decide([(i, j) for j in range(1, len(rungs))])
-    except Exception:
-        # a block may evaluate rungs past a witness's first fitting one: rerun
-        # one rung at a time, so that an error or a warning is the loop's own
-        first = [None] * len(ws)
-        for i, j in np.ndindex(len(ws), len(rungs)):
-            if first[i] is None:
-                decide([(i, j)])
+    first = _staged_ladder(len(ws), len(rungs), n, decide)
     balls = [None if j is None else OpenBall(w, *rungs[j]) for w, j in zip(ws, first)]
     per_point = tuple(PointOpenness(tuple(float(v) for v in w), b) for w, b in zip(ws, balls))
     return OpennessRecord(sset.description, per_point, plan.summary())
@@ -384,8 +368,6 @@ def preimage_open_check(
     for maps certified continuous the verdict must be open.  A target ball
     that no sampled point maps into raises DomainError.
     """
-    from .continuity import continuity_witness_search
-
     plan = plan or default_plan(f.domain.dimension)
     dom = f.restriction
     rng = np.random.default_rng((plan.seed, 37))
@@ -410,8 +392,6 @@ def preimage_open_check(
 
     sset = SampledSet(predicate, witnesses.reshape(-1, 1), "preimage of target ball")
     openness = set_is_open_sampled(f.domain, sset, plan)
-    verdicts = tuple(
-        continuity_witness_search(f, float(w), epsilon=target.t, alpha=target.r, seed=plan.seed).verdict
-        for w in witnesses[:3]
-    )
+    ws = continuity_witness_searches(f, witnesses[:3].tolist(), target.t, target.r, seed=plan.seed)
+    verdicts = tuple(w.verdict for w in ws)
     return PreimageRecord(target, int(len(witnesses)), openness, verdicts)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ifncheck.continuity import (
     cauchy_preservation_check,
     combine,
     continuity_witness_search,
+    continuity_witness_searches,
     equivalence_probe,
     make_map,
     recheck_witness,
@@ -293,6 +295,52 @@ def test_witness_search_matches_reference_loop(case):
     for x0 in x0s:
         want = _outcome(lambda: reference_witness_search(f, x0, epsilon, alpha, seed))
         assert _outcome(lambda: continuity_witness_search(f, x0, epsilon, alpha, seed)) == want
+    want = _outcome(lambda: [reference_witness_search(f, x0, epsilon, alpha, seed) for x0 in x0s])
+    assert _outcome(lambda: continuity_witness_searches(f, x0s, epsilon, alpha, seed)) == want
+
+
+def _with_poles(slope, poles):
+    """x -> slope x on [-1, 1], save that it is NaN (so the map raises) at
+    each of the poles: slope x + 0 / (x - p1) + 0 / (x - p2) + ..."""
+    std = make_standard_space(1.0)
+    f_rule = rule("affine", slope, 0.0)
+    for p in poles:
+        pole = MapRule("scalar", (0.0,), (MapRule("recip-of", (), (MapRule("affine", (1.0, -p)),)),))
+        f_rule = MapRule("sum", (), (f_rule, pole))
+    return make_map(std, std, f_rule, Interval(-1.0, 1.0))
+
+
+def _probe_at(x0, rung, epsilon=1.0, alpha=0.5):
+    """The outermost rung-adapted probe of x0 at `rung` (k = 1)."""
+    return x0 + membership_radius(make_standard_space(1.0), alpha * 2.0**-rung, epsilon * 2.0**-rung) * 0.999
+
+
+class TestWitnessLadderAtRaisingPoints:
+    """A block may evaluate rungs and x0s that the rung-by-rung loop does not
+    reach; an error there must not count, and one the loop reaches must be
+    the loop's first.  Slope 8 is witnessed at rung 2 at both x0s."""
+
+    X0S = [0.3, -0.4]
+
+    def test_pole_past_the_witnessing_rung_is_not_reached(self):
+        f = _with_poles(8.0, [_probe_at(-0.4, 3)])
+        want = [reference_witness_search(_with_poles(8.0, []), x0, 1.0, 0.5, 0) for x0 in self.X0S]
+        assert [w.rung for w in want] == [2, 2]
+        assert _outcome(lambda: [reference_witness_search(f, x0, 1.0, 0.5, 0) for x0 in self.X0S]) == _outcome(
+            lambda: want
+        )
+        assert _outcome(lambda: continuity_witness_searches(f, self.X0S, 1.0, 0.5)) == _outcome(lambda: want)
+
+    def test_pole_the_loop_reaches_is_its_first(self):
+        # the loop meets the pole on 0.3's rung 1 before the one on rung 0 of
+        # the later x0, which a block of rung 0 meets first
+        first, later = _probe_at(0.3, 1), _probe_at(-0.4, 0)
+        f = _with_poles(8.0, [first, later])
+        message = re.escape(f"is not finite at x={first!r}")
+        with pytest.raises(DomainError, match=message):
+            [reference_witness_search(f, x0, 1.0, 0.5, 0) for x0 in self.X0S]
+        with pytest.raises(DomainError, match=message):
+            continuity_witness_searches(f, self.X0S, 1.0, 0.5)
 
 
 @given(case=_ladder_cases())
