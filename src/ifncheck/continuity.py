@@ -53,9 +53,6 @@ INCONCLUSIVE = "inconclusive"
 # the base point at every ladder rung.
 _PROBE_FRACTIONS = (0.999, 0.75, 0.5, 0.25, 0.1, 0.01)
 
-# Offsets w 2^-j, j < _NEAR_STEPS, probed on both sides of the base point
-_NEAR_STEPS = 47
-
 
 class _Rule(NamedTuple):
     arity: int  # number of params
@@ -268,9 +265,7 @@ def continuity_witness_search(
     conclusion.  Probes combine a domain-wide sample with rung-adapted
     points placed just inside the hypothesis set (its radius is inverted
     from the domain membership).  A rung with no nontrivial hypothesis
-    probe cannot witness.  The last probed rung's first violation refutes;
-    with no probed rung the verdict is inconclusive.  This is the one-x0
-    case of `continuity_witness_searches`.
+    probe cannot witness.  The one-x0 case of `continuity_witness_searches`.
     """
     return _witness_ladder(f, [x0], epsilon, alpha, seed)[0]
 
@@ -288,27 +283,25 @@ def continuity_witness_searches(
     return _witness_ladder(f, list(x0s), epsilon, alpha, seed)
 
 
-def _witness_ladder(f: MapBetweenSpaces, x0s: list, epsilon: float, alpha: float, seed: int) -> list[ContinuityWitness]:
+def _witness_ladder(f: MapBetweenSpaces, x0s: list, epsilon: float, alpha: float, seed: int) -> list:
     ladder = _ladder(epsilon, alpha)
     deltas, betas = np.array(ladder).T
     U, V, dom = f.domain, f.codomain, f.restriction
     # the domain-wide probes, the same at every x0 and rung
     shared = np.concatenate([dom.grid(41), dom.random(64, np.random.default_rng((seed, 17)))])
     points = np.array(x0s, dtype=float)
-    halvings = 2.0 ** (-np.arange(0, _NEAR_STEPS, dtype=float))
+    halvings = 2.0 ** (-np.arange(0, 47, dtype=float))  # offsets from x0, as fractions of w
     fx0, checked = np.empty(len(x0s)), set()  # f(x0) of the x0s checked to lie in the domain
     rhos: dict[int, float] = {}  # rung -> hypothesis radius
-    # (x0, rung) -> probes, whether any is probed, and the first violation's (x, dx, dfx)
-    seen: dict[tuple[int, int], tuple[int, bool, tuple | None]] = {}
+    seen: dict = {}  # (x0, rung) -> probes, any probed, the first violation's (x, dx, dfx) or None
 
     def decide(pairs: list[tuple[int, int]]) -> list[bool]:
         """Whether each (x0, rung) pair witnesses, from one stacked block."""
         items, rungs = (np.array(c) for c in zip(*pairs))
-        new = [i for i in dict.fromkeys(items.tolist()) if i not in checked]
-        for i in new:
-            if not bool(dom.contains(x0s[i])):
-                raise DomainError(f"x0={x0s[i]!r} is outside the map's restriction")
-        if new:
+        if new := [i for i in dict.fromkeys(items.tolist()) if i not in checked]:
+            for i in new:
+                if not bool(dom.contains(x0s[i])):
+                    raise DomainError(f"x0={x0s[i]!r} is outside the map's restriction")
             fx0[new] = f(points[new])
             checked.update(new)
         rhos.update((j, _hypothesis_radius(U, betas[j], deltas[j])) for j in set(rungs.tolist()) - rhos.keys())
@@ -337,7 +330,7 @@ def _witness_ladder(f: MapBetweenSpaces, x0s: list, epsilon: float, alpha: float
             seen[pair] = (n, p, None if k == len(xs) else (float(xs[k]), dx[k, 0], dfx[k, 0]))
         return [p and k == len(xs) for p, k in zip(probed, first_bad)]
 
-    size = len(shared) + 2 * (_NEAR_STEPS + len(_PROBE_FRACTIONS))
+    size = len(shared) + 2 * (len(halvings) + len(_PROBE_FRACTIONS))
     results = []
     for i, j in enumerate(_staged_ladder(len(x0s), LADDER_DEPTH + 1, size, decide)):
         climbed = range(LADDER_DEPTH + 1 if j is None else j + 1)
@@ -546,9 +539,8 @@ def uniform_continuity_search(
     sampled pair (x1, x2): the conjunction of the two hypothesis
     inequalities must imply the conjunction of the two conclusions.
 
-    Refuted means every ladder rung had a violating sampled pair.  The
-    rungs are decided in blocks by `sampling._staged_ladder`, one
-    `memberships` call per block on a column of rung times.
+    Refuted means every ladder rung had a violating sampled pair.  Rungs
+    are decided in the blocks of `sampling._staged_ladder`.
     """
     ladder = _ladder(epsilon, alpha)
     deltas, betas = np.array(ladder).T

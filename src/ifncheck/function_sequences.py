@@ -497,11 +497,11 @@ def uniform_limit_scenario(
     reports whichever outcome (the converse direction may fail).
     """
     domain_space, codomain_space = spaces
+    x0s = [float(x0) for x0 in sample.points]
     member_ws = []
-    probe_points = list(sample.points[:: max(1, len(sample.points) // 3)])
     for n in _LIMIT_MEMBERS:
         fn = seq.map_at(n, domain_space, codomain_space)
-        ws = continuity_witness_searches(fn, [float(x0) for x0 in probe_points], epsilon, alpha, seed=seed)
+        ws = continuity_witness_searches(fn, x0s[:: max(1, len(x0s) // 3)], epsilon, alpha, seed=seed)
         verdicts = {w.verdict for w in ws}
         member_ws.append((n, "witnessed" if verdicts == {"witnessed"} else ",".join(sorted(verdicts))))
 
@@ -516,7 +516,6 @@ def uniform_limit_scenario(
     else:
         raise UnsupportedFamily("limit continuity checks need a closed-form limit")
     limit_fn = MapBetweenSpaces(domain_space, codomain_space, limit_rule, seq.domain)
-    x0s = [float(x0) for x0 in sample.points]
     limit_ws = tuple(continuity_witness_searches(limit_fn, x0s, epsilon, alpha, seed=seed))
     return UniformLimitRecord(tuple(member_ws), cert, limit_ws)
 

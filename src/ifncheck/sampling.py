@@ -135,15 +135,13 @@ class SamplingPlan:
 
 
 def _staged_ladder(n_items: int, n_rungs: int, points: int, decide) -> list[int | None]:
-    """Per item, the first rung in ladder order that `decide` says fits, or
-    None.  `decide(pairs)` says whether each (item, rung) pair fits, each on
-    its own.  The rungs run in doubling stages {0}, {1}, {2, 3}, {4..7}, ...
-    over the items still open, in blocks of at most _BLOCK_POINTS points
-    (`points` per pair) that drop the pairs of an item once it fits.  A
-    stage may decide rungs that a rung-by-rung loop never reaches, so if a
-    block raises, or would warn (np.errstate(...="raise")), the search
-    replays one pair at a time in the loop's order, and an error is the
-    loop's own."""
+    """Per item, the first rung that `decide` says fits, or None; `decide`
+    says whether each of a list of (item, rung) pairs fits, each on its own.
+    Rungs run in doubling stages {0}, {1}, {2, 3}, {4..7}, ... over the open
+    items, in blocks of at most _BLOCK_POINTS points (`points` per pair).  A
+    stage may decide rungs a rung-by-rung loop never reaches, so if a block
+    raises, or would warn, the search replays one pair at a time in the
+    loop's order, and an error is the loop's own."""
     per_block = max(1, _BLOCK_POINTS // max(points, 1))
     first: list[int | None] = [None] * n_items
     cuts = [0, *(1 << k for k in range(n_rungs.bit_length())), n_rungs]

@@ -324,8 +324,7 @@ def set_is_open_sampled(
     rungs = [(r, t) for t in sorted(plan.t_grid) for r in _R_LADDER]
 
     def decide(pairs: list[tuple[int, int]]) -> list[bool]:
-        """Whether each (witness, rung) ball fits: one predicate call on the
-        in-ball points of every pair."""
+        """Whether each (witness, rung) ball fits, from one predicate call."""
         rs, ts = zip(*(rungs[j] for _, j in pairs))
         pts, inside = _sample_balls(space, ws[[i for i, _ in pairs]], rs, ts, dirs, n)
         outside = np.zeros_like(inside)
