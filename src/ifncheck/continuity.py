@@ -299,9 +299,8 @@ def _witness_ladder(f: MapBetweenSpaces, x0s: list, epsilon: float, alpha: float
         """Whether each (x0, rung) pair witnesses, from one stacked block."""
         items, rungs = (np.array(c) for c in zip(*pairs))
         if new := [i for i in dict.fromkeys(items.tolist()) if i not in checked]:
-            for i in new:
-                if not bool(dom.contains(x0s[i])):
-                    raise DomainError(f"x0={x0s[i]!r} is outside the map's restriction")
+            if not (inside := dom.contains(points[new])).all():
+                raise DomainError(f"x0={x0s[new[inside.argmin()]]!r} is outside the map's restriction")
             fx0[new] = f(points[new])
             checked.update(new)
         rhos.update((j, _hypothesis_radius(U, betas[j], deltas[j])) for j in set(rungs.tolist()) - rhos.keys())

@@ -638,8 +638,8 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     """Radius rho such that mu(z, t) > 1 - r and nu(z, t) < r exactly for
     ||z|| < rho.
 
-    Closed form for the standard family; bisection along the first
-    coordinate axis for other radial memberships.
+    Closed form for the standard family, elementwise for arrays r and t;
+    bisection along the first coordinate axis for other radial memberships.
     """
     if space.is_standard:
         return r * t / (space.k * (1.0 - r))
