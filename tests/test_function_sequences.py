@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ifncheck.function_sequences import (
     _limit_masks,
     classical_uniform_probe,
     closed_form_index_power,
+    criterion_pair,
     pointwise_limit_estimate,
     sample_domain,
     sup_deviation_oracle,
@@ -31,6 +33,7 @@ from ifncheck.ifn_core import (
     safe_radius,
     tabulated_membership,
 )
+from ifncheck.point_convergence import cauchy_index, convergence_index
 from ifncheck.sampling import Interval
 
 
@@ -576,3 +579,107 @@ def test_filtered_limit_mask_equals_the_per_column_within_mask(case):
         ]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == bool and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# Cross-layer relations (metamorphic properties): each pits a fast path
+# against another layer's certificate on the catalog's sequence families.
+
+
+def _catalog_sequence_cases():
+    """The catalog's function sequences on a budget of 2,000 terms, each with
+    the refinement side of its domain sample."""
+    from ifncheck.catalog import catalog_function_sequences
+
+    return {
+        name: (replace(seq, budget=2000), refine)
+        for name, (seq, refine) in catalog_function_sequences().items()
+    }
+
+
+_CATALOG_SEQUENCES = _catalog_sequence_cases()
+
+
+@st.composite
+def _catalog_demands(draw):
+    """A catalog function sequence with a domain sample, and a standard
+    codomain on the real line with a demand: k in [0.1, 5], r in (0, 1),
+    t in [1e-3, 5]."""
+    seq, refine = _CATALOG_SEQUENCES[draw(st.sampled_from(sorted(_CATALOG_SEQUENCES)))]
+    sample = sample_domain(seq.domain, draw(st.integers(2, 17)), refine_side=refine, refine_depth=10)
+    k = draw(st.floats(0.1, 5.0))
+    family = draw(st.sampled_from(NORM_FAMILIES))
+    r, t = draw(st.floats(1e-6, 1.0 - 1e-6)), draw(st.floats(1e-3, 5.0))
+    return seq, sample, k, family, r, t
+
+
+@given(case=_catalog_demands())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_uniform_per_point_indices_are_the_point_convergence_indices(case):
+    # the direct search decides a flattened, filtered (budget, M) mask; the
+    # point layer scans each image sequence f_n(x) term by term
+    seq, sample, k, family, r, t = case
+    sp = make_standard_space(k, family, verify=False)
+    cert = uniform_index_search((sp, sp), seq, sample, r, t)
+    limits = seq.exact_limit(sample.all_points())
+    want = tuple(
+        (float(x), convergence_index(sp, seq.point_sequence(x), lim, r, t).n0)
+        for x, lim in zip(sample.all_points(), limits)
+    )
+    assert cert.per_point_index == want
+    indices = [i for _, i in want]
+    if None not in indices and not sample.ladder:
+        assert cert.uniform and cert.n0 == max(indices)
+    if cert.uniform:
+        assert cert.n0 == max(indices)
+
+
+@given(case=_catalog_demands(), m=st.integers(-6, 6), p_max=st.integers(1, 200), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_certificates_are_invariant_under_dyadic_scaling_of_k_and_t(case, m, p_max, data):
+    # t / (t + k|z|) and k|z| / (t + k|z|) are the same floats at (c k, c t)
+    # for c = 2^m, away from overflow and underflow, so every certificate is
+    # the same but for its t
+    seq, sample, k, family, r, t = case
+    c = 2.0**m
+    base, scaled = (make_standard_space(s * k, family, verify=False) for s in (1.0, c))
+
+    def same(got, want):
+        assert repr(replace(got, t=t)) == repr(want)
+
+    for a, b in zip(
+        criterion_pair((scaled, scaled), seq, sample, r, c * t, p_max),
+        criterion_pair((base, base), seq, sample, r, t, p_max),
+    ):
+        same(a, b)
+    x = data.draw(st.sampled_from(sample.all_points().tolist()))
+    points = seq.point_sequence(x)
+    lim = float(seq.exact_limit(np.array([x]))[0])
+    same(convergence_index(scaled, points, lim, r, c * t), convergence_index(base, points, lim, r, t))
+    same(cauchy_index(scaled, points, r, c * t, p_max), cauchy_index(base, points, r, t, p_max))
+
+
+def test_a_nan_term_fails_every_cauchy_row_at_or_before_it():
+    # f_n(x) = x / n with f_5001(0.5) = NaN: in the radial criterion every
+    # n <= 5001 sees the NaN among its later terms or as its own term, and
+    # `within` fails a NaN deviation, so that column's index is 5002
+    sp = make_example_family("example-4.x")
+
+    def fn(ns, xs):
+        vals = np.outer(1.0 / ns, xs)
+        vals[ns == 5001, 1] = np.nan
+        return vals
+
+    seq = FunctionSequence("custom", Interval(0.0, 1.0), budget=10_000, fn=fn)
+    cert = uniform_cauchy_check((sp, sp), seq, DomainSample((0.25, 0.5, 0.75)), 0.5, 1.0)
+    assert [i for _, i in cert.per_point_index] == [1, 5002, 1]
+    assert cert.uniform and cert.n0 == 5002
+
+
+def test_a_nan_cell_fails_the_limit_mask():
+    sp = make_example_family("example-4.x")
+    vals = np.array([[0.5, np.nan], [0.0, 0.25], [np.nan, 0.0]])
+    masks = list(_limit_masks(sp, vals, np.array([0.0, 0.0]), [(0.5, 1.0), (0.1, 0.1)]))
+    assert [m.tolist() for m in masks] == [
+        [[True, False], [True, True], [False, True]],
+        [[False, False], [True, False], [False, True]],
+    ]

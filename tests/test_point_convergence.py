@@ -559,3 +559,53 @@ class TestClassicalEquivalence:
             rec = classical_equivalence_probe(space, seq, limit)
             if rec.classical_converged:
                 assert rec.ifn_converged
+
+
+@st.composite
+def _catalog_point_sequences(draw):
+    """A catalog point-sequence family on 2,000 terms, and a limit: its own,
+    or a float near it."""
+    seq, limit = draw(
+        st.sampled_from(
+            [
+                (reciprocal_sequence(budget=2000), 0.0),
+                (alternating_sequence(budget=2000), 1.0),
+                (linear_sequence(budget=2000), 2000.0),
+                (shifted_reciprocal_sequence(0.5, 2.0, budget=2000), 0.5),
+                (shifted_reciprocal_sequence(-3.0, 40.0, budget=2000), -3.0),
+                (constant_sequence(2.5, budget=2000), 2.5),
+            ]
+        )
+    )
+    return seq, limit + draw(st.sampled_from([0.0, 0.0, 1e-3, -0.25, 1.0]))
+
+
+@given(
+    case=_catalog_point_sequences(),
+    family=st.sampled_from(["euclidean", "max-coordinate"]),
+    axis=st.integers(0, 1),
+    k=st.floats(0.1, 5.0),
+    r=st.floats(1e-6, 1.0 - 1e-6),
+    t=st.floats(1e-3, 5.0),
+    p_max=st.integers(1, 200),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_certificates_are_invariant_under_embedding_in_the_plane(case, family, axis, k, r, t, p_max):
+    # sqrt(x * x + 0 * 0) and max(|x|, |0|) are |x| in binary64, so a sequence
+    # on the real line and its copy on an axis of the plane get the same
+    # certificates: the plane takes the general per-p scan and the plain
+    # mask, the line its window-extrema scan and safe-radius filter
+    seq, limit = case
+    line, plane = (make_standard_space(k, family, d, verify=False) for d in (1, 2))
+
+    def embedded(ns):
+        out = np.zeros((len(ns), 2))
+        out[:, axis] = seq.values(ns)[:, 0]
+        return out
+
+    flat = PointSequence("custom", budget=seq.budget, dimension=2, fn=embedded)
+    lim = np.zeros(2)
+    lim[axis] = limit
+    got = convergence_index(plane, flat, lim, r, t)
+    assert replace(got, limit=(limit,)) == convergence_index(line, seq, limit, r, t)
+    assert cauchy_index(plane, flat, r, t, p_max) == cauchy_index(line, seq, r, t, p_max)
