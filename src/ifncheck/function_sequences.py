@@ -23,7 +23,7 @@ from .continuity import (
     MapRule,
     continuity_witness_searches,
 )
-from .ifn_core import IFNSpace, membership_radius, safe_radius
+from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
     DEFAULT_P_MAX,
     ConvergenceCertificate,
@@ -265,16 +265,13 @@ def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int
 
 def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: list):
     """ok[n-1, j] = f_n(x_j) meets the (r, t) demand around the limit at x_j,
-    one mask per (r, t) of `rts`.  A deviation below `safe_radius` passes, as
-    `within` would decide it, and one `within` call decides the others; the
-    radius is 0 off a one-dimensional standard codomain, so there `within`
-    decides every cell."""
-    standard = codomain.standard_pair and codomain.dimension == 1
+    one mask per (r, t) of `rts`.  One `within` call decides the cells that
+    `IFNSpace.near_radius` names, and the others pass."""
     size = vals - limits
     np.abs(size, out=size)
     for r, t in rts:
-        ok = size < (safe_radius(codomain, r, t) if standard else 0.0)
-        rest = np.flatnonzero(~ok)
+        ok = np.ones(size.shape, dtype=bool)
+        rest = codomain.near_radius(size, r, t)
         z = vals.flat[rest] - limits[rest % len(limits)]  # the block's subtraction, at these cells
         ok.flat[rest] = codomain.within(z.reshape(-1, 1), r, t)
         yield ok
@@ -378,8 +375,9 @@ def uniform_cauchy_check(
     For radial memberships the two-sided statement (all m > n up to
     budget + p_max) is checked via suffix extrema, which subsumes both the
     p-bounded form and the (n, m) form: the worst later deviation decides
-    each n.  The float demand of the standard pair is not monotone in |z|
-    near the radius, so there a worst deviation at or past `safe_radius`
+    each n, and `within` runs only on the worst deviations that
+    `IFNSpace.near_radius` names.  The float demand of the standard pair is
+    not monotone in |z| near the radius, so there a named worst deviation
     that passes is rechecked against every later term, and the index is
     exact per (n, m).  Declared-radial custom and tabulated pairs are
     trusted to be monotone as declared.  Otherwise the p-bounded form is
@@ -404,9 +402,8 @@ def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCerti
     vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)
     direct = None if limits is None else _sweep(codomain, seq, sample, limits, vals, [(r, t)])[0]
     radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
-    safe = safe_radius(codomain, r, t) if radial and codomain.standard_pair else None
 
-    ok = np.empty((seq.budget, vals.shape[1]), dtype=bool)
+    ok = np.ones((seq.budget, vals.shape[1]), dtype=bool)
     for col, v in enumerate(vals.T):
         if radial:
             # the worst later deviation from f_n(x), by suffix extrema
@@ -414,9 +411,11 @@ def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCerti
             later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
             now = v[: seq.budget]
             worst = np.maximum(later_max - now, now - later_min)
-            ok[:, col] = codomain.within(worst.reshape(-1, 1), r, t)
-            if safe is not None:
-                for n in np.flatnonzero(ok[:, col] & (worst >= safe)):
+            rows = codomain.near_radius(worst, r, t)
+            passed = codomain.within(worst[rows].reshape(-1, 1), r, t)
+            ok[rows, col] = passed
+            if codomain.standard_pair:
+                for n in rows[passed]:
                     ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
         else:
             first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)

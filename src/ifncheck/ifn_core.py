@@ -320,6 +320,15 @@ class IFNSpace:
         """
         return self.meets(*self.memberships(diffs, t), r)
 
+    def near_radius(self, size: np.ndarray, r: float, t) -> np.ndarray:
+        """Flat positions of the magnitudes |z| on the real line that `within`
+        must still decide at (r, t); every other |z| meets the demand.  On a
+        one-dimensional standard pair they are those not below `safe_radius`,
+        NaN among them; on any other space, all of them."""
+        if self.standard_pair and self.dimension == 1:
+            return np.flatnonzero(~(size < safe_radius(self, r, t)))
+        return np.arange(np.size(size))
+
     def signature(self) -> tuple:
         return (
             self.dimension,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvalidParameter, UnsupportedFamily
-from .ifn_core import IFNSpace, safe_radius
+from .ifn_core import IFNSpace
 from .sampling import as_point
 
 DEFAULT_BUDGET = 100_000
@@ -271,16 +271,16 @@ def _window_extrema_scan(
     fl(y - x_n) is monotone in y, so the largest |x_{n+p} - x_n| over the
     window is far_n = max(fl(M_n - x_n), fl(x_n - m_n)) for its max M_n and
     min m_n; mu falls as |z| grows, so worst = 1 - mu(far).  A row whose
-    far_n lies below `safe_radius` meets the demand at every p.  The other
-    rows are scanned p by p, each leaving at its first failure, so every
-    entry decided is the loop's own float expression.
+    far_n `IFNSpace.near_radius` does not name meets the demand at every p.
+    The rows it names are scanned p by p, each leaving at its first failure,
+    so every entry decided is the loop's own float expression.
     """
     last = len(x) - 1
     far, lo = _window_extrema(x, p_top)
     np.subtract(far, x[:-1], out=far)
     np.maximum(far, np.subtract(x[:-1], lo, out=lo), out=far)
     del lo
-    rows = np.flatnonzero(far >= safe_radius(space, r, t))
+    rows = space.near_radius(far, r, t)
     mu = space.memberships(far, t)[0]
     del far
     first = np.full(last, last + 1)
