@@ -144,8 +144,11 @@ _NUMBER = {"type": "number"}
 _NUMBER_OR_LIST = _or_list(_NUMBER)
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-_COUNT = {"type": "integer", "minimum": 1}
-_BUDGET = {"type": "integer", "minimum": 10}
+# A size field's maximum is this factor times the largest value that an
+# example, benchmark or catalog config uses (README, "Exit codes").
+_ENVELOPE = 10
+_COUNT = {"type": "integer", "minimum": 1, "maximum": 100 * _ENVELOPE}
+_BUDGET = {"type": "integer", "minimum": 10, "maximum": 100_000 * _ENVELOPE}
 
 INTERVAL_SCHEMA = {
     "type": "object",
@@ -176,10 +179,10 @@ SPACE_SCHEMA = _keyed(
 PLAN_SCHEMA = {
     "type": "object",
     "properties": {
-        "grid_points_per_axis": {"type": "integer", "minimum": 2},
+        "grid_points_per_axis": {"type": "integer", "minimum": 2, "maximum": 21 * _ENVELOPE},
         "grid_halfwidth": _POSITIVE,
         "t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1},
-        "random_count": {"type": "integer", "minimum": 0},
+        "random_count": {"type": "integer", "minimum": 0, "maximum": 200 * _ENVELOPE},
         "t_infinity_ladder": {"type": "array", "items": _POSITIVE, "minItems": 2},
     },
     "additionalProperties": False,
@@ -224,7 +227,7 @@ FUNCSEQ_SCHEMA = {
 SAMPLE_SCHEMA = {
     "type": "object",
     "properties": {
-        "points": {"type": "integer", "minimum": 2},
+        "points": {"type": "integer", "minimum": 2, "maximum": 17 * _ENVELOPE},
         "refine_side": {"enum": ["lo", "hi"]},
         "refine_depth": _COUNT,
     },
@@ -448,6 +451,8 @@ def _errors(schema: dict, value, path: tuple = (), binary64: bool = False) -> It
             found = [f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"]
         elif key == "minimum" and _is(value, "number") and value < arg:
             found = [f"{value!r} is less than the minimum of {arg!r}"]
+        elif key == "maximum" and _is(value, "number") and value > arg:
+            found = [f"{value!r} is greater than the maximum of {arg!r}"]
         elif key == "exclusiveMinimum" and _is(value, "number") and value <= arg:
             found = [f"{value!r} is less than or equal to the minimum of {arg!r}"]
         elif key == "exclusiveMaximum" and _is(value, "number") and value >= arg:

@@ -158,11 +158,25 @@ class MembershipFunction:
         return np.asarray(self.fn(pts, ts), dtype=float)
 
     def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """t, k||x|| and t + k||x||: the standard family's terms to divide."""
-        kn = self.norm(np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts)
-        kn *= self.k
+        """t, k||x|| and t + k||x||: the standard family's terms to divide.
+
+        Where a sum overflows binary64, mu and nu would read 0 and
+        inf / inf = NaN, so an overflow raises DomainError naming the point.
+        """
+        pts = np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts
         ts = np.asarray(t, dtype=float)
-        return ts, kn, ts + kn
+        try:
+            with np.errstate(over="raise"):
+                kn = self.norm(pts)
+                kn *= self.k
+                return ts, kn, ts + kn
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                past = np.isinf(self.norm(pts) * self.k + ts).reshape(-1, len(pts)).any(axis=0)
+            x = np.asarray(pts, dtype=float)[np.argmax(past)].tolist()
+            raise DomainError(
+                f"standard memberships overflow binary64 at x={x}: t + k||x|| (k={self.k}) is not finite"
+            ) from None
 
     def _interp(self, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         xn, tn, vv = self.x_nodes, self.t_nodes, self.values
@@ -692,8 +706,9 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
     fl(t + a) >= (t + a)(1 - u), as a sum below the normal range is exact,
     and fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
     a < r t (1 - u) / (1 + u - r (1 - u)), which is compared exactly.  (Where
-    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  Memoised
-    on mu's signature, which fixes `_closed_form`, and (r, t).
+    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  The
+    bisection takes `_closed_form`'s terms with an overflow read as inf, which
+    fails.  Memoised on mu's signature, which fixes k and the norm, and (r, t).
     """
     return _safe_radius(space.mu.signature(), float(r), float(t))
 
@@ -712,9 +727,9 @@ def _safe_radius(mu_signature: tuple, r: float, t: float) -> float:
         # 1024 evenly spaced patterns in (lo, hi) per round
         step = max((hi - lo) // 1024, 1)
         bits = lo + step * np.arange(1, (hi - 1 - lo) // step + 1, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            ts, kn, den = mu._closed_form(bits.view(np.float64), t)
-        fails = ~((np.divide(ts, den) > 1.0 - r) & (kn <= a_max))
+        with np.errstate(over="ignore"):  # `_closed_form`'s terms, inf past binary64
+            kn = mu.norm(bits.view(np.float64).reshape(-1, 1)) * mu.k
+            fails = ~((t / (t + kn) > 1.0 - r) & (kn <= a_max))
         j = int(np.argmax(fails)) if fails.any() else len(bits)
         if j:
             lo = int(bits[j - 1])

@@ -46,6 +46,17 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
+def _cli_process(tmp_path, command, cfg) -> subprocess.CompletedProcess:
+    """`command` on `cfg` in a fresh interpreter with numpy's warnings at
+    their defaults, so that a warning would reach its stderr."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ifncheck.cli", command, "--config",
+            write_config(tmp_path, cfg), "--out", str(tmp_path)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
 AXIOMS_CFG = {"scenario": "axioms", "space": {"family": "standard", "k": 1.0}}
 
 CONVERGE_CFG = {
@@ -680,14 +691,31 @@ class TestCliProcess:
             "funcseq": {"family": "power", "domain": {"lo": 0.0, "hi": 2.0}, "budget": 2000},
             "checks": [{"kind": "pointwise", "x": 1.5, "r": 0.5, "t": 1.0}],
         }
-        src = str(pathlib.Path(__file__).parents[1] / "src")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "ifncheck.cli", "funcseq", "--config",
-                write_config(tmp_path, cfg), "--out", str(tmp_path)]
-        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        run = _cli_process(tmp_path, "funcseq", cfg)
         assert run.returncode == 2
         assert run.stderr == "config error: f_n(x) is not finite at x=1.5, n=1991: f_n(x) = inf\n"
+
+    @pytest.mark.parametrize("command", ["axioms", "continuity"])
+    def test_standard_memberships_past_binary64_are_config_errors(self, tmp_path, command):
+        # k||x|| past binary64 at a finite x made nu = inf / inf: axiom (i)
+        # passed on NaN values, the witness search refuted on an infinite
+        # k||f(x) - f(x0)||, and numpy warned on stderr
+        if command == "axioms":
+            cfg = json.loads((EXAMPLES / "axioms-standard.json").read_text())
+            cfg["space"]["k"] = 3.0
+            cfg["plan"]["grid_halfwidth"] = 8e307
+            x = "-8e+307"
+        else:
+            cfg = json.loads((EXAMPLES / "continuity-reciprocal.json").read_text())
+            cfg["map"]["domain"] = {"lo": -1.1125369292536007e-308, "hi": 2.6671861924185207, "open_hi": True}
+            cfg["points"] = [9.327454598064106e-302]
+            cfg["checks"] = [{"kind": "witness", "epsilon": 4.5387, "alpha": 0.518}]
+            x = "-8.98846674641543e+307"  # f(lo) - f(x0)
+        run = _cli_process(tmp_path, command, cfg)
+        assert (run.returncode, run.stderr) == (
+            2,
+            f"config error: standard memberships overflow binary64 at x=[{x}]: t + k||x|| (k=3.0) is not finite\n",
+        )
 
     def test_overflowing_literals_are_config_errors(self, tmp_path, capsys):
         # 1e999 parses to inf although the schema accepts it as a number
@@ -735,6 +763,43 @@ class TestCliProcess:
         )
         assert main(["topology", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "example, path, value, cap",
+        [
+            ("converge-reciprocal", ("sequence", "budget"), 10**400, 1_000_000),
+            ("converge-reciprocal", ("sequence", "budget"), 1_000_001, 1_000_000),
+            ("converge-reciprocal", ("checks", 1, "p_max"), 1001, 1000),
+            ("axioms-standard", ("space", "dimension"), 1001, 1000),
+            ("axioms-standard", ("plan", "grid_points_per_axis"), 211, 210),
+            ("axioms-standard", ("plan", "random_count"), 2001, 2000),
+            ("funcseq-power-sweep", ("funcseq", "budget"), 1_000_001, 1_000_000),
+            ("funcseq-power-sweep", ("sample", "points"), 171, 170),
+            ("funcseq-power-sweep", ("sample", "refine_depth"), 1001, 1000),
+            ("funcseq-power-sweep", ("checks", 2, "n"), 1001, 1000),
+            ("uniform-reciprocal", ("checks", 1, "budgets", 0), 1_000_001, 1_000_000),
+            ("uniform-reciprocal", ("checks", 1, "sequence", "budget"), 1_000_001, 1_000_000),
+        ],
+    )
+    def test_size_fields_past_their_maximum_exit_two_before_running(
+        self, tmp_path, monkeypatch, capsys, example, path, value, cap
+    ):
+        # no runner is reached: with none registered, a config that passed
+        # the schema would be an internal fault (exit 3)
+        import ifncheck.scenarios as scenarios
+
+        monkeypatch.setattr(scenarios, "_RUNNERS", {})
+        cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+        node[path[-1]] = value
+        command = _COMMAND_OF_KIND.get(cfg["scenario"], cfg["scenario"])
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        field = "/".join(map(str, path))
+        assert capsys.readouterr().err == (
+            f"config error: config field {field}: {value!r} is greater than the maximum of {cap!r}\n"
+        )
 
     @given(case=_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)
