@@ -160,8 +160,8 @@ class MembershipFunction:
     def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t, k||x|| and t + k||x||: the standard family's terms to divide.
 
-        Where a sum overflows binary64, mu and nu would read 0 and
-        inf / inf = NaN, so an overflow raises DomainError naming the point.
+        Where k||x|| or t + k||x|| overflows binary64, mu and nu would read 0
+        and inf / inf = NaN, so an overflow raises DomainError naming the point.
         """
         pts = np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts
         ts = np.asarray(t, dtype=float)

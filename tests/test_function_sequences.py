@@ -627,10 +627,8 @@ def test_uniform_per_point_indices_are_the_point_convergence_indices(case):
     )
     assert cert.per_point_index == want
     indices = [i for _, i in want]
-    if None not in indices and not sample.ladder:
+    if cert.uniform or (None not in indices and not sample.ladder):
         assert cert.uniform and cert.n0 == max(indices)
-    if cert.uniform:
-        assert cert.n0 == max(indices)
 
 
 @given(case=_catalog_demands(), m=st.integers(-6, 6), p_max=st.integers(1, 200), data=st.data())
