@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -81,8 +82,6 @@ class TestConvergenceIndex:
     def test_reciprocal_analytic_oracle(self, space):
         # exact rational oracle: first n with 1/(n+1) < r t/(1-r) in true
         # rationals, including the exact-tie cases where strictness decides
-        from fractions import Fraction
-
         cases = (
             (Fraction(1, 10), Fraction(1, 10)),
             (Fraction(1, 5), Fraction(1, 2)),
@@ -374,8 +373,8 @@ def reference_window_scan(space, vals, r, t, p_max):
     """first and worst of `_p_window_scan` from a plain loop over every
     (n, p): the first failing p, and the largest 1 - mu over the window."""
     n_total = len(vals)
-    first = np.full(n_total - 1, n_total)
-    worst = np.full(n_total - 1, -np.inf)
+    first = np.full(max(n_total - 1, 0), n_total)
+    worst = np.full(max(n_total - 1, 0), -np.inf)
     for p in range(1, min(p_max, n_total - 1) + 1):
         diffs = vals[p:] - vals[:-p]
         head = first[: n_total - p]
@@ -431,16 +430,99 @@ def test_window_extrema_scan_matches_the_per_p_loop_at_near_ties(case):
     assert _same_bits(first, ref_first) and _same_bits(worst, ref_worst)
 
 
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _edge_blocks(draw):
+    """A standard space on the real line and a block of 0 to 39 terms from
+    `_TERMS`, up to two of them NaN or +-inf; blocks of 0, 1 and 2 terms are
+    drawn as often as longer ones."""
+    space = make_standard_space(
+        draw(st.sampled_from([0.5, 1.0, 3.0])), draw(st.sampled_from(NORM_FAMILIES)), verify=False
+    )
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 39)))
+    terms = draw(st.lists(_TERMS, min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        terms[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_NON_FINITE))
+    return space, np.array(terms, dtype=float).reshape(-1, 1)
+
+
+@given(
+    case=_edge_blocks(),
+    r=st.floats(1e-6, 1 - 1e-6),
+    t=st.floats(1e-3, 1e3),
+    p_max=st.integers(1, 49),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_p_window_scan_matches_the_plain_loop_on_non_finite_and_short_blocks(case, r, t, p_max):
+    space, vals = case
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, in both
+        first, worst = _p_window_scan(space, vals, r, t, p_max)
+        ref_first, ref_worst = reference_window_scan(space, vals, r, t, p_max)
+    assert first.dtype == ref_first.dtype and np.array_equal(first, ref_first)
+    assert worst.dtype == ref_worst.dtype and np.array_equal(worst, ref_worst, equal_nan=True)
+
+
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def exact_safe_radius(space, r, t):
+    """The first float |z| >= 0 at which the demand's monotone sufficient
+    condition fails, by a plain binary search over float bit patterns: mu's
+    float half, which falls as |z| grows, and fl(k |z|) below the exact nu
+    cap r t (1 - u) / (1 + u - r (1 - u)), u = 2^-53.  z = 0 passes it."""
+    rf = Fraction(r)
+    cap = rf * Fraction(t) * (1 - _UNIT_ROUNDOFF) / (1 + _UNIT_ROUNDOFF - rf * (1 - _UNIT_ROUNDOFF))
+
+    def passes(bits):
+        z = np.array([[bits]], dtype=np.int64).view(np.float64)
+        with np.errstate(over="ignore"):
+            kn = float(space.norm(z)[0] * space.k)
+        return math.isfinite(kn) and t / (t + kn) > 1.0 - r and Fraction(kn) < cap
+
+    lo, hi = 0, int(np.array(np.inf).view(np.int64))  # lo passes, hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return float(np.array(hi).view(np.float64))
+
+
+@given(
+    k=st.floats(1e-3, 1e3),
+    family=st.sampled_from(NORM_FAMILIES),
+    r=st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([1e-6, 1e-5, 1 - 1e-6])),
+    t=st.one_of(st.floats(1e-3, 1e3), st.sampled_from([5e-324, 1e-310, 1e-300, 1e300])),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_safe_radius_is_a_sound_bound_below_the_exact_search(k, family, r, t, seed):
+    # every float below the bound meets the demand, either sign: the 4,096
+    # just below it and 4,096 drawn from all patterns below it; and the
+    # bound never passes the first float the exact search fails
+    space = make_standard_space(k, family, verify=False)
+    x = safe_radius(space, r, t)
+    assert 0.0 <= x <= exact_safe_radius(space, r, t)
+    bits = int(np.array(x).view(np.int64))
+    below = np.concatenate([
+        np.arange(max(bits - 4096, 0), bits),
+        np.random.default_rng(seed).integers(0, max(bits, 1), 4096 if bits else 0),
+    ]).view(np.float64)
+    z = np.concatenate([below, -below]).reshape(-1, 1)
+    with np.errstate(over="ignore"):
+        assert np.all(space.within(z, r, t)), (k, r, t, x)
+
+
 @st.composite
 def _straddles(draw):
     """A standard space on the real line, a demand, and differences a <= b
-    from the 2,064 floats around its safe radius: where the float demand is
-    not monotone there, a fails and b passes."""
+    from the 2,064 floats around the exact search's first failing float:
+    where the float demand is not monotone there, a fails and b passes."""
     family = draw(st.sampled_from(NORM_FAMILIES))
     k, r = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1 - 1e-6))
     t = draw(st.floats(1e-3, 1e3))
     space = make_standard_space(k, family, verify=False)
-    bits = np.array(safe_radius(space, r, t)).view(np.int64)
+    bits = np.array(exact_safe_radius(space, r, t)).view(np.int64)
     band = np.arange(bits - 16, bits + 2048).view(np.float64)
     ok = space.within(band.reshape(-1, 1), r, t)
     # the failing floats with a passing one above them
