@@ -688,10 +688,10 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     return lo
 
 
-# binary64's unit roundoff, and the bit pattern of +inf: read as int64, the
-# non-negative floats are ordered as their values are
+# binary64's unit roundoff, and the factors 1 - 2^-j, j = 1..53, of the
+# closed-form radius that `safe_radius` tries (the last is the float below 1)
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
-_INF_BITS = int(np.array(np.inf).view(np.int64))
+_RADIUS_LADDER = 1.0 - np.ldexp(1.0, -np.arange(1, 54))
 
 
 def safe_radius(space: IFNSpace, r: float, t: float) -> float:
@@ -700,15 +700,17 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
     finite t > 0).
 
     The float demand is not monotone in |z| near the radius, so X is a
-    proven bound, not the cut itself.  With a = fl(k ||z||), which grows
-    with |z|, mu = fl(t / fl(t + a)) falls as |z| grows, so the mu half is
-    bisected exactly over the bit patterns of |z|.  For nu = fl(a / fl(t + a)):
-    fl(t + a) >= (t + a)(1 - u), as a sum below the normal range is exact,
-    and fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
+    proven bound: the largest rung fl(R (1 - 2^-j)), R = fl(r t / (k (1 - r))),
+    at which a condition monotone in |z| holds, else 0.0.  With
+    a = fl(k ||z||), mu = fl(t / fl(t + a)) falls as |z| grows, so the mu half
+    is checked in floats.  For nu = fl(a / fl(t + a)): fl(t + a) >=
+    (t + a)(1 - u), as a sum below the normal range is exact, and
+    fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
     a < r t (1 - u) / (1 + u - r (1 - u)), which is compared exactly.  (Where
-    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  The
-    bisection takes `_closed_form`'s terms with an overflow read as inf, which
-    fails.  Memoised on mu's signature, which fixes k and the norm, and (r, t).
+    r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  A rung past
+    binary64 reads inf and fails.  X may sit below the condition's cut, by
+    about 2^-53 / r relative, and is 0.0 where R under- or overflows.
+    Memoised on mu's signature, which fixes k and the norm, and (r, t).
     """
     return _safe_radius(space.mu.signature(), float(r), float(t))
 
@@ -721,18 +723,8 @@ def _safe_radius(mu_signature: tuple, r: float, t: float) -> float:
     a_max = float(cap)  # made the largest float below the cap
     if Fraction(a_max) >= cap:
         a_max = float(np.nextafter(a_max, 0.0))
-
-    lo, hi = -1, _INF_BITS  # every pattern up to lo passes; hi (+inf, a > a_max) fails
-    while hi - lo > 1:
-        # 1024 evenly spaced patterns in (lo, hi) per round
-        step = max((hi - lo) // 1024, 1)
-        bits = lo + step * np.arange(1, (hi - 1 - lo) // step + 1, dtype=np.int64)
-        with np.errstate(over="ignore"):  # `_closed_form`'s terms, inf past binary64
-            kn = mu.norm(bits.view(np.float64).reshape(-1, 1)) * mu.k
-            fails = ~((t / (t + kn) > 1.0 - r) & (kn <= a_max))
-        j = int(np.argmax(fails)) if fails.any() else len(bits)
-        if j:
-            lo = int(bits[j - 1])
-        if j < len(bits):
-            hi = int(bits[j])
-    return float(np.array(hi, dtype=np.int64).view(np.float64))
+    with np.errstate(over="ignore"):  # a rung, k||z|| or t + k||z|| past binary64 reads inf
+        rungs = np.float64(r) * t / (mu.k * (1.0 - r)) * _RADIUS_LADDER
+        kn = mu.norm(rungs.reshape(-1, 1)) * mu.k
+        holds = (t / (t + kn) > 1.0 - r) & (kn <= a_max)
+    return float(rungs[holds].max(initial=0.0))

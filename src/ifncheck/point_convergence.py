@@ -223,19 +223,12 @@ def _p_window_scan(
     Returns first[n-1], the first p at which the demand fails at (n, p)
     (N when it holds at every p scanned), and worst[n-1], the largest
     1 - mu(x_{n+p} - x_n, t) over those p.  Each p evaluates mu and nu once.
-    A standard pair on the real line with finite terms takes
-    `_window_extrema_scan`, which returns the same arrays bit for bit.
+    A standard pair on the real line takes `_window_extrema_scan`, which
+    returns the same arrays bit for bit, NaN and +-inf terms included.
     """
     n_total = len(vals)
     p_top = min(p_max, n_total - 1)
-    if (
-        space.standard_pair
-        and vals.shape[1:] == (1,)
-        and p_top >= 1
-        and 0.0 < r < 1.0
-        and 0.0 < t < np.inf
-        and np.all(np.isfinite(vals))
-    ):
+    if space.standard_pair and vals.shape[1:] == (1,) and p_top >= 1:
         return _window_extrema_scan(space, vals[:, 0], r, t, p_top)
     first = np.full(max(n_total - 1, 0), n_total)
     worst = np.full(max(n_total - 1, 0), np.inf)  # the smallest mu until the end
@@ -265,13 +258,14 @@ def _window_extrema(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _window_extrema_scan(
     space: IFNSpace, x: np.ndarray, r: float, t: float, p_top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_p_window_scan` of finite terms x on the real line for a standard
-    pair, from each window's extrema.
+    """`_p_window_scan` of terms x on the real line for a standard pair, from
+    each window's extrema.
 
     fl(y - x_n) is monotone in y, so the largest |x_{n+p} - x_n| over the
     window is far_n = max(fl(M_n - x_n), fl(x_n - m_n)) for its max M_n and
-    min m_n; mu falls as |z| grows, so worst = 1 - mu(far).  A row whose
-    far_n `IFNSpace.near_radius` does not name meets the demand at every p.
+    min m_n; mu falls as |z| grows, so worst = 1 - mu(far), NaN where a term
+    or difference in the window is.  A row whose far_n `IFNSpace.near_radius`
+    does not name meets the demand at every p.
     The rows it names are scanned p by p, each leaving at its first failure,
     so every entry decided is the loop's own float expression.
     """

@@ -557,7 +557,8 @@ def test_floats_below_the_safe_radius_meet_the_demand(family):
     # the 4,096 floats just below the safe radius, either sign, all pass, on
     # a grid reaching subnormal and huge times; on the normal grid the safe
     # radius lies within a relative 1e-9 of the true one (fl(1 - r) moves
-    # mu's cut by up to about 2^-53 / r)
+    # mu's cut by up to about 2^-53 / r, the nu cap sits about 2^-52 / (1 - r)
+    # below it, and the ladder's rung at most as far again)
     for k in (1e-3, 0.5, 1.0, 3.0, 1e3):
         space = make_standard_space(k, family, verify=False)
         for r in (1e-6, 0.1, 0.5, 0.6765943970031398, 0.9, 1 - 1e-6):
@@ -582,7 +583,7 @@ def test_floats_below_the_safe_radius_meet_the_demand(family):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_memoised_safe_radius_is_the_uncached_value(k, family, r, t):
     # the memo is keyed on mu's signature and (r, t), and rebuilds mu from
-    # it: it reads what the bisection on the space's own mu gives, and a
+    # it: it reads what the ladder on the space's own mu gives, and a
     # fresh space of the same k and norm hits it
     space = make_standard_space(k, family, verify=False)
     x = safe_radius(space, r, t)
