@@ -107,7 +107,13 @@ def run_scenario(config: dict, kind: str | None = None, seed: int | None = None)
     resolved_seed = seed if seed is not None else int(config.get("seed", 0))
     runner = _RUNNERS[scenario]
     try:
-        records = runner(config, resolved_seed)
+        # overflow, NaN and division by zero raise, save where a layer keeps
+        # IEEE values in an errstate of its own
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            records = runner(config, resolved_seed)
+    except FloatingPointError as exc:
+        # a value past binary64 or NaN that no layer names comes from the config
+        raise ConfigError(f"non-finite arithmetic: {exc}") from exc
     except DomainError as exc:
         # a point, parameter or map image outside its domain comes from the config
         raise ConfigError(str(exc)) from exc

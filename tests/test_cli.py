@@ -717,6 +717,45 @@ class TestCliProcess:
             f"config error: standard memberships overflow binary64 at x=[{x}]: t + k||x|| (k=3.0) is not finite\n",
         )
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            # 3 x 8e307 overflows in the scaled points of (iv)/(ix), whose NaN
+            # gaps passed (ix)
+            ("axioms", "overflow encountered in multiply"),
+            # 2^2000 is inf, and the criterion's window extent was inf - inf
+            ("funcseq", "invalid value encountered in subtract"),
+            # the centre minus the point overflows, and the verdict came from
+            # mu = 0 and nu = NaN
+            ("topology", "overflow encountered in subtract"),
+        ],
+        ids=["axioms", "funcseq", "topology"],
+    )
+    def test_arithmetic_past_binary64_is_a_config_error(self, tmp_path, command, message):
+        # each config passes the schema; its runner once reached a verdict
+        # from inf or NaN and printed two numpy warnings on stderr
+        axioms = json.loads((EXAMPLES / "axioms-standard.json").read_text())
+        axioms["plan"]["grid_halfwidth"] = 8e307
+        cfg = {
+            "axioms": axioms,
+            "funcseq": {
+                "scenario": "funcseq",
+                "domain_space": {"family": "example", "tag": "example-4.x"},
+                "codomain_space": {"family": "example", "tag": "example-4.x"},
+                "funcseq": {"family": "power", "domain": {"lo": 0.0, "hi": 2.0}, "budget": 2000},
+                "checks": [{"kind": "cauchy-criterion", "r": 0.1, "t": 0.1}],
+            },
+            "topology": {
+                "scenario": "topology",
+                "space": {"family": "standard", "k": 1.0},
+                "checks": [
+                    {"kind": "ball-contains", "ball": {"center": 1.7e308, "r": 0.5, "t": 1.0}, "point": -1.7e308}
+                ],
+            },
+        }[command]
+        run = _cli_process(tmp_path, command, cfg)
+        assert (run.returncode, run.stderr) == (2, f"config error: non-finite arithmetic: {message}\n")
+
     def test_overflowing_literals_are_config_errors(self, tmp_path, capsys):
         # 1e999 parses to inf although the schema accepts it as a number
         rejected = [
