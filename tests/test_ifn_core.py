@@ -24,7 +24,7 @@ from ifncheck.ifn_core import (
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
 from ifncheck.point_convergence import _p_window_scan, classical_equivalence_probe, reciprocal_sequence
-from ifncheck.sampling import SamplingPlan, default_plan, product_grid
+from ifncheck.sampling import DEFAULT_T_GRID, DEFAULT_T_LADDER, SamplingPlan, default_plan, product_grid
 
 
 class TestStandardSpace:
@@ -87,6 +87,62 @@ class TestStandardSpace:
                 lhs = sp.mu_many(c * xs, t)
                 rhs = sp.mu_many(xs, t / abs(c))
                 np.testing.assert_array_equal(lhs, rhs)
+
+
+_SMALL_NORM_DIMS = [("absolute-value", 1)] + [
+    (family, d) for family in ("euclidean", "max-coordinate") for d in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("family, d", _SMALL_NORM_DIMS)
+def test_memberships_at_dyadic_multiples_are_those_at_divided_times(family, d):
+    # ||c x|| = |c| ||x|| and t + k |c| ||x|| = |c| (t / |c| + k ||x||) hold
+    # exactly for c = +-2^m away from overflow and underflow, so both
+    # memberships agree bit for bit
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-1.0, 1.0, (64, d)) * 10.0 ** rng.integers(-3, 4, (64, 1))
+    pts[0] = 0.0
+    for k in (1.0, 1.7):
+        sp = make_standard_space(k, family, dimension=d, verify=False)
+        for m, sign, t in itertools.product(range(-6, 7), (-1.0, 1.0), DEFAULT_T_GRID):
+            c = sign * 2.0**m
+            for lhs, rhs in zip(sp.memberships(c * pts, t), sp.memberships(pts, t / abs(c))):
+                assert lhs.tobytes() == rhs.tobytes(), (k, m, sign, t)
+
+
+@given(
+    k=st.floats(0.1, 10.0),
+    family_d=st.sampled_from([(f, d) for f, d in _SMALL_NORM_DIMS if d <= 3]),
+    m=st.integers(-6, 6),
+    width=st.sampled_from([5.0, 1e6, 1e17]),
+    ladder=st.sampled_from([DEFAULT_T_LADDER, (10.0, 100.0)]),
+    seed=st.integers(0, 1000),
+    forcing=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_axiom_counts_are_invariant_under_dyadic_scaling_of_k_and_times(
+    k, family_d, m, width, ladder, seed, forcing
+):
+    # at (c k, c t) with c = 2^m every membership value is the same float, and
+    # c (s + t) = c s + c t, so each axiom checks and fails the same tuples;
+    # wide grids (nu rounds to 1) and short ladders make some of them fail
+    family, d = family_d
+    c = 2.0**m
+    grid = product_grid(np.linspace(-width, width, 9), d)
+    plan = SamplingPlan(grid, random_count=50, seed=seed, t_infinity_ladder=ladder, random_halfwidth=width)
+    scaled_plan = dataclasses.replace(
+        plan,
+        t_grid=tuple(c * t for t in plan.t_grid),
+        t_infinity_ladder=tuple(c * t for t in plan.t_infinity_ladder),
+    )
+
+    def counts(s, p):
+        rep = check_ifn_axioms(
+            make_standard_space(s * k, family, d, verify=False), plan=p, include_forcing_conditions=forcing
+        )
+        return [(res.roman, res.checked, res.total_violations) for res in rep.results]
+
+    assert counts(c, scaled_plan) == counts(1.0, plan)
 
 
 def tabulated_pair_space(plan: SamplingPlan, dimension: int = 1) -> IFNSpace:

@@ -663,6 +663,29 @@ def _catalog_point_sequences(draw):
     return seq, limit + draw(st.sampled_from([0.0, 0.0, 1e-3, -0.25, 1.0]))
 
 
+def _assert_embedding_keeps_certificates(case, family, axis, rest, k, r, t, p_max):
+    """A sequence on the real line and its copy on coordinate `axis` of
+    R^(1 + len(rest)), whose other coordinates hold the constants `rest` in
+    the terms and in the limit, get the same certificates."""
+    seq, limit = case
+    d = 1 + len(rest)
+    line, space = (make_standard_space(k, family, dim, verify=False) for dim in (1, d))
+    others = [j for j in range(d) if j != axis]
+
+    def embedded(ns):
+        out = np.empty((len(ns), d))
+        out[:, axis] = seq.values(ns)[:, 0]
+        out[:, others] = rest
+        return out
+
+    flat = PointSequence("custom", budget=seq.budget, dimension=d, fn=embedded)
+    lim = np.empty(d)
+    lim[axis], lim[others] = limit, rest
+    got = convergence_index(space, flat, lim, r, t)
+    assert replace(got, limit=(limit,)) == convergence_index(line, seq, limit, r, t)
+    assert cauchy_index(space, flat, r, t, p_max) == cauchy_index(line, seq, r, t, p_max)
+
+
 @given(
     case=_catalog_point_sequences(),
     family=st.sampled_from(["euclidean", "max-coordinate"]),
@@ -678,17 +701,23 @@ def test_certificates_are_invariant_under_embedding_in_the_plane(case, family, a
     # on the real line and its copy on an axis of the plane get the same
     # certificates: the plane takes the general per-p scan and the plain
     # mask, the line its window-extrema scan and safe-radius filter
-    seq, limit = case
-    line, plane = (make_standard_space(k, family, d, verify=False) for d in (1, 2))
+    _assert_embedding_keeps_certificates(case, family, axis, (0.0,), k, r, t, p_max)
 
-    def embedded(ns):
-        out = np.zeros((len(ns), 2))
-        out[:, axis] = seq.values(ns)[:, 0]
-        return out
 
-    flat = PointSequence("custom", budget=seq.budget, dimension=2, fn=embedded)
-    lim = np.zeros(2)
-    lim[axis] = limit
-    got = convergence_index(plane, flat, lim, r, t)
-    assert replace(got, limit=(limit,)) == convergence_index(line, seq, limit, r, t)
-    assert cauchy_index(plane, flat, r, t, p_max) == cauchy_index(line, seq, r, t, p_max)
+@given(
+    case=_catalog_point_sequences(),
+    family=st.sampled_from(["euclidean", "max-coordinate"]),
+    axis=st.integers(0, 2),
+    rest=st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-3, 7e5])] * 2),
+    k=st.floats(0.1, 5.0),
+    r=st.floats(1e-6, 1.0 - 1e-6),
+    t=st.floats(1e-3, 5.0),
+    p_max=st.integers(1, 200),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_certificates_are_invariant_under_embedding_in_three_dimensions(
+    case, family, axis, rest, k, r, t, p_max
+):
+    # a constant coordinate that the limit shares differs by 0.0 in every
+    # term and window, so each norm is |x| as on the line
+    _assert_embedding_keeps_certificates(case, family, axis, rest, k, r, t, p_max)

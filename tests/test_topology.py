@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -492,3 +493,75 @@ def test_three_dimensional_balls():
     assert ball_contains(space, ball, member)
     inner = inner_ball_witness(space, ball, member)
     assert verify_containment(space, inner, ball, 1000) == 1.0
+
+
+# Dyadic scaling: t / (t + k||z||) and k||z|| / (t + k||z||) are the same
+# floats at (c k, c t) for c = 2^m, away from overflow and underflow, and so
+# is the closed-form radius r (c t) / (c k (1 - r)).  So the balls, inner balls
+# and openness rungs at (c k, c t) are those at (k, t), with t scaled.
+
+_SCALING_SPACES = [("absolute-value", 1)] + [
+    (family, d) for family in ("euclidean", "max-coordinate") for d in (1, 2, 3)
+]
+
+
+@st.composite
+def _scaled_pairs(draw):
+    """A standard space and its copy at c k, c = 2^m with m in -6..6, sharing
+    operations; the scale c, a demand (r, t), and a seeded generator."""
+    family, d = draw(st.sampled_from(_SCALING_SPACES))
+    k, m = draw(st.floats(0.1, 10.0)), draw(st.integers(-6, 6))
+    ops = draw(st.sampled_from([("minimum", "maximum"), ("product", "probabilistic-sum")]))
+    c = 2.0**m
+    base, scaled = (make_standard_space(s * k, family, d, ops=ops, verify=False) for s in (1.0, c))
+    r, t = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 10.0))
+    return base, scaled, c, r, t, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@given(case=_scaled_pairs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_ball_masks_and_inner_balls_are_invariant_under_dyadic_scaling(case):
+    base, scaled, c, r, t, rng = case
+    d = base.dimension
+    center = rng.uniform(-2.0, 2.0, d)
+    rho = membership_radius(base, r, t)
+    # about half of them inside, some within 1e-12 of the boundary
+    ys = center + rng.uniform(-1.0, 1.0, (64, d)) * rho * 1.5
+    ys[:8] = center + rho * (1.0 - 10.0 ** -rng.uniform(1, 12, (8, 1))) * np.eye(d)[0]
+    outer, outer_scaled = OpenBall(center, r, t), OpenBall(center, r, c * t)
+    mask = ball_contains_many(base, outer, ys)
+    assert ball_contains_many(scaled, outer_scaled, ys).tobytes() == mask.tobytes()
+    seed = int(rng.integers(0, 100))
+    got = inner_ball_witnesses(scaled, outer_scaled, ys[mask], 64, seed)
+    want = inner_ball_witnesses(base, outer, ys[mask], 64, seed)
+    for g, w in zip(got, want, strict=True):
+        if isinstance(w, WitnessNotFound):
+            assert isinstance(g, WitnessNotFound) and str(g) == str(w)
+        else:
+            assert g.center.tobytes() == w.center.tobytes() and (g.r, g.t) == (w.r, c * w.t)
+
+
+@given(case=_scaled_pairs(), size=st.floats(0.05, 5.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_openness_rungs_are_invariant_under_dyadic_scaling(case, size):
+    # a ball of the norm, with members inside, on its boundary's float and
+    # just inside it; a plan whose times and ladder are scaled by c
+    base, scaled, c, _, _, rng = case
+    d = base.dimension
+    norm = base.norm
+    witnesses = rng.uniform(-1.0, 1.0, (6, d)) * size / np.sqrt(d)
+    witnesses[0] = 0.0
+    witnesses[1] = np.eye(d)[0] * size * (1.0 - 1e-9)
+    sset = SampledSet(lambda pts: norm(pts) < size, witnesses, "norm ball")
+    plan = SamplingPlan(np.zeros((1, d)), seed=int(rng.integers(0, 100)))
+    scaled_plan = replace(
+        plan,
+        t_grid=tuple(c * t for t in plan.t_grid),
+        t_infinity_ladder=tuple(c * t for t in plan.t_infinity_ladder),
+    )
+    got = set_is_open_sampled(scaled, sset, scaled_plan).per_point
+    want = set_is_open_sampled(base, sset, plan).per_point
+    assert [p.point for p in got] == [p.point for p in want]
+    assert [None if p.ball is None else (p.ball.r, p.ball.t) for p in got] == [
+        None if p.ball is None else (p.ball.r, c * p.ball.t) for p in want
+    ]
