@@ -708,8 +708,9 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
     fl(q) <= max(q (1 + u), 2^-1022), so nu < r whenever
     a < r t (1 - u) / (1 + u - r (1 - u)), which is compared exactly.  (Where
     r <= 2^-1022, fl(1 - r) = 1 and mu fails already at z = 0.)  A rung past
-    binary64 reads inf and fails.  X may sit below the condition's cut, by
-    about 2^-53 / r relative, and is 0.0 where R under- or overflows.
+    binary64 reads inf and fails.  X lies below the condition's cut by at
+    most about the cut's own distance below R (up to 2^-53 / r or
+    2^-52 / (1 - r) relative), and is 0.0 where R under- or overflows.
     Memoised on mu's signature, which fixes k and the norm, and (r, t).
     """
     return _safe_radius(space.mu.signature(), float(r), float(t))
@@ -724,7 +725,7 @@ def _safe_radius(mu_signature: tuple, r: float, t: float) -> float:
     if Fraction(a_max) >= cap:
         a_max = float(np.nextafter(a_max, 0.0))
     with np.errstate(over="ignore"):  # a rung, k||z|| or t + k||z|| past binary64 reads inf
-        rungs = np.float64(r) * t / (mu.k * (1.0 - r)) * _RADIUS_LADDER
+        rungs = r * t / (mu.k * (1.0 - r)) * _RADIUS_LADDER
         kn = mu.norm(rungs.reshape(-1, 1)) * mu.k
         holds = (t / (t + kn) > 1.0 - r) & (kn <= a_max)
     return float(rungs[holds].max(initial=0.0))
