@@ -181,9 +181,9 @@ PLAN_SCHEMA = {
     "properties": {
         "grid_points_per_axis": {"type": "integer", "minimum": 2, "maximum": 21 * _ENVELOPE},
         "grid_halfwidth": _POSITIVE,
-        "t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1},
+        "t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1, "maxItems": 7 * _ENVELOPE},
         "random_count": {"type": "integer", "minimum": 0, "maximum": 200 * _ENVELOPE},
-        "t_infinity_ladder": {"type": "array", "items": _POSITIVE, "minItems": 2},
+        "t_infinity_ladder": {"type": "array", "items": _POSITIVE, "minItems": 2, "maxItems": 4 * _ENVELOPE},
     },
     "additionalProperties": False,
 }

@@ -606,15 +606,11 @@ def check_ifn_axioms(
     # (xii) idempotency of the operations, exact
     if TIER_ORDER[tier] >= 1:
         a = plan.unit_values()
-        tn, tc = space.tnorm, space.tconorm
-        bad = tn(a, a) != a
-        found["xii"].add(
-            bad, bad.size, lambda i: ((a[i],), f"a*a={float(tn(a[i], a[i])):.17g} != a")
-        )
-        bad = tc(a, a) != a
-        found["xii"].add(
-            bad, bad.size, lambda i: ((a[i],), f"a(+)a={float(tc(a[i], a[i])):.17g} != a")
-        )
+        for op, op_name in ((space.tnorm, "*"), (space.tconorm, "(+)")):
+            bad = op(a, a) != a
+            found["xii"].add(bad, bad.size, lambda i: (
+                (a[i],), f"a{op_name}a={float(op(a[i], a[i])):.17g} != a"
+            ))
 
     results = tuple(
         found[roman].result()

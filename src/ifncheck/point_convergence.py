@@ -224,12 +224,15 @@ def _p_window_scan(
     (N when it holds at every p scanned), and worst[n-1], the largest
     1 - mu(x_{n+p} - x_n, t) over those p.  Each p evaluates mu and nu once.
     A standard pair on the real line takes `_window_extrema_scan`, which
-    returns the same arrays bit for bit, NaN and +-inf terms included.
+    returns the same arrays bit for bit; a block it does not decide runs
+    the loop here whole, so its results and its errors are the loop's own.
     """
     n_total = len(vals)
     p_top = min(p_max, n_total - 1)
     if space.standard_pair and vals.shape[1:] == (1,) and p_top >= 1:
-        return _window_extrema_scan(space, vals[:, 0], r, t, p_top)
+        scanned = _window_extrema_scan(space, vals[:, 0], r, t, p_top)
+        if scanned is not None:
+            return scanned
     first = np.full(max(n_total - 1, 0), n_total)
     worst = np.full(max(n_total - 1, 0), np.inf)  # the smallest mu until the end
     for p in range(1, p_top + 1):
@@ -257,15 +260,16 @@ def _window_extrema(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _window_extrema_scan(
     space: IFNSpace, x: np.ndarray, r: float, t: float, p_top: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """`_p_window_scan` of terms x on the real line for a standard pair, from
-    each window's extrema.
+    each window's extrema, or None for a block it does not decide.
 
     fl(y - x_n) is monotone in y, so the largest |x_{n+p} - x_n| over the
     window is far_n = max(fl(M_n - x_n), fl(x_n - m_n)) for its max M_n and
-    min m_n; mu falls as |z| grows, so worst = 1 - mu(far), NaN where a term
-    or difference in the window is.  A row whose far_n `IFNSpace.near_radius`
-    does not name meets the demand at every p.
+    min m_n; mu falls as |z| grows, so worst = 1 - mu(far).  The block is
+    decided only when every far_n is finite and its memberships evaluate:
+    then so do those of every difference.  A row whose far_n
+    `IFNSpace.near_radius` does not name meets the demand at every p.
     The rows it names are scanned p by p, each leaving at its first failure,
     so every entry decided is the loop's own float expression.
     """
@@ -274,8 +278,13 @@ def _window_extrema_scan(
     np.subtract(far, x[:-1], out=far)
     np.maximum(far, np.subtract(x[:-1], lo, out=lo), out=far)
     del lo
+    if not np.isfinite(far).all():
+        return None
+    try:
+        mu = space.memberships(far, t)[0]
+    except DomainError:
+        return None
     rows = space.near_radius(far, r, t)
-    mu = space.memberships(far, t)[0]
     del far
     first = np.full(last, last + 1)
     for p in range(1, p_top + 1):

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ INCONCLUSIVE = "inconclusive"
 INFO = "info"
 
 _SWEEP_COLUMNS = ("family", "domain_lo", "domain_hi", "r", "t", "n0", "verdict", "paper_k")
+_RECORD_COLUMNS = ("name", "anchor", "verdict", "work")
 
 
 def format_real(x: float) -> str:
@@ -75,19 +76,11 @@ class CheckRecord:
     csv_row: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "record",
-            "name": self.name,
-            "anchor": self.anchor,
-            "verdict": self.verdict,
-            "details": self.details,
-            "witnesses": self.witnesses,
-            "counterexamples": self.counterexamples,
-            "budgets": self.budgets,
-            "plan": self.plan,
-            "seed": self.seed,
-            "work": self.work,
-        }
+        """Every field in declaration order but `csv_row`, after the kind."""
+        return {"kind": "record", **{name: getattr(self, name) for name in _RECORD_KEYS}}
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(CheckRecord) if f.name != "csv_row")
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,7 @@ class VerificationReport:
     records: tuple[CheckRecord, ...]
 
     def counts(self) -> dict:
+        """Records per verdict, in the order the summaries print them."""
         out = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0, INFO: 0}
         for r in self.records:
             out[r.verdict] = out.get(r.verdict, 0) + 1
@@ -109,31 +103,16 @@ class VerificationReport:
 
 
 def to_jsonl(report: VerificationReport) -> str:
-    lines = [
-        _to_json(
-            {
-                "kind": "scenario",
-                "name": report.scenario,
-                "version": VERSION,
-                "seed": report.seed,
-                "config": report.config,
-            }
-        )
-    ]
-    lines.extend(_to_json(r.to_dict()) for r in report.records)
-    c = report.counts()
-    lines.append(
-        _to_json(
-            {
-                "kind": "summary",
-                "pass": c[PASS],
-                "fail": c[FAIL],
-                "inconclusive": c[INCONCLUSIVE],
-                "info": c[INFO],
-            }
-        )
-    )
-    return "\n".join(lines) + "\n"
+    header = {
+        "kind": "scenario",
+        "name": report.scenario,
+        "version": VERSION,
+        "seed": report.seed,
+        "config": report.config,
+    }
+    summary = {"kind": "summary", **report.counts()}
+    lines = [header, *(r.to_dict() for r in report.records), summary]
+    return "".join(f"{_to_json(line)}\n" for line in lines)
 
 
 def _csv_cell(v) -> str:
@@ -147,17 +126,15 @@ def _csv_cell(v) -> str:
 
 
 def to_csv(report: VerificationReport) -> str:
+    """The sweep table when a record carries a sweep row, else one row of
+    `_RECORD_COLUMNS` per record."""
+    rows = [r.csv_row for r in report.records if r.csv_row is not None]
+    columns = _SWEEP_COLUMNS if rows else _RECORD_COLUMNS
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    sweep = [r for r in report.records if r.csv_row is not None]
-    if sweep:
-        writer.writerow(_SWEEP_COLUMNS)
-        for r in sweep:
-            writer.writerow([_csv_cell(r.csv_row.get(c)) for c in _SWEEP_COLUMNS])
-    else:
-        writer.writerow(("name", "anchor", "verdict", "work"))
-        for r in report.records:
-            writer.writerow((r.name, r.anchor, r.verdict, str(r.work)))
+    writer.writerow(columns)
+    for row in rows or (r.to_dict() for r in report.records):
+        writer.writerow([_csv_cell(row.get(c)) for c in columns])
     return buf.getvalue()
 
 
@@ -169,11 +146,8 @@ def to_text(report: VerificationReport) -> str:
             lines.append(f"{'':>15} {k} = {_to_json(v)}")
         for cx in r.counterexamples:
             lines.append(f"{'':>15} counterexample: {_to_json(cx)}")
-    c = report.counts()
-    lines.append(
-        f"summary: {c[PASS]} pass, {c[FAIL]} fail, "
-        f"{c[INCONCLUSIVE]} inconclusive, {c[INFO]} info"
-    )
+    counts = ", ".join(f"{n} {verdict}" for verdict, n in report.counts().items())
+    lines.append(f"summary: {counts}")
     return "\n".join(lines) + "\n"
 
 

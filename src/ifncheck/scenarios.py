@@ -97,6 +97,11 @@ def pass_if(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
+def _rt_grid(c: dict) -> list:
+    """The (r, t) demands of a check's fields, r by r."""
+    return [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
+
+
 def run_scenario(config: dict, kind: str | None = None, seed: int | None = None) -> VerificationReport:
     """Validate and execute one scenario configuration.
 
@@ -153,46 +158,39 @@ def _run_axioms(config: dict, seed: int) -> list[CheckRecord]:
     return records
 
 
+def _converge_check(kind, space, seq, limit, r, t, c: dict) -> tuple[dict, str]:
+    """The details and the verdict of one converge kind at one (r, t) demand."""
+    if kind == "classical-probe":
+        rec = classical_equivalence_probe(space, seq, limit)
+        details = {
+            "ifn_converged": rec.ifn_converged,
+            "classical_converged": rec.classical_converged,
+            "agree": rec.agree,
+        }
+        return details, PASS if rec.agree else FAIL
+    if kind == "convergence":
+        cert = convergence_index(space, seq, limit, r, t)
+    else:
+        cert = cauchy_index(space, seq, r, t, c["p_max"])
+    return cert.summary(), _verdict_of(cert.status)
+
+
 def _run_converge(config: dict, seed: int) -> list[CheckRecord]:
     space = build_space(config["space"])
     seq = build_sequence(config["sequence"])
     with _config_errors("limit"):
         limit = as_point(config["limit"], space.dimension)
+    anchor = f"membership convergence of {seq.family} sequence"
     records = []
     for check in config["checks"]:
         kind, c = check["kind"], fields_of(CHECK_FIELDS["converge"], check)
-        if kind == "classical-probe":
-            # the probe runs its own fixed grid; its record keeps the name
-            # of the default demand
-            rts = [(0.5, 1.0)]
-        else:
-            rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
+        # the probe runs its own fixed grid, named after the default demand
+        rts = [(0.5, 1.0)] if kind == "classical-probe" else _rt_grid(c)
         for r, t in rts:
-            if kind == "classical-probe":
-                rec = classical_equivalence_probe(space, seq, limit)
-                summary = {
-                    "ifn_converged": rec.ifn_converged,
-                    "classical_converged": rec.classical_converged,
-                    "agree": rec.agree,
-                }
-                verdict = PASS if rec.agree else FAIL
-            else:
-                if kind == "convergence":
-                    cert = convergence_index(space, seq, limit, r, t)
-                else:
-                    cert = cauchy_index(space, seq, r, t, c["p_max"])
-                summary, verdict = cert.summary(), _verdict_of(cert.status)
-            records.append(
-                CheckRecord(
-                    name=f"{kind}/r{r}-t{t}",
-                    anchor=f"membership convergence of {seq.family} sequence",
-                    verdict=verdict,
-                    details=summary,
-                    budgets={"N": seq.budget},
-                    seed=seed,
-                    work=seq.budget,
-                )
-            )
+            details, verdict = _converge_check(kind, space, seq, limit, r, t, c)
+            records.append(_demand(
+                kind, r, t, anchor, verdict, details, seed, seq.budget, budgets={"N": seq.budget}
+            ))
     return records
 
 
@@ -395,11 +393,11 @@ def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate, codomain) -> 
     }
 
 
-def _demand(kind, r, t, anchor, verdict, details, seed, work, at="", csv_row=None) -> CheckRecord:
-    """The record of one (r, t) demand, named after it."""
+def _demand(kind, r, t, anchor, verdict, details, seed, work, at="", **more) -> CheckRecord:
+    """The record of one (r, t) demand, named after it; `more` sets other fields."""
     return CheckRecord(
         name=f"{kind}/{at}r{r}-t{t}", anchor=anchor, verdict=verdict,
-        details=details, seed=seed, work=work, csv_row=csv_row,
+        details=details, seed=seed, work=work, **more,
     )
 
 
@@ -494,7 +492,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
         if kind == "sup-oracle":
             records.append(sup_oracle_record(seq, c, seed))
             continue
-        rts = [(r, t) for r in as_list(c["r"]) for t in as_list(c["t"])]
+        rts = _rt_grid(c)
         if kind == "uniform-index":
             records.extend(uniform_index_records(spaces, seq, sample, rts, seed))
         else:

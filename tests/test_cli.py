@@ -812,6 +812,8 @@ class TestCliProcess:
             ("axioms-standard", ("space", "dimension"), 1001, 1000),
             ("axioms-standard", ("plan", "grid_points_per_axis"), 211, 210),
             ("axioms-standard", ("plan", "random_count"), 2001, 2000),
+            ("axioms-standard", ("plan", "t_grid"), [float(i) for i in range(1, 72)], 70),
+            ("axioms-standard", ("plan", "t_infinity_ladder"), [10.0**i for i in range(1, 42)], 40),
             ("funcseq-power-sweep", ("funcseq", "budget"), 1_000_001, 1_000_000),
             ("funcseq-power-sweep", ("sample", "points"), 171, 170),
             ("funcseq-power-sweep", ("sample", "refine_depth"), 1001, 1000),
@@ -836,9 +838,12 @@ class TestCliProcess:
         command = _COMMAND_OF_KIND.get(cfg["scenario"], cfg["scenario"])
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         field = "/".join(map(str, path))
-        assert capsys.readouterr().err == (
-            f"config error: config field {field}: {value!r} is greater than the maximum of {cap!r}\n"
-        )
+        if isinstance(value, list):
+            assert len(value) == cap + 1
+            found = f"{value!r} is too long"
+        else:
+            found = f"{value!r} is greater than the maximum of {cap!r}"
+        assert capsys.readouterr().err == f"config error: config field {field}: {found}\n"
 
     @given(case=_configs())
     @settings(max_examples=100, deadline=None, derandomize=True)

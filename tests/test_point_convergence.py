@@ -127,13 +127,6 @@ class TestConvergenceIndex:
         n_loose = convergence_index(space, seq, 0.0, r2, 0.5).n0
         assert n_loose <= n_tight
 
-    @pytest.mark.parametrize("t1,t2", [(0.1, 0.5), (0.5, 2.0)])
-    def test_monotone_in_t(self, space, t1, t2):
-        seq = reciprocal_sequence(budget=20000)
-        n_small = convergence_index(space, seq, 0.0, 0.1, t1).n0
-        n_big = convergence_index(space, seq, 0.0, 0.1, t2).n0
-        assert n_big <= n_small
-
 
 _unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
@@ -165,6 +158,38 @@ def test_convergence_index_never_grows_with_r(seq, limit, k, t, r1, r2):
         return math.inf if cert.n0 is None else cert.n0
 
     assert n0(hi) <= n0(lo)
+
+
+@given(
+    seq_limit=st.sampled_from(
+        [
+            (reciprocal_sequence(budget=2000), 0.0),
+            (shifted_reciprocal_sequence(0.5, 2.0, budget=2000), 0.5),
+            (alternating_sequence(budget=2000), 0.0),
+        ]
+    ),
+    k=st.floats(min_value=0.1, max_value=5.0),
+    r=_unit,
+    t1=st.floats(min_value=1e-3, max_value=5.0),
+    t2=st.floats(min_value=1e-3, max_value=5.0),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_indices_never_grow_with_t(seq_limit, k, r, t1, t2):
+    # a larger t loosens both halves of the demand, so the passing set only
+    # grows, for the convergence and the Cauchy index alike; a failed status
+    # (n0 None) counts as past the budget
+    seq, limit = seq_limit
+    space = make_standard_space(k, verify=False)
+    lo, hi = sorted((t1, t2))
+
+    def n0(cert):
+        return math.inf if cert.n0 is None else cert.n0
+
+    for index in (
+        lambda t: convergence_index(space, seq, limit, r, t),
+        lambda t: cauchy_index(space, seq, r, t),
+    ):
+        assert n0(index(hi)) <= n0(index(lo))
 
 
 class TestTailIndex:
@@ -430,22 +455,32 @@ def test_window_extrema_scan_matches_the_per_p_loop_at_near_ties(case):
     assert _same_bits(first, ref_first) and _same_bits(worst, ref_worst)
 
 
-_NON_FINITE = [np.nan, np.inf, -np.inf]
+# NaN, +-inf, and finite terms huge enough that a difference or k|z|
+# overflows binary64
+_EDGE_TERMS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 8e307, -8e307]
 
 
 @st.composite
 def _edge_blocks(draw):
     """A standard space on the real line and a block of 0 to 39 terms from
-    `_TERMS`, up to two of them NaN or +-inf; blocks of 0, 1 and 2 terms are
-    drawn as often as longer ones."""
+    `_TERMS`, up to two of them from `_EDGE_TERMS`; blocks of 0, 1 and 2
+    terms are drawn as often as longer ones."""
     space = make_standard_space(
         draw(st.sampled_from([0.5, 1.0, 3.0])), draw(st.sampled_from(NORM_FAMILIES)), verify=False
     )
     n = draw(st.one_of(st.integers(0, 2), st.integers(3, 39)))
     terms = draw(st.lists(_TERMS, min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 2)) if n else 0):
-        terms[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_NON_FINITE))
+        terms[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_EDGE_TERMS))
     return space, np.array(terms, dtype=float).reshape(-1, 1)
+
+
+def _outcome(scan, *args):
+    """What a scan gave: its arrays, or the type and message of its error."""
+    try:
+        return None, scan(*args)
+    except DomainError as exc:
+        return (type(exc), str(exc)), None
 
 
 @given(
@@ -457,11 +492,14 @@ def _edge_blocks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_p_window_scan_matches_the_plain_loop_on_non_finite_and_short_blocks(case, r, t, p_max):
     space, vals = case
-    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, in both
-        first, worst = _p_window_scan(space, vals, r, t, p_max)
-        ref_first, ref_worst = reference_window_scan(space, vals, r, t, p_max)
-    assert first.dtype == ref_first.dtype and np.array_equal(first, ref_first)
-    assert worst.dtype == ref_worst.dtype and np.array_equal(worst, ref_worst, equal_nan=True)
+    with np.errstate(all="ignore"):  # inf - inf, overflowing differences and inf / inf, in both
+        error, arrays = _outcome(_p_window_scan, space, vals, r, t, p_max)
+        ref_error, ref_arrays = _outcome(reference_window_scan, space, vals, r, t, p_max)
+    assert error == ref_error
+    if ref_arrays is not None:
+        (first, worst), (ref_first, ref_worst) = arrays, ref_arrays
+        assert first.dtype == ref_first.dtype and np.array_equal(first, ref_first)
+        assert worst.dtype == ref_worst.dtype and np.array_equal(worst, ref_worst, equal_nan=True)
 
 
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
