@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args, config: dict) -> int:
+def _resolve_seed(args) -> int | None:
+    """The seed of the flag or the environment; None leaves the config's."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -70,7 +71,7 @@ def _resolve_seed(args, config: dict) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return int(config.get("seed", 0))
+    return None
 
 
 def main(argv=None) -> int:
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
         else:
             config = load_config(args.config)
             kind = _KIND_OF_COMMAND[args.command]
-        seed = _resolve_seed(args, config)
+        seed = _resolve_seed(args)
         report = run_scenario(config, kind=kind, seed=seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

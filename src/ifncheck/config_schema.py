@@ -19,7 +19,7 @@ from numbers import Number
 from pathlib import Path
 from typing import Iterator
 
-from .continuity import MAP_RULES, MapBetweenSpaces, MapRule, make_map
+from .continuity import MAP_RULES, MapBetweenSpaces, make_map, rule
 from .errors import ConfigError, IFNError
 from .function_sequences import FUNCSEQ_FAMILIES, DomainSample, FunctionSequence, sample_domain
 from .ifn_core import (
@@ -109,6 +109,14 @@ def _when(key: str, value: str, then: dict) -> dict:
     return {"if": {"properties": {key: {"const": value}}, "required": [key]}, "then": then}
 
 
+def _closed(properties: dict, *required: str) -> dict:
+    """Object schema that allows exactly `properties` and requires `required`."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    return schema | {"additionalProperties": False}
+
+
 def _keyed(key: str, table: dict, types: dict, narrow: dict | None = None) -> dict:
     """Object schema on which `obj[key]` allows exactly the fields `table`
     declares for it: those without a default are required, the others carry
@@ -126,13 +134,7 @@ def _keyed(key: str, table: dict, types: dict, narrow: dict | None = None) -> di
             then["properties"] = props
         clauses.append(_when(key, value, then))
     used = dict.fromkeys(f for fields in table.values() for f in fields)
-    return {
-        "type": "object",
-        "properties": {key: {"enum": list(table)}} | {f: types[f] for f in used},
-        "required": [key],
-        "additionalProperties": False,
-        "allOf": clauses,
-    }
+    return _closed({key: {"enum": list(table)}} | {f: types[f] for f in used}, key) | {"allOf": clauses}
 
 
 def _or_list(item: dict) -> dict:
@@ -150,17 +152,16 @@ _ENVELOPE = 10
 _COUNT = {"type": "integer", "minimum": 1, "maximum": 100 * _ENVELOPE}
 _BUDGET = {"type": "integer", "minimum": 10, "maximum": 100_000 * _ENVELOPE}
 
-INTERVAL_SCHEMA = {
-    "type": "object",
-    "properties": {
+INTERVAL_SCHEMA = _closed(
+    {
         "lo": _NUMBER,
         "hi": _NUMBER,
         "open_lo": {"type": "boolean"},
         "open_hi": {"type": "boolean"},
     },
-    "required": ["lo", "hi"],
-    "additionalProperties": False,
-}
+    "lo",
+    "hi",
+)
 
 SPACE_SCHEMA = _keyed(
     "family",
@@ -176,43 +177,37 @@ SPACE_SCHEMA = _keyed(
     },
 )
 
-PLAN_SCHEMA = {
-    "type": "object",
-    "properties": {
+PLAN_SCHEMA = _closed(
+    {
         "grid_points_per_axis": {"type": "integer", "minimum": 2, "maximum": 21 * _ENVELOPE},
         "grid_halfwidth": _POSITIVE,
         "t_grid": {"type": "array", "items": _POSITIVE, "minItems": 1, "maxItems": 7 * _ENVELOPE},
         "random_count": {"type": "integer", "minimum": 0, "maximum": 200 * _ENVELOPE},
         "t_infinity_ladder": {"type": "array", "items": _POSITIVE, "minItems": 2, "maxItems": 4 * _ENVELOPE},
-    },
-    "additionalProperties": False,
-}
+    }
+)
 
-SEQUENCE_SCHEMA = {
-    "type": "object",
-    "properties": {
+SEQUENCE_SCHEMA = _closed(
+    {
         "family": {"enum": list(SEQUENCE_FAMILIES)},
         "params": {"type": "array", "items": _NUMBER},
         "budget": _BUDGET,
     },
-    "required": ["family"],
-    "additionalProperties": False,
-}
+    "family",
+)
 
-MAP_SCHEMA = {
-    "type": "object",
-    "properties": {
+MAP_SCHEMA = _closed(
+    {
         "rule": {"enum": list(MAP_RULES)},
         "params": {"type": "array", "items": _NUMBER},
         "domain": INTERVAL_SCHEMA,
     },
-    "required": ["rule", "domain"],
-    "additionalProperties": False,
-}
+    "rule",
+    "domain",
+)
 
-FUNCSEQ_SCHEMA = {
-    "type": "object",
-    "properties": {
+FUNCSEQ_SCHEMA = _closed(
+    {
         "family": {"enum": list(FUNCSEQ_FAMILIES)},
         "domain": INTERVAL_SCHEMA,
         "budget": _BUDGET,
@@ -220,19 +215,17 @@ FUNCSEQ_SCHEMA = {
         # each over [lo, hi_i], to build index surfaces over the domain
         "hi_sweep": {"type": "array", "items": _NUMBER, "minItems": 1},
     },
-    "required": ["family", "domain"],
-    "additionalProperties": False,
-}
+    "family",
+    "domain",
+)
 
-SAMPLE_SCHEMA = {
-    "type": "object",
-    "properties": {
+SAMPLE_SCHEMA = _closed(
+    {
         "points": {"type": "integer", "minimum": 2, "maximum": 17 * _ENVELOPE},
         "refine_side": {"enum": ["lo", "hi"]},
         "refine_depth": _COUNT,
-    },
-    "additionalProperties": False,
-}
+    }
+)
 
 SET_SCHEMA = _keyed(
     "kind",
@@ -257,12 +250,7 @@ _CHECK_TYPES = {
     "budget": _BUDGET,
     "sequence": SEQUENCE_SCHEMA,
     "budgets": {"type": "array", "items": _BUDGET, "minItems": 2},
-    "ball": {
-        "type": "object",
-        "properties": {"center": _NUMBER_OR_LIST, "r": _UNIT, "t": _POSITIVE},
-        "required": ["center", "r", "t"],
-        "additionalProperties": False,
-    },
+    "ball": _closed({"center": _NUMBER_OR_LIST, "r": _UNIT, "t": _POSITIVE}, "center", "r", "t"),
     "point": _NUMBER_OR_LIST,
     "set": SET_SCHEMA,
     "map": MAP_SCHEMA,
@@ -278,78 +266,52 @@ def _checks(scenario: str, types: dict = _CHECK_TYPES) -> dict:
     return {"type": "array", "items": _keyed("kind", CHECK_FIELDS[scenario], types)}
 
 
-def _scenario_schema(kind: str, extra_properties: dict, required: list[str]) -> dict:
-    props = {"scenario": {"const": kind}, "seed": {"type": "integer"}}
-    props.update(extra_properties)
-    return {
-        "type": "object",
-        "properties": props,
-        "required": required,
-        "additionalProperties": False,
-    }
-
+# The fields of each scenario's config besides `scenario` and `seed`; each
+# is required unless `_OPTIONAL` names it.
+_SCENARIO_FIELDS = {
+    "axioms": {
+        "space": SPACE_SCHEMA,
+        "plan": PLAN_SCHEMA,
+        "tier": {"enum": list(TIER_ORDER)},
+        "include_forcing_conditions": {"type": "boolean"},
+    },
+    "converge": {
+        "space": SPACE_SCHEMA,
+        "sequence": SEQUENCE_SCHEMA,
+        "limit": _NUMBER_OR_LIST,
+        "checks": _checks("converge"),
+    },
+    "continuity": {
+        "domain_space": SPACE_SCHEMA,
+        "codomain_space": SPACE_SCHEMA,
+        "map": MAP_SCHEMA,
+        "points": {"type": "array", "items": _NUMBER, "minItems": 1},
+        "checks": _checks("continuity", _SINGLE_DEMAND),
+    },
+    "uniform-continuity": {
+        "domain_space": SPACE_SCHEMA,
+        "codomain_space": SPACE_SCHEMA,
+        "map": MAP_SCHEMA,
+        "checks": _checks("uniform-continuity", _SINGLE_DEMAND),
+    },
+    "topology": {"space": SPACE_SCHEMA, "plan": PLAN_SCHEMA, "checks": _checks("topology")},
+    "funcseq": {
+        "domain_space": SPACE_SCHEMA,
+        "codomain_space": SPACE_SCHEMA,
+        "funcseq": FUNCSEQ_SCHEMA,
+        "sample": SAMPLE_SCHEMA,
+        "checks": _checks("funcseq"),
+    },
+    "catalog": {"name": {"type": "string"}},
+}
+_OPTIONAL = ("plan", "tier", "include_forcing_conditions", "sample")
 
 SCHEMAS: dict[str, dict] = {
-    "axioms": _scenario_schema(
-        "axioms",
-        {
-            "space": SPACE_SCHEMA,
-            "plan": PLAN_SCHEMA,
-            "tier": {"enum": list(TIER_ORDER)},
-            "include_forcing_conditions": {"type": "boolean"},
-        },
-        ["space"],
-    ),
-    "converge": _scenario_schema(
-        "converge",
-        {
-            "space": SPACE_SCHEMA,
-            "sequence": SEQUENCE_SCHEMA,
-            "limit": _NUMBER_OR_LIST,
-            "checks": _checks("converge"),
-        },
-        ["space", "sequence", "limit", "checks"],
-    ),
-    "continuity": _scenario_schema(
-        "continuity",
-        {
-            "domain_space": SPACE_SCHEMA,
-            "codomain_space": SPACE_SCHEMA,
-            "map": MAP_SCHEMA,
-            "points": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "checks": _checks("continuity", _SINGLE_DEMAND),
-        },
-        ["domain_space", "codomain_space", "map", "points", "checks"],
-    ),
-    "uniform-continuity": _scenario_schema(
-        "uniform-continuity",
-        {
-            "domain_space": SPACE_SCHEMA,
-            "codomain_space": SPACE_SCHEMA,
-            "map": MAP_SCHEMA,
-            "checks": _checks("uniform-continuity", _SINGLE_DEMAND),
-        },
-        ["domain_space", "codomain_space", "map", "checks"],
-    ),
-    "topology": _scenario_schema(
-        "topology",
-        {"space": SPACE_SCHEMA, "plan": PLAN_SCHEMA, "checks": _checks("topology")},
-        ["space", "checks"],
-    ),
-    "funcseq": _scenario_schema(
-        "funcseq",
-        {
-            "domain_space": SPACE_SCHEMA,
-            "codomain_space": SPACE_SCHEMA,
-            "funcseq": FUNCSEQ_SCHEMA,
-            "sample": SAMPLE_SCHEMA,
-            "checks": _checks("funcseq"),
-        },
-        ["domain_space", "codomain_space", "funcseq", "checks"],
-    ),
-    "catalog": _scenario_schema(
-        "catalog", {"name": {"type": "string"}}, ["name"]
-    ),
+    kind: _closed(
+        {"scenario": {"const": kind}, "seed": {"type": "integer"}} | fields,
+        *(f for f in fields if f not in _OPTIONAL),
+    )
+    for kind, fields in _SCENARIO_FIELDS.items()
 }
 
 
@@ -394,6 +356,20 @@ def validate_config(config: dict, kind: str | None = None) -> str:
             message = "integer overflows binary64" if binary64 else error.message
             raise ConfigError(f"config field {'/'.join(map(str, error.path)) or '<root>'}: {message}")
     return scenario
+
+
+def _integers(schema: dict, value):
+    """A validated `value` with each float in an `integer` field made an int:
+    the schema counts 2.0 as an integer, and the runners size and index
+    with it.  Every integer field sits under `properties` or `items`."""
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {f: _integers(props[f], v) if f in props else v for f, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integers(schema["items"], v) for v in value]
+    return value
 
 
 # untyped: no "type" in the keyword's schema matches the value; context: an anyOf's errors
@@ -547,15 +523,13 @@ def build_sequence(cfg: dict) -> PointSequence:
 
 def build_interval(cfg: dict) -> Interval:
     with _config_errors("interval"):
-        return Interval(
-            cfg["lo"], cfg["hi"], cfg.get("open_lo", False), cfg.get("open_hi", False)
-        )
+        return Interval(**cfg)
 
 
 def build_map(cfg: dict, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
     with _config_errors("map"):
-        r = MapRule(cfg["rule"], tuple(float(p) for p in cfg.get("params", ())))
-        return make_map(domain_space, codomain_space, r, build_interval(cfg["domain"]))
+        f = rule(cfg["rule"], *cfg.get("params", ()))
+        return make_map(domain_space, codomain_space, f, build_interval(cfg["domain"]))
 
 
 def build_funcseq(cfg: dict) -> list[FunctionSequence]:

@@ -15,8 +15,10 @@ import numpy as np
 
 from .config_schema import (
     CHECK_FIELDS,
+    SCHEMAS,
     SET_FIELDS,
     _config_errors,
+    _integers,
     as_list,
     build_funcseq,
     build_map,
@@ -109,7 +111,11 @@ def run_scenario(config: dict, kind: str | None = None, seed: int | None = None)
     downstream flows from it.
     """
     scenario = validate_config(config, kind)
-    resolved_seed = seed if seed is not None else int(config.get("seed", 0))
+    config = _integers(SCHEMAS[scenario], config)
+    resolved_seed = seed if seed is not None else config.get("seed", 0)
+    if resolved_seed < 0:
+        # numpy's SeedSequence takes non-negative integers only
+        raise ConfigError(f"seed must be a non-negative integer, got {resolved_seed}")
     runner = _RUNNERS[scenario]
     try:
         # overflow, NaN and division by zero raise, save where a layer keeps

@@ -68,6 +68,30 @@ CONVERGE_CFG = {
 }
 
 
+def _example_with(example, path, value) -> dict:
+    """The docs/examples config `example` with the field at `path` set to `value`."""
+    cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    return cfg
+
+
+# Integer fields that the runners size, slice or index with, and a value each.
+_INTEGER_FIELDS = [
+    ("axioms-standard", ("plan", "grid_points_per_axis"), 21),
+    ("axioms-standard", ("plan", "random_count"), 200),
+    ("axioms-standard", ("space", "dimension"), 2),
+    ("converge-reciprocal", ("checks", 1, "p_max"), 100),
+    ("converge-reciprocal", ("sequence", "budget"), 2000),
+    ("funcseq-power-sweep", ("sample", "points"), 5),
+    ("funcseq-power-sweep", ("funcseq", "budget"), 1000),
+    ("funcseq-power-sweep", ("checks", 2, "m"), 2),
+    ("uniform-reciprocal", ("checks", 1, "budgets", 0), 1000),
+]
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -93,11 +117,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown scenario"):
             validate_config({"scenario": "frobnicate"})
 
-    def test_json_schema_number_semantics(self):
+    def test_json_schema_number_semantics(self, tmp_path, capsys):
         # a bool is not a number, and 2.0 is an integer
         with pytest.raises(ConfigError, match="space/k: True is not of type 'number'"):
             validate_config(AXIOMS_CFG | {"space": {"family": "standard", "k": True}})
         validate_config(AXIOMS_CFG | {"space": {"family": "standard", "dimension": 2.0}})
+        # which runs as 2: the same exit code, stderr and report bytes
+        for example, path, value in _INTEGER_FIELDS:
+            runs = []
+            for v in (value, float(value)):
+                cfg = _example_with(example, path, v)
+                out = tmp_path / str(v)
+                command = _COMMAND_OF_KIND.get(cfg["scenario"], cfg["scenario"])
+                rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+                report = out / "report.jsonl"
+                runs.append((rc, capsys.readouterr().err, report.read_bytes() if report.exists() else None))
+            assert runs[0] == runs[1], (example, path)
 
 
 class TestRunScenario:
@@ -243,9 +278,14 @@ def _from_schema(schema, name=None):
         hi = schema.get("maxItems", lo + 3)
         return st.lists(_from_schema(schema["items"], name), min_size=lo, max_size=hi)
     if kind == "integer":
-        # half the draws take the smallest value, which most often runs
+        # half the draws take the smallest value, which most often runs; a
+        # field with no minimum (only the seed) takes 0 there and may go as
+        # far below 0 as above.  Half of all draws are whole-number floats,
+        # which the schema counts as integers.
         lo = schema.get("minimum", 0)
-        return st.one_of(st.just(lo), st.integers(lo, max(lo, _SMALL.get(name, lo + 5))))
+        hi = max(lo, _SMALL.get(name, lo + 5))
+        ints = st.one_of(st.just(lo), st.integers(schema.get("minimum", -hi), hi))
+        return st.one_of(ints, ints.map(float))
     if kind == "number":
         lo = schema.get("minimum", schema.get("exclusiveMinimum", -10.0))
         hi = schema.get("maximum", schema.get("exclusiveMaximum", 10.0))
@@ -326,7 +366,7 @@ def _fit(scenario, cfg):
             space["tier"] = "core"  # only min/max are idempotent (axiom xii)
         # a k so small that k||x|| vanishes beside t makes mu(x, t) = 1 off the origin
         space["k"] = max(space.get("k", 1.0), 0.01)
-    dim = next((s.get("dimension", 1) for s in spaces if s["family"] == "standard"), 1)
+    dim = next((int(s.get("dimension", 1)) for s in spaces if s["family"] == "standard"), 1)
     ladder = cfg.get("plan", {}).get("t_infinity_ladder")
     if ladder:
         ladder[:] = sorted(set(ladder)) + [2.0 * max(ladder)] * (len(set(ladder)) < 2)
@@ -830,11 +870,7 @@ class TestCliProcess:
         import ifncheck.scenarios as scenarios
 
         monkeypatch.setattr(scenarios, "_RUNNERS", {})
-        cfg = json.loads((EXAMPLES / f"{example}.json").read_text())
-        node = cfg
-        for key in path[:-1]:
-            node = node[key] if isinstance(node, list) else node.setdefault(key, {})
-        node[path[-1]] = value
+        cfg = _example_with(example, path, value)
         command = _COMMAND_OF_KIND.get(cfg["scenario"], cfg["scenario"])
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         field = "/".join(map(str, path))
@@ -919,6 +955,33 @@ class TestCliProcess:
         )
         assert rc == 0
         assert "seed 7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, env, seed",
+        [
+            (["catalog", "theorem-3.7", "--seed", "-1"], None, -1),
+            (["catalog", "theorem-3.7"], "-1", -1),
+            (["topology", "--config", {"scenario": "topology", "seed": -5, "space": {"family": "standard"},
+              "checks": [{"kind": "set-open", "set": {"kind": "norm-ball"}}]}], None, -5),
+        ],
+        ids=["flag", "environment", "config"],
+    )
+    def test_negative_seeds_are_config_errors(self, tmp_path, monkeypatch, capsys, argv, env, seed):
+        # the schema types a seed as any integer; numpy seeds only with one >= 0
+        if env is None:
+            monkeypatch.delenv("IFNCHECK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("IFNCHECK_SEED", env)
+        argv = [write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: seed must be a non-negative integer, got {seed}\n"
+
+    def test_config_seed_of_another_type_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # the config's seed is read after validation, not cast before it
+        monkeypatch.delenv("IFNCHECK_SEED", raising=False)
+        cfg = dict(CONVERGE_CFG, seed="x")
+        assert main(["converge", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: config field seed: 'x' is not of type 'integer'\n"
 
     def test_list_catalog(self, capsys):
         assert main(["list-catalog"]) == 0
