@@ -526,6 +526,66 @@ def test_fused_memberships_match_the_old_expressions(family, d, k, r, times, p_m
                 assert same(first, old_first) and same(worst, old_worst)
 
 
+@pytest.mark.parametrize("family, d", _SMALL_NORM_DIMS)
+@given(
+    k=st.one_of(st.sampled_from([0.5, 3.0]), st.floats(1e-3, 1e3)),
+    n=st.one_of(st.integers(1, 4), st.just(32), st.integers(33, 60)),
+    times=st.sampled_from(["scalar", "per-point", "column"]),
+    overflow=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_blocked_standard_evaluation_matches_one_block(family, d, k, n, times, overflow, data):
+    # with 4-point blocks an evaluation of more than 8 blocks (n >= 33) runs
+    # block by block: each value is bit for bit the one-block evaluation of
+    # its slice, and an overflow names the same first point
+    block = 4
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.integers(-5, 6, (n, 1))
+    if overflow:
+        # k||x|| overflows at a coordinate of float max where k > 1 or the
+        # norm is euclidean; the rows lie past the first block where n allows
+        rows = data.draw(st.sets(st.integers(min(block, n - 1), n - 1), min_size=1, max_size=2))
+        for i in rows:
+            pts[i, data.draw(st.integers(0, d - 1))] = np.finfo(float).max
+    t = data.draw(st.floats(1e-3, 1e3))
+    if times == "per-point":
+        t = rng.uniform(1e-3, 1e3, n)
+    elif times == "column":
+        t = rng.uniform(1e-3, 1e3, (data.draw(st.integers(1, 3)), 1))
+    sp = make_standard_space(k, family, dimension=d, verify=False)
+    calls = {
+        "mu.eval": sp.mu.eval,
+        "nu.eval": sp.nu.eval,
+        "mu_many": sp.mu_many,
+        "memberships": lambda p, s: np.stack(sp.memberships(p, s)),
+    }
+
+    def outcome(call, p, s):
+        try:
+            return call(p, s)
+        except DomainError as exc:
+            return str(exc)
+
+    def same(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            return a == b
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for name, call in calls.items():
+        whole = outcome(call, pts, t)
+        parts = [
+            outcome(call, pts[i : i + block], t[..., i : i + block] if times == "per-point" else t)
+            for i in range(0, n, block)
+        ]
+        errors = [part for part in parts if isinstance(part, str)]
+        sliced = errors[0] if errors else np.concatenate(parts, axis=-1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ifn_core, "_BLOCK_POINTS", block, raising=False)
+            blocked = outcome(call, pts, t)
+        assert same(blocked, whole) and same(blocked, sliced), (name, blocked, whole)
+
+
 def _pair_space(mu=None, nu=None, ops=("minimum", "maximum")) -> IFNSpace:
     """The k = 1 standard pair on the line with mu and/or nu replaced by a
     custom membership."""
