@@ -344,7 +344,7 @@ def validate_config(config: dict, kind: str | None = None) -> str:
     scenario = kind or config.get("scenario")
     if scenario is None:
         raise ConfigError("config needs a 'scenario' field (or pass the kind explicitly)")
-    if scenario not in SCHEMAS:
+    if not isinstance(scenario, str) or scenario not in SCHEMAS:
         raise ConfigError(f"unknown scenario kind {scenario!r}; expected one of {sorted(SCHEMAS)}")
     if "scenario" in config and config["scenario"] != scenario:
         raise ConfigError(

@@ -117,6 +117,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown scenario"):
             validate_config({"scenario": "frobnicate"})
 
+    @pytest.mark.parametrize("scenario", [["axioms"], {"kind": "axioms"}], ids=["list", "object"])
+    def test_non_string_scenario_is_an_unknown_kind(self, scenario):
+        # the kind is looked up only once it is a string, so neither shape
+        # is hashed
+        with pytest.raises(ConfigError, match="unknown scenario kind"):
+            validate_config(AXIOMS_CFG | {"scenario": scenario})
+
     def test_json_schema_number_semantics(self, tmp_path, capsys):
         # a bool is not a number, and 2.0 is an integer
         with pytest.raises(ConfigError, match="space/k: True is not of type 'number'"):
