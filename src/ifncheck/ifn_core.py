@@ -61,6 +61,11 @@ INEQ_SLACK = 1e-12
 # genuine violations differ by orders of magnitude more.
 EQUALITY_TOL = 1e-12
 
+# Standard memberships at more than 8 blocks of this many points are
+# evaluated block by block (`MembershipFunction._standard`), so that a
+# block's temporaries stay in cache; fewer run as one block.
+_BLOCK_POINTS = 2**14
+
 # Scalars sampled for the scaling conditions iv/ix.
 SCALING_SCALARS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 
@@ -147,8 +152,7 @@ class MembershipFunction:
     def eval(self, pts: np.ndarray, t) -> np.ndarray:
         """Evaluate at an (N, d) block of points and scalar or (N,) times."""
         if self.tag in ("standard-mu", "standard-nu"):
-            ts, kn, den = self._closed_form(pts, t)
-            return np.divide(ts if self.tag == "standard-mu" else kn, den, out=den)
+            return self._standard(pts, t, (self.tag,))[0]
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -156,6 +160,35 @@ class MembershipFunction:
         if self.tag == "tabulated":
             return self._interp(*np.broadcast_arrays(pts[:, 0], ts))
         return np.asarray(self.fn(pts, ts), dtype=float)
+
+    def _standard(self, pts: np.ndarray, t, tags: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+        """The standard family's values named by `tags` (standard-mu and/or
+        standard-nu, in that order) with this k and norm, from one k||x|| and
+        t + k||x||.
+
+        More than 8 * _BLOCK_POINTS points run in blocks of _BLOCK_POINTS, each
+        dividing into its slice of the outputs while its temporaries are in
+        cache; per-point times are sliced with the points.  Every operation is
+        per point, so the values, and the first point named on an overflow,
+        are those of one block.
+        """
+        pts = np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts
+        n = len(pts)
+        if n <= 8 * _BLOCK_POINTS:
+            ts, kn, den = self._closed_form(pts, t)
+            if len(tags) == 2:  # nu first, as mu overwrites den
+                nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
+                return np.divide(ts, den, out=den), nus
+            return (np.divide(ts if tags == ("standard-mu",) else kn, den, out=den),)
+        ts = np.asarray(t, dtype=float)
+        per_point = ts.shape[-1:] == (n,)
+        outs = tuple(np.empty(np.broadcast_shapes(ts.shape, (n,))) for _ in tags)
+        for lo in range(0, n, _BLOCK_POINTS):
+            at = slice(lo, lo + _BLOCK_POINTS)
+            ts_at, kn, den = self._closed_form(pts[at], ts[..., at] if per_point else ts)
+            for tag, out in zip(tags, outs):
+                np.divide(ts_at if tag == "standard-mu" else kn, den, out=out[..., at])
+        return outs
 
     def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t, k||x|| and t + k||x||: the standard family's terms to divide.
@@ -311,9 +344,7 @@ class IFNSpace:
         else one per time, as a custom callable need not broadcast."""
         mu, nu = self.mu, self.nu
         if self.standard_pair:
-            ts, kn, den = mu._closed_form(pts, t)
-            nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
-            return np.divide(ts, den, out=den), nus
+            return mu._standard(pts, t, ("standard-mu", "standard-nu"))
         if np.ndim(t) == 2 and not (mu.broadcasts and nu.broadcasts):
             return tuple(np.stack([f.eval(pts, s) for s in np.ravel(t)]) for f in (mu, nu))
         return mu.eval(pts, t), nu.eval(pts, t)
