@@ -191,12 +191,12 @@ class MembershipFunction:
         return outs
 
     def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """t, k||x|| and t + k||x||: the standard family's terms to divide.
+        """t, k||x|| and t + k||x||: the standard family's terms to divide, at
+        an (N, d) block.
 
         Where k||x|| or t + k||x|| overflows binary64, mu and nu would read 0
         and inf / inf = NaN, so an overflow raises DomainError naming the point.
         """
-        pts = np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts
         ts = np.asarray(t, dtype=float)
         try:
             with np.errstate(over="raise"):

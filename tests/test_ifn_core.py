@@ -581,7 +581,7 @@ def test_blocked_standard_evaluation_matches_one_block(family, d, k, n, times, o
         errors = [part for part in parts if isinstance(part, str)]
         sliced = errors[0] if errors else np.concatenate(parts, axis=-1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ifn_core, "_BLOCK_POINTS", block, raising=False)
+            mp.setattr(ifn_core, "_BLOCK_POINTS", block)
             blocked = outcome(call, pts, t)
         assert same(blocked, whole) and same(blocked, sliced), (name, blocked, whole)
 
