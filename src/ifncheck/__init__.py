@@ -20,11 +20,11 @@ _EXPORTS = {
     ),
     "ifn_core": (
         "ClassicalNorm", "IFNSpace", "MembershipFunction", "check_ifn_axioms",
-        "limit_at_infinity", "make_example_family", "make_standard_space",
+        "make_example_family", "make_standard_space",
     ),
     "norm_algebra": (
-        "TriangularConorm", "TriangularNorm", "check_norm_axioms", "find_interpolants",
-        "find_squaring_bounds", "tconorm", "tconorm_eval", "tnorm", "tnorm_eval",
+        "TriangularConorm", "TriangularNorm", "check_norm_axioms", "tconorm", "tconorm_eval",
+        "tnorm", "tnorm_eval",
     ),
     "sampling": ("Interval", "SamplingPlan", "default_plan"),
 }

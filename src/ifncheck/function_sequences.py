@@ -379,8 +379,8 @@ def uniform_cauchy_check(
     `IFNSpace.near_radius` names.  The float demand of the standard pair is
     not monotone in |z| near the radius, so there a named worst deviation
     that passes is rechecked against every later term, and the index is
-    exact per (n, m).  Declared-radial custom and tabulated pairs are
-    trusted to be monotone as declared.  Otherwise the p-bounded form is
+    exact per (n, m).  Declared-radial custom pairs are trusted to be
+    monotone as declared.  Otherwise the p-bounded form is
     scanned directly and a geometric (n, m) spot-check grid guards against
     a too-optimistic index.  The verdict follows the same refinement-ladder
     rule as the direct search.
@@ -556,7 +556,7 @@ def classical_uniform_probe(
     comparison exercises the membership evaluation path, not the rule.
     """
     _, codomain = spaces
-    if not codomain.is_standard:
+    if not codomain.standard_pair:
         raise UnsupportedFamily("classical probe requires a standard-family codomain")
     limits = _limits(seq, sample)
     vals = _values(seq, sample, [(r, t)], seq.budget)

@@ -46,7 +46,7 @@ from .norm_algebra import (
     ViolationReport,
     _Violations,
 )
-from .sampling import SamplingPlan, as_point, construction_plan, default_plan
+from .sampling import SamplingPlan, construction_plan, default_plan
 
 # Ladder convergence tolerance for the limit conditions (vi)/(xi).
 LIMIT_TOL = 1e-6
@@ -130,21 +130,17 @@ class ClassicalNorm:
 class MembershipFunction:
     """An evaluable degree function on V x R+ with values in [0, 1].
 
-    Closed-form families are exact; user-supplied functions enter either as
-    vectorised callables or as tabulated grids with bilinear interpolation
-    (one-dimensional spaces only).  `radial` declares that the value depends
+    Closed-form families are exact; user-supplied functions enter as
+    vectorised callables.  `radial` declares that the value depends
     on x only through ||x||, monotonically along rays; several searches use
     this to invert level sets.  `broadcasts` declares that `eval` at an
     (N, d) block and a (T, 1) column of times returns the (T, N) block, each
     element as `eval` at its own time gives it.
     """
 
-    tag: str  # standard-mu | standard-nu | tabulated | custom
+    tag: str  # standard-mu | standard-nu | custom
     k: float | None = None
     norm: ClassicalNorm | None = None
-    x_nodes: np.ndarray | None = None
-    t_nodes: np.ndarray | None = None
-    values: np.ndarray | None = None
     fn: Callable | None = None
     radial: bool = False
     broadcasts: bool = False
@@ -156,10 +152,7 @@ class MembershipFunction:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        ts = np.asarray(t, dtype=float)
-        if self.tag == "tabulated":
-            return self._interp(*np.broadcast_arrays(pts[:, 0], ts))
-        return np.asarray(self.fn(pts, ts), dtype=float)
+        return np.asarray(self.fn(pts, np.asarray(t, dtype=float)), dtype=float)
 
     def _standard(self, pts: np.ndarray, t, tags: tuple[str, ...]) -> tuple[np.ndarray, ...]:
         """The standard family's values named by `tags` (standard-mu and/or
@@ -211,25 +204,9 @@ class MembershipFunction:
                 f"standard memberships overflow binary64 at x={x}: t + k||x|| (k={self.k}) is not finite"
             ) from None
 
-    def _interp(self, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        xn, tn, vv = self.x_nodes, self.t_nodes, self.values
-        xi = np.clip(np.searchsorted(xn, xs) - 1, 0, len(xn) - 2)
-        ti = np.clip(np.searchsorted(tn, ts) - 1, 0, len(tn) - 2)
-        fx = np.clip((xs - xn[xi]) / (xn[xi + 1] - xn[xi]), 0.0, 1.0)
-        ft = np.clip((ts - tn[ti]) / (tn[ti + 1] - tn[ti]), 0.0, 1.0)
-        return (
-            vv[xi, ti] * (1 - fx) * (1 - ft)
-            + vv[xi + 1, ti] * fx * (1 - ft)
-            + vv[xi, ti + 1] * (1 - fx) * ft
-            + vv[xi + 1, ti + 1] * fx * ft
-        )
-
     def signature(self) -> tuple:
         if self.tag in ("standard-mu", "standard-nu"):
             return (self.tag, float(self.k), self.norm.family)
-        if self.tag == "tabulated":
-            # the exact table: node and value bytes (the lengths give the shape)
-            return (self.tag, *(a.tobytes() for a in (self.x_nodes, self.t_nodes, self.values)))
         return (self.tag, id(self.fn))
 
 
@@ -242,20 +219,6 @@ def standard_mu(k: float, norm: ClassicalNorm) -> MembershipFunction:
 def standard_nu(k: float, norm: ClassicalNorm) -> MembershipFunction:
     return MembershipFunction(
         tag="standard-nu", k=float(k), norm=norm, radial=True, broadcasts=True
-    )
-
-
-def tabulated_membership(x_nodes, t_nodes, values, radial: bool = False) -> MembershipFunction:
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(x_nodes), len(t_nodes)):
-        raise InvalidParameter("table shape must be (len(x_nodes), len(t_nodes))")
-    if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
-        raise InvalidParameter("table values must lie in [0, 1]")
-    return MembershipFunction(
-        tag="tabulated", x_nodes=x_nodes, t_nodes=t_nodes, values=values, radial=radial,
-        broadcasts=True,
     )
 
 
@@ -297,8 +260,6 @@ class IFNSpace:
             mu.norm.family == nu.norm.family
         )
 
-    is_standard = standard_pair
-
     # The family and the standard pair's k and norm, read from the pair
     @property
     def family(self) -> str:
@@ -316,23 +277,8 @@ class IFNSpace:
     def theta(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def _eval_at(self, f: MembershipFunction, x, t) -> float:
-        t = float(t)
-        if not np.isfinite(t) or t <= 0.0:
-            raise DomainError(f"t must be a positive real, got {t!r}")
-        return float(f.eval(as_point(x, self.dimension).reshape(1, -1), t)[0])
-
-    def mu_eval(self, x, t) -> float:
-        return self._eval_at(self.mu, x, t)
-
-    def nu_eval(self, x, t) -> float:
-        return self._eval_at(self.nu, x, t)
-
     def mu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.mu.eval(pts, t)
-
-    def nu_many(self, pts: np.ndarray, t) -> np.ndarray:
-        return self.nu.eval(pts, t)
 
     def memberships(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times, the
@@ -654,36 +600,6 @@ def check_ifn_axioms(
     )
 
 
-@dataclass(frozen=True)
-class LimitRecord:
-    mu_limit: float
-    nu_limit: float
-    converged: bool
-    ladder: tuple[float, ...]
-    mu_values: tuple[float, ...]
-    nu_values: tuple[float, ...]
-
-
-def limit_at_infinity(space: IFNSpace, x, plan: SamplingPlan | None = None) -> LimitRecord:
-    """Approximate lim_{t->oo} (mu, nu) along the plan's ladder.
-
-    `converged` requires the last two ladder values of mu to agree within
-    LIMIT_TOL with final mu > 1 - LIMIT_TOL, and dually for nu.
-    """
-    plan = plan or default_plan(space.dimension)
-    pt = as_point(x, space.dimension).reshape(1, -1)
-    ladder = plan.t_infinity_ladder
-    column = np.reshape(ladder, (-1, 1))
-    mus, nus = (tuple(v[:, 0].tolist()) for v in space.memberships(pt, column))
-    converged = (
-        abs(mus[-1] - mus[-2]) < LIMIT_TOL
-        and mus[-1] > 1.0 - LIMIT_TOL
-        and abs(nus[-1] - nus[-2]) < LIMIT_TOL
-        and nus[-1] < LIMIT_TOL
-    )
-    return LimitRecord(mus[-1], nus[-1], converged, tuple(ladder), mus, nus)
-
-
 def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     """Radius rho such that mu(z, t) > 1 - r and nu(z, t) < r exactly for
     ||z|| < rho.
@@ -691,7 +607,7 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     Closed form for the standard family, elementwise for arrays r and t;
     bisection along the first coordinate axis for other radial memberships.
     """
-    if space.is_standard:
+    if space.standard_pair:
         return r * t / (space.k * (1.0 - r))
     if not (space.mu.radial and space.nu.radial):
         raise UnsupportedFamily("membership_radius needs a radial membership pair")

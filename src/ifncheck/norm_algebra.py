@@ -13,15 +13,12 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import InvalidParameter, NotFound
+from .errors import InvalidParameter
 from .sampling import SamplingPlan
 
 # Commutativity/associativity are compared within this tolerance (floating
 # point re-association noise); identity and idempotency are compared exactly.
 ASSOC_TOL = 1e-12
-
-# Bisection searches stop once the bracket is narrower than this.
-SEARCH_RESOLUTION = 1e-6
 
 def _lukasiewicz_tnorm(a, b):
     # identity must hold exactly; a + 1 - 1 != a in floating point
@@ -301,66 +298,3 @@ def check_norm_axioms(op: _BinaryOp, plan: SamplingPlan) -> ViolationReport:
         for name, roman, bad, describe in laws
     )
     return ViolationReport(subject=f"{op._KIND}:{op.family}", plan=plan.summary(), results=results)
-
-
-# ---------------------------------------------------------------------------
-# Interpolant constructions
-# ---------------------------------------------------------------------------
-
-
-def _bisect(pred: Callable[[float], bool], good: float, bad: float) -> float:
-    """Deterministic bisection between a value where the monotone `pred`
-    holds and one where it fails; returns an admissible value within
-    SEARCH_RESOLUTION of the threshold."""
-    if not pred(good):
-        raise NotFound(f"no admissible value: the search fails at its start {good!r}")
-    while abs(bad - good) > SEARCH_RESOLUTION:
-        mid = 0.5 * (good + bad)
-        if pred(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
-# the ends of the searches: just below 1 downward, just above 0 upward
-_FROM_ONE = (1.0 - 1e-12, 0.0)
-_FROM_ZERO = (1e-12, 1.0)
-
-
-def find_interpolants(
-    op_pair: tuple[TriangularNorm, TriangularConorm], r1: float, r2: float
-) -> tuple[float, float]:
-    """Given 0 < r2 < r1 < 1, find r3 with r1 * r3 > r2 and r4 with
-    r4 (+) r2 < r1.
-
-    Existence holds for any continuous operation pair; the search is
-    deterministic bisection (from 1 downward for r3, from 0 upward for r4)
-    and the returned values are re-checked against both inequalities.
-    """
-    tn, tc = op_pair
-    r1 = check_unit(r1, "r1")
-    r2 = check_unit(r2, "r2")
-    if not (0.0 < r2 < r1 < 1.0):
-        raise InvalidParameter(f"need 0 < r2 < r1 < 1, got r1={r1}, r2={r2}")
-    r3 = _bisect(lambda x: float(tn(r1, x)) > r2, *_FROM_ONE)
-    r4 = _bisect(lambda x: float(tc(x, r2)) < r1, *_FROM_ZERO)
-    if not (float(tn(r1, r3)) > r2 and float(tc(r4, r2)) < r1):
-        raise NotFound("search returned a non-admissible interpolant")
-    return r3, r4
-
-
-def find_squaring_bounds(
-    op_pair: tuple[TriangularNorm, TriangularConorm], r5: float
-) -> tuple[float, float]:
-    """Given r5 in (0,1), find r6 with r6 * r6 >= r5 and r7 with
-    r7 (+) r7 <= r5, by the same bisection scheme."""
-    tn, tc = op_pair
-    r5 = check_unit(r5, "r5")
-    if not (0.0 < r5 < 1.0):
-        raise InvalidParameter(f"need 0 < r5 < 1, got {r5}")
-    r6 = _bisect(lambda x: float(tn(x, x)) >= r5, *_FROM_ONE)
-    r7 = _bisect(lambda x: float(tc(x, x)) <= r5, *_FROM_ZERO)
-    if not (float(tn(r6, r6)) >= r5 and float(tc(r7, r7)) <= r5):
-        raise NotFound("search returned a non-admissible squaring bound")
-    return r6, r7

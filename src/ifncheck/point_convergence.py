@@ -84,20 +84,6 @@ def reciprocal_sequence(budget: int = DEFAULT_BUDGET) -> PointSequence:
     return PointSequence("reciprocal", budget=budget)
 
 
-def constant_sequence(c: float, budget: int = DEFAULT_BUDGET) -> PointSequence:
-    return PointSequence("constant", (float(c),), budget=budget)
-
-
-def linear_sequence(budget: int = DEFAULT_BUDGET) -> PointSequence:
-    """x_n = n (divergent)."""
-    return PointSequence("linear", budget=budget)
-
-
-def alternating_sequence(budget: int = DEFAULT_BUDGET) -> PointSequence:
-    """x_n = (-1)^n."""
-    return PointSequence("alternating", budget=budget)
-
-
 def shifted_reciprocal_sequence(
     center: float, offset: float = 10.0, budget: int = DEFAULT_BUDGET
 ) -> PointSequence:
@@ -397,7 +383,7 @@ def classical_equivalence_probe(
     or nu, so agreement is a genuine cross-check of the membership path.
     For standard-family spaces the two verdicts must agree.
     """
-    if not space.is_standard:
+    if not space.standard_pair:
         raise UnsupportedFamily("classical probe requires a standard-family space")
     lim = as_point(limit, space.dimension)
     certs = tuple(

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from .ifn_core import IFNSpace, membership_radius
 from .continuity import MapBetweenSpaces, continuity_witness_searches
-from .norm_algebra import _FROM_ONE, _bisect
 from .sampling import SamplingPlan, _staged_ladder, as_point, default_plan, sorted_unique
 
 # (r, t) ladder searched when testing openness at a witness point.
@@ -27,6 +26,11 @@ _BALL_FRACTIONS = (0.999999, 0.9, 0.5, 0.1)
 
 # Members of a sampled preimage kept as openness witnesses.
 _PREIMAGE_WITNESSES = 12
+
+# The r3 bisection runs from just below 1 toward 0, and stops once its
+# bracket is narrower than SEARCH_RESOLUTION.
+SEARCH_RESOLUTION = 1e-6
+_FROM_ONE = (1.0 - 1e-12, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +71,16 @@ def ball_contains_many(space: IFNSpace, ball: OpenBall, ys: np.ndarray) -> np.nd
 
 def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
     """For the standard family the two membership inequalities collapse to a
-    single classical inequality ||center - y|| < r t / (k (1 - r))."""
-    if not space.is_standard:
+    single classical inequality ||center - y|| < r t / (k (1 - r)), which
+    must be a finite real: DomainError where it overflows binary64."""
+    if not space.standard_pair:
         raise UnsupportedFamily("classical radius exists only for the standard family")
-    return membership_radius(space, ball.r, ball.t)
+    rho = membership_radius(space, ball.r, ball.t)
+    if not np.isfinite(rho):
+        raise DomainError(
+            f"classical radius r t / (k (1 - r)) of the ball {ball.summary()} overflows binary64"
+        )
+    return rho
 
 
 def _ball_directions(d: int, n: int, seed: int) -> np.ndarray:
@@ -100,7 +110,7 @@ def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray,
     membership radii (the standard family's closed form on the arrays, else
     one `membership_radius` per distinct (r, t)) pushed toward each
     boundary along `dirs`."""
-    if space.is_standard:
+    if space.standard_pair:
         rho = membership_radius(space, np.asarray(rs, dtype=float), np.asarray(ts, dtype=float))
     else:
         memo = {rt: membership_radius(space, *rt) for rt in dict.fromkeys(zip(rs, ts))}
@@ -143,6 +153,21 @@ def verify_containment(
     """Fraction of sampled inner-ball points that lie in the outer ball."""
     pts = sample_in_ball(space, inner, n, seed)
     return float(np.mean(ball_contains_many(space, outer, pts))) if len(pts) else 0.0
+
+
+def _bisect(pred: Callable[[float], bool], good: float, bad: float) -> float:
+    """Deterministic bisection between a value where the monotone `pred`
+    holds and one where it fails; returns an admissible value within
+    SEARCH_RESOLUTION of the threshold."""
+    if not pred(good):
+        raise NotFound(f"no admissible value: the search fails at its start {good!r}")
+    while abs(bad - good) > SEARCH_RESOLUTION:
+        mid = 0.5 * (good + bad)
+        if pred(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 # t0 candidates t (1 - 2^-j), j = 1..47, tried in order by the witness

@@ -44,10 +44,9 @@ from ifncheck.ifn_core import (
     make_example_family,
     make_standard_space,
     membership_radius,
-    tabulated_membership,
 )
 from ifncheck.point_convergence import (
-    linear_sequence,
+    PointSequence,
     reciprocal_sequence,
     shifted_reciprocal_sequence,
 )
@@ -367,8 +366,6 @@ class TestSequentialAndEquivalence:
     def test_step_fails_sequentially(self, std):
         f = make_map(std, std, rule("step", 0.0), Interval(-1.0, 1.0))
         # x_n = -1/(n+1) -> 0 from below; image is constantly 0 != f(0) = 1
-        from ifncheck.point_convergence import PointSequence
-
         seq = PointSequence("custom", budget=10000, fn=lambda ns: (-1.0 / (ns + 1.0)).reshape(-1, 1))
         rec = sequential_continuity_check(f, 0.0, [seq], r=0.3, t=0.5)
         assert not rec.continuous
@@ -376,7 +373,7 @@ class TestSequentialAndEquivalence:
     def test_uncertified_input_raises(self, std):
         f = make_map(std, std, rule("identity"), Interval(-10.0, 10.0))
         with pytest.raises(CertificationError):
-            sequential_continuity_check(f, 0.0, [linear_sequence(budget=1000)], 0.3, 0.5)
+            sequential_continuity_check(f, 0.0, [PointSequence("linear", budget=1000)], 0.3, 0.5)
 
     def test_equivalence_probe_agreement(self, std, reciprocal_315):
         p = equivalence_probe(
@@ -386,8 +383,6 @@ class TestSequentialAndEquivalence:
         assert p.agree and not p.disagreement_is_bug
 
         f = make_map(std, std, rule("step", 0.0), Interval(-1.0, 1.0))
-        from ifncheck.point_convergence import PointSequence
-
         seq = PointSequence("custom", budget=10000, fn=lambda ns: (-1.0 / (ns + 1.0)).reshape(-1, 1))
         p = equivalence_probe(f, 0.0, 0.5, 0.4, [seq], 0.3, 0.5)
         assert p.agree and not p.disagreement_is_bug  # both say discontinuous
@@ -421,15 +416,16 @@ class TestCombine:
         with pytest.raises(ZeroDivisor):
             combine("reciprocal", g2)
 
-    def test_maps_on_different_tabulated_spaces_do_not_combine(self, std):
-        # two mu tables with their middle rows swapped: the same node counts
-        # and the same sum, but mu(1, 1) is 0.5 against 0.25
-        rows = [[1.0, 1.0, 1.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.5]]
+    def test_maps_on_different_custom_spaces_do_not_combine(self, std):
+        # two custom pairs of one form, t/(t + c|x|), whose c differ: mu(1, 1)
+        # is 0.5 against 0.25, and the signatures name their callables
         spaces = []
-        for mu in (np.array(rows), np.array(rows)[[0, 2, 1]]):
-            pair = (tabulated_membership([0.0, 1.0, 2.0], [0.5, 1.0, 2.0], v) for v in (mu, 1.0 - mu))
-            spaces.append(IFNSpace(1, *pair, std.tnorm, std.tconorm))
-        assert spaces[0].mu_eval(1.0, 1.0) != spaces[1].mu_eval(1.0, 1.0)
+        for c in (1.0, 3.0):
+            mu = custom_membership(lambda p, t, c=c: t / (t + c * np.abs(p[:, 0])))
+            nu = custom_membership(lambda p, t, c=c: c * np.abs(p[:, 0]) / (t + c * np.abs(p[:, 0])))
+            spaces.append(IFNSpace(1, mu, nu, std.tnorm, std.tconorm))
+        at = [float(sp.memberships(np.ones((1, 1)), 1.0)[0][0]) for sp in spaces]
+        assert at == [0.5, 0.25]
         assert spaces[0].signature() != spaces[1].signature()
         f, g = (make_map(sp, std, rule("identity"), Interval(0.0, 1.0)) for sp in spaces)
         with pytest.raises(InvalidParameter, match="share domain and codomain"):
@@ -506,4 +502,4 @@ class TestCauchyPreservation:
     def test_non_cauchy_input_raises(self, std):
         f = make_map(std, std, rule("identity"), Interval(0.0, 1e6))
         with pytest.raises(CertificationError):
-            cauchy_preservation_check(f, linear_sequence(budget=4000), 0.5, 1.0)
+            cauchy_preservation_check(f, PointSequence("linear", budget=4000), 0.5, 1.0)

@@ -31,7 +31,6 @@ from ifncheck.ifn_core import (
     make_standard_space,
     membership_radius,
     safe_radius,
-    tabulated_membership,
 )
 from ifncheck.point_convergence import cauchy_index, convergence_index
 from ifncheck.sampling import Interval
@@ -519,12 +518,12 @@ def _ulps_from(x, j):
     return float((np.array(x).view(np.int64) + j).view(np.float64))
 
 
-def _tabulated_pair(space):
-    """The standard pair of `space` tabulated on signed x and t nodes, so
-    interpolated between them: not a standard pair."""
-    xs, ts = np.linspace(-8.0, 8.0, 17), np.geomspace(1e-3, 1e3, 7)
-    mus, nus = space.memberships(np.repeat(xs, len(ts)).reshape(-1, 1), np.tile(ts, len(xs)))
-    return tuple(tabulated_membership(xs, ts, v.reshape(len(xs), len(ts))) for v in (mus, nus))
+def _broadcasting_pair(space):
+    """The standard pair's closed forms t/(t + k|z|) and k|z|/(t + k|z|) as
+    callables that declare `broadcasts`: not a standard pair."""
+    mu = lambda p, s: s / (s + space.k * np.abs(p[:, 0]))
+    nu = lambda p, s: space.k * np.abs(p[:, 0]) / (s + space.k * np.abs(p[:, 0]))
+    return custom_membership(mu, broadcasts=True), custom_membership(nu, broadcasts=True)
 
 
 def _custom_pair(space):
@@ -537,11 +536,11 @@ def _custom_pair(space):
 def _deviation_blocks(draw):
     """A codomain on the real line, (r, t) demands, and an (N, M) block of
     f_n(x) with its M limits.  The codomain is a standard space, or its
-    pair tabulated or replaced by a custom one.  The deviations are the
-    floats up to 4 ulps either side of each demand's safe radius and of its
-    float radius r t / (k (1 - r)) on the standard space, either sign, plus
-    NaN, +-inf, +-0.0 and random ones; most limits are 0.0, so most
-    deviations are exactly these floats."""
+    pair replaced by a custom one, with or without `broadcasts`.  The
+    deviations are the floats up to 4 ulps either side of each demand's
+    safe radius and of its float radius r t / (k (1 - r)) on the standard
+    space, either sign, plus NaN, +-inf, +-0.0 and random ones; most limits
+    are 0.0, so most deviations are exactly these floats."""
     k = draw(st.sampled_from([0.5, 1.0, 3.0]))
     space = make_standard_space(k, draw(st.sampled_from(NORM_FAMILIES)), verify=False)
     rts = draw(
@@ -561,7 +560,7 @@ def _deviation_blocks(draw):
     limits = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.25]), min_size=m, max_size=m)))
     with np.errstate(invalid="ignore"):
         vals = np.array(devs).reshape(-1, m) + limits
-    pair = draw(st.sampled_from([None, _tabulated_pair, _custom_pair]))
+    pair = draw(st.sampled_from([None, _broadcasting_pair, _custom_pair]))
     if pair is not None:
         space = IFNSpace(1, *pair(space), space.tnorm, space.tconorm)
     return space, rts, vals, limits

@@ -10,39 +10,40 @@ from ifncheck import ifn_core
 from ifncheck.catalog import broken_spaces
 from ifncheck.errors import AxiomFailure, DomainError, InvalidParameter, UnknownTag
 from ifncheck.ifn_core import (
+    LIMIT_TOL,
     ClassicalNorm,
     IFNSpace,
     check_ifn_axioms,
     custom_membership,
-    limit_at_infinity,
     make_example_family,
     make_standard_space,
     membership_radius,
     standard_mu,
     standard_nu,
-    tabulated_membership,
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm
 from ifncheck.point_convergence import _p_window_scan, classical_equivalence_probe, reciprocal_sequence
 from ifncheck.sampling import DEFAULT_T_GRID, DEFAULT_T_LADDER, SamplingPlan, default_plan, product_grid
 
 
+def memberships_at(space: IFNSpace, x, t) -> tuple[float, float]:
+    """(mu, nu) of `space` at one point x and one time t."""
+    return tuple(float(v[0]) for v in space.memberships(np.reshape(x, (1, -1)), t))
+
+
 class TestStandardSpace:
     def test_simple_values(self):
         sp = make_standard_space(1.0)
-        assert sp.mu_eval(1.0, 1.0) == 0.5
-        assert sp.nu_eval(1.0, 1.0) == 0.5
+        assert memberships_at(sp, 1.0, 1.0) == (0.5, 0.5)
 
     def test_k2_substitution(self):
         sp = make_standard_space(2.0)
-        assert sp.mu_eval(3.0, 4.0) == pytest.approx(0.4)
-        assert sp.nu_eval(3.0, 4.0) == pytest.approx(0.6)
+        assert memberships_at(sp, 3.0, 4.0) == pytest.approx((0.4, 0.6))
 
     def test_origin_boundary(self):
         sp = make_standard_space(3.7)
         for t in (0.01, 1.0, 50.0):
-            assert sp.mu_eval(0.0, t) == 1.0
-            assert sp.nu_eval(0.0, t) == 0.0
+            assert memberships_at(sp, 0.0, t) == (1.0, 0.0)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidParameter):
@@ -50,31 +51,13 @@ class TestStandardSpace:
         with pytest.raises(InvalidParameter):
             make_standard_space(-1.0)
 
-    @pytest.mark.parametrize(
-        "values",
-        [np.full((2, 2), np.nan), np.array([[1.0, 1.0], [np.nan, 0.5]]), np.full((2, 2), -0.5)],
-        ids=["all-nan", "one-nan", "below-zero"],
-    )
-    def test_tabulated_membership_rejects_values_outside_unit(self, values):
-        with pytest.raises(InvalidParameter):
-            tabulated_membership([0.0, 1.0], [0.0, 1.0], values)
-
-    def test_domain_errors(self):
-        sp = make_standard_space(1.0)
-        with pytest.raises(DomainError):
-            sp.mu_eval(1.0, 0.0)
-        with pytest.raises(DomainError):
-            sp.mu_eval(1.0, -2.0)
-        with pytest.raises(DomainError):
-            sp.mu_eval([1.0, 2.0], 1.0)
-
     def test_mu_plus_nu_is_one_to_one_ulp(self):
         # the pair shares a denominator, so the sum is 1 up to the single
         # rounding of each division (bitwise equality is unattainable)
         sp = make_standard_space(0.5, dimension=3, norm="euclidean")
         pts = np.array([[1.0, -2.0, 0.5], [0.1, 0.0, 4.0], [3.3, 1.7, -0.2]])
         for t in (0.1, 1.0, 10.0):
-            total = sp.mu_many(pts, t) + sp.nu_many(pts, t)
+            total = sp.mu_many(pts, t) + sp.nu.eval(pts, t)
             assert np.all(np.abs(total - 1.0) <= 2.0 ** -52)
 
     def test_scaling_exact_for_dyadic_scalars(self):
@@ -145,14 +128,12 @@ def test_axiom_counts_are_invariant_under_dyadic_scaling_of_k_and_times(
     assert counts(c, scaled_plan) == counts(1.0, plan)
 
 
-def tabulated_pair_space(plan: SamplingPlan, dimension: int = 1) -> IFNSpace:
-    """mu = t/(2t + |x|) and nu = |x|/(2t + |x|), tabulated in the first
-    coordinate over the plan's times: a ladder limit of 1/2, not 1."""
-    t_nodes = plan.all_t()
-    x_nodes = np.linspace(-5.0, 5.0, 41)
-    xx, tt = np.meshgrid(x_nodes, t_nodes, indexing="ij")
-    mu = tabulated_membership(x_nodes, t_nodes, tt / (2 * tt + np.abs(xx)))
-    nu = tabulated_membership(x_nodes, t_nodes, np.abs(xx) / (2 * tt + np.abs(xx)))
+def half_limit_space(dimension: int = 1) -> IFNSpace:
+    """mu = t/(2t + |x_1|) and nu = |x_1|/(2t + |x_1|) on the first
+    coordinate, a custom pair that declares `broadcasts`: a ladder limit of
+    1/2, not 1."""
+    mu = custom_membership(lambda p, t: t / (2 * t + np.abs(p[:, 0])), broadcasts=True)
+    nu = custom_membership(lambda p, t: np.abs(p[:, 0]) / (2 * t + np.abs(p[:, 0])), broadcasts=True)
     ops = TriangularNorm("minimum"), TriangularConorm("maximum")
     return IFNSpace(dimension, mu, nu, *ops, axiom_tier="core")
 
@@ -175,7 +156,7 @@ def test_a_standard_pair_built_directly_is_the_standard_family():
     # classical probe of the family
     one = make_standard_space(1.0)
     direct = IFNSpace(1, one.mu, one.nu, one.tnorm, one.tconorm)
-    assert direct.is_standard and direct.summary() == one.summary()
+    assert direct.standard_pair and direct.summary() == one.summary()
     assert membership_radius(direct, 0.5, 1.0) == 1.0
     assert classical_equivalence_probe(direct, reciprocal_sequence(), 0.0).agree
     three = make_standard_space(2.0, dimension=3, norm="max-coordinate")
@@ -183,7 +164,7 @@ def test_a_standard_pair_built_directly_is_the_standard_family():
     assert (direct.family, direct.k, direct.norm) == ("standard", 2.0, three.norm)
     # a pair of two k is not the standard family
     mixed = IFNSpace(1, one.mu, standard_nu(2.0, one.norm), one.tnorm, one.tconorm)
-    assert (mixed.is_standard, mixed.family, mixed.k, mixed.norm) == (False, "custom", None, None)
+    assert (mixed.standard_pair, mixed.family, mixed.k, mixed.norm) == (False, "custom", None, None)
     assert mixed.summary() == {
         "family": "custom", "dimension": 1, "tnorm": "minimum", "tconorm": "maximum", "tier": "strict"
     }
@@ -256,7 +237,7 @@ class TestAxiomChecker:
         report = check_ifn_axioms(space, plan=default_plan(1, seed=0))
         assert "i" in report.violated()
         # the witness from direct evaluation: mu + nu' = 0.5 + 1.0 at x=1, t=1
-        assert space.mu_eval(1.0, 1.0) + space.nu_eval(1.0, 1.0) > 1.0
+        assert sum(memberships_at(space, 1.0, 1.0)) > 1.0
 
     def test_idempotency_flagged_for_product_ops(self):
         sp = make_standard_space(
@@ -300,8 +281,8 @@ class TestAxiomChecker:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_membership_blocks_match_per_t_loop(self, d, seed):
         # `memberships` over a (T, 1) column of times against a per-t loop
-        # of `eval`: the fused standard pair, and the custom and tabulated
-        # pairs that loop inside it; a 7-point axis (origin included) keeps
+        # of `eval`: the fused standard pair, and the custom pairs, with
+        # and without `broadcasts`; a 7-point axis (origin included) keeps
         # d = 4 affordable
         axis = np.linspace(-5.0, 5.0, 7)
         plan = SamplingPlan(product_grid(axis, d, seed), random_count=50, seed=seed)
@@ -314,8 +295,8 @@ class TestAxiomChecker:
                     assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
 
         # pairs that declare `broadcasts` and take one `eval` per column: the
-        # tabulated pair and, on the line, the six broken spaces
-        declared = [tabulated_pair_space(plan, d)]
+        # half-limit pair and, on the line, the six broken spaces
+        declared = [half_limit_space(d)]
         if d == 1:
             declared += [space for space, _ in broken_spaces().values()]
         for space in declared:
@@ -338,39 +319,44 @@ class TestAxiomChecker:
 
 
 class TestLimitAtInfinity:
+    """The t -> oo ladder limits that conditions (vi)/(xi) check, read from
+    one `memberships` call over the ladder column."""
+
+    @staticmethod
+    def ladder(space: IFNSpace, x, plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
+        column = np.reshape(plan.t_infinity_ladder, (-1, 1))
+        return tuple(v[:, 0] for v in space.memberships(np.array([[x]]), column))
+
     def test_standard_converges(self):
-        sp = make_standard_space(1.0)
-        rec = limit_at_infinity(sp, 1.0)
-        assert rec.converged
-        assert rec.mu_limit == pytest.approx(1.0, abs=1e-6)
-        assert rec.nu_limit == pytest.approx(0.0, abs=1e-6)
+        plan = default_plan(1, seed=0)
+        mus, nus = self.ladder(make_standard_space(1.0), 1.0, plan)
+        assert abs(mus[-1] - mus[-2]) < LIMIT_TOL and mus[-1] > 1.0 - LIMIT_TOL
+        assert abs(nus[-1] - nus[-2]) < LIMIT_TOL and nus[-1] < LIMIT_TOL
 
     def test_origin_immediate(self):
-        sp = make_standard_space(2.0)
-        rec = limit_at_infinity(sp, 0.0)
-        assert rec.converged and rec.mu_limit == 1.0 and rec.nu_limit == 0.0
+        mus, nus = self.ladder(make_standard_space(2.0), 0.0, default_plan(1, seed=0))
+        assert np.all(mus == 1.0) and np.all(nus == 0.0)
 
-    def test_pathological_grid_fails(self):
-        # tabulated mu(x,t) = t/(2t + |x|): ladder limit is 1/2, not 1
+    def test_pathological_limit_fails(self):
+        # mu(x,t) = t/(2t + |x|): ladder limit is 1/2, not 1
         plan = default_plan(1, seed=0)
-        bad = tabulated_pair_space(plan)
-        rec = limit_at_infinity(bad, 1.0, plan)
-        assert not rec.converged
-        assert rec.mu_limit == pytest.approx(0.5, abs=1e-3)
+        bad = half_limit_space()
+        mus, _ = self.ladder(bad, 1.0, plan)
+        assert mus[-1] == pytest.approx(0.5, abs=1e-3)
         report = check_ifn_axioms(bad, tier="core", plan=plan)
         assert "vi" in report.violated()
 
     def test_ladder_matches_per_t_loop(self):
-        # one `memberships` call over the ladder column against the per-t
-        # `mu_many`/`nu_many` loop it replaced, bit for bit
+        # one `memberships` call over the ladder column against a per-t
+        # loop of `mu.eval`/`nu.eval`, bit for bit
         plan = default_plan(1, seed=0)
-        spaces = (make_standard_space(2.0), broken_spaces()["vi"][0], tabulated_pair_space(plan))
+        spaces = (make_standard_space(2.0), broken_spaces()["vi"][0], half_limit_space())
         for space, x in itertools.product(spaces, (0.0, 1.0, -3.5, 1e-9)):
-            rec = limit_at_infinity(space, x, plan)
+            mus, nus = self.ladder(space, x, plan)
             pt = np.array([[x]])
             ladder = plan.t_infinity_ladder
-            assert rec.mu_values == tuple(float(space.mu_many(pt, t)[0]) for t in ladder)
-            assert rec.nu_values == tuple(float(space.nu_many(pt, t)[0]) for t in ladder)
+            assert mus.tolist() == [float(space.mu.eval(pt, t)[0]) for t in ladder]
+            assert nus.tolist() == [float(space.nu.eval(pt, t)[0]) for t in ladder]
 
 
 class TestSerialization:
@@ -414,7 +400,7 @@ class TestSerialization:
 @settings(max_examples=80, deadline=None)
 def test_membership_pair_properties(x, t, k):
     sp = make_standard_space(k, verify=False)
-    mu, nu = sp.mu_eval(x, t), sp.nu_eval(x, t)
+    mu, nu = memberships_at(sp, x, t)
     assert 0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0
     assert mu + nu <= 1.0 + 1e-12
     assert (mu == 1.0) == (x == 0.0)
@@ -508,13 +494,13 @@ def test_fused_memberships_match_the_old_expressions(family, d, k, r, times, p_m
     with np.errstate(all="ignore"):
         assert same(sp.norm(pts), old_norm(family, pts))
         if overflows(pts):
-            for call in (sp.memberships, sp.mu_many, sp.nu_many):
+            for call in (sp.memberships, sp.mu_many, sp.nu.eval):
                 with pytest.raises(DomainError, match="overflow binary64"):
                     call(pts, t)
         else:
             mu, nu = sp.memberships(pts, t)
             assert same(mu, old_mu(k, family, pts, t)) and same(nu, old_nu(k, family, pts, t))
-            assert same(sp.mu_many(pts, t), mu) and same(sp.nu_many(pts, t), nu)
+            assert same(sp.mu_many(pts, t), mu) and same(sp.nu.eval(pts, t), nu)
             assert same(sp.within(pts, r, t), old_within(k, family, pts, r, t))
         if times == "scalar":
             if any(overflows(pts[p:] - pts[:-p]) for p in range(1, min(p_max, n - 1) + 1)):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifncheck.errors import InvalidParameter, NotFound
+from ifncheck.errors import InvalidParameter
 from ifncheck.norm_algebra import (
     ASSOC_TOL,
     AxiomResult,
@@ -12,8 +12,6 @@ from ifncheck.norm_algebra import (
     Violation,
     ViolationReport,
     check_norm_axioms,
-    find_interpolants,
-    find_squaring_bounds,
     tconorm,
     tconorm_eval,
     tnorm,
@@ -223,76 +221,3 @@ class TestCheckerAgainstReference:
         report = check_norm_axioms(op, plan)
         assert set(broken_laws) <= set(report.violated())
         assert repr(report) == repr(reference_norm_report(op, plan))
-
-
-class TestInterpolants:
-    def test_min_max_pair(self):
-        tn, tc = tnorm("minimum"), tconorm("maximum")
-        r3, r4 = find_interpolants((tn, tc), 0.7, 0.5)
-        assert 0.0 < r3 < 1.0 and 0.0 < r4 < 1.0
-        assert float(tn(0.7, r3)) > 0.5
-        assert float(tc(r4, 0.5)) < 0.7
-
-    def test_product_probsum_pair(self):
-        tn, tc = tnorm("product"), tconorm("probabilistic-sum")
-        r3, r4 = find_interpolants((tn, tc), 0.9, 0.5)
-        assert 0.9 * r3 > 0.5  # any admissible r3 exceeds 5/9
-        assert r3 > 5.0 / 9.0 - 1e-6
-        assert float(tc(r4, 0.5)) < 0.9
-
-    def test_degenerate_near_tie(self):
-        tn, tc = tnorm("minimum"), tconorm("maximum")
-        r3, r4 = find_interpolants((tn, tc), 0.500001, 0.5)
-        assert float(tn(0.500001, r3)) > 0.5
-        assert float(tc(r4, 0.5)) < 0.500001
-
-    def test_deterministic(self):
-        pair = (tnorm("lukasiewicz"), tconorm("lukasiewicz"))
-        assert find_interpolants(pair, 0.8, 0.3) == find_interpolants(pair, 0.8, 0.3)
-
-    def test_precondition(self):
-        pair = (tnorm("minimum"), tconorm("maximum"))
-        with pytest.raises(InvalidParameter):
-            find_interpolants(pair, 0.5, 0.7)
-
-    def test_broken_op_not_found(self):
-        # constant-zero "t-norm" admits no interpolant
-        table = np.zeros((11, 11))
-        broken = TriangularNorm("tabulated", table)
-        with pytest.raises(NotFound):
-            find_interpolants((broken, tconorm("maximum")), 0.7, 0.5)
-
-
-class TestSquaringBounds:
-    def test_min_max(self):
-        tn, tc = tnorm("minimum"), tconorm("maximum")
-        r6, r7 = find_squaring_bounds((tn, tc), 0.8)
-        assert abs(r6 - 0.8) <= 2e-6 and abs(r7 - 0.8) <= 2e-6
-        assert float(tn(r6, r6)) >= 0.8 and float(tc(r7, r7)) <= 0.8
-
-    def test_product_square_root(self):
-        tn, tc = tnorm("product"), tconorm("probabilistic-sum")
-        r6, _ = find_squaring_bounds((tn, tc), 0.81)
-        assert abs(r6 - 0.9) <= 2e-6
-
-    def test_lukasiewicz(self):
-        tn, tc = tnorm("lukasiewicz"), tconorm("maximum")
-        r6, _ = find_squaring_bounds((tn, tc), 0.5)
-        assert abs(r6 - 0.75) <= 2e-6
-        assert float(tn(r6, r6)) >= 0.5
-
-
-@given(
-    r1=st.floats(min_value=0.05, max_value=0.95),
-    gap=st.floats(min_value=0.01, max_value=0.5),
-)
-@settings(max_examples=40, deadline=None)
-def test_interpolants_always_admissible(r1, gap):
-    r2 = r1 * (1.0 - gap)
-    if not (0.0 < r2 < r1 < 1.0):
-        return
-    for tn_family, tc_family in (("minimum", "maximum"), ("product", "probabilistic-sum")):
-        tn, tc = tnorm(tn_family), tconorm(tc_family)
-        r3, r4 = find_interpolants((tn, tc), r1, r2)
-        assert float(tn(r1, r3)) > r2
-        assert float(tc(r4, r2)) < r1

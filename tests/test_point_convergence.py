@@ -31,13 +31,10 @@ from ifncheck.point_convergence import (
     PointSequence,
     _p_window_scan,
     _status_from_mask,
-    alternating_sequence,
     cauchy_escape_index,
     cauchy_index,
     classical_equivalence_probe,
-    constant_sequence,
     convergence_index,
-    linear_sequence,
     reciprocal_sequence,
     shifted_reciprocal_sequence,
     tail_index,
@@ -96,11 +93,11 @@ class TestConvergenceIndex:
             assert cert.n0 == n
 
     def test_constant_sequence(self, space):
-        cert = convergence_index(space, constant_sequence(2.5), 2.5, 0.25, 0.3)
+        cert = convergence_index(space, PointSequence("constant", (2.5,)), 2.5, 0.25, 0.3)
         assert cert.n0 == 1 and cert.certified
 
     def test_divergent_fails(self, space):
-        cert = convergence_index(space, linear_sequence(budget=5000), 0.0, 0.5, 1.0)
+        cert = convergence_index(space, PointSequence("linear", budget=5000), 0.0, 0.5, 1.0)
         assert cert.status == "failed" and cert.n0 is None
 
     def test_oscillation_inconclusive(self, space):
@@ -135,7 +132,7 @@ _unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
     seq=st.sampled_from(
         [
             reciprocal_sequence(budget=300),
-            alternating_sequence(budget=300),
+            PointSequence("alternating", budget=300),
             shifted_reciprocal_sequence(0.5, 2.0, budget=300),
         ]
     ),
@@ -165,7 +162,7 @@ def test_convergence_index_never_grows_with_r(seq, limit, k, t, r1, r2):
         [
             (reciprocal_sequence(budget=2000), 0.0),
             (shifted_reciprocal_sequence(0.5, 2.0, budget=2000), 0.5),
-            (alternating_sequence(budget=2000), 0.0),
+            (PointSequence("alternating", budget=2000), 0.0),
         ]
     ),
     k=st.floats(min_value=0.1, max_value=5.0),
@@ -218,11 +215,11 @@ class TestCauchyIndex:
         assert cert.margin_monotone
 
     def test_divergent(self, space):
-        cert = cauchy_index(space, linear_sequence(budget=2000), 0.5, 1.0)
+        cert = cauchy_index(space, PointSequence("linear", budget=2000), 0.5, 1.0)
         assert cert.status == "failed"
 
     def test_constant(self, space):
-        cert = cauchy_index(space, constant_sequence(1.0, budget=2000), 0.3, 0.5)
+        cert = cauchy_index(space, PointSequence("constant", (1.0,), budget=2000), 0.3, 0.5)
         assert cert.n0 == 1 and cert.certified
 
     @staticmethod
@@ -650,11 +647,11 @@ class TestClassicalEquivalence:
         assert rec.ifn_converged and rec.classical_converged and rec.agree
 
     def test_alternating_agrees_on_divergence(self, space):
-        rec = classical_equivalence_probe(space, alternating_sequence(budget=5000), 0.0)
+        rec = classical_equivalence_probe(space, PointSequence("alternating", budget=5000), 0.0)
         assert not rec.ifn_converged and not rec.classical_converged and rec.agree
 
     def test_constant_agrees(self, space):
-        rec = classical_equivalence_probe(space, constant_sequence(0.7, budget=5000), 0.7)
+        rec = classical_equivalence_probe(space, PointSequence("constant", (0.7,), budget=5000), 0.7)
         assert rec.ifn_converged and rec.classical_converged and rec.agree
 
     def test_shifted_reciprocal(self, space):
@@ -690,11 +687,11 @@ def _catalog_point_sequences(draw):
         st.sampled_from(
             [
                 (reciprocal_sequence(budget=2000), 0.0),
-                (alternating_sequence(budget=2000), 1.0),
-                (linear_sequence(budget=2000), 2000.0),
+                (PointSequence("alternating", budget=2000), 1.0),
+                (PointSequence("linear", budget=2000), 2000.0),
                 (shifted_reciprocal_sequence(0.5, 2.0, budget=2000), 0.5),
                 (shifted_reciprocal_sequence(-3.0, 40.0, budget=2000), -3.0),
-                (constant_sequence(2.5, budget=2000), 2.5),
+                (PointSequence("constant", (2.5,), budget=2000), 2.5),
             ]
         )
     )

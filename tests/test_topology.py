@@ -14,10 +14,12 @@ from ifncheck.ifn_core import (
     make_standard_space,
     membership_radius,
 )
-from ifncheck.norm_algebra import _FROM_ONE, TriangularConorm, TriangularNorm, _bisect
+from ifncheck.norm_algebra import TriangularConorm, TriangularNorm, tconorm, tnorm
 from ifncheck.sampling import Interval, SamplingPlan, as_point
 from ifncheck.topology import (
     _BALL_FRACTIONS,
+    _FROM_ONE,
+    SEARCH_RESOLUTION,
     OpenBall,
     SampledSet,
     ball_classical_radius,
@@ -29,6 +31,7 @@ from ifncheck.topology import (
     sample_in_ball,
     set_is_open_sampled,
     verify_containment,
+    _bisect,
 )
 
 
@@ -79,6 +82,18 @@ class TestClassicalRadius:
         classical = np.abs(ys[:, 0]) < rho
         np.testing.assert_array_equal(member, classical)
 
+    @pytest.mark.parametrize(
+        "k, r, t",
+        [(1.0, 0.75, 1e308), (1e-300, 0.5, 2.5e8), (1.0, 1.0 - 2.0**-53, 2.8e292)],
+        ids=["large-t", "small-k", "r-near-1"],
+    )
+    def test_radius_past_binary64_is_a_domain_error(self, k, r, t):
+        # r t / (k (1 - r)) is past 1.8e308, so inf in binary64; half of it is not
+        space = make_standard_space(k, verify=False)
+        assert np.isfinite(ball_classical_radius(space, OpenBall(np.array([0.0]), r, t / 2.0)))
+        with pytest.raises(DomainError, match="overflows binary64"):
+            ball_classical_radius(space, OpenBall(np.array([0.0]), r, t))
+
     def test_unsupported_family(self, unit_ball):
         from ifncheck.catalog import broken_spaces
 
@@ -126,6 +141,83 @@ class TestInnerBallWitness:
         pts = sample_in_ball(std, unit_ball, 200)
         assert len(pts) > 0
         assert bool(np.all(ball_contains_many(std, unit_ball, pts)))
+
+
+# The bisection's other start: just above 0, searching upward
+_FROM_ZERO = (1e-12, 1.0)
+
+
+class TestBisect:
+    """`_bisect` on the operation-pair searches of the open-ball lemmas:
+    r3 with r1 * r3 > r2 from 1 downward (as the inner-ball construction
+    searches), r4 with r4 (+) r2 < r1 from 0 upward, and the squaring
+    bounds r6 * r6 >= r5 and r7 (+) r7 <= r5."""
+
+    def test_min_max_interpolants(self):
+        tn, tc = tnorm("minimum"), tconorm("maximum")
+        r3 = _bisect(lambda x: float(tn(0.7, x)) > 0.5, *_FROM_ONE)
+        r4 = _bisect(lambda x: float(tc(x, 0.5)) < 0.7, *_FROM_ZERO)
+        assert 0.0 < r3 < 1.0 and 0.0 < r4 < 1.0
+        assert float(tn(0.7, r3)) > 0.5
+        assert float(tc(r4, 0.5)) < 0.7
+
+    def test_product_probsum_interpolants(self):
+        tn, tc = tnorm("product"), tconorm("probabilistic-sum")
+        r3 = _bisect(lambda x: float(tn(0.9, x)) > 0.5, *_FROM_ONE)
+        r4 = _bisect(lambda x: float(tc(x, 0.5)) < 0.9, *_FROM_ZERO)
+        assert 0.9 * r3 > 0.5  # any admissible r3 exceeds 5/9
+        assert r3 > 5.0 / 9.0 - 1e-6
+        assert float(tc(r4, 0.5)) < 0.9
+
+    def test_degenerate_near_tie(self):
+        tn, tc = tnorm("minimum"), tconorm("maximum")
+        r3 = _bisect(lambda x: float(tn(0.500001, x)) > 0.5, *_FROM_ONE)
+        r4 = _bisect(lambda x: float(tc(x, 0.5)) < 0.500001, *_FROM_ZERO)
+        assert float(tn(0.500001, r3)) > 0.5
+        assert float(tc(r4, 0.5)) < 0.500001
+
+    def test_deterministic(self):
+        tn = tnorm("lukasiewicz")
+        runs = [_bisect(lambda x: float(tn(0.8, x)) > 0.3, *_FROM_ONE) for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "tn, tc, r5, r6, r7",
+        [
+            ("minimum", "maximum", 0.8, 0.8, 0.8),
+            ("product", "probabilistic-sum", 0.81, 0.9, None),
+            ("lukasiewicz", "maximum", 0.5, 0.75, None),
+        ],
+    )
+    def test_squaring_bounds(self, tn, tc, r5, r6, r7):
+        tn, tc = tnorm(tn), tconorm(tc)
+        found6 = _bisect(lambda x: float(tn(x, x)) >= r5, *_FROM_ONE)
+        found7 = _bisect(lambda x: float(tc(x, x)) <= r5, *_FROM_ZERO)
+        assert abs(found6 - r6) <= 2e-6 and float(tn(found6, found6)) >= r5
+        assert float(tc(found7, found7)) <= r5
+        if r7 is not None:
+            assert abs(found7 - r7) <= 2e-6
+
+    def test_broken_op_not_found(self):
+        # a constant-zero "t-norm" admits no r3: the search fails at its start
+        broken = TriangularNorm("tabulated", np.zeros((11, 11)))
+        with pytest.raises(NotFound, match="fails at its start"):
+            _bisect(lambda x: float(broken(0.7, x)) > 0.5, *_FROM_ONE)
+
+
+@given(r1=st.floats(min_value=0.05, max_value=0.95), gap=st.floats(min_value=0.01, max_value=0.5))
+@settings(max_examples=40, deadline=None)
+def test_bisection_is_admissible_within_the_resolution(r1, gap):
+    # the value returned holds, and one SEARCH_RESOLUTION further on fails
+    r2 = r1 * (1.0 - gap)
+    for tn_family, tc_family in (("minimum", "maximum"), ("product", "probabilistic-sum")):
+        tn, tc = tnorm(tn_family), tconorm(tc_family)
+        for pred, start, step in (
+            (lambda x: float(tn(r1, x)) > r2, _FROM_ONE, -SEARCH_RESOLUTION),
+            (lambda x: float(tc(x, r2)) < r1, _FROM_ZERO, SEARCH_RESOLUTION),
+        ):
+            found = _bisect(pred, *start)
+            assert pred(found) and not pred(found + step)
 
 
 def reference_sample_in_ball(space, ball, n, seed):
