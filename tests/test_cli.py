@@ -266,6 +266,9 @@ _SMALL = {
 }
 _COMMAND_OF_KIND = {"uniform-continuity": "uniform"}
 _POSITIVE_FLOOR = 1e-6
+# floats that a number field also draws where its bounds allow: the signed
+# zeros, a subnormal, and magnitudes whose sums and products overflow
+_EDGE_FLOATS = (0.0, -0.0, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308)
 
 
 def _from_schema(schema, name=None):
@@ -294,19 +297,21 @@ def _from_schema(schema, name=None):
         ints = st.one_of(st.just(lo), st.integers(schema.get("minimum", -hi), hi))
         return st.one_of(ints, ints.map(float))
     if kind == "number":
-        lo = schema.get("minimum", schema.get("exclusiveMinimum", -10.0))
-        hi = schema.get("maximum", schema.get("exclusiveMaximum", 10.0))
-        # half the draws from a few plain values, which pass most domain checks
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -math.inf))
+        hi = schema.get("maximum", schema.get("exclusiveMaximum", math.inf))
+        # a third of the draws from a few plain values, which pass most
+        # domain checks, a third from the edge floats, a third from [-10, 10]
         bounds = (schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum"))
         plain = [v for v in (0.0, 0.1, 0.5, 1.0, 2.0, -1.0) if lo <= v <= hi and v not in bounds]
         if bounds[0] == 0:
             # a positive field from a floor: a subnormal epsilon underflows its
             # ladder, a config error that test_exit_two_on_config_error covers
             lo, bounds = _POSITIVE_FLOOR, (None, bounds[1])
+        edges = [v for v in _EDGE_FLOATS if lo <= v <= hi and v not in bounds]
         anywhere = st.floats(
-            lo, hi, exclude_min=bounds[0] is not None, exclude_max=bounds[1] is not None
+            max(lo, -10.0), min(hi, 10.0), exclude_min=bounds[0] is not None, exclude_max=bounds[1] is not None
         )
-        return st.one_of(st.sampled_from(plain), anywhere)
+        return st.one_of(st.sampled_from(plain), anywhere, *[st.sampled_from(edges)] * bool(edges))
     if kind == "boolean":
         return st.booleans()
     # the one string field names a catalog scenario, so that the config
@@ -357,7 +362,9 @@ def _fit(scenario, cfg):
     starts inside the domain's (r, t) radius (so it is certified to converge
     within any budget), `params` match their arity, the
     t -> oo ladder increases, and topology balls, points and set members
-    lie in the space's dimension.  The config stays valid for the schema."""
+    lie in the space's dimension.  Edge floats stay where they are drawn,
+    unless a fit needs a finite width or length that they would overflow.
+    The config stays valid for the schema."""
     on_line = scenario not in ("axioms", "topology") or any(
         c["kind"] == "preimage-open" for c in cfg.get("checks", ())
     )
@@ -376,7 +383,9 @@ def _fit(scenario, cfg):
     dim = next((int(s.get("dimension", 1)) for s in spaces if s["family"] == "standard"), 1)
     ladder = cfg.get("plan", {}).get("t_infinity_ladder")
     if ladder:
-        ladder[:] = sorted(set(ladder)) + [2.0 * max(ladder)] * (len(set(ladder)) < 2)
+        ladder[:] = sorted(set(ladder))
+        if len(ladder) < 2:
+            ladder.insert(0, ladder[0] / 2.0)
     # objects of a kind at the top level and in the checks
     checks = cfg.get("checks", [])
     maps, seqs, funcseqs = (
@@ -387,8 +396,12 @@ def _fit(scenario, cfg):
     for seq in seqs:
         _fit_params(seq, SEQUENCE_FAMILIES[seq["family"]].arity)
     for box in [o["domain"] for o in maps + funcseqs]:
-        if not box["lo"] < box["hi"]:
-            box["lo"], box["hi"] = min(box["lo"], box["hi"]), max(box["lo"], box["hi"]) + 1.0
+        lo, hi = sorted((box["lo"], box["hi"]))
+        if lo == hi:  # split by halving, as adding 1.0 is absorbed past 2^53
+            lo, hi = (hi / 2.0, hi) if hi > 0 else (lo, lo / 2.0) if lo < 0 else (0.0, 1.0)
+        if not math.isfinite(hi - lo):
+            lo, hi = lo / 2.0, hi / 2.0
+        box["lo"], box["hi"] = lo, hi
     for box in [m["domain"] for m in maps if m["rule"] == "reciprocal"]:
         if _interval(box).contains(0.0):
             # off the pole of 1/x, which test_exit_two_on_config_error covers
@@ -403,14 +416,15 @@ def _fit(scenario, cfg):
     if scenario == "continuity":
         box = cfg["map"]["domain"]
         inside = _interval(box)
-        mid = 0.5 * (box["lo"] + box["hi"])
+        mid = 0.5 * box["lo"] + 0.5 * box["hi"]
         cfg["points"] = [x if inside.contains(x) else mid for x in cfg["points"]]
         dom = cfg["domain_space"]
         k = dom.get("k", 1.0) if dom["family"] == "standard" else EXAMPLE_SPACES[dom["tag"]]
         for c in checks:
             if c["kind"] in ("sequential", "equivalence"):
                 f = fields_of(CHECK_FIELDS["continuity"], c)
-                c["sequence_offset"] = max(f["sequence_offset"], 2.0 * k / (f["r"] * f["t"]))
+                offset = min(2.0 * k / (f["r"] * f["t"]), sys.float_info.max)
+                c["sequence_offset"] = max(f["sequence_offset"], offset)
     if "limit" in cfg:
         cfg["limit"] = _fit_point(cfg["limit"], 1)
     for c in checks if scenario == "topology" else ():
@@ -802,6 +816,21 @@ class TestCliProcess:
         }[command]
         run = _cli_process(tmp_path, command, cfg)
         assert (run.returncode, run.stderr) == (2, f"config error: non-finite arithmetic: {message}\n")
+
+    def test_classical_radius_past_binary64_is_a_config_error(self, tmp_path):
+        # r t / (k (1 - r)) is 3e308 on Python floats, which no errstate
+        # sees: the inf radius reached the report writer, an internal fault
+        cfg = {
+            "scenario": "topology",
+            "space": {"family": "standard", "k": 1.0},
+            "checks": [{"kind": "classical-radius", "ball": {"center": 0.0, "r": 0.75, "t": 1e308}}],
+        }
+        run = _cli_process(tmp_path, "topology", cfg)
+        assert (run.returncode, run.stderr) == (
+            2,
+            "config error: classical radius r t / (k (1 - r)) of the ball "
+            "{'center': [0.0], 'r': 0.75, 't': 1e+308} overflows binary64\n",
+        )
 
     def test_overflowing_literals_are_config_errors(self, tmp_path, capsys):
         # 1e999 parses to inf although the schema accepts it as a number
