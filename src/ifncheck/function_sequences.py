@@ -105,7 +105,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True, eq=False)
 class FunctionSequence:
-    """A sequence of univariate maps n -> f_n on a fixed interval."""
+    """A sequence of univariate maps n -> f_n on a fixed interval.  A custom
+    `fn` gives each cell from its own (n, x): the checks call it on column blocks."""
 
     family: str  # one of FUNCSEQ_FAMILIES, or custom
     domain: Interval
@@ -118,7 +119,10 @@ class FunctionSequence:
         ns = np.asarray(ns, dtype=float).reshape(-1, 1)
         xs = np.asarray(xs, dtype=float).reshape(1, -1)
         if self.family == "custom":
-            return np.asarray(self.fn(ns.ravel().astype(int), xs.ravel()), dtype=float)
+            out = np.asarray(self.fn(ns.ravel().astype(int), xs.ravel()), dtype=float)
+            if out.shape != (ns.size, xs.size):
+                raise InvalidParameter(f"custom fn gave shape {out.shape}, not ({ns.size}, {xs.size})")
+            return out
         if self.family not in FUNCSEQ_FAMILIES:
             raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
         return FUNCSEQ_FAMILIES[self.family].values(self, ns, xs)
@@ -255,12 +259,23 @@ def _limits(seq: FunctionSequence, sample: DomainSample) -> np.ndarray:
     return limits
 
 
-def _values(seq: FunctionSequence, sample: DomainSample, rts: list, n_total: int) -> np.ndarray:
-    """The (n_total, M) matrix of f_n(x) over the sampled points, built once
-    every (r, t) of `rts` is known to be a valid demand."""
+# Cells of f_n(x) per column block: every catalog, example and benchmark
+# matrix (at most 10,000 x 25) is one block
+_BLOCK_CELLS = 2**20
+
+
+def _blocks(seq: FunctionSequence, sample: DomainSample, rts: list, n_rows: int):
+    """(columns, (n_rows, b) block of f_n(x)) over `sample.all_points()`, b
+    columns at a time, once every (r, t) of `rts` is known to be a valid demand."""
     for r, t in rts:
         _check_rt(r, t)
-    return seq.values(np.arange(1, n_total + 1), sample.all_points())
+    xs, ns, b = sample.all_points(), np.arange(1, n_rows + 1), max(1, _BLOCK_CELLS // n_rows)
+    return ((slice(j, j + b), seq.values(ns, xs[j : j + b])) for j in range(0, len(xs), b))
+
+
+def _indices(ok: np.ndarray) -> list[int | None]:
+    """Each column's all-pass tail start, or None where its last row fails."""
+    return [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
 
 
 def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: list):
@@ -278,16 +293,11 @@ def _limit_masks(codomain: IFNSpace, vals: np.ndarray, limits: np.ndarray, rts: 
 
 
 def _certificate(
-    ok: np.ndarray, sample: DomainSample, budget: int, r: float, t: float, kind: str = "direct"
+    idx: list, sample: DomainSample, budget: int, r: float, t: float, kind: str = "direct"
 ) -> UniformCertificate:
-    """The certificate of an (N, M) ok mask over `sample.all_points()`.
-
-    Each point's index is the start of its all-pass tail, or None when the
-    last row fails there.  A diverging refinement ladder refutes uniformity
-    on the sample; an index everywhere gives n0 = their maximum; anything
-    else is inconclusive.
-    """
-    idx = [i if last else None for i, last in zip(tail_index(ok), ok[-1])]
+    """The certificate of per-point indices (`_indices`) over `sample.all_points()`:
+    a diverging refinement ladder refutes uniformity on the sample; an index
+    everywhere gives n0 = their maximum; anything else is inconclusive."""
     ladder_idx = idx[len(sample.points) :]
     if ladder_idx and _ladder_verdict(ladder_idx):
         verdict, n0 = VERDICT_NOT_UNIFORM, None
@@ -307,17 +317,14 @@ def uniform_index_sweep(
 ) -> list[UniformCertificate]:
     """`uniform_index_search` at every (r, t) of `rts`, in that order.
 
-    The limits and the (budget, M) matrix of f_n(x) do not depend on (r, t):
-    they are built once per call, and only the demand mask runs per pair.
+    The limits and each (budget, b) column block of f_n(x) do not depend on
+    (r, t): they are built once per call, and only the demand mask runs per pair.
     """
-    limits = _limits(seq, sample)
-    return _sweep(spaces[1], seq, sample, limits, _values(seq, sample, rts, seq.budget), rts)
-
-
-def _sweep(codomain, seq, sample, limits, vals, rts) -> list[UniformCertificate]:
-    """The certificates of `rts` from the first budget rows of `vals`."""
-    masks = _limit_masks(codomain, vals[: seq.budget], limits, rts)
-    return [_certificate(ok, sample, seq.budget, r, t) for (r, t), ok in zip(rts, masks)]
+    limits, idx = _limits(seq, sample), [[] for _ in rts]
+    for cols, vals in _blocks(seq, sample, rts, seq.budget):
+        for acc, ok in zip(idx, _limit_masks(spaces[1], vals, limits[cols], rts)):
+            acc += _indices(ok)
+    return [_certificate(i, sample, seq.budget, r, t) for (r, t), i in zip(rts, idx)]
 
 
 def uniform_index_search(
@@ -389,8 +396,8 @@ def uniform_cauchy_check(
 
 
 def criterion_pair(spaces, seq, sample, r, t, p_max=DEFAULT_P_MAX) -> tuple[UniformCertificate, ...]:
-    """`uniform_index_search` and `uniform_cauchy_check` at (r, t) from one matrix of f_n(x),
-    as each cell is computed on its own: the direct search reads its first budget rows."""
+    """`uniform_index_search` and `uniform_cauchy_check` at (r, t) from one walk over f_n(x),
+    as each cell is computed on its own: the direct search reads each block's first budget rows."""
     return _criterion(spaces[1], seq, sample, r, t, p_max, _limits(seq, sample))
 
 
@@ -399,39 +406,40 @@ def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCerti
     if p_max < 1:
         raise InvalidParameter("p_max must be >= 1")
     n_total = seq.budget + p_max
-    vals = _values(seq, sample, [(r, t)], n_total)  # (N + p_max, M)
-    direct = None if limits is None else _sweep(codomain, seq, sample, limits, vals, [(r, t)])[0]
     radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
+    direct, idx = [], []
+    for cols, vals in _blocks(seq, sample, [(r, t)], n_total):  # (N + p_max, b)
+        if limits is not None:
+            direct += _indices(next(_limit_masks(codomain, vals[: seq.budget], limits[cols], [(r, t)])))
+        ok = np.ones((seq.budget, vals.shape[1]), dtype=bool)
+        for col, v in enumerate(vals.T):
+            if radial:
+                # the worst later deviation from f_n(x), by suffix extrema
+                later_max = np.maximum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+                later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+                now = v[: seq.budget]
+                worst = np.maximum(later_max - now, now - later_min)
+                rows = codomain.near_radius(worst, r, t)
+                passed = codomain.within(worst[rows].reshape(-1, 1), r, t)
+                ok[rows, col] = passed
+                if codomain.standard_pair:
+                    for n in rows[passed]:
+                        ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
+            else:
+                first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)
+                ok[:, col] = _window_ok(first, n_total)[: seq.budget]
+        idx += _indices(ok)
 
-    ok = np.ones((seq.budget, vals.shape[1]), dtype=bool)
-    for col, v in enumerate(vals.T):
-        if radial:
-            # the worst later deviation from f_n(x), by suffix extrema
-            later_max = np.maximum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
-            later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
-            now = v[: seq.budget]
-            worst = np.maximum(later_max - now, now - later_min)
-            rows = codomain.near_radius(worst, r, t)
-            passed = codomain.within(worst[rows].reshape(-1, 1), r, t)
-            ok[rows, col] = passed
-            if codomain.standard_pair:
-                for n in rows[passed]:
-                    ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
-        else:
-            first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)
-            ok[:, col] = _window_ok(first, n_total)[: seq.budget]
-
-    cert = _certificate(ok, sample, seq.budget, r, t, kind="cauchy-criterion")
+    cert = _certificate(idx, sample, seq.budget, r, t, kind="cauchy-criterion")
     if cert.uniform and not radial:
         # spot-check the two-sided form on a geometric (n, m) grid
         n0 = cert.n0
         grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
+        vals = dict(zip(grid, seq.values(grid, sample.all_points())))
         pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
-        if not all(
-            np.all(codomain.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
-            for n, m in pairs
-        ):
+        if not all(np.all(codomain.within((vals[m] - vals[n]).reshape(-1, 1), r, t)) for n, m in pairs):
             cert = replace(cert, verdict=VERDICT_INCONCLUSIVE, n0=None)
+    direct = None if limits is None else _certificate(direct, sample, seq.budget, r, t)
     return direct, cert
 
 
@@ -559,9 +567,12 @@ def classical_uniform_probe(
     if not codomain.standard_pair:
         raise UnsupportedFamily("classical probe requires a standard-family codomain")
     limits = _limits(seq, sample)
-    vals = _values(seq, sample, [(r, t)], seq.budget)
+    blocks = _blocks(seq, sample, [(r, t)], seq.budget)  # checks (r, t) before the radius uses it
     threshold = membership_radius(codomain, r, t)
-    classical = _certificate(np.abs(vals - limits) < threshold, sample, seq.budget, r, t)
-    (cert,) = _sweep(codomain, seq, sample, limits, vals, [(r, t)])
-    indices = tuple(i for _, i in classical.per_point_index)
-    return ClassicalUniformRecord((threshold,), indices, classical.uniform, cert)
+    indices, ifn = [], []
+    for cols, vals in blocks:
+        indices += _indices(np.abs(vals - limits[cols]) < threshold)
+        ifn += _indices(next(_limit_masks(codomain, vals, limits[cols], [(r, t)])))
+    uniform = _certificate(indices, sample, seq.budget, r, t).uniform
+    cert = _certificate(ifn, sample, seq.budget, r, t)
+    return ClassicalUniformRecord((threshold,), tuple(indices), uniform, cert)

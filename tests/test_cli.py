@@ -923,14 +923,15 @@ class TestCliProcess:
         # every config the schema accepts ends in a verdict or a config error
         scenario, cfg = case
         validate_config(cfg, scenario)
-        if scenario == "catalog":
-            argv = ["catalog", cfg["name"]]
-        else:
-            path = pathlib.Path(tempfile.mkdtemp()) / "config.json"
-            path.write_text(json.dumps(cfg))
-            argv = [_COMMAND_OF_KIND.get(scenario, scenario), "--config", str(path)]
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+            if scenario == "catalog":
+                argv = ["catalog", cfg["name"]]
+            else:
+                # beside the report, so the directory's cleanup removes both
+                path = pathlib.Path(out) / "config.json"
+                path.write_text(json.dumps(cfg))
+                argv = [_COMMAND_OF_KIND.get(scenario, scenario), "--config", str(path)]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 rc = main(argv + ["--out", out])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifncheck.errors import DomainError, InvalidParameter, NoLimit, UnsupportedFamily
+from ifncheck import function_sequences
+from ifncheck.errors import DomainError, IFNError, InvalidParameter, NoLimit, UnsupportedFamily
 from ifncheck.function_sequences import (
     DEFAULT_P_MAX,
     DomainSample,
@@ -663,7 +665,7 @@ def test_a_nan_term_fails_every_cauchy_row_at_or_before_it():
 
     def fn(ns, xs):
         vals = np.outer(1.0 / ns, xs)
-        vals[ns == 5001, 1] = np.nan
+        vals[np.ix_(ns == 5001, xs == 0.5)] = np.nan
         return vals
 
     seq = FunctionSequence("custom", Interval(0.0, 1.0), budget=10_000, fn=fn)
@@ -680,3 +682,106 @@ def test_a_nan_cell_fails_the_limit_mask():
         [[True, False], [True, True], [False, True]],
         [[False, False], [True, False], [False, True]],
     ]
+
+
+# The column-block walk: every certificate is per column, so the block size
+# changes nothing.
+
+
+def _nan_cell(n_nan, x_nan):
+    """f_n(x) = x / n, but NaN at the one cell (n_nan, x_nan)."""
+
+    def fn(ns, xs):
+        vals = np.outer(1.0 / ns, xs)
+        vals[np.ix_(ns == n_nan, xs == x_nan)] = np.nan
+        return vals
+
+    return fn
+
+
+@st.composite
+def _walk_cases(draw):
+    """A function sequence on a small budget with a domain sample, with or
+    without a refinement ladder, a codomain on the real line (a standard
+    space, or its pair declared non-radial) and an (r, t) demand with p_max."""
+    budget, p_max = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    family = draw(st.sampled_from(["power", "quotient", "scaled", "constant", "custom"]))
+    refine = draw(st.sampled_from([None, "hi"])) if family == "power" else None
+    domain = {"power": Interval(0.0, 1.0, open_hi=refine is not None), "quotient": Interval(0.0, 10.0)}
+    seq = FunctionSequence(family, domain.get(family, Interval(0.0, 1.0)), budget=budget)
+    points, depth = draw(st.integers(1, 9)), draw(st.integers(4, 8))
+    sample = sample_domain(seq.domain, points, refine_side=refine, refine_depth=depth)
+    if family == "custom":
+        x_nan = draw(st.sampled_from(sample.all_points().tolist()))
+        seq = replace(seq, fn=_nan_cell(draw(st.integers(1, budget + p_max)), x_nan))
+    space = std = make_standard_space(draw(st.sampled_from([0.5, 1.0, 3.0])), verify=False)
+    if draw(st.booleans()):
+        space = IFNSpace(
+            1,
+            custom_membership(lambda p, s: std.mu.eval(p, s)),
+            custom_membership(lambda p, s: std.nu.eval(p, s)),
+            std.tnorm,
+            std.tconorm,
+        )
+    r, t = draw(st.floats(1e-6, 1.0 - 1e-6)), draw(st.floats(1e-3, 100.0))
+    return (space, space), seq, sample, r, t, p_max
+
+
+def _walk_certificates(spaces, seq, sample, r, t, p_max):
+    """Each walker's certificates, or the error it raises (NoLimit for the
+    custom family, UnsupportedFamily for the classical probe off the
+    standard pair)."""
+    calls = {
+        "sweep": lambda: uniform_index_sweep(spaces, seq, sample, [(r, t), (0.5, 1.0)]),
+        "criterion_pair": lambda: criterion_pair(spaces, seq, sample, r, t, p_max),
+        "cauchy": lambda: uniform_cauchy_check(spaces, seq, sample, r, t, p_max),
+        "classical": lambda: classical_uniform_probe(spaces, seq, sample, r, t),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except IFNError as exc:
+            out[name] = repr(exc)
+    return out
+
+
+@given(case=_walk_cases(), cells=st.integers(1, 200))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_column_blocks_give_the_one_block_certificates(case, cells):
+    whole = _walk_certificates(*case)
+    for block in (1, 2, 7, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(function_sequences, "_BLOCK_CELLS", block)
+            assert _walk_certificates(*case) == whole, block
+
+
+def test_checks_hold_a_few_blocks_of_f_n_x_at_a_time(spaces):
+    # the 40,000 x 170 matrix of f_n(x) alone is 54 MB; a check holds one
+    # column block and temporaries of its order
+    seq = FunctionSequence("power", Interval(0.0, 0.5), budget=40_000)
+    sample = sample_domain(seq.domain, 170)
+    bound = 5 * 8 * function_sequences._BLOCK_CELLS
+    for check in (
+        lambda: uniform_index_sweep(spaces, seq, sample, [(0.1, 0.1), (0.5, 1.0)]),
+        lambda: criterion_pair(spaces, seq, sample, 0.1, 0.1, 100),
+    ):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda ns, xs: (xs[0] ** ns).reshape(-1, 1), lambda ns, xs: xs[0] ** ns],
+    ids=["one-column", "flat"],
+)
+def test_a_custom_fn_of_the_wrong_shape_is_rejected(spaces, fn):
+    # a (K, 1) result used to certify its one column for all three points
+    seq = FunctionSequence("custom", Interval(0.0, 1.0), budget=2000, fn=fn)
+    with pytest.raises(InvalidParameter, match=r"shape \((2100, 1|2100,)\), not \(2100, 3\)"):
+        uniform_cauchy_check(spaces, seq, DomainSample((0.25, 0.5, 0.99)), 0.1, 0.1)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ifncheck import function_sequences
 from ifncheck.report import to_jsonl
 from ifncheck.scenarios import run_scenario
 
@@ -51,6 +52,27 @@ def test_report_matches_golden(fname, config, seed):
         assert not csv_path.exists()
     else:
         assert csv.encode("utf-8") == csv_path.read_bytes()
+
+
+# The fixtures whose reports rest on function_sequences' column-block walk.
+# Every one is a single block at the default block size, so here each runs
+# one column per block.
+FUNCSEQ_CASES = [
+    case for case in CASES
+    if case[0].split(".seed")[0] in {
+        "catalog-example-4-power", "catalog-example-4-quotient",
+        "catalog-theorem-4-cauchy-criterion", "catalog-uniform-limit-theorem",
+        "example-funcseq-power-sweep",
+    }
+]
+
+
+@pytest.mark.parametrize(
+    "fname, config, seed", FUNCSEQ_CASES, ids=[fname for fname, _, _ in FUNCSEQ_CASES]
+)
+def test_report_matches_golden_in_one_column_blocks(fname, config, seed, monkeypatch):
+    monkeypatch.setattr(function_sequences, "_BLOCK_CELLS", 1)
+    test_report_matches_golden(fname, config, seed)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from ifncheck.errors import DomainError, UnsupportedFamily
 from ifncheck.function_sequences import (
     DomainSample,
     FunctionSequence,
-    _certificate,
+    UniformCertificate,
     uniform_cauchy_check,
 )
 from ifncheck.ifn_core import (
@@ -276,12 +276,20 @@ def reference_escape_index(space, seq, r, t, p_max, budget):
 
 
 def reference_uniform_cauchy_check(space, seq, sample, r, t, p_max):
+    # each point's index is the start of its all-pass tail, or None when the
+    # last n fails there; the sample has no refinement ladder
+    assert not sample.ladder
     n_total = seq.budget + p_max
     vals = seq.values(np.arange(1, n_total + 1), sample.all_points())
-    ok = np.column_stack(
-        [reference_ok_mask(space, v.reshape(-1, 1), r, t, p_max)[: seq.budget] for v in vals.T]
+    idx = []
+    for v in vals.T:
+        ok = reference_ok_mask(space, v.reshape(-1, 1), r, t, p_max)[: seq.budget]
+        idx.append(tail_index(ok) if ok[-1] else None)
+    uniform = None not in idx
+    cert = UniformCertificate(
+        r, t, max(idx) if uniform else None, tuple(zip(sample.all_points().tolist(), idx)),
+        "uniform-up-to-budget" if uniform else "inconclusive", seq.budget, (), "cauchy-criterion",
     )
-    cert = _certificate(ok, sample, seq.budget, r, t, kind="cauchy-criterion")
     if cert.uniform:
         n0 = cert.n0
         grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
