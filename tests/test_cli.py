@@ -1020,6 +1020,10 @@ class TestCliProcess:
         assert main(["converge", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: config field seed: 'x' is not of type 'integer'\n"
 
+    def test_unknown_catalog_name_is_one_plain_line(self, tmp_path, capsys):
+        assert main(["catalog", "nope", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: unknown catalog scenario 'nope'; see list-catalog\n"
+
     def test_list_catalog(self, capsys):
         assert main(["list-catalog"]) == 0
         out = capsys.readouterr().out
@@ -1044,17 +1048,30 @@ class TestCliProcess:
         for name in ifncheck.__all__:
             assert name in dir(ifncheck) and namespace[name] is getattr(ifncheck, name)
 
+    # the ifncheck modules that each command leaves unloaded
+    UNLOADED = {
+        "axioms": ("point_convergence", "continuity", "topology", "function_sequences", "catalog"),
+        "converge": ("continuity", "topology", "function_sequences", "catalog"),
+        "continuity": ("topology", "function_sequences", "catalog"),
+        "uniform": ("topology", "function_sequences", "catalog"),
+        "topology": ("function_sequences", "catalog"),
+        "funcseq": ("topology", "catalog"),
+    }
+
     @pytest.mark.parametrize("name", [p.name for p in sorted(EXAMPLES.glob("*.json"))])
     def test_examples_run_without_jsonschema_or_numpy_ma(self, name, tmp_path):
-        # validation is built in, and no call on the config path loads numpy.ma
-        argv = [name.split("-")[0], "--config", str(EXAMPLES / name), "--out", str(tmp_path)]
+        # validation is built in, no call on the config path loads numpy.ma,
+        # and a command loads no runner module of another command
+        command = name.split("-")[0]
+        argv = [command, "--config", str(EXAMPLES / name), "--out", str(tmp_path)]
         code = (
             "import sys; sys.modules['jsonschema'] = None; import ifncheck.cli as c; "
             f"rc = c.main({argv!r}); "
-            "print(rc, 'numpy.ma' in sys.modules)"
+            "print(rc, 'numpy.ma' in sys.modules, "
+            f"sorted(m for m in {list(self.UNLOADED[command])!r} if 'ifncheck.' + m in sys.modules))"
         )
         # the reciprocal map genuinely fails uniform continuity
-        assert _python(code).splitlines()[-1] == f"{int(name == 'uniform-reciprocal.json')} False"
+        assert _python(code).splitlines()[-1] == f"{int(name == 'uniform-reciprocal.json')} False []"
 
     def test_catalog_run_writes_report(self, tmp_path, capsys):
         rc = main(["catalog", "example-4-quotient", "--out", str(tmp_path), "--format", "text"])
