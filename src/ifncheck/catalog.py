@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog_names import DESCRIPTIONS
 from .config_schema import CHECK_FIELDS, fields_of
 from .continuity import (
     combine,
@@ -65,6 +64,7 @@ from .scenarios import (
     witness_record,
 )
 from .topology import OpenBall, ball_classical_radius, inner_ball_witnesses
+from .vocabulary import DESCRIPTIONS, paired
 
 # ---------------------------------------------------------------------------
 # Deliberately broken spaces, one per axiom group
@@ -569,7 +569,7 @@ def _run_mutation_detection(seed: int) -> list[CheckRecord]:
     ]
 
 
-_RUNNERS = {
+_RUNNERS = paired(DESCRIPTIONS, {
     "note-3.3": _run_note_3_3,
     "example-3.15": _run_example_3_15,
     "theorem-2.10": _run_theorem_2_10,
@@ -584,9 +584,7 @@ _RUNNERS = {
     "example-4-verification": _run_example_4_verification,
     "uniform-limit-theorem": _run_uniform_limit,
     "definition-2.4-mutations": _run_mutation_detection,
-}
-if _RUNNERS.keys() != DESCRIPTIONS.keys():
-    raise ImportError(f"unpaired catalog scenarios: {sorted(_RUNNERS.keys() ^ DESCRIPTIONS.keys())}")
+})
 CATALOG: dict[str, tuple[str, Callable[[int], list[CheckRecord]]]] = {
     name: (description, _RUNNERS[name]) for name, description in DESCRIPTIONS.items()
 }

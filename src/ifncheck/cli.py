@@ -13,8 +13,8 @@ import argparse
 import os
 import sys
 
-from .catalog_names import DESCRIPTIONS
 from .errors import ConfigError, IFNError
+from .vocabulary import DESCRIPTIONS
 
 SEED_ENV_VAR = "IFNCHECK_SEED"
 

@@ -17,17 +17,21 @@ from collections import namedtuple
 from contextlib import contextmanager
 from numbers import Number
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .continuity import MAP_RULES, MapBetweenSpaces, make_map, rule
+from . import __version__
 from .errors import ConfigError, IFNError
-from .function_sequences import FUNCSEQ_FAMILIES, DomainSample, FunctionSequence, sample_domain
 from .ifn_core import (
     EXAMPLE_SPACES, NORM_FAMILIES, TIER_ORDER, IFNSpace, make_example_family, make_standard_space
 )
 from .norm_algebra import TCONORM_FAMILIES, TNORM_FAMILIES
-from .point_convergence import DEFAULT_P_MAX, SEQUENCE_FAMILIES, PointSequence
 from .sampling import DEFAULT_GRID_POINTS, Interval, SamplingPlan, product_grid
+from .vocabulary import DEFAULT_P_MAX, FUNCSEQ_FAMILY_NAMES, MAP_RULE_NAMES, SEQUENCE_FAMILY_NAMES
+
+if TYPE_CHECKING:  # each builder imports its runner module's classes when called
+    from .continuity import MapBetweenSpaces
+    from .function_sequences import DomainSample, FunctionSequence
+    from .point_convergence import PointSequence
 
 # A field without a default, which the schema requires.  A default of None
 # is computed by the reader (say, from the dimension or the sample).
@@ -189,7 +193,7 @@ PLAN_SCHEMA = _closed(
 
 SEQUENCE_SCHEMA = _closed(
     {
-        "family": {"enum": list(SEQUENCE_FAMILIES)},
+        "family": {"enum": list(SEQUENCE_FAMILY_NAMES)},
         "params": {"type": "array", "items": _NUMBER},
         "budget": _BUDGET,
     },
@@ -198,7 +202,7 @@ SEQUENCE_SCHEMA = _closed(
 
 MAP_SCHEMA = _closed(
     {
-        "rule": {"enum": list(MAP_RULES)},
+        "rule": {"enum": list(MAP_RULE_NAMES)},
         "params": {"type": "array", "items": _NUMBER},
         "domain": INTERVAL_SCHEMA,
     },
@@ -208,7 +212,7 @@ MAP_SCHEMA = _closed(
 
 FUNCSEQ_SCHEMA = _closed(
     {
-        "family": {"enum": list(FUNCSEQ_FAMILIES)},
+        "family": {"enum": list(FUNCSEQ_FAMILY_NAMES)},
         "domain": INTERVAL_SCHEMA,
         "budget": _BUDGET,
         # sweep of upper endpoints: index searches run once per value,
@@ -457,7 +461,7 @@ def best_error(schema: dict, value, binary64: bool = False) -> SchemaError | Non
 
 def schema_document() -> dict:
     """The published schema document (one entry per scenario kind)."""
-    return {"version": "0.1.0", "scenarios": SCHEMAS}
+    return {"version": __version__, "scenarios": SCHEMAS}
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +517,8 @@ def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
 
 
 def build_sequence(cfg: dict) -> PointSequence:
+    from .point_convergence import PointSequence
+
     with _config_errors("sequence"):
         return PointSequence(
             cfg["family"],
@@ -527,6 +533,8 @@ def build_interval(cfg: dict) -> Interval:
 
 
 def build_map(cfg: dict, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
+    from .continuity import make_map, rule
+
     with _config_errors("map"):
         f = rule(cfg["rule"], *cfg.get("params", ()))
         return make_map(domain_space, codomain_space, f, build_interval(cfg["domain"]))
@@ -535,6 +543,8 @@ def build_map(cfg: dict, domain_space: IFNSpace, codomain_space: IFNSpace) -> Ma
 def build_funcseq(cfg: dict) -> list[FunctionSequence]:
     """One sequence per swept upper endpoint (a single-element list when no
     sweep is requested)."""
+    from .function_sequences import FunctionSequence
+
     with _config_errors("funcseq"):
         base = build_interval(cfg["domain"])
         return [
@@ -548,6 +558,8 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
 
 
 def build_sample(cfg: dict | None, interval: Interval) -> DomainSample:
+    from .function_sequences import sample_domain
+
     # a field the config leaves out takes sample_domain's default
     args = {"points": "n", "refine_side": "refine_side", "refine_depth": "refine_depth"}
     return sample_domain(interval, **{args[f]: v for f, v in (cfg or {}).items()})

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
-    DEFAULT_P_MAX,
     ConvergenceCertificate,
     PointSequence,
     _cauchy_scan,
@@ -35,6 +34,7 @@ from .point_convergence import (
     tail_index,
 )
 from .sampling import Interval, _staged_ladder, intersect, sorted_unique
+from .vocabulary import DEFAULT_P_MAX, MAP_RULE_NAMES, paired
 
 LADDER_DEPTH = 20
 ZERO_SET_TOL = 1e-12
@@ -60,8 +60,8 @@ class _Rule(NamedTuple):
     text: str  # formatted with the params, then the children's descriptions
 
 
-# The rules a config can name, in the schema's order.
-MAP_RULES = {
+# The rules a config can name.
+MAP_RULES = paired(MAP_RULE_NAMES, {
     "identity": _Rule(0, lambda p, c, xs: xs, "identity"),
     "affine": _Rule(2, lambda p, c, xs: p[0] * xs + p[1], "{0}*x + {1}"),
     "power": _Rule(1, lambda p, c, xs: xs ** p[0], "x^{0}"),
@@ -69,7 +69,7 @@ MAP_RULES = {
     "quotient": _Rule(1, lambda p, c, xs: p[0] / (xs + p[0]), "{0}/(x + {0})"),
     "step": _Rule(1, lambda p, c, xs: np.where(xs >= p[0], 1.0, 0.0), "step(x >= {0})"),
     "constant": _Rule(1, lambda p, c, xs: np.full_like(xs, p[0]), "{0}"),
-}
+})
 
 # The rules `combine` builds from its operands' rules (the children).
 _RULES = MAP_RULES | {

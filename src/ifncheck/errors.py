@@ -21,7 +21,10 @@ class DomainError(IFNError, ValueError):
 
 
 class UnknownTag(IFNError, KeyError):
-    """A named catalog/family tag is not recognised."""
+    """A named catalog/family tag is not recognised.  Its message prints as
+    it is, not quoted as a KeyError's key."""
+
+    __str__ = Exception.__str__
 
 
 class NotFound(IFNError):

@@ -25,7 +25,6 @@ from .continuity import (
 )
 from .ifn_core import IFNSpace, membership_radius
 from .point_convergence import (
-    DEFAULT_P_MAX,
     ConvergenceCertificate,
     PointSequence,
     _check_rt,
@@ -35,6 +34,7 @@ from .point_convergence import (
     tail_index,
 )
 from .sampling import Interval
+from .vocabulary import DEFAULT_P_MAX, FUNCSEQ_FAMILY_NAMES, paired
 
 DEFAULT_BUDGET = 10_000
 
@@ -68,8 +68,8 @@ def _power(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-# The closed-form families, in the schema's order; `custom` wraps a callable.
-FUNCSEQ_FAMILIES = {
+# The closed-form families; `custom` wraps a callable.
+FUNCSEQ_FAMILIES = paired(FUNCSEQ_FAMILY_NAMES, {
     "power": _FuncFamily(
         lambda seq, ns, xs: _power(ns, xs),
         # on the catalog domains |x| < 1; x = 1 would be a fixed point
@@ -91,7 +91,7 @@ FUNCSEQ_FAMILIES = {
         lambda seq, xs: seq.constant_rule()(xs),
         lambda seq, n: seq.constant_rule(),
     ),
-}
+})
 
 # Tail used to estimate limits of custom families, and the oscillation
 # tolerance beyond which no limit is reported.

@@ -19,9 +19,9 @@ import numpy as np
 from .errors import DomainError, InvalidParameter, UnsupportedFamily
 from .ifn_core import IFNSpace
 from .sampling import as_point
+from .vocabulary import DEFAULT_P_MAX, SEQUENCE_FAMILY_NAMES, paired
 
 DEFAULT_BUDGET = 100_000
-DEFAULT_P_MAX = 100
 
 STATUS_CERTIFIED = "certified-up-to-budget"
 STATUS_FAILED = "failed"
@@ -33,8 +33,8 @@ class _Family(NamedTuple):
     terms: Callable  # (params, float indices ns) -> terms x_n
 
 
-# The closed-form families, in the schema's order.
-SEQUENCE_FAMILIES = {
+# The closed-form families.
+SEQUENCE_FAMILIES = paired(SEQUENCE_FAMILY_NAMES, {
     "reciprocal": _Family(0, lambda p, ns: 1.0 / (ns + 1.0)),
     "constant": _Family(1, lambda p, ns: np.full_like(ns, float(p[0]))),
     "linear": _Family(0, lambda p, ns: ns.copy()),
@@ -42,7 +42,7 @@ SEQUENCE_FAMILIES = {
         0, lambda p, ns: np.where(np.asarray(ns, dtype=int) % 2 == 0, 1.0, -1.0)
     ),
     "shifted-reciprocal": _Family(2, lambda p, ns: p[0] + 1.0 / (ns + p[1])),
-}
+})
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__
 
 PASS = "pass"
 FAIL = "fail"
@@ -106,7 +106,7 @@ def to_jsonl(report: VerificationReport) -> str:
     header = {
         "kind": "scenario",
         "name": report.scenario,
-        "version": VERSION,
+        "version": __version__,
         "seed": report.seed,
         "config": report.config,
     }
@@ -139,7 +139,7 @@ def to_csv(report: VerificationReport) -> str:
 
 
 def to_text(report: VerificationReport) -> str:
-    lines = [f"scenario: {report.scenario} (version {VERSION}, seed {report.seed})"]
+    lines = [f"scenario: {report.scenario} (version {__version__}, seed {report.seed})"]
     for r in report.records:
         lines.append(f"[{r.verdict.upper():>12}] {r.name} :: {r.anchor}")
         for k, v in r.details.items():

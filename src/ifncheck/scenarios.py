@@ -5,6 +5,10 @@ The check kinds the catalog shares each have one record function here: it
 takes built objects (a function-sequence kind also one (r, t) demand) and
 the kind's fields, `fields_of` its `CHECK_FIELDS` entry, and returns the
 kind's `CheckRecord`, so the runners and the catalog build it the same way.
+
+A function imports the runner module it calls (`point_convergence`,
+`continuity`, `topology`, `function_sequences`, `catalog`) when it runs, so
+a command loads only the modules of its own scenario.
 """
 
 from __future__ import annotations
@@ -29,14 +33,6 @@ from .config_schema import (
     fields_of,
     validate_config,
 )
-from .continuity import (
-    cauchy_preservation_check,
-    continuity_witness_search,
-    equivalence_probe,
-    recheck_witness,
-    sequential_continuity_check,
-    uniform_continuity_search,
-)
 from .errors import (
     CertificationError,
     ConfigError,
@@ -47,36 +43,9 @@ from .errors import (
     UnsupportedFamily,
     WitnessNotFound,
 )
-from .function_sequences import (
-    _ORACLE_GRID,
-    FunctionSequence,
-    UniformCertificate,
-    classical_uniform_probe,
-    closed_form_index_power,
-    pointwise_limit_estimate,
-    sup_deviation_oracle,
-    uniform_cauchy_check,
-    uniform_index_sweep,
-    uniform_limit_scenario,
-)
 from .ifn_core import check_ifn_axioms, membership_radius
-from .point_convergence import (
-    cauchy_index,
-    classical_equivalence_probe,
-    convergence_index,
-    shifted_reciprocal_sequence,
-)
 from .report import FAIL, INCONCLUSIVE, INFO, PASS, CheckRecord, VerificationReport
 from .sampling import as_point
-from .topology import (
-    OpenBall,
-    SampledSet,
-    ball_classical_radius,
-    ball_contains,
-    inner_ball_witnesses,
-    preimage_open_check,
-    set_is_open_sampled,
-)
 
 _STATUS_VERDICT = {
     "certified-up-to-budget": PASS,
@@ -166,6 +135,8 @@ def _run_axioms(config: dict, seed: int) -> list[CheckRecord]:
 
 def _converge_check(kind, space, seq, limit, r, t, c: dict) -> tuple[dict, str]:
     """The details and the verdict of one converge kind at one (r, t) demand."""
+    from .point_convergence import cauchy_index, classical_equivalence_probe, convergence_index
+
     if kind == "classical-probe":
         rec = classical_equivalence_probe(space, seq, limit)
         details = {
@@ -211,6 +182,8 @@ def _at(kind, f, x0, verdict, details, seed, work, counterexamples=()) -> CheckR
 def witness_record(f, x0, c: dict, seed: int) -> CheckRecord:
     """A found witness passes only if it also holds on a fresh, denser
     sample; one that does not is inconclusive."""
+    from .continuity import continuity_witness_search, recheck_witness
+
     w = continuity_witness_search(f, x0, c["epsilon"], c["alpha"], seed=seed)
     verdict = _verdict_of(w.verdict)
     if w.witnessed and not recheck_witness(f, w, seed=seed):
@@ -220,15 +193,21 @@ def witness_record(f, x0, c: dict, seed: int) -> CheckRecord:
 
 
 def _approach(x0, c: dict) -> list:
+    from .point_convergence import shifted_reciprocal_sequence
+
     return [shifted_reciprocal_sequence(x0, c["sequence_offset"], budget=c["budget"])]
 
 
 def sequential_record(f, x0, c: dict, seed: int) -> CheckRecord:
+    from .continuity import sequential_continuity_check
+
     s = sequential_continuity_check(f, x0, _approach(x0, c), c["r"], c["t"])
     return _at("sequential", f, x0, pass_if(s.continuous), s.summary(), seed, c["budget"])
 
 
 def equivalence_record(f, x0, c: dict, seed: int) -> CheckRecord:
+    from .continuity import equivalence_probe
+
     s = equivalence_probe(
         f, x0, c["epsilon"], c["alpha"], _approach(x0, c), c["r"], c["t"], seed=seed
     )
@@ -255,6 +234,8 @@ def _run_continuity(config: dict, seed: int) -> list[CheckRecord]:
 
 
 def uniform_witness_record(f, c: dict, seed: int) -> CheckRecord:
+    from .continuity import uniform_continuity_search
+
     u = uniform_continuity_search(f, c["epsilon"], c["alpha"], seed=seed)
     return CheckRecord(
         name="uniform-witness", anchor=f"uniform continuity of {f.rule.describe()}",
@@ -265,6 +246,8 @@ def uniform_witness_record(f, c: dict, seed: int) -> CheckRecord:
 
 
 def cauchy_preservation_record(f, c: dict, seed: int) -> CheckRecord:
+    from .continuity import cauchy_preservation_check
+
     u = cauchy_preservation_check(
         f, build_sequence(c["sequence"]),
         r=c["r"], t=c["t"], p_max=c["p_max"], budgets=tuple(c["budgets"]),
@@ -293,6 +276,8 @@ def _run_uniform(config: dict, seed: int) -> list[CheckRecord]:
 
 
 def _build_set(cfg: dict, space):
+    from .topology import SampledSet
+
     kind, s = cfg["kind"], fields_of(SET_FIELDS, cfg)
     if kind == "norm-ball":
         radius = s["params"][0] if s["params"] else 1.0
@@ -323,6 +308,8 @@ def _build_set(cfg: dict, space):
 
 
 def preimage_open_record(space, plan, c: dict, seed: int) -> CheckRecord:
+    from .topology import OpenBall, preimage_open_check
+
     b = c["ball"]
     target = OpenBall(as_point(b["center"], 1), b["r"], b["t"])
     pre = preimage_open_check(build_map(c["map"], space, space), target, plan)
@@ -334,6 +321,10 @@ def preimage_open_record(space, plan, c: dict, seed: int) -> CheckRecord:
 
 
 def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
+    from .topology import (
+        OpenBall, ball_classical_radius, ball_contains, inner_ball_witnesses, set_is_open_sampled
+    )
+
     space = build_space(config["space"])
     plan = build_plan(config.get("plan"), space.dimension, seed)
     records = []
@@ -377,10 +368,12 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     return records
 
 
-def sweep_csv_row(seq: FunctionSequence, cert: UniformCertificate, codomain) -> dict:
+def sweep_csv_row(seq, cert, codomain) -> dict:
     """The CSV row of one (r, t) point of a uniform index sweep; the paper's
     closed-form index applies to the power family on [lo, hi] with hi < 1,
     at the codomain's membership radius."""
+    from .function_sequences import closed_form_index_power
+
     hi = seq.domain.hi
     closed_form = seq.family == "power" and 0 < hi < 1
     return {
@@ -414,6 +407,8 @@ def _uniform(kind, r, t, anchor, seq, cert, seed, csv_row=None) -> CheckRecord:
 
 def uniform_index_records(spaces, seq, sample, rts: list, seed: int) -> list[CheckRecord]:
     """One record per (r, t) of `rts`; one values matrix serves them all."""
+    from .function_sequences import uniform_index_sweep
+
     anchor = f"uniform convergence index of the {seq.family} sequence"
     return [
         _uniform("uniform-index", r, t, anchor, seq, cert, seed, sweep_csv_row(seq, cert, spaces[1]))
@@ -422,6 +417,8 @@ def uniform_index_records(spaces, seq, sample, rts: list, seed: int) -> list[Che
 
 
 def pointwise_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    from .function_sequences import pointwise_limit_estimate
+
     x = c["x"] if c["x"] is not None else sample.points[len(sample.points) // 2]
     limit, cert = pointwise_limit_estimate(spaces, seq, x, r, t)
     anchor = f"pointwise convergence of the {seq.family} sequence"
@@ -430,11 +427,15 @@ def pointwise_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckReco
 
 
 def cauchy_criterion_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    from .function_sequences import uniform_cauchy_check
+
     cert = uniform_cauchy_check(spaces, seq, sample, r, t, c["p_max"])
     return _uniform("cauchy-criterion", r, t, "uniform Cauchy tail criterion", seq, cert, seed)
 
 
 def classical_probe_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    from .function_sequences import classical_uniform_probe
+
     rec = classical_uniform_probe(spaces, seq, sample, r, t)
     anchor = "membership versus classical sup-norm uniform convergence"
     work = seq.budget * len(sample.all_points())
@@ -442,6 +443,8 @@ def classical_probe_record(spaces, seq, sample, r, t, c: dict, seed: int) -> Che
 
 
 def uniform_limit_record(spaces, seq, sample, r, t, c: dict, seed: int) -> CheckRecord:
+    from .function_sequences import uniform_limit_scenario
+
     rec = uniform_limit_scenario(spaces, seq, sample, r, t, c["epsilon"], c["alpha"], seed=seed)
     anchor = "continuity of the limit under uniform convergence"
     verdict = pass_if(rec.limit_continuous_everywhere)
@@ -449,6 +452,8 @@ def uniform_limit_record(spaces, seq, sample, r, t, c: dict, seed: int) -> Check
 
 
 def sup_oracle_record(seq, c: dict, seed: int) -> CheckRecord:
+    from .function_sequences import _ORACLE_GRID, sup_deviation_oracle
+
     a, m, n = c["a"], c["m"], c["n"]
     details = {
         "sup": sup_deviation_oracle(seq, a, m, n),
@@ -511,7 +516,6 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
 
 
 def _run_catalog(config: dict, seed: int) -> list[CheckRecord]:
-    # imported on use: the catalog itself imports this module's record functions
     from .catalog import run_catalog
 
     try:

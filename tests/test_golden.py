@@ -10,12 +10,14 @@ may change in names, anchors or `work` only while it keeps that fingerprint.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ifncheck
 from ifncheck import function_sequences
 from ifncheck.report import to_jsonl
 from ifncheck.scenarios import run_scenario
@@ -39,6 +41,20 @@ def test_every_fixture_has_a_case():
     assert on_disk == {fname for fname, _, _ in CASES}
     csv_on_disk = {p.name for p in refresh.GOLDEN_DIR.glob("*.csv")}
     assert csv_on_disk <= {refresh.csv_name(fname) for fname, _, _ in CASES}
+
+
+def test_one_version_everywhere():
+    # a report is keyed on (config, seed, version): a refresh that changes
+    # a fixture must bump the version, and every header must say so
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    (declared,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    headers = {
+        p.name: json.loads(p.read_text(encoding="utf-8").splitlines()[0])["version"]
+        for p in refresh.GOLDEN_DIR.glob("*.jsonl")
+    }
+    assert len(headers) == len(CASES)
+    assert declared == ifncheck.__version__
+    assert {name for name, version in headers.items() if version != declared} == set()
 
 
 @pytest.mark.parametrize(
