@@ -28,7 +28,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -631,9 +630,8 @@ def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     return lo
 
 
-# binary64's unit roundoff, and the factors 1 - 2^-j, j = 1..53, of the
-# closed-form radius that `safe_radius` tries (the last is the float below 1)
-_UNIT_ROUNDOFF = Fraction(1, 2**53)
+# the factors 1 - 2^-j, j = 1..53, of the closed-form radius that
+# `safe_radius` tries (the last is the float below 1)
 _RADIUS_LADDER = 1.0 - np.ldexp(1.0, -np.arange(1, 54))
 
 
@@ -661,8 +659,10 @@ def safe_radius(space: IFNSpace, r: float, t: float) -> float:
 
 @lru_cache(maxsize=1024)
 def _safe_radius(mu_signature: tuple, r: float, t: float) -> float:
+    from fractions import Fraction  # imported here: only this cap is exact
+
     mu = standard_mu(mu_signature[1], ClassicalNorm(mu_signature[2]))
-    rf, u = Fraction(r), _UNIT_ROUNDOFF
+    rf, u = Fraction(r), Fraction(1, 2**53)  # u: binary64's unit roundoff
     cap = min(rf * Fraction(t) * (1 - u) / (1 + u - rf * (1 - u)), Fraction(sys.float_info.max))
     a_max = float(cap)  # made the largest float below the cap
     if Fraction(a_max) >= cap:

@@ -8,7 +8,6 @@ newline-terminated, and nothing wall-clock-dependent is recorded (the
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -128,6 +127,8 @@ def _csv_cell(v) -> str:
 def to_csv(report: VerificationReport) -> str:
     """The sweep table when a record carries a sweep row, else one row of
     `_RECORD_COLUMNS` per record."""
+    import csv  # imported here: only a CSV report needs it
+
     rows = [r.csv_row for r in report.records if r.csv_row is not None]
     columns = _SWEEP_COLUMNS if rows else _RECORD_COLUMNS
     buf = io.StringIO()
