@@ -516,6 +516,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
 
 
 def _run_catalog(config: dict, seed: int) -> list[CheckRecord]:
+    # imported on use: the catalog itself imports this module's record functions
     from .catalog import run_catalog
 
     try:

@@ -1,6 +1,6 @@
 """Each family vocabulary is one table: the map rules, the point-sequence
-families, and the enums the config schema reads from the modules that
-implement them.
+families, and the enums the config schema offers, whose names
+`ifncheck.vocabulary` holds and each implementing table is paired with.
 
 The reference functions below are the if-chains the tables replaced,
 kept verbatim as oracles: every table row must give the same floats (bit
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifncheck import vocabulary
 from ifncheck.config_schema import (
     FUNCSEQ_SCHEMA,
     MAP_SCHEMA,
@@ -188,6 +189,15 @@ def test_unknown_tags_fail_at_construction():
 
 def _enum(schema, field):
     return schema["properties"][field]["enum"]
+
+
+def test_a_table_that_drifts_from_its_vocabulary_fails_at_import():
+    # the schema offers the vocabulary's names; each table must hold the same, in order
+    names = vocabulary.MAP_RULE_NAMES
+    assert vocabulary.paired(names, MAP_RULES) is MAP_RULES
+    for table in ({"identity": None}, dict.fromkeys(reversed(names))):
+        with pytest.raises(ImportError, match="differ from the vocabulary"):
+            vocabulary.paired(names, table)
 
 
 @pytest.mark.parametrize("tag", _enum(MAP_SCHEMA, "rule"))
