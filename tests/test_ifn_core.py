@@ -680,6 +680,46 @@ def test_axiom_reports_do_not_depend_on_broadcasting(seed):
         assert on == off, case
 
 
+def _scaling_by_loop(space: IFNSpace, plan: SamplingPlan) -> dict:
+    """(iv)/(ix) as (checked, total_violations, witnesses), from one
+    `mu.eval` or `nu.eval` per scalar and time: scalars in SCALING_SCALARS
+    order, times ascending, points in plan order, and the first
+    _MAX_WITNESSES witnesses as (point, detail)."""
+    P, cap = plan.points(), ifn_core._MAX_WITNESSES
+    out = {}
+    for roman, name, fn in (("iv", "mu", space.mu), ("ix", "nu", space.nu)):
+        checked, total, witnesses = 0, 0, []
+        for c in ifn_core.SCALING_SCALARS:
+            for t in sorted(plan.t_grid):
+                lhs, rhs = fn.eval(c * P, t), fn.eval(P, t / abs(c))
+                bad = np.flatnonzero(np.abs(lhs - rhs) > ifn_core.EQUALITY_TOL)
+                checked, total = checked + len(P), total + len(bad)
+                witnesses += [
+                    (
+                        (*map(float, P[p]), c, t),
+                        f"{name}(cx,t)={lhs[p]:.17g} != {name}(x,t/|c|)={rhs[p]:.17g}",
+                    )
+                    for p in bad[: cap - len(witnesses)]
+                ]
+        out[roman] = (checked, total, witnesses)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scaling_conditions_match_a_per_scalar_loop(seed):
+    # the six broken spaces, and standard spaces up to d = 3: counts and the
+    # first witnesses in per-scalar, then (t, p), order
+    spaces = [(space, 1) for space, _ in broken_spaces().values()]
+    spaces += [(make_standard_space(k, dimension=d, verify=False), d) for d in (1, 2, 3) for k in (0.5, 3.0)]
+    for space, d in spaces:
+        plan = default_plan(d, seed)
+        report = check_ifn_axioms(space, "strict", plan)
+        for roman, expected in _scaling_by_loop(space, plan).items():
+            res = report.result(roman)
+            got = (res.checked, res.total_violations, [(v.point, v.detail) for v in res.violations])
+            assert got == expected, (space.summary(), roman)
+
+
 @pytest.fixture
 def construction_checks(monkeypatch):
     """An empty construction-check memo, and the spaces that
