@@ -153,10 +153,10 @@ class MembershipFunction:
             pts = pts.reshape(-1, 1)
         return np.asarray(self.fn(pts, np.asarray(t, dtype=float)), dtype=float)
 
-    def _standard(self, pts: np.ndarray, t, tags: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    def _standard(self, pts: np.ndarray, t, tags: tuple[str, ...], out=None) -> tuple[np.ndarray, ...]:
         """The standard family's values named by `tags` (standard-mu and/or
         standard-nu, in that order) with this k and norm, from one k||x|| and
-        t + k||x||.
+        t + k||x||, written into `out` (one array per tag) where given.
 
         More than 8 * _BLOCK_POINTS points run in blocks of _BLOCK_POINTS, each
         dividing into its slice of the outputs while its temporaries are in
@@ -167,14 +167,14 @@ class MembershipFunction:
         pts = np.reshape(pts, (-1, 1)) if np.ndim(pts) == 1 else pts
         n = len(pts)
         if n <= 8 * _BLOCK_POINTS:
-            ts, kn, den = self._closed_form(pts, t)
+            ts, kn, den = self._closed_form(pts, t, out and out[0])
             if len(tags) == 2:  # nu first, as mu overwrites den
-                nus = np.divide(kn, den, out=kn if kn.shape == den.shape else None)
+                nus = np.divide(kn, den, out=out[1] if out else kn if kn.shape == den.shape else None)
                 return np.divide(ts, den, out=den), nus
             return (np.divide(ts if tags == ("standard-mu",) else kn, den, out=den),)
         ts = np.asarray(t, dtype=float)
         per_point = ts.shape[-1:] == (n,)
-        outs = tuple(np.empty(np.broadcast_shapes(ts.shape, (n,))) for _ in tags)
+        outs = out or tuple(np.empty(np.broadcast_shapes(ts.shape, (n,))) for _ in tags)
         for lo in range(0, n, _BLOCK_POINTS):
             at = slice(lo, lo + _BLOCK_POINTS)
             ts_at, kn, den = self._closed_form(pts[at], ts[..., at] if per_point else ts)
@@ -182,9 +182,9 @@ class MembershipFunction:
                 np.divide(ts_at if tag == "standard-mu" else kn, den, out=out[..., at])
         return outs
 
-    def _closed_form(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """t, k||x|| and t + k||x||: the standard family's terms to divide, at
-        an (N, d) block.
+    def _closed_form(self, pts: np.ndarray, t, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t, k||x|| and t + k||x|| (into `out` where given): the standard
+        family's terms to divide, at an (N, d) block.
 
         Where k||x|| or t + k||x|| overflows binary64, mu and nu would read 0
         and inf / inf = NaN, so an overflow raises DomainError naming the point.
@@ -194,7 +194,7 @@ class MembershipFunction:
             with np.errstate(over="raise"):
                 kn = self.norm(pts)
                 kn *= self.k
-                return ts, kn, ts + kn
+                return ts, kn, np.add(ts, kn, out=out)
         except FloatingPointError:
             with np.errstate(over="ignore"):
                 past = np.isinf(self.norm(pts) * self.k + ts).reshape(-1, len(pts)).any(axis=0)
@@ -279,17 +279,19 @@ class IFNSpace:
     def mu_many(self, pts: np.ndarray, t) -> np.ndarray:
         return self.mu.eval(pts, t)
 
-    def memberships(self, pts: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    def memberships(self, pts: np.ndarray, t, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times, the
         last as (T, N) blocks: the one place where both are evaluated, on a
         path chosen by the pair's tags.  The standard pair (one k, one norm)
         shares k||x|| and t + k||x|| and broadcasts over a time column, bit
         for bit as `eval` at each time; any other pair makes one `eval` each,
         also for a (T, 1) column when both sides declare `broadcasts`, and
-        else one per time, as a custom callable need not broadcast."""
+        else one per time, as a custom callable need not broadcast.  The
+        standard pair writes into `out`, two arrays of the values' shape,
+        where given; any other pair returns new arrays."""
         mu, nu = self.mu, self.nu
         if self.standard_pair:
-            return mu._standard(pts, t, ("standard-mu", "standard-nu"))
+            return mu._standard(pts, t, ("standard-mu", "standard-nu"), out)
         if np.ndim(t) == 2 and not (mu.broadcasts and nu.broadcasts):
             return tuple(np.stack([f.eval(pts, s) for s in np.ravel(t)]) for f in (mu, nu))
         return mu.eval(pts, t), nu.eval(pts, t)
@@ -426,6 +428,9 @@ AXIOM_CODE = {roman: code for roman, code, _ in AXIOMS}
 # Witnessing tuples stored per axiom; every violation is still counted.
 _MAX_WITNESSES = 32
 
+# The axiom checker evaluates the plan's points in blocks of this many
+_AXIOM_POINTS = 2**14
+
 # The comparisons of the mirrored conditions, by symbol
 _ORDER = {"<": np.less, ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
 
@@ -445,6 +450,11 @@ def check_ifn_axioms(
     LIMIT_TOL.  The report is deterministic given plan.seed, lists every
     axiom with its violation count, and stores up to _MAX_WITNESSES
     witnessing tuples per axiom.
+
+    Points run in blocks of _AXIOM_POINTS that write into one set of work
+    rows, and witnesses merge into the order of one block over all points.
+    The per-point conditions, then the pairs, then scaling, as an overflow
+    raises the error that one block would raise first.
     """
     tier = tier or space.axiom_tier
     if tier not in TIER_ORDER:
@@ -457,20 +467,124 @@ def check_ifn_axioms(
     n_pts = P.shape[0]
     all_t = plan.all_t()
     tg = np.asarray(sorted(plan.t_grid))
+    n_all, n_t = len(all_t), len(tg)
     tg_idx = np.searchsorted(all_t, tg)
     ladder_idx = np.searchsorted(all_t, plan.t_infinity_ladder)
-
-    MU, NU = space.memberships(P, all_t.reshape(-1, 1))  # (T, N)
     nonzero = np.any(P != 0.0, axis=1)
+    blocks = [slice(lo, min(lo + _AXIOM_POINTS, n_pts)) for lo in range(0, n_pts, _AXIOM_POINTS)]
+    # One block's work rows, written by every block in turn: mu and nu at
+    # all_t, scratch rows, and both sides at (c x, t) and at (x, t/|c|)
+    work = np.empty((3 * n_all + 4 * n_t, blocks[0].stop))
+    cuts = np.cumsum([n_all, n_all, n_all, n_t, n_t, n_t])
 
     rng = plan.rng(3)
     found = {roman: _Violations(code, roman, _MAX_WITNESSES) for roman, code, _ in AXIOMS}
 
-    # (i) mu + nu <= 1 on every sampled (x, t)
-    bad = (MU + NU) > 1.0 + INEQ_SLACK
-    found["i"].add(
-        bad, bad.size, lambda t, p: ((*P[p], all_t[t]), f"mu+nu={MU[t, p] + NU[t, p]:.17g} > 1")
+    # per side: its conditions, its value at theta, how it reads mu's "<" and
+    # ">", its operation and the way it must not move in t
+    sides = (
+        ("mu", "ii iii v vi xiii xv", 1.0, "<>", space.tnorm, "tnorm", "decreasing"),
+        ("nu", "vii viii x xi xiv xvi", 0.0, "><", space.tconorm, "tconorm", "increasing"),
     )
+
+    def mirrored(name, romans, one, order, op, op_name, falling, V, at, scratch, pairs=None):
+        """One side's mirrored conditions, each written once, for mu: the nu
+        side is the same comparison with the order reversed and 0 and 1
+        swapped.  The per-point conditions at the values V of the point
+        block `at`, or with `pairs` the conditions at theta and point pairs."""
+        ii, iii, v, vi, xiii, xv = (found[roman] for roman in romans.split())
+        lt, gt = order
+        greater, less_equal = _ORDER[gt], _ORDER[lt + "="]
+        zero = 1.0 - one
+        sign = one - zero  # the side of a slack: +1 for mu, -1 for nu
+
+        if pairs:
+            # (iii) mu = 1 at theta; (v) tnorm(mu(x, s), mu(y, t)) <= mu(x + y, s + t)
+            at_theta, ends, at_sums = pairs
+            bad = at_theta != one
+            iii.add(bad, bad.size, lambda t: (
+                (*origin, tg[t]), f"{name}(theta,t)={at_theta[t]:.17g} != {one:g}"
+            ), at=(0,))
+            lhs = op(ends[:, None, :n_pairs], ends[None, :, n_pairs:])
+            bad = greater(lhs, at_sums + sign * INEQ_SLACK)
+            v.add(bad, bad.size, lambda s, t, k: (
+                pair(s, t, k),
+                f"{op_name}({name},{name})={lhs[s, t, k]:.17g} {gt} "
+                f"{name}(x+y,s+t)={at_sums[s, t, k]:.17g}",
+            ))
+            return
+        Pb, nz, lo = P[at], nonzero[at], at.start
+        nz_pts, nz_lo = Pb[nz], int(np.count_nonzero(nonzero[:lo]))
+
+        def t_step(t, p):
+            return (*Pb[p], all_t[t], all_t[t + 1])
+
+        # (ii) mu > 0 on the bounded t grid; (iii) mu < 1 off theta
+        on_grid = np.take(V, tg_idx, axis=0, out=scratch[:n_t])
+        bad = less_equal(on_grid, zero)
+        ii.add(bad, bad.size, lambda t, p: (
+            (*Pb[p], tg[t]), f"{name}={on_grid[t, p]:.17g} {lt}= {zero:g}"
+        ), col=lo)
+        bad = less_equal(one, on_grid)[:, nz]
+        iii.add(bad, bad.size, lambda t, p: (
+            (*nz_pts[p], tg[t]), f"{name}={one:g} for x != theta"
+        ), at=(1,), col=nz_lo)
+
+        # (vi) mu non-decreasing in t, with ladder limit 1
+        bad = greater(np.subtract(V[:-1], sign * INEQ_SLACK, out=scratch[:-1]), V[1:])
+        vi.add(bad, bad.size, lambda t, p: (t_step(t, p), f"{name} not non-{falling} in t"), at=(0,), col=lo)
+        last = V[ladder_idx[-2:]]  # the ladder's last two rows of all_t
+        bad = (np.abs(last[1] - last[0]) >= LIMIT_TOL) | less_equal(last[1], one - sign * LIMIT_TOL)
+        vi.add(bad, bad.size, lambda p: (Pb[p], f"{name} ladder limit {last[1][p]:.17g} != {one:g}"), at=(1,), col=lo)
+
+        # (xiii) literal forcing condition, on request only
+        if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
+            bad = np.all(greater(V, zero)[:, nz], axis=0)
+            xiii.add(bad, bad.size, lambda p: (
+                nz_pts[p],
+                f"{name}(x,t) {gt} {zero:g} at every sampled t yet x != theta "
+                "(condition as written)",
+            ), col=nz_lo)
+
+        # (xv) mu strictly increasing where values lie strictly inside (0,1)
+        if TIER_ORDER[tier] >= 2:
+            in01 = (V > 0.0) & (V < 1.0)
+            pairmask = in01[:-1] & in01[1:] & nz[None, :]
+            xv.add(pairmask & less_equal(V[1:], V[:-1]), int(pairmask.sum()), lambda t, p: (
+                t_step(t, p),
+                f"{name}({all_t[t]})={V[t, p]:.17g} !{lt} "
+                f"{name}({all_t[t + 1]})={V[t + 1, p]:.17g}",
+            ), col=lo)
+
+    def scaling(at, size, scratch, lhs_out, rhs_pair):
+        """(iv)/(ix) on the point block `at` at the scalars c with |c| = size:
+        the value at (c x, t) equals the value at (x, t/|c|), `rhs_pair`."""
+        Pb = P[at]
+        for i, c in enumerate(SCALING_SCALARS):
+            if abs(c) != size:
+                continue
+            lhs_pair = space.memberships(c * Pb, tg.reshape(-1, 1), out=lhs_out)
+            for roman, name, lhs, rhs in zip(("iv", "ix"), ("mu", "nu"), lhs_pair, rhs_pair):
+                gap = np.subtract(lhs, rhs, out=scratch[:n_t])
+                bad = np.abs(gap, out=gap) > EQUALITY_TOL
+                found[roman].add(bad, bad.size, lambda t, p: (
+                    (*Pb[p], c, tg[t]),
+                    f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
+                ), at=(i,), col=at.start)
+
+    # The first pass: (i) mu + nu <= 1 on every sampled (x, t), the mirrored
+    # per-point conditions, and scaling at |c| = 1, read from the t grid rows
+    for at in blocks:
+        MU, NU, scratch, *lhs_rhs = np.split(work[:, : at.stop - at.start], cuts)
+        MU, NU = space.memberships(P[at], all_t.reshape(-1, 1), out=(MU, NU))  # (T, block)
+        bad = np.add(MU, NU, out=scratch) > 1.0 + INEQ_SLACK
+        found["i"].add(bad, bad.size, lambda t, p: (
+            (*P[at][p], all_t[t]), f"mu+nu={MU[t, p] + NU[t, p]:.17g} > 1"
+        ), col=at.start)
+        for side, V in zip(sides, (MU, NU)):
+            mirrored(*side, V, at, scratch)
+        rhs_pair = tuple(np.take(V, tg_idx, axis=0, out=r) for V, r in zip((MU, NU), lhs_rhs[2:]))
+        scaling(at, 1.0, scratch, lhs_rhs[:2], rhs_pair)
 
     # The triangle conditions v/x run over a seeded pair sample.  Diagonal
     # pairs (x, x) are included deliberately: superadditive deformations
@@ -479,114 +593,34 @@ def check_ifn_axioms(
     n_rand = min(512, n_pts * n_pts)
     ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
     ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
-    sums = P[ia] + P[ib]
-    n_t = len(tg)
-    s_plus_t = (tg[:, None] + tg[None, :]).ravel()
-    rows = tg_idx[:, None]
+    n_pairs = len(ia)
     origin = (0.0,) * space.dimension
-    nz_pts = P[nonzero]
 
     def pair(s, t, k):
         return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
 
-    def t_step(t, p):
-        return (*P[p], all_t[t], all_t[t + 1])
-
-    def mirrored(name, romans, one, order, op, op_name, falling, V, at_theta, at_sums):
-        """One side's mirrored conditions, each written once, for mu: the nu
-        side is the same comparison with the order reversed and 0 and 1
-        swapped.  Its temporaries are freed when it returns."""
-        ii, iii, v, vi, xiii, xv = (found[roman] for roman in romans.split())
-        lt, gt = order
-        greater, less_equal = _ORDER[gt], _ORDER[lt + "="]
-        zero = 1.0 - one
-        sign = one - zero  # the side of a slack: +1 for mu, -1 for nu
-
-        # (ii) mu > 0 on the bounded t grid; (iii) mu = 1 at theta and only there
-        on_grid = V[tg_idx]
-        bad = less_equal(on_grid, zero)
-        ii.add(bad, bad.size, lambda t, p: (
-            (*P[p], tg[t]), f"{name}={on_grid[t, p]:.17g} {lt}= {zero:g}"
-        ))
-        bad = at_theta != one
-        iii.add(bad, bad.size, lambda t: (
-            (*origin, tg[t]), f"{name}(theta,t)={at_theta[t]:.17g} != {one:g}"
-        ))
-        bad = less_equal(one, on_grid[:, nonzero])
-        iii.add(bad, bad.size, lambda t, p: (
-            (*nz_pts[p], tg[t]), f"{name}={one:g} for x != theta"
-        ))
-        del on_grid
-
-        # (v) tnorm(mu(x, s), mu(y, t)) <= mu(x + y, s + t)
-        lhs = op(V[rows, ia][:, None], V[rows, ib][None, :])
-        bad = greater(lhs, at_sums + sign * INEQ_SLACK)
-        v.add(bad, bad.size, lambda s, t, k: (
-            pair(s, t, k),
-            f"{op_name}({name},{name})={lhs[s, t, k]:.17g} {gt} "
-            f"{name}(x+y,s+t)={at_sums[s, t, k]:.17g}",
-        ))
-
-        # (vi) mu non-decreasing in t, with ladder limit 1
-        bad = greater(V[:-1] - sign * INEQ_SLACK, V[1:])
-        vi.add(bad, bad.size, lambda t, p: (t_step(t, p), f"{name} not non-{falling} in t"))
-        last = V[ladder_idx[-2:]]  # the ladder's last two rows of all_t
-        bad = (np.abs(last[1] - last[0]) >= LIMIT_TOL) | less_equal(last[1], one - sign * LIMIT_TOL)
-        vi.add(bad, bad.size, lambda p: (P[p], f"{name} ladder limit {last[1][p]:.17g} != {one:g}"))
-
-        # (xiii) literal forcing condition, on request only
-        if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
-            bad = np.all(greater(V[:, nonzero], zero), axis=0)
-            xiii.add(bad, bad.size, lambda p: (
-                nz_pts[p],
-                f"{name}(x,t) {gt} {zero:g} at every sampled t yet x != theta "
-                "(condition as written)",
-            ))
-
-        # (xv) mu strictly increasing where values lie strictly inside (0,1)
-        if TIER_ORDER[tier] >= 2:
-            in01 = (V > 0.0) & (V < 1.0)
-            pairmask = in01[:-1] & in01[1:] & nonzero[None, :]
-            xv.add(pairmask & less_equal(V[1:], V[:-1]), int(pairmask.sum()), lambda t, p: (
-                t_step(t, p),
-                f"{name}({all_t[t]})={V[t, p]:.17g} !{lt} "
-                f"{name}({all_t[t + 1]})={V[t + 1, p]:.17g}",
-            ))
-
     theta_pair = space.memberships(space.theta.reshape(1, -1), tg.reshape(-1, 1))
-    sums_pair = space.memberships(sums, s_plus_t[:, None])
-    # per side: its conditions, its value at theta, how it reads mu's "<" and
-    # ">", its operation and the way it must not move in t
-    sides = (
-        ("mu", "ii iii v vi xiii xv", 1.0, "<>", space.tnorm, "tnorm", "decreasing"),
-        ("nu", "vii viii x xi xiv xvi", 0.0, "><", space.tconorm, "tconorm", "increasing"),
-    )
-    for side, V, at_theta, at_sums in zip(sides, (MU, NU), theta_pair, sums_pair):
-        mirrored(*side, V, at_theta[:, 0], at_sums.reshape(n_t, n_t, -1))
-    del theta_pair, sums_pair, at_theta, at_sums  # before the larger scaling blocks
+    ends_pair = space.memberships(P[np.concatenate([ia, ib])], tg.reshape(-1, 1))
+    sums_pair = space.memberships(P[ia] + P[ib], (tg[:, None] + tg[None, :]).reshape(-1, 1))
+    for side, at_theta, ends, at_sums in zip(sides, theta_pair, ends_pair, sums_pair):
+        mirrored(*side, None, None, None, pairs=(at_theta[:, 0], ends, at_sums.reshape(n_t, n_t, -1)))
 
-    # (iv)/(ix) scaling: value at (c x, t) equals value at (x, t/|c|).  Each
-    # scalar builds its four blocks and drops them before the next scalar.
-    for c in SCALING_SCALARS:
-        lhs_pair = space.memberships(c * P, tg.reshape(-1, 1))
-        rhs_pair = space.memberships(P, (tg / abs(c)).reshape(-1, 1))
-        for roman, name, lhs, rhs in zip(("iv", "ix"), ("mu", "nu"), lhs_pair, rhs_pair):
-            gap = lhs - rhs
-            bad = np.abs(gap, out=gap) > EQUALITY_TOL
-            found[roman].add(bad, bad.size, lambda t, p: (
-                (*P[p], c, tg[t]),
-                f"{name}(cx,t)={lhs[t, p]:.17g} != {name}(x,t/|c|)={rhs[t, p]:.17g}",
-            ))
-        del lhs_pair, rhs_pair, lhs, rhs, gap
+    # The second pass: scaling at every other |c|, with t/|c| evaluated once
+    # per block
+    for at in blocks:
+        _, _, scratch, *lhs_rhs = np.split(work[:, : at.stop - at.start], cuts)
+        for size in dict.fromkeys(abs(c) for c in SCALING_SCALARS if abs(c) != 1.0):
+            rhs_pair = space.memberships(P[at], (tg / size).reshape(-1, 1), out=lhs_rhs[2:])
+            scaling(at, size, scratch, lhs_rhs[:2], rhs_pair)
 
     # (xii) idempotency of the operations, exact
     if TIER_ORDER[tier] >= 1:
         a = plan.unit_values()
-        for op, op_name in ((space.tnorm, "*"), (space.tconorm, "(+)")):
+        for j, (op, op_name) in enumerate(((space.tnorm, "*"), (space.tconorm, "(+)"))):
             bad = op(a, a) != a
             found["xii"].add(bad, bad.size, lambda i: (
                 (a[i],), f"a{op_name}a={float(op(a[i], a[i])):.17g} != a"
-            ))
+            ), at=(j,))
 
     results = tuple(
         found[roman].result()

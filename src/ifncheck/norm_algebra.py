@@ -8,7 +8,9 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -209,32 +211,34 @@ class _Violations:
 
     `add` takes a mask over a sample grid, the number of cases it covers, and
     describe(*index) -> (point, detail) for a violating cell.  Witnesses are
-    stored in the order added, row-major within a mask, up to `cap` of them;
-    `total_violations` counts them all.
+    kept in the order of (*at, *index), up to `cap` of them, where the mask's
+    columns start at `col`: a column block of a larger mask merges into its
+    row-major order.  `total_violations` counts them all.
     """
 
     def __init__(self, axiom: str, roman: str, cap: int):
         self.axiom, self.roman, self.cap = axiom, roman, cap
         self.checked = 0
         self.total = 0
-        self.witnesses: list[Violation] = []
+        self.witnesses: list[tuple[tuple, Violation]] = []  # (order key, witness)
 
-    def add(self, bad: np.ndarray, checked: int, describe: Callable) -> _Violations:
+    def add(self, bad: np.ndarray, checked: int, describe: Callable, at=(), col=0) -> _Violations:
         self.checked += checked
         count = int(np.count_nonzero(bad))
         self.total += count
-        room = self.cap - len(self.witnesses)
-        if count and room > 0:
-            for index in np.argwhere(bad)[:room]:
-                point, detail = describe(*index)
-                self.witnesses.append(
-                    Violation(self.axiom, tuple(float(v) for v in point), detail)
-                )
+        for index in np.argwhere(bad)[: self.cap] if count else ():
+            key = (*at, *index[:-1], index[-1] + col)
+            if len(self.witnesses) == self.cap and key >= self.witnesses[-1][0]:
+                break  # so is every later cell of this mask
+            point, detail = describe(*index)
+            witness = Violation(self.axiom, tuple(float(v) for v in point), detail)
+            bisect.insort(self.witnesses, (key, witness), key=itemgetter(0))
+            del self.witnesses[self.cap :]
         return self
 
     def result(self) -> AxiomResult:
         return AxiomResult(
-            self.axiom, self.roman, self.checked, tuple(self.witnesses), self.total
+            self.axiom, self.roman, self.checked, tuple(w for _, w in self.witnesses), self.total
         )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ifncheck import ifn_core
 from ifncheck.catalog import broken_spaces
+from ifncheck.config_schema import build_plan
 from ifncheck.errors import AxiomFailure, DomainError, InvalidParameter, UnknownTag
 from ifncheck.ifn_core import (
     LIMIT_TOL,
@@ -678,6 +679,53 @@ def test_axiom_reports_do_not_depend_on_broadcasting(seed):
             for flag in (True, False)
         )
         assert on == off, case
+
+
+def _axiom_outcome(space: IFNSpace, plan: SamplingPlan, forcing: bool, block: int) -> str:
+    """`repr` of the strict-tier report with the checker's point blocks
+    patched to `block` points, or the error it raised, in the errstate of a
+    config run."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="raise", invalid="raise", divide="raise"):
+        mp.setattr(ifn_core, "_AXIOM_POINTS", block)
+        try:
+            return repr(check_ifn_axioms(space, "strict", plan, forcing))
+        except (DomainError, FloatingPointError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@given(block=st.integers(2, 240), seed=st.integers(0, 2**16))
+@settings(max_examples=3, deadline=None, derandomize=True)
+def test_blocked_axiom_checks_of_the_violators_match_one_block(block, seed):
+    # every violator, with and without the forcing conditions: counts,
+    # `checked`, and the witnesses and their order, for blocks from two
+    # points up to the whole line plan
+    plan = default_plan(1, seed)
+    n_pts = len(plan.points())
+    for case, (space, _) in _axiom_violators().items():
+        for forcing in (False, True):
+            whole = _axiom_outcome(space, plan, forcing, n_pts)
+            assert _axiom_outcome(space, plan, forcing, block) == whole, (case, forcing)
+
+
+@given(
+    d=st.integers(1, 4),
+    k=st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(1e-2, 1e2)),
+    seed=st.integers(0, 2**16),
+    parts=st.integers(2, 9),
+    halfwidth=st.sampled_from([5.0, 5.0, 1e154, 6e307, 8e307]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_blocked_standard_axiom_checks_match_one_block(d, k, seed, parts, halfwidth, data):
+    # standard spaces on config plans split into 2..9 blocks, with halfwidths
+    # at which k||x||, sums of points or scaled points overflow: a block may
+    # not raise an error that one block over all points raises later
+    family = data.draw(st.sampled_from(["absolute-value", "max-coordinate"] if d == 1 else ["euclidean", "max-coordinate"]))
+    space = make_standard_space(k, family, dimension=d, verify=False)
+    plan = build_plan({"grid_halfwidth": halfwidth}, d, seed)
+    n_pts = len(plan.points())
+    whole = _axiom_outcome(space, plan, True, n_pts)
+    assert _axiom_outcome(space, plan, True, -(-n_pts // parts)) == whole
 
 
 def _scaling_by_loop(space: IFNSpace, plan: SamplingPlan) -> dict:
