@@ -453,8 +453,8 @@ def check_ifn_axioms(
 
     Points run in blocks of _AXIOM_POINTS that write into one set of work
     rows, and witnesses merge into the order of one block over all points.
-    The per-point conditions, then the pairs, then scaling, as an overflow
-    raises the error that one block would raise first.
+    The per-point pass runs first, then the pairs, then scaling, so an
+    overflow raises the error that one block over all points would raise.
     """
     tier = tier or space.axiom_tier
     if tier not in TIER_ORDER:
@@ -472,10 +472,10 @@ def check_ifn_axioms(
     ladder_idx = np.searchsorted(all_t, plan.t_infinity_ladder)
     nonzero = np.any(P != 0.0, axis=1)
     blocks = [slice(lo, min(lo + _AXIOM_POINTS, n_pts)) for lo in range(0, n_pts, _AXIOM_POINTS)]
-    # One block's work rows, written by every block in turn: mu and nu at
-    # all_t, scratch rows, and both sides at (c x, t) and at (x, t/|c|)
-    work = np.empty((3 * n_all + 4 * n_t, blocks[0].stop))
-    cuts = np.cumsum([n_all, n_all, n_all, n_t, n_t, n_t])
+    # One block's work rows, written by every block in turn, so that no block
+    # allocates a large array: mu and nu at all_t, scratch rows, and both
+    # sides at (c x, t) and at (x, t/|c|)
+    work = np.split(np.empty((3 * n_all + 4 * n_t, blocks[0].stop)), np.cumsum([n_all] * 3 + [n_t] * 3))
 
     rng = plan.rng(3)
     found = {roman: _Violations(code, roman, _MAX_WITNESSES) for roman, code, _ in AXIOMS}
@@ -487,7 +487,7 @@ def check_ifn_axioms(
         ("nu", "vii viii x xi xiv xvi", 0.0, "><", space.tconorm, "tconorm", "increasing"),
     )
 
-    def mirrored(name, romans, one, order, op, op_name, falling, V, at, scratch, pairs=None):
+    def mirrored(name, romans, one, order, op, op_name, falling, V=None, at=None, scratch=None, pairs=None):
         """One side's mirrored conditions, each written once, for mu: the nu
         side is the same comparison with the order reversed and 0 and 1
         swapped.  The per-point conditions at the values V of the point
@@ -535,7 +535,9 @@ def check_ifn_axioms(
         vi.add(bad, bad.size, lambda t, p: (t_step(t, p), f"{name} not non-{falling} in t"), at=(0,), col=lo)
         last = V[ladder_idx[-2:]]  # the ladder's last two rows of all_t
         bad = (np.abs(last[1] - last[0]) >= LIMIT_TOL) | less_equal(last[1], one - sign * LIMIT_TOL)
-        vi.add(bad, bad.size, lambda p: (Pb[p], f"{name} ladder limit {last[1][p]:.17g} != {one:g}"), at=(1,), col=lo)
+        vi.add(bad, bad.size, lambda p: (
+            Pb[p], f"{name} ladder limit {last[1][p]:.17g} != {one:g}"
+        ), at=(1,), col=lo)
 
         # (xiii) literal forcing condition, on request only
         if TIER_ORDER[tier] >= 1 and include_forcing_conditions:
@@ -575,7 +577,7 @@ def check_ifn_axioms(
     # The first pass: (i) mu + nu <= 1 on every sampled (x, t), the mirrored
     # per-point conditions, and scaling at |c| = 1, read from the t grid rows
     for at in blocks:
-        MU, NU, scratch, *lhs_rhs = np.split(work[:, : at.stop - at.start], cuts)
+        MU, NU, scratch, *lhs_rhs = (rows[:, : at.stop - at.start] for rows in work)
         MU, NU = space.memberships(P[at], all_t.reshape(-1, 1), out=(MU, NU))  # (T, block)
         bad = np.add(MU, NU, out=scratch) > 1.0 + INEQ_SLACK
         found["i"].add(bad, bad.size, lambda t, p: (
@@ -603,12 +605,11 @@ def check_ifn_axioms(
     ends_pair = space.memberships(P[np.concatenate([ia, ib])], tg.reshape(-1, 1))
     sums_pair = space.memberships(P[ia] + P[ib], (tg[:, None] + tg[None, :]).reshape(-1, 1))
     for side, at_theta, ends, at_sums in zip(sides, theta_pair, ends_pair, sums_pair):
-        mirrored(*side, None, None, None, pairs=(at_theta[:, 0], ends, at_sums.reshape(n_t, n_t, -1)))
+        mirrored(*side, pairs=(at_theta[:, 0], ends, at_sums.reshape(n_t, n_t, -1)))
 
-    # The second pass: scaling at every other |c|, with t/|c| evaluated once
-    # per block
+    # The second pass: scaling at every other |c|, one (x, t/|c|) per block
     for at in blocks:
-        _, _, scratch, *lhs_rhs = np.split(work[:, : at.stop - at.start], cuts)
+        _, _, scratch, *lhs_rhs = (rows[:, : at.stop - at.start] for rows in work)
         for size in dict.fromkeys(abs(c) for c in SCALING_SCALARS if abs(c) != 1.0):
             rhs_pair = space.memberships(P[at], (tg / size).reshape(-1, 1), out=lhs_rhs[2:])
             scaling(at, size, scratch, lhs_rhs[:2], rhs_pair)

@@ -218,18 +218,19 @@ class _Violations:
 
     def __init__(self, axiom: str, roman: str, cap: int):
         self.axiom, self.roman, self.cap = axiom, roman, cap
-        self.checked = 0
-        self.total = 0
+        self.checked = self.total = 0
         self.witnesses: list[tuple[tuple, Violation]] = []  # (order key, witness)
 
     def add(self, bad: np.ndarray, checked: int, describe: Callable, at=(), col=0) -> _Violations:
         self.checked += checked
         count = int(np.count_nonzero(bad))
         self.total += count
-        for index in np.argwhere(bad)[: self.cap] if count else ():
+        if not count or len(self.witnesses) == self.cap and at > self.witnesses[-1][0][: len(at)]:
+            return self  # no cell of this mask can enter
+        for index in np.argwhere(bad)[: self.cap].tolist():
             key = (*at, *index[:-1], index[-1] + col)
             if len(self.witnesses) == self.cap and key >= self.witnesses[-1][0]:
-                break  # so is every later cell of this mask
+                break  # nor can any later cell of this mask
             point, detail = describe(*index)
             witness = Violation(self.axiom, tuple(float(v) for v in point), detail)
             bisect.insort(self.witnesses, (key, witness), key=itemgetter(0))
