@@ -577,7 +577,7 @@ def check_ifn_axioms(
     # The first pass: (i) mu + nu <= 1 on every sampled (x, t), the mirrored
     # per-point conditions, and scaling at |c| = 1, read from the t grid rows
     for at in blocks:
-        MU, NU, scratch, *lhs_rhs = (rows[:, : at.stop - at.start] for rows in work)
+        MU, NU, scratch, lhs_mu, lhs_nu, rhs_mu, rhs_nu = (r[:, : at.stop - at.start] for r in work)
         MU, NU = space.memberships(P[at], all_t.reshape(-1, 1), out=(MU, NU))  # (T, block)
         bad = np.add(MU, NU, out=scratch) > 1.0 + INEQ_SLACK
         found["i"].add(bad, bad.size, lambda t, p: (
@@ -585,8 +585,8 @@ def check_ifn_axioms(
         ), col=at.start)
         for side, V in zip(sides, (MU, NU)):
             mirrored(*side, V, at, scratch)
-        rhs_pair = tuple(np.take(V, tg_idx, axis=0, out=r) for V, r in zip((MU, NU), lhs_rhs[2:]))
-        scaling(at, 1.0, scratch, lhs_rhs[:2], rhs_pair)
+        rhs_pair = tuple(np.take(V, tg_idx, axis=0, out=r) for V, r in zip((MU, NU), (rhs_mu, rhs_nu)))
+        scaling(at, 1.0, scratch, (lhs_mu, lhs_nu), rhs_pair)
 
     # The triangle conditions v/x run over a seeded pair sample.  Diagonal
     # pairs (x, x) are included deliberately: superadditive deformations
@@ -609,10 +609,10 @@ def check_ifn_axioms(
 
     # The second pass: scaling at every other |c|, one (x, t/|c|) per block
     for at in blocks:
-        _, _, scratch, *lhs_rhs = (rows[:, : at.stop - at.start] for rows in work)
+        _, _, scratch, lhs_mu, lhs_nu, rhs_mu, rhs_nu = (r[:, : at.stop - at.start] for r in work)
         for size in dict.fromkeys(abs(c) for c in SCALING_SCALARS if abs(c) != 1.0):
-            rhs_pair = space.memberships(P[at], (tg / size).reshape(-1, 1), out=lhs_rhs[2:])
-            scaling(at, size, scratch, lhs_rhs[:2], rhs_pair)
+            rhs_pair = space.memberships(P[at], (tg / size).reshape(-1, 1), out=(rhs_mu, rhs_nu))
+            scaling(at, size, scratch, (lhs_mu, lhs_nu), rhs_pair)
 
     # (xii) idempotency of the operations, exact
     if TIER_ORDER[tier] >= 1:

@@ -594,7 +594,8 @@ def _axiom_violators() -> dict[str, tuple[IFNSpace, bool]]:
     """A space violating each condition (i)-(xvi), with whether the forcing
     conditions are requested: the six broken spaces and small custom pairs.
     A suffixed case reaches a second clause of its condition: a value at
-    theta, or a step against monotonicity in t (at t = 2)."""
+    theta, or a step against monotonicity in t (at t = 2); a `-both` case
+    reaches both clauses, whose order its first witness pins."""
     broken = {roman: space for roman, (space, _) in broken_spaces().items()}
     std = make_standard_space(1.0, verify=False)
 
@@ -606,10 +607,12 @@ def _axiom_violators() -> dict[str, tuple[IFNSpace, bool]]:
         "ii": (_pair_space(mu=lambda p, t: np.where(_abs1(p) >= 2.0, 0.0, t / (t + _abs1(p)))), False),
         "iii": (_pair_space(mu=lambda p, t: np.where(_abs1(p) < 0.5, 1.0, t / (t + _abs1(p)))), False),
         "iii-theta": (_pair_space(mu=lambda p, t: t / (t + _abs1(p) + 0.1)), False),
+        "iii-both": (_pair_space(mu=lambda p, t: np.where((_abs1(p) > 0.0) & (_abs1(p) < 0.5), 1.0, t / (t + _abs1(p) + 0.1))), False),
         "iv": (broken["iv"], False),
         "v": (broken["v"], False),
         "vi": (broken["vi"], False),
         "vi-step": (_pair_space(mu=lambda p, t: t / (t + _abs1(p) * at_two(t))), False),
+        "vi-both": (_pair_space(mu=lambda p, t: t / (2.0 * t + _abs1(p) * at_two(t))), False),
         "vii": (_pair_space(nu=lambda p, t: np.where(_abs1(p) >= 2.0, 1.0, _abs1(p) / (t + _abs1(p)))), False),
         "viii": (_pair_space(nu=lambda p, t: np.where(_abs1(p) < 0.5, 0.0, _abs1(p) / (t + _abs1(p)))), False),
         "viii-theta": (_pair_space(nu=lambda p, t: (_abs1(p) + 0.1) / (t + _abs1(p) + 0.1)), False),
@@ -632,10 +635,12 @@ AXIOM_PINS = {
     'ii': (('ii', 'iv', 'v', 'vi'), 1547, 924, (-5.0, 0.01), 'mu=0 <= 0'),
     'iii': (('i', 'iii', 'iv', 'v'), 1547, 119, (-0.1872729152728585, 0.01), 'mu=1 for x != theta'),
     'iii-theta': (('iii', 'iv'), 1547, 7, (0.0, 0.01), 'mu(theta,t)=0.090909090909090912 != 1'),
+    'iii-both': (('i', 'iii', 'iv', 'v'), 1547, 126, (0.0, 0.01), 'mu(theta,t)=0.090909090909090912 != 1'),
     'iv': (('iv', 'ix'), 9282, 6699, (-5.0, -2.0, 0.01), 'mu(cx,t)=0.00095147478591817321 != mu(x,t/|c|)=0.00090826521344232523'),
     'v': (('iv', 'v', 'ix', 'x'), 28224, 3608, (-5.0, -5.0, 0.01, 0.01), 'tnorm(mu,mu)=0.00039984006397441024 > mu(x+y,s+t)=0.00019996000799840034'),
     'vi': (('vi',), 2431, 220, (-5.0,), 'mu ladder limit 0.49999999999875 != 1'),
     'vi-step': (('iv', 'v', 'vi', 'xv'), 2431, 220, (-5.0, 1.0, 2.0), 'mu not non-decreasing in t'),
+    'vi-both': (('iii', 'iv', 'v', 'vi', 'xv'), 2431, 441, (-5.0, 1.0, 2.0), 'mu not non-decreasing in t'),
     'vii': (('i', 'vii', 'ix', 'x', 'xi'), 1547, 924, (-5.0, 0.01), 'nu=1 >= 1'),
     'viii': (('viii', 'ix', 'x'), 1547, 119, (-0.1872729152728585, 0.01), 'nu=0 for x != theta'),
     'viii-theta': (('i', 'viii', 'ix'), 1547, 7, (0.0, 0.01), 'nu(theta,t)=0.90909090909090917 != 0'),
