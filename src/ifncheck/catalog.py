@@ -9,7 +9,6 @@ seed argument.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -161,7 +160,7 @@ def _expect(rec: CheckRecord, name: str, anchor: str, verdict=PASS, **details) -
     only if its verdict is `verdict` and each named detail has the given
     value."""
     ok = _as_expected(rec, verdict, **details)
-    return replace(rec, name=name, anchor=anchor, verdict=pass_if(ok))
+    return rec._replace(name=name, anchor=anchor, verdict=pass_if(ok))
 
 
 def _combine(name: str, anchor: str, ok: bool, seed: int, **parts: CheckRecord) -> CheckRecord:
@@ -531,7 +530,7 @@ def _run_example_4_verification(seed: int) -> list[CheckRecord]:
     }
     ok = abs(sup - 0.1875) <= 1e-6 and sup < doubled and sup <= bound
     return [
-        replace(rec, name="sup-deviation/power", anchor=anchor, verdict=pass_if(ok), details=details)
+        rec._replace(name="sup-deviation/power", anchor=anchor, verdict=pass_if(ok), details=details)
     ]
 
 

@@ -25,7 +25,10 @@ from .ifn_core import (
     EXAMPLE_SPACES, NORM_FAMILIES, TIER_ORDER, IFNSpace, make_example_family, make_standard_space
 )
 from .norm_algebra import TCONORM_FAMILIES, TNORM_FAMILIES
-from .sampling import DEFAULT_GRID_POINTS, Interval, SamplingPlan, product_grid
+from .sampling import (
+    DEFAULT_GRID_POINTS, DEFAULT_HALFWIDTH, DEFAULT_RANDOM_COUNT, DEFAULT_T_GRID, DEFAULT_T_LADDER, Interval,
+    SamplingPlan, product_grid,
+)
 from .vocabulary import DEFAULT_P_MAX, FUNCSEQ_FAMILY_NAMES, MAP_RULE_NAMES, SEQUENCE_FAMILY_NAMES
 
 if TYPE_CHECKING:  # each builder imports its runner module's classes when called
@@ -500,7 +503,7 @@ def build_space(cfg: dict, verify: bool = True) -> IFNSpace:
 
 def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
     cfg = cfg or {}
-    w = cfg.get("grid_halfwidth", SamplingPlan.random_halfwidth)
+    w = cfg.get("grid_halfwidth", DEFAULT_HALFWIDTH)
     n = cfg.get("grid_points_per_axis", DEFAULT_GRID_POINTS)
     with _config_errors("plan grid_halfwidth"):
         # the same points as np.linspace(-w, w, n), once the width 2w is known to be finite
@@ -508,22 +511,22 @@ def build_plan(cfg: dict | None, dimension: int, seed: int) -> SamplingPlan:
     with _config_errors("plan"):
         return SamplingPlan(
             product_grid(axis, dimension, seed),
-            t_grid=tuple(cfg.get("t_grid", SamplingPlan.t_grid)),
-            random_count=cfg.get("random_count", SamplingPlan.random_count),
+            t_grid=tuple(cfg.get("t_grid", DEFAULT_T_GRID)),
+            random_count=cfg.get("random_count", DEFAULT_RANDOM_COUNT),
             seed=seed,
-            t_infinity_ladder=tuple(cfg.get("t_infinity_ladder", SamplingPlan.t_infinity_ladder)),
+            t_infinity_ladder=tuple(cfg.get("t_infinity_ladder", DEFAULT_T_LADDER)),
             random_halfwidth=w,
         )
 
 
 def build_sequence(cfg: dict) -> PointSequence:
-    from .point_convergence import PointSequence
+    from .point_convergence import DEFAULT_BUDGET, PointSequence
 
     with _config_errors("sequence"):
         return PointSequence(
             cfg["family"],
             tuple(cfg.get("params", ())),
-            budget=cfg.get("budget", PointSequence.budget),
+            budget=cfg.get("budget", DEFAULT_BUDGET),
         )
 
 
@@ -543,7 +546,7 @@ def build_map(cfg: dict, domain_space: IFNSpace, codomain_space: IFNSpace) -> Ma
 def build_funcseq(cfg: dict) -> list[FunctionSequence]:
     """One sequence per swept upper endpoint (a single-element list when no
     sweep is requested)."""
-    from .function_sequences import FunctionSequence
+    from .function_sequences import DEFAULT_BUDGET, FunctionSequence
 
     with _config_errors("funcseq"):
         base = build_interval(cfg["domain"])
@@ -551,7 +554,7 @@ def build_funcseq(cfg: dict) -> list[FunctionSequence]:
             FunctionSequence(
                 cfg["family"],
                 Interval(base.lo, float(hi), base.open_lo, base.open_hi),
-                budget=cfg.get("budget", FunctionSequence.budget),
+                budget=cfg.get("budget", DEFAULT_BUDGET),
             )
             for hi in cfg.get("hi_sweep", [base.hi])
         ]

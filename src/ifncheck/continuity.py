@@ -10,7 +10,6 @@ reported with its values.  "Inconclusive" is a first-class verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .point_convergence import (
     mapped_sequence,
     tail_index,
 )
-from .sampling import Interval, _staged_ladder, intersect, sorted_unique
+from .sampling import Interval, _Frozen, _staged_ladder, intersect, sorted_unique
 from .vocabulary import DEFAULT_P_MAX, MAP_RULE_NAMES, paired
 
 LADDER_DEPTH = 20
@@ -85,22 +84,18 @@ _RULES = MAP_RULES | {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MapRule:
+class MapRule(_Frozen):
     """A closed-form rule on the real line, composable algebraically."""
 
-    tag: str
-    params: tuple = ()
-    children: tuple["MapRule", ...] = ()
+    __slots__ = ("tag", "params", "children")
 
-    def __post_init__(self):
-        if self.tag not in _RULES:
-            raise UnsupportedFamily(f"unknown map rule {self.tag!r}")
-        arity = _RULES[self.tag].arity
-        if len(self.params) != arity:
-            raise InvalidParameter(
-                f"map rule {self.tag!r} takes {arity} params, got {len(self.params)}"
-            )
+    def __init__(self, tag: str, params: tuple = (), children: tuple[MapRule, ...] = ()):
+        if tag not in _RULES:
+            raise UnsupportedFamily(f"unknown map rule {tag!r}")
+        arity = _RULES[tag].arity
+        if len(params) != arity:
+            raise InvalidParameter(f"map rule {tag!r} takes {arity} params, got {len(params)}")
+        self._set(tag=tag, params=params, children=children)
 
     def __call__(self, xs):
         return _RULES[self.tag].value(self.params, self.children, np.asarray(xs, dtype=float))
@@ -113,8 +108,7 @@ def rule(tag: str, *params) -> MapRule:
     return MapRule(tag, tuple(float(p) for p in params))
 
 
-@dataclass(frozen=True, eq=False)
-class MapBetweenSpaces:
+class MapBetweenSpaces(_Frozen):
     """f : (U, A) -> (V, B), total on its interval restriction.
 
     Rules are univariate, so both spaces are one-dimensional here.  An image
@@ -122,14 +116,12 @@ class MapBetweenSpaces:
     DomainError, so no verdict is ever computed from one.
     """
 
-    domain: IFNSpace
-    codomain: IFNSpace
-    rule: MapRule
-    restriction: Interval
+    __slots__ = ("domain", "codomain", "rule", "restriction")
 
-    def __post_init__(self):
-        if self.domain.dimension != 1 or self.codomain.dimension != 1:
+    def __init__(self, domain: IFNSpace, codomain: IFNSpace, rule: MapRule, restriction: Interval):
+        if domain.dimension != 1 or codomain.dimension != 1:
             raise InvalidParameter("map rules are univariate; spaces must have d=1")
+        self._set(domain=domain, codomain=codomain, rule=rule, restriction=restriction)
 
     def __call__(self, xs):
         # a non-finite image is raised below together with its point, so a
@@ -195,8 +187,7 @@ def _check_no_zero(g: MapBetweenSpaces):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuityWitness:
+class ContinuityWitness(NamedTuple):
     x0: float
     epsilon: float
     alpha: float
@@ -380,8 +371,7 @@ def recheck_witness(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequentialRecord:
+class SequentialRecord(NamedTuple):
     x0: float
     r: float
     t: float
@@ -428,8 +418,7 @@ def sequential_continuity_check(
     return SequentialRecord(x0, r, t, tuple(in_certs), tuple(img_certs), continuous)
 
 
-@dataclass(frozen=True)
-class EquivalenceProbe:
+class EquivalenceProbe(NamedTuple):
     witness: ContinuityWitness
     sequential: SequentialRecord
     agree: bool
@@ -471,8 +460,7 @@ def equivalence_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformWitness:
+class UniformWitness(NamedTuple):
     epsilon: float
     alpha: float
     delta: float | None
@@ -579,8 +567,7 @@ def uniform_continuity_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CauchyPreservationRecord:
+class CauchyPreservationRecord(NamedTuple):
     r: float
     t: float
     input_certificate: ConvergenceCertificate

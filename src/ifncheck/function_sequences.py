@@ -11,7 +11,6 @@ open set, so anything weaker stays inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from .point_convergence import (
     convergence_index,
     tail_index,
 )
-from .sampling import Interval
+from .sampling import Interval, _Frozen
 from .vocabulary import DEFAULT_P_MAX, FUNCSEQ_FAMILY_NAMES, paired
 
 DEFAULT_BUDGET = 10_000
@@ -103,16 +102,21 @@ VERDICT_NOT_UNIFORM = "not-uniform-on-sample"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionSequence:
+class FunctionSequence(_Frozen):
     """A sequence of univariate maps n -> f_n on a fixed interval.  A custom
     `fn` gives each cell from its own (n, x): the checks call it on column blocks."""
 
-    family: str  # one of FUNCSEQ_FAMILIES, or custom
-    domain: Interval
-    params: tuple = ()
-    budget: int = DEFAULT_BUDGET
-    fn: Callable | None = None  # custom: fn(ns (K,), xs (M,)) -> (K, M)
+    __slots__ = ("family", "domain", "params", "budget", "fn")
+
+    def __init__(
+        self,
+        family: str,  # one of FUNCSEQ_FAMILIES, or custom
+        domain: Interval,
+        params: tuple = (),
+        budget: int = DEFAULT_BUDGET,
+        fn: Callable | None = None,  # custom: fn(ns (K,), xs (M,)) -> (K, M)
+    ):
+        self._set(family=family, domain=domain, params=params, budget=budget, fn=fn)
 
     def values(self, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Matrix of f_n(x) with rows indexed by n and columns by x."""
@@ -151,8 +155,7 @@ class FunctionSequence:
         )
 
 
-@dataclass(frozen=True)
-class DomainSample:
+class DomainSample(NamedTuple):
     """Base sample points plus an optional ordered refinement ladder
     approaching an open boundary."""
 
@@ -175,8 +178,7 @@ def sample_domain(
     return DomainSample(base, ladder)
 
 
-@dataclass(frozen=True)
-class UniformCertificate:
+class UniformCertificate(NamedTuple):
     r: float
     t: float
     n0: int | None
@@ -438,7 +440,7 @@ def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCerti
         vals = dict(zip(grid, seq.values(grid, sample.all_points())))
         pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
         if not all(np.all(codomain.within((vals[m] - vals[n]).reshape(-1, 1), r, t)) for n, m in pairs):
-            cert = replace(cert, verdict=VERDICT_INCONCLUSIVE, n0=None)
+            cert = cert._replace(verdict=VERDICT_INCONCLUSIVE, n0=None)
     direct = None if limits is None else _certificate(direct, sample, seq.budget, r, t)
     return direct, cert
 
@@ -467,8 +469,7 @@ def sup_deviation_oracle(seq: FunctionSequence, a: float, m: int, n: int) -> flo
     return float(np.max(np.abs(xs ** n - xs ** m)))
 
 
-@dataclass(frozen=True)
-class UniformLimitRecord:
+class UniformLimitRecord(NamedTuple):
     member_witnesses: tuple[tuple[int, str], ...]
     certificate: UniformCertificate
     limit_witnesses: tuple[ContinuityWitness, ...]
@@ -527,8 +528,7 @@ def uniform_limit_scenario(
     return UniformLimitRecord(tuple(member_ws), cert, limit_ws)
 
 
-@dataclass(frozen=True)
-class ClassicalUniformRecord:
+class ClassicalUniformRecord(NamedTuple):
     thresholds: tuple[float, ...]
     classical_indices: tuple[int | None, ...]
     classical_uniform: bool

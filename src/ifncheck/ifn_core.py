@@ -26,7 +26,6 @@ when requested.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -45,7 +44,7 @@ from .norm_algebra import (
     ViolationReport,
     _Violations,
 )
-from .sampling import SamplingPlan, construction_plan, default_plan
+from .sampling import SamplingPlan, _Frozen, construction_plan, default_plan
 
 # Ladder convergence tolerance for the limit conditions (vi)/(xi).
 LIMIT_TOL = 1e-6
@@ -92,15 +91,15 @@ AXIOMS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalNorm:
+class ClassicalNorm(_Frozen):
     """One of the classical norms used to seed the standard family."""
 
-    family: str  # one of NORM_FAMILIES
+    __slots__ = ("family",)
 
-    def __post_init__(self):
-        if self.family not in NORM_FAMILIES:
-            raise InvalidParameter(f"unknown norm family {self.family!r}")
+    def __init__(self, family: str):  # one of NORM_FAMILIES
+        if family not in NORM_FAMILIES:
+            raise InvalidParameter(f"unknown norm family {family!r}")
+        self._set(family=family)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -125,8 +124,7 @@ class ClassicalNorm:
         return np.sqrt(out, out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipFunction:
+class MembershipFunction(_Frozen):
     """An evaluable degree function on V x R+ with values in [0, 1].
 
     Closed-form families are exact; user-supplied functions enter as
@@ -137,12 +135,13 @@ class MembershipFunction:
     element as `eval` at its own time gives it.
     """
 
-    tag: str  # standard-mu | standard-nu | custom
-    k: float | None = None
-    norm: ClassicalNorm | None = None
-    fn: Callable | None = None
-    radial: bool = False
-    broadcasts: bool = False
+    __slots__ = ("tag", "k", "norm", "fn", "radial", "broadcasts")  # tag: standard-mu | standard-nu | custom
+
+    def __init__(
+        self, tag: str, k: float | None = None, norm: ClassicalNorm | None = None, fn: Callable | None = None,
+        radial: bool = False, broadcasts: bool = False,
+    ):
+        self._set(tag=tag, k=k, norm=norm, fn=fn, radial=radial, broadcasts=broadcasts)
 
     def eval(self, pts: np.ndarray, t) -> np.ndarray:
         """Evaluate at an (N, d) block of points and scalar or (N,) times."""
@@ -227,8 +226,7 @@ def custom_membership(
     return MembershipFunction(tag="custom", fn=fn, radial=radial, broadcasts=broadcasts)
 
 
-@dataclass(frozen=True, eq=False)
-class IFNSpace:
+class IFNSpace(_Frozen):
     """A vector space R^d with membership pair (mu, nu), the operations
     housing the two triangle conditions, and a declared axiom tier.
 
@@ -237,18 +235,17 @@ class IFNSpace:
     construction-time verification; direct construction performs none.
     """
 
-    dimension: int
-    mu: MembershipFunction
-    nu: MembershipFunction
-    tnorm: TriangularNorm
-    tconorm: TriangularConorm
-    axiom_tier: str = "strict"
+    __slots__ = ("dimension", "mu", "nu", "tnorm", "tconorm", "axiom_tier")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(
+        self, dimension: int, mu: MembershipFunction, nu: MembershipFunction, tnorm: TriangularNorm,
+        tconorm: TriangularConorm, axiom_tier: str = "strict",
+    ):
+        if dimension < 1:
             raise InvalidParameter("dimension must be >= 1")
-        if self.axiom_tier not in TIER_ORDER:
-            raise InvalidParameter(f"unknown axiom tier {self.axiom_tier!r}")
+        if axiom_tier not in TIER_ORDER:
+            raise InvalidParameter(f"unknown axiom tier {axiom_tier!r}")
+        self._set(dimension=dimension, mu=mu, nu=nu, tnorm=tnorm, tconorm=tconorm, axiom_tier=axiom_tier)
 
     @property
     def standard_pair(self) -> bool:
@@ -477,7 +474,17 @@ def check_ifn_axioms(
     # sides at (c x, t) and at (x, t/|c|)
     work = np.split(np.empty((3 * n_all + 4 * n_t, blocks[0].stop)), np.cumsum([n_all] * 3 + [n_t] * 3))
 
+    # The triangle conditions v/x run over a seeded pair sample.  Diagonal
+    # pairs (x, x) are included deliberately: superadditive deformations
+    # violate the conditions there first.  Masks are (s, t, pair) blocks.
+    # The first pass copies each pair's ends (x, then y) from its t grid rows.
     rng = plan.rng(3)
+    diag = np.arange(min(64, n_pts))
+    n_rand = min(512, n_pts * n_pts)
+    ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
+    ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
+    n_pairs, ends_at = len(ia), np.concatenate([ia, ib])
+    ends_pair = (np.empty((n_t, 2 * n_pairs)), np.empty((n_t, 2 * n_pairs)))
     found = {roman: _Violations(code, roman, _MAX_WITNESSES) for roman, code, _ in AXIOMS}
 
     # per side: its conditions, its value at theta, how it reads mu's "<" and
@@ -586,23 +593,17 @@ def check_ifn_axioms(
         for side, V in zip(sides, (MU, NU)):
             mirrored(*side, V, at, scratch)
         rhs_pair = tuple(np.take(V, tg_idx, axis=0, out=r) for V, r in zip((MU, NU), (rhs_mu, rhs_nu)))
+        inside = (ends_at >= at.start) & (ends_at < at.stop)
+        for ends, rows in zip(ends_pair, rhs_pair):
+            ends[:, inside] = rows[:, ends_at[inside] - at.start]
         scaling(at, 1.0, scratch, (lhs_mu, lhs_nu), rhs_pair)
 
-    # The triangle conditions v/x run over a seeded pair sample.  Diagonal
-    # pairs (x, x) are included deliberately: superadditive deformations
-    # violate the conditions there first.  Masks are (s, t, pair) blocks.
-    diag = np.arange(min(64, n_pts))
-    n_rand = min(512, n_pts * n_pts)
-    ia = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
-    ib = np.concatenate([diag, rng.integers(0, n_pts, size=n_rand)])
-    n_pairs = len(ia)
     origin = (0.0,) * space.dimension
 
     def pair(s, t, k):
         return (*P[ia[k]], *P[ib[k]], tg[s], tg[t])
 
     theta_pair = space.memberships(space.theta.reshape(1, -1), tg.reshape(-1, 1))
-    ends_pair = space.memberships(P[np.concatenate([ia, ib])], tg.reshape(-1, 1))
     sums_pair = space.memberships(P[ia] + P[ib], (tg[:, None] + tg[None, :]).reshape(-1, 1))
     for side, at_theta, ends, at_sums in zip(sides, theta_pair, ends_pair, sums_pair):
         mirrored(*side, pairs=(at_theta[:, 0], ends, at_sums.reshape(n_t, n_t, -1)))

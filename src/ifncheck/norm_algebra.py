@@ -9,14 +9,13 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .sampling import SamplingPlan
+from .sampling import SamplingPlan, _Frozen
 
 # Commutativity/associativity are compared within this tolerance (floating
 # point re-association noise); identity and idempotency are compared exactly.
@@ -69,33 +68,31 @@ def _interp_table(table: np.ndarray, a, b):
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class _BinaryOp:
+class _BinaryOp(_Frozen):
     """Shared machinery for the two operation kinds."""
 
-    family: str
-    table: np.ndarray | None = None
+    __slots__ = ("family", "table")
 
     _KIND: ClassVar[str] = "op"
     _FAMILIES: ClassVar[dict[str, Callable]] = {}
     _IDEMPOTENT_FAMILY: ClassVar[str] = ""
     _IDENTITY: ClassVar[float] = 1.0
 
-    def __post_init__(self):
-        if self.family == "tabulated":
-            if self.table is None:
+    def __init__(self, family: str, table: np.ndarray | None = None):
+        if family == "tabulated":
+            if table is None:
                 raise InvalidParameter("tabulated operation needs a value table")
-            t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
+            table = np.asarray(table, dtype=float)
+            if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 2:
                 raise InvalidParameter("table must be square with size >= 2")
-            if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
+            if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
                 raise InvalidParameter("table values must lie in [0, 1]")
-            object.__setattr__(self, "table", t)
-        elif self.family not in self._FAMILIES:
+        elif family not in self._FAMILIES:
             raise InvalidParameter(
-                f"unknown {self._KIND} family {self.family!r}; "
+                f"unknown {self._KIND} family {family!r}; "
                 f"expected one of {sorted(self._FAMILIES)} or 'tabulated'"
             )
+        self._set(family=family, table=table)
 
     @property
     def idempotent(self) -> bool:
@@ -125,20 +122,20 @@ class _BinaryOp:
         return (self._KIND, self.family)
 
 
-@dataclass(frozen=True, eq=False)
 class TriangularNorm(_BinaryOp):
     """A continuous t-norm: commutative, associative, monotone, identity 1."""
 
+    __slots__ = ()
     _KIND: ClassVar[str] = "tnorm"
     _FAMILIES: ClassVar[dict[str, Callable]] = TNORM_FAMILIES
     _IDEMPOTENT_FAMILY: ClassVar[str] = "minimum"
     _IDENTITY: ClassVar[float] = 1.0
 
 
-@dataclass(frozen=True, eq=False)
 class TriangularConorm(_BinaryOp):
     """A continuous t-conorm: commutative, associative, monotone, identity 0."""
 
+    __slots__ = ()
     _KIND: ClassVar[str] = "tconorm"
     _FAMILIES: ClassVar[dict[str, Callable]] = TCONORM_FAMILIES
     _IDEMPOTENT_FAMILY: ClassVar[str] = "maximum"
@@ -166,15 +163,13 @@ tconorm_eval = tnorm_eval
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     point: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(NamedTuple):
     axiom: str
     roman: str
     checked: int
@@ -186,8 +181,7 @@ class AxiomResult:
         return self.total_violations == 0
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     subject: str
     plan: dict
     results: tuple[AxiomResult, ...]

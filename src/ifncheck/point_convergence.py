@@ -11,14 +11,13 @@ the window is `failed`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameter, UnsupportedFamily
 from .ifn_core import IFNSpace
-from .sampling import as_point
+from .sampling import _Frozen, as_point
 from .vocabulary import DEFAULT_P_MAX, SEQUENCE_FAMILY_NAMES, paired
 
 DEFAULT_BUDGET = 100_000
@@ -45,30 +44,26 @@ SEQUENCE_FAMILIES = paired(SEQUENCE_FAMILY_NAMES, {
 })
 
 
-@dataclass(frozen=True, eq=False)
-class PointSequence:
+class PointSequence(_Frozen):
     """A sequence n -> R^d, total on 1..budget.
 
     Closed-form families are vectorised; `custom` wraps a callable taking an
     integer array of indices and returning an (N, d) block.
     """
 
-    family: str
-    params: tuple = ()
-    budget: int = DEFAULT_BUDGET
-    dimension: int = 1
-    fn: Callable | None = None
+    __slots__ = ("family", "params", "budget", "dimension", "fn")
 
-    def __post_init__(self):
-        if self.family == "custom":
-            return
-        if self.family not in SEQUENCE_FAMILIES:
-            raise UnsupportedFamily(f"unknown sequence family {self.family!r}")
-        arity = SEQUENCE_FAMILIES[self.family].arity
-        if len(self.params) != arity:
-            raise InvalidParameter(
-                f"sequence family {self.family!r} takes {arity} params, got {len(self.params)}"
-            )
+    def __init__(
+        self, family: str, params: tuple = (), budget: int = DEFAULT_BUDGET, dimension: int = 1,
+        fn: Callable | None = None,
+    ):
+        if family != "custom":
+            if family not in SEQUENCE_FAMILIES:
+                raise UnsupportedFamily(f"unknown sequence family {family!r}")
+            arity = SEQUENCE_FAMILIES[family].arity
+            if len(params) != arity:
+                raise InvalidParameter(f"sequence family {family!r} takes {arity} params, got {len(params)}")
+        self._set(family=family, params=params, budget=budget, dimension=dimension, fn=fn)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -101,8 +96,7 @@ def mapped_sequence(base: PointSequence, fn: Callable, dimension: int = 1) -> Po
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(NamedTuple):
     kind: str  # "convergence" | "cauchy"
     r: float
     t: float
@@ -354,8 +348,7 @@ def cauchy_escape_index(
     return tail_index(_window_ok(first, n))
 
 
-@dataclass(frozen=True)
-class EquivalenceRecord:
+class EquivalenceRecord(NamedTuple):
     ifn_certificates: tuple[ConvergenceCertificate, ...]
     ifn_converged: bool
     classical_thresholds: tuple[float, ...]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,55 +35,68 @@ def format_real(x: float) -> str:
 
 
 def _to_json(value) -> str:
+    """Plain data only: a record, an array or any other object in a report
+    raises TypeError instead of being written as its repr or its items."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return format_real(value)
+    if isinstance(value, (float, np.floating)):
+        return format_real(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{_to_json(v)}" for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return "[" + ",".join(_to_json(v) for v in value) + "]"
-    # numpy scalars and anything float-like
-    try:
-        return format_real(float(value))
-    except (TypeError, ValueError):
-        return json.dumps(str(value))
+    raise TypeError(f"a report holds plain data only, not {type(value).__name__}: {value!r}")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified statement: its verdict, witnesses, and enough context
-    (plan, seed, budgets) to re-run it."""
-
+class _CheckRecordFields(NamedTuple):
     name: str
     anchor: str
     verdict: str
-    details: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    budgets: dict = field(default_factory=dict)
+    details: dict
+    witnesses: list
+    counterexamples: list
+    budgets: dict
     plan: dict | None = None
     seed: int | None = None
     work: int = 0
     csv_row: dict | None = None
+
+
+class CheckRecord(_CheckRecordFields):
+    """One verified statement: its verdict, witnesses, and enough context
+    (plan, seed, budgets) to re-run it.  Details, witnesses, counterexamples
+    and budgets left out are each a new empty container."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name, anchor, verdict, details=None, witnesses=None, counterexamples=None, budgets=None, *rest, **kw
+    ):
+        return super().__new__(
+            cls, name, anchor, verdict,
+            {} if details is None else details,
+            [] if witnesses is None else witnesses,
+            [] if counterexamples is None else counterexamples,
+            {} if budgets is None else budgets,
+            *rest, **kw,
+        )
 
     def to_dict(self) -> dict:
         """Every field in declaration order but `csv_row`, after the kind."""
         return {"kind": "record", **{name: getattr(self, name) for name in _RECORD_KEYS}}
 
 
-_RECORD_KEYS = tuple(f.name for f in fields(CheckRecord) if f.name != "csv_row")
+_RECORD_KEYS = tuple(f for f in CheckRecord._fields if f != "csv_row")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     scenario: str
     config: dict
     seed: int

@@ -8,8 +8,6 @@ seed produce identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvalidParameter
@@ -21,6 +19,8 @@ MAX_GRID_POINTS = 20_000
 DEFAULT_GRID_POINTS = 21  # per axis of the default plan's grid
 DEFAULT_T_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 DEFAULT_T_LADDER = (1e3, 1e6, 1e9, 1e12)
+DEFAULT_RANDOM_COUNT = 200  # seeded uniform points in [-w, w]^d, w = DEFAULT_HALFWIDTH
+DEFAULT_HALFWIDTH = 5.0
 
 # Points per block of a staged ladder search, fixed so memory grows with
 # neither the number of items nor the ladder's length
@@ -61,8 +61,39 @@ def product_grid(axis_values: np.ndarray, dimension: int, seed: int = 0) -> np.n
     return axis_values[idx]
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingPlan:
+class _Frozen:
+    """Base of the record classes whose constructor validates its fields.
+    Each names its fields in `__slots__` and sets them once, with `_set`;
+    after that no field can be assigned or deleted.  Equality and hashing
+    stay those of `object` (identity) unless a class defines its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SamplingPlan(_Frozen):
     """A finite, reproducible sample of V x R+.
 
     vector_grid       -- (M, d) materialised sample vectors
@@ -72,30 +103,32 @@ class SamplingPlan:
     t_infinity_ladder -- strictly increasing finite reals approximating t -> oo
     """
 
-    vector_grid: np.ndarray
-    t_grid: tuple[float, ...] = DEFAULT_T_GRID
-    random_count: int = 200
-    seed: int = 0
-    t_infinity_ladder: tuple[float, ...] = DEFAULT_T_LADDER
-    random_halfwidth: float = 5.0
+    __slots__ = ("vector_grid", "t_grid", "random_count", "seed", "t_infinity_ladder", "random_halfwidth")
 
-    def __post_init__(self):
-        grid = np.asarray(self.vector_grid, dtype=float)
+    def __init__(
+        self, vector_grid: np.ndarray, t_grid: tuple[float, ...] = DEFAULT_T_GRID,
+        random_count: int = DEFAULT_RANDOM_COUNT, seed: int = 0,
+        t_infinity_ladder: tuple[float, ...] = DEFAULT_T_LADDER, random_halfwidth: float = DEFAULT_HALFWIDTH,
+    ):
+        grid = np.asarray(vector_grid, dtype=float)
         if grid.ndim != 2 or grid.shape[0] == 0:
             raise InvalidParameter("vector_grid must be a nonempty (M, d) array")
-        object.__setattr__(self, "vector_grid", grid)
         # NaN fails both comparisons
-        if len(self.t_grid) == 0 or not all(0 < t < np.inf for t in self.t_grid):
+        if len(t_grid) == 0 or not all(0 < t < np.inf for t in t_grid):
             raise InvalidParameter("t_grid must be nonempty, finite and positive")
-        ladder = tuple(float(t) for t in self.t_infinity_ladder)
+        ladder = tuple(float(t) for t in t_infinity_ladder)
         if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
             raise InvalidParameter("t_infinity_ladder must be strictly increasing")
         if not all(0 < t < np.inf for t in ladder):
             raise InvalidParameter("t_infinity_ladder must be finite and positive")
-        if self.random_count < 0:
+        if random_count < 0:
             raise InvalidParameter("random_count must be >= 0")
-        if not np.isfinite(2.0 * self.random_halfwidth):
-            raise InvalidParameter(f"random range 2 x {self.random_halfwidth} is not finite")
+        if not np.isfinite(2.0 * random_halfwidth):
+            raise InvalidParameter(f"random range 2 x {random_halfwidth} is not finite")
+        self._set(
+            vector_grid=grid, t_grid=t_grid, random_count=random_count, seed=seed,
+            t_infinity_ladder=t_infinity_ladder, random_halfwidth=random_halfwidth,
+        )
 
     @property
     def dimension(self) -> int:
@@ -179,18 +212,22 @@ def construction_plan(dimension: int = 1, seed: int = 0) -> SamplingPlan:
     )
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A 1-d interval with independently open/closed endpoints."""
+class Interval(_Frozen):
+    """A 1-d interval with independently open/closed endpoints; intervals
+    with equal fields are equal."""
 
-    lo: float
-    hi: float
-    open_lo: bool = False
-    open_hi: bool = False
+    __slots__ = ("lo", "hi", "open_lo", "open_hi")
 
-    def __post_init__(self):
-        if not np.isfinite(self.hi - self.lo) or self.lo >= self.hi:
-            raise InvalidParameter(f"bad interval [{self.lo}, {self.hi}]: width not a positive real")
+    def __init__(self, lo: float, hi: float, open_lo: bool = False, open_hi: bool = False):
+        if not np.isfinite(hi - lo) or lo >= hi:
+            raise InvalidParameter(f"bad interval [{lo}, {hi}]: width not a positive real")
+        self._set(lo=lo, hi=hi, open_lo=open_lo, open_hi=open_hi)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def width(self) -> float:

@@ -13,8 +13,6 @@ a command loads only the modules of its own scenario.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config_schema import (
@@ -331,7 +329,7 @@ def _run_topology(config: dict, seed: int) -> list[CheckRecord]:
     for i, check in enumerate(config["checks"]):
         kind, c = check["kind"], fields_of(CHECK_FIELDS["topology"], check)
         if kind == "preimage-open":
-            records.append(replace(preimage_open_record(space, plan, c, seed), name=f"{kind}/{i}"))
+            records.append(preimage_open_record(space, plan, c, seed)._replace(name=f"{kind}/{i}"))
             continue
         plan_summary, work = None, 1
         if kind in ("ball-contains", "classical-radius", "inner-ball"):
@@ -511,7 +509,7 @@ def _funcseq_checks(config: dict, spaces, seq, seed: int) -> list[CheckRecord]:
     if len(config["funcseq"].get("hi_sweep", ())) > 1:
         # each swept upper endpoint names its records
         suffix = f"-hi{seq.domain.hi}/"
-        records = [replace(rec, name=rec.name.replace("/", suffix, 1)) for rec in records]
+        records = [rec._replace(name=rec.name.replace("/", suffix, 1)) for rec in records]
     return records
 
 

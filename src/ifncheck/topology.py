@@ -8,15 +8,14 @@ verdict is relative to the recorded witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from .ifn_core import IFNSpace, membership_radius
 from .continuity import MapBetweenSpaces, continuity_witness_searches
-from .sampling import SamplingPlan, _staged_ladder, as_point, default_plan, sorted_unique
+from .sampling import SamplingPlan, _Frozen, _staged_ladder, as_point, default_plan, sorted_unique
 
 # (r, t) ladder searched when testing openness at a witness point.
 _R_LADDER = tuple(2.0 ** (-j) for j in range(1, 31))
@@ -33,22 +32,19 @@ SEARCH_RESOLUTION = 1e-6
 _FROM_ONE = (1.0 - 1e-12, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class OpenBall:
+class OpenBall(_Frozen):
     """B(center, r, t): the points y whose difference center - y meets the
     strict membership demand `IFNSpace.within(., r, t)`."""
 
-    center: np.ndarray
-    r: float
-    t: float
+    __slots__ = ("center", "r", "t")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "center", c)
-        if not (0.0 < self.r < 1.0):
-            raise InvalidParameter(f"ball radius r must lie in (0,1), got {self.r!r}")
-        if not (np.isfinite(self.t) and self.t > 0.0):
-            raise InvalidParameter(f"ball parameter t must be positive, got {self.t!r}")
+    def __init__(self, center: np.ndarray, r: float, t: float):
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        if not (0.0 < r < 1.0):
+            raise InvalidParameter(f"ball radius r must lie in (0,1), got {r!r}")
+        if not (0.0 < t < np.inf):  # NaN fails both
+            raise InvalidParameter(f"ball parameter t must be positive, got {t!r}")
+        self._set(center=center, r=r, t=t)
 
     def summary(self) -> dict:
         return {"center": [float(v) for v in self.center], "r": self.r, "t": self.t}
@@ -285,27 +281,23 @@ def inner_ball_witness(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SampledSet:
+class SampledSet(_Frozen):
     """A subset of V given by a predicate over (N, d) point blocks plus a
     finite witness sample of members, each satisfying the predicate.  The
     predicate decides each row on its own and has no side effects."""
 
-    predicate: Callable[[np.ndarray], np.ndarray]
-    witnesses: np.ndarray
-    description: str = "set"
+    __slots__ = ("predicate", "witnesses", "description")
 
-    def __post_init__(self):
-        w = np.asarray(self.witnesses, dtype=float)
-        if w.ndim == 1:
-            w = w.reshape(-1, 1)
-        object.__setattr__(self, "witnesses", w)
-        if len(w) and not bool(np.all(self.predicate(w))):
+    def __init__(self, predicate: Callable[[np.ndarray], np.ndarray], witnesses: np.ndarray, description="set"):
+        witnesses = np.asarray(witnesses, dtype=float)
+        if witnesses.ndim == 1:
+            witnesses = witnesses.reshape(-1, 1)
+        if len(witnesses) and not bool(np.all(predicate(witnesses))):
             raise InvalidParameter("every stored witness must satisfy the predicate")
+        self._set(predicate=predicate, witnesses=witnesses, description=description)
 
 
-@dataclass(frozen=True)
-class PointOpenness:
+class PointOpenness(NamedTuple):
     point: tuple[float, ...]
     ball: OpenBall | None
 
@@ -314,8 +306,7 @@ class PointOpenness:
         return self.ball is not None
 
 
-@dataclass(frozen=True)
-class OpennessRecord:
+class OpennessRecord(NamedTuple):
     description: str
     per_point: tuple[PointOpenness, ...]
     plan: dict
@@ -367,8 +358,7 @@ def set_is_open_sampled(
     return OpennessRecord(sset.description, per_point, plan.summary())
 
 
-@dataclass(frozen=True)
-class PreimageRecord:
+class PreimageRecord(NamedTuple):
     target: OpenBall
     witnesses: int
     openness: OpennessRecord

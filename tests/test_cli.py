@@ -953,6 +953,27 @@ class TestCliProcess:
         assert rc == 3
         assert "internal fault" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["record", "array"])
+    def test_exit_three_when_a_report_holds_an_object(self, tmp_path, monkeypatch, capsys, kind):
+        # a record or an array in the details is neither written as its repr
+        # nor as a bare list: the report is refused
+        import numpy as np
+
+        import ifncheck.scenarios as scenarios
+        from ifncheck.norm_algebra import Violation
+        from ifncheck.report import PASS, CheckRecord, VerificationReport
+
+        value = Violation("comm", (0.5, 0.25), "detail") if kind == "record" else np.array([0.5, 1.0])
+        record = CheckRecord("object", "a detail that is not plain data", PASS, {"value": value})
+        report = VerificationReport("converge", CONVERGE_CFG, 0, (record,))
+        for render in (to_jsonl, to_text):
+            with pytest.raises(TypeError, match="^a report holds plain data only"):
+                render(report)
+        monkeypatch.setattr(scenarios, "run_scenario", lambda *args, **kwargs: report)
+        rc = main(["converge", "--config", write_config(tmp_path, CONVERGE_CFG), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "cannot write report: TypeError: a report holds plain data only" in capsys.readouterr().err
+
     def test_exit_two_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -241,7 +240,7 @@ def _outcome(search):
         result = search()
     except Exception as exc:
         return ("raised", type(exc).__name__, str(exc))
-    return ("returned", repr([dataclasses.asdict(r) for r in (result if isinstance(result, list) else [result])]))
+    return ("returned", repr([r._asdict() for r in (result if isinstance(result, list) else [result])]))
 
 
 def _rule_of(draw, lo, hi, depth=0):

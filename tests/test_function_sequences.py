@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -592,7 +591,7 @@ def _catalog_sequence_cases():
     from ifncheck.catalog import catalog_function_sequences
 
     return {
-        name: (replace(seq, budget=2000), refine)
+        name: (FunctionSequence(seq.family, seq.domain, seq.params, 2000, seq.fn), refine)
         for name, (seq, refine) in catalog_function_sequences().items()
     }
 
@@ -643,7 +642,7 @@ def test_certificates_are_invariant_under_dyadic_scaling_of_k_and_t(case, m, p_m
     base, scaled = (make_standard_space(s * k, family, verify=False) for s in (1.0, c))
 
     def same(got, want):
-        assert repr(replace(got, t=t)) == repr(want)
+        assert repr(got._replace(t=t)) == repr(want)
 
     for a, b in zip(
         criterion_pair((scaled, scaled), seq, sample, r, c * t, p_max),
@@ -713,7 +712,8 @@ def _walk_cases(draw):
     sample = sample_domain(seq.domain, points, refine_side=refine, refine_depth=depth)
     if family == "custom":
         x_nan = draw(st.sampled_from(sample.all_points().tolist()))
-        seq = replace(seq, fn=_nan_cell(draw(st.integers(1, budget + p_max)), x_nan))
+        fn = _nan_cell(draw(st.integers(1, budget + p_max)), x_nan)
+        seq = FunctionSequence(family, seq.domain, budget=budget, fn=fn)
     space = std = make_standard_space(draw(st.sampled_from([0.5, 1.0, 3.0])), verify=False)
     if draw(st.booleans()):
         space = IFNSpace(

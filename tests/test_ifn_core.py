@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -14,6 +13,7 @@ from ifncheck.ifn_core import (
     LIMIT_TOL,
     ClassicalNorm,
     IFNSpace,
+    MembershipFunction,
     check_ifn_axioms,
     custom_membership,
     make_example_family,
@@ -114,10 +114,13 @@ def test_axiom_counts_are_invariant_under_dyadic_scaling_of_k_and_times(
     c = 2.0**m
     grid = product_grid(np.linspace(-width, width, 9), d)
     plan = SamplingPlan(grid, random_count=50, seed=seed, t_infinity_ladder=ladder, random_halfwidth=width)
-    scaled_plan = dataclasses.replace(
-        plan,
-        t_grid=tuple(c * t for t in plan.t_grid),
-        t_infinity_ladder=tuple(c * t for t in plan.t_infinity_ladder),
+    scaled_plan = SamplingPlan(
+        plan.vector_grid,
+        tuple(c * t for t in plan.t_grid),
+        plan.random_count,
+        plan.seed,
+        tuple(c * t for t in plan.t_infinity_ladder),
+        plan.random_halfwidth,
     )
 
     def counts(s, p):
@@ -669,8 +672,8 @@ def test_each_axiom_condition_is_pinned(case):
 
 def _broadcasting(space: IFNSpace, on: bool) -> IFNSpace:
     """`space` with both memberships declaring `broadcasts` as `on`."""
-    mu, nu = (dataclasses.replace(f, broadcasts=on) for f in (space.mu, space.nu))
-    return dataclasses.replace(space, mu=mu, nu=nu)
+    mu, nu = (MembershipFunction(f.tag, f.k, f.norm, f.fn, f.radial, on) for f in (space.mu, space.nu))
+    return IFNSpace(space.dimension, mu, nu, space.tnorm, space.tconorm, space.axiom_tier)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])

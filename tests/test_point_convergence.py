@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -298,7 +297,7 @@ def reference_uniform_cauchy_check(space, seq, sample, r, t, p_max):
             np.all(space.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
             for n, m in pairs
         ):
-            cert = replace(cert, verdict="inconclusive", n0=None)
+            cert = cert._replace(verdict="inconclusive", n0=None)
     return cert
 
 
@@ -725,7 +724,7 @@ def _assert_embedding_keeps_certificates(case, family, axis, rest, k, r, t, p_ma
     lim = np.empty(d)
     lim[axis], lim[others] = limit, rest
     got = convergence_index(space, flat, lim, r, t)
-    assert replace(got, limit=(limit,)) == convergence_index(line, seq, limit, r, t)
+    assert got._replace(limit=(limit,)) == convergence_index(line, seq, limit, r, t)
     assert cauchy_index(space, flat, r, t, p_max) == cauchy_index(line, seq, r, t, p_max)
 
 

@@ -8,7 +8,10 @@ sets compare by identity and stay hashable.  No field of any record can be
 assigned or deleted, and each constructor's validation raises its own error.
 """
 
+import ast
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +350,12 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         x.not_a_field = 1
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_pickle_to_an_equal_record(name):
+    x = RECORDS[name][0]()
+    assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+
+
 def test_check_record_containers_are_fresh_per_record():
     a, b = CheckRecord("a", "b", "pass"), CheckRecord("a", "b", "pass")
     for f in ("details", "witnesses", "counterexamples", "budgets"):
@@ -428,3 +437,16 @@ VALIDATION = [
 def test_constructors_validate_their_fields(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass compiles its generated methods with exec at every import,
+    # which the bytecode cache cannot keep, and each command pays for it
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "ifncheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            )
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert not found

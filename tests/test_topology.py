@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -646,9 +645,10 @@ def test_openness_rungs_are_invariant_under_dyadic_scaling(case, size):
     witnesses[1] = np.eye(d)[0] * size * (1.0 - 1e-9)
     sset = SampledSet(lambda pts: norm(pts) < size, witnesses, "norm ball")
     plan = SamplingPlan(np.zeros((1, d)), seed=int(rng.integers(0, 100)))
-    scaled_plan = replace(
-        plan,
+    scaled_plan = SamplingPlan(
+        plan.vector_grid,
         t_grid=tuple(c * t for t in plan.t_grid),
+        seed=plan.seed,
         t_infinity_ladder=tuple(c * t for t in plan.t_infinity_ladder),
     )
     got = set_is_open_sampled(scaled, sset, scaled_plan).per_point
