@@ -593,9 +593,10 @@ def check_ifn_axioms(
         for side, V in zip(sides, (MU, NU)):
             mirrored(*side, V, at, scratch)
         rhs_pair = tuple(np.take(V, tg_idx, axis=0, out=r) for V, r in zip((MU, NU), (rhs_mu, rhs_nu)))
+        # the pair ends in this block; `take` clips the others, which `where` skips
         inside = (ends_at >= at.start) & (ends_at < at.stop)
         for ends, rows in zip(ends_pair, rhs_pair):
-            ends[:, inside] = rows[:, ends_at[inside] - at.start]
+            np.copyto(ends, np.take(rows, ends_at - at.start, axis=1, mode="clip"), where=inside)
         scaling(at, 1.0, scratch, (lhs_mu, lhs_nu), rhs_pair)
 
     origin = (0.0,) * space.dimension
