@@ -83,10 +83,10 @@ def broken_spaces(k: float = 1.0) -> dict[str, tuple[IFNSpace, str]]:
     def space(mu, nu):
         return IFNSpace(1, mu, nu, tn, tc, axiom_tier="strict")
 
-    def radial_pair(m, warp=lambda t: t):
+    def profile_pair(m, warp=lambda t: t):
         # the standard pair's shape t/(t + m), m/(t + m) for a profile m(p)
         fns = (lambda p, t: warp(t) / (warp(t) + m(p)), lambda p, t: m(p) / (warp(t) + m(p)))
-        return tuple(custom_membership(fn, radial=True, broadcasts=True) for fn in fns)
+        return tuple(custom_membership(fn) for fn in fns)
 
     def plateau(t):
         return np.where(t < 1.0, t, np.where(t <= 2.0, 1.0, t - 1.0))
@@ -95,19 +95,17 @@ def broken_spaces(k: float = 1.0) -> dict[str, tuple[IFNSpace, str]]:
         a = absx(p)
         return np.where(a == 0.0, 1.0, t / (2.0 * t + k * a))
 
-    nu_doubled = custom_membership(
-        lambda p, t: np.minimum(1.0, 2.0 * nu_std.eval(p, t)), broadcasts=True
-    )
-    kinked = radial_pair(lambda p: k * absx(p) + 0.5 * np.minimum(absx(p), 1.0))
-    mu_sq, nu_sq = radial_pair(lambda p: k * absx(p) * absx(p))
-    time_plateau = radial_pair(lambda p: k * absx(p), plateau)
+    nu_doubled = custom_membership(lambda p, t: np.minimum(1.0, 2.0 * nu_std.eval(p, t)))
+    kinked = profile_pair(lambda p: k * absx(p) + 0.5 * np.minimum(absx(p), 1.0))
+    mu_sq, nu_sq = profile_pair(lambda p: k * absx(p) * absx(p))
+    time_plateau = profile_pair(lambda p: k * absx(p), plateau)
 
     return {
         "i": (space(mu_std, nu_doubled), "nu doubled: mu + nu exceeds 1"),
         "iv": (space(*kinked), "kinked radial profile breaks scaling"),
         "v": (space(mu_sq, nu_sq), "squared radius is superadditive: mu triangle fails"),
         "vi": (
-            space(custom_membership(mu_halved, radial=True, broadcasts=True), nu_std),
+            space(custom_membership(mu_halved), nu_std),
             "mu plateaus at 1/2: limit in t is not 1",
         ),
         "x": (space(mu_std, nu_sq), "squared-radius nu: nu triangle fails"),

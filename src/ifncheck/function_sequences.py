@@ -27,8 +27,6 @@ from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
     _check_rt,
-    _p_window_scan,
-    _window_ok,
     convergence_index,
     tail_index,
 )
@@ -67,7 +65,7 @@ def _power(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-# The closed-form families; `custom` wraps a callable.
+# The closed-form families.
 FUNCSEQ_FAMILIES = paired(FUNCSEQ_FAMILY_NAMES, {
     "power": _FuncFamily(
         lambda seq, ns, xs: _power(ns, xs),
@@ -92,8 +90,8 @@ FUNCSEQ_FAMILIES = paired(FUNCSEQ_FAMILY_NAMES, {
     ),
 })
 
-# Tail used to estimate limits of custom families, and the oscillation
-# tolerance beyond which no limit is reported.
+# Tail used to estimate a limit that has no finite closed form, and the
+# oscillation tolerance beyond which no limit is reported.
 LIMIT_TAIL = 10
 LIMIT_OSCILLATION_TOL = 1e-9
 
@@ -103,30 +101,23 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 class FunctionSequence(_Frozen):
-    """A sequence of univariate maps n -> f_n on a fixed interval.  A custom
-    `fn` gives each cell from its own (n, x): the checks call it on column blocks."""
+    """A sequence of univariate maps n -> f_n on a fixed interval."""
 
-    __slots__ = ("family", "domain", "params", "budget", "fn")
+    __slots__ = ("family", "domain", "params", "budget")
 
     def __init__(
         self,
-        family: str,  # one of FUNCSEQ_FAMILIES, or custom
+        family: str,  # one of FUNCSEQ_FAMILIES
         domain: Interval,
         params: tuple = (),
         budget: int = DEFAULT_BUDGET,
-        fn: Callable | None = None,  # custom: fn(ns (K,), xs (M,)) -> (K, M)
     ):
-        self._set(family=family, domain=domain, params=params, budget=budget, fn=fn)
+        self._set(family=family, domain=domain, params=params, budget=budget)
 
     def values(self, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Matrix of f_n(x) with rows indexed by n and columns by x."""
         ns = np.asarray(ns, dtype=float).reshape(-1, 1)
         xs = np.asarray(xs, dtype=float).reshape(1, -1)
-        if self.family == "custom":
-            out = np.asarray(self.fn(ns.ravel().astype(int), xs.ravel()), dtype=float)
-            if out.shape != (ns.size, xs.size):
-                raise InvalidParameter(f"custom fn gave shape {out.shape}, not ({ns.size}, {xs.size})")
-            return out
         if self.family not in FUNCSEQ_FAMILIES:
             raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
         return FUNCSEQ_FAMILIES[self.family].values(self, ns, xs)
@@ -381,18 +372,15 @@ def uniform_cauchy_check(
     mu(f_{n+p}(x) - f_n(x), t) > 1 - r and nu < r hold for every sampled x
     and every later index within budget; no limit function is needed.
 
-    For radial memberships the two-sided statement (all m > n up to
+    The codomain is the standard pair on the real line (else
+    UnsupportedFamily), so the two-sided statement (all m > n up to
     budget + p_max) is checked via suffix extrema, which subsumes both the
     p-bounded form and the (n, m) form: the worst later deviation decides
     each n, and `within` runs only on the worst deviations that
-    `IFNSpace.near_radius` names.  The float demand of the standard pair is
-    not monotone in |z| near the radius, so there a named worst deviation
-    that passes is rechecked against every later term, and the index is
-    exact per (n, m).  Declared-radial custom pairs are trusted to be
-    monotone as declared.  Otherwise the p-bounded form is
-    scanned directly and a geometric (n, m) spot-check grid guards against
-    a too-optimistic index.  The verdict follows the same refinement-ladder
-    rule as the direct search.
+    `IFNSpace.near_radius` names.  The float demand is not monotone in |z|
+    near the radius, so a named worst deviation that passes is rechecked
+    against every later term, and the index is exact per (n, m).  The
+    verdict follows the same refinement-ladder rule as the direct search.
     """
     return _criterion(spaces[1], seq, sample, r, t, p_max, None)[1]
 
@@ -407,40 +395,27 @@ def _criterion(codomain, seq, sample, r, t, p_max, limits) -> tuple[UniformCerti
     """The direct certificate (None without `limits`) and the criterion's."""
     if p_max < 1:
         raise InvalidParameter("p_max must be >= 1")
-    n_total = seq.budget + p_max
-    radial = codomain.mu.radial and codomain.nu.radial and codomain.dimension == 1
+    if not (codomain.standard_pair and codomain.dimension == 1):
+        raise UnsupportedFamily("the Cauchy criterion needs the standard pair on the real line")
     direct, idx = [], []
-    for cols, vals in _blocks(seq, sample, [(r, t)], n_total):  # (N + p_max, b)
+    for cols, vals in _blocks(seq, sample, [(r, t)], seq.budget + p_max):  # (N + p_max, b)
         if limits is not None:
             direct += _indices(next(_limit_masks(codomain, vals[: seq.budget], limits[cols], [(r, t)])))
         ok = np.ones((seq.budget, vals.shape[1]), dtype=bool)
         for col, v in enumerate(vals.T):
-            if radial:
-                # the worst later deviation from f_n(x), by suffix extrema
-                later_max = np.maximum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
-                later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
-                now = v[: seq.budget]
-                worst = np.maximum(later_max - now, now - later_min)
-                rows = codomain.near_radius(worst, r, t)
-                passed = codomain.within(worst[rows].reshape(-1, 1), r, t)
-                ok[rows, col] = passed
-                if codomain.standard_pair:
-                    for n in rows[passed]:
-                        ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
-            else:
-                first, _ = _p_window_scan(codomain, v.reshape(-1, 1), r, t, p_max)
-                ok[:, col] = _window_ok(first, n_total)[: seq.budget]
+            # the worst later deviation from f_n(x), by suffix extrema
+            later_max = np.maximum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+            later_min = np.minimum.accumulate(v[::-1])[::-1][1 : seq.budget + 1]
+            now = v[: seq.budget]
+            worst = np.maximum(later_max - now, now - later_min)
+            rows = codomain.near_radius(worst, r, t)
+            passed = codomain.within(worst[rows].reshape(-1, 1), r, t)
+            ok[rows, col] = passed
+            for n in rows[passed]:
+                ok[n, col] = np.all(codomain.within(v[n + 1 :] - v[n], r, t))
         idx += _indices(ok)
 
     cert = _certificate(idx, sample, seq.budget, r, t, kind="cauchy-criterion")
-    if cert.uniform and not radial:
-        # spot-check the two-sided form on a geometric (n, m) grid
-        n0 = cert.n0
-        grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
-        vals = dict(zip(grid, seq.values(grid, sample.all_points())))
-        pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
-        if not all(np.all(codomain.within((vals[m] - vals[n]).reshape(-1, 1), r, t)) for n, m in pairs):
-            cert = cert._replace(verdict=VERDICT_INCONCLUSIVE, n0=None)
     direct = None if limits is None else _certificate(direct, sample, seq.budget, r, t)
     return direct, cert
 

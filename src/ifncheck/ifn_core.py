@@ -128,20 +128,16 @@ class MembershipFunction(_Frozen):
     """An evaluable degree function on V x R+ with values in [0, 1].
 
     Closed-form families are exact; user-supplied functions enter as
-    vectorised callables.  `radial` declares that the value depends
-    on x only through ||x||, monotonically along rays; several searches use
-    this to invert level sets.  `broadcasts` declares that `eval` at an
-    (N, d) block and a (T, 1) column of times returns the (T, N) block, each
-    element as `eval` at its own time gives it.
+    vectorised callables, which must broadcast: at an (N, d) block and a
+    (T, 1) column of times they return the (T, N) block.
     """
 
-    __slots__ = ("tag", "k", "norm", "fn", "radial", "broadcasts")  # tag: standard-mu | standard-nu | custom
+    __slots__ = ("tag", "k", "norm", "fn")  # tag: standard-mu | standard-nu | custom
 
     def __init__(
-        self, tag: str, k: float | None = None, norm: ClassicalNorm | None = None, fn: Callable | None = None,
-        radial: bool = False, broadcasts: bool = False,
+        self, tag: str, k: float | None = None, norm: ClassicalNorm | None = None, fn: Callable | None = None
     ):
-        self._set(tag=tag, k=k, norm=norm, fn=fn, radial=radial, broadcasts=broadcasts)
+        self._set(tag=tag, k=k, norm=norm, fn=fn)
 
     def eval(self, pts: np.ndarray, t) -> np.ndarray:
         """Evaluate at an (N, d) block of points and scalar or (N,) times."""
@@ -209,21 +205,15 @@ class MembershipFunction(_Frozen):
 
 
 def standard_mu(k: float, norm: ClassicalNorm) -> MembershipFunction:
-    return MembershipFunction(
-        tag="standard-mu", k=float(k), norm=norm, radial=True, broadcasts=True
-    )
+    return MembershipFunction(tag="standard-mu", k=float(k), norm=norm)
 
 
 def standard_nu(k: float, norm: ClassicalNorm) -> MembershipFunction:
-    return MembershipFunction(
-        tag="standard-nu", k=float(k), norm=norm, radial=True, broadcasts=True
-    )
+    return MembershipFunction(tag="standard-nu", k=float(k), norm=norm)
 
 
-def custom_membership(
-    fn: Callable, radial: bool = False, broadcasts: bool = False
-) -> MembershipFunction:
-    return MembershipFunction(tag="custom", fn=fn, radial=radial, broadcasts=broadcasts)
+def custom_membership(fn: Callable) -> MembershipFunction:
+    return MembershipFunction(tag="custom", fn=fn)
 
 
 class IFNSpace(_Frozen):
@@ -280,18 +270,20 @@ class IFNSpace(_Frozen):
         """(mu, nu) at an (N, d) block and scalar, (N,) or (T, 1) times, the
         last as (T, N) blocks: the one place where both are evaluated, on a
         path chosen by the pair's tags.  The standard pair (one k, one norm)
-        shares k||x|| and t + k||x|| and broadcasts over a time column, bit
-        for bit as `eval` at each time; any other pair makes one `eval` each,
-        also for a (T, 1) column when both sides declare `broadcasts`, and
-        else one per time, as a custom callable need not broadcast.  The
-        standard pair writes into `out`, two arrays of the values' shape,
-        where given; any other pair returns new arrays."""
+        shares k||x|| and t + k||x|| over a time column, bit for bit as
+        `eval` at each time, and writes into `out`, two arrays of the
+        values' shape, where given.  Any other pair makes one `eval` each
+        into new arrays; InvalidParameter names a side whose values do not
+        have the shape of t broadcast against the N points."""
         mu, nu = self.mu, self.nu
         if self.standard_pair:
             return mu._standard(pts, t, ("standard-mu", "standard-nu"), out)
-        if np.ndim(t) == 2 and not (mu.broadcasts and nu.broadcasts):
-            return tuple(np.stack([f.eval(pts, s) for s in np.ravel(t)]) for f in (mu, nu))
-        return mu.eval(pts, t), nu.eval(pts, t)
+        shape = np.broadcast_shapes(np.shape(t), (len(pts),))
+        pair = mu.eval(pts, t), nu.eval(pts, t)
+        for name, values in zip(("mu", "nu"), pair):
+            if values.shape != shape:
+                raise InvalidParameter(f"{name} gave values of shape {values.shape}, not {shape}")
+        return pair
 
     @staticmethod
     def meets(mu: np.ndarray, nu: np.ndarray, r: float) -> np.ndarray:
@@ -351,8 +343,8 @@ def _resolve_ops(ops) -> tuple[TriangularNorm, TriangularConorm]:
 
 
 # The signatures of the spaces whose construction-time check passed.  The
-# signature is exact for a standard pair and for tabulated operations, and
-# the check's plan is fixed by the dimension, so a space in the set would
+# signature is exact for a standard pair and named operations, and the
+# check's plan is fixed by the dimension, so a space in the set would
 # pass again.  Custom pairs never enter: their signature is id(fn), which
 # Python may reuse once the function is freed.  Two threads building one new
 # space at once may both check it, which is harmless.
@@ -638,33 +630,12 @@ def check_ifn_axioms(
 
 def membership_radius(space: IFNSpace, r: float, t: float) -> float:
     """Radius rho such that mu(z, t) > 1 - r and nu(z, t) < r exactly for
-    ||z|| < rho.
-
-    Closed form for the standard family, elementwise for arrays r and t;
-    bisection along the first coordinate axis for other radial memberships.
+    ||z|| < rho: the standard pair's closed form, elementwise for arrays r
+    and t.  Any other pair has none (UnsupportedFamily).
     """
-    if space.standard_pair:
-        return r * t / (space.k * (1.0 - r))
-    if not (space.mu.radial and space.nu.radial):
-        raise UnsupportedFamily("membership_radius needs a radial membership pair")
-    e = np.zeros((1, space.dimension))
-
-    def inside(u: float) -> bool:
-        e[0, 0] = u
-        return bool(space.within(e, r, t)[0])
-
-    lo, hi = 0.0, 1.0
-    while inside(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if not space.standard_pair:
+        raise UnsupportedFamily("membership_radius needs the standard membership pair")
+    return r * t / (space.k * (1.0 - r))
 
 
 # the factors 1 - 2^-j, j = 1..53, of the closed-form radius that

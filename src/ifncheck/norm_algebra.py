@@ -1,9 +1,8 @@
 """Triangular norms and conorms on [0, 1] with sampled axiom checking.
 
-Three named families are built in per operation; anything else enters as a
-tabulated grid with bilinear interpolation.  All values are immutable after
-construction and every operation is pure, so everything here is safe for
-unrestricted concurrent use.
+Three named families are built in per operation.  All values are immutable
+after construction and every operation is pure, so everything here is safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -50,75 +49,35 @@ def check_unit(value: float, name: str = "value") -> float:
     return v
 
 
-def _interp_table(table: np.ndarray, a, b):
-    """Bilinear interpolation of a square table over [0,1]^2."""
-    m = table.shape[0]
-    a = np.clip(np.asarray(a, dtype=float), 0.0, 1.0) * (m - 1)
-    b = np.clip(np.asarray(b, dtype=float), 0.0, 1.0) * (m - 1)
-    i0 = np.clip(np.floor(a).astype(int), 0, m - 2)
-    j0 = np.clip(np.floor(b).astype(int), 0, m - 2)
-    fa = a - i0
-    fb = b - j0
-    v = (
-        table[i0, j0] * (1 - fa) * (1 - fb)
-        + table[i0 + 1, j0] * fa * (1 - fb)
-        + table[i0, j0 + 1] * (1 - fa) * fb
-        + table[i0 + 1, j0 + 1] * fa * fb
-    )
-    return v
-
-
 class _BinaryOp(_Frozen):
     """Shared machinery for the two operation kinds."""
 
-    __slots__ = ("family", "table")
+    __slots__ = ("family",)
 
     _KIND: ClassVar[str] = "op"
     _FAMILIES: ClassVar[dict[str, Callable]] = {}
     _IDEMPOTENT_FAMILY: ClassVar[str] = ""
     _IDENTITY: ClassVar[float] = 1.0
 
-    def __init__(self, family: str, table: np.ndarray | None = None):
-        if family == "tabulated":
-            if table is None:
-                raise InvalidParameter("tabulated operation needs a value table")
-            table = np.asarray(table, dtype=float)
-            if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 2:
-                raise InvalidParameter("table must be square with size >= 2")
-            if not np.all((table >= 0.0) & (table <= 1.0)):  # NaN fails too
-                raise InvalidParameter("table values must lie in [0, 1]")
-        elif family not in self._FAMILIES:
+    def __init__(self, family: str):
+        if family not in self._FAMILIES:
             raise InvalidParameter(
-                f"unknown {self._KIND} family {family!r}; "
-                f"expected one of {sorted(self._FAMILIES)} or 'tabulated'"
+                f"unknown {self._KIND} family {family!r}; expected one of {sorted(self._FAMILIES)}"
             )
-        self._set(family=family, table=table)
+        self._set(family=family)
 
     @property
     def idempotent(self) -> bool:
-        if self.family == self._IDEMPOTENT_FAMILY:
-            return True
-        if self.family == "tabulated":
-            # bilinear interpolation of an idempotent table is generally not
-            # idempotent between nodes, so a sampled exact check is the
-            # honest classification
-            grid = np.linspace(0.0, 1.0, 21)
-            return bool(np.all(self(grid, grid) == grid))
-        return False
+        return self.family == self._IDEMPOTENT_FAMILY
 
     @property
     def identity(self) -> float:
         return self._IDENTITY
 
     def __call__(self, a, b):
-        if self.family == "tabulated":
-            return _interp_table(self.table, a, b)
         return self._FAMILIES[self.family](np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
     def signature(self) -> tuple:
-        if self.family == "tabulated":
-            # the exact table: its size and value bytes
-            return (self._KIND, "tabulated", self.table.shape[0], self.table.tobytes())
         return (self._KIND, self.family)
 
 
@@ -296,4 +255,4 @@ def check_norm_axioms(op: _BinaryOp, plan: SamplingPlan) -> ViolationReport:
         _Violations(name, roman, bad.size).add(bad, bad.size, describe).result()
         for name, roman, bad, describe in laws
     )
-    return ViolationReport(subject=f"{op._KIND}:{op.family}", plan=plan.summary(), results=results)
+    return ViolationReport(subject=":".join(op.signature()), plan=plan.summary(), results=results)

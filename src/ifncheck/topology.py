@@ -103,14 +103,9 @@ def _by_coordinate(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int) -> np.ndarray:
     """(B, n', d) candidate points of the balls B(centers[i], rs[i], ts[i]):
-    membership radii (the standard family's closed form on the arrays, else
-    one `membership_radius` per distinct (r, t)) pushed toward each
+    membership radii (`membership_radius` on the arrays) pushed toward each
     boundary along `dirs`."""
-    if space.standard_pair:
-        rho = membership_radius(space, np.asarray(rs, dtype=float), np.asarray(ts, dtype=float))
-    else:
-        memo = {rt: membership_radius(space, *rt) for rt in dict.fromkeys(zip(rs, ts))}
-        rho = np.array([memo[rt] for rt in zip(rs, ts)])
+    rho = membership_radius(space, np.asarray(rs, dtype=float), np.asarray(ts, dtype=float))
     radii = (rho * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
     steps = (radii[:, :, None, None] * dirs).reshape(len(centers), -1, dirs.shape[1])
     return _by_coordinate(np.add, steps[:, : max(n, 1)], centers[:, None, :])

@@ -114,7 +114,7 @@ class TestWitnessSearch:
 def _point_mass_space():
     """mu = 1 at z = 0 and 0 elsewhere: no hypothesis set holds a point
     but x0, so no rung of a witness search is probed."""
-    mu = lambda p, s: (p[:, 0] == 0.0).astype(float)
+    mu = lambda p, s: np.broadcast_to(p[:, 0] == 0.0, np.broadcast_shapes(np.shape(s), (len(p),))).astype(float)
     std = make_standard_space(1.0)
     return IFNSpace(1, custom_membership(mu), custom_membership(lambda p, s: 1.0 - mu(p, s)),
                     std.tnorm, std.tconorm)

@@ -36,6 +36,8 @@ from ifncheck.ifn_core import (
 from ifncheck.point_convergence import cauchy_index, convergence_index
 from ifncheck.sampling import Interval
 
+from stand_ins import TabulatedSequence
+
 
 @pytest.fixture(scope="module")
 def spaces():
@@ -72,23 +74,13 @@ class TestPointwise:
         assert limit == 0.0 and cert.n0 == 1
 
     def test_custom_family_tail_mean(self, spaces):
-        seq = FunctionSequence(
-            "custom",
-            Interval(0.0, 1.0),
-            budget=2000,
-            fn=lambda ns, xs: 2.0 + np.outer(0.5 ** ns, np.ones_like(xs)),
-        )
+        seq = TabulatedSequence(lambda ns, xs: 2.0 + np.outer(0.5 ** ns, np.ones_like(xs)), budget=2000)
         limit, cert = pointwise_limit_estimate(spaces, seq, 0.5, 0.2, 1.0)
         assert limit == pytest.approx(2.0, abs=1e-9)
         assert cert.certified
 
     def test_oscillating_custom_has_no_limit(self, spaces):
-        seq = FunctionSequence(
-            "custom",
-            Interval(0.0, 1.0),
-            budget=2000,
-            fn=lambda ns, xs: np.outer((-1.0) ** ns, np.ones_like(xs)),
-        )
+        seq = TabulatedSequence(lambda ns, xs: np.outer((-1.0) ** ns, np.ones_like(xs)), budget=2000)
         with pytest.raises(NoLimit):
             pointwise_limit_estimate(spaces, seq, 0.5, 0.2, 1.0)
 
@@ -297,7 +289,7 @@ class TestCauchyCriterion:
         cert = uniform_cauchy_check(spaces, seq, sample_domain(seq.domain, 9), 0.5, 1.0)
         assert cert.n0 == 1
 
-    def test_radial_branch_rechecks_a_passing_worst_deviation_near_the_radius(self):
+    def test_criterion_rechecks_a_passing_worst_deviation_near_the_radius(self):
         # at n = 1 the worst later deviation, 0.8054198989992021, passes, yet
         # the nearer later term 0.805419898999202 fails: the float demand is
         # not monotone in |z| near the radius, so n0 is 2, not 1
@@ -305,56 +297,23 @@ class TestCauchyCriterion:
         r, t = 0.6765943970031398, 0.3849829517584646
         rows = np.array([0.0, 0.805419898999202] + [0.8054198989992021] * 9)
         assert list(sp.within(rows[1:3].reshape(-1, 1), r, t)) == [False, True]
-        seq = FunctionSequence(
-            "custom", Interval(0.0, 1.0), budget=8,
-            fn=lambda ns, xs: rows[ns - 1][:, None] + 0.0 * xs,
-        )
+        seq = TabulatedSequence(lambda ns, xs: rows[ns - 1][:, None] + 0.0 * xs, budget=8)
         cert = uniform_cauchy_check((sp, sp), seq, DomainSample((0.0,)), r, t, p_max=3)
         assert (cert.verdict, cert.n0) == ("uniform-up-to-budget", 2)
 
-    @pytest.mark.parametrize(
-        "family, lo, hi, refine, r, t, p_max",
-        [
-            ("power", 0.0, 0.5, None, 0.1, 0.1, 5),
-            ("power", 0.0, 1.0, "hi", 0.1, 0.1, 20),
-            ("quotient", 0.0, 10.0, None, 0.3, 0.5, 10),
-            ("scaled", 0.0, 1.0, None, 0.1, 0.05, 3),
-        ],
-    )
-    def test_non_radial_branch_matches_p_window_oracle(
-        self, spaces, family, lo, hi, refine, r, t, p_max
-    ):
-        # the standard memberships, declared non-radial, take the p-bounded branch
+    def test_criterion_needs_the_standard_pair_on_the_line(self, spaces):
+        # the suffix extrema decide each n only where the demand falls with
+        # |z|, which the standard pair on the real line guarantees
         sp = spaces[1]
-        wrapped = IFNSpace(
-            1,
-            custom_membership(lambda p, s: sp.mu.eval(p, s)),
-            custom_membership(lambda p, s: sp.nu.eval(p, s)),
-            sp.tnorm,
-            sp.tconorm,
-        )
-        seq = FunctionSequence(
-            family, Interval(lo, hi, open_lo=refine is not None, open_hi=refine is not None),
-            budget=300,
-        )
-        sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=6)
-        cert = uniform_cauchy_check((wrapped, wrapped), seq, sample, r, t, p_max)
-
-        expected = []
-        for x in sample.all_points():
-            v = seq.values(np.arange(1, seq.budget + p_max + 1), np.array([x]))[:, 0]
-            # ok at n: every p in 1..p_max meets the demand at (n, n + p)
-            ok = [
-                bool(np.all(sp.within((v[n : n + p_max] - v[n - 1]).reshape(-1, 1), r, t)))
-                for n in range(1, seq.budget + 1)
-            ]
-            bad = [n for n, good in zip(range(1, seq.budget + 1), ok) if not good]
-            expected.append((float(x), (bad[-1] + 1 if bad else 1) if ok[-1] else None))
-        assert cert.kind == "cauchy-criterion"
-        assert cert.per_point_index == tuple(expected)
-        assert cert.ladder_indices == tuple(i for _, i in expected[len(sample.points) :])
-        if cert.uniform:
-            assert cert.n0 == max(i for _, i in expected)
+        custom = IFNSpace(1, custom_membership(sp.mu.eval), custom_membership(sp.nu.eval), sp.tnorm, sp.tconorm)
+        plane = make_standard_space(1.0, dimension=2, verify=False)
+        seq = FunctionSequence("power", Interval(0.0, 0.5))
+        sample = sample_domain(seq.domain, 9)
+        for codomain in (custom, plane):
+            with pytest.raises(UnsupportedFamily, match="the standard pair on the real line"):
+                uniform_cauchy_check((sp, codomain), seq, sample, 0.1, 0.1)
+            with pytest.raises(UnsupportedFamily, match="the standard pair on the real line"):
+                criterion_pair((sp, codomain), seq, sample, 0.1, 0.1)
 
 
 class TestSupOracle:
@@ -519,12 +478,12 @@ def _ulps_from(x, j):
     return float((np.array(x).view(np.int64) + j).view(np.float64))
 
 
-def _broadcasting_pair(space):
+def _closed_form_pair(space):
     """The standard pair's closed forms t/(t + k|z|) and k|z|/(t + k|z|) as
-    callables that declare `broadcasts`: not a standard pair."""
+    callables: not a standard pair."""
     mu = lambda p, s: s / (s + space.k * np.abs(p[:, 0]))
     nu = lambda p, s: space.k * np.abs(p[:, 0]) / (s + space.k * np.abs(p[:, 0]))
-    return custom_membership(mu, broadcasts=True), custom_membership(nu, broadcasts=True)
+    return custom_membership(mu), custom_membership(nu)
 
 
 def _custom_pair(space):
@@ -537,7 +496,7 @@ def _custom_pair(space):
 def _deviation_blocks(draw):
     """A codomain on the real line, (r, t) demands, and an (N, M) block of
     f_n(x) with its M limits.  The codomain is a standard space, or its
-    pair replaced by a custom one, with or without `broadcasts`.  The
+    pair replaced by a custom one, its own closed forms or another.  The
     deviations are the floats up to 4 ulps either side of each demand's
     safe radius and of its float radius r t / (k (1 - r)) on the standard
     space, either sign, plus NaN, +-inf, +-0.0 and random ones; most limits
@@ -561,7 +520,7 @@ def _deviation_blocks(draw):
     limits = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.25]), min_size=m, max_size=m)))
     with np.errstate(invalid="ignore"):
         vals = np.array(devs).reshape(-1, m) + limits
-    pair = draw(st.sampled_from([None, _broadcasting_pair, _custom_pair]))
+    pair = draw(st.sampled_from([None, _closed_form_pair, _custom_pair]))
     if pair is not None:
         space = IFNSpace(1, *pair(space), space.tnorm, space.tconorm)
     return space, rts, vals, limits
@@ -591,7 +550,7 @@ def _catalog_sequence_cases():
     from ifncheck.catalog import catalog_function_sequences
 
     return {
-        name: (FunctionSequence(seq.family, seq.domain, seq.params, 2000, seq.fn), refine)
+        name: (FunctionSequence(seq.family, seq.domain, seq.params, 2000), refine)
         for name, (seq, refine) in catalog_function_sequences().items()
     }
 
@@ -657,7 +616,7 @@ def test_certificates_are_invariant_under_dyadic_scaling_of_k_and_t(case, m, p_m
 
 
 def test_a_nan_term_fails_every_cauchy_row_at_or_before_it():
-    # f_n(x) = x / n with f_5001(0.5) = NaN: in the radial criterion every
+    # f_n(x) = x / n with f_5001(0.5) = NaN: in the criterion every
     # n <= 5001 sees the NaN among its later terms or as its own term, and
     # `within` fails a NaN deviation, so that column's index is 5002
     sp = make_example_family("example-4.x")
@@ -667,7 +626,7 @@ def test_a_nan_term_fails_every_cauchy_row_at_or_before_it():
         vals[np.ix_(ns == 5001, xs == 0.5)] = np.nan
         return vals
 
-    seq = FunctionSequence("custom", Interval(0.0, 1.0), budget=10_000, fn=fn)
+    seq = TabulatedSequence(fn, budget=10_000)
     cert = uniform_cauchy_check((sp, sp), seq, DomainSample((0.25, 0.5, 0.75)), 0.5, 1.0)
     assert [i for _, i in cert.per_point_index] == [1, 5002, 1]
     assert cert.uniform and cert.n0 == 5002
@@ -702,7 +661,8 @@ def _nan_cell(n_nan, x_nan):
 def _walk_cases(draw):
     """A function sequence on a small budget with a domain sample, with or
     without a refinement ladder, a codomain on the real line (a standard
-    space, or its pair declared non-radial) and an (r, t) demand with p_max."""
+    space, or its pair behind custom tags, which only the direct search
+    takes) and an (r, t) demand with p_max."""
     budget, p_max = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     family = draw(st.sampled_from(["power", "quotient", "scaled", "constant", "custom"]))
     refine = draw(st.sampled_from([None, "hi"])) if family == "power" else None
@@ -713,7 +673,7 @@ def _walk_cases(draw):
     if family == "custom":
         x_nan = draw(st.sampled_from(sample.all_points().tolist()))
         fn = _nan_cell(draw(st.integers(1, budget + p_max)), x_nan)
-        seq = FunctionSequence(family, seq.domain, budget=budget, fn=fn)
+        seq = TabulatedSequence(fn, seq.domain, budget)
     space = std = make_standard_space(draw(st.sampled_from([0.5, 1.0, 3.0])), verify=False)
     if draw(st.booleans()):
         space = IFNSpace(
@@ -729,8 +689,8 @@ def _walk_cases(draw):
 
 def _walk_certificates(spaces, seq, sample, r, t, p_max):
     """Each walker's certificates, or the error it raises (NoLimit for the
-    custom family, UnsupportedFamily for the classical probe off the
-    standard pair)."""
+    custom family, UnsupportedFamily for the criterion and the classical
+    probe off the standard pair)."""
     calls = {
         "sweep": lambda: uniform_index_sweep(spaces, seq, sample, [(r, t), (0.5, 1.0)]),
         "criterion_pair": lambda: criterion_pair(spaces, seq, sample, r, t, p_max),
@@ -773,15 +733,3 @@ def test_checks_hold_a_few_blocks_of_f_n_x_at_a_time(spaces):
         finally:
             tracemalloc.stop()
         assert peak < bound, peak
-
-
-@pytest.mark.parametrize(
-    "fn",
-    [lambda ns, xs: (xs[0] ** ns).reshape(-1, 1), lambda ns, xs: xs[0] ** ns],
-    ids=["one-column", "flat"],
-)
-def test_a_custom_fn_of_the_wrong_shape_is_rejected(spaces, fn):
-    # a (K, 1) result used to certify its one column for all three points
-    seq = FunctionSequence("custom", Interval(0.0, 1.0), budget=2000, fn=fn)
-    with pytest.raises(InvalidParameter, match=r"shape \((2100, 1|2100,)\), not \(2100, 3\)"):
-        uniform_cauchy_check(spaces, seq, DomainSample((0.25, 0.5, 0.99)), 0.1, 0.1)

@@ -13,7 +13,6 @@ from ifncheck.ifn_core import (
     LIMIT_TOL,
     ClassicalNorm,
     IFNSpace,
-    MembershipFunction,
     check_ifn_axioms,
     custom_membership,
     make_example_family,
@@ -134,10 +133,9 @@ def test_axiom_counts_are_invariant_under_dyadic_scaling_of_k_and_times(
 
 def half_limit_space(dimension: int = 1) -> IFNSpace:
     """mu = t/(2t + |x_1|) and nu = |x_1|/(2t + |x_1|) on the first
-    coordinate, a custom pair that declares `broadcasts`: a ladder limit of
-    1/2, not 1."""
-    mu = custom_membership(lambda p, t: t / (2 * t + np.abs(p[:, 0])), broadcasts=True)
-    nu = custom_membership(lambda p, t: np.abs(p[:, 0]) / (2 * t + np.abs(p[:, 0])), broadcasts=True)
+    coordinate, a custom pair: a ladder limit of 1/2, not 1."""
+    mu = custom_membership(lambda p, t: t / (2 * t + np.abs(p[:, 0])))
+    nu = custom_membership(lambda p, t: np.abs(p[:, 0]) / (2 * t + np.abs(p[:, 0])))
     ops = TriangularNorm("minimum"), TriangularConorm("maximum")
     return IFNSpace(dimension, mu, nu, *ops, axiom_tier="core")
 
@@ -145,10 +143,14 @@ def half_limit_space(dimension: int = 1) -> IFNSpace:
 def constant_pair_space(mu_value: float, nu_value: float) -> IFNSpace:
     """A space whose memberships take one fixed value everywhere, to place
     each side of the demand exactly on its boundary."""
+
+    def constant(value):
+        return lambda pts, t: np.broadcast_to(value, np.broadcast_shapes(np.shape(t), (len(pts),)))
+
     return IFNSpace(
         dimension=1,
-        mu=custom_membership(lambda pts, t: np.full(len(pts), mu_value)),
-        nu=custom_membership(lambda pts, t: np.full(len(pts), nu_value)),
+        mu=custom_membership(constant(mu_value)),
+        nu=custom_membership(constant(nu_value)),
         tnorm=TriangularNorm("minimum"),
         tconorm=TriangularConorm("maximum"),
     )
@@ -285,8 +287,8 @@ class TestAxiomChecker:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_membership_blocks_match_per_t_loop(self, d, seed):
         # `memberships` over a (T, 1) column of times against a per-t loop
-        # of `eval`: the fused standard pair, and the custom pairs, with
-        # and without `broadcasts`; a 7-point axis (origin included) keeps
+        # of `eval`: the fused standard pair, and custom pairs, which take
+        # one `eval` per column; a 7-point axis (origin included) keeps
         # d = 4 affordable
         axis = np.linspace(-5.0, 5.0, 7)
         plan = SamplingPlan(product_grid(axis, d, seed), random_count=50, seed=seed)
@@ -298,22 +300,19 @@ class TestAxiomChecker:
                 for block, fn in zip(blocks, (space.mu, space.nu)):
                     assert np.array_equal(block, np.stack([fn.eval(P, t) for t in ts]))
 
-        # pairs that declare `broadcasts` and take one `eval` per column: the
-        # half-limit pair and, on the line, the six broken spaces
-        declared = [half_limit_space(d)]
+        # the half-limit pair and, on the line, the six broken spaces
+        custom = [half_limit_space(d)]
         if d == 1:
-            declared += [space for space, _ in broken_spaces().values()]
-        for space in declared:
-            assert space.mu.broadcasts and space.nu.broadcasts
+            custom += [space for space, _ in broken_spaces().values()]
+        for space in custom:
             assert_blocks_match(space)
         for ops in (("minimum", "maximum"), ("product", "probabilistic-sum")):
             sp = make_standard_space(1.5, dimension=d, ops=ops, tier="core", verify=False)
-            # the same closed forms behind undeclared custom tags take the per-t path
-            per_t = IFNSpace(
-                d, custom_membership(sp.mu.eval), custom_membership(sp.nu.eval),
-                sp.tnorm, sp.tconorm, axiom_tier="core",
-            )
-            for space in (sp, per_t):
+            # the same closed forms behind custom tags, at a time column at
+            # once and one time at a time
+            at_once = IFNSpace(d, custom_membership(sp.mu.eval), custom_membership(sp.nu.eval), sp.tnorm, sp.tconorm)
+            per_t = _per_time(sp)
+            for space in (sp, at_once, per_t):
                 assert_blocks_match(space)
             tiers = itertools.product(("core", "idempotent", "strict"), (False, True))
             for tier, forcing in tiers:
@@ -576,6 +575,20 @@ def test_blocked_standard_evaluation_matches_one_block(family, d, k, n, times, o
         assert same(blocked, whole) and same(blocked, sliced), (name, blocked, whole)
 
 
+def _per_time(space: IFNSpace) -> IFNSpace:
+    """`space` with each membership a custom one that evaluates a (T, 1)
+    column of times one time at a time, by a loop over `eval`."""
+
+    def per_time(f):
+        def fn(pts, t):
+            return np.stack([f.eval(pts, s) for s in np.ravel(t)]) if np.ndim(t) == 2 else f.eval(pts, t)
+
+        return custom_membership(fn)
+
+    return IFNSpace(space.dimension, per_time(space.mu), per_time(space.nu), space.tnorm, space.tconorm,
+                    space.axiom_tier)
+
+
 def _pair_space(mu=None, nu=None, ops=("minimum", "maximum")) -> IFNSpace:
     """The k = 1 standard pair on the line with mu and/or nu replaced by a
     custom membership."""
@@ -670,23 +683,35 @@ def test_each_axiom_condition_is_pinned(case):
     )
 
 
-def _broadcasting(space: IFNSpace, on: bool) -> IFNSpace:
-    """`space` with both memberships declaring `broadcasts` as `on`."""
-    mu, nu = (MembershipFunction(f.tag, f.k, f.norm, f.fn, f.radial, on) for f in (space.mu, space.nu))
-    return IFNSpace(space.dimension, mu, nu, space.tnorm, space.tconorm, space.axiom_tier)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_axiom_reports_do_not_depend_on_broadcasting(seed):
     # every violator (the six broken spaces among them) with one `eval` per
-    # time column and with one per time
+    # time column and with one per time; a standard pair takes its fused
+    # path either way
     plan = default_plan(1, seed)
     for case, (space, forcing) in _axiom_violators().items():
         on, off = (
-            repr(check_ifn_axioms(_broadcasting(space, flag), "strict", plan, forcing))
-            for flag in (True, False)
+            repr(check_ifn_axioms(s, "strict", plan, forcing))
+            for s in (space, space if space.standard_pair else _per_time(space))
         )
         assert on == off, case
+
+
+def test_a_custom_pair_that_does_not_broadcast_is_rejected():
+    # values of shape (N,) at a (T, 1) column of times name both shapes,
+    # where numpy's own error once escaped from the axiom checker
+    std = make_standard_space(1.0, verify=False)
+    flat = custom_membership(lambda p, t: np.abs(p[:, 0]) / (np.max(t) + np.abs(p[:, 0])))
+    plan = default_plan(1, 0)
+    space = IFNSpace(1, std.mu, flat, std.tnorm, std.tconorm)
+    with pytest.raises(InvalidParameter, match=r"^nu gave values of shape \(221,\), not \(11, 221\)$"):
+        check_ifn_axioms(space, "strict", plan)
+    mu_flat = IFNSpace(1, flat, std.nu, std.tnorm, std.tconorm)
+    with pytest.raises(InvalidParameter, match=r"^mu gave values of shape \(3,\), not \(2, 3\)$"):
+        mu_flat.memberships(np.zeros((3, 1)), np.ones((2, 1)))
+    # a scalar or per-point time gives (N,) values, which it may
+    assert mu_flat.within(np.zeros((3, 1)), 0.5, 1.0).shape == (3,)
+    assert mu_flat.within(np.zeros((3, 1)), 0.5, np.ones(3)).shape == (3,)
 
 
 def _axiom_outcome(space: IFNSpace, plan: SamplingPlan, forcing: bool, block: int) -> str:

@@ -8,7 +8,6 @@ from ifncheck.norm_algebra import (
     ASSOC_TOL,
     AxiomResult,
     TriangularConorm,
-    TriangularNorm,
     Violation,
     ViolationReport,
     check_norm_axioms,
@@ -18,6 +17,8 @@ from ifncheck.norm_algebra import (
     tnorm_eval,
 )
 from ifncheck.sampling import default_plan
+
+from stand_ins import FormulaOp
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -57,20 +58,13 @@ class TestEvaluation:
         with pytest.raises(InvalidParameter):
             tnorm("hamacher")
 
-    @pytest.mark.parametrize(
-        "table",
-        [np.full((3, 3), np.nan), np.array([[0.0, 0.0], [0.0, np.nan]]), np.full((2, 2), 1.5)],
-        ids=["all-nan", "one-nan", "above-one"],
-    )
-    def test_tabulated_rejects_values_outside_unit(self, table):
-        with pytest.raises(InvalidParameter):
-            TriangularNorm("tabulated", table)
-
-    def test_tabulated_signatures_tell_equal_sums_apart(self):
-        # the two off-diagonal values swapped: same shape, same sum
-        a, b = (TriangularNorm("tabulated", [[0.0, v], [1.0 - v, 1.0]]) for v in (0.0, 1.0))
-        assert a.signature() != b.signature()
-        assert a.signature() == TriangularNorm("tabulated", [[0.0, 0.0], [1.0, 1.0]]).signature()
+    def test_no_tabulated_family(self):
+        # the named families are the only ones
+        with pytest.raises(InvalidParameter) as exc:
+            TriangularConorm("tabulated")
+        assert str(exc.value) == (
+            "unknown tconorm family 'tabulated'; expected one of ['lukasiewicz', 'maximum', 'probabilistic-sum']"
+        )
 
     def test_idempotent_flags(self):
         assert tnorm("minimum").idempotent
@@ -117,9 +111,7 @@ class TestAxiomChecker:
 
     def test_broken_op_identity_violation(self):
         # a*b = min(1, ab + 0.1): identity fails at a=0.5 since 0.5*1 = 0.6
-        grid = np.linspace(0.0, 1.0, 101)
-        table = np.minimum(1.0, np.outer(grid, grid) + 0.1)
-        broken = TriangularNorm("tabulated", table)
+        broken = BROKEN_OPS["shifted-product"][0]
         report = check_norm_axioms(broken, default_plan(1, seed=0))
         assert not report.passed
         ident = report.result("ident")
@@ -183,20 +175,21 @@ def reference_norm_report(op, plan):
             lambda a: float(op(a, a)) == float(a),
             lambda a: f"op({a},{a})={float(op(a,a))} != {a}",
         )
-    return ViolationReport(f"{op._KIND}:{op.family}", plan.summary(), tuple(results))
+    return ViolationReport(":".join(op.signature()), plan.summary(), tuple(results))
 
 
-_NODES = np.linspace(0.0, 1.0, 101)
-_A, _B = np.meshgrid(_NODES, _NODES, indexing="ij")
-
-# tabulated operations that break the laws named with them
+# operations that break the laws named with them
 BROKEN_OPS = {
     "shifted-product": (
-        TriangularNorm("tabulated", np.minimum(1.0, _A * _B + 0.1)), ("assoc", "ident")
+        FormulaOp("tnorm", "shifted-product", lambda a, b: np.minimum(1.0, a * b + 0.1), 1.0),
+        ("assoc", "ident"),
     ),
-    "lopsided-sum": (TriangularConorm("tabulated", 1 - (1 - _A) * (1 - _B) ** 2), ("comm", "assoc")),
+    "lopsided-sum": (
+        FormulaOp("tconorm", "lopsided-sum", lambda a, b: 1 - (1 - a) * (1 - b) ** 2, 0.0),
+        ("comm", "assoc"),
+    ),
     "wavy-product": (
-        TriangularNorm("tabulated", np.clip(_A * _B * (1 + 0.6 * np.sin(9 * _A * _B)), 0, 1)),
+        FormulaOp("tnorm", "wavy-product", lambda a, b: np.clip(a * b * (1 + 0.6 * np.sin(9 * a * b)), 0, 1), 1.0),
         ("mono",),
     ),
 }
@@ -215,7 +208,7 @@ class TestCheckerAgainstReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     @pytest.mark.parametrize("name", sorted(BROKEN_OPS))
-    def test_broken_tabulated_operations(self, name, seed):
+    def test_broken_operations(self, name, seed):
         op, broken_laws = BROKEN_OPS[name]
         plan = default_plan(1, seed=seed)
         report = check_norm_axioms(op, plan)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifncheck.continuity import MapBetweenSpaces, cauchy_preservation_check, make_map, rule
@@ -14,6 +14,7 @@ from ifncheck.function_sequences import (
     DomainSample,
     FunctionSequence,
     UniformCertificate,
+    sample_domain,
     uniform_cauchy_check,
 )
 from ifncheck.ifn_core import (
@@ -39,6 +40,8 @@ from ifncheck.point_convergence import (
     tail_index,
 )
 from ifncheck.sampling import Interval
+
+from stand_ins import TabulatedSequence
 
 
 def brute_force_index(k, seq_vals, limit, r, t):
@@ -275,30 +278,21 @@ def reference_escape_index(space, seq, r, t, p_max, budget):
 
 
 def reference_uniform_cauchy_check(space, seq, sample, r, t, p_max):
-    # each point's index is the start of its all-pass tail, or None when the
-    # last n fails there; the sample has no refinement ladder
-    assert not sample.ladder
-    n_total = seq.budget + p_max
-    vals = seq.values(np.arange(1, n_total + 1), sample.all_points())
+    """The criterion's certificate from the two-sided statement over every
+    (n, m), n up to the budget and m up to budget + p_max: each point's
+    index is the start of its all-pass tail, or None when the last n fails
+    there, and a refinement ladder's indices are read, not judged."""
+    vals = seq.values(np.arange(1, seq.budget + p_max + 1), sample.all_points())
     idx = []
     for v in vals.T:
-        ok = reference_ok_mask(space, v.reshape(-1, 1), r, t, p_max)[: seq.budget]
+        ok = np.array([np.all(space.within(v[n + 1 :] - v[n], r, t)) for n in range(seq.budget)])
         idx.append(tail_index(ok) if ok[-1] else None)
     uniform = None not in idx
-    cert = UniformCertificate(
+    return UniformCertificate(
         r, t, max(idx) if uniform else None, tuple(zip(sample.all_points().tolist(), idx)),
-        "uniform-up-to-budget" if uniform else "inconclusive", seq.budget, (), "cauchy-criterion",
+        "uniform-up-to-budget" if uniform else "inconclusive", seq.budget,
+        tuple(idx[len(sample.points) :]), "cauchy-criterion",
     )
-    if cert.uniform:
-        n0 = cert.n0
-        grid = sorted({min(n_total, v) for v in (n0, n0 + 1, 2 * n0, 4 * n0, seq.budget)})
-        pairs = ((n, m) for i, n in enumerate(grid) for m in grid[i + 1 :])
-        if not all(
-            np.all(space.within((vals[m - 1] - vals[n - 1]).reshape(-1, 1), r, t))
-            for n, m in pairs
-        ):
-            cert = cert._replace(verdict="inconclusive", n0=None)
-    return cert
 
 
 # terms from a small set, so that differences tie and cross the radius,
@@ -322,17 +316,16 @@ def _term_tables(draw, columns):
     table=_term_tables(1),
     columns=_term_tables(3),
     k=st.sampled_from([0.5, 1.0, 3.0]),
-    radial=st.booleans(),
+    standard=st.booleans(),
     r=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     t=st.floats(min_value=1e-3, max_value=100.0),
     p_max=st.integers(min_value=1, max_value=30),
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, p_max, data):
+def test_p_window_scan_matches_reference_loops(table, columns, k, standard, r, t, p_max, data):
     std = make_standard_space(k)
-    # the standard memberships declared non-radial, for the p-bounded branch
-    # of the uniform Cauchy criterion
+    # the standard memberships behind custom tags, for the per-p loop
     wrapped = IFNSpace(
         1,
         custom_membership(lambda z, s: std.mu.eval(z, s)),
@@ -340,7 +333,7 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, 
         std.tnorm,
         std.tconorm,
     )
-    space = std if radial else wrapped
+    space = std if standard else wrapped
     n = len(table)
     seq = PointSequence("custom", budget=n, fn=lambda ns: table[ns - 1])
 
@@ -367,14 +360,13 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, radial, r, t, 
 
     budget = max(1, len(columns) - p_max)
     columns = np.resize(columns, (budget + p_max, 3))  # repeats rows of a short table
-    funcs = FunctionSequence(
-        "custom", Interval(0.0, 3.0), budget=budget,
-        fn=lambda ns, xs: columns[ns - 1][:, xs.astype(int)],
-    )
+    funcs = TabulatedSequence(lambda ns, xs: columns[ns - 1][:, xs.astype(int)], Interval(0.0, 3.0), budget)
     sample = DomainSample((0.0, 1.0, 2.0))
-    assert uniform_cauchy_check((wrapped, wrapped), funcs, sample, r, t, p_max) == (
-        reference_uniform_cauchy_check(wrapped, funcs, sample, r, t, p_max)
+    assert uniform_cauchy_check((std, std), funcs, sample, r, t, p_max) == (
+        reference_uniform_cauchy_check(std, funcs, sample, r, t, p_max)
     )
+    with pytest.raises(UnsupportedFamily):
+        uniform_cauchy_check((wrapped, wrapped), funcs, sample, r, t, p_max)
 
 
 def test_p_window_scan_evaluates_each_membership_once_per_p():
@@ -578,20 +570,43 @@ def _straddles(draw):
     return space, r, t, band[i], band[j]
 
 
-@given(case=_straddles(), sign=st.sampled_from([-1.0, 1.0]), p_max=st.integers(1, 4))
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_radial_cauchy_criterion_is_exact_per_n_and_m(case, sign, p_max):
-    # f_n(0) = 0, a, b, b, ...: the standard pair's index is the brute-force
-    # one over every later term
-    space, r, t, a, b = case
+@st.composite
+def _straddle_walks(draw):
+    """f_n(0) = 0, a, b, b, ... for a straddle (a, b), either sign, with its
+    space, demand and p_max in 1..4."""
+    space, r, t, a, b = draw(_straddles())
+    sign, p_max = draw(st.sampled_from([-1.0, 1.0])), draw(st.integers(1, 4))
     v = sign * np.array([0.0, a] + [b] * (6 + p_max))
-    budget = len(v) - p_max
-    funcs = FunctionSequence(
-        "custom", Interval(0.0, 1.0), budget=budget, fn=lambda ns, xs: v[ns - 1][:, None] + 0.0 * xs
-    )
-    cert = uniform_cauchy_check((space, space), funcs, DomainSample((0.0,)), r, t, p_max)
-    ok = np.array([np.all(space.within(v[n + 1 :] - v[n], r, t)) for n in range(budget)])
-    assert cert.per_point_index == ((0.0, tail_index(ok) if ok[-1] else None),)
+    funcs = TabulatedSequence(lambda ns, xs: v[ns - 1][:, None] + 0.0 * xs, budget=len(v) - p_max)
+    return space, funcs, DomainSample((0.0,)), r, t, p_max
+
+
+def _family_case(family, lo, hi, refine, r, t, p_max):
+    """A closed-form family on 300 terms, sampled at 9 points and, with
+    `refine`, a 6-rung ladder toward that open end, in the k = 1 space."""
+    seq = FunctionSequence(family, Interval(lo, hi, open_lo=refine is not None, open_hi=refine is not None), budget=300)
+    sample = sample_domain(seq.domain, 9, refine_side=refine, refine_depth=6)
+    return make_standard_space(1.0, verify=False), seq, sample, r, t, p_max
+
+
+@given(case=_straddle_walks())
+@example(case=_family_case("power", 0.0, 0.5, None, 0.1, 0.1, 5))
+@example(case=_family_case("power", 0.0, 1.0, "hi", 0.1, 0.1, 20))
+@example(case=_family_case("quotient", 0.0, 10.0, None, 0.3, 0.5, 10))
+@example(case=_family_case("scaled", 0.0, 1.0, None, 0.1, 0.05, 3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_radial_cauchy_criterion_is_exact_per_n_and_m(case):
+    # the standard pair's index is the brute-force one over every later term
+    space, funcs, sample, r, t, p_max = case
+    cert = uniform_cauchy_check((space, space), funcs, sample, r, t, p_max)
+    want = reference_uniform_cauchy_check(space, funcs, sample, r, t, p_max)
+    if sample.ladder:  # whose verdict the ladder rule may make
+        assert (cert.kind, cert.per_point_index, cert.ladder_indices) == (
+            want.kind, want.per_point_index, want.ladder_indices
+        )
+        assert not cert.uniform or cert.n0 == want.n0
+    else:
+        assert cert == want
 
 
 @pytest.mark.parametrize("family", NORM_FAMILIES)

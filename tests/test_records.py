@@ -75,12 +75,9 @@ def _openness():
 # the reprs of the shared parts above
 _SPACE = (
     "IFNSpace(dimension=1, "
-    "mu=MembershipFunction(tag='standard-mu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None, "
-    "radial=True, broadcasts=True), "
-    "nu=MembershipFunction(tag='standard-nu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None, "
-    "radial=True, broadcasts=True), "
-    "tnorm=TriangularNorm(family='minimum', table=None), tconorm=TriangularConorm(family='maximum', table=None), "
-    "axiom_tier='core')"
+    "mu=MembershipFunction(tag='standard-mu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None), "
+    "nu=MembershipFunction(tag='standard-nu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None), "
+    "tnorm=TriangularNorm(family='minimum'), tconorm=TriangularConorm(family='maximum'), axiom_tier='core')"
 )
 _CERT = (
     "ConvergenceCertificate(kind='convergence', r=0.1, t=0.25, n0=90, status='certified-up-to-budget', "
@@ -111,20 +108,11 @@ RECORDS = {
         ("lo", "hi", "open_lo", "open_hi"),
         "Interval(lo=0.0, hi=1.0, open_lo=True, open_hi=False)",
     ),
-    "_BinaryOp": (
-        lambda: _BinaryOp("tabulated", table=[[0, 0], [0, 1]]),
-        ("family", "table"),
-        "_BinaryOp(family='tabulated', table=array([[0., 0.],\n       [0., 1.]]))",
-    ),
-    "TriangularNorm": (
-        lambda: TriangularNorm("minimum"),
-        ("family", "table"),
-        "TriangularNorm(family='minimum', table=None)",
-    ),
+    "TriangularNorm": (lambda: TriangularNorm("minimum"), ("family",), "TriangularNorm(family='minimum')"),
     "TriangularConorm": (
-        lambda: TriangularConorm("tabulated", [[0.0, 1.0], [1.0, 1.0]]),
-        ("family", "table"),
-        "TriangularConorm(family='tabulated', table=array([[0., 1.],\n       [1., 1.]]))",
+        lambda: TriangularConorm("probabilistic-sum"),
+        ("family",),
+        "TriangularConorm(family='probabilistic-sum')",
     ),
     "Violation": (
         lambda: Violation("comm", (0.5, 0.25), "op(0.5,0.25) differs"),
@@ -149,10 +137,9 @@ RECORDS = {
         "ClassicalNorm(family='max-coordinate')",
     ),
     "MembershipFunction": (
-        lambda: MembershipFunction("standard-nu", 2.0, ClassicalNorm("euclidean"), None, True, True),
-        ("tag", "k", "norm", "fn", "radial", "broadcasts"),
-        "MembershipFunction(tag='standard-nu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None, "
-        "radial=True, broadcasts=True)",
+        lambda: MembershipFunction("standard-nu", 2.0, ClassicalNorm("euclidean"), None),
+        ("tag", "k", "norm", "fn"),
+        "MembershipFunction(tag='standard-nu', k=2.0, norm=ClassicalNorm(family='euclidean'), fn=None)",
     ),
     "IFNSpace": (_space, ("dimension", "mu", "nu", "tnorm", "tconorm", "axiom_tier"), _SPACE),
     "PointSequence": (
@@ -219,9 +206,9 @@ RECORDS = {
     ),
     "FunctionSequence": (
         lambda: FunctionSequence("power", Interval(0.0, 0.5), budget=10),
-        ("family", "domain", "params", "budget", "fn"),
+        ("family", "domain", "params", "budget"),
         "FunctionSequence(family='power', domain=Interval(lo=0.0, hi=0.5, open_lo=False, open_hi=False), "
-        "params=(), budget=10, fn=None)",
+        "params=(), budget=10)",
     ),
     "DomainSample": (
         lambda: DomainSample((0.0, 0.5), (0.25,)),
@@ -286,7 +273,7 @@ RECORDS = {
 }
 
 IDENTITY = (
-    "ClassicalNorm", "MembershipFunction", "IFNSpace", "_BinaryOp", "TriangularNorm", "TriangularConorm",
+    "ClassicalNorm", "MembershipFunction", "IFNSpace", "TriangularNorm", "TriangularConorm",
     "SamplingPlan", "PointSequence", "MapRule", "MapBetweenSpaces", "FunctionSequence", "OpenBall",
     "SampledSet",
 )
@@ -301,7 +288,8 @@ def _copy(name):
 
 
 def test_the_table_covers_every_record_type():
-    assert len(RECORDS) == 33 and len(IDENTITY) == 13 and len(VALUE) == 20  # 19 and Interval
+    # _BinaryOp, the base of the two operation kinds, has no family of its own
+    assert len(RECORDS) == 32 and len(IDENTITY) == 12 and len(VALUE) == 20  # 19 and Interval
     assert all(type(make()).__name__ == name for name, (make, _, _) in RECORDS.items())
 
 
@@ -365,7 +353,6 @@ def test_check_record_containers_are_fresh_per_record():
 
 def test_constructors_coerce_their_arrays():
     assert SamplingPlan([[0, 1]]).vector_grid.dtype == float
-    assert TriangularNorm("tabulated", [[0, 0], [0, 1]]).table.dtype == float
     assert OpenBall(0.5, 0.5, 1.0).center.shape == (1,)
     assert SampledSet(np.isfinite, [0.0, 1.0]).witnesses.shape == (2, 1)
 
@@ -401,17 +388,12 @@ VALIDATION = [
         lambda: Interval(-1e308, 1e308),
         InvalidParameter, "bad interval [-1e+308, 1e+308]: width not a positive real",
     ),
-    (lambda: TriangularNorm("tabulated"), InvalidParameter, "tabulated operation needs a value table"),
-    (lambda: TriangularNorm("tabulated", [[0.0, 1.0]]), InvalidParameter, "table must be square with size >= 2"),
-    (
-        lambda: TriangularConorm("tabulated", [[0.0, 2.0], [1.0, 1.0]]),
-        InvalidParameter, "table values must lie in [0, 1]",
-    ),
     (
         lambda: TriangularNorm("maximum"),
         InvalidParameter,
-        "unknown tnorm family 'maximum'; expected one of ['lukasiewicz', 'minimum', 'product'] or 'tabulated'",
+        "unknown tnorm family 'maximum'; expected one of ['lukasiewicz', 'minimum', 'product']",
     ),
+    (lambda: _BinaryOp("minimum"), InvalidParameter, "unknown op family 'minimum'; expected one of []"),
     (lambda: ClassicalNorm("taxicab"), InvalidParameter, "unknown norm family 'taxicab'"),
     (lambda: IFNSpace(0, None, None, None, None), InvalidParameter, "dimension must be >= 1"),
     (lambda: IFNSpace(1, None, None, None, None, "weak"), InvalidParameter, "unknown axiom tier 'weak'"),

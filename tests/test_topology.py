@@ -15,6 +15,7 @@ from ifncheck.ifn_core import (
 )
 from ifncheck.norm_algebra import TriangularConorm, TriangularNorm, tconorm, tnorm
 from ifncheck.sampling import Interval, SamplingPlan, as_point
+from ifncheck import topology
 from ifncheck.topology import (
     _BALL_FRACTIONS,
     _FROM_ONE,
@@ -32,6 +33,8 @@ from ifncheck.topology import (
     verify_containment,
     _bisect,
 )
+
+from stand_ins import zero_tnorm
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +130,7 @@ class TestInnerBallWitness:
         assert verify_containment(space, inner, unit_ball, 1000) == 1.0
 
     def test_broken_operation_pair_has_no_r3(self, unit_ball):
-        zero = TriangularNorm("tabulated", np.zeros((2, 2)))
-        space = make_standard_space(1.0, ops=(zero, "maximum"), tier="core", verify=False)
+        space = make_standard_space(1.0, ops=(zero_tnorm(), "maximum"), tier="core", verify=False)
         with pytest.raises(WitnessNotFound, match="no admissible r3; operation pair is broken"):
             inner_ball_witness(space, unit_ball, 0.2)
 
@@ -199,7 +201,7 @@ class TestBisect:
 
     def test_broken_op_not_found(self):
         # a constant-zero "t-norm" admits no r3: the search fails at its start
-        broken = TriangularNorm("tabulated", np.zeros((11, 11)))
+        broken = zero_tnorm()
         with pytest.raises(NotFound, match="fails at its start"):
             _bisect(lambda x: float(broken(0.7, x)) > 0.5, *_FROM_ONE)
 
@@ -219,9 +221,39 @@ def test_bisection_is_admissible_within_the_resolution(r1, gap):
             assert pred(found) and not pred(found + step)
 
 
+def ray_radius(space, r, t):
+    """`membership_radius`, and for a pair other than the standard one the
+    bisection along the first coordinate axis that it once ran for pairs
+    declared radial: the largest u found with (u, 0, ..., 0) inside the
+    demand, elementwise for arrays r and t (once per distinct (r, t))."""
+    if space.standard_pair:
+        return membership_radius(space, r, t)
+    if np.ndim(r) or np.ndim(t):
+        memo = {rt: ray_radius(space, *rt) for rt in dict.fromkeys(zip(r, t))}
+        return np.array([memo[rt] for rt in zip(r, t)])
+    e = np.zeros((1, space.dimension))
+
+    def inside(u: float) -> bool:
+        e[0, 0] = u
+        return bool(space.within(e, r, t)[0])
+
+    lo, hi = 0.0, 1.0
+    while inside(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def reference_sample_in_ball(space, ball, n, seed):
     """The per-ball sample of `sample_in_ball`, drawn as one ball at a time."""
-    rho = membership_radius(space, ball.r, ball.t)
+    rho = ray_radius(space, ball.r, ball.t)
     d = space.dimension
     rng = np.random.default_rng((seed, 31))
     dirs = [np.eye(d), -np.eye(d)]
@@ -283,13 +315,10 @@ def reference_inner_ball_witness(space, outer, y, verify_points=128, seed=0):
 def _witness_spaces():
     from ifncheck.catalog import broken_spaces
 
-    zero = TriangularNorm("tabulated", np.zeros((2, 2)))
     min_max = TriangularNorm("minimum"), TriangularConorm("maximum")
 
     def step(before, after):
-        return custom_membership(
-            lambda p, t: np.where(t >= 0.5, after, before) * np.ones(len(p)), radial=True
-        )
+        return custom_membership(lambda p, t: np.where(t >= 0.5, after, before) * np.ones(len(p)))
 
     return {
         "min-max-d1": make_standard_space(1.0, verify=False),
@@ -300,7 +329,7 @@ def _witness_spaces():
         "bisection-d3": make_standard_space(
             0.5, dimension=3, ops=("lukasiewicz", "lukasiewicz"), verify=False
         ),
-        "zero-tnorm": make_standard_space(1.0, ops=(zero, "maximum"), verify=False),
+        "zero-tnorm": make_standard_space(1.0, ops=(zero_tnorm(), "maximum"), verify=False),
         # superadditive squared radius: some inner balls leave the outer one
         "broken-triangle": broken_spaces()["v"][0],
         # memberships jump at t = 1/2, so at t = 1/2 no t0 < t keeps y inside
@@ -313,13 +342,16 @@ def _witness_spaces():
 # 8 points use the coordinate directions only; at (8, 1) one broken-triangle
 # ball has exactly one sampled point outside the outer ball
 @pytest.mark.parametrize("verify_points, seed", [(8, 1), (128, 0), (1000, 3)])
-def test_batched_witnesses_match_reference(name, r, t, verify_points, seed):
+def test_batched_witnesses_match_reference(name, r, t, verify_points, seed, monkeypatch):
+    # the ball samples of the custom pairs (broken-triangle, step-in-t) sit
+    # at the radii of the ray bisection
+    monkeypatch.setattr(topology, "membership_radius", ray_radius)
     space = _witness_spaces()[name]
     d = space.dimension
     center = np.zeros(d)
     center[0] = 0.5
     outer = OpenBall(center, r, t)
-    rho = min(membership_radius(space, r, t), 50.0)
+    rho = min(ray_radius(space, r, t), 50.0)
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(24, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -343,17 +375,21 @@ def test_batched_witnesses_match_reference(name, r, t, verify_points, seed):
             assert (got.r, got.t) == (want.r, want.t)
 
 
-def test_post_verification_where_the_probe_point_is_outside_its_ball():
+def test_post_verification_where_the_probe_point_is_outside_its_ball(monkeypatch):
     # memberships that are not monotone along rays: the inner ball around
     # y = 0, +-0.1 holds the points at distance [0.2, 1.5) from y, so its
     # innermost sampled points (the probe among them) are outside it and the
-    # rest inside; the one around y = +-0.3 holds no point at all
+    # rest inside; the one around y = +-0.3 holds no point at all.  Its ball
+    # samples sit at the radii of the ray bisection
+    monkeypatch.setattr(topology, "membership_radius", ray_radius)
+
     def ring(p, t):
         u = np.abs(p[:, 0])
-        return np.select([u < 0.2, u < 1.5], [0.6, 0.9], 0.3)
+        values = np.select([u < 0.2, u < 1.5], [0.6, 0.9], 0.3)
+        return np.broadcast_to(values, np.broadcast_shapes(np.shape(t), u.shape))
 
-    mu = custom_membership(ring, radial=True)
-    nu = custom_membership(lambda p, t: 1.0 - ring(p, t), radial=True)
+    mu = custom_membership(ring)
+    nu = custom_membership(lambda p, t: 1.0 - ring(p, t))
     space = IFNSpace(1, mu, nu, TriangularNorm("minimum"), TriangularConorm("maximum"))
     outer = OpenBall(np.array([0.0]), 0.75, 1.0)
     members = np.array([[0.1], [-0.1], [0.3], [-0.3], [0.0], [1.0]])
