@@ -4,8 +4,9 @@ The fixtures pin the observable behaviour of every catalog scenario and
 every documented example config (the JSON-lines report, plus the CSV table
 of a report with sweep rows); rewrite them only with
 tests/golden/refresh.py.  The benchmark pins the verdict counts and key
-detail values of the same reports in perfbench/expected.json, so a fixture
-may change in names, anchors or `work` only while it keeps that fingerprint.
+detail values of the reports its ops make in perfbench/expected.json, so
+such a fixture may change in names, anchors or `work` only while it keeps
+that fingerprint.
 """
 
 import importlib.util
@@ -91,15 +92,32 @@ def test_report_matches_golden_in_one_column_blocks(fname, config, seed, monkeyp
     test_report_matches_golden(fname, config, seed)
 
 
+BENCHMARK_OPS = workloads.load_expected()["ops"]
+
+
+def _benchmark_op(fname: str) -> str:
+    """catalog-<name> is the benchmark op catalog/<name>; example-<stem> is
+    cli/<stem> where the benchmark runs that config."""
+    source, _, name = fname.split(".seed")[0].partition("-")
+    return f"catalog/{name}" if source == "catalog" else f"cli/{name}"
+
+
+BENCHMARK_CASES = [case for case in CASES if _benchmark_op(case[0]) in BENCHMARK_OPS]
+
+
+def test_every_config_op_of_the_benchmark_has_a_fixture():
+    config_ops = [f"catalog/{name}" for name in workloads.CATALOG_SCENARIOS]
+    config_ops += [f"cli/{slug}" for slug, argv in workloads.CLI_INVOCATIONS if "--config" in argv]
+    assert len(config_ops) == 20 and set(config_ops) <= set(BENCHMARK_OPS)
+    assert set(config_ops) == {_benchmark_op(fname) for fname, _, _ in BENCHMARK_CASES}
+
+
 @pytest.mark.parametrize(
-    "fname, config, seed", CASES, ids=[fname for fname, _, _ in CASES]
+    "fname, config, seed", BENCHMARK_CASES, ids=[fname for fname, _, _ in BENCHMARK_CASES]
 )
 def test_fixture_keeps_the_benchmark_fingerprint(fname, config, seed):
-    # catalog-<name> is the benchmark op catalog/<name>; example-<stem> is
-    # cli/<stem>, whose pinned exit code a report does not hold
-    source, _, name = fname.split(".seed")[0].partition("-")
-    op = f"catalog/{name}" if source == "catalog" else f"cli/{name}"
-    expected = dict(workloads.load_expected()["ops"][op]["seeds"][str(seed)])
+    # a cli/<stem> op pins an exit code, which a report does not hold
+    expected = dict(BENCHMARK_OPS[_benchmark_op(fname)]["seeds"][str(seed)])
     expected.pop("exit", None)
     text = (refresh.GOLDEN_DIR / fname).read_text(encoding="utf-8")
     assert workloads.fingerprint_jsonl(text) == expected
