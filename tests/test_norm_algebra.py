@@ -7,7 +7,6 @@ from ifncheck.errors import InvalidParameter
 from ifncheck.norm_algebra import (
     ASSOC_TOL,
     AxiomResult,
-    TriangularConorm,
     Violation,
     ViolationReport,
     check_norm_axioms,
@@ -57,14 +56,6 @@ class TestEvaluation:
     def test_unknown_family(self):
         with pytest.raises(InvalidParameter):
             tnorm("hamacher")
-
-    def test_no_tabulated_family(self):
-        # the named families are the only ones
-        with pytest.raises(InvalidParameter) as exc:
-            TriangularConorm("tabulated")
-        assert str(exc.value) == (
-            "unknown tconorm family 'tabulated'; expected one of ['lukasiewicz', 'maximum', 'probabilistic-sum']"
-        )
 
     def test_idempotent_flags(self):
         assert tnorm("minimum").idempotent

@@ -394,6 +394,11 @@ VALIDATION = [
         "unknown tnorm family 'maximum'; expected one of ['lukasiewicz', 'minimum', 'product']",
     ),
     (lambda: _BinaryOp("minimum"), InvalidParameter, "unknown op family 'minimum'; expected one of []"),
+    (
+        lambda: TriangularConorm("tabulated"),
+        InvalidParameter,
+        "unknown tconorm family 'tabulated'; expected one of ['lukasiewicz', 'maximum', 'probabilistic-sum']",
+    ),
     (lambda: ClassicalNorm("taxicab"), InvalidParameter, "unknown norm family 'taxicab'"),
     (lambda: IFNSpace(0, None, None, None, None), InvalidParameter, "dimension must be >= 1"),
     (lambda: IFNSpace(1, None, None, None, None, "weak"), InvalidParameter, "unknown axiom tier 'weak'"),
