@@ -320,18 +320,6 @@ class IFNSpace(_Frozen):
             self.axiom_tier,
         )
 
-    def summary(self) -> dict:
-        out = {
-            "family": self.family,
-            "dimension": self.dimension,
-            "tnorm": self.tnorm.family,
-            "tconorm": self.tconorm.family,
-            "tier": self.axiom_tier,
-        }
-        if self.standard_pair:
-            out |= {"k": self.k, "norm": self.norm.family}
-        return out
-
 
 def _resolve_ops(ops) -> tuple[TriangularNorm, TriangularConorm]:
     tn, tc = ops

@@ -36,9 +36,13 @@ def format_real(x: float) -> str:
 
 def _to_json(value) -> str:
     """Plain data only: a record, an array or any other object in a report
-    raises TypeError instead of being written as its repr or its items."""
-    if value is None:
-        return "null"
+    raises TypeError instead of being written as its repr or its items.
+    Values of an exact plain type, or numpy's float64, are written through
+    `_WRITERS`; other numpy scalars and subclasses of the plain types, which
+    library code may pass, take the isinstance chain."""
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -46,13 +50,35 @@ def _to_json(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format_real(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_to_json(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if type(value) in (list, tuple):
-        return "[" + ",".join(_to_json(v) for v in value) + "]"
+        return _object(value)
     raise TypeError(f"a report holds plain data only, not {type(value).__name__}: {value!r}")
+
+
+# what json.dumps writes for a str, without its encoder's dispatch
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _object(value: dict) -> str:
+    return "{" + ",".join(f"{_quote(str(k))}:{_to_json(v)}" for k, v in value.items()) + "}"
+
+
+def _array(value) -> str:
+    return "[" + ",".join(map(_to_json, value)) + "]"
+
+
+_WRITERS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: format_real,
+    np.float64: lambda v: format_real(float(v)),
+    str: _quote,
+    dict: _object,
+    list: _array,
+    tuple: _array,
+}
 
 
 class _CheckRecordFields(NamedTuple):

@@ -8,6 +8,7 @@ verdict is relative to the recorded witnesses.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,17 +80,21 @@ def ball_classical_radius(space: IFNSpace, ball: OpenBall) -> float:
     return rho
 
 
+@functools.lru_cache(maxsize=64)
 def _ball_directions(d: int, n: int, seed: int) -> np.ndarray:
     """Unit directions for an n-point ball sample: the 2d coordinate
     directions, then (for n > 8d) a seeded batch spread over the sphere.
-    They depend only on (d, n, seed), never on the ball."""
+    They depend only on (d, n, seed), never on the ball, so each tuple is
+    drawn once and shared, read-only."""
     dirs = [np.eye(d), -np.eye(d)]
     if n > 8 * d:
         rng = np.random.default_rng((seed, 31))
         extra = rng.normal(size=(max(8, n // len(_BALL_FRACTIONS)), d))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs.append(extra)
-    return np.vstack(dirs)
+    dirs = np.vstack(dirs)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _by_coordinate(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,11 +109,16 @@ def _by_coordinate(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _ball_points(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int) -> np.ndarray:
     """(B, n', d) candidate points of the balls B(centers[i], rs[i], ts[i]):
     membership radii (`membership_radius` on the arrays) pushed toward each
-    boundary along `dirs`."""
+    boundary along `dirs`, built one coordinate at a time as `_by_coordinate`
+    builds a sum."""
     rho = membership_radius(space, np.asarray(rs, dtype=float), np.asarray(ts, dtype=float))
     radii = (rho * (1.0 - 1e-9))[:, None] * np.asarray(_BALL_FRACTIONS)
-    steps = (radii[:, :, None, None] * dirs).reshape(len(centers), -1, dirs.shape[1])
-    return _by_coordinate(np.add, steps[:, : max(n, 1)], centers[:, None, :])
+    m = min(max(n, 1), radii.shape[1] * len(dirs))
+    out = np.empty((len(centers), m, dirs.shape[1]))
+    for k in range(dirs.shape[1]):
+        steps = (radii[:, :, None] * dirs[:, k]).reshape(len(centers), -1)
+        np.add(steps[:, :m], centers[:, k, None], out=out[..., k])
+    return out
 
 
 def _sample_balls(space: IFNSpace, centers: np.ndarray, rs, ts, dirs: np.ndarray, n: int):
@@ -183,8 +193,9 @@ def inner_ball_witnesses(
     as r3 = r0 for idempotent operation pairs, otherwise by bisection from 1
     downward.  Each ball B(y, 1 - r3, t - t0) is post-verified on a sample
     of `verify_points` of its points, all of which must lie in `outer`.
-    The t0 ladder, r0 and the post-verification each run as one block over
-    all members; raises DomainError if any member lies outside `outer`.
+    The t0 ladder, r0, s, the idempotent r3 and the post-verification each
+    run as one block over all members, and only the bisection per member;
+    raises DomainError if any member lies outside `outer`.
     """
     ys = np.array(ys, dtype=float)
     if ys.ndim == 1:
@@ -201,43 +212,48 @@ def inner_ball_witnesses(
     ok = space.within(diffs, r, cands.reshape(-1, 1))
     t0s = cands[ok.argmax(axis=0)]
     r0s = space.mu_many(diffs, t0s)
-    tn, tc = space.tnorm, space.tconorm
-    idempotent = tn.idempotent and tc.idempotent
+    has_t0 = ok.any(axis=0)
 
-    results: list[OpenBall | WitnessNotFound] = []
-    for y, has_t0, t0, r0 in zip(ys, ok.any(axis=0), t0s.tolist(), r0s.tolist()):
-        if not has_t0:
-            results.append(WitnessNotFound("no admissible t0 below t; space violates its axioms"))
-            continue
-        s = 1.0 - 0.5 * (r0 + (1.0 - r))
+    # the member step on (M,) arrays: r3 = r0 where an idempotent pair
+    # admits it, the midpoint of (1 - s, 1) at the centre (r0 >= 1), and NaN
+    # where the scalar bisection decides, or finds no r3
+    s = 1.0 - 0.5 * (r0s + (1.0 - r))
+    tn, tc = space.tnorm, space.tconorm
+    r3s = np.full(len(ys), np.nan)
+    if tn.idempotent and tc.idempotent:
+        centre = r0s >= 1.0
+        fits = ~centre & (tn(r0s, r0s) > 1.0 - s) & (tc(1.0 - r0s, 1.0 - r0s) < s)
+        r3s = np.where(fits, r0s, np.where(centre, 1.0 - 0.5 * s, r3s))
+    for i in np.flatnonzero(has_t0 & np.isnan(r3s)).tolist():
+        r0, s_i = float(r0s[i]), float(s[i])
 
         def admissible(x3: float) -> bool:
-            return float(tn(r0, x3)) > 1.0 - s and float(tc(1.0 - r0, 1.0 - x3)) < s
+            return float(tn(r0, x3)) > 1.0 - s_i and float(tc(1.0 - r0, 1.0 - x3)) < s_i
 
-        if idempotent and r0 < 1.0 and admissible(r0):
-            r3 = r0
-        elif idempotent and r0 >= 1.0:
-            # y at (or numerically indistinguishable from) the centre: any
-            # value in (1 - s, 1) is admissible; take the midpoint.
-            r3 = 1.0 - 0.5 * s
+        try:
+            r3s[i] = _bisect(admissible, *_FROM_ONE)
+        except NotFound:
+            pass
+
+    rs, ts = 1.0 - r3s, t - t0s
+    results: list[OpenBall | WitnessNotFound] = []
+    for y, found, r_i, t_i in zip(ys, has_t0.tolist(), rs.tolist(), ts.tolist()):
+        if not found:
+            results.append(WitnessNotFound("no admissible t0 below t; space violates its axioms"))
+        elif r_i != r_i:  # NaN
+            results.append(WitnessNotFound("no admissible r3; operation pair is broken"))
         else:
-            try:
-                r3 = _bisect(admissible, *_FROM_ONE)
-            except NotFound:
-                results.append(WitnessNotFound("no admissible r3; operation pair is broken"))
-                continue
-        results.append(OpenBall(y, 1.0 - r3, t - t0))
+            results.append(OpenBall(y, r_i, t_i))
 
     # post-verification on one (B, n', d) sample block: a ball fails when no
     # point is inside it, or one inside it is outside `outer`; so "inside it"
     # is decided outside `outer`, at one probe per ball, and in full on failure
-    built = [i for i, b in enumerate(results) if isinstance(b, OpenBall)]
-    if not built:
+    built = np.flatnonzero(has_t0 & ~np.isnan(rs))
+    if not len(built):
         return results
-    rs, ts = np.array([(results[i].r, results[i].t) for i in built]).T
-    pts = _ball_points(space, ys[built], rs, ts, _ball_directions(d, verify_points, seed), verify_points)
+    centres, rs, ts = ys[built], rs[built], ts[built]
+    pts = _ball_points(space, centres, rs, ts, _ball_directions(d, verify_points, seed), verify_points)
     in_outer = ball_contains_many(space, outer, pts.reshape(-1, d)).reshape(pts.shape[:2])
-    centres = ys[built]
     asked = np.logical_not(in_outer)
     asked[:, -1] = True  # the probe
     rows, cols = np.divmod(np.flatnonzero(asked), asked.shape[1])  # 2-D nonzero is slower

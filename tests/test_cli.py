@@ -979,6 +979,27 @@ class TestCliProcess:
         assert rc == 3
         assert "cannot write report: TypeError: a report holds plain data only" in capsys.readouterr().err
 
+    def test_numpy_scalars_and_subclasses_write_as_their_plain_values(self):
+        # values off the exact-type table take the isinstance chain, and a
+        # numpy scalar writes the bytes of its plain value
+        import collections
+        import enum
+
+        import numpy as np
+
+        from ifncheck.report import _to_json
+
+        class Tag(str, enum.Enum):
+            A = "a"
+
+        class Count(enum.IntEnum):
+            ONE = 1
+
+        plain = [True, 2, 0.5, 0.1, "a", {"k": [1, None]}]
+        other = [np.bool_(True), np.int64(2), np.float32(0.5), np.float64(0.1), Tag.A,
+                 collections.OrderedDict(k=(Count.ONE, None))]
+        assert _to_json(other) == _to_json(plain) == '[true,2,0.5,0.10000000000000001,"a",{"k":[1,null]}]'
+
     def test_exit_two_on_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

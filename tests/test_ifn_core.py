@@ -156,13 +156,28 @@ def constant_pair_space(mu_value: float, nu_value: float) -> IFNSpace:
     )
 
 
+def _fields(space) -> dict:
+    """The config fields of a space, as `build_space` reads them; k and
+    the norm only for the standard pair."""
+    out = {
+        "family": space.family,
+        "dimension": space.dimension,
+        "tnorm": space.tnorm.family,
+        "tconorm": space.tconorm.family,
+        "tier": space.axiom_tier,
+    }
+    if space.standard_pair:
+        out |= {"k": space.k, "norm": space.norm.family}
+    return out
+
+
 def test_a_standard_pair_built_directly_is_the_standard_family():
     # the family, k and norm are read from the pair, so a space built
-    # without make_standard_space gets the closed-form radius, summary and
+    # without make_standard_space gets the closed-form radius, fields and
     # classical probe of the family
     one = make_standard_space(1.0)
     direct = IFNSpace(1, one.mu, one.nu, one.tnorm, one.tconorm)
-    assert direct.standard_pair and direct.summary() == one.summary()
+    assert direct.standard_pair and _fields(direct) == _fields(one)
     assert membership_radius(direct, 0.5, 1.0) == 1.0
     assert classical_equivalence_probe(direct, reciprocal_sequence(), 0.0).agree
     three = make_standard_space(2.0, dimension=3, norm="max-coordinate")
@@ -171,7 +186,7 @@ def test_a_standard_pair_built_directly_is_the_standard_family():
     # a pair of two k is not the standard family
     mixed = IFNSpace(1, one.mu, standard_nu(2.0, one.norm), one.tnorm, one.tconorm)
     assert (mixed.standard_pair, mixed.family, mixed.k, mixed.norm) == (False, "custom", None, None)
-    assert mixed.summary() == {
+    assert _fields(mixed) == {
         "family": "custom", "dimension": 1, "tnorm": "minimum", "tconorm": "maximum", "tier": "strict"
     }
 
@@ -376,7 +391,7 @@ class TestSerialization:
             "tier": "strict",
         }
         sp = build_space(cfg)
-        assert sp.summary() == {
+        assert _fields(sp) == {
             "family": "standard",
             "dimension": 3,
             "tnorm": "minimum",
@@ -385,7 +400,7 @@ class TestSerialization:
             "k": 2.0,
             "norm": "euclidean",
         }
-        rebuilt = build_space(sp.summary() | {"family": "standard"})
+        rebuilt = build_space(_fields(sp))
         assert rebuilt.signature() == sp.signature()
 
 
@@ -798,7 +813,7 @@ def test_scaling_conditions_match_a_per_scalar_loop(seed):
         for roman, expected in _scaling_by_loop(space, plan).items():
             res = report.result(roman)
             got = (res.checked, res.total_violations, [(v.point, v.detail) for v in res.violations])
-            assert got == expected, (space.summary(), roman)
+            assert got == expected, (space.signature(), roman)
 
 
 @pytest.fixture

@@ -64,7 +64,6 @@ UNREACHED = {
     "ifn_core.py:MembershipFunction._closed_form": (3, _BEFORE_RAISE),
     "ifn_core.py:MembershipFunction.signature": (1, "a custom pair's signature"),
     "ifn_core.py:IFNSpace.near_radius": (1, "a space off the standard pair on the real line"),
-    "ifn_core.py:IFNSpace.summary": (4, "no report holds a space summary"),
     "ifn_core.py:make_standard_space": (2, "a norm named by a string; no pinned config names one"),
     "ifn_core.py:check_ifn_axioms.mirrored": (2, "the literal forcing conditions, which no pinned config requests"),
     "norm_algebra.py:check_unit": (3, "the operand check of tnorm_eval"),
@@ -80,6 +79,10 @@ UNREACHED = {
     "point_convergence.py:_window_extrema_scan": (2, "a non-finite or overflowing window, left to the per-p loop"),
     "point_convergence.py:_cauchy_scan": (1, "a clean tail whose p-window passes the budget"),
     "point_convergence.py:cauchy_escape_index": (4, _TRACED),
+    "report.py:_to_json": (
+        10, "the isinstance chain: a numpy scalar other than float64, or a subclass of a plain type, "
+        "which library code may pass; every value a pinned command writes has a type of `_WRITERS`",
+    ),
     "report.py:_csv_cell": (2, "a None or boolean cell; no pinned sweep row holds one"),
     "sampling.py:_Frozen._values": (1, "pickling"),
     "sampling.py:_Frozen.__repr__": (2, "the repr of a record"),
@@ -96,7 +99,9 @@ UNREACHED = {
     "topology.py:sample_in_ball": (3, _TRACED),
     "topology.py:verify_containment": (2, _TRACED),
     "topology.py:inner_ball_witnesses": (
-        9, "a 1-d block, a member without t0, a member at the centre, and a failed post-verification",
+        7, "a 1-d block (1), a member without t0 (1), and a failed post-verification (5: its "
+        "full recheck, the counts, the failure test, the fraction and the WitnessNotFound); "
+        "the centre case runs on the arrays",
     ),
     "topology.py:inner_ball_witness": (4, _TRACED),
     "topology.py:SampledSet.__init__": (1, "a 1-d block of witnesses"),

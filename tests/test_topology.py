@@ -405,6 +405,33 @@ def test_post_verification_where_the_probe_point_is_outside_its_ball(monkeypatch
     assert str(batch[2]) == "containment post-verification failed (0.000 of sampled points inside)"
 
 
+def test_the_member_step_makes_no_operation_call_per_member(monkeypatch):
+    # the idempotent test r3 = r0 runs on the (M,) arrays: as many t-norm and
+    # t-conorm calls at 5 members as at 50
+    from ifncheck.norm_algebra import _BinaryOp
+
+    calls = []
+    call = _BinaryOp.__call__
+    monkeypatch.setattr(_BinaryOp, "__call__", lambda op, a, b: calls.append(op.family) or call(op, a, b))
+    space = make_standard_space(1.0, dimension=3, verify=False)
+    outer = OpenBall(np.array([0.5, 0.0, 0.0]), 0.5, 2.0)
+    counts = []
+    for m in (5, 50):
+        members = outer.center + np.random.default_rng(m).uniform(-0.1, 0.1, size=(m, 3))
+        calls.clear()
+        balls = inner_ball_witnesses(space, outer, members, 128, 0)
+        assert all(isinstance(b, OpenBall) for b in balls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_ball_directions_are_shared_read_only():
+    dirs = topology._ball_directions(3, 128, 0)
+    assert topology._ball_directions(3, 128, 0) is dirs
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 2.0
+
+
 def test_batched_witnesses_reject_a_member_outside(std, unit_ball):
     members = np.array([[0.0], [0.2], [5.0]])
     with pytest.raises(DomainError):
