@@ -80,8 +80,9 @@ UNREACHED = {
     "point_convergence.py:_cauchy_scan": (1, "a clean tail whose p-window passes the budget"),
     "point_convergence.py:cauchy_escape_index": (4, _TRACED),
     "report.py:_to_json": (
-        10, "the isinstance chain: a numpy scalar other than float64, or a subclass of a plain type, "
-        "which library code may pass; every value a pinned command writes has a type of `_WRITERS`",
+        10, "the isinstance chain, for `to_jsonl` or `to_text` on a record that library code filled "
+        "with a numpy scalar other than float64 or a subclass of a plain type; every value a pinned "
+        "command writes has a type of `_WRITERS`",
     ),
     "report.py:_csv_cell": (2, "a None or boolean cell; no pinned sweep row holds one"),
     "sampling.py:_Frozen._values": (1, "pickling"),

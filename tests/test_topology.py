@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifncheck.continuity import make_map, rule
-from ifncheck.errors import DomainError, NotFound, UnsupportedFamily, WitnessNotFound
+from ifncheck.errors import DomainError, InvalidParameter, NotFound, UnsupportedFamily, WitnessNotFound
 from ifncheck.ifn_core import (
     IFNSpace,
     custom_membership,
@@ -423,6 +423,17 @@ def test_the_member_step_makes_no_operation_call_per_member(monkeypatch):
         assert all(isinstance(b, OpenBall) for b in balls)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_an_invalid_ball_raises_for_the_first_member_that_has_one(monkeypatch, unit_ball):
+    # every ball is built by OpenBall, in member order: member 1's r = 0
+    # raises before member 2's r = 2 is looked at
+    r3s = iter([0.5, 1.0, -1.0])
+    monkeypatch.setattr(topology, "_bisect", lambda pred, good, bad: next(r3s))
+    space = make_standard_space(1.0, ops=("product", "probabilistic-sum"), tier="core")
+    members = np.array([[0.0], [0.1], [0.2]])
+    with pytest.raises(InvalidParameter, match=re.escape("ball radius r must lie in (0,1), got 0.0")):
+        inner_ball_witnesses(space, unit_ball, members)
 
 
 def test_ball_directions_are_shared_read_only():
