@@ -26,10 +26,11 @@ from .point_convergence import (
     ConvergenceCertificate,
     PointSequence,
     _cauchy_scan,
+    _convergence,
+    _terms,
     _window_ok,
     cauchy_index,
     convergence_index,
-    mapped_sequence,
     tail_index,
 )
 from .sampling import Interval, _Frozen, _staged_ladder, intersect, sorted_unique
@@ -398,7 +399,8 @@ def sequential_continuity_check(
     t: float,
 ) -> SequentialRecord:
     """For each input sequence certified to converge to x0, certify that the
-    image sequence converges to f(x0); the verdict is the conjunction."""
+    image sequence, the block of terms f(x_n), converges to f(x0); the
+    verdict is the conjunction."""
     if not bool(f.restriction.contains(x0)):
         raise DomainError(f"x0={x0!r} is outside the map's restriction")
     fx0 = float(f(x0))
@@ -411,9 +413,7 @@ def sequential_continuity_check(
                 f"input sequence {seq.family!r} is not certified to converge to {x0}"
             )
         in_certs.append(cert)
-        img_certs.append(
-            convergence_index(f.codomain, mapped_sequence(seq, f.rule), fx0, r, t)
-        )
+        img_certs.append(_convergence(f.codomain, f.rule(_terms(f.domain, seq)), fx0, r, t))
     continuous = all(c.certified for c in img_certs)
     return SequentialRecord(x0, r, t, tuple(in_certs), tuple(img_certs), continuous)
 
@@ -618,7 +618,7 @@ def cauchy_preservation_check(
         raise DomainError(
             f"escape budgets {beyond} lie outside the sequence budget 1..{seq.budget}"
         )
-    image_cert, first = _cauchy_scan(f.codomain, mapped_sequence(seq, f.rule), r, t, p_max)
+    image_cert, first = _cauchy_scan(f.codomain, f.rule(_terms(f.domain, seq)), r, t, p_max)
     escapes = tuple(tail_index(_window_ok(first, b)) for b in budgets)
     growth = tuple(
         escapes[i + 1] / escapes[i] if escapes[i] > 0 else float("inf")

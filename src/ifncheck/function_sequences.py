@@ -23,13 +23,7 @@ from .continuity import (
     continuity_witness_searches,
 )
 from .ifn_core import IFNSpace, membership_radius
-from .point_convergence import (
-    ConvergenceCertificate,
-    PointSequence,
-    _check_rt,
-    convergence_index,
-    tail_index,
-)
+from .point_convergence import ConvergenceCertificate, _check_rt, _convergence, tail_index
 from .sampling import Interval, _Frozen
 from .vocabulary import DEFAULT_P_MAX, FUNCSEQ_FAMILY_NAMES, paired
 
@@ -90,11 +84,6 @@ FUNCSEQ_FAMILIES = paired(FUNCSEQ_FAMILY_NAMES, {
     ),
 })
 
-# Tail used to estimate a limit that has no finite closed form, and the
-# oscillation tolerance beyond which no limit is reported.
-LIMIT_TAIL = 10
-LIMIT_OSCILLATION_TOL = 1e-9
-
 VERDICT_UNIFORM = "uniform-up-to-budget"
 VERDICT_NOT_UNIFORM = "not-uniform-on-sample"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -112,38 +101,27 @@ class FunctionSequence(_Frozen):
         params: tuple = (),
         budget: int = DEFAULT_BUDGET,
     ):
+        if family not in FUNCSEQ_FAMILIES:
+            raise UnsupportedFamily(f"unknown function-sequence family {family!r}")
         self._set(family=family, domain=domain, params=params, budget=budget)
 
     def values(self, ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Matrix of f_n(x) with rows indexed by n and columns by x."""
         ns = np.asarray(ns, dtype=float).reshape(-1, 1)
         xs = np.asarray(xs, dtype=float).reshape(1, -1)
-        if self.family not in FUNCSEQ_FAMILIES:
-            raise UnsupportedFamily(f"unknown function-sequence family {self.family!r}")
         return FUNCSEQ_FAMILIES[self.family].values(self, ns, xs)
 
-    def exact_limit(self, xs: np.ndarray) -> np.ndarray | None:
-        """lim f_n(x) of a closed-form family; None for any other."""
-        row = FUNCSEQ_FAMILIES.get(self.family)
-        return None if row is None else row.limit(self, np.asarray(xs, dtype=float))
+    def exact_limit(self, xs: np.ndarray) -> np.ndarray:
+        """lim f_n(x), NaN where f_n(x) has no finite limit."""
+        return FUNCSEQ_FAMILIES[self.family].limit(self, np.asarray(xs, dtype=float))
 
     def constant_rule(self) -> MapRule:
         """The map every member of the `constant` family equals."""
         return MapRule(*self.params) if self.params else MapRule("identity")
 
     def map_at(self, n: int, domain_space: IFNSpace, codomain_space: IFNSpace) -> MapBetweenSpaces:
-        if self.family not in FUNCSEQ_FAMILIES:
-            raise UnsupportedFamily("custom sequences have no closed-form member maps")
         rule = FUNCSEQ_FAMILIES[self.family].member(self, n)
         return MapBetweenSpaces(domain_space, codomain_space, rule, self.domain)
-
-    def point_sequence(self, x: float) -> PointSequence:
-        """The image sequence n -> f_n(x) at a fixed point."""
-        return PointSequence(
-            "custom",
-            budget=self.budget,
-            fn=lambda ns: self.values(ns, np.array([x])),
-        )
 
 
 class DomainSample(NamedTuple):
@@ -203,25 +181,16 @@ def pointwise_limit_estimate(
     r: float,
     t: float,
 ) -> tuple[float, ConvergenceCertificate]:
-    """Estimate the limit of f_n(x) (exact for closed-form families, tail
-    mean otherwise) and certify convergence against it."""
+    """The closed-form limit of f_n(x), and the certificate that the block
+    of terms f_1(x)..f_budget(x) converges to it; NoLimit where that limit
+    is not finite."""
     if not bool(seq.domain.contains(x)):
         raise DomainError(f"x={x!r} is outside the sequence domain")
-    _, codomain = spaces
-    exact = seq.exact_limit(np.array([x]))
-    if exact is not None and np.isfinite(exact[0]):
-        limit = float(exact[0])
-    else:
-        ns = np.arange(seq.budget - LIMIT_TAIL + 1, seq.budget + 1)
-        tail = seq.values(ns, np.array([x]))[:, 0]
-        if not np.isfinite(tail).all():
-            i = int(np.argmin(np.isfinite(tail)))
-            raise DomainError(f"f_n(x) is not finite at x={x!r}, n={ns[i]}: f_n(x) = {float(tail[i])}")
-        if float(np.max(tail) - np.min(tail)) > LIMIT_OSCILLATION_TOL:
-            raise NoLimit(f"tail of f_n({x}) oscillates beyond tolerance")
-        limit = float(np.mean(tail))
-    cert = convergence_index(codomain, seq.point_sequence(x), limit, r, t)
-    return limit, cert
+    limit = float(seq.exact_limit(np.array([x]))[0])
+    if not np.isfinite(limit):
+        raise NoLimit(f"f_n({x!r}) has no finite limit")
+    terms = seq.values(np.arange(1, seq.budget + 1), np.array([x]))
+    return limit, _convergence(spaces[1], terms, limit, r, t)
 
 
 def _ladder_verdict(ladder_indices: list[int | None]) -> bool:
@@ -247,7 +216,7 @@ def _ladder_verdict(ladder_indices: list[int | None]) -> bool:
 def _limits(seq: FunctionSequence, sample: DomainSample) -> np.ndarray:
     """The exact limit of f_n(x) at every sampled point."""
     limits = seq.exact_limit(sample.all_points())
-    if limits is None or not np.all(np.isfinite(limits)):
+    if not np.all(np.isfinite(limits)):
         raise NoLimit("no closed-form limit at every sampled point; certify pointwise first")
     return limits
 
@@ -438,8 +407,6 @@ def sup_deviation_oracle(seq: FunctionSequence, a: float, m: int, n: int) -> flo
         raise UnsupportedFamily("the deviation oracle applies to the power family")
     if not (0.0 < a < 1.0):
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
-    if m == n:
-        return 0.0
     xs = np.linspace(0.0, a, _ORACLE_GRID)
     return float(np.max(np.abs(xs ** n - xs ** m)))
 
@@ -491,7 +458,7 @@ def uniform_limit_scenario(
     cert = uniform_index_search(spaces, seq, sample, r, t)
 
     limits = seq.exact_limit(np.asarray(sample.points, dtype=float))
-    if limits is not None and np.all(limits == limits[0]):
+    if np.all(limits == limits[0]):
         limit_rule = MapRule("constant", (float(limits[0]),))
     elif seq.family == "constant":
         # the limit of a constant sequence is the member map itself

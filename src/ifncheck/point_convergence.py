@@ -45,32 +45,21 @@ SEQUENCE_FAMILIES = paired(SEQUENCE_FAMILY_NAMES, {
 
 
 class PointSequence(_Frozen):
-    """A sequence n -> R^d, total on 1..budget.
+    """A sequence n -> R, total on 1..budget, of a closed-form family."""
 
-    Closed-form families are vectorised; `custom` wraps a callable taking an
-    integer array of indices and returning an (N, d) block.
-    """
+    __slots__ = ("family", "params", "budget")
 
-    __slots__ = ("family", "params", "budget", "dimension", "fn")
-
-    def __init__(
-        self, family: str, params: tuple = (), budget: int = DEFAULT_BUDGET, dimension: int = 1,
-        fn: Callable | None = None,
-    ):
-        if family != "custom":
-            if family not in SEQUENCE_FAMILIES:
-                raise UnsupportedFamily(f"unknown sequence family {family!r}")
-            arity = SEQUENCE_FAMILIES[family].arity
-            if len(params) != arity:
-                raise InvalidParameter(f"sequence family {family!r} takes {arity} params, got {len(params)}")
-        self._set(family=family, params=params, budget=budget, dimension=dimension, fn=fn)
+    def __init__(self, family: str, params: tuple = (), budget: int = DEFAULT_BUDGET):
+        if family not in SEQUENCE_FAMILIES:
+            raise UnsupportedFamily(f"unknown sequence family {family!r}")
+        arity = SEQUENCE_FAMILIES[family].arity
+        if len(params) != arity:
+            raise InvalidParameter(f"sequence family {family!r} takes {arity} params, got {len(params)}")
+        self._set(family=family, params=params, budget=budget)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns, dtype=float)
-        if self.family == "custom":
-            return np.asarray(self.fn(np.asarray(ns, dtype=int)), dtype=float).reshape(
-                len(ns), self.dimension
-            )
+        """The (N, 1) block of x_n at the indices ns."""
+        ns = np.asarray(ns, dtype=float)  # the integer indices are freed before the terms are built
         return SEQUENCE_FAMILIES[self.family].terms(self.params, ns).reshape(-1, 1)
 
 
@@ -84,16 +73,6 @@ def shifted_reciprocal_sequence(
 ) -> PointSequence:
     """x_n = center + 1/(n + offset)."""
     return PointSequence("shifted-reciprocal", (float(center), float(offset)), budget=budget)
-
-
-def mapped_sequence(base: PointSequence, fn: Callable, dimension: int = 1) -> PointSequence:
-    """The image sequence n -> fn(x_n) (values mapped elementwise)."""
-    return PointSequence(
-        "custom",
-        budget=base.budget,
-        dimension=dimension,
-        fn=lambda ns: np.asarray(fn(base.values(ns)), dtype=float),
-    )
 
 
 class ConvergenceCertificate(NamedTuple):
@@ -138,11 +117,12 @@ def _check_rt(r: float, t: float):
 
 def _terms(space: IFNSpace, seq: PointSequence) -> np.ndarray:
     """The (budget, d) block of x_1..x_budget, in the space's dimension d."""
-    if seq.dimension != space.dimension:
+    terms = seq.values(np.arange(1, seq.budget + 1))
+    if terms.shape[1] != space.dimension:
         raise DomainError(
-            f"sequence dimension {seq.dimension} differs from space dimension {space.dimension}"
+            f"sequence dimension {terms.shape[1]} differs from space dimension {space.dimension}"
         )
-    return seq.values(np.arange(1, seq.budget + 1))
+    return terms
 
 
 def tail_index(ok: np.ndarray) -> int | list[int]:
@@ -185,13 +165,16 @@ def convergence_index(
 ) -> ConvergenceCertificate:
     """Smallest n0 such that mu(x_n - x, t) > 1 - r and nu(x_n - x, t) < r
     for every n in [n0, budget], by exhaustive scan."""
+    return _convergence(space, _terms(space, seq), limit, r, t)
+
+
+def _convergence(space: IFNSpace, terms: np.ndarray, limit, r: float, t: float) -> ConvergenceCertificate:
+    """`convergence_index` of the (N, d) block of terms x_1..x_N, N the budget."""
     _check_rt(r, t)
-    lim = as_point(limit, space.dimension)
-    diffs = _terms(space, seq) - lim
-    n0, status = _status_from_mask(space.within(diffs, r, t))
-    return ConvergenceCertificate(
-        "convergence", r, t, n0, status, tuple(lim), seq.budget
-    )
+    lim, budget = as_point(limit, space.dimension), len(terms)
+    terms = terms - lim  # x_n - x: rebinding frees the terms before `within` runs
+    n0, status = _status_from_mask(space.within(terms, r, t))
+    return ConvergenceCertificate("convergence", r, t, n0, status, tuple(lim), budget)
 
 
 def _p_window_scan(
@@ -285,26 +268,29 @@ def _window_ok(first: np.ndarray, budget: int) -> np.ndarray:
 
 
 def _cauchy_scan(
-    space: IFNSpace, seq: PointSequence, r: float, t: float, p_max: int
+    space: IFNSpace, terms: np.ndarray, r: float, t: float, p_max: int
 ) -> tuple[ConvergenceCertificate, np.ndarray]:
-    """The Cauchy certificate of `cauchy_index` and the per-n first
-    violations of its p-window scan, from which every escape index within
-    the budget is read by `_window_ok`."""
+    """The Cauchy certificate of `cauchy_index` for the (N, d) block of terms
+    x_1..x_N, N the budget, and the per-n first violations of its p-window
+    scan, from which every escape index within the budget is read by
+    `_window_ok`."""
     _check_rt(r, t)
     if p_max < 1:
         raise InvalidParameter("p_max must be >= 1")
-    first, worst = _p_window_scan(space, _terms(space, seq), r, t, p_max)
-    n0, status = _status_from_mask(_window_ok(first, seq.budget))
-    if status == STATUS_CERTIFIED and n0 + p_max > seq.budget:
+    budget = len(terms)
+    first, worst = _p_window_scan(space, terms, r, t, p_max)
+    del terms  # no longer needed: freed before the masks below are built
+    n0, status = _status_from_mask(_window_ok(first, budget))
+    if status == STATUS_CERTIFIED and n0 + p_max > budget:
         status = STATUS_INCONCLUSIVE
 
     margin_monotone = None
     if n0 is not None:
         # worst mu margin per n over the window actually used for the tail
-        tail = worst[n0 - 1 : seq.budget - p_max]
+        tail = worst[n0 - 1 : budget - p_max]
         margin_monotone = bool(len(tail) < 2 or np.all(np.diff(tail) <= 1e-12))
     cert = ConvergenceCertificate(
-        "cauchy", r, t, n0, status, None, seq.budget, p_max, margin_monotone
+        "cauchy", r, t, n0, status, None, budget, p_max, margin_monotone
     )
     return cert, first
 
@@ -324,7 +310,7 @@ def cauchy_index(
     rule.  The limit statement is certified alongside as "the worst margin
     1 - mu over p shrinks monotonically along the checked tail".
     """
-    return _cauchy_scan(space, seq, r, t, p_max)[0]
+    return _cauchy_scan(space, _terms(space, seq), r, t, p_max)[0]
 
 
 def cauchy_escape_index(

@@ -748,8 +748,9 @@ class TestCliProcess:
                 assert "config error" in err and named in err, err
 
     def test_pointwise_limit_at_an_overflowing_term_names_it(self, tmp_path):
-        # 1.5^n overflows from n = 1751 on, so the whole tail is infinite: the
-        # config error names x, n and f_n(x), and no numpy warning is printed
+        # 1.5^n overflows from n = 1751 on: the closed form has no finite
+        # limit there, so the config error names x, and no numpy warning is
+        # printed
         cfg = {
             "scenario": "funcseq",
             "domain_space": {"family": "example", "tag": "example-4.x"},
@@ -759,7 +760,24 @@ class TestCliProcess:
         }
         run = _cli_process(tmp_path, "funcseq", cfg)
         assert run.returncode == 2
-        assert run.stderr == "config error: f_n(x) is not finite at x=1.5, n=1991: f_n(x) = inf\n"
+        assert run.stderr == "config error: funcseq: family 'power' on [0.0, 2.0]: f_n(1.5) has no finite limit\n"
+
+    @pytest.mark.parametrize("x", [1.00000000001, -1.0, 1.5])
+    def test_pointwise_check_without_a_finite_limit_names_x(self, tmp_path, x):
+        # x^n diverges at x = 1.00000000001, yet its last terms differ by
+        # less than 1e-9, so a limit guessed from them passed; at x = -1 it
+        # oscillates, and at x = 1.5 it overflows.  No PASS rests on a value
+        # that the closed form says does not exist
+        cfg = {
+            "scenario": "funcseq",
+            "domain_space": {"family": "example", "tag": "example-4.x"},
+            "codomain_space": {"family": "example", "tag": "example-4.x"},
+            "funcseq": {"family": "power", "domain": {"lo": -2.0, "hi": 2.0}, "budget": 2000},
+            "checks": [{"kind": "pointwise", "x": x, "r": 0.1, "t": 0.1}],
+        }
+        run = _cli_process(tmp_path, "funcseq", cfg)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"config error: funcseq: family 'power' on [-2.0, 2.0]: f_n({x!r}) has no finite limit\n"
 
     @pytest.mark.parametrize("command", ["axioms", "continuity"])
     def test_standard_memberships_past_binary64_are_config_errors(self, tmp_path, command):

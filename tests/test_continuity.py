@@ -51,6 +51,8 @@ from ifncheck.point_convergence import (
 )
 from ifncheck.sampling import Interval, sorted_unique
 
+from stand_ins import TabulatedPointSequence
+
 
 @pytest.fixture(scope="module")
 def std():
@@ -365,7 +367,7 @@ class TestSequentialAndEquivalence:
     def test_step_fails_sequentially(self, std):
         f = make_map(std, std, rule("step", 0.0), Interval(-1.0, 1.0))
         # x_n = -1/(n+1) -> 0 from below; image is constantly 0 != f(0) = 1
-        seq = PointSequence("custom", budget=10000, fn=lambda ns: (-1.0 / (ns + 1.0)).reshape(-1, 1))
+        seq = TabulatedPointSequence(lambda ns: -1.0 / (ns + 1.0), budget=10000)
         rec = sequential_continuity_check(f, 0.0, [seq], r=0.3, t=0.5)
         assert not rec.continuous
 
@@ -382,7 +384,7 @@ class TestSequentialAndEquivalence:
         assert p.agree and not p.disagreement_is_bug
 
         f = make_map(std, std, rule("step", 0.0), Interval(-1.0, 1.0))
-        seq = PointSequence("custom", budget=10000, fn=lambda ns: (-1.0 / (ns + 1.0)).reshape(-1, 1))
+        seq = TabulatedPointSequence(lambda ns: -1.0 / (ns + 1.0), budget=10000)
         p = equivalence_probe(f, 0.0, 0.5, 0.4, [seq], 0.3, 0.5)
         assert p.agree and not p.disagreement_is_bug  # both say discontinuous
 

@@ -36,7 +36,7 @@ from ifncheck.ifn_core import (
 from ifncheck.point_convergence import cauchy_index, convergence_index
 from ifncheck.sampling import Interval
 
-from stand_ins import TabulatedSequence
+from stand_ins import TabulatedSequence, column_sequence
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +72,6 @@ class TestPointwise:
         seq = FunctionSequence("power", Interval(0.0, 0.5))
         limit, cert = pointwise_limit_estimate(spaces, seq, 0.0, 0.3, 1.0)
         assert limit == 0.0 and cert.n0 == 1
-
-    def test_custom_family_tail_mean(self, spaces):
-        seq = TabulatedSequence(lambda ns, xs: 2.0 + np.outer(0.5 ** ns, np.ones_like(xs)), budget=2000)
-        limit, cert = pointwise_limit_estimate(spaces, seq, 0.5, 0.2, 1.0)
-        assert limit == pytest.approx(2.0, abs=1e-9)
-        assert cert.certified
 
     def test_oscillating_custom_has_no_limit(self, spaces):
         seq = TabulatedSequence(lambda ns, xs: np.outer((-1.0) ** ns, np.ones_like(xs)), budget=2000)
@@ -581,7 +575,7 @@ def test_uniform_per_point_indices_are_the_point_convergence_indices(case):
     cert = uniform_index_search((sp, sp), seq, sample, r, t)
     limits = seq.exact_limit(sample.all_points())
     want = tuple(
-        (float(x), convergence_index(sp, seq.point_sequence(x), lim, r, t).n0)
+        (float(x), convergence_index(sp, column_sequence(seq, x), lim, r, t).n0)
         for x, lim in zip(sample.all_points(), limits)
     )
     assert cert.per_point_index == want
@@ -609,7 +603,7 @@ def test_certificates_are_invariant_under_dyadic_scaling_of_k_and_t(case, m, p_m
     ):
         same(a, b)
     x = data.draw(st.sampled_from(sample.all_points().tolist()))
-    points = seq.point_sequence(x)
+    points = column_sequence(seq, x)
     lim = float(seq.exact_limit(np.array([x]))[0])
     same(convergence_index(scaled, points, lim, r, c * t), convergence_index(base, points, lim, r, t))
     same(cauchy_index(scaled, points, r, c * t, p_max), cauchy_index(base, points, r, t, p_max))
@@ -667,13 +661,15 @@ def _walk_cases(draw):
     family = draw(st.sampled_from(["power", "quotient", "scaled", "constant", "custom"]))
     refine = draw(st.sampled_from([None, "hi"])) if family == "power" else None
     domain = {"power": Interval(0.0, 1.0, open_hi=refine is not None), "quotient": Interval(0.0, 10.0)}
-    seq = FunctionSequence(family, domain.get(family, Interval(0.0, 1.0)), budget=budget)
+    domain = domain.get(family, Interval(0.0, 1.0))
     points, depth = draw(st.integers(1, 9)), draw(st.integers(4, 8))
-    sample = sample_domain(seq.domain, points, refine_side=refine, refine_depth=depth)
+    sample = sample_domain(domain, points, refine_side=refine, refine_depth=depth)
     if family == "custom":
         x_nan = draw(st.sampled_from(sample.all_points().tolist()))
         fn = _nan_cell(draw(st.integers(1, budget + p_max)), x_nan)
-        seq = TabulatedSequence(fn, seq.domain, budget)
+        seq = TabulatedSequence(fn, domain, budget)
+    else:
+        seq = FunctionSequence(family, domain, budget=budget)
     space = std = make_standard_space(draw(st.sampled_from([0.5, 1.0, 3.0])), verify=False)
     if draw(st.booleans()):
         space = IFNSpace(

@@ -41,7 +41,7 @@ from ifncheck.point_convergence import (
 )
 from ifncheck.sampling import Interval
 
-from stand_ins import TabulatedSequence
+from stand_ins import TabulatedPointSequence, TabulatedSequence
 
 
 def brute_force_index(k, seq_vals, limit, r, t):
@@ -105,11 +105,7 @@ class TestConvergenceIndex:
     def test_oscillation_inconclusive(self, space):
         # passes only at even indices; the all-pass tail starts at the very
         # end of the window
-        seq = PointSequence(
-            "custom",
-            budget=1000,
-            fn=lambda ns: np.where(ns % 2 == 0, 0.0, 0.5).reshape(-1, 1),
-        )
+        seq = TabulatedPointSequence(lambda ns: np.where(ns % 2 == 0, 0.0, 0.5), budget=1000)
         cert = convergence_index(space, seq, 0.0, 0.2, 0.1)
         assert cert.status == "inconclusive"
 
@@ -335,7 +331,7 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, standard, r, t
     )
     space = std if standard else wrapped
     n = len(table)
-    seq = PointSequence("custom", budget=n, fn=lambda ns: table[ns - 1])
+    seq = TabulatedPointSequence(lambda ns: table[ns - 1], budget=n)
 
     cert = cauchy_index(space, seq, r, t, p_max)
     assert (cert.n0, cert.status, cert.margin_monotone) == reference_cauchy_index(
@@ -350,7 +346,7 @@ def test_p_window_scan_matches_reference_loops(table, columns, k, standard, r, t
         # the image of x_n = 1/(n+1) is the table; the input is Cauchy in a
         # domain space whose k makes every difference negligible
         budgets = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4)))
-        image = lambda xs: table[np.rint(1.0 / xs - 1.0).astype(int) - 1]
+        image = lambda xs: table[np.rint(1.0 / xs[:, 0] - 1.0).astype(int) - 1]  # (n, 1) to (n, 1)
         f = MapBetweenSpaces(make_standard_space(1e-12), space, image, Interval(0.0, 1.0))
         rec = cauchy_preservation_check(f, reciprocal_sequence(budget=n), r, t, p_max, budgets)
         assert rec.image_certificate == cert
@@ -735,7 +731,7 @@ def _assert_embedding_keeps_certificates(case, family, axis, rest, k, r, t, p_ma
         out[:, others] = rest
         return out
 
-    flat = PointSequence("custom", budget=seq.budget, dimension=d, fn=embedded)
+    flat = TabulatedPointSequence(embedded, seq.budget)
     lim = np.empty(d)
     lim[axis], lim[others] = limit, rest
     got = convergence_index(space, flat, lim, r, t)

@@ -144,8 +144,8 @@ RECORDS = {
     "IFNSpace": (_space, ("dimension", "mu", "nu", "tnorm", "tconorm", "axiom_tier"), _SPACE),
     "PointSequence": (
         lambda: PointSequence("shifted-reciprocal", (1.0, 10.0), budget=10),
-        ("family", "params", "budget", "dimension", "fn"),
-        "PointSequence(family='shifted-reciprocal', params=(1.0, 10.0), budget=10, dimension=1, fn=None)",
+        ("family", "params", "budget"),
+        "PointSequence(family='shifted-reciprocal', params=(1.0, 10.0), budget=10)",
     ),
     "ConvergenceCertificate": (
         _cert,
@@ -404,6 +404,10 @@ VALIDATION = [
     (lambda: IFNSpace(1, None, None, None, None, "weak"), InvalidParameter, "unknown axiom tier 'weak'"),
     (lambda: PointSequence("geometric"), UnsupportedFamily, "unknown sequence family 'geometric'"),
     (lambda: PointSequence("constant"), InvalidParameter, "sequence family 'constant' takes 1 params, got 0"),
+    (
+        lambda: FunctionSequence("bogus", Interval(0.0, 1.0)),
+        UnsupportedFamily, "unknown function-sequence family 'bogus'",
+    ),
     (lambda: MapRule("sine"), UnsupportedFamily, "unknown map rule 'sine'"),
     (lambda: MapRule("affine", (1.0,)), InvalidParameter, "map rule 'affine' takes 2 params, got 1"),
     (

@@ -52,13 +52,10 @@ UNREACHED = {
     "continuity.py:recheck_witness": (1, "a witness that the denser recheck refutes"),
     "continuity.py:cauchy_preservation_check": (1, "an image that neither stays Cauchy nor diverges"),
     "function_sequences.py:_power": (1, "a negative base; every pinned domain is non-negative"),
-    "function_sequences.py:pointwise_limit_estimate": (6, "a point without a finite closed-form limit"),
-    "function_sequences.py:_ladder_verdict": (3, "ladder patterns that no pinned sample makes"),
+    "function_sequences.py:_ladder_verdict": (2, "ladder patterns that no pinned sample makes"),
     "function_sequences.py:_certificate": (1, "an inconclusive uniform certificate"),
     "function_sequences.py:closed_form_index_power": (2, "the near-tie corrections of the logarithmic bound"),
     "function_sequences.py:_criterion": (1, "a worst deviation that passes near the radius, a float near-tie"),
-    "function_sequences.py:sup_deviation_oracle": (1, "the oracle at m = n"),
-    "function_sequences.py:uniform_limit_scenario": (2, "the limit of the constant family"),
     "ifn_core.py:ClassicalNorm.__call__": (3, "a 1-d point, a max-coordinate norm in d > 1, and d >= 8"),
     "ifn_core.py:MembershipFunction.eval": (1, "a 1-d block for a custom pair"),
     "ifn_core.py:MembershipFunction._closed_form": (3, _BEFORE_RAISE),
@@ -84,7 +81,7 @@ UNREACHED = {
         "with a numpy scalar other than float64 or a subclass of a plain type; every value a pinned "
         "command writes has a type of `_WRITERS`",
     ),
-    "report.py:_csv_cell": (2, "a None or boolean cell; no pinned sweep row holds one"),
+    "report.py:_csv_cell": (1, "a boolean cell; no pinned sweep row holds one"),
     "sampling.py:_Frozen._values": (1, "pickling"),
     "sampling.py:_Frozen.__repr__": (2, "the repr of a record"),
     "sampling.py:_Frozen.__reduce__": (1, "pickling"),
@@ -92,10 +89,8 @@ UNREACHED = {
     "sampling.py:_staged_ladder": (4, "after a block raises, the rung-by-rung rerun that raises a loop's error"),
     "sampling.py:Interval.__eq__": (1, "interval equality"),
     "sampling.py:Interval.__hash__": (1, "interval hashing"),
-    "sampling.py:Interval.approach": (1, "a ladder toward the lower end"),
     "scenarios.py:witness_record": (1, "a found witness that the denser recheck refutes"),
     "scenarios.py:_build_set": (1, _ERROR_EXIT),
-    "scenarios.py:_funcseq_checks": (2, "an upper-endpoint sweep"),
     "topology.py:ball_contains_many": (1, "a 1-d block of points"),
     "topology.py:sample_in_ball": (3, _TRACED),
     "topology.py:verify_containment": (2, _TRACED),
